@@ -8,9 +8,21 @@ sets) feeds ``moment`` (moment/localizing matrices, LMI assembly), solved by
 constitutive-tensor algebra and reduces stratum distances to small
 polynomial problems; ``datasets``, ``popfile``, ``reports`` and ``cli``
 provide the data and user-facing plumbing.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless they are already set.  The SDPs solved here are
+small, so a BLAS thread pool costs more than it saves; a value set by the
+user wins.  The setting takes effect only when the package is imported
+before numpy, as the command line does, and ``--jobs`` workers inherit it.
 """
 
-from .hierarchy import (
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .hierarchy import (  # noqa: E402
     HierarchyOptions,
     HierarchyResult,
     add_ball_constraint,
@@ -19,7 +31,7 @@ from .hierarchy import (
     numerical_rank,
     run_hierarchy,
 )
-from .moment import (
+from .moment import (  # noqa: E402
     EQ,
     GE,
     MomentVector,
@@ -30,8 +42,16 @@ from .moment import (
     moment_matrix,
     shift_vector,
 )
-from .poly import IndexSet, Polynomial, lambda_set, poly_add, poly_eval, poly_mul, poly_scale
-from .sdp import SdpSolution, SolverOptions, solve_sdp
+from .poly import (  # noqa: E402
+    IndexSet,
+    Polynomial,
+    lambda_set,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+)
+from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
 
 __all__ = [
     "EQ",

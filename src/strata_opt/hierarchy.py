@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .moment import (
     EQ,
@@ -195,10 +194,12 @@ def extract_minimizers(
     lam_mix = rng.random(n) + 0.1
     lam_mix /= lam_mix.sum()
     Nmix = sum(l * Nk for l, Nk in zip(lam_mix, mult))
-    T, Q = sla.schur(Nmix, output="real")
-    sub = np.max(np.abs(np.diag(T, -1))) if s > 1 else 0.0
-    if sub > 1e-7 * (1.0 + np.max(np.abs(T))):
+    w, V = np.linalg.eig(Nmix)
+    if np.max(np.abs(w.imag)) > 1e-7 * (1.0 + np.max(np.abs(w))):
         raise ExtractionFailure("complex conjugate cluster in the Schur form")
+    # orthonormal Schur basis: QR of the eigenvectors triangularizes Nmix.
+    # A tolerated near-real pair keeps its real invariant plane (Re v, Im v).
+    Q, _ = np.linalg.qr(np.where(w.imag < 0, V.imag, V.real))
 
     points = []
     for j in range(s):

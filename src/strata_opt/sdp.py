@@ -15,8 +15,9 @@ transformed by G_i^{-1}, and the Schur complement
 
     M[k, j] = sum_i <G_i^{-1} A_i[k] G_i^{-T}, G_i^{-1} A_i[j] G_i^{-T}>
 
-is formed densely and factored by Cholesky.  Everything is deterministic:
-no randomization is used anywhere in this module.
+is formed densely and factored by Cholesky.  Step lengths are taken in the
+scaled space, where both iterates are diag(dvec).  Everything is
+deterministic: no randomization is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .moment import MomentVector, RelaxationProblem
 
@@ -83,14 +83,57 @@ def _chol_regularized(mat: np.ndarray):
     return None
 
 
-def _max_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with  X + t*Delta >= 0  given X = L L^T."""
-    K = sla.solve_triangular(chol_lower, delta, lower=True)
-    K = sla.solve_triangular(chol_lower, K.T, lower=True)
-    lam = np.linalg.eigvalsh(0.5 * (K + K.T))[0]
+def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> float:
+    """Largest t with  diag(dv) + t*delta_hat >= 0  (dv > 0).
+
+    In Nesterov-Todd scaled coordinates, where both iterates are diag(dv),
+    this is the step bound of  X + t*Delta >= 0  for either iterate."""
+    root = np.sqrt(dv)
+    lam = np.linalg.eigvalsh(0.5 * (delta_hat + delta_hat.T) / np.outer(root, root))[0]
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
+
+
+def _nt_scaling(S: np.ndarray, Z: np.ndarray):
+    """Nesterov-Todd scaling W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dv).
+
+    Returns (G^{-1}, dv), or None when S or Z cannot be factored."""
+    ls = _chol_regularized(S)
+    lz = _chol_regularized(Z)
+    if ls is None or lz is None:
+        return None
+    U, dv, _ = np.linalg.svd(lz.T @ ls)
+    dv = np.maximum(dv, 1e-150)
+    return (U / np.sqrt(dv)).T @ lz.T, dv
+
+
+_SUBST_BLOCK = 32
+
+
+def _chol_solver(L: np.ndarray):
+    """Solver for  L L^T x = rhs  by blocked forward and back substitution.
+
+    The inverses of L's small diagonal blocks are formed once, in one batched
+    call; each solve is then O(N^2) matrix-vector work."""
+    N = L.shape[0]
+    spans = [(a, min(a + _SUBST_BLOCK, N)) for a in range(0, N, _SUBST_BLOCK)]
+    diag = np.tile(np.eye(_SUBST_BLOCK), (len(spans), 1, 1))
+    for k, (a, b) in enumerate(spans):
+        diag[k, : b - a, : b - a] = L[a:b, a:b]
+    # identity padding of the last block leaves its inverse exact
+    inv = [blk[: b - a, : b - a] for blk, (a, b) in zip(np.linalg.inv(diag), spans)]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        w = np.empty(N)
+        for (a, b), Ki in zip(spans, inv):
+            w[a:b] = Ki @ (rhs[a:b] - L[a:b, :a] @ w[:a])
+        x = np.empty(N)
+        for (a, b), Ki in zip(reversed(spans), reversed(inv)):
+            x[a:b] = (w[a:b] - x[b:] @ L[b:, a:b]) @ Ki
+        return x
+
+    return solve
 
 
 def _find_negation_pairs(blocks) -> tuple[list[int], list[tuple[int, int]]]:
@@ -282,24 +325,11 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
             break
 
         # Nesterov-Todd scaling per block: W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dvec)
-        Ls, Lz, G, Ginv, dvecs = [], [], [], [], []
-        failed = False
-        for i in range(nb):
-            ls = _chol_regularized(S[i])
-            lz = _chol_regularized(Z[i])
-            if ls is None or lz is None:
-                failed = True
-                break
-            U_, dv, Vt = np.linalg.svd(lz.T @ ls)
-            dv = np.maximum(dv, 1e-150)
-            G.append(ls @ Vt.T / np.sqrt(dv))
-            Ginv.append((U_ / np.sqrt(dv)).T @ lz.T)
-            dvecs.append(dv)
-            Ls.append(ls)
-            Lz.append(lz)
-        if failed:
+        scalings = [_nt_scaling(S[i], Z[i]) for i in range(nb)]
+        if any(sc is None for sc in scalings):
             status = NUMERICAL_FAILURE
             break
+        Ginv, dvecs = zip(*scalings)
 
         Ahat, Rhat = [], []
         M = np.zeros((N, N))
@@ -314,10 +344,7 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
         if LM is None:
             status = NUMERICAL_FAILURE
             break
-
-        def schur_solve(rhs):
-            w = sla.solve_triangular(LM, rhs, lower=True)
-            return sla.solve_triangular(LM.T, w, lower=False)
+        schur_solve = _chol_solver(LM)
 
         def direction(E):
             """Search direction for complementarity target E (scaled space)."""
@@ -337,17 +364,17 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
                 dZhat.append(dzh)
             return du, dS, dZ, dShat, dZhat
 
-        def step_lengths(dS, dZ):
+        def step_lengths(dShat, dZhat):
             ap = ad = 1.0
             for i in range(nb):
-                ap = min(ap, opts.step_frac * _max_step(Ls[i], dS[i]))
-                ad = min(ad, opts.step_frac * _max_step(Lz[i], dZ[i]))
-            return min(ap, 1.0), min(ad, 1.0)
+                ap = min(ap, opts.step_frac * _max_step(dvecs[i], dShat[i]))
+                ad = min(ad, opts.step_frac * _max_step(dvecs[i], dZhat[i]))
+            return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
         E_aff = [-np.diag(dvecs[i]) for i in range(nb)]
         du_a, dS_a, dZ_a, dSh_a, dZh_a = direction(E_aff)
-        ap_a, ad_a = step_lengths(dS_a, dZ_a)
+        ap_a, ad_a = step_lengths(dSh_a, dZh_a)
         mu_aff = sum(
             float(np.vdot(S[i] + ap_a * dS_a[i], Z[i] + ad_a * dZ_a[i])) for i in range(nb)
         ) / n_total
@@ -360,8 +387,8 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
             cross = dSh_a[i] @ dZh_a[i]
             rhs_sym = sigma * mu * np.eye(sides[i]) - np.diag(dv**2) - 0.5 * (cross + cross.T)
             E_cor.append(2.0 * rhs_sym / np.add.outer(dv, dv))
-        du, dS, dZ, _, _ = direction(E_cor)
-        ap, ad = step_lengths(dS, dZ)
+        du, dS, dZ, dSh, dZh = direction(E_cor)
+        ap, ad = step_lengths(dSh, dZh)
         if ap <= 1e-14 and ad <= 1e-14:
             status = NUMERICAL_FAILURE
             break

@@ -113,6 +113,21 @@ class TestExtraction:
         want = sorted(tuple(np.round(np.array(p), 6)) for p in pts_in)
         assert got == want
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_atoms_sharing_coordinates(self, seed):
+        # every coordinate value repeats across atoms, so each multiplication
+        # matrix alone has repeated eigenvalues; the random combination must
+        # still separate all four atoms
+        pts_in = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]]
+        w_in = [0.1, 0.2, 0.3, 0.4]
+        y = MomentVector.from_atoms(pts_in, w_in, 3)
+        pts, w = extract_minimizers(y, 3, 4, tol=1e-8, rng=np.random.default_rng(seed))
+        assert len(pts) == 4
+        for q, wq in zip(pts_in, w_in):
+            j = int(np.argmin([np.max(np.abs(p - q)) for p in pts]))
+            np.testing.assert_allclose(pts[j], q, atol=1e-8)
+            assert w[j] == pytest.approx(wq, abs=1e-8)
+
     def test_overstated_rank_recovers_or_fails(self):
         # asking for more atoms than the measure has: spurious atoms must be
         # weight-rejected (or the degenerate factorization must error out)

@@ -3,7 +3,7 @@ import pytest
 
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
-from strata_opt.sdp import SolverOptions, solve_sdp
+from strata_opt.sdp import SolverOptions, _chol_solver, _max_step, _nt_scaling, solve_sdp
 
 
 def _lmi_problem(objective, blocks):
@@ -140,3 +140,61 @@ class TestEqualityElimination:
         _, _, _, _, pobj, dobj = sol.trace[-1]
         assert dobj <= pobj + 10.0 * SolverOptions().gap_tol * (1 + abs(pobj) + abs(dobj))
         assert sol.relative_gap <= SolverOptions().gap_tol
+
+
+def _random_pd(rng, s):
+    X = rng.normal(size=(s, s))
+    return X @ X.T + 0.1 * np.eye(s)
+
+
+def _random_sym(rng, s):
+    X = rng.normal(size=(s, s))
+    return X + X.T
+
+
+def _brute_max_step(X, dX):
+    """Largest t with X + t dX >= 0, from the congruence L^-1 dX L^-T."""
+    L = np.linalg.cholesky(X)
+    K = np.linalg.solve(L, np.linalg.solve(L, dX).T)
+    lam = np.linalg.eigvalsh(0.5 * (K + K.T))[0]
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
+class TestScaledStepLength:
+    def test_matches_brute_force_on_nt_scaled_pairs(self):
+        rng = np.random.default_rng(20240521)
+        for _ in range(40):
+            s = int(rng.integers(1, 9))
+            S, Z = _random_pd(rng, s), _random_pd(rng, s)
+            Ginv, dv = _nt_scaling(S, Z)
+            G = np.linalg.inv(Ginv)
+            np.testing.assert_allclose(Ginv @ S @ Ginv.T, np.diag(dv), atol=1e-10 * dv.max())
+            np.testing.assert_allclose(G.T @ Z @ G, np.diag(dv), atol=1e-10 * dv.max())
+            dS, dZ = _random_sym(rng, s), _random_sym(rng, s)
+            for X, dX, dX_hat in ((S, dS, Ginv @ dS @ Ginv.T), (Z, dZ, G.T @ dZ @ G)):
+                want = _brute_max_step(X, dX)
+                got = _max_step(dv, dX_hat)
+                if np.isinf(want):
+                    assert np.isinf(got)
+                    continue
+                assert got == pytest.approx(want, rel=1e-10)
+                # the step lands on the boundary of the cone
+                edge = np.linalg.eigvalsh(X + want * dX)[0]
+                assert abs(edge) <= 1e-8 * np.linalg.norm(X + want * dX)
+
+    def test_psd_direction_is_unbounded(self):
+        rng = np.random.default_rng(3)
+        for s in (1, 4, 7):
+            Ginv, dv = _nt_scaling(_random_pd(rng, s), _random_pd(rng, s))
+            for dS in (np.zeros((s, s)), _random_pd(rng, s)):
+                assert _max_step(dv, Ginv @ dS @ Ginv.T) == np.inf
+
+
+class TestCholeskySolve:
+    def test_matches_dense_solve_across_blocks(self):
+        rng = np.random.default_rng(11)
+        for N in (1, 5, 32, 33, 150):
+            M = _random_pd(rng, N)
+            rhs = rng.normal(size=N)
+            x = _chol_solver(np.linalg.cholesky(M))(rhs)
+            np.testing.assert_allclose(M @ x, rhs, atol=1e-9 * np.linalg.norm(rhs))

@@ -1,0 +1,90 @@
+"""Process-level behaviour, checked in fresh interpreters: what importing the
+command line loads, the BLAS thread default, and bounds that do not depend
+on the BLAS thread count."""
+
+import json
+import os
+import subprocess
+import sys
+
+import strata_opt
+from strata_opt.sdp import SolverOptions
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(strata_opt.__file__)))
+
+
+def _python(args, **env_set):
+    """Run the interpreter with the thread variables unset unless given."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.update(env_set)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def _values_after_import(**env_set):
+    code = ("import json, os, strata_opt; "
+            f"print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))")
+    proc = _python(["-c", code], **env_set)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, strata_opt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = _python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_blas_threads_default_to_one():
+    assert _values_after_import() == ["1", "1", "1"]
+
+
+def test_user_thread_setting_wins():
+    assert _values_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+
+def _agree_within_gap_tol(b1, b2):
+    return abs(b1 - b2) <= SolverOptions().gap_tol * (1.0 + abs(b1) + abs(b2))
+
+
+def test_cli_bound_agrees_across_blas_thread_counts(tmp_path):
+    entry = "import sys; from strata_opt.cli import main; sys.exit(main())"
+    bounds = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"threads{threads}.json"
+        proc = _python(["-c", entry, "distance", "--dataset", "E0", "--stratum", "cubic-ela",
+                        "--json", str(report)], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        bounds.append(json.loads(report.read_text())["bound"])
+    assert _agree_within_gap_tol(*bounds)
+
+
+ORDER_TWO_E0 = """
+import numpy as np
+from strata_opt import add_ball_constraint, assemble_relaxation, solve_sdp
+from strata_opt.datasets import get_dataset
+from strata_opt.mech import ElasticityTensor, build_distance_problem_ela
+
+p = build_distance_problem_ela(ElasticityTensor.from_voigt(np.array(get_dataset("E0").voigt)))
+r = p.natural_scale
+cons = add_ball_constraint(p.objective, p.constraints, 58000.0)
+sol = solve_sdp(assemble_relaxation(p.objective.dilate(r), [(g.dilate(r), k) for g, k in cons], 2))
+assert sol.status == "optimal", sol.status
+print(repr(sol.objective))
+"""
+
+
+def test_order_two_value_agrees_across_blas_thread_counts():
+    # the CLI certifies E0 at order 1, whose matrices are too small for a
+    # second BLAS thread to start; at order 2 (715 moments) the
+    # threaded kernels change the summation order and the value moves
+    values = []
+    for threads in ("1", "2"):
+        proc = _python(["-c", ORDER_TWO_E0], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        values.append(float(proc.stdout))
+    assert _agree_within_gap_tol(*values)
