@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -239,6 +238,9 @@ def cmd_distance(args) -> int:
 
     try:
         if args.jobs > 1 and len(jobs) > 1:
+            # imported here: the process-pool machinery is a cost of --jobs only
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(_distance_single, jobs))
         else:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .poly import IndexSet, Polynomial, lambda_set
+from .poly import IndexSet, Polynomial, grlex_position, lambda_set
 
 __all__ = [
     "MomentVector",
@@ -119,19 +120,21 @@ def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _sum_positions(n: int, k: int) -> np.ndarray:
+    """Position table of M_k: entry (a, b) is the position of
+    alpha_a + alpha_b in Lambda(2k), for alpha_a, alpha_b in Lambda(k)."""
+    rows = lambda_set(n, k).exponents
+    table = grlex_position(rows[:, None, :] + rows[None, :, :])
+    table.flags.writeable = False
+    return table
+
+
 def moment_matrix(y: MomentVector, k: int) -> np.ndarray:
     """Moment matrix M_k(y) = (y_{alpha+beta}) over Lambda(k) x Lambda(k)."""
     if k > y.d:
         raise ValueError(f"order k={k} exceeds relaxation order d={y.d}")
-    rows = lambda_set(y.n, k)
-    src = y.index_set
-    side = len(rows)
-    M = np.empty((side, side))
-    for a, alpha in enumerate(rows.members):
-        for b in range(a, side):
-            beta = rows.members[b]
-            M[a, b] = M[b, a] = y.values[src.position[tuple(x + z for x, z in zip(alpha, beta))]]
-    return M
+    return y.values[_sum_positions(y.n, k)]
 
 
 def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
@@ -187,19 +190,18 @@ class RelaxationProblem:
 def _block_for(g: Polynomial, label: str, d: int, idx2d: IndexSet) -> LMIBlock:
     n = g.n
     v = constraint_half_degree(g)
-    rows = lambda_set(n, d - v)
-    side = len(rows)
+    k = d - v
+    table = _sum_positions(n, k)
+    side = table.shape[0]
+    deltas = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
+    coeffs = np.array(list(g.terms.values()), dtype=float)
+    # shift[p, t]: position in Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t
+    shift = grlex_position(lambda_set(n, 2 * k).exponents[:, None, :] + deltas[None, :, :])
+    rows = np.arange(side)
     A = np.zeros((len(idx2d), side, side))
-    for a, alpha in enumerate(rows.members):
-        for b in range(a, side):
-            beta = rows.members[b]
-            base = tuple(x + z for x, z in zip(alpha, beta))
-            for delta, coeff in g.sorted_terms():
-                pos = idx2d.position[tuple(x + z for x, z in zip(base, delta))]
-                # aggregate: several (row, col) pairs can hit the same alpha
-                A[pos, a, b] += coeff
-                if b != a:
-                    A[pos, b, a] += coeff
+    # each (moment, row, col) entry receives exactly one coefficient, so one
+    # indexed assignment equals accumulating the terms one by one
+    A[shift[table], rows[:, None, None], rows[None, :, None]] = coeffs
     return LMIBlock(label=label, g=g, v=v, side=side, A=A)
 
 

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "Polynomial",
     "IndexSet",
     "grlex_key",
+    "grlex_position",
     "lambda_set",
     "poly_eval",
     "poly_add",
@@ -41,6 +43,7 @@ class IndexSet:
     k: int
     members: tuple[tuple[int, ...], ...]
     position: dict = field(repr=False, compare=False)
+    exponents: np.ndarray = field(repr=False, compare=False)  # members as an (len, n) array
 
     def __len__(self) -> int:
         return len(self.members)
@@ -68,7 +71,40 @@ def lambda_set(n: int, k: int) -> IndexSet:
             members.append(tuple(alpha))
     assert len(members) == math.comb(n + k, n)
     position = {alpha: i for i, alpha in enumerate(members)}
-    return IndexSet(n=n, k=k, members=tuple(members), position=position)
+    exponents = np.array(members, dtype=np.int64)
+    exponents.flags.writeable = False
+    return IndexSet(n=n, k=k, members=tuple(members), position=position, exponents=exponents)
+
+
+@lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    """Pascal's triangle C[a, b] = binomial(a, b) for 0 <= a, b < size."""
+    C = np.zeros((size, size), dtype=np.int64)
+    C[:, 0] = 1
+    for a in range(1, size):
+        C[a, 1:] = C[a - 1, 1:] + C[a - 1, :-1]
+    C.flags.writeable = False
+    return C
+
+
+def grlex_position(alphas) -> np.ndarray:
+    """Positions of exponent vectors (the last axis) in graded-lex order.
+
+    Equal to ``lambda_set(n, k).position[alpha]`` for any k >= |alpha|, since
+    the sets are prefixes of one another: the binomial(n + t - 1, n)
+    monomials of degree below t = |alpha| come first, then those of degree t
+    that are larger in lexicographic order, one hockey-stick sum per
+    coordinate."""
+    alphas = np.asarray(alphas, dtype=np.int64)
+    n = alphas.shape[-1]
+    # tail[..., i] = alpha_{i+1} + ... + alpha_{n-1}
+    tail = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]
+    t = tail[..., 0]
+    C = _binomials(n + int(t.max(initial=0)) + 1)
+    pos = C[n + t - 1, n]
+    for i in range(n - 1):
+        pos = pos + C[tail[..., i + 1] + n - i - 2, n - i - 1]
+    return pos
 
 
 class Polynomial:
@@ -95,6 +131,16 @@ class Polynomial:
                     del clean[alpha]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
+        """Wrap a term map whose exponents are already valid tuples of length n
+        and whose coefficients are floats, dropping exact zeros.  Arithmetic
+        results come through here; outside input goes through __init__."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", {a: c for a, c in terms.items() if c != 0.0})
+        return p
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -147,7 +193,7 @@ class Polynomial:
     def dilate(self, r: float) -> "Polynomial":
         """The polynomial x -> p(r * x): coefficients scale by r^|alpha|."""
         r = float(r)
-        return Polynomial(self.n, {a: c * r ** sum(a) for a, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {a: c * r ** sum(a) for a, c in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -162,12 +208,12 @@ class Polynomial:
         out = dict(self.terms)
         for alpha, c in other.terms.items():
             out[alpha] = out.get(alpha, 0.0) + c
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {a: -c for a, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -178,14 +224,14 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             s = float(other)
-            return Polynomial(self.n, {a: c * s for a, c in self.terms.items()})
+            return Polynomial._trusted(self.n, {a: c * s for a, c in self.terms.items()})
         other = self._coerce(other)
         out: dict[tuple[int, ...], float] = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
+                key = tuple(map(add, a1, a2))
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     __rmul__ = __mul__
 

@@ -97,22 +97,28 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
+        """A signed sum of terms, added into one term map as they are read,
+        so a sum of T terms costs O(T).  A monomial that cancels is removed
+        at once, so the map and its order match term-by-term addition."""
         kind, val = self.peek()
-        negate = False
+        sign = 1.0
         if kind == "op" and val in "+-":
             self.take()
-            negate = val == "-"
-        p = self.term()
-        if negate:
-            p = -p
+            sign = -1.0 if val == "-" else 1.0
+        acc = {alpha: sign * c for alpha, c in self.term().terms.items()}
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                q = self.term()
-                p = p - q if val == "-" else p + q
+                sign = -1.0 if val == "-" else 1.0
+                for alpha, c in self.term().terms.items():
+                    total = acc.get(alpha, 0.0) + sign * c
+                    if total == 0.0:
+                        del acc[alpha]
+                    else:
+                        acc[alpha] = total
             else:
-                return p
+                return Polynomial._trusted(self.n, acc)
 
     def term(self) -> Polynomial:
         p = self.factor()

@@ -83,29 +83,47 @@ def _chol_regularized(mat: np.ndarray):
     return None
 
 
+def _chol_stack(mats: np.ndarray):
+    """Cholesky factors of a matrix or a stack of them, in one batched call;
+    if any block is not numerically positive definite, block by block with
+    _chol_regularized.  None when some block stays hopeless."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        side = mats.shape[-1]
+        factors = [_chol_regularized(m) for m in mats.reshape(-1, side, side)]
+        if any(L is None for L in factors):
+            return None
+        return np.reshape(factors, mats.shape)
+
+
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> float:
-    """Largest t with  diag(dv) + t*delta_hat >= 0  (dv > 0).
+    """Largest t with  diag(dv_j) + t*delta_hat_j >= 0  for every block j of
+    a stack (or for one block); dv > 0.
 
     In Nesterov-Todd scaled coordinates, where both iterates are diag(dv),
     this is the step bound of  X + t*Delta >= 0  for either iterate."""
     root = np.sqrt(dv)
-    lam = np.linalg.eigvalsh(0.5 * (delta_hat + delta_hat.T) / np.outer(root, root))[0]
+    sym = 0.5 * (delta_hat + np.swapaxes(delta_hat, -1, -2))
+    lam = np.linalg.eigvalsh(sym / (root[..., :, None] * root[..., None, :]))[..., 0].min()
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Nesterov-Todd scaling W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dv).
+    """Nesterov-Todd scaling W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dv),
+    for one block or, batched, for every block of a stack.
 
     Returns (G^{-1}, dv), or None when S or Z cannot be factored."""
-    ls = _chol_regularized(S)
-    lz = _chol_regularized(Z)
+    ls = _chol_stack(S)
+    lz = _chol_stack(Z)
     if ls is None or lz is None:
         return None
-    U, dv, _ = np.linalg.svd(lz.T @ ls)
+    lzT = np.swapaxes(lz, -1, -2)
+    U, dv, _ = np.linalg.svd(lzT @ ls)
     dv = np.maximum(dv, 1e-150)
-    return (U / np.sqrt(dv)).T @ lz.T, dv
+    return np.swapaxes(U / np.sqrt(dv)[..., None, :], -1, -2) @ lzT, dv
 
 
 _SUBST_BLOCK = 32
@@ -214,20 +232,22 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         row_scale = np.maximum(np.max(np.abs(E), axis=1), np.abs(e0))
         keep = row_scale > 0
         E, e0 = E[keep] / row_scale[keep, None], e0[keep] / row_scale[keep]
-        u_part, *_ = np.linalg.lstsq(E, e0, rcond=None)
+        # one SVD gives the least-squares particular solution and an
+        # orthonormal basis of ker E, both with the same rank cut
+        U, sv, Vt = np.linalg.svd(E, full_matrices=True)
+        rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
+        u_part = Vt[:rank].T @ (U[:, :rank].T @ e0 / sv[:rank])
         if np.max(np.abs(E @ u_part - e0), initial=0.0) > 1e-8:
             return finish(u_part, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
-        # orthonormal basis of ker E via SVD
-        _, sv, Vt = np.linalg.svd(E, full_matrices=True)
-        rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
         B = Vt[rank:].T  # (N, N - rank)
         lmi_blocks = [blocks[i] for i in survivors]
         red_c = B.T @ c_raw
         red_A0 = [blk.A[0] + np.tensordot(u_part, blk.A[1:], axes=1) for blk in lmi_blocks]
-        red_Avar = [np.tensordot(B.T, blk.A[1:], axes=([1], [0])) for blk in lmi_blocks]
         if B.shape[1] == 0:
             ok = all(np.linalg.eigvalsh(A)[0] >= -opts.feas_tol for A in red_A0)
             return finish(u_part, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
+        # reduced coefficient arrays are made one at a time as the solver stacks them
+        red_Avar = (np.tensordot(B.T, blk.A[1:], axes=([1], [0])) for blk in lmi_blocks)
         core = _ipm_lmi(red_c, red_A0, red_Avar, opts)
         u_full = u_part + B @ core.u
         return finish(u_full, core.status, core.iterations, core.trace,
@@ -251,30 +271,60 @@ class _CoreResult:
     rel_gap: float = float("nan")
 
 
-def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOptions) -> _CoreResult:
-    """Path-following core on  min <c,u>  s.t.  A0_i + sum_k u_k Avar_i[k] >= 0."""
+_CHUNK = 32  # moments per congruence product in the Schur build
+
+
+def _stack_blocks(N: int, A0_raw: list, Avar_raw):
+    """Stack the blocks by side, sides in order of first appearance, each
+    block scaled by its largest absolute coefficient, once, into its stack.
+
+    Avar_raw is read one array at a time, so an array that only the iterable
+    holds is freed as soon as it is stacked.  Returns the constant stacks
+    (k, s, s) and the coefficient stacks (k, N, s, s), one of each per side."""
+    counts: dict[int, int] = {}
+    slots = []
+    for A0_i in A0_raw:
+        s = A0_i.shape[0]
+        slots.append((s, counts.get(s, 0)))
+        counts[s] = counts.get(s, 0) + 1
+    A0 = {s: np.empty((k, s, s)) for s, k in counts.items()}
+    Avar = {s: np.empty((k, N, s, s)) for s, k in counts.items()}
+    for (s, j), A0_i, Avar_i in zip(slots, A0_raw, Avar_raw):
+        s_blk = max(float(np.max(np.abs(A0_i))), float(np.max(np.abs(Avar_i)))) or 1.0
+        np.divide(A0_i, s_blk, out=A0[s][j])
+        np.divide(Avar_i, s_blk, out=Avar[s][j])
+    return list(A0.values()), list(Avar.values())
+
+
+def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> _CoreResult:
+    """Path-following core on  min <c,u>  s.t.  A0_i + sum_k u_k Avar_i[k] >= 0.
+
+    Blocks of equal side form one stack, so that every per-block factorization,
+    decomposition and product is one batched call per side."""
     N = c_raw.shape[0]
 
     # per-problem rescaling: largest absolute coefficient becomes 1
     s_obj = float(np.max(np.abs(c_raw))) if np.any(c_raw) else 1.0
     c = c_raw / s_obj
-    A0, Avar, Aflat, sides = [], [], [], []
-    for A0_i, Avar_i in zip(A0_raw, Avar_raw):
-        s_blk = max(float(np.max(np.abs(A0_i))), float(np.max(np.abs(Avar_i)))) or 1.0
-        A0.append(A0_i / s_blk)
-        Avar.append(Avar_i / s_blk)
-        Aflat.append(Avar[-1].reshape(N, -1))
-        sides.append(A0_i.shape[0])
-    nb = len(A0)
-    n_total = float(sum(sides))
+    A0, Avar = _stack_blocks(N, A0_raw, Avar_raw)
+    sides = range(len(A0))
+    Aflat = [A.reshape(A.shape[0], N, -1) for A in Avar]  # (k, N, s*s) views
+    eyes = [np.eye(A.shape[-1]) for A in A0]
+    n_total = float(sum(A.shape[0] * A.shape[1] for A in A0))
     c_norm = float(np.max(np.abs(c))) if np.any(c) else 1.0
-    a0_norms = [np.linalg.norm(A0[i]) for i in range(nb)]
+    a0_norms = [np.array([np.linalg.norm(a) for a in A]) for A in A0]
 
     # strictly interior start: u = 0, slack and dual multiplier proportional to I
-    tau = 1.0 + max(a0_norms)
+    tau = 1.0 + max(float(np.max(x)) for x in a0_norms)
     u = np.zeros(N)
-    S = [tau * np.eye(s) for s in sides]
-    Z = [np.eye(s) for s in sides]
+    S = [tau * np.broadcast_to(I, A.shape) for I, A in zip(eyes, A0)]
+    Z = [np.broadcast_to(I, A.shape).copy() for I, A in zip(eyes, A0)]
+    # Ahat[g] holds G^{-1} A_k G^{-T} as row k of an (N, k*s*s) matrix, so
+    # that the Schur complement and its right-hand sides take one product per
+    # side.  It is built _CHUNK moments at a time through a small work array;
+    # both are reused by every iteration.
+    Ahat = [np.empty((N, A.size)) for A in A0]
+    work = np.empty(_CHUNK * max(A.size for A in A0))
 
     trace: list[tuple] = []
     status = MAX_ITERATIONS
@@ -287,18 +337,18 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
 
     for it in range(opts.max_iter):
         iters = it
-        F = [A0[i] + (u @ Aflat[i]).reshape(sides[i], sides[i]) for i in range(nb)]
-        R = [F[i] - S[i] for i in range(nb)]
+        R = [A0[g] + (u @ Aflat[g]).reshape(A0[g].shape) - S[g] for g in sides]
         r = c.copy()
-        for i in range(nb):
-            r -= Aflat[i] @ Z[i].ravel()
+        for g in sides:
+            r -= np.matmul(Aflat[g], Z[g].reshape(len(Z[g]), -1, 1)).sum(axis=0)[:, 0]
 
         pobj = float(c @ u)
-        dobj = -sum(float(np.vdot(A0[i], Z[i])) for i in range(nb))
-        mu = sum(float(np.vdot(S[i], Z[i])) for i in range(nb)) / n_total
+        dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides)
+        mu = sum(float(np.vdot(S[g], Z[g])) for g in sides) / n_total
         gap = pobj - dobj
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(float(np.linalg.norm(R[i])) / (1.0 + a0_norms[i]) for i in range(nb))
+        pres = max(float(np.max(np.linalg.norm(R[g].reshape(len(R[g]), -1), axis=1)
+                                / (1.0 + a0_norms[g]))) for g in sides)
         dres = float(np.max(np.abs(r))) / (1.0 + c_norm)
         trace.append((it, mu, pres, dres, pobj, dobj))
 
@@ -325,20 +375,24 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
             break
 
         # Nesterov-Todd scaling per block: W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dvec)
-        scalings = [_nt_scaling(S[i], Z[i]) for i in range(nb)]
+        scalings = [_nt_scaling(S[g], Z[g]) for g in sides]
         if any(sc is None for sc in scalings):
             status = NUMERICAL_FAILURE
             break
         Ginv, dvecs = zip(*scalings)
+        GinvT = [np.ascontiguousarray(np.swapaxes(G, 1, 2)) for G in Ginv]
 
-        Ahat, Rhat = [], []
         M = np.zeros((N, N))
-        for i in range(nb):
-            Ah = np.matmul(Ginv[i], np.matmul(Avar[i], Ginv[i].T))
-            Ahat.append(Ah)
-            Rhat.append(Ginv[i] @ R[i] @ Ginv[i].T)
-            flat = Ah.reshape(N, -1)
-            M += flat @ flat.T
+        for g in sides:
+            k, _, s, _ = Avar[g].shape
+            out = Ahat[g].reshape(N, k, s, s).transpose(1, 0, 2, 3)
+            for a in range(0, N, _CHUNK):
+                b = min(a + _CHUNK, N)
+                right = work[: k * (b - a) * s * s].reshape(k, (b - a) * s, s)
+                np.matmul(Avar[g][:, a:b].reshape(k, (b - a) * s, s), GinvT[g], out=right)
+                np.matmul(Ginv[g][:, None], right.reshape(k, b - a, s, s), out=out[:, a:b])
+            M += Ahat[g] @ Ahat[g].T
+        Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
         M = 0.5 * (M + M.T)
         LM = _chol_regularized(M)
         if LM is None:
@@ -349,44 +403,45 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
         def direction(E):
             """Search direction for complementarity target E (scaled space)."""
             rhs = -r.copy()
-            for i in range(nb):
-                rhs += np.tensordot(Ahat[i], E[i] - Rhat[i], axes=([1, 2], [0, 1]))
+            for g in sides:
+                rhs += Ahat[g] @ (E[g] - Rhat[g]).reshape(-1)
             du = schur_solve(rhs)
             dS, dZ, dShat, dZhat = [], [], [], []
-            for i in range(nb):
-                ds = (du @ Aflat[i]).reshape(sides[i], sides[i]) + R[i]
-                dsh = Ginv[i] @ ds @ Ginv[i].T
-                dzh = E[i] - dsh
-                dz = Ginv[i].T @ dzh @ Ginv[i]
+            for g in sides:
+                ds = (du @ Aflat[g]).reshape(E[g].shape) + R[g]
+                dsh = Ginv[g] @ ds @ GinvT[g]
+                dzh = E[g] - dsh
+                dz = GinvT[g] @ dzh @ Ginv[g]
                 dS.append(ds)
-                dZ.append(0.5 * (dz + dz.T))
+                dZ.append(0.5 * (dz + np.swapaxes(dz, 1, 2)))
                 dShat.append(dsh)
                 dZhat.append(dzh)
             return du, dS, dZ, dShat, dZhat
 
         def step_lengths(dShat, dZhat):
             ap = ad = 1.0
-            for i in range(nb):
-                ap = min(ap, opts.step_frac * _max_step(dvecs[i], dShat[i]))
-                ad = min(ad, opts.step_frac * _max_step(dvecs[i], dZhat[i]))
+            for g in sides:
+                ap = min(ap, opts.step_frac * _max_step(dvecs[g], dShat[g]))
+                ad = min(ad, opts.step_frac * _max_step(dvecs[g], dZhat[g]))
             return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
-        E_aff = [-np.diag(dvecs[i]) for i in range(nb)]
+        E_aff = [-(dvecs[g][:, :, None] * eyes[g]) for g in sides]
         du_a, dS_a, dZ_a, dSh_a, dZh_a = direction(E_aff)
         ap_a, ad_a = step_lengths(dSh_a, dZh_a)
         mu_aff = sum(
-            float(np.vdot(S[i] + ap_a * dS_a[i], Z[i] + ad_a * dZ_a[i])) for i in range(nb)
+            float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ_a[g])) for g in sides
         ) / n_total
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term
         E_cor = []
-        for i in range(nb):
-            dv = dvecs[i]
-            cross = dSh_a[i] @ dZh_a[i]
-            rhs_sym = sigma * mu * np.eye(sides[i]) - np.diag(dv**2) - 0.5 * (cross + cross.T)
-            E_cor.append(2.0 * rhs_sym / np.add.outer(dv, dv))
+        for g in sides:
+            dv = dvecs[g]
+            cross = dSh_a[g] @ dZh_a[g]
+            rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
+                       - 0.5 * (cross + np.swapaxes(cross, 1, 2)))
+            E_cor.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
         du, dS, dZ, dSh, dZh = direction(E_cor)
         ap, ad = step_lengths(dSh, dZh)
         if ap <= 1e-14 and ad <= 1e-14:
@@ -394,9 +449,9 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw: list, opts: SolverOption
             break
 
         u = u + ap * du
-        for i in range(nb):
-            S[i] = S[i] + ap * dS[i]
-            Z[i] = Z[i] + ad * dZ[i]
+        for g in sides:
+            S[g] = S[g] + ap * dS[g]
+            Z[g] = Z[g] + ad * dZ[g]
         iters = it + 1
 
     if status == OPTIMAL or best is None:

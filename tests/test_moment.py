@@ -5,7 +5,9 @@ from strata_opt.moment import (
     EQ,
     GE,
     MomentVector,
+    _block_for,
     assemble_relaxation,
+    constraint_half_degree,
     localizing_matrix,
     minimal_order,
     moment_matrix,
@@ -204,3 +206,61 @@ class TestAssemble:
     def test_odd_degree_constraint_rounds_up(self):
         g = Polynomial.monomial((3,), 1.0)
         assert minimal_order(Polynomial.variable(0, 1), [(g, GE)]) == 2
+
+
+def _block_by_entries(g, d, idx2d):
+    """Reference assembly: the coefficient array filled one entry at a time."""
+    rows = lambda_set(g.n, d - constraint_half_degree(g))
+    side = len(rows)
+    A = np.zeros((len(idx2d), side, side))
+    for a, alpha in enumerate(rows.members):
+        for b in range(a, side):
+            base = tuple(x + z for x, z in zip(alpha, rows.members[b]))
+            for delta, coeff in g.sorted_terms():
+                pos = idx2d.position[tuple(x + z for x, z in zip(base, delta))]
+                A[pos, a, b] += coeff
+                if b != a:
+                    A[pos, b, a] += coeff
+    return A
+
+
+def _cancelling_poly(rng, n, deg):
+    """A random polynomial of exact degree deg, built by arithmetic in which
+    repeated monomials add up and some terms cancel exactly."""
+    members = lambda_set(n, deg).members
+    top = [a for a in members if sum(a) == deg]
+    p = Polynomial.monomial(top[rng.integers(len(top))], float(rng.normal()) + 3.0)
+    for _ in range(2 * len(members)):
+        mono = Polynomial.monomial(members[rng.integers(len(members))], float(rng.normal()))
+        p = p + mono
+        if rng.random() < 0.3:
+            p = p - mono
+    return p
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("n,deg,d", [(1, 0, 1), (1, 3, 2), (1, 5, 4), (2, 1, 2),
+                                         (2, 4, 3), (3, 3, 2), (4, 2, 2), (6, 1, 2)])
+    def test_block_equals_entrywise_loop_bitwise(self, n, deg, d):
+        rng = np.random.default_rng([n, deg, d])
+        idx2d = lambda_set(n, 2 * d)
+        for _ in range(3):
+            g = _cancelling_poly(rng, n, deg)
+            assert g.degree == deg
+            blk = _block_for(g, "g", d, idx2d)
+            ref = _block_by_entries(g, d, idx2d)
+            assert blk.A.shape == ref.shape
+            assert blk.A.tobytes() == ref.tobytes()
+
+    def test_zero_constraint_gives_zero_block(self):
+        x = Polynomial.variable(0, 2)
+        blk = _block_for(x - x, "g", 1, lambda_set(2, 2))
+        assert blk.side == 3 and not np.any(blk.A)
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (6, 2)])
+    def test_moment_matrix_equals_entrywise_lookup(self, rng, n, d):
+        y = MomentVector(n=n, d=d, values=rng.normal(size=len(lambda_set(n, 2 * d))))
+        for k in range(d + 1):
+            rows = lambda_set(n, k).members
+            ref = np.array([[y[tuple(x + z for x, z in zip(a, b))] for b in rows] for a in rows])
+            assert moment_matrix(y, k).tobytes() == ref.tobytes()

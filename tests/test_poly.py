@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata_opt.poly import Polynomial, grlex_key, lambda_set, poly_add, poly_eval, poly_mul, poly_scale
+from strata_opt.poly import (
+    Polynomial,
+    grlex_key,
+    grlex_position,
+    lambda_set,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+)
 
 
 class TestLambdaSet:
@@ -37,6 +46,15 @@ class TestLambdaSet:
             small = lambda_set(4, k).members
             big = lambda_set(4, k + 1).members
             assert big[: len(small)] == small
+
+    def test_grlex_position_matches_index_sets(self):
+        for n in range(1, 7):
+            for k in range(6):
+                idx = lambda_set(n, k)
+                np.testing.assert_array_equal(grlex_position(idx.exponents), np.arange(len(idx)))
+                # a set is a prefix of every larger one
+                big = lambda_set(n, k + 2)
+                assert [big.position[a] for a in idx.members] == list(range(len(idx)))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -114,6 +132,50 @@ class TestPolynomialBasics:
             x = rng.uniform(-1, 1, size=3)
             assert q.evaluate(x) == pytest.approx(p.evaluate(r * x), rel=1e-12, abs=1e-12)
         assert p.dilate(1.0) == p
+
+
+class TestArithmeticResults:
+    """Arithmetic builds its results without re-validating their terms; the
+    public constructor still validates outside input."""
+
+    def _operands(self, rng):
+        p = _random_poly(rng, 3, 3)
+        cancel = next(iter(p.terms))
+        q = {a: c for a, c in _random_poly(rng, 3, 2).terms.items() if a != cancel}
+        # share monomials with p, and cancel one of them exactly
+        q.update({a: float(rng.normal()) for a in list(p.terms)[1:3]})
+        q[cancel] = -p.terms[cancel]
+        return p, Polynomial(3, q)
+
+    def test_results_equal_public_construction(self, rng):
+        for _ in range(10):
+            p, q = self._operands(rng)
+            for res in (p + q, p - q, q - p, -p, p * q, 2.5 * p, p * 0.0, p.dilate(-1.7), p ** 3):
+                ref = Polynomial(3, res.terms)
+                assert res == ref
+                assert list(res.terms.items()) == list(ref.terms.items())
+
+    def test_results_drop_exact_zeros(self, rng):
+        p, q = self._operands(rng)
+        for res in (p + q, p - p, p * 0.0, p.dilate(0.0), (p - p) * q):
+            assert all(c != 0.0 for c in res.terms.values())
+        assert (p + q).coefficient(next(iter(p.terms))) == 0.0
+        assert next(iter(p.terms)) not in (p + q).terms
+
+    def test_results_are_immutable(self, rng):
+        p, q = self._operands(rng)
+        for res in (p + q, -p, p * q, p.dilate(2.0)):
+            with pytest.raises(AttributeError):
+                res.terms = {}
+            with pytest.raises(AttributeError):
+                res.n = 5
+
+    def test_public_constructor_rejects_bad_exponents(self):
+        for terms in ({(1, 0): 1.0}, {(1, 0, 0, 1): 1.0}, {(1, -1, 0): 2.0}):
+            with pytest.raises(ValueError):
+                Polynomial(3, terms)
+        with pytest.raises(ValueError):
+            Polynomial(0, {})
 
 
 def _random_poly(rng, n, deg):

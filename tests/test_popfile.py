@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,3 +121,58 @@ class TestPopFiles:
         again = parse_pop(format_pop(pop))
         assert again.objective == dp.objective
         assert [g for g, _ in again.constraints] == [g for g, _ in dp.constraints]
+
+
+def _long_sum(num_terms, seed=0):
+    """A sum of num_terms monomial terms in x, y over about num_terms / 2
+    distinct monomials, so that monomials repeat, and with coefficients whose
+    partial sums are exact, so that some of them cancel to zero.  Returns the
+    text and the terms as (sign, coefficient, exponent)."""
+    rng = np.random.default_rng(seed)
+    members = lambda_set(2, 80).members[: max(1, num_terms // 2)]
+    terms = []
+    while len(terms) < num_terms:
+        alpha = members[rng.integers(len(members))]
+        c = float(rng.choice([0.5, 1.0, 1.5, 2.0, 2.5]))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        terms.append((sign, c, alpha))
+        if rng.random() < 0.2:  # the same term back with the other sign
+            terms.append((-sign, c, alpha))
+    terms = terms[:num_terms]
+    parts = []
+    for sign, c, alpha in terms:
+        factors = [repr(c)] + [f"{v}^{a}" for v, a in zip("xy", alpha) if a]
+        parts.append(("-" if sign < 0 else "+", "*".join(factors)))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    text += "".join(f" {op} {body}" for op, body in parts[1:])
+    return text, terms
+
+
+class TestLongSums:
+    def test_parses_to_the_term_by_term_sum(self):
+        text, terms = _long_sum(2000)
+        ref = Polynomial.zero(2)
+        for sign, c, alpha in terms:
+            mono = Polynomial.monomial(alpha, c)
+            ref = ref + mono if sign > 0 else ref - mono
+        p = parse_polynomial(text, ("x", "y"))
+        assert p == ref
+        assert list(p.terms.items()) == list(ref.terms.items())
+        assert len(p.terms) < len(set(alpha for _, _, alpha in terms))  # some cancelled
+
+    def test_validation_grows_linearly(self, monkeypatch):
+        counted = []
+        validate = Polynomial.__init__
+
+        def counting_init(self, n, terms=None):
+            counted.append(len(terms or {}))
+            validate(self, n, terms)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+
+        def validated_terms(num_terms):
+            counted.clear()
+            parse_polynomial(_long_sum(num_terms)[0], ("x", "y"))
+            return sum(counted)
+
+        assert validated_terms(2000) <= 2.2 * validated_terms(1000)

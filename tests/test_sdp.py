@@ -3,7 +3,15 @@ import pytest
 
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
-from strata_opt.sdp import SolverOptions, _chol_solver, _max_step, _nt_scaling, solve_sdp
+from strata_opt.sdp import (
+    SolverOptions,
+    _chol_regularized,
+    _chol_solver,
+    _chol_stack,
+    _max_step,
+    _nt_scaling,
+    solve_sdp,
+)
 
 
 def _lmi_problem(objective, blocks):
@@ -198,3 +206,64 @@ class TestCholeskySolve:
             rhs = rng.normal(size=N)
             x = _chol_solver(np.linalg.cholesky(M))(rhs)
             np.testing.assert_allclose(M @ x, rhs, atol=1e-9 * np.linalg.norm(rhs))
+
+
+def _box_ball_problem(order):
+    """n = 6: a dense convex quartic over the box |x_i| <= 1 and the ball
+    |x|^2 <= 4.5, constraints taken in the given order.  At d = 2 the
+    relaxation has the moment block (side 28) and seven blocks of side 7."""
+    n = 6
+    rng = np.random.default_rng(7)
+    xs = Polynomial.variables(n)
+    f = Polynomial.zero(n)
+    for _ in range(n):
+        form = sum((float(w) * x for w, x in zip(rng.normal(size=n) / np.sqrt(n), xs)),
+                   Polynomial.constant(n, float(rng.normal())))
+        f = f + form**4
+    for x, a in zip(xs, rng.uniform(-1.5, 1.5, n)):
+        f = f + (x - float(a)) ** 2
+    box = [(1.0 - x * x, GE) for x in xs]
+    ball = (4.5 - sum((x * x for x in xs), Polynomial.zero(n)), GE)
+    constraints = box + [ball]
+    return assemble_relaxation(f, [constraints[i] for i in order], 2)
+
+
+class TestSameSideStacks:
+    def test_constraint_order_does_not_change_the_solve(self):
+        ref = solve_sdp(_box_ball_problem(range(7)))
+        assert ref.status == "optimal"
+        assert [b.side for b in _box_ball_problem(range(7)).blocks] == [28] + [7] * 7
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(7)
+            sol = solve_sdp(_box_ball_problem(order))
+            assert sol.status == ref.status
+            assert sol.iterations == ref.iterations
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-10)
+
+    def test_caller_blocks_are_not_changed(self):
+        prob = _box_ball_problem(range(7))
+        before = [b.A.copy() for b in prob.blocks]
+        solve_sdp(prob)
+        for b, A in zip(prob.blocks, before):
+            assert b.A.tobytes() == A.tobytes()
+
+    def test_one_failing_block_is_regularized_alone(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=6)
+        singular = np.outer(v, v) + np.outer(v[::-1], v[::-1])  # PSD of rank 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        good = [_random_pd(rng, 6) for _ in range(3)]
+        stack = np.array(good[:2] + [singular] + good[2:])
+        L = _chol_stack(stack)
+        assert L.shape == stack.shape
+        for i, m in enumerate(good[:2] + [singular] + good[2:]):
+            np.testing.assert_array_equal(L[i], _chol_regularized(m))
+        np.testing.assert_allclose(L[2] @ L[2].T, singular, atol=1e-8 * np.abs(singular).max())
+        assert _nt_scaling(stack, np.array([_random_pd(rng, 6) for _ in range(4)])) is not None
+
+    def test_hopeless_block_fails_the_stack(self):
+        rng = np.random.default_rng(6)
+        stack = np.array([_random_pd(rng, 4), -_random_pd(rng, 4)])
+        assert _chol_stack(stack) is None
+        assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
