@@ -16,8 +16,10 @@ transformed by G_i^{-1}, and the Schur complement
     M[k, j] = sum_i <G_i^{-1} A_i[k] G_i^{-T}, G_i^{-1} A_i[j] G_i^{-T}>
 
 is formed densely and factored by Cholesky.  Step lengths are taken in the
-scaled space, where both iterates are diag(dvec).  Everything is
-deterministic: no randomization is used anywhere in this module.
+scaled space, where both iterates are diag(dvec).  Blocks of equal side are
+stacked, so each of these per-block steps is one batched call per side.
+Everything is deterministic: no randomization is used anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -97,18 +99,17 @@ def _chol_stack(mats: np.ndarray):
         return np.reshape(factors, mats.shape)
 
 
-def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> float:
-    """Largest t with  diag(dv_j) + t*delta_hat_j >= 0  for every block j of
-    a stack (or for one block); dv > 0.
+def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
+    """Largest t with  diag(dv) + t*delta_hat >= 0  (dv > 0), for one block
+    or, batched, for each block of a stack.
 
     In Nesterov-Todd scaled coordinates, where both iterates are diag(dv),
     this is the step bound of  X + t*Delta >= 0  for either iterate."""
     root = np.sqrt(dv)
     sym = 0.5 * (delta_hat + np.swapaxes(delta_hat, -1, -2))
-    lam = np.linalg.eigvalsh(sym / (root[..., :, None] * root[..., None, :]))[..., 0].min()
-    if lam >= 0.0:
-        return np.inf
-    return -1.0 / lam
+    lam = np.linalg.eigvalsh(sym / (root[..., :, None] * root[..., None, :]))[..., 0]
+    with np.errstate(divide="ignore"):
+        return np.where(lam >= 0.0, np.inf, -1.0 / lam)
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
@@ -116,10 +117,10 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     for one block or, batched, for every block of a stack.
 
     Returns (G^{-1}, dv), or None when S or Z cannot be factored."""
-    ls = _chol_stack(S)
-    lz = _chol_stack(Z)
-    if ls is None or lz is None:
+    factors = _chol_stack(np.stack((S, Z)))
+    if factors is None:
         return None
+    ls, lz = factors
     lzT = np.swapaxes(lz, -1, -2)
     U, dv, _ = np.linalg.svd(lzT @ ls)
     dv = np.maximum(dv, 1e-150)
@@ -421,8 +422,10 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
         def step_lengths(dShat, dZhat):
             ap = ad = 1.0
             for g in sides:
-                ap = min(ap, opts.step_frac * _max_step(dvecs[g], dShat[g]))
-                ad = min(ad, opts.step_frac * _max_step(dvecs[g], dZhat[g]))
+                dv = dvecs[g]
+                steps = _max_step(np.concatenate((dv, dv)), np.concatenate((dShat[g], dZhat[g])))
+                ap = min(ap, opts.step_frac * float(steps[: len(dv)].min()))
+                ad = min(ad, opts.step_frac * float(steps[len(dv) :].min()))
             return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
