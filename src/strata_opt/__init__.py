@@ -46,10 +46,6 @@ from .poly import (  # noqa: E402
     IndexSet,
     Polynomial,
     lambda_set,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
 
@@ -73,10 +69,6 @@ __all__ = [
     "minimal_order",
     "moment_matrix",
     "numerical_rank",
-    "poly_add",
-    "poly_eval",
-    "poly_mul",
-    "poly_scale",
     "run_hierarchy",
     "shift_vector",
     "solve_sdp",

@@ -68,6 +68,7 @@ class OrderDiagnostics:
     objective: float
     duality_gap: float
     iterations: int
+    schur_dim: int = 0  # free moments after equality elimination (SdpSolution.schur_dim)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -276,6 +277,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             objective=sol.objective,
             duality_gap=sol.duality_gap,
             iterations=sol.iterations,
+            schur_dim=sol.schur_dim,
         )
         diags.append(rec)
         if sol.status != OPTIMAL:

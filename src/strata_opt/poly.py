@@ -23,10 +23,6 @@ __all__ = [
     "grlex_key",
     "grlex_position",
     "lambda_set",
-    "poly_eval",
-    "poly_add",
-    "poly_mul",
-    "poly_scale",
 ]
 
 
@@ -289,20 +285,3 @@ class Polynomial:
         bits = [f"{c:+g}*x^{a}" for a, c in self.sorted_terms()]
         return f"Polynomial({self.n}, {' '.join(bits)})"
 
-
-# Free-function aliases for the core operations.
-
-def poly_eval(p: Polynomial, x) -> float:
-    return p.evaluate(x)
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_scale(p: Polynomial, s: float) -> Polynomial:
-    return p * float(s)

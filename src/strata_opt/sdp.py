@@ -14,8 +14,14 @@ each block is factored as W_i = G_i G_i^T, the constraint stack is congruence
 transformed by G_i^{-1}, and the Schur complement
 
     M[k, j] = sum_i <G_i^{-1} A_i[k] G_i^{-T}, G_i^{-1} A_i[j] G_i^{-T}>
+            = sum_i svec(G_i^{-1} A_i[k] G_i^{-T})^T svec(G_i^{-1} A_i[j] G_i^{-T})
 
-is formed densely and factored by Cholesky.  Step lengths are taken in the
+is formed densely and factored by Cholesky.  svec(X) lists the entries of
+the upper triangle of a symmetric X, off-diagonal ones times sqrt(2), so that
+<X, Y> = svec(X)^T svec(Y) and each off-diagonal product is computed once,
+not twice (_PackedSchur).  The right-hand side for a complementarity target E_i is
+-r + sum_i [svec(G_i^{-1} A_i[k] G_i^{-T})^T svec(E_i - G_i^{-1} R_i G_i^{-T})]_k,
+R_i the primal residual and r the dual one.  Step lengths are taken in the
 scaled space, where both iterates are diag(dvec).  Blocks of equal side are
 stacked, so each of these per-block steps is one batched call per side.
 Everything is deterministic: no randomization is used anywhere in this
@@ -25,6 +31,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +70,7 @@ class SdpSolution:
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     relative_gap: float = float("nan")  # the quantity gap_tol bounds
+    schur_dim: int = 0  # free moments after equality elimination; 0 when the IPM did not run
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -199,7 +207,8 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c_raw = problem.objective[1:].copy()
     c0 = float(problem.objective[0])
 
-    def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan")):
+    def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
+               schur_dim=0):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -212,6 +221,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             primal_residual=pres,
             dual_residual=dres,
             relative_gap=rel_gap,
+            schur_dim=schur_dim,
         )
 
     if N == 0:
@@ -252,12 +262,12 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         core = _ipm_lmi(red_c, red_A0, red_Avar, opts)
         u_full = u_part + B @ core.u
         return finish(u_full, core.status, core.iterations, core.trace,
-                      core.gap, core.pres, core.dres, core.rel_gap)
+                      core.gap, core.pres, core.dres, core.rel_gap, B.shape[1])
 
     core = _ipm_lmi(c_raw, [b.A[0] for b in blocks],
                     [b.A[1:] for b in blocks], opts)
     return finish(core.u, core.status, core.iterations, core.trace,
-                  core.gap, core.pres, core.dres, core.rel_gap)
+                  core.gap, core.pres, core.dres, core.rel_gap, N)
 
 
 @dataclass
@@ -273,6 +283,83 @@ class _CoreResult:
 
 
 _CHUNK = 32  # moments per congruence product in the Schur build
+_RSQRT2 = 0.5**0.5
+
+
+@lru_cache(maxsize=64)
+def _packing(s: int):
+    """Flat indices of the entries pack() keeps of an s x s matrix, diagonal
+    first, and the weights that turn those entries of a symmetric X into
+    2 pack(X).  Read-only, since every caller shares them."""
+    flat = np.arange(s * s)
+    i, j = np.divmod(flat, s)
+    order = np.concatenate((flat[i == j], flat[i < j]))
+    weight = np.full(order.size, 2.0)
+    weight[:s] = np.sqrt(2.0)
+    order.flags.writeable = weight.flags.writeable = False
+    return order, weight
+
+
+class _PackedSchur:
+    """Schur complement and right-hand sides of the scaled LMI stacks, built
+    from packed rows.
+
+    pack(X) = svec(X)/sqrt(2) lists a symmetric X's diagonal times 1/sqrt(2),
+    then its strict upper triangle row by row, so <X, Y> = 2 <pack(X), pack(Y)>.
+    Diagonal first, the 1/sqrt(2) is one column slice per side.  For each side
+    g, row k of Ahat[g] holds pack(G^{-1} A[k] G^{-T}) of every block of the
+    stack, an (N, k*s(s+1)/2) matrix: the Schur matrix takes one symmetric
+    product per side over half the columns of the full entries.  The rows are
+    built _CHUNK moments at a time in a small work array and packed straight
+    out of it; they, the work array and the Schur matrix are reused by every
+    iteration."""
+
+    def __init__(self, Avar: list):
+        self.Avar = Avar
+        N = Avar[0].shape[1]
+        self.order, self.weight = zip(*(_packing(A.shape[-1]) for A in Avar))
+        self.Ahat = [np.empty((N, A.shape[0] * o.size)) for A, o in zip(Avar, self.order)]
+        self.work = np.empty(2 * _CHUNK * max(A[:, 0].size for A in Avar))
+        self.M = np.empty((N, N))
+        self.product = np.empty((N, N)) if len(Avar) > 1 else None
+
+    def matrix(self, Ginv: list, GinvT: list) -> np.ndarray:
+        """M = 2 sum_g Ahat[g] Ahat[g]^T for the scalings G^{-1} = Ginv[g].
+
+        numpy runs each product as a BLAS syrk, whose result is exactly
+        symmetric, and so is their sum.  M is a buffer that the next call
+        overwrites, as are the products of the second and later sides."""
+        for g, (A, Gi, GiT, order, P) in enumerate(
+                zip(self.Avar, Ginv, GinvT, self.order, self.Ahat)):
+            k, N, s, _ = A.shape
+            rows = P.reshape(N, k, order.size)
+            out = rows.transpose(1, 0, 2)
+            for a in range(0, N, _CHUNK):
+                b = min(a + _CHUNK, N)
+                size = k * (b - a) * s * s
+                right = self.work[:size].reshape(k, (b - a) * s, s)
+                congruence = self.work[size : 2 * size].reshape(k, b - a, s * s)
+                np.matmul(A[:, a:b].reshape(k, (b - a) * s, s), GiT, out=right)
+                np.matmul(Gi[:, None], right.reshape(k, b - a, s, s),
+                          out=congruence.reshape(k, b - a, s, s))
+                congruence.take(order, axis=-1, out=out[:, a:b], mode="clip")
+            rows[:, :, :s] *= _RSQRT2
+            np.matmul(P, P.T, out=self.product if g else self.M)
+            if g:
+                self.M += self.product
+        self.M *= 2.0
+        return self.M
+
+    def rhs(self, X: list) -> np.ndarray:
+        """[sum_g <G^{-1} A[k] G^{-T}, X[g]>]_k for the symmetric stacks X[g],
+        at the scalings of the last matrix() call."""
+        total = 0.0
+        for x, order, weight, P in zip(X, self.order, self.weight, self.Ahat):
+            k, s, _ = x.shape
+            packed = x.reshape(k, s * s)[:, order]
+            packed *= weight
+            total = total + P @ packed.ravel()
+        return total
 
 
 def _stack_blocks(N: int, A0_raw: list, Avar_raw):
@@ -320,12 +407,7 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
     u = np.zeros(N)
     S = [tau * np.broadcast_to(I, A.shape) for I, A in zip(eyes, A0)]
     Z = [np.broadcast_to(I, A.shape).copy() for I, A in zip(eyes, A0)]
-    # Ahat[g] holds G^{-1} A_k G^{-T} as row k of an (N, k*s*s) matrix, so
-    # that the Schur complement and its right-hand sides take one product per
-    # side.  It is built _CHUNK moments at a time through a small work array;
-    # both are reused by every iteration.
-    Ahat = [np.empty((N, A.size)) for A in A0]
-    work = np.empty(_CHUNK * max(A.size for A in A0))
+    schur = _PackedSchur(Avar)
 
     trace: list[tuple] = []
     status = MAX_ITERATIONS
@@ -383,18 +465,8 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
         Ginv, dvecs = zip(*scalings)
         GinvT = [np.ascontiguousarray(np.swapaxes(G, 1, 2)) for G in Ginv]
 
-        M = np.zeros((N, N))
-        for g in sides:
-            k, _, s, _ = Avar[g].shape
-            out = Ahat[g].reshape(N, k, s, s).transpose(1, 0, 2, 3)
-            for a in range(0, N, _CHUNK):
-                b = min(a + _CHUNK, N)
-                right = work[: k * (b - a) * s * s].reshape(k, (b - a) * s, s)
-                np.matmul(Avar[g][:, a:b].reshape(k, (b - a) * s, s), GinvT[g], out=right)
-                np.matmul(Ginv[g][:, None], right.reshape(k, b - a, s, s), out=out[:, a:b])
-            M += Ahat[g] @ Ahat[g].T
+        M = schur.matrix(Ginv, GinvT)
         Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
-        M = 0.5 * (M + M.T)
         LM = _chol_regularized(M)
         if LM is None:
             status = NUMERICAL_FAILURE
@@ -403,10 +475,7 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
 
         def direction(E):
             """Search direction for complementarity target E (scaled space)."""
-            rhs = -r.copy()
-            for g in sides:
-                rhs += Ahat[g] @ (E[g] - Rhat[g]).reshape(-1)
-            du = schur_solve(rhs)
+            du = schur_solve(schur.rhs([E[g] - Rhat[g] for g in sides]) - r)
             dS, dZ, dShat, dZhat = [], [], [], []
             for g in sides:
                 ds = (du @ Aflat[g]).reshape(E[g].shape) + R[g]

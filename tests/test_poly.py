@@ -10,10 +10,6 @@ from strata_opt.poly import (
     grlex_key,
     grlex_position,
     lambda_set,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
 )
 
 
@@ -66,11 +62,11 @@ class TestLambdaSet:
 class TestPolynomialBasics:
     def test_zero_point(self):
         p = Polynomial.monomial((2, 0), 1.0) + 2.0 * Polynomial.variable(1, 2)
-        assert poly_eval(p, [0.0, 0.0]) == 0.0
+        assert p.evaluate([0.0, 0.0]) == 0.0
 
     def test_constant(self):
         p = Polynomial.constant(3, 5.0)
-        assert poly_eval(p, [9.0, -2.0, 0.5]) == 5.0
+        assert p.evaluate([9.0, -2.0, 0.5]) == 5.0
 
     def test_no_zero_coeffs_stored(self):
         p = Polynomial(2, {(1, 0): 1.0, (0, 1): 0.0})
@@ -84,31 +80,31 @@ class TestPolynomialBasics:
 
     def test_add_cancel(self):
         p = Polynomial(3, {(1, 1, 0): 2.0, (0, 0, 2): -1.0})
-        assert poly_add(p, poly_scale(p, -1.0)).is_zero
+        assert (p + p * -1.0).is_zero
 
     def test_degree_additivity(self, rng):
         p = _random_poly(rng, 3, 3)
         q = _random_poly(rng, 3, 2)
         if not (p.is_zero or q.is_zero):
-            assert poly_mul(p, q).degree == p.degree + q.degree
+            assert (p * q).degree == p.degree + q.degree
 
     def test_mul_matches_pointwise_products(self, rng):
         p = _random_poly(rng, 3, 3)
         q = _random_poly(rng, 3, 3)
-        prod = poly_mul(p, q)
+        prod = p * q
         for _ in range(20):
             x = rng.uniform(-2, 2, size=3)
-            lhs = poly_eval(prod, x)
-            rhs = poly_eval(p, x) * poly_eval(q, x)
+            lhs = prod.evaluate(x)
+            rhs = p.evaluate(x) * q.evaluate(x)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self):
         p = Polynomial.variable(0, 2)
         q = Polynomial.variable(0, 3)
         with pytest.raises(ValueError):
-            poly_add(p, q)
+            p + q
         with pytest.raises(ValueError):
-            poly_eval(p, [1.0, 2.0, 3.0])
+            p.evaluate([1.0, 2.0, 3.0])
 
     def test_evaluate_many_matches_scalar(self, rng):
         p = _random_poly(rng, 2, 4)
@@ -203,12 +199,12 @@ def polynomials(draw, n=2, max_deg=3):
 @settings(max_examples=60, deadline=None)
 def test_product_evaluation_homomorphism(p, q):
     x = np.array([0.7, -1.3])
-    lhs = poly_eval(poly_mul(p, q), x)
-    rhs = poly_eval(p, x) * poly_eval(q, x)
+    lhs = (p * q).evaluate(x)
+    rhs = p.evaluate(x) * q.evaluate(x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
 
 @given(polynomials())
 @settings(max_examples=60, deadline=None)
 def test_additive_inverse(p):
-    assert poly_add(p, poly_scale(p, -1.0)).is_zero
+    assert (p + p * -1.0).is_zero

@@ -1,13 +1,17 @@
 import numpy as np
 
-from strata_opt.reports import Report
+from strata_opt.hierarchy import HierarchyOptions, run_hierarchy
+from strata_opt.moment import EQ, GE
+from strata_opt.poly import Polynomial
+from strata_opt.reports import Report, diagnostics_to_plain
 
 
 def _sample_report():
     return Report(
         problem={"command": "distance", "input": "E0", "stratum": "cubic-ela",
                  "c": 58000.0, "voigt": np.eye(2)},
-        diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47)}],
+        diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
+                      "schur_dim": 48}],
         status_xi=1,
         bound=2530.474727,
         distance=74.131148,
@@ -34,6 +38,16 @@ class TestJsonRoundTrip:
         rep = Report(problem={}, status_xi=-1, bound=float("-inf"))
         again = Report.from_json(rep.to_json())
         assert again.bound is None
+
+    def test_run_diagnostics_round_trip(self):
+        # min x on x^2 = 1, |x| <= 2: at d = 1 the equality leaves 1 of 2 free moments
+        x = Polynomial.variable(0, 1)
+        res = run_hierarchy(x, [(x * x - 1.0, EQ), (4.0 - x * x, GE)], HierarchyOptions(d_max=2))
+        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+        again = Report.from_json(rep.to_json())
+        assert again == rep
+        assert again.diagnostics[0]["schur_dim"] == 1
+        assert [d["schur_dim"] for d in again.diagnostics] == [d.schur_dim for d in res.diagnostics]
 
     def test_write_and_read(self, tmp_path):
         rep = _sample_report()

@@ -5,6 +5,7 @@ from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_rela
 from strata_opt.poly import Polynomial
 from strata_opt.sdp import (
     SolverOptions,
+    _PackedSchur,
     _chol_regularized,
     _chol_solver,
     _chol_stack,
@@ -124,6 +125,12 @@ class TestEqualityElimination:
         assert a.status == "optimal" and b.status == "optimal"
         assert a.objective == pytest.approx(-1.0, abs=1e-6)
         assert b.objective == pytest.approx(a.objective, abs=1e-5)
+
+    def test_schur_dim_counts_free_moments(self):
+        prob = self._problem()  # y1, y2 free; y2 = 1 is eliminated
+        assert solve_sdp(prob).schur_dim == 1
+        assert solve_sdp(prob, SolverOptions(eliminate_equalities=False)).schur_dim == 2
+        assert solve_sdp(_box_ball_problem(range(7))).schur_dim == 209
 
     def test_equalities_hold_exactly(self):
         prob = self._problem()
@@ -267,3 +274,31 @@ class TestSameSideStacks:
         stack = np.array([_random_pd(rng, 4), -_random_pd(rng, 4)])
         assert _chol_stack(stack) is None
         assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
+
+
+@pytest.mark.parametrize("N", [33, 70])  # one and three congruence chunks
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sides", [(1,), (5,), (28,), (1, 5, 28)])
+def test_packed_schur_matches_full_entries(sides, k, N):
+    """The packed Schur matrix and right-hand side against products over all
+    s*s entries of every G^{-1} A G^{-T}."""
+    rng = np.random.default_rng([N, k, *sides])
+    Avar, Ginv, X = [], [], []
+    for s in sides:
+        A = rng.normal(size=(k, N, s, s))
+        Avar.append(A + np.swapaxes(A, -1, -2))
+        Ginv.append(np.array([np.linalg.inv(np.linalg.cholesky(_random_pd(rng, s))) for _ in range(k)]))
+        X.append(np.array([_random_sym(rng, s) for _ in range(k)]))
+    GinvT = [np.ascontiguousarray(np.swapaxes(G, 1, 2)) for G in Ginv]
+    schur = _PackedSchur(Avar)
+    M = schur.matrix(Ginv, GinvT)
+    rhs = schur.rhs(X)
+
+    full = [(G[:, None] @ A @ GT[:, None]).transpose(1, 0, 2, 3).reshape(N, -1)
+            for A, G, GT in zip(Avar, Ginv, GinvT)]
+    M_ref = sum(F @ F.T for F in full)
+    rhs_ref = np.array([sum(np.vdot(F[n], x) for F, x in zip(full, X)) for n in range(N)])
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+    assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
+    assert [P.shape for P in schur.Ahat] == [(N, k * s * (s + 1) // 2) for s in sides]
