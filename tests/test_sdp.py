@@ -276,7 +276,7 @@ class TestSameSideStacks:
         assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
 
 
-@pytest.mark.parametrize("N", [33, 70])  # one and three congruence chunks
+@pytest.mark.parametrize("N", [33, 70])  # 2 and 3 congruence chunks, the last one short
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("sides", [(1,), (5,), (28,), (1, 5, 28)])
 def test_packed_schur_matches_full_entries(sides, k, N):
