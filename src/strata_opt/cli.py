@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested run certified (status +1), 2 when some
 run stopped uncertified (status 0), 3 when a run failed every relaxation
-(status -1), and 1 for usage, parse or input errors.
+(status -1), and 1 for usage, parse or input errors and for a relaxation
+whose estimated memory exceeds the budget (hierarchy.RelaxationTooLarge).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import time
 
 import numpy as np
 
+from . import hierarchy
 from .datasets import get_dataset, list_datasets
-from .hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
+from .hierarchy import HierarchyOptions, RelaxationTooLarge, add_ball_constraint, run_hierarchy
 from .moment import minimal_order
 from .mech import (
     ElasticityTensor,
@@ -209,6 +211,12 @@ def _distance_single(job) -> Report:
     return report
 
 
+def _share_memory(workers: int) -> None:
+    """Process-pool initializer: workers that solve at the same time split
+    the memory budget of run_hierarchy, so together they stay within it."""
+    hierarchy.MEMORY_FRACTION /= workers
+
+
 def cmd_distance(args) -> int:
     stratum_kind = STRATA.get(args.stratum)
     if stratum_kind is None:
@@ -241,11 +249,13 @@ def cmd_distance(args) -> int:
             # imported here: the process-pool machinery is a cost of --jobs only
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, len(jobs))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_share_memory,
+                                     initargs=(workers,)) as pool:
                 reports = list(pool.map(_distance_single, jobs))
         else:
             reports = [_distance_single(job) for job in jobs]
-    except ValueError as exc:  # e.g. a ball constant below f(x_ref)
+    except (ValueError, RelaxationTooLarge) as exc:  # e.g. a ball constant below f(x_ref)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -380,7 +390,11 @@ def cmd_pop_solve(args) -> int:
     d0 = minimal_order(f, constraints)
     opts = _hierarchy_options(args, d0)
     t0 = time.perf_counter()
-    result = run_hierarchy(f, constraints, opts)
+    try:
+        result = run_hierarchy(f, constraints, opts)
+    except RelaxationTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     seconds = time.perf_counter() - t0
 
     print(f"== pop-solve: {args.file}")

@@ -13,6 +13,9 @@ convention: -1 no order solved, 0 solved but not certified, +1 certified.
 
 from __future__ import annotations
 
+import math
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,17 +25,19 @@ from .moment import (
     GE,
     MomentVector,
     assemble_relaxation,
+    constraint_half_degree,
     minimal_order,
     moment_matrix,
 )
 from .poly import Polynomial, lambda_set
-from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_sdp
+from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
     "HierarchyOptions",
     "HierarchyResult",
     "OrderDiagnostics",
     "ExtractionFailure",
+    "RelaxationTooLarge",
     "add_ball_constraint",
     "numerical_rank",
     "check_rank_condition",
@@ -43,6 +48,25 @@ __all__ = [
 
 class ExtractionFailure(RuntimeError):
     """Atom extraction could not complete (degenerate pivot or moment mismatch)."""
+
+
+# share of the available memory one relaxation may take; the CLI's process
+# pool divides it among its workers
+MEMORY_FRACTION = 0.5
+
+
+class RelaxationTooLarge(MemoryError):
+    """The estimated memory of a relaxation order exceeds the budget."""
+
+    def __init__(self, d: int, needed: int, budget: int, fraction: float | None = None):
+        fraction = MEMORY_FRACTION if fraction is None else fraction
+        super().__init__(d, needed, budget, fraction)
+        self.d, self.needed, self.budget, self.fraction = d, needed, budget, fraction
+
+    def __str__(self) -> str:
+        return (f"relaxation order d={self.d} needs an estimated {self.needed / 2**20:.6g} MB, "
+                f"over the budget of {self.budget / 2**20:.6g} MB "
+                f"({self.fraction:g} of the available memory)")
 
 
 @dataclass(frozen=True)
@@ -68,15 +92,19 @@ class OrderDiagnostics:
     objective: float
     duality_gap: float
     iterations: int
-    schur_dim: int = 0  # free moments after equality elimination (SdpSolution.schur_dim)
+    schur_dim: int = 0      # moments in the Newton system (SdpSolution.schur_dim)
+    equality_rows: int = 0  # independent equality rows kept (SdpSolution.equality_rows)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
     extraction_status: str = "not_attempted"
     extraction_seeds: list = field(default_factory=list)
     atom_count: int = 0
-    max_constraint_violation: float = float("nan")
+    max_constraint_violation: float = float("nan")       # after projection onto h = 0
+    max_violation_before_projection: float = float("nan")
     max_objective_mismatch: float = float("nan")
+    # wall seconds per phase: assemble, solve, rank, extract
+    seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -230,18 +258,130 @@ def extract_minimizers(
     return [x for x, _ in keep], [wj for _, wj in keep]
 
 
-def _constraint_violation(g: Polynomial, kind: str, x: np.ndarray) -> float:
-    """Violation of g at x, relative to the magnitude of g's own terms."""
-    val = g.evaluate(x)
-    mag = 1.0
-    for alpha, cc in g.terms.items():
-        m = abs(cc)
-        for xi, ai in zip(x, alpha):
-            if ai:
-                m *= abs(xi) ** ai
-        mag += m
-    raw = abs(val) if kind == EQ else max(0.0, -val)
-    return raw / mag
+def _available_bytes() -> float:
+    """Memory this process may still take: MemAvailable of the system,
+    capped by what its memory cgroup leaves; infinite when unknown."""
+    system = float("inf")
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    system = float(line.split()[1]) * 1024.0
+                    break
+    except OSError:
+        pass
+    if system == float("inf"):
+        try:
+            system = float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+        except (ValueError, OSError, AttributeError):
+            pass
+    return min(system, _cgroup_free_bytes(system))
+
+
+def _cgroup_free_bytes(below: float = float("inf"), proc: str = "/proc/self/cgroup",
+                       mount: str = "/sys/fs/cgroup") -> float:
+    """Bytes left under the memory limit of the process's cgroup: the limit
+    minus the usage, with the inactive page cache (which the kernel
+    reclaims first) counted as free.  Reads cgroup v2 (memory.max,
+    memory.current) and v1 (memory.limit_in_bytes, memory.usage_in_bytes);
+    infinite when no limit is set or the files cannot be read.  A group
+    whose limit minus usage is at least `below` cannot lower the caller's
+    minimum, so its memory.stat (which takes the kernel ~0.1 ms to write)
+    is not read and it counts as infinite."""
+    free = float("inf")
+    try:
+        with open(proc) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return free
+    for entry in entries:
+        if len(entry) != 3:
+            continue
+        _, controllers, path = entry
+        if not controllers:
+            files = (f"{mount}{path}", "memory.max", "memory.current", "inactive_file")
+        elif "memory" in controllers.split(","):
+            files = (f"{mount}/memory{path}", "memory.limit_in_bytes", "memory.usage_in_bytes",
+                     "total_inactive_file")
+        else:
+            continue
+        folder, limit_file, usage_file, cache_key = files
+        try:
+            with open(os.path.join(folder, limit_file)) as fh:
+                limit = fh.read().strip()
+            if limit == "max":
+                continue
+            with open(os.path.join(folder, usage_file)) as fh:
+                headroom = float(limit) - float(fh.read())
+            if headroom >= below:
+                continue
+            cache = 0.0
+            with open(os.path.join(folder, "memory.stat")) as fh:
+                for line in fh:
+                    key, _, value = line.partition(" ")
+                    if key == cache_key:
+                        cache = float(value)
+            free = min(free, max(headroom + cache, 0.0))
+        except (OSError, ValueError):
+            continue
+    return free
+
+
+def relaxation_bytes(n: int, d: int, constraints) -> int:
+    """Estimated bytes of the order-d relaxation's solve, from the sizes of
+    its tables, without building them."""
+    blocks, rows = [], 0
+    for g, kind in constraints:
+        k = d - constraint_half_degree(g)
+        if kind == EQ:
+            rows += math.comb(n + 2 * k, n)
+        else:
+            blocks.append((math.comb(n + k, n), len(g.terms), math.comb(n + 2 * k, n)))
+    return solve_bytes(math.comb(n + 2 * d, n), blocks, rows)
+
+
+def _check_memory(n: int, d: int, constraints, budget: float) -> None:
+    needed = relaxation_bytes(n, d, constraints)
+    if needed > budget:
+        raise RelaxationTooLarge(d, needed, int(budget))
+
+
+def _compile(polys, n: int):
+    """Exponents X and coefficients C with polys[i](x) = C[i] @ prod(x ** X, axis=1)
+    for polynomials in n variables."""
+    monos = sorted({alpha for p in polys for alpha in p.terms})
+    column = {alpha: j for j, alpha in enumerate(monos)}
+    C = np.zeros((len(polys), len(monos)))
+    for i, p in enumerate(polys):
+        for alpha, c in p.terms.items():
+            C[i, column[alpha]] = c
+    return np.array(monos, dtype=float).reshape(-1, n), C
+
+
+def _project(x: np.ndarray, h, jacobian, steps: int = 3) -> np.ndarray:
+    """At most `steps` Gauss-Newton steps towards {h = 0}: each the
+    minimum-norm least-squares step on the Jacobian of the equalities,
+    until their values are rounding errors of their terms.  h and jacobian
+    are _compile'd equalities and their gradients."""
+    X, C = h
+    for _ in range(steps):
+        mono = np.prod(x ** X, axis=1)
+        value = C @ mono
+        if np.all(np.abs(value) <= 4.0 * np.finfo(float).eps * (np.abs(C) @ np.abs(mono))):
+            break
+        J = (jacobian[1] @ np.prod(x ** jacobian[0], axis=1)).reshape(len(C), -1)
+        x = x - np.linalg.lstsq(J, value, rcond=None)[0]
+    return x
+
+
+def _violations(compiled, is_eq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Violation of each compiled constraint at x, relative to the magnitude
+    1 + sum |c_alpha x^alpha| of the constraint's own terms."""
+    X, C = compiled
+    mono = np.prod(x ** X, axis=1)
+    val = C @ mono
+    raw = np.where(is_eq, np.abs(val), np.maximum(0.0, -val))
+    return raw / (1.0 + np.abs(C) @ np.abs(mono))
 
 
 def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None = None) -> HierarchyResult:
@@ -267,10 +407,15 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
     diags: list[OrderDiagnostics] = []
     order_reached = d0
 
+    budget = MEMORY_FRACTION * _available_bytes()
     for d in range(d0, opts.d_max + 1):
         order_reached = d
+        _check_memory(f.n, d, cons_solve, budget)
+        t0 = time.perf_counter()
         problem = assemble_relaxation(f_solve, cons_solve, d)
+        t1 = time.perf_counter()
         sol: SdpSolution = solve_sdp(problem, opts.solver)
+        t2 = time.perf_counter()
         rec = OrderDiagnostics(
             d=d,
             solver_status=sol.status,
@@ -278,6 +423,8 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             duality_gap=sol.duality_gap,
             iterations=sol.iterations,
             schur_dim=sol.schur_dim,
+            equality_rows=sol.equality_rows,
+            seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )
         diags.append(rec)
         if sol.status != OPTIMAL:
@@ -288,11 +435,14 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
         satisfied, s_high, s_low = check_rank_condition(
             sol.y, d, problem.v_max, opts.rank_eps
         )
+        t3 = time.perf_counter()
+        rec.seconds["rank"] = t3 - t2
         rec.rank_low, rec.rank_high, rec.rank_satisfied = s_low, s_high, satisfied
         if not satisfied:
             continue
 
         atoms, accepted = _attempt_extraction(f, constraints, sol, d, s_high, opts, rec, r)
+        rec.seconds["extract"] = time.perf_counter() - t3
         if accepted:
             xi = 1
             minimizers = atoms
@@ -313,8 +463,18 @@ def _attempt_extraction(f, constraints, sol, d, s, opts, rec, r=1.0):
     """Extraction with up to 3 reseeds plus a-posteriori atom validation.
 
     Atoms live in the (possibly dilated) solver coordinates; they are mapped
-    back by r and validated against the original objective and constraints.
+    back by r, projected onto the equalities {h = 0} (_project) and
+    validated against the original objective and constraints.
     """
+    compiled = _compile([g for g, _ in constraints], f.n)
+    is_eq = np.array([kind == EQ for _, kind in constraints], dtype=bool)
+    equalities = [g for g, kind in constraints if kind == EQ]
+    if equalities:
+        h = (compiled[0], compiled[1][is_eq])
+        jacobian = _compile([dg for g in equalities for dg in g.gradient()], f.n)
+
+    def violation(x):
+        return float(np.max(_violations(compiled, is_eq, x), initial=0.0))
     for attempt in range(4):  # initial draw + 3 reseeds
         seed = opts.seed + attempt
         rec.extraction_seeds.append(seed)
@@ -326,16 +486,15 @@ def _attempt_extraction(f, constraints, sol, d, s, opts, rec, r=1.0):
             rec.extraction_status = f"failed: {exc}"
             continue
 
-        points = [r * x for x in points]
+        raw = [r * x for x in points]
+        points = [_project(x, h, jacobian) for x in raw] if equalities else raw
+        rec.max_violation_before_projection = max(violation(x) for x in raw)
         f_tol = max(1e-4 * (1.0 + abs(sol.objective)), 10.0 * sol.duality_gap)
         max_viol = 0.0
         max_fgap = 0.0
         good = []
         for x in points:
-            viol = max(
-                (_constraint_violation(g, kind, x) for g, kind in constraints),
-                default=0.0,
-            )
+            viol = violation(x)
             fgap = abs(f.evaluate(x) - sol.objective)
             max_viol = max(max_viol, viol)
             max_fgap = max(max_fgap, fgap)

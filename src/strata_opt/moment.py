@@ -1,14 +1,25 @@
 """Moment vectors, moment/localizing matrices and LMI assembly of a relaxation.
 
-The order-d relaxation of ``min f over {g_i >= 0}`` is the semidefinite
-program over truncated moment sequences y indexed by Lambda(2d):
+The order-d relaxation of ``min f over {g_i >= 0, h_j = 0}`` is the
+semidefinite program over truncated moment sequences y indexed by Lambda(2d):
 
     minimize <f, y>  s.t.  y_0 = 1,  M_{d-v_i}(g_i . y) >= 0  for all i,
+                           (h_j . y)_gamma = 0  for gamma in Lambda(2(d-v_j)),
 
-where v_i = ceil(deg(g_i)/2) and g_0 := 1 gives the plain moment matrix.
-Each constraint matrix is stored in LMI coefficient form, i.e. as the
-stack of symmetric matrices A_alpha with M_{d-v_i}(g_i . y) =
-sum_alpha y_alpha A_alpha (the alpha = 0 slice is the constant part).
+where v = ceil(deg/2) and g_0 := 1 gives the plain moment matrix.
+
+Each PSD block is stored as a position table: with T the s x s table of
+M_k (T[a, b] = position of alpha_a + alpha_b, k = d - v) and delta_t the
+exponents of g,
+
+    M_k(g . y)[a, b] = sum_t g_t y[P[a, b, t]],   P[a, b, t] = pos(alpha_a + alpha_b + delta_t),
+
+so a block is the (s, s, t) integer array P and the t coefficients of g;
+A_alpha, the coefficient matrix of y_alpha, is sum_t g_t [P[..., t] == alpha]
+and is never formed.  Each equality h = 0 is a table of rows instead of a
+block: row gamma reads sum_t h_t y[pos(gamma + delta_t)] = 0, the distinct
+entries of M_{d-v}(h . y), so the feasible set is that of the PSD pair
+M_{d-v}(+-h . y) >= 0 without the pair's empty interior.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .poly import IndexSet, Polynomial, grlex_position, lambda_set
 __all__ = [
     "MomentVector",
     "LMIBlock",
+    "EqualityRows",
     "RelaxationProblem",
     "constraint_half_degree",
     "minimal_order",
@@ -148,17 +160,64 @@ def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LMIBlock:
-    """One PSD block in LMI coefficient form: sum_alpha y_alpha A[alpha] >= 0."""
+    """One PSD block as a position table: entry (a, b) of the block at a
+    moment vector y is sum_t coeffs[..., t] * y[positions[a, b, t]].
+
+    coeffs is (t,) for a localizing block, the coefficients of g, or
+    (side, side, t) for a block given entry by entry (from_dense).  A
+    localizing block of order k also keeps the factors positions =
+    shift[base]: base is the table of M_k, shift[gamma, t] the position of
+    gamma + delta_t for gamma in Lambda(2k)."""
 
     label: str
     g: Polynomial
     v: int
-    side: int
-    A: np.ndarray = field(repr=False)  # (|Lambda(2d)|, side, side)
+    positions: np.ndarray = field(repr=False)  # (side, side, t) positions in Lambda(2d)
+    coeffs: np.ndarray = field(repr=False)     # (t,) or (side, side, t)
+    base: np.ndarray | None = field(default=None, repr=False)   # (side, side)
+    shift: np.ndarray | None = field(default=None, repr=False)  # (|Lambda(2k)|, t)
+
+    @property
+    def side(self) -> int:
+        return self.positions.shape[0]
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Reconstruct the block matrix at a full moment vector."""
-        return np.tensordot(values, self.A, axes=1)
+        """The block matrix at a full moment vector."""
+        return np.sum(np.asarray(values)[self.positions] * self.coeffs, axis=-1)
+
+    @classmethod
+    def from_dense(cls, label: str, A: np.ndarray, g: Polynomial | None = None,
+                   v: int = 0) -> "LMIBlock":
+        """The table of a block given as its coefficient stack A, one symmetric
+        (side, side) matrix per moment: entry (a, b) lists the moments with
+        A[alpha, a, b] != 0, padded with coefficient 0 at position 0."""
+        A = np.asarray(A, dtype=float)
+        side = A.shape[1]
+        nz = A != 0.0
+        t = int(nz.sum(axis=0).max(initial=0))
+        # argsort puts each entry's nonzero moments first, in position order
+        order = np.argsort(~nz, axis=0, kind="stable")[:t].transpose(1, 2, 0)
+        used = np.take_along_axis(nz.transpose(1, 2, 0), order, -1)
+        positions = np.where(used, order, 0)
+        coeffs = np.where(used, np.take_along_axis(A.transpose(1, 2, 0), order, -1), 0.0)
+        return cls(label=label, g=g if g is not None else Polynomial.constant(1, 1.0), v=v,
+                   positions=positions, coeffs=coeffs)
+
+
+@dataclass(frozen=True)
+class EqualityRows:
+    """The rows sum_t coeffs[t] * y[positions[r, t]] = 0 of an equality h = 0,
+    one per gamma in Lambda(2(d - v)): the shift vector (h . y) over the
+    entries of M_{d-v}(h . y)."""
+
+    label: str
+    h: Polynomial
+    v: int
+    positions: np.ndarray = field(repr=False)  # (rows, t)
+    coeffs: np.ndarray = field(repr=False)     # (t,)
+
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
+        return np.asarray(values)[self.positions] @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -170,6 +229,7 @@ class RelaxationProblem:
     d0: int
     objective: np.ndarray  # coefficients of f over Lambda(2d), zero padded
     blocks: tuple[LMIBlock, ...]
+    equalities: tuple[EqualityRows, ...] = ()
 
     @property
     def index_set(self) -> IndexSet:
@@ -181,36 +241,42 @@ class RelaxationProblem:
 
     @property
     def v_max(self) -> int:
-        return max((b.v for b in self.blocks[1:]), default=0)
+        return max((c.v for c in self.blocks[1:] + self.equalities), default=0)
 
     def objective_value(self, values: np.ndarray) -> float:
         return float(self.objective @ values)
 
 
-def _block_for(g: Polynomial, label: str, d: int, idx2d: IndexSet) -> LMIBlock:
+def _shift_table(g: Polynomial, d: int):
+    """v, k = d - v, the shift table and g's coefficients: shift[p, t] is the
+    position in Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t."""
     n = g.n
     v = constraint_half_degree(g)
     k = d - v
-    table = _sum_positions(n, k)
-    side = table.shape[0]
     deltas = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
     coeffs = np.array(list(g.terms.values()), dtype=float)
-    # shift[p, t]: position in Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t
     shift = grlex_position(lambda_set(n, 2 * k).exponents[:, None, :] + deltas[None, :, :])
-    rows = np.arange(side)
-    A = np.zeros((len(idx2d), side, side))
-    # each (moment, row, col) entry receives exactly one coefficient, so one
-    # indexed assignment equals accumulating the terms one by one
-    A[shift[table], rows[:, None, None], rows[None, :, None]] = coeffs
-    return LMIBlock(label=label, g=g, v=v, side=side, A=A)
+    return v, k, shift, coeffs
+
+
+def _block_for(g: Polynomial, label: str, d: int) -> LMIBlock:
+    v, k, shift, coeffs = _shift_table(g, d)
+    base = _sum_positions(g.n, k)
+    return LMIBlock(label=label, g=g, v=v, positions=shift[base], coeffs=coeffs,
+                    base=base, shift=shift)
+
+
+def _rows_for(h: Polynomial, label: str, d: int) -> EqualityRows:
+    v, _k, shift, coeffs = _shift_table(h, d)
+    return EqualityRows(label=label, h=h, v=v, positions=shift, coeffs=coeffs)
 
 
 def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem:
     """Build the order-d relaxation of min f over {g >= 0 / h = 0}.
 
     ``constraints`` is a list of ``(Polynomial, kind)`` with kind "ge" or
-    "eq"; each equality h = 0 is compiled into the two localizing blocks
-    of h >= 0 and -h >= 0.
+    "eq"; each inequality becomes a localizing block, each equality the
+    rows of its shift vector.
     """
     n = f.n
     for g, kind in constraints:
@@ -227,11 +293,12 @@ def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem
     for alpha, coeff in f.sorted_terms():
         objective[idx2d.position[alpha]] = coeff
 
-    blocks = [_block_for(Polynomial.constant(n, 1.0), "moment", d, idx2d)]
+    blocks = [_block_for(Polynomial.constant(n, 1.0), "moment", d)]
+    equalities = []
     for i, (g, kind) in enumerate(constraints, start=1):
         if kind == GE:
-            blocks.append(_block_for(g, f"g{i}", d, idx2d))
+            blocks.append(_block_for(g, f"g{i}", d))
         else:
-            blocks.append(_block_for(g, f"g{i}+", d, idx2d))
-            blocks.append(_block_for(-g, f"g{i}-", d, idx2d))
-    return RelaxationProblem(n=n, d=d, d0=d0, objective=objective, blocks=tuple(blocks))
+            equalities.append(_rows_for(g, f"h{i}", d))
+    return RelaxationProblem(n=n, d=d, d0=d0, objective=objective, blocks=tuple(blocks),
+                             equalities=tuple(equalities))

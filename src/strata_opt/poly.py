@@ -186,6 +186,17 @@ class Polynomial:
     def coefficient(self, alpha) -> float:
         return self.terms.get(tuple(alpha), 0.0)
 
+    def gradient(self) -> tuple["Polynomial", ...]:
+        """The partial derivatives (dp/dx_1, ..., dp/dx_n)."""
+        parts = []
+        for i in range(self.n):
+            terms = {}
+            for alpha, c in self.terms.items():
+                if alpha[i]:
+                    terms[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]] = c * alpha[i]
+            parts.append(Polynomial._trusted(self.n, terms))
+        return tuple(parts)
+
     def dilate(self, r: float) -> "Polynomial":
         """The polynomial x -> p(r * x): coefficients scale by r^|alpha|."""
         r = float(r)

@@ -1,43 +1,71 @@
-"""Dense primal-dual interior-point solver for block-LMI semidefinite programs.
+"""Primal-dual interior-point solver for moment relaxations, in moment
+coordinates.
 
 Solves
 
-    minimize  c_0 + <c, u>   s.t.   A_i(u) := A_i[0] + sum_k u_k A_i[k] >= 0
+    minimize  c_0 + <c, u>   s.t.   A_i(u) := C_i + sum_k u_k A_i[k] >= 0  (every block i),
+                                    E u = e,
 
-for every block i, which is the shape every moment relaxation assembles to
-(the u_k are the moments y_alpha with alpha != 0; y_0 is pinned to 1 and
-never solved for).
+the shape every moment relaxation assembles to: the u_k are the moments
+y_alpha with alpha != 0 (y_0 is pinned to 1 and never solved for), each
+block is a position table (moment.LMIBlock) and the rows E u = e are the
+equalities (moment.EqualityRows).  Rows that depend on others are dropped
+once, at set-up, by a thin SVD, which leaves E with orthonormal rows; the
+start u = E^T e satisfies them.  Where an equality h has 2v <= d, every
+feasible y has M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment
+block has no interior along those vectors, so it is solved in the basis F
+of their complement, as F^T M_d(y) F (_moment_face).  Without that, the
+scaling of the block blows up exactly along the directions the rows fix,
+and the Cholesky factorization of M breaks down near the optimum.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  Per iteration the scaling point W_i of
-each block is factored as W_i = G_i G_i^T, the constraint stack is congruence
-transformed by G_i^{-1}, and the Schur complement
+Mehrotra predictor-corrector step.  Per iteration the scaling point of each
+block is factored as W_i = G_i G_i^T, and V_i = W_i^{-1} = G_i^{-T} G_i^{-1}.
+The Newton step solves the KKT system
 
-    M[k, j] = sum_i <G_i^{-1} A_i[k] G_i^{-T}, G_i^{-1} A_i[j] G_i^{-T}>
-            = sum_i svec(G_i^{-1} A_i[k] G_i^{-T})^T svec(G_i^{-1} A_i[j] G_i^{-T})
+    [ M  -E^T ] [ du   ]   [ rhs - r ]
+    [ E   0   ] [ dlam ] = [ q       ],    M[alpha, beta] = sum_i <A_i[alpha], V_i A_i[beta] V_i>,
 
-is formed densely and factored by Cholesky.  svec(X) lists the entries of
-the upper triangle of a symmetric X, off-diagonal ones times sqrt(2), so that
-<X, Y> = svec(X)^T svec(Y) and each off-diagonal product is computed once,
-not twice (_PackedSchur).  The right-hand side for a complementarity target E_i is
--r + sum_i [svec(G_i^{-1} A_i[k] G_i^{-T})^T svec(E_i - G_i^{-1} R_i G_i^{-T})]_k,
-R_i the primal residual and r the dual one.  Step lengths are taken in the
-scaled space, where both iterates are diag(dvec).  Blocks of equal side are
-stacked, so each of these per-block steps is one batched call per side.
-Everything is deterministic: no randomization is used anywhere in this
-module.
+with r = c - A^*(Z) - E^T lam the dual residual, q = e - E u the equality
+residual and rhs[alpha] = sum_i <A_i[alpha], G_i^{-T} (T_i - R_i^) G_i^{-1}>
+for a complementarity target T_i and the scaled primal residual R_i^.  M is
+positive definite, because the moment block contains every moment.  It is
+factored M = L L^T; then W = L^{-1} E^T, K = W^T W = E M^{-1} E^T and
+
+    dlam = K^{-1} (q - W^T L^{-1} b),   du = L^{-T} (L^{-1} b + W dlam),   b = rhs - r.
+
+The dual objective is -sum_i <C_i, Z_i> + e^T lam.
+
+M is built from the tables by the sparse-data formula of Fujisawa, Kojima
+and Nakata ("Exploiting sparsity in primal-dual interior-point methods for
+semidefinite programming", Math. Program. 79, 1997).  With P a block's
+(s, s, t) table of positions and w its coefficients:
+
+    Q[c, a, beta] = sum_{d, t: P[c, d, t] = beta} w[c, d, t] V[a, d]                (scatter)
+    Y[b, a, beta] = sum_c V[b, c] Q[c, a, beta] = (V A_beta V)[b, a]                  (gemm, b >= a)
+    M[alpha, beta] += sum_{a <= b, t: P[a, b, t] = alpha} (2 - [a = b]) w[a, b, t] Y[b, a, beta]
+
+(row adds); _schur runs it on each block's base table, the table of M_k,
+and places the terms of g afterwards.  A block solved on a face enters with
+V = F V' F^T, V' its scaling in the face.  The adjoint <A_i[alpha], X_i> =
+sum_{P[a, b, t] = alpha} w[a, b, t] X_i[a, b] is one bincount over every
+table.  Step lengths are taken in the scaled space, where both iterates are
+diag(dvec).  Blocks of equal side and base table are stacked, so each
+per-block step is one batched call per stack.  Everything is deterministic:
+no randomization is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from ._schur import CHUNK_DOUBLES, TableSchur, stack_blocks
 from .moment import MomentVector, RelaxationProblem
+from .poly import grlex_position, lambda_set
 
-__all__ = ["SolverOptions", "SdpSolution", "solve_sdp"]
+__all__ = ["SolverOptions", "SdpSolution", "solve_bytes", "solve_sdp"]
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -52,11 +80,6 @@ class SolverOptions:
     max_iter: int = 200
     step_frac: float = 0.98
     objective_floor: float = -1e12  # scaled-objective divergence guard
-    # Equality constraints arrive as paired blocks (+M, -M), which leaves the
-    # primal without interior; eliminating them onto the affine subspace they
-    # define restores strict feasibility.  Results agree either way, the pure
-    # LMI path is kept for cross-checking.
-    eliminate_equalities: bool = True
 
 
 @dataclass
@@ -70,7 +93,8 @@ class SdpSolution:
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     relative_gap: float = float("nan")  # the quantity gap_tol bounds
-    schur_dim: int = 0  # free moments after equality elimination; 0 when the IPM did not run
+    schur_dim: int = 0      # moments in the Newton system; 0 when the IPM did not run
+    equality_rows: int = 0  # independent equality rows kept
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -114,7 +138,7 @@ def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
     In Nesterov-Todd scaled coordinates, where both iterates are diag(dv),
     this is the step bound of  X + t*Delta >= 0  for either iterate."""
     root = np.sqrt(dv)
-    sym = 0.5 * (delta_hat + np.swapaxes(delta_hat, -1, -2))
+    sym = 0.5 * (delta_hat + delta_hat.swapaxes(-1, -2))
     lam = np.linalg.eigvalsh(sym / (root[..., :, None] * root[..., None, :]))[..., 0]
     with np.errstate(divide="ignore"):
         return np.where(lam >= 0.0, np.inf, -1.0 / lam)
@@ -129,20 +153,23 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     if factors is None:
         return None
     ls, lz = factors
-    lzT = np.swapaxes(lz, -1, -2)
+    lzT = lz.swapaxes(-1, -2)
     U, dv, _ = np.linalg.svd(lzT @ ls)
     dv = np.maximum(dv, 1e-150)
-    return np.swapaxes(U / np.sqrt(dv)[..., None, :], -1, -2) @ lzT, dv
+    return (U / np.sqrt(dv)[..., None, :]).swapaxes(-1, -2) @ lzT, dv
 
 
 _SUBST_BLOCK = 32
 
 
-def _chol_solver(L: np.ndarray):
-    """Solver for  L L^T x = rhs  by blocked forward and back substitution.
+def _triangular(L: np.ndarray):
+    """Solvers for  L x = rhs  (forward) and  L^T x = rhs  (backward) by
+    blocked substitution; forward takes a vector or a matrix of columns.
 
     The inverses of L's small diagonal blocks are formed once, in one batched
-    call; each solve is then O(N^2) matrix-vector work."""
+    call; each solve is then O(N^2) matrix-vector (or matrix) work.  forward
+    halves the blocks recursively, so that with a matrix of columns most of
+    its work is a few large products rather than many thin ones."""
     N = L.shape[0]
     spans = [(a, min(a + _SUBST_BLOCK, N)) for a in range(0, N, _SUBST_BLOCK)]
     diag = np.tile(np.eye(_SUBST_BLOCK), (len(spans), 1, 1))
@@ -151,53 +178,132 @@ def _chol_solver(L: np.ndarray):
     # identity padding of the last block leaves its inverse exact
     inv = [blk[: b - a, : b - a] for blk, (a, b) in zip(np.linalg.inv(diag), spans)]
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        w = np.empty(N)
-        for (a, b), Ki in zip(spans, inv):
-            w[a:b] = Ki @ (rhs[a:b] - L[a:b, :a] @ w[:a])
+    def forward(rhs: np.ndarray) -> np.ndarray:
+        w = np.array(rhs, dtype=float)
+        _forward_blocks(L, spans, inv, w, 0, len(spans))
+        return w
+
+    def backward(rhs: np.ndarray) -> np.ndarray:
         x = np.empty(N)
         for (a, b), Ki in zip(reversed(spans), reversed(inv)):
-            x[a:b] = (w[a:b] - x[b:] @ L[b:, a:b]) @ Ki
+            x[a:b] = (rhs[a:b] - x[b:] @ L[b:, a:b]) @ Ki
         return x
+
+    return forward, backward
+
+
+def _forward_blocks(L: np.ndarray, spans: list, inv: list, w: np.ndarray, i: int, j: int) -> None:
+    """Blocks i..j-1 of w <- L^{-1} w in place, halving the range: the
+    update between the halves is one product."""
+    if j - i == 1:
+        a, b = spans[i]
+        w[a:b] = inv[i] @ w[a:b]
+        return
+    h = (i + j) // 2
+    a, m, b = spans[i][0], spans[h][0], spans[j - 1][1]
+    _forward_blocks(L, spans, inv, w, i, h)
+    w[m:b] -= L[m:b, a:m] @ w[a:m]
+    _forward_blocks(L, spans, inv, w, h, j)
+
+
+def _chol_solver(L: np.ndarray):
+    """Solver for  L L^T x = rhs."""
+    forward, backward = _triangular(L)
+    return lambda rhs: backward(forward(rhs))
+
+
+# up to this many unknowns N + m, one LU solve of the whole system per right-hand
+# side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
+# thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
+_DENSE_KKT = 64
+
+
+def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """K^{-1} rhs, or the minimum-norm least-squares solution when K is
+    exactly singular."""
+    try:
+        return np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(K, rhs, rcond=None)[0]
+
+
+def _kkt_solver(M: np.ndarray, E: np.ndarray):
+    """Solver of the saddle-point system
+
+        [ M  -E^T ] [ du   ]   [ b ]
+        [ E   0   ] [ dlam ] = [ q ],
+
+    through M = L L^T, W = L^{-1} E^T and the Cholesky factor of
+    K = W^T W = E M^{-1} E^T: dlam = K^{-1} (q - W^T L^{-1} b) and
+    du = L^{-T} (L^{-1} b + W dlam).  Small systems take one LU solve of
+    the whole matrix instead, unless a moment is missing from M (which the
+    Cholesky route regularizes).  None when M or K cannot be factored."""
+    N, m = M.shape[0], E.shape[0]
+    if N + m <= _DENSE_KKT and np.all(np.diagonal(M) > 0.0):
+        K = np.zeros((N + m, N + m))
+        K[:N, :N] = M
+        K[:N, N:] = -E.T
+        K[N:, :N] = E
+
+        def dense(b: np.ndarray, q: np.ndarray):
+            x = _dense_solve(K, np.concatenate((b, q)))
+            return x[:N], x[N:]
+
+        return dense
+    LM = _chol_regularized(M)
+    if LM is None:
+        return None
+    forward, backward = _triangular(LM)
+    if not m:
+        return lambda b, q: (backward(forward(b)), np.zeros(0))
+    W = forward(E.T)
+    LK = _chol_regularized(W.T @ W)
+    if LK is None:
+        return None
+    k_solve = _chol_solver(LK)
+
+    def solve(b: np.ndarray, q: np.ndarray):
+        z = forward(b)
+        dlam = k_solve(q - W.T @ z)
+        return backward(z + W @ dlam), dlam
 
     return solve
 
 
-def _find_negation_pairs(blocks) -> tuple[list[int], list[tuple[int, int]]]:
-    """Partition block indices into LMI survivors and (i, j) pairs with
-    A_j = -A_i (the compiled form of equality constraints)."""
-    consumed = [False] * len(blocks)
-    pairs = []
-    for i in range(len(blocks)):
-        if consumed[i]:
-            continue
-        for j in range(i + 1, len(blocks)):
-            if consumed[j] or blocks[j].side != blocks[i].side:
-                continue
-            if np.array_equal(blocks[j].A, -blocks[i].A):
-                pairs.append((i, j))
-                consumed[i] = consumed[j] = True
-                break
-    survivors = [i for i in range(len(blocks)) if not consumed[i]]
-    return survivors, pairs
+def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
+    """Bytes solve_sdp needs, estimated from the table sizes alone: blocks
+    lists (side, terms, base entries) of each localizing block (the moment
+    block is counted with M), equality_rows counts the rows before
+    dependent ones are dropped.
+
+    Counted: the tables; M, its factor and the copy the factorization
+    makes; the dense rows E with their thin SVD; W = L^{-1} E^T and K; the
+    Q and Y chunk buffers; and G^T, G^T-products and the product of the
+    largest localizing stack."""
+    L, m = num_moments, equality_rows
+    doubles = sum(2 * s * s * t + 2 * nb * L for s, t, nb in blocks)
+    doubles += 4 * L * L + 3 * m * L + L * m + 2 * m * m + 2 * CHUNK_DOUBLES
+    return 8 * doubles
 
 
-def _equality_rows(blocks, pairs, N: int):
-    """Stack the paired blocks into linear equations E u = e0 on the moments."""
-    rows, rhs = [], []
-    for i, _j in pairs:
-        A = blocks[i].A
-        s = blocks[i].side
-        for a in range(s):
-            for b in range(a, s):
-                row = A[1:, a, b]
-                if not np.any(row) and A[0, a, b] == 0.0:
-                    continue
-                rows.append(row)
-                rhs.append(-A[0, a, b])
-    if not rows:
-        return np.zeros((0, N)), np.zeros(0)
-    return np.array(rows), np.array(rhs)
+def _equality_system(equalities, L: int):
+    """Dense rows E y[1:] = e of the equality tables over the moments, each
+    row scaled by its largest coefficient (or |e|); all-zero rows dropped."""
+    counts = [eq.positions.shape[0] for eq in equalities]
+    full = np.zeros((sum(counts), L))
+    if equalities:
+        # the terms of one row sit at distinct positions: one assignment places them all
+        starts = np.cumsum([0] + counts[:-1])
+        row = np.concatenate([np.repeat(np.arange(r0, r0 + len(eq.positions)), eq.positions.shape[1])
+                              for r0, eq in zip(starts, equalities)])
+        pos = np.concatenate([eq.positions.ravel() for eq in equalities])
+        coeff = np.concatenate([np.broadcast_to(eq.coeffs, eq.positions.shape).ravel()
+                                for eq in equalities])
+        full[row, pos] = coeff
+    E, e = full[:, 1:], -full[:, 0]
+    scale = np.maximum(np.max(np.abs(E), axis=1, initial=0.0), np.abs(e))
+    keep = scale > 0
+    return E[keep] / scale[keep, None], e[keep] / scale[keep]
 
 
 def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -208,7 +314,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c0 = float(problem.objective[0])
 
     def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0):
+               schur_dim=0, rank=0):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -222,52 +328,67 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             dual_residual=dres,
             relative_gap=rel_gap,
             schur_dim=schur_dim,
+            equality_rows=rank,
         )
-
-    if N == 0:
-        # no free moments: feasibility is a property of the constants alone
-        ok = all(np.linalg.eigvalsh(b.A[0])[0] >= -opts.feas_tol for b in problem.blocks)
-        return finish(np.zeros(0), OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
 
     # identically-zero blocks (vacuous constraints like 0 >= 0) would starve
     # the scaling; drop them up front (the moment block is never zero)
-    blocks = [b for b in problem.blocks if np.any(b.A)]
+    blocks = [b for b in problem.blocks if np.any(b.coeffs)]
 
-    if opts.eliminate_equalities:
-        survivors, pairs = _find_negation_pairs(blocks)
-    else:
-        survivors, pairs = list(range(len(blocks))), []
-
-    if pairs:
-        E, e0 = _equality_rows(blocks, pairs, N)
-        row_scale = np.maximum(np.max(np.abs(E), axis=1), np.abs(e0))
-        keep = row_scale > 0
-        E, e0 = E[keep] / row_scale[keep, None], e0[keep] / row_scale[keep]
-        # one SVD gives the least-squares particular solution and an
-        # orthonormal basis of ker E, both with the same rank cut
-        U, sv, Vt = np.linalg.svd(E, full_matrices=True)
+    E, e = _equality_system(problem.equalities, L)
+    rank = 0
+    u = np.zeros(N)
+    if E.shape[0] and not N:
+        # a row 0 = e with e != 0 (zero rows were dropped): no moment can meet it
+        return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
+    if E.shape[0]:
+        # one thin SVD gives orthonormal rows for the independent equalities
+        # and the least-squares start u = E^T e
+        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
         rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
-        u_part = Vt[:rank].T @ (U[:, :rank].T @ e0 / sv[:rank])
-        if np.max(np.abs(E @ u_part - e0), initial=0.0) > 1e-8:
-            return finish(u_part, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
-        B = Vt[rank:].T  # (N, N - rank)
-        lmi_blocks = [blocks[i] for i in survivors]
-        red_c = B.T @ c_raw
-        red_A0 = [blk.A[0] + np.tensordot(u_part, blk.A[1:], axes=1) for blk in lmi_blocks]
-        if B.shape[1] == 0:
-            ok = all(np.linalg.eigvalsh(A)[0] >= -opts.feas_tol for A in red_A0)
-            return finish(u_part, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
-        # reduced coefficient arrays are made one at a time as the solver stacks them
-        red_Avar = (np.tensordot(B.T, blk.A[1:], axes=([1], [0])) for blk in lmi_blocks)
-        core = _ipm_lmi(red_c, red_A0, red_Avar, opts)
-        u_full = u_part + B @ core.u
-        return finish(u_full, core.status, core.iterations, core.trace,
-                      core.gap, core.pres, core.dres, core.rel_gap, B.shape[1])
+        e_kept = U[:, :rank].T @ e / sv[:rank]
+        u = Vt[:rank].T @ e_kept
+        if np.max(np.abs(E @ u - e), initial=0.0) > 1e-8:
+            return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf, rank=rank)
+        # stored as the transpose of contiguous columns, which W = L^{-1} E^T reads
+        E, e = np.ascontiguousarray(Vt[:rank].T).T, e_kept
 
-    core = _ipm_lmi(c_raw, [b.A[0] for b in blocks],
-                    [b.A[1:] for b in blocks], opts)
+    if rank == N:
+        # no free moments: feasibility is a property of the fixed values alone
+        y = np.concatenate(([1.0], u))
+        ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
+        return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0, rank=rank)
+
+    core = _ipm(c_raw, blocks, E, e, u, opts, _moment_face(problem) if rank else None)
     return finish(core.u, core.status, core.iterations, core.trace,
-                  core.gap, core.pres, core.dres, core.rel_gap, N)
+                  core.gap, core.pres, core.dres, core.rel_gap, N, rank)
+
+
+def _moment_face(problem: RelaxationProblem) -> np.ndarray | None:
+    """Orthonormal basis (s, s') of the face of the moment block M_d(y) that
+    the equalities leave: for h = 0 of half degree v and |gamma| <= d - 2v,
+    the coefficients of h x^gamma over Lambda(d) satisfy
+    M_d(y) (h x^gamma) = ((h . y)_{alpha + gamma})_alpha = 0 at every y that
+    meets the rows.  On that kernel the block has no interior, and the
+    scaling V blows up along exactly the directions the rows fix; solving
+    the block in the complement keeps them out of the Schur matrix.  None
+    when there is no such kernel."""
+    n, d = problem.n, problem.d
+    side = len(lambda_set(n, d))
+    kernel = []
+    for eq in problem.equalities:
+        if d < 2 * eq.v or not eq.h.terms:
+            continue
+        deltas = np.array(list(eq.h.terms), dtype=np.int64).reshape(-1, n)
+        pos = grlex_position(lambda_set(n, d - 2 * eq.v).exponents[:, None, :] + deltas[None])
+        K = np.zeros((len(pos), side))
+        K[np.arange(len(pos))[:, None], pos] = np.array(list(eq.h.terms.values()))
+        kernel.append(K)
+    if not kernel:
+        return None
+    _, sv, Vt = np.linalg.svd(np.vstack(kernel))
+    rank = int(np.sum(sv > max(side, len(sv)) * np.finfo(float).eps * sv[0]))
+    return np.ascontiguousarray(Vt[rank:].T) if rank else None
 
 
 @dataclass
@@ -282,132 +403,46 @@ class _CoreResult:
     rel_gap: float = float("nan")
 
 
-_CHUNK = 32  # moments per congruence product in the Schur build
-_RSQRT2 = 0.5**0.5
+def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
+         u: np.ndarray, opts: SolverOptions, face: np.ndarray | None = None) -> _CoreResult:
+    """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
+    from u (which satisfies E u = e); the moment block is solved in the
+    basis `face` (see _moment_face) when one is given.
 
-
-@lru_cache(maxsize=64)
-def _packing(s: int):
-    """Flat indices of the entries pack() keeps of an s x s matrix, diagonal
-    first, and the weights that turn those entries of a symmetric X into
-    2 pack(X).  Read-only, since every caller shares them."""
-    flat = np.arange(s * s)
-    i, j = np.divmod(flat, s)
-    order = np.concatenate((flat[i == j], flat[i < j]))
-    weight = np.full(order.size, 2.0)
-    weight[:s] = np.sqrt(2.0)
-    order.flags.writeable = weight.flags.writeable = False
-    return order, weight
-
-
-class _PackedSchur:
-    """Schur complement and right-hand sides of the scaled LMI stacks, built
-    from packed rows.
-
-    pack(X) = svec(X)/sqrt(2) lists a symmetric X's diagonal times 1/sqrt(2),
-    then its strict upper triangle row by row, so <X, Y> = 2 <pack(X), pack(Y)>.
-    Diagonal first, the 1/sqrt(2) is one column slice per side.  For each side
-    g, row k of Ahat[g] holds pack(G^{-1} A[k] G^{-T}) of every block of the
-    stack, an (N, k*s(s+1)/2) matrix: the Schur matrix takes one symmetric
-    product per side over half the columns of the full entries.  The rows are
-    built _CHUNK moments at a time in a small work array and packed straight
-    out of it; they, the work array and the Schur matrix are reused by every
-    iteration."""
-
-    def __init__(self, Avar: list):
-        self.Avar = Avar
-        N = Avar[0].shape[1]
-        self.order, self.weight = zip(*(_packing(A.shape[-1]) for A in Avar))
-        self.Ahat = [np.empty((N, A.shape[0] * o.size)) for A, o in zip(Avar, self.order)]
-        self.work = np.empty(2 * _CHUNK * max(A[:, 0].size for A in Avar))
-        self.M = np.empty((N, N))
-        self.product = np.empty((N, N)) if len(Avar) > 1 else None
-
-    def matrix(self, Ginv: list, GinvT: list) -> np.ndarray:
-        """M = 2 sum_g Ahat[g] Ahat[g]^T for the scalings G^{-1} = Ginv[g].
-
-        numpy runs each product as a BLAS syrk, whose result is exactly
-        symmetric, and so is their sum.  M is a buffer that the next call
-        overwrites, as are the products of the second and later sides."""
-        for g, (A, Gi, GiT, order, P) in enumerate(
-                zip(self.Avar, Ginv, GinvT, self.order, self.Ahat)):
-            k, N, s, _ = A.shape
-            rows = P.reshape(N, k, order.size)
-            out = rows.transpose(1, 0, 2)
-            for a in range(0, N, _CHUNK):
-                b = min(a + _CHUNK, N)
-                size = k * (b - a) * s * s
-                right = self.work[:size].reshape(k, (b - a) * s, s)
-                congruence = self.work[size : 2 * size].reshape(k, b - a, s * s)
-                np.matmul(A[:, a:b].reshape(k, (b - a) * s, s), GiT, out=right)
-                np.matmul(Gi[:, None], right.reshape(k, b - a, s, s),
-                          out=congruence.reshape(k, b - a, s, s))
-                congruence.take(order, axis=-1, out=out[:, a:b], mode="clip")
-            rows[:, :, :s] *= _RSQRT2
-            np.matmul(P, P.T, out=self.product if g else self.M)
-            if g:
-                self.M += self.product
-        self.M *= 2.0
-        return self.M
-
-    def rhs(self, X: list) -> np.ndarray:
-        """[sum_g <G^{-1} A[k] G^{-T}, X[g]>]_k for the symmetric stacks X[g],
-        at the scalings of the last matrix() call."""
-        total = 0.0
-        for x, order, weight, P in zip(X, self.order, self.weight, self.Ahat):
-            k, s, _ = x.shape
-            packed = x.reshape(k, s * s)[:, order]
-            packed *= weight
-            total = total + P @ packed.ravel()
-        return total
-
-
-def _stack_blocks(N: int, A0_raw: list, Avar_raw):
-    """Stack the blocks by side, sides in order of first appearance, each
-    block scaled by its largest absolute coefficient, once, into its stack.
-
-    Avar_raw is read one array at a time, so an array that only the iterable
-    holds is freed as soon as it is stacked.  Returns the constant stacks
-    (k, s, s) and the coefficient stacks (k, N, s, s), one of each per side."""
-    counts: dict[int, int] = {}
-    slots = []
-    for A0_i in A0_raw:
-        s = A0_i.shape[0]
-        slots.append((s, counts.get(s, 0)))
-        counts[s] = counts.get(s, 0) + 1
-    A0 = {s: np.empty((k, s, s)) for s, k in counts.items()}
-    Avar = {s: np.empty((k, N, s, s)) for s, k in counts.items()}
-    for (s, j), A0_i, Avar_i in zip(slots, A0_raw, Avar_raw):
-        s_blk = max(float(np.max(np.abs(A0_i))), float(np.max(np.abs(Avar_i)))) or 1.0
-        np.divide(A0_i, s_blk, out=A0[s][j])
-        np.divide(Avar_i, s_blk, out=Avar[s][j])
-    return list(A0.values()), list(Avar.values())
-
-
-def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> _CoreResult:
-    """Path-following core on  min <c,u>  s.t.  A0_i + sum_k u_k Avar_i[k] >= 0.
-
-    Blocks of equal side form one stack, so that every per-block factorization,
-    decomposition and product is one batched call per side."""
+    Blocks of equal side and base table form one stack, so that every
+    per-block factorization, decomposition and product is one batched call
+    per stack."""
     N = c_raw.shape[0]
 
     # per-problem rescaling: largest absolute coefficient becomes 1
     s_obj = float(np.max(np.abs(c_raw))) if np.any(c_raw) else 1.0
     c = c_raw / s_obj
-    A0, Avar = _stack_blocks(N, A0_raw, Avar_raw)
-    sides = range(len(A0))
-    Aflat = [A.reshape(A.shape[0], N, -1) for A in Avar]  # (k, N, s*s) views
-    eyes = [np.eye(A.shape[-1]) for A in A0]
-    n_total = float(sum(A.shape[0] * A.shape[1] for A in A0))
+    stacks = stack_blocks(blocks, N + 1)
+    if face is not None and stacks[-1].direct:
+        stacks[-1].restrict(face)
+    schur = TableSchur(stacks, N + 1)
+    sides = range(len(stacks))
+    one = np.zeros(N + 1)
+    one[0] = 1.0
+    A0 = [st.evaluate(one) for st in stacks]  # constant parts C_i
+    eyes = [np.eye(x.shape[-1]) for x in A0]
+    n_total = float(sum(x.shape[0] * x.shape[-1] for x in A0))
     c_norm = float(np.max(np.abs(c))) if np.any(c) else 1.0
-    a0_norms = [np.array([np.linalg.norm(a) for a in A]) for A in A0]
+    e_norm = float(np.max(np.abs(e), initial=0.0))
 
-    # strictly interior start: u = 0, slack and dual multiplier proportional to I
+    def at(v, const):
+        """The blocks at y = (const, v)."""
+        y = np.concatenate(([const], v))
+        return [st.evaluate(y) for st in stacks]
+
+    start = at(u, 1.0)
+    a0_norms = [np.linalg.norm(x.reshape(len(x), -1), axis=1) for x in start]
+
+    # strictly interior start: slack and dual multiplier proportional to I
     tau = 1.0 + max(float(np.max(x)) for x in a0_norms)
-    u = np.zeros(N)
-    S = [tau * np.broadcast_to(I, A.shape) for I, A in zip(eyes, A0)]
-    Z = [np.broadcast_to(I, A.shape).copy() for I, A in zip(eyes, A0)]
-    schur = _PackedSchur(Avar)
+    S = [tau * np.broadcast_to(I, x.shape) for I, x in zip(eyes, start)]
+    Z = [np.broadcast_to(I, x.shape).copy() for I, x in zip(eyes, start)]
+    lam = np.zeros(E.shape[0])
 
     trace: list[tuple] = []
     status = MAX_ITERATIONS
@@ -420,18 +455,19 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
 
     for it in range(opts.max_iter):
         iters = it
-        R = [A0[g] + (u @ Aflat[g]).reshape(A0[g].shape) - S[g] for g in sides]
-        r = c.copy()
-        for g in sides:
-            r -= np.matmul(Aflat[g], Z[g].reshape(len(Z[g]), -1, 1)).sum(axis=0)[:, 0]
+        Au = at(u, 1.0)
+        R = [Au[g] - S[g] for g in sides]
+        r = c - schur.adjoint(Z) - E.T @ lam
+        q = e - E @ u
 
         pobj = float(c @ u)
-        dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides)
+        dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides) + float(e @ lam)
         mu = sum(float(np.vdot(S[g], Z[g])) for g in sides) / n_total
         gap = pobj - dobj
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         pres = max(float(np.max(np.linalg.norm(R[g].reshape(len(R[g]), -1), axis=1)
                                 / (1.0 + a0_norms[g]))) for g in sides)
+        pres = max(pres, float(np.max(np.abs(q), initial=0.0)) / (1.0 + e_norm))
         dres = float(np.max(np.abs(r))) / (1.0 + c_norm)
         trace.append((it, mu, pres, dres, pobj, dobj))
 
@@ -463,30 +499,25 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
             status = NUMERICAL_FAILURE
             break
         Ginv, dvecs = zip(*scalings)
-        GinvT = [np.ascontiguousarray(np.swapaxes(G, 1, 2)) for G in Ginv]
+        GinvT = [np.ascontiguousarray(G.swapaxes(1, 2)) for G in Ginv]
+        V = [GT @ G for G, GT in zip(Ginv, GinvT)]
 
-        M = schur.matrix(Ginv, GinvT)
-        Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
-        LM = _chol_regularized(M)
-        if LM is None:
+        kkt = _kkt_solver(schur.matrix(V), E)
+        if kkt is None:
             status = NUMERICAL_FAILURE
             break
-        schur_solve = _chol_solver(LM)
+        Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
 
-        def direction(E):
-            """Search direction for complementarity target E (scaled space)."""
-            du = schur_solve(schur.rhs([E[g] - Rhat[g] for g in sides]) - r)
-            dS, dZ, dShat, dZhat = [], [], [], []
-            for g in sides:
-                ds = (du @ Aflat[g]).reshape(E[g].shape) + R[g]
-                dsh = Ginv[g] @ ds @ GinvT[g]
-                dzh = E[g] - dsh
-                dz = GinvT[g] @ dzh @ Ginv[g]
-                dS.append(ds)
-                dZ.append(0.5 * (dz + np.swapaxes(dz, 1, 2)))
-                dShat.append(dsh)
-                dZhat.append(dzh)
-            return du, dS, dZ, dShat, dZhat
+        def direction(T):
+            """Search direction for complementarity target T (scaled space)."""
+            b = schur.adjoint([GinvT[g] @ (T[g] - Rhat[g]) @ Ginv[g] for g in sides]) - r
+            du, dlam = kkt(b, q)
+            dS = [x + R[g] for g, x in zip(sides, at(du, 0.0))]
+            dShat = [Ginv[g] @ dS[g] @ GinvT[g] for g in sides]
+            dZhat = [T[g] - dShat[g] for g in sides]
+            dZ = [GinvT[g] @ dZhat[g] @ Ginv[g] for g in sides]
+            dZ = [0.5 * (z + z.swapaxes(1, 2)) for z in dZ]
+            return du, dlam, dS, dZ, dShat, dZhat
 
         def step_lengths(dShat, dZhat):
             ap = ad = 1.0
@@ -498,8 +529,8 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
             return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
-        E_aff = [-(dvecs[g][:, :, None] * eyes[g]) for g in sides]
-        du_a, dS_a, dZ_a, dSh_a, dZh_a = direction(E_aff)
+        T_aff = [-(dvecs[g][:, :, None] * eyes[g]) for g in sides]
+        _, _, dS_a, dZ_a, dSh_a, dZh_a = direction(T_aff)
         ap_a, ad_a = step_lengths(dSh_a, dZh_a)
         mu_aff = sum(
             float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ_a[g])) for g in sides
@@ -507,20 +538,21 @@ def _ipm_lmi(c_raw: np.ndarray, A0_raw: list, Avar_raw, opts: SolverOptions) -> 
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term
-        E_cor = []
+        T_cor = []
         for g in sides:
             dv = dvecs[g]
             cross = dSh_a[g] @ dZh_a[g]
             rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
-                       - 0.5 * (cross + np.swapaxes(cross, 1, 2)))
-            E_cor.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
-        du, dS, dZ, dSh, dZh = direction(E_cor)
+                       - 0.5 * (cross + cross.swapaxes(1, 2)))
+            T_cor.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
+        du, dlam, dS, dZ, dSh, dZh = direction(T_cor)
         ap, ad = step_lengths(dSh, dZh)
         if ap <= 1e-14 and ad <= 1e-14:
             status = NUMERICAL_FAILURE
             break
 
         u = u + ap * du
+        lam = lam + ad * dlam
         for g in sides:
             S[g] = S[g] + ap * dS[g]
             Z[g] = Z[g] + ad * dZ[g]

@@ -153,6 +153,21 @@ class TestPopSolve:
                      "--feas-tol", "1e-9", "--rank-eps", "1e-5"])
         assert code == 0
 
+    def test_huge_order_refused_before_assembly(self, tmp_path, capsys, monkeypatch):
+        import strata_opt.hierarchy as hierarchy
+
+        def no_assembly(*args):
+            raise AssertionError("assembled a relaxation that the memory estimate refuses")
+
+        monkeypatch.setattr(hierarchy, "assemble_relaxation", no_assembly)
+        monkeypatch.setattr(hierarchy, "_available_bytes", lambda: 64.0 * 2**30)
+        path = tmp_path / "p.pop"
+        names = " ".join(f"x{i}" for i in range(10))
+        path.write_text(f"var {names}\nmin x1^60 + x2^2\nball 10\n")  # d0 = 30
+        assert main(["pop-solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "d=30 needs an estimated" in err and "MB" in err
+
     def test_uncertified_exit_code_two(self, tmp_path, capsys):
         # flatness cannot hold at the first order of the double well when the
         # ball forces v = 2; stopping there leaves status 0 -> exit code 2

@@ -244,3 +244,113 @@ class TestRunHierarchy:
         cons = add_ball_constraint(f, [], 4.0)
         with pytest.raises(ValueError):
             run_hierarchy(f, cons, HierarchyOptions(d_max=1, coordinate_scale=0.0))
+
+
+def test_projected_atom_certifies_rotated_scaled_input():
+    """cr0.225 scaled by 159.675 in one rotation: its extracted atom missed
+    the equalities by more than feas_report_tol (status 0) until atoms were
+    projected onto {h = 0} before validation."""
+    from strata_opt.mech import PiezoTensor, build_distance_problem_piezo
+    from strata_opt.moment import minimal_order
+
+    scale = 159.6753207553933
+    voigt = [[10.145589638188731, 35.65356318461708, 23.122852906038702,
+              55.03495219363454, 1.3918010336011557, 1.6220665153933047],
+             [33.750220495338645, -151.12607833741066, -48.35084425161503,
+              -162.17016362525501, 32.24632691364063, 54.39774851820027],
+             [79.74501575149755, -117.42123625398793, -8.909010868762406,
+              -110.16654431937175, 38.999854760291264, 49.29662688812577]]
+    problem = build_distance_problem_piezo(PiezoTensor(voigt=np.array(voigt)))
+    f = problem.objective
+    zero = np.zeros(problem.n)
+    constraints = add_ball_constraint(f, problem.constraints, 1.5 * f.evaluate(zero), zero)
+    d0 = minimal_order(f, constraints)
+    res = run_hierarchy(f, constraints, HierarchyOptions(d_max=d0 + 1,
+                                                         coordinate_scale=problem.natural_scale))
+    assert res.status_xi == 1
+    last = res.diagnostics[-1]
+    assert last.max_constraint_violation <= HierarchyOptions().feas_report_tol
+    assert last.max_violation_before_projection >= last.max_constraint_violation
+    # the pinned sweep distance, scaled: 1.868767 within the sweep tolerance 5e-5
+    assert problem.total_distance(res.bound) == pytest.approx(1.868767 * scale, abs=5e-5 * scale)
+
+
+def test_unconstrained_problem_extracts_without_projection():
+    x = Polynomial.variable(0, 1)
+    res = run_hierarchy((x - 0.5) ** 2, [], HierarchyOptions(d_max=2))
+    assert res.status_xi == 1
+    np.testing.assert_allclose(res.minimizers[0], [0.5], atol=1e-6)
+    assert res.diagnostics[-1].max_violation_before_projection == 0.0
+
+
+class TestMemoryBudget:
+    @staticmethod
+    def _cgroup(tmp_path, line, folder, files):
+        (tmp_path / "cgroup").write_text(line + "\n")
+        group = tmp_path / "fs" / folder
+        group.mkdir(parents=True)
+        for name, text in files.items():
+            (group / name).write_text(text)
+        return str(tmp_path / "cgroup"), str(tmp_path / "fs")
+
+    def test_cgroup_v2_limit_minus_usage_plus_inactive_cache(self, tmp_path):
+        from strata_opt.hierarchy import _cgroup_free_bytes
+
+        proc, mount = self._cgroup(tmp_path, "0::/job", "job", {
+            "memory.max": "1000000\n", "memory.current": "700000\n",
+            "memory.stat": "anon 600000\nfile 100000\ninactive_file 40000\n"})
+        assert _cgroup_free_bytes(proc=proc, mount=mount) == 340000.0
+
+    def test_cgroup_v1_limit(self, tmp_path):
+        from strata_opt.hierarchy import _cgroup_free_bytes
+
+        proc, mount = self._cgroup(tmp_path, "4:memory:/box", "memory/box", {
+            "memory.limit_in_bytes": "5000\n", "memory.usage_in_bytes": "4000\n",
+            "memory.stat": "inactive_file 10\ntotal_inactive_file 500\n"})
+        assert _cgroup_free_bytes(proc=proc, mount=mount) == 1500.0
+        # a group whose limit minus usage reaches `below` cannot lower the minimum
+        assert _cgroup_free_bytes(1000.0, proc=proc, mount=mount) == float("inf")
+        assert _cgroup_free_bytes(1001.0, proc=proc, mount=mount) == 1500.0
+
+    def test_no_limit_or_no_cgroup_is_unbounded(self, tmp_path):
+        from strata_opt.hierarchy import _cgroup_free_bytes
+
+        proc, mount = self._cgroup(tmp_path, "0::/", "", {
+            "memory.max": "max\n", "memory.current": "5\n", "memory.stat": ""})
+        assert _cgroup_free_bytes(proc=proc, mount=mount) == float("inf")
+        assert _cgroup_free_bytes(proc=str(tmp_path / "missing"), mount=mount) == float("inf")
+
+    def test_available_bytes_takes_the_cgroup_cap(self, monkeypatch):
+        import strata_opt.hierarchy as hierarchy
+
+        monkeypatch.setattr(hierarchy, "_cgroup_free_bytes", lambda below: min(below, 12345.0))
+        assert hierarchy._available_bytes() == 12345.0
+
+    def test_refusal_over_the_budget_before_assembly(self, monkeypatch):
+        import strata_opt.hierarchy as hierarchy
+
+        def no_assembly(*args):
+            raise AssertionError("assembled a relaxation that the memory estimate refuses")
+
+        f = _sum_sq(3, [0.1, 0.2, 0.3])
+        cons = add_ball_constraint(f, [], 2.0)
+        needed = hierarchy.relaxation_bytes(3, 1, cons)
+        monkeypatch.setattr(hierarchy, "assemble_relaxation", no_assembly)
+        monkeypatch.setattr(hierarchy, "_available_bytes", lambda: 1.9 * needed)  # budget 0.95x
+        with pytest.raises(hierarchy.RelaxationTooLarge) as info:
+            run_hierarchy(f, cons, HierarchyOptions(d_max=2))
+        assert (info.value.d, info.value.needed) == (1, needed)
+        assert "0.5 of the available memory" in str(info.value)
+
+    def test_pool_workers_split_the_budget(self, monkeypatch):
+        import pickle
+
+        import strata_opt.hierarchy as hierarchy
+        from strata_opt.cli import _share_memory
+
+        monkeypatch.setattr(hierarchy, "MEMORY_FRACTION", 0.5)
+        _share_memory(4)
+        assert hierarchy.MEMORY_FRACTION == 0.125
+        # the refusal keeps the worker's share when it crosses the process boundary
+        exc = pickle.loads(pickle.dumps(hierarchy.RelaxationTooLarge(3, 10, 5)))
+        assert "0.125 of the available memory" in str(exc)

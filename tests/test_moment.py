@@ -4,8 +4,10 @@ import pytest
 from strata_opt.moment import (
     EQ,
     GE,
+    LMIBlock,
     MomentVector,
     _block_for,
+    _sum_positions,
     assemble_relaxation,
     constraint_half_degree,
     localizing_matrix,
@@ -132,10 +134,10 @@ class TestAssemble:
         cons = add_ball_constraint(prob.objective, prob.constraints, 300.0)
         rel = assemble_relaxation(prob.objective, cons, 2)
         sides = [b.side for b in rel.blocks]
-        # moment 28, ten paired cubic equalities of side 1, ball 7
-        assert sides[0] == 28
-        assert sides[1:21] == [1] * 20
-        assert sides[21] == 7
+        # moment 28 and ball 7; ten cubic equalities of one row each (v = 2)
+        assert sides == [28, 7]
+        assert [eq.positions.shape[0] for eq in rel.equalities] == [1] * 10
+        assert rel.v_max == 2
         assert rel.num_moments == len(lambda_set(6, 4)) == 210
 
     def test_block_sides_ela_problem(self, E0):
@@ -147,7 +149,8 @@ class TestAssemble:
         rel = assemble_relaxation(prob.objective, cons, 1)
         sides = [b.side for b in rel.blocks]
         assert sides[0] == len(lambda_set(9, 1)) == 10
-        assert sides[1:] == [1] * 11  # 5 paired equalities + ball
+        assert sides[1:] == [1]  # the ball; 5 equalities of one row each
+        assert [eq.positions.shape[0] for eq in rel.equalities] == [1] * 5
         assert rel.num_moments == 55
 
     def test_assembly_matches_localizing_matrices(self, rng):
@@ -165,11 +168,11 @@ class TestAssemble:
         np.testing.assert_allclose(
             rel.blocks[1].evaluate(y.values), localizing_matrix(g1, y, d - 1), atol=1e-12
         )
+        # the equality's rows are the distinct entries of its localizing matrix
+        rows = rel.equalities[0].evaluate(y.values)
+        np.testing.assert_allclose(rows, shift_vector(g2, y), atol=1e-12)
         np.testing.assert_allclose(
-            rel.blocks[2].evaluate(y.values), localizing_matrix(g2, y, d - 1), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            rel.blocks[3].evaluate(y.values), localizing_matrix(-g2, y, d - 1), atol=1e-12
+            rows[_sum_positions(n, d - 1)], localizing_matrix(g2, y, d - 1), atol=1e-12
         )
 
     def test_objective_consistency(self, rng):
@@ -184,10 +187,12 @@ class TestAssemble:
         g = Polynomial.constant(1, 4.0) - Polynomial.monomial((2,), 1.0)
         rel_d = assemble_relaxation(f, [(g, GE)], 2)
         rel_d1 = assemble_relaxation(f, [(g, GE)], 3)
-        L = rel_d.num_moments
+        # positions are graded-lex prefixes: the order-d table is the
+        # top-left corner of the order-(d+1) one, with the same coefficients
         for b_small, b_big in zip(rel_d.blocks, rel_d1.blocks):
             s = b_small.side
-            np.testing.assert_array_equal(b_big.A[:L, :s, :s], b_small.A)
+            np.testing.assert_array_equal(b_big.positions[:s, :s], b_small.positions)
+            np.testing.assert_array_equal(b_big.coeffs, b_small.coeffs)
 
     def test_all_coefficient_matrices_symmetric(self):
         f = Polynomial.monomial((2, 0)) - Polynomial.monomial((1, 1), 3.0)
@@ -195,7 +200,9 @@ class TestAssemble:
         h = Polynomial.variable(0, 2) * Polynomial.variable(1, 2) - 0.5
         rel = assemble_relaxation(f, [(g, GE), (h, EQ)], 2)
         for blk in rel.blocks:
-            np.testing.assert_array_equal(blk.A, np.swapaxes(blk.A, 1, 2))
+            np.testing.assert_array_equal(blk.positions, np.swapaxes(blk.positions, 0, 1))
+            coeffs = np.broadcast_to(blk.coeffs, blk.positions.shape)
+            np.testing.assert_array_equal(coeffs, np.swapaxes(coeffs, 0, 1))
 
     def test_minimal_order_enforced(self):
         f = Polynomial.monomial((4,), 1.0)
@@ -247,15 +254,22 @@ class TestVectorizedAssembly:
         for _ in range(3):
             g = _cancelling_poly(rng, n, deg)
             assert g.degree == deg
-            blk = _block_for(g, "g", d, idx2d)
+            blk = _block_for(g, "g", d)
             ref = _block_by_entries(g, d, idx2d)
-            assert blk.A.shape == ref.shape
-            assert blk.A.tobytes() == ref.tobytes()
+            # each (moment, row, col) entry of the table carries one coefficient
+            A = np.zeros(ref.shape)
+            a, b, t = np.indices(blk.positions.shape)
+            A[blk.positions, a, b] = blk.coeffs[t]
+            assert A.tobytes() == ref.tobytes()
+            y = rng.normal(size=len(idx2d))
+            np.testing.assert_allclose(blk.evaluate(y), np.tensordot(y, ref, axes=1),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_zero_constraint_gives_zero_block(self):
         x = Polynomial.variable(0, 2)
-        blk = _block_for(x - x, "g", 1, lambda_set(2, 2))
-        assert blk.side == 3 and not np.any(blk.A)
+        blk = _block_for(x - x, "g", 1)
+        assert blk.side == 3 and not np.any(blk.coeffs)
+        assert not np.any(blk.evaluate(np.ones(len(lambda_set(2, 2)))))
 
     @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (6, 2)])
     def test_moment_matrix_equals_entrywise_lookup(self, rng, n, d):
@@ -264,3 +278,16 @@ class TestVectorizedAssembly:
             rows = lambda_set(n, k).members
             ref = np.array([[y[tuple(x + z for x, z in zip(a, b))] for b in rows] for a in rows])
             assert moment_matrix(y, k).tobytes() == ref.tobytes()
+
+
+def test_block_from_dense_evaluates_like_its_stack(rng):
+    """A block given entry by entry: each entry lists its nonzero moments,
+    padded with coefficient 0, and evaluates to sum_alpha y_alpha A[alpha]."""
+    A = np.zeros((6, 3, 3))
+    for alpha, a, b in ((0, 0, 0), (2, 0, 1), (2, 1, 2), (5, 0, 1), (3, 2, 2)):
+        A[alpha, a, b] = A[alpha, b, a] = float(rng.normal())
+    blk = LMIBlock.from_dense("b", A)
+    assert blk.positions.shape == (3, 3, 2) and blk.base is None
+    y = rng.normal(size=6)
+    np.testing.assert_allclose(blk.evaluate(y), np.tensordot(y, A, axes=1), rtol=1e-14, atol=1e-14)
+    assert not np.any(blk.coeffs[1, 1])  # an empty entry is all padding

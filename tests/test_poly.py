@@ -208,3 +208,24 @@ def test_product_evaluation_homomorphism(p, q):
 @settings(max_examples=60, deadline=None)
 def test_additive_inverse(p):
     assert (p + p * -1.0).is_zero
+
+
+@given(polynomials())
+@settings(max_examples=40, deadline=None)
+def test_gradient_matches_central_differences(p):
+    x = np.array([0.7, -1.3])
+    grad = [dp.evaluate(x) for dp in p.gradient()]
+    for i, g in enumerate(grad):
+        h = np.zeros(2)
+        h[i] = 1e-5
+        fd = (p.evaluate(x + h) - p.evaluate(x - h)) / 2e-5
+        assert g == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_gradient_of_known_polynomial():
+    x, y = Polynomial.variables(2)
+    p = 3.0 * x * x * y - y + 2.0
+    dx, dy = p.gradient()
+    assert dx == 6.0 * x * y
+    assert dy == 3.0 * x * x - 1.0
+    assert Polynomial.constant(2, 4.0).gradient() == (Polynomial.zero(2), Polynomial.zero(2))

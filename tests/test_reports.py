@@ -11,7 +11,9 @@ def _sample_report():
         problem={"command": "distance", "input": "E0", "stratum": "cubic-ela",
                  "c": 58000.0, "voigt": np.eye(2)},
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
-                      "schur_dim": 48}],
+                      "schur_dim": 54, "equality_rows": 5,
+                      "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
+                                  "extract": 0.003}}],
         status_xi=1,
         bound=2530.474727,
         distance=74.131148,
@@ -40,14 +42,22 @@ class TestJsonRoundTrip:
         assert again.bound is None
 
     def test_run_diagnostics_round_trip(self):
-        # min x on x^2 = 1, |x| <= 2: at d = 1 the equality leaves 1 of 2 free moments
+        # min x on x^2 = 1, |x| <= 2: at d = 1 the Newton system has the moments
+        # y1, y2 and the one row y2 = 1
         x = Polynomial.variable(0, 1)
         res = run_hierarchy(x, [(x * x - 1.0, EQ), (4.0 - x * x, GE)], HierarchyOptions(d_max=2))
         rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
         again = Report.from_json(rep.to_json())
         assert again == rep
-        assert again.diagnostics[0]["schur_dim"] == 1
-        assert [d["schur_dim"] for d in again.diagnostics] == [d.schur_dim for d in res.diagnostics]
+        first = again.diagnostics[0]
+        assert (first["schur_dim"], first["equality_rows"]) == (2, 1)
+        for plain, rec in zip(again.diagnostics, res.diagnostics):
+            assert (plain["schur_dim"], plain["equality_rows"]) == (rec.schur_dim, rec.equality_rows)
+            assert plain["seconds"] == rec.seconds
+        # the certified order went through every phase
+        assert set(again.diagnostics[-1]["seconds"]) == {"assemble", "solve", "rank", "extract"}
+        assert all(v >= 0.0 for v in again.diagnostics[-1]["seconds"].values())
+        assert again.diagnostics[-1]["max_violation_before_projection"] >= 0.0
 
     def test_write_and_read(self, tmp_path):
         rep = _sample_report()

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import strata_opt._schur as schur_module
+from strata_opt._schur import TableSchur, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from strata_opt.sdp import (
     SolverOptions,
-    _PackedSchur,
     _chol_regularized,
     _chol_solver,
     _chol_stack,
+    _kkt_solver,
     _max_step,
     _nt_scaling,
     solve_sdp,
@@ -17,11 +19,18 @@ from strata_opt.sdp import (
 
 def _lmi_problem(objective, blocks):
     """Hand-built LMI problem over Lambda(1, 2) = {1, y1, y2}."""
-    built = tuple(
-        LMIBlock(label=f"b{i}", g=Polynomial.constant(1, 1.0), v=0, side=A.shape[1], A=A)
-        for i, A in enumerate(blocks)
-    )
+    built = tuple(LMIBlock.from_dense(f"b{i}", A) for i, A in enumerate(blocks))
     return RelaxationProblem(n=1, d=1, d0=1, objective=np.asarray(objective, float), blocks=built)
+
+
+def _dense(positions, coeffs, L):
+    """The coefficient stack A (L, s, s) of a table: A[alpha] sums the
+    coefficients of the entries at moment alpha."""
+    coeffs = np.broadcast_to(coeffs, positions.shape)
+    a, b, _ = np.indices(positions.shape)
+    A = np.zeros((L,) + positions.shape[:2])
+    np.add.at(A, (positions, a, b), coeffs)
+    return A
 
 
 def _correlation_problem():
@@ -112,6 +121,8 @@ class TestContracts:
 
 
 class TestEqualityElimination:
+    """Equalities are rows E u = e of the Newton system, not block pairs."""
+
     def _problem(self):
         x = Polynomial.variable(0, 1)
         f = x
@@ -119,26 +130,37 @@ class TestEqualityElimination:
         return assemble_relaxation(f, constraints, 1)
 
     def test_routes_agree(self):
-        prob = self._problem()
-        a = solve_sdp(prob, SolverOptions(eliminate_equalities=True))
-        b = solve_sdp(prob, SolverOptions(eliminate_equalities=False))
-        assert a.status == "optimal" and b.status == "optimal"
-        assert a.objective == pytest.approx(-1.0, abs=1e-6)
-        assert b.objective == pytest.approx(a.objective, abs=1e-5)
+        # the known optimum: min x on x^2 = 1, |x| <= 2 is -1, at the moments (1, -1, 1)
+        sol = solve_sdp(self._problem())
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-1.0, abs=1e-6)
+        np.testing.assert_allclose(sol.y.values, [1.0, -1.0, 1.0], atol=1e-5)
+        assert sol.relative_gap <= SolverOptions().gap_tol
 
     def test_schur_dim_counts_free_moments(self):
-        prob = self._problem()  # y1, y2 free; y2 = 1 is eliminated
-        assert solve_sdp(prob).schur_dim == 1
-        assert solve_sdp(prob, SolverOptions(eliminate_equalities=False)).schur_dim == 2
-        assert solve_sdp(_box_ball_problem(range(7))).schur_dim == 209
+        prob = self._problem()  # y1, y2 in the Newton system, one row y2 = 1
+        sol = solve_sdp(prob)
+        assert (sol.schur_dim, sol.equality_rows) == (2, 1)
+        box = solve_sdp(_box_ball_problem(range(7)))
+        assert (box.schur_dim, box.equality_rows) == (209, 0)
 
     def test_equalities_hold_exactly(self):
         prob = self._problem()
         sol = solve_sdp(prob)
         y = sol.y.values
-        # paired blocks stay in the problem statement and must evaluate to ~0
-        for blk in prob.blocks[1:3]:
-            assert abs(blk.evaluate(y)[0, 0]) < 1e-9
+        # the equality rows stay in the problem statement and must evaluate to ~0
+        assert len(prob.equalities) == 1
+        assert np.max(np.abs(prob.equalities[0].evaluate(y))) < 1e-9
+
+    def test_duplicated_equality_keeps_rank_and_solution(self):
+        x = Polynomial.variable(0, 1)
+        cons = [(x * x - 1.0, EQ), (4.0 - x * x, GE)]
+        once = solve_sdp(assemble_relaxation(x, cons, 2))
+        twice = solve_sdp(assemble_relaxation(x, [cons[0], (2.0 * x * x - 2.0, EQ)] + cons, 2))
+        assert once.status == twice.status == "optimal"
+        assert twice.equality_rows == once.equality_rows == 3
+        assert twice.objective == pytest.approx(once.objective, abs=1e-9)
+        np.testing.assert_allclose(twice.y.values, once.y.values, atol=1e-7)
 
     def test_paper_elasticity_relaxation_value(self, E0):
         from strata_opt.hierarchy import add_ball_constraint
@@ -249,10 +271,11 @@ class TestSameSideStacks:
 
     def test_caller_blocks_are_not_changed(self):
         prob = _box_ball_problem(range(7))
-        before = [b.A.copy() for b in prob.blocks]
+        before = [(b.positions.copy(), b.coeffs.copy()) for b in prob.blocks]
         solve_sdp(prob)
-        for b, A in zip(prob.blocks, before):
-            assert b.A.tobytes() == A.tobytes()
+        for b, (P, w) in zip(prob.blocks, before):
+            assert b.positions.tobytes() == P.tobytes()
+            assert b.coeffs.tobytes() == w.tobytes()
 
     def test_one_failing_block_is_regularized_alone(self):
         rng = np.random.default_rng(5)
@@ -276,29 +299,168 @@ class TestSameSideStacks:
         assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
 
 
-@pytest.mark.parametrize("N", [33, 70])  # 2 and 3 congruence chunks, the last one short
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("sides", [(1,), (5,), (28,), (1, 5, 28)])
-def test_packed_schur_matches_full_entries(sides, k, N):
-    """The packed Schur matrix and right-hand side against products over all
-    s*s entries of every G^{-1} A G^{-T}."""
-    rng = np.random.default_rng([N, k, *sides])
-    Avar, Ginv, X = [], [], []
-    for s in sides:
-        A = rng.normal(size=(k, N, s, s))
-        Avar.append(A + np.swapaxes(A, -1, -2))
-        Ginv.append(np.array([np.linalg.inv(np.linalg.cholesky(_random_pd(rng, s))) for _ in range(k)]))
-        X.append(np.array([_random_sym(rng, s) for _ in range(k)]))
-    GinvT = [np.ascontiguousarray(np.swapaxes(G, 1, 2)) for G in Ginv]
-    schur = _PackedSchur(Avar)
-    M = schur.matrix(Ginv, GinvT)
-    rhs = schur.rhs(X)
+def _reference_schur(stacks, V, X, L):
+    """Schur matrix and adjoint from the dense coefficient stacks:
+    M[alpha, beta] = sum_i tr(A_i[alpha] V_i A_i[beta] V_i), rhs = sum_i <A_i[alpha], X_i>."""
+    M = np.zeros((L, L))
+    rhs = np.zeros(L)
+    for st, Vg, Xg in zip(stacks, V, X):
+        for P, w, Vi, Xi in zip(st.P, st.w, Vg, Xg):
+            A = _dense(P, w, L)
+            M += np.einsum("aij,bji->ab", A, Vi @ A @ Vi)
+            rhs += np.einsum("aij,ij->a", A, Xi)
+    return M[1:, 1:], rhs[1:]
 
-    full = [(G[:, None] @ A @ GT[:, None]).transpose(1, 0, 2, 3).reshape(N, -1)
-            for A, G, GT in zip(Avar, Ginv, GinvT)]
-    M_ref = sum(F @ F.T for F in full)
-    rhs_ref = np.array([sum(np.vdot(F[n], x) for F, x in zip(full, X)) for n in range(N)])
+
+def _check_schur(blocks, L, seed):
+    rng = np.random.default_rng(seed)
+    stacks = stack_blocks(blocks, L)
+    schur = TableSchur(stacks, L)
+    V = [np.array([_random_pd(rng, st.shape[1]) for _ in range(st.shape[0])]) for st in stacks]
+    X = [np.array([_random_sym(rng, st.shape[1]) for _ in range(st.shape[0])]) for st in stacks]
+    M_ref, rhs_ref = _reference_schur(stacks, V, X, L)
+    M = schur.matrix(V)
+    rhs = schur.adjoint(X)
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
     assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
-    assert [P.shape for P in schur.Ahat] == [(N, k * s * (s + 1) // 2) for s in sides]
+    # a second build over the reused buffers gives the same matrix
+    assert np.array_equal(schur.matrix(V), M)
+    return stacks
+
+
+def _hand_built_blocks(sides, k, N):
+    """k blocks per side, three terms per entry, moments drawn from y_0..y_N
+    so that they collide within an entry, across entries and across blocks."""
+    rng = np.random.default_rng([N, k, *sides])
+    L = N + 1
+    blocks = []
+    for s in sides:
+        for _ in range(k):
+            P = rng.integers(0, L, size=(s, s, 3))
+            w = rng.normal(size=(s, s, 3))
+            P = np.triu(P.transpose(2, 0, 1)) + np.triu(P.transpose(2, 0, 1), 1).transpose(0, 2, 1)
+            w = np.triu(w.transpose(2, 0, 1)) + np.triu(w.transpose(2, 0, 1), 1).transpose(0, 2, 1)
+            blocks.append(LMIBlock.from_dense("b", _dense(P.transpose(1, 2, 0), w.transpose(1, 2, 0), L)))
+    return blocks
+
+
+@pytest.mark.parametrize("N", [33, 70])  # 2 and 3 column chunks and more, the last one short
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sides", [(1,), (5,), (28,), (1, 5, 28)])
+def test_packed_schur_matches_full_entries(sides, k, N, monkeypatch):
+    """The table Schur matrix and right-hand side against the dense formula,
+    for hand-built tables of three terms per entry whose moments collide
+    (within an entry, across entries and across the k blocks of a stack),
+    with the constant y_0 among them, over column chunks of 16 moments."""
+    monkeypatch.setattr(schur_module, "CHUNK_DOUBLES", 16 * 3 * 28 * 28)
+    blocks = _hand_built_blocks(sides, k, N)
+    stacks = _check_schur(blocks, N + 1, [N, k, 1])
+    assert sum(st.shape[0] for st in stacks) == len(blocks)
+
+
+@pytest.mark.parametrize("N", [33, 70])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sides", [(1,), (5,), (1, 5)])
+def test_table_formula_on_small_stacks(sides, k, N, monkeypatch):
+    """The same hand-built cases for sides below the gemm panel (8 rows),
+    with side-5 stacks cut into several column chunks."""
+    monkeypatch.setattr(schur_module, "CHUNK_DOUBLES", 4 * (15 + 8 * 5))  # 4 columns for side 5
+    stacks = _check_schur(_hand_built_blocks(sides, k, N), N + 1, [N, k, 2])
+    assert all(len(st.chunks) > 1 for st in stacks if st.shape[1] == 5)
+
+
+def test_table_schur_of_relaxations_matches_dense(monkeypatch):
+    """Assembled relaxations: the moment block (written straight into M),
+    one stack of six box blocks of two terms and the ball, and a ball of
+    many terms, over several chunks."""
+    monkeypatch.setattr(schur_module, "CHUNK_DOUBLES", 20 * 28 * 28)
+    prob = _box_ball_problem(range(7))
+    stacks = _check_schur(prob.blocks, prob.num_moments, 3)
+    assert [st.shape for st in stacks] == [(7, 7, 7), (1, 28, 28)]  # box and ball share B
+    assert stacks[-1].direct and len(stacks[-1].chunks) > 2
+    x = Polynomial.variables(3)
+    f = sum((float(i + 1) * xi * xj for i, (xi, xj) in enumerate(zip(x, x[1:] + x[:1]))),
+            Polynomial.zero(3))
+    rel = assemble_relaxation(f, [(9.0 - (x[0] + x[1] + x[2] + 1.0) ** 2, GE), (x[0] ** 3, GE)], 3)
+    _check_schur(rel.blocks, rel.num_moments, 4)
+
+
+def test_saddle_point_direction_matches_dense_solve():
+    rng = np.random.default_rng(17)
+    for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35)):  # dense LU, then Cholesky
+        M = _random_pd(rng, N)
+        E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2] if m else np.zeros((0, N))
+        b, q = rng.normal(size=N), rng.normal(size=m)
+        du, dlam = _kkt_solver(M, E)(b, q)
+        K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
+        want = np.linalg.solve(K, np.concatenate((b, q)))
+        got = np.concatenate((du, dlam))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_a0_order_three_solve_peak_memory(a0):
+    """solve_sdp on the a0/O2 order-3 relaxation stays below 70 MB of
+    Python-tracked allocations (the dense coefficient stacks took 142 MB)."""
+    import tracemalloc
+
+    from strata_opt.hierarchy import add_ball_constraint
+    from strata_opt.mech import build_distance_problem_sym2
+
+    prob = build_distance_problem_sym2(a0)
+    f = prob.objective
+    cons = add_ball_constraint(f, prob.constraints, 1.5 * f.evaluate(np.zeros(prob.n)))
+    r = prob.natural_scale
+    rel = assemble_relaxation(f.dilate(r), [(g.dilate(r), kind) for g, kind in cons], 3)
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < 70 * 2**20
+
+
+def test_moment_face_is_the_kernel_the_rows_force():
+    """For h = 0 with d >= 2v, M_d(y) annihilates h x^gamma (|gamma| <= d - 2v)
+    at every y that meets the rows; the face basis spans the rest."""
+    from strata_opt.moment import MomentVector, moment_matrix
+    from strata_opt.sdp import _moment_face
+
+    x, y = Polynomial.variables(2)
+    h = x * x + y * y - 1.0
+    rel = assemble_relaxation(x * y, [(h, EQ)], 2)
+    Q = _moment_face(rel)
+    assert Q.shape == (6, 5)  # one kernel vector, h itself, over Lambda(2)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-14)
+    atoms = MomentVector.from_atoms([[0.6, 0.8], [-1.0, 0.0]], [0.3, 0.7], 2)
+    M = moment_matrix(atoms, 2)
+    h_vec = np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # 1, x, y, x^2, xy, y^2
+    np.testing.assert_allclose(M @ h_vec, 0.0, atol=1e-14)
+    np.testing.assert_allclose(Q.T @ h_vec, 0.0, atol=1e-14)
+    assert _moment_face(assemble_relaxation(x * y, [(h, EQ)], 1)) is None  # d < 2v
+
+
+def test_rotated_elasticity_order_two_stays_optimal():
+    """E0 rotated and scaled (one lift input): the moment block has no
+    interior along the equalities, and solved on the full block M's
+    Cholesky broke near the optimum (numerical_failure)."""
+    from strata_opt.hierarchy import add_ball_constraint
+    from strata_opt.mech import ElasticityTensor, build_distance_problem_ela
+
+    voigt = [[345.13956684957344, 75.88400663453359, 80.12581171670473, -28.136573733315295, 19.396761737638222, -10.161673774341324],
+             [75.88400663453359, 324.1342645964119, 136.62414791856628, -15.05841877829863, 24.556640532077417, -20.62821896814276],
+             [80.12581171670473, 136.62414791856628, 276.45823601440605, 44.73931020412273, -29.844286450335638, 26.918246224629335],
+             [-28.136573733315295, -15.05841877829863, 44.73931020412273, 108.19127152337481, 39.232347124609404, 16.24350590586569],
+             [19.396761737638222, 24.556640532077417, -29.844286450335638, 39.232347124609404, 103.62272124466732, -27.068230591996986],
+             [-10.161673774341324, -20.62821896814276, 26.918246224629335, 16.24350590586569, -27.068230591996986, 54.819973501762476]]
+    prob = build_distance_problem_ela(ElasticityTensor.from_voigt(np.array(voigt), tol=1e-9))
+    f = prob.objective
+    zero = np.zeros(prob.n)
+    cons = add_ball_constraint(f, prob.constraints, 1.5 * f.evaluate(zero), zero)
+    r = prob.natural_scale
+    sol = solve_sdp(assemble_relaxation(f.dilate(r), [(g.dilate(r), k) for g, k in cons], 2))
+    assert sol.status == "optimal"
+    # E0's pinned distance 74.131148, to the benchmark's 2e-5 relative
+    assert prob.total_distance(sol.objective) == pytest.approx(74.131148, rel=2e-5)
