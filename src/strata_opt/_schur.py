@@ -1,4 +1,4 @@
-"""Schur matrix of moment relaxations built from position tables.
+"""Schur matrix and adjoint of moment relaxations, from the blocks' base tables.
 
 The Schur matrix M[alpha, beta] = sum_i <A_i[alpha], V_i A_i[beta] V_i> of
 the interior-point method (see sdp) is built from the blocks' tables by the
@@ -17,8 +17,13 @@ takes s^3 Nb / 2 flops for a block of side s, against the Nb^2 s^2 / 2 of
 a Gram matrix of congruences.  Q and Y are built a chunk of columns at a
 time in reused buffers; the adds are grouped into layers of distinct target
 rows, so that each layer is one indexed add; only the rows below a chunk's
-end are built and MH is mirrored.  The adjoint <A_i[alpha], X_i> is one
-bincount over every table.
+end are built and MH is mirrored.
+
+G is kept in the blocks' own form (moment.LMIBlock): G^T in coordinates,
+entry (gamma, shift[gamma, t]) holding coeffs[t], the rows of the shifted
+sequence g . y.  The blocks at y are (G^T y)[B], one bincount and a gather;
+the adjoint <A[alpha], X> is (G h)[alpha] with h[gamma] the sum of X over
+B == gamma, two bincounts.  The dense G^T serves the Schur gemm alone.
 """
 
 from __future__ import annotations
@@ -46,61 +51,43 @@ def _layers(keys: np.ndarray) -> list:
     return [np.flatnonzero(rank == j) for j in range(int(rank.max(initial=-1)) + 1)]
 
 
-def _base_table(P: np.ndarray, w: np.ndarray):
-    """Factor an (s, s, t) table given entry by entry into base entries: the
-    entries a <= b with equal rows (P[a, b], w[a, b]) form one base entry
-    gamma, so that
-
-        A_beta = sum_gamma G[beta, gamma] H_gamma,   H_gamma = [B == gamma],
-        G[pos[gamma, t], gamma] = coef[gamma, t].
-
-    Returns B, pos and coef.  (A localizing block carries this factoring
-    from assembly: B is the table of M_k and gamma runs over Lambda(2k).)"""
-    s, _, t = P.shape
-    a, b = np.triu_indices(s)
-    rows, base = np.unique(np.concatenate((P[a, b], w[a, b]), axis=1), axis=0,
-                           return_inverse=True)
-    B = np.empty((s, s), dtype=np.int64)
-    B[a, b] = B[b, a] = base.ravel()
-    return B, rows[:, :t].astype(np.int64), rows[:, t:]
-
-
 class _Stack:
-    """k blocks of side s that share a base table B with Nb base entries:
-    tables P, w (k, s, s, t), each block scaled by its largest coefficient
-    and padded with zero terms to the stack's largest t, and per block G's
-    positions and coefficients (Nb, t_i).
+    """k blocks of side s that share a base table B with Nb base entries,
+    each scaled by its largest coefficient.  Their G_i^T are kept together
+    in coordinate form: rows gamma + i Nb, columns shift_i[gamma, t] and
+    values coeffs_i[t] / scale_i, concatenated over the k blocks.
 
     Its part of the Schur matrix is sum_i G_i MH_i G_i^T, where
     MH_i[gamma, gamma'] = <H_gamma, V_i H_gamma' V_i> comes from the table
     formula on B.  The moment block has G = I (direct) and writes its MH
     straight into M.  The other stacks apply their G_i by one gemm through
-    G^T (k, Nb, L).
+    G^T (k, Nb, L), scattered from the coordinate form for that gemm only.
 
     MH is symmetric, so a column chunk [j0, j1) only needs its rows below
-    j1: the pairs (a, b) with B[a, b] < j1.  The rest is mirrored."""
+    j1: the pairs (a, b) with B[a, b] < j1.  The rest is mirrored.
 
-    def __init__(self, members: list, L: int):
-        B, pos, coef = members[0][2], [m[3] for m in members], [m[4] for m in members]
-        self.B = np.ascontiguousarray(B, dtype=np.int64)
-        k, Nb, s = len(members), pos[0].shape[0], B.shape[0]
-        t = max(P.shape[-1] for P, *_ in members)
-        self.P = np.zeros((k, s, s, t), dtype=np.int64)  # padding: coefficient 0 at y_0
-        self.w = np.zeros((k, s, s, t))
-        for i, (P, w, *_) in enumerate(members):
-            self.P[i, ..., : P.shape[-1]] = P
-            self.w[i, ..., : w.shape[-1]] = w
-        self.shape, self.Nb = (k, s, s), Nb
-        self.face = None  # see restrict
-        self.direct = (k == 1 and t == 1 and Nb == L and np.all(coef[0] == 1.0)
-                       and np.array_equal(pos[0][:, 0], np.arange(L)))
-        if self.direct:
+    A stack given a face F (s, s'), an orthonormal basis of a subspace that
+    holds the range of its blocks at every feasible y, is solved in that
+    basis: its iterates are F^T A(y) F."""
+
+    def __init__(self, blocks: list, L: int, direct: bool, face: np.ndarray | None = None):
+        self.B = np.ascontiguousarray(blocks[0].base, dtype=np.int64)
+        k, Nb, s = len(blocks), blocks[0].shift.shape[0], self.B.shape[0]
+        self.shape, self.Nb, self.L = (k, s, s), Nb, L
+        self.direct, self.face = direct, face
+        # the base entry of X[i, a, b], over the whole stack
+        self.entries = (np.arange(k)[:, None, None] * Nb + self.B).ravel()
+        if direct:
             return
+        self.rows = np.concatenate([np.repeat(np.arange(i * Nb, (i + 1) * Nb), b.shift.shape[1])
+                                    for i, b in enumerate(blocks)])
+        self.cols = np.concatenate([b.shift.ravel() for b in blocks])
+        self.vals = np.concatenate([np.tile(b.coeffs / np.max(np.abs(b.coeffs)), Nb)
+                                    for b in blocks])
         self.MH = np.empty((k, Nb, Nb))
-        self.GT = np.zeros((k, Nb, L))
-        for GT, p, c in zip(self.GT, pos, coef):
-            gamma = np.broadcast_to(np.arange(Nb)[:, None], p.shape)
-            np.add.at(GT, (gamma.ravel(), p.ravel()), c.ravel())
+        GT = np.zeros((k * Nb, L))
+        np.add.at(GT, (self.rows, self.cols), self.vals)
+        self.GT = GT.reshape(k, Nb, L)
         self.Xt = np.empty(self.GT.shape)
 
     def plan(self, budget: int) -> tuple[int, int]:
@@ -111,32 +98,27 @@ class _Stack:
         self.chunks = _plan(self.B.tobytes(), s, k, width)
         return k * s * s * width, max(k * rows * (j1 - j0) for j0, j1, *_, rows, _, _, _ in self.chunks)
 
-    def restrict(self, face: np.ndarray) -> None:
-        """Solve the blocks in the orthonormal basis F = face (s, s') of a
-        subspace that holds their range at every feasible y: the iterates
-        become F^T A(y) F."""
-        self.face = face
-
     def lift(self, X: np.ndarray) -> np.ndarray:
         """F X F^T: a stack of (s', s') matrices back in the table's basis."""
         return X if self.face is None else self.face @ X @ self.face.T
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """The blocks at a full moment vector y (y[0] multiplies the constants)."""
-        if self.P.shape[-1] == 1:
-            X = y[self.P[..., 0]] * self.w[..., 0]
+        if self.direct:
+            X = y[self.B][None]
         else:
-            X = (y[self.P] * self.w).sum(axis=-1)
+            k, Nb = self.shape[0], self.Nb
+            X = np.bincount(self.rows, self.vals * y[self.cols], minlength=k * Nb)
+            X = X.reshape(k, Nb)[:, self.B]
         return X if self.face is None else self.face.T @ X @ self.face
 
-    def weighted(self, X: np.ndarray, out: np.ndarray) -> None:
-        """out <- w * X[a, b] for every table entry, flat: the adjoint's
-        bincount weights."""
-        X = self.lift(X)
-        if self.P.shape[-1] == 1:
-            np.multiply(self.w[..., 0], X, out=out.reshape(X.shape))
-        else:
-            np.multiply(self.w, X[..., None], out=out.reshape(self.w.shape))
+    def adjoint(self, X: np.ndarray) -> np.ndarray:
+        """[sum_i <A_i[alpha], X[i]>]_alpha over all L moments."""
+        X = self.lift(X).ravel()
+        if self.direct:
+            return np.bincount(self.entries, X, minlength=self.L)
+        h = np.bincount(self.entries, X, minlength=self.shape[0] * self.Nb)
+        return np.bincount(self.cols, self.vals * h[self.rows], minlength=self.L)
 
     def add_schur(self, V: np.ndarray, M: np.ndarray, Qbuf: np.ndarray, Ybuf: np.ndarray,
                   assign: bool) -> None:
@@ -248,10 +230,6 @@ class TableSchur:
         self.Q = np.zeros(q_size)
         self.Y = np.empty(y_size)
         self.M = np.empty((L, L))  # row and column 0 collect the constants' share, unused
-        self.positions = np.concatenate([st.P.ravel() for st in stacks])
-        self.weights = np.empty(self.positions.size)
-        ends = np.cumsum([st.P.size for st in stacks])
-        self.spans = list(zip(ends - [st.P.size for st in stacks], ends))
         self.L = L
 
     def matrix(self, V: list) -> np.ndarray:
@@ -265,24 +243,20 @@ class TableSchur:
 
     def adjoint(self, X: list) -> np.ndarray:
         """[sum_g <A_g[alpha], X[g]>]_alpha over the moments alpha != 0."""
-        for st, x, (a, b) in zip(self.stacks, X, self.spans):
-            st.weighted(x, self.weights[a:b])
-        return np.bincount(self.positions, weights=self.weights, minlength=self.L)[1:]
+        out = self.stacks[0].adjoint(X[0])
+        for st, x in zip(self.stacks[1:], X[1:]):
+            out += st.adjoint(x)
+        return out[1:]
 
 
-def stack_blocks(blocks: list, L: int) -> list:
-    """The blocks, each scaled by its largest coefficient, stacked by side and
-    base table, the direct (moment) stack last."""
+def stack_blocks(blocks: list, L: int, face: np.ndarray | None = None) -> list:
+    """The blocks stacked by side and base table, the direct (moment) stack
+    last and solved on face when one is given (see _Stack)."""
     groups: dict[tuple, list] = {}
     for b in blocks:
-        P = b.positions
-        scale = np.max(np.abs(b.coeffs))
-        w = np.broadcast_to(b.coeffs, P.shape) / scale
-        if b.base is None:
-            B, pos, coef = _base_table(P, w)
-        else:
-            B, pos, coef = b.base, b.shift, np.broadcast_to(b.coeffs / scale, b.shift.shape)
-        direct = P.shape[-1] == 1 and np.all(coef == 1.0) and np.array_equal(pos[:, 0], np.arange(L))
-        groups.setdefault((B.tobytes(), direct), []).append((P, w, B, pos, coef))
-    stacks = [_Stack(members, L) for members in groups.values()]
+        direct = (b.shift.shape[1] == 1 and b.coeffs[0] > 0.0
+                  and np.array_equal(b.shift[:, 0], np.arange(L)))
+        groups.setdefault((np.asarray(b.base, dtype=np.int64).tobytes(), direct), []).append(b)
+    stacks = [_Stack(members, L, direct and len(members) == 1, face if direct else None)
+              for (_, direct), members in groups.items()]
     return sorted(stacks, key=lambda st: st.direct)

@@ -55,31 +55,25 @@ def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
         print(indent + "  ".join(f"{v:12.6f}" for v in row))
 
 
+def _tensor(kind: str, voigt):
+    """The tensor of the given kind from its Voigt (or 3x3) matrix;
+    asymmetry is an error, not silently averaged away."""
+    voigt = np.array(voigt, dtype=float)
+    if kind == "sym2":
+        return Sym2Tensor.from_matrix(voigt)
+    if kind == "elasticity":
+        return ElasticityTensor.from_voigt(voigt)
+    if kind == "piezo":
+        return PiezoTensor(voigt=voigt)
+    raise ValueError(f"unknown tensor kind {kind!r}")
+
+
 def _load_input(path: str):
-    """Read a tensor file {kind, units, voigt}; asymmetry is an error, not
-    silently averaged away."""
+    """Read a tensor file {kind, units, voigt}."""
     with open(path) as fh:
         data = json.load(fh)
     kind = data.get("kind")
-    voigt = np.array(data.get("voigt"), dtype=float)
-    units = data.get("units", "")
-    if kind == "sym2":
-        tensor = Sym2Tensor.from_matrix(voigt, tol=1e-9)
-    elif kind == "elasticity":
-        tensor = ElasticityTensor.from_voigt(voigt, tol=1e-9)
-    elif kind == "piezo":
-        tensor = PiezoTensor(voigt=voigt)
-    else:
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    return kind, tensor, units
-
-
-def _tensor_from_dataset(ds):
-    if ds.kind == "sym2":
-        return Sym2Tensor.from_matrix(ds.voigt)
-    if ds.kind == "elasticity":
-        return ElasticityTensor.from_voigt(ds.voigt)
-    return PiezoTensor(voigt=np.array(ds.voigt))
+    return kind, _tensor(kind, data.get("voigt")), data.get("units", "")
 
 
 def _build_problem(kind: str, tensor):
@@ -153,12 +147,7 @@ def _hierarchy_options(args, d0: int, coordinate_scale: float = 1.0) -> Hierarch
 def _distance_single(job) -> Report:
     label, kind, voigt, c_arg, args_dict = job
     args = argparse.Namespace(**args_dict)
-    if kind == "sym2":
-        tensor = Sym2Tensor.from_matrix(voigt)
-    elif kind == "elasticity":
-        tensor = ElasticityTensor.from_voigt(voigt)
-    else:
-        tensor = PiezoTensor(voigt=np.array(voigt))
+    tensor = _tensor(kind, voigt)
     problem = _build_problem(kind, tensor)
     c, x_ref = _resolve_ball_constant(c_arg, kind, problem)
     constraints = add_ball_constraint(problem.objective, problem.constraints, c, x_ref)
@@ -290,7 +279,7 @@ def _get_tensor(args):
         if len(args.dataset) != 1:
             raise ValueError("decompose/classify take a single dataset")
         ds = get_dataset(args.dataset[0])
-        return ds.id, ds.kind, _tensor_from_dataset(ds)
+        return ds.id, ds.kind, _tensor(ds.kind, ds.voigt)
     kind, tensor, _units = _load_input(args.input)
     return args.input, kind, tensor
 

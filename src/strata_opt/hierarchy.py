@@ -236,17 +236,7 @@ def extract_minimizers(
         points.append(np.array([qj @ (Nk @ qj) for Nk in mult]))
 
     # weights from the Vandermonde system over Lambda(2d)
-    idx_2d = y.index_set
-    A = np.empty((len(idx_2d), s))
-    for j, x in enumerate(points):
-        col = np.empty(len(idx_2d))
-        for pos, alpha in enumerate(idx_2d.members):
-            m = 1.0
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    m *= xi**ai
-            col[pos] = m
-        A[:, j] = col
+    A = np.column_stack([MomentVector.from_dirac(x, y.d).values for x in points])
     w, *_ = np.linalg.lstsq(A, y.values, rcond=None)
     resid = float(np.max(np.abs(A @ w - y.values)))
     if resid > 100.0 * tol * max(1.0, float(np.max(np.abs(y.values)))):
@@ -336,7 +326,7 @@ def relaxation_bytes(n: int, d: int, constraints) -> int:
         if kind == EQ:
             rows += math.comb(n + 2 * k, n)
         else:
-            blocks.append((math.comb(n + k, n), len(g.terms), math.comb(n + 2 * k, n)))
+            blocks.append((len(g.terms), math.comb(n + 2 * k, n)))
     return solve_bytes(math.comb(n + 2 * d, n), blocks, rows)
 
 

@@ -8,18 +8,17 @@ semidefinite program over truncated moment sequences y indexed by Lambda(2d):
 
 where v = ceil(deg/2) and g_0 := 1 gives the plain moment matrix.
 
-Each PSD block is stored as a position table: with T the s x s table of
-M_k (T[a, b] = position of alpha_a + alpha_b, k = d - v) and delta_t the
-exponents of g,
+Each PSD block is stored as the rows of its shifted sequence, read through
+a base table: with delta_t the exponents of g, k = d - v and
 
-    M_k(g . y)[a, b] = sum_t g_t y[P[a, b, t]],   P[a, b, t] = pos(alpha_a + alpha_b + delta_t),
+    (g . y)_gamma = sum_t g_t y[shift[gamma, t]],   shift[gamma, t] = pos(gamma + delta_t)
 
-so a block is the (s, s, t) integer array P and the t coefficients of g;
-A_alpha, the coefficient matrix of y_alpha, is sum_t g_t [P[..., t] == alpha]
-and is never formed.  Each equality h = 0 is a table of rows instead of a
-block: row gamma reads sum_t h_t y[pos(gamma + delta_t)] = 0, the distinct
-entries of M_{d-v}(h . y), so the feasible set is that of the PSD pair
-M_{d-v}(+-h . y) >= 0 without the pair's empty interior.
+for gamma in Lambda(2k), the block is M_k(g . y)[a, b] = (g . y)[base[a, b]],
+base the s x s table of M_k (base[a, b] = position of alpha_a + alpha_b).
+A_alpha, the coefficient matrix of y_alpha, is never formed.  Each equality
+h = 0 keeps the rows alone: (h . y)_gamma = 0 for gamma in Lambda(2(d - v)),
+the distinct entries of M_{d-v}(h . y), so the feasible set is that of the
+PSD pair M_{d-v}(+-h . y) >= 0 without the pair's empty interior.
 """
 
 from __future__ import annotations
@@ -101,12 +100,8 @@ class MomentVector:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float)
         n = pts.shape[1]
-        idx = lambda_set(n, 2 * d)
-        vals = np.zeros(len(idx))
-        for pos, alpha in enumerate(idx.members):
-            vals[pos] = sum(
-                wj * np.prod([xj**a for xj, a in zip(p, alpha)]) for p, wj in zip(pts, w)
-            )
+        powers = pts[:, None, :] ** lambda_set(n, 2 * d).exponents[None, :, :]
+        vals = w @ np.prod(powers, axis=2)
         return cls(n=n, d=d, values=vals)
 
 
@@ -118,18 +113,8 @@ def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
     v = constraint_half_degree(g)
     if v > y.d:
         raise ValueError(f"deg(g)={g.degree} too high for order d={y.d}")
-    target = lambda_set(y.n, 2 * (y.d - v))
-    src = y.index_set
-    out = np.zeros(len(target))
-    for pos, alpha in enumerate(target.members):
-        acc = 0.0
-        for beta, coeff in g.sorted_terms():
-            key = tuple(a + b for a, b in zip(alpha, beta))
-            if key not in src.position:
-                raise ValueError(f"moment index {key} exceeds Lambda(2d)")
-            acc += coeff * y.values[src.position[key]]
-        out[pos] = acc
-    return out
+    _v, _k, shift, coeffs = _shift_table(g, y.d)
+    return y.values[shift] @ coeffs
 
 
 @lru_cache(maxsize=None)
@@ -160,48 +145,27 @@ def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LMIBlock:
-    """One PSD block as a position table: entry (a, b) of the block at a
-    moment vector y is sum_t coeffs[..., t] * y[positions[a, b, t]].
-
-    coeffs is (t,) for a localizing block, the coefficients of g, or
-    (side, side, t) for a block given entry by entry (from_dense).  A
-    localizing block of order k also keeps the factors positions =
-    shift[base]: base is the table of M_k, shift[gamma, t] the position of
-    gamma + delta_t for gamma in Lambda(2k)."""
+    """One PSD block M_k(g . y): the rows of the shifted sequence g . y, read
+    through a base table.  Row gamma is (g . y)_gamma = sum_t coeffs[t] *
+    y[shift[gamma, t]] (the data of EqualityRows), and entry (a, b) of the
+    block is row base[a, b].  An assembled block of order k has base the
+    table of M_k and gamma running over Lambda(2k); any symmetric base with
+    entries 0..len(shift) - 1 is a block."""
 
     label: str
     g: Polynomial
     v: int
-    positions: np.ndarray = field(repr=False)  # (side, side, t) positions in Lambda(2d)
-    coeffs: np.ndarray = field(repr=False)     # (t,) or (side, side, t)
-    base: np.ndarray | None = field(default=None, repr=False)   # (side, side)
-    shift: np.ndarray | None = field(default=None, repr=False)  # (|Lambda(2k)|, t)
+    base: np.ndarray = field(repr=False)    # (side, side) rows of shift
+    shift: np.ndarray = field(repr=False)   # (rows, t) positions in Lambda(2d)
+    coeffs: np.ndarray = field(repr=False)  # (t,)
 
     @property
     def side(self) -> int:
-        return self.positions.shape[0]
+        return self.base.shape[0]
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """The block matrix at a full moment vector."""
-        return np.sum(np.asarray(values)[self.positions] * self.coeffs, axis=-1)
-
-    @classmethod
-    def from_dense(cls, label: str, A: np.ndarray, g: Polynomial | None = None,
-                   v: int = 0) -> "LMIBlock":
-        """The table of a block given as its coefficient stack A, one symmetric
-        (side, side) matrix per moment: entry (a, b) lists the moments with
-        A[alpha, a, b] != 0, padded with coefficient 0 at position 0."""
-        A = np.asarray(A, dtype=float)
-        side = A.shape[1]
-        nz = A != 0.0
-        t = int(nz.sum(axis=0).max(initial=0))
-        # argsort puts each entry's nonzero moments first, in position order
-        order = np.argsort(~nz, axis=0, kind="stable")[:t].transpose(1, 2, 0)
-        used = np.take_along_axis(nz.transpose(1, 2, 0), order, -1)
-        positions = np.where(used, order, 0)
-        coeffs = np.where(used, np.take_along_axis(A.transpose(1, 2, 0), order, -1), 0.0)
-        return cls(label=label, g=g if g is not None else Polynomial.constant(1, 1.0), v=v,
-                   positions=positions, coeffs=coeffs)
+        return (np.asarray(values)[self.shift] @ self.coeffs)[self.base]
 
 
 @dataclass(frozen=True)
@@ -261,9 +225,8 @@ def _shift_table(g: Polynomial, d: int):
 
 def _block_for(g: Polynomial, label: str, d: int) -> LMIBlock:
     v, k, shift, coeffs = _shift_table(g, d)
-    base = _sum_positions(g.n, k)
-    return LMIBlock(label=label, g=g, v=v, positions=shift[base], coeffs=coeffs,
-                    base=base, shift=shift)
+    return LMIBlock(label=label, g=g, v=v, base=_sum_positions(g.n, k), shift=shift,
+                    coeffs=coeffs)
 
 
 def _rows_for(h: Polynomial, label: str, d: int) -> EqualityRows:

@@ -8,7 +8,8 @@ Solves
 
 the shape every moment relaxation assembles to: the u_k are the moments
 y_alpha with alpha != 0 (y_0 is pinned to 1 and never solved for), each
-block is a position table (moment.LMIBlock) and the rows E u = e are the
+block is M_k(g . y), the rows of g . y read through the base table of M_k
+(moment.LMIBlock), and the rows E u = e are the
 equalities (moment.EqualityRows).  Rows that depend on others are dropped
 once, at set-up, by a thin SVD, which leaves E with orthonormal rows; the
 start u = E^T e satisfies them.  Where an equality h has 2v <= d, every
@@ -36,20 +37,22 @@ factored M = L L^T; then W = L^{-1} E^T, K = W^T W = E M^{-1} E^T and
 
 The dual objective is -sum_i <C_i, Z_i> + e^T lam.
 
-M is built from the tables by the sparse-data formula of Fujisawa, Kojima
-and Nakata ("Exploiting sparsity in primal-dual interior-point methods for
-semidefinite programming", Math. Program. 79, 1997).  With P a block's
-(s, s, t) table of positions and w its coefficients:
+M is built by the sparse-data formula of Fujisawa, Kojima and Nakata
+("Exploiting sparsity in primal-dual interior-point methods for
+semidefinite programming", Math. Program. 79, 1997).  A block is
+M_k(g . y) = (g . y)[B], the rows of the shifted sequence read through the
+base table B of M_k (moment.LMIBlock), so A_beta = sum_gamma G[beta, gamma]
+H_gamma with H_gamma = [B == gamma] and G[shift[gamma, t], gamma] = g_t:
 
-    Q[c, a, beta] = sum_{d, t: P[c, d, t] = beta} w[c, d, t] V[a, d]                (scatter)
-    Y[b, a, beta] = sum_c V[b, c] Q[c, a, beta] = (V A_beta V)[b, a]                  (gemm, b >= a)
-    M[alpha, beta] += sum_{a <= b, t: P[a, b, t] = alpha} (2 - [a = b]) w[a, b, t] Y[b, a, beta]
+    Q[c, a, gamma'] = sum_{d: B[c, d] = gamma'} V[a, d]                      (scatter)
+    Y[b, a, gamma'] = sum_c V[b, c] Q[c, a, gamma'] = (V H_gamma' V)[b, a]   (gemm, b >= a)
+    MH[gamma, gamma'] = sum_{a <= b: B[a, b] = gamma} (2 - [a = b]) Y[b, a, gamma']
 
-(row adds); _schur runs it on each block's base table, the table of M_k,
-and places the terms of g afterwards.  A block solved on a face enters with
-V = F V' F^T, V' its scaling in the face.  The adjoint <A_i[alpha], X_i> =
-sum_{P[a, b, t] = alpha} w[a, b, t] X_i[a, b] is one bincount over every
-table.  Step lengths are taken in the scaled space, where both iterates are
+(row adds), and M += G MH G^T (_schur).  A block solved on a face enters
+with V = F V' F^T, V' its scaling in the face.  The blocks at y are
+(G^T y)[B], and the adjoint <A_i[alpha], X_i> is (G_i h_i)[alpha] with
+h_i[gamma] the sum of X_i over B == gamma: bincounts over the rows g . y,
+the same data as the equality rows.  Step lengths are taken in the scaled space, where both iterates are
 diag(dvec).  Blocks of equal side and base table are stacked, so each
 per-block step is one batched call per stack.  Everything is deterministic:
 no randomization is used anywhere in this module.
@@ -272,16 +275,16 @@ def _kkt_solver(M: np.ndarray, E: np.ndarray):
 
 def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
     """Bytes solve_sdp needs, estimated from the table sizes alone: blocks
-    lists (side, terms, base entries) of each localizing block (the moment
-    block is counted with M), equality_rows counts the rows before
-    dependent ones are dropped.
+    lists (terms, base entries) of each localizing block (the moment block
+    is counted with M), equality_rows counts the rows before dependent ones
+    are dropped.
 
-    Counted: the tables; M, its factor and the copy the factorization
-    makes; the dense rows E with their thin SVD; W = L^{-1} E^T and K; the
-    Q and Y chunk buffers; and G^T, G^T-products and the product of the
-    largest localizing stack."""
+    Counted: M, its factor, the copy the factorization makes and the
+    L x L product of a localizing stack; the dense rows E with their thin
+    SVD; W = L^{-1} E^T and K; the Q and Y chunk buffers; and per
+    localizing block its MH, G^T, MH G^T and G^T in coordinates."""
     L, m = num_moments, equality_rows
-    doubles = sum(2 * s * s * t + 2 * nb * L for s, t, nb in blocks)
+    doubles = sum(nb * nb + 2 * nb * L + 3 * nb * t for t, nb in blocks)
     doubles += 4 * L * L + 3 * m * L + L * m + 2 * m * m + 2 * CHUNK_DOUBLES
     return 8 * doubles
 
@@ -417,9 +420,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     # per-problem rescaling: largest absolute coefficient becomes 1
     s_obj = float(np.max(np.abs(c_raw))) if np.any(c_raw) else 1.0
     c = c_raw / s_obj
-    stacks = stack_blocks(blocks, N + 1)
-    if face is not None and stacks[-1].direct:
-        stacks[-1].restrict(face)
+    stacks = stack_blocks(blocks, N + 1, face)
     schur = TableSchur(stacks, N + 1)
     sides = range(len(stacks))
     one = np.zeros(N + 1)

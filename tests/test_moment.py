@@ -4,7 +4,6 @@ import pytest
 from strata_opt.moment import (
     EQ,
     GE,
-    LMIBlock,
     MomentVector,
     _block_for,
     _sum_positions,
@@ -191,7 +190,8 @@ class TestAssemble:
         # top-left corner of the order-(d+1) one, with the same coefficients
         for b_small, b_big in zip(rel_d.blocks, rel_d1.blocks):
             s = b_small.side
-            np.testing.assert_array_equal(b_big.positions[:s, :s], b_small.positions)
+            np.testing.assert_array_equal(b_big.shift[b_big.base[:s, :s]],
+                                          b_small.shift[b_small.base])
             np.testing.assert_array_equal(b_big.coeffs, b_small.coeffs)
 
     def test_all_coefficient_matrices_symmetric(self):
@@ -199,10 +199,11 @@ class TestAssemble:
         g = Polynomial.constant(2, 2.0) - Polynomial.monomial((0, 2))
         h = Polynomial.variable(0, 2) * Polynomial.variable(1, 2) - 0.5
         rel = assemble_relaxation(f, [(g, GE), (h, EQ)], 2)
+        y = np.random.default_rng(0).normal(size=rel.num_moments)
         for blk in rel.blocks:
-            np.testing.assert_array_equal(blk.positions, np.swapaxes(blk.positions, 0, 1))
-            coeffs = np.broadcast_to(blk.coeffs, blk.positions.shape)
-            np.testing.assert_array_equal(coeffs, np.swapaxes(coeffs, 0, 1))
+            # entries (a, b) and (b, a) read the same row of g . y
+            np.testing.assert_array_equal(blk.base, blk.base.T)
+            np.testing.assert_array_equal(blk.evaluate(y), blk.evaluate(y).T)
 
     def test_minimal_order_enforced(self):
         f = Polynomial.monomial((4,), 1.0)
@@ -258,8 +259,9 @@ class TestVectorizedAssembly:
             ref = _block_by_entries(g, d, idx2d)
             # each (moment, row, col) entry of the table carries one coefficient
             A = np.zeros(ref.shape)
-            a, b, t = np.indices(blk.positions.shape)
-            A[blk.positions, a, b] = blk.coeffs[t]
+            positions = blk.shift[blk.base]
+            a, b, t = np.indices(positions.shape)
+            A[positions, a, b] = blk.coeffs[t]
             assert A.tobytes() == ref.tobytes()
             y = rng.normal(size=len(idx2d))
             np.testing.assert_allclose(blk.evaluate(y), np.tensordot(y, ref, axes=1),
@@ -279,15 +281,3 @@ class TestVectorizedAssembly:
             ref = np.array([[y[tuple(x + z for x, z in zip(a, b))] for b in rows] for a in rows])
             assert moment_matrix(y, k).tobytes() == ref.tobytes()
 
-
-def test_block_from_dense_evaluates_like_its_stack(rng):
-    """A block given entry by entry: each entry lists its nonzero moments,
-    padded with coefficient 0, and evaluates to sum_alpha y_alpha A[alpha]."""
-    A = np.zeros((6, 3, 3))
-    for alpha, a, b in ((0, 0, 0), (2, 0, 1), (2, 1, 2), (5, 0, 1), (3, 2, 2)):
-        A[alpha, a, b] = A[alpha, b, a] = float(rng.normal())
-    blk = LMIBlock.from_dense("b", A)
-    assert blk.positions.shape == (3, 3, 2) and blk.base is None
-    y = rng.normal(size=6)
-    np.testing.assert_allclose(blk.evaluate(y), np.tensordot(y, A, axes=1), rtol=1e-14, atol=1e-14)
-    assert not np.any(blk.coeffs[1, 1])  # an empty entry is all padding

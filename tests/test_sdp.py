@@ -18,37 +18,33 @@ from strata_opt.sdp import (
 
 
 def _lmi_problem(objective, blocks):
-    """Hand-built LMI problem over Lambda(1, 2) = {1, y1, y2}."""
-    built = tuple(LMIBlock.from_dense(f"b{i}", A) for i, A in enumerate(blocks))
+    """Hand-built LMI problem over Lambda(1, 2) = {1, y1, y2}: blocks lists
+    (base, shift, coeffs) of each block, whose entry (a, b) is
+    sum_t coeffs[t] y[shift[base[a, b], t]]."""
+    built = tuple(LMIBlock(f"b{i}", Polynomial.constant(1, 1.0), 0, np.array(B), np.array(shift),
+                           np.array(coeffs, dtype=float))
+                  for i, (B, shift, coeffs) in enumerate(blocks))
     return RelaxationProblem(n=1, d=1, d0=1, objective=np.asarray(objective, float), blocks=built)
 
 
-def _dense(positions, coeffs, L):
-    """The coefficient stack A (L, s, s) of a table: A[alpha] sums the
-    coefficients of the entries at moment alpha."""
-    coeffs = np.broadcast_to(coeffs, positions.shape)
-    a, b, _ = np.indices(positions.shape)
-    A = np.zeros((L,) + positions.shape[:2])
-    np.add.at(A, (positions, a, b), coeffs)
+def _dense(block, L):
+    """The coefficient stack A (L, s, s) of a block: A[alpha] sums the
+    coefficients of the terms that read y_alpha."""
+    P = block.shift[block.base]
+    a, b, t = np.indices(P.shape)
+    A = np.zeros((L,) + P.shape[:2])
+    np.add.at(A, (P, a, b), block.coeffs[t])
     return A
 
 
 def _correlation_problem():
     # minimize y1 s.t. [[1, y1], [y1, 1]] >= 0  ->  y1 = -1
-    A = np.zeros((3, 2, 2))
-    A[0] = np.eye(2)
-    A[1] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return _lmi_problem([0.0, 1.0, 0.0], [A])
+    return _lmi_problem([0.0, 1.0, 0.0], [([[0, 1], [1, 0]], [[0], [1]], [1.0])])
 
 
 def _interval_problem():
     # minimize y1 s.t. y1 >= 0 and 3 - y1 >= 0  ->  0
-    A1 = np.zeros((3, 1, 1))
-    A1[1] = 1.0
-    A2 = np.zeros((3, 1, 1))
-    A2[0] = 3.0
-    A2[1] = -1.0
-    return _lmi_problem([0.0, 1.0, 0.0], [A1, A2])
+    return _lmi_problem([0.0, 1.0, 0.0], [([[0]], [[1]], [1.0]), ([[0]], [[0, 1]], [3.0, -1.0])])
 
 
 class TestAnalyticInstances:
@@ -108,9 +104,7 @@ class TestContracts:
 
     def test_unbounded_suspected(self):
         # minimize y1 with only y2 constrained: objective is unbounded below
-        A = np.zeros((3, 1, 1))
-        A[2] = 1.0
-        sol = solve_sdp(_lmi_problem([0.0, 1.0, 0.0], [A]),
+        sol = solve_sdp(_lmi_problem([0.0, 1.0, 0.0], [([[0]], [[2]], [1.0])]),
                         SolverOptions(objective_floor=-1e6, max_iter=600))
         assert sol.status in ("unbounded_suspected", "max_iterations")
 
@@ -237,11 +231,9 @@ class TestCholeskySolve:
             np.testing.assert_allclose(M @ x, rhs, atol=1e-9 * np.linalg.norm(rhs))
 
 
-def _box_ball_problem(order):
-    """n = 6: a dense convex quartic over the box |x_i| <= 1 and the ball
-    |x|^2 <= 4.5, constraints taken in the given order.  At d = 2 the
-    relaxation has the moment block (side 28) and seven blocks of side 7."""
-    n = 6
+def _box_ball(n):
+    """A dense convex quartic in n variables over the box |x_i| <= 1 and the
+    ball |x|^2 <= 4.5: f and the constraints, box first."""
     rng = np.random.default_rng(7)
     xs = Polynomial.variables(n)
     f = Polynomial.zero(n)
@@ -253,7 +245,13 @@ def _box_ball_problem(order):
         f = f + (x - float(a)) ** 2
     box = [(1.0 - x * x, GE) for x in xs]
     ball = (4.5 - sum((x * x for x in xs), Polynomial.zero(n)), GE)
-    constraints = box + [ball]
+    return f, box + [ball]
+
+
+def _box_ball_problem(order):
+    """n = 6, constraints taken in the given order.  At d = 2 the relaxation
+    has the moment block (side 28) and seven blocks of side 7."""
+    f, constraints = _box_ball(6)
     return assemble_relaxation(f, [constraints[i] for i in order], 2)
 
 
@@ -271,10 +269,11 @@ class TestSameSideStacks:
 
     def test_caller_blocks_are_not_changed(self):
         prob = _box_ball_problem(range(7))
-        before = [(b.positions.copy(), b.coeffs.copy()) for b in prob.blocks]
+        before = [(b.base.copy(), b.shift.copy(), b.coeffs.copy()) for b in prob.blocks]
         solve_sdp(prob)
-        for b, (P, w) in zip(prob.blocks, before):
-            assert b.positions.tobytes() == P.tobytes()
+        for b, (B, shift, w) in zip(prob.blocks, before):
+            assert b.base.tobytes() == B.tobytes()
+            assert b.shift.tobytes() == shift.tobytes()
             assert b.coeffs.tobytes() == w.tobytes()
 
     def test_one_failing_block_is_regularized_alone(self):
@@ -299,14 +298,33 @@ class TestSameSideStacks:
         assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
 
 
-def _reference_schur(stacks, V, X, L):
-    """Schur matrix and adjoint from the dense coefficient stacks:
+def _stacked(stacks, blocks, L):
+    """The blocks of each stack, in the stack's order: each matrix of a
+    stack at a random y is one block's LMIBlock.evaluate, scaled by the
+    block's largest coefficient, and every block is used once."""
+    y = np.random.default_rng(L).normal(size=L)
+    free = [(b, b.evaluate(y) / np.max(np.abs(b.coeffs))) for b in blocks]
+    members = []
+    for st in stacks:
+        members.append([])
+        for X in st.evaluate(y):
+            match = [j for j, (_, Xb) in enumerate(free)
+                     if Xb.shape == X.shape and np.max(np.abs(X - Xb)) <= 1e-13 * np.max(np.abs(Xb))]
+            assert match, "a stack's matrix is none of its blocks"
+            members[-1].append(free.pop(match[0])[0])
+    assert not free
+    return members
+
+
+def _reference_schur(members, V, X, L):
+    """Schur matrix and adjoint from the dense coefficient stacks of the
+    blocks, scaled as the stacks scale them:
     M[alpha, beta] = sum_i tr(A_i[alpha] V_i A_i[beta] V_i), rhs = sum_i <A_i[alpha], X_i>."""
     M = np.zeros((L, L))
     rhs = np.zeros(L)
-    for st, Vg, Xg in zip(stacks, V, X):
-        for P, w, Vi, Xi in zip(st.P, st.w, Vg, Xg):
-            A = _dense(P, w, L)
+    for blocks, Vg, Xg in zip(members, V, X):
+        for b, Vi, Xi in zip(blocks, Vg, Xg):
+            A = _dense(b, L) / np.max(np.abs(b.coeffs))
             M += np.einsum("aij,bji->ab", A, Vi @ A @ Vi)
             rhs += np.einsum("aij,ij->a", A, Xi)
     return M[1:, 1:], rhs[1:]
@@ -318,7 +336,7 @@ def _check_schur(blocks, L, seed):
     schur = TableSchur(stacks, L)
     V = [np.array([_random_pd(rng, st.shape[1]) for _ in range(st.shape[0])]) for st in stacks]
     X = [np.array([_random_sym(rng, st.shape[1]) for _ in range(st.shape[0])]) for st in stacks]
-    M_ref, rhs_ref = _reference_schur(stacks, V, X, L)
+    M_ref, rhs_ref = _reference_schur(_stacked(stacks, blocks, L), V, X, L)
     M = schur.matrix(V)
     rhs = schur.adjoint(X)
     assert np.array_equal(M, M.T)
@@ -330,18 +348,26 @@ def _check_schur(blocks, L, seed):
 
 
 def _hand_built_blocks(sides, k, N):
-    """k blocks per side, three terms per entry, moments drawn from y_0..y_N
-    so that they collide within an entry, across entries and across blocks."""
+    """k blocks per side on one random base table per side, in which base
+    entries repeat, and three terms per row, with moments drawn from
+    y_0..y_N so that they collide within a base entry, across entries and
+    across blocks; y_0 is always among them."""
     rng = np.random.default_rng([N, k, *sides])
     L = N + 1
     blocks = []
     for s in sides:
+        a, b = np.triu_indices(s)
+        Nb = max(1, len(a) * 2 // 3)
+        B = np.empty((s, s), dtype=np.int64)
+        B[a, b] = B[b, a] = rng.permutation(np.concatenate(
+            (np.arange(Nb), rng.integers(0, Nb, size=len(a) - Nb))))
         for _ in range(k):
-            P = rng.integers(0, L, size=(s, s, 3))
-            w = rng.normal(size=(s, s, 3))
-            P = np.triu(P.transpose(2, 0, 1)) + np.triu(P.transpose(2, 0, 1), 1).transpose(0, 2, 1)
-            w = np.triu(w.transpose(2, 0, 1)) + np.triu(w.transpose(2, 0, 1), 1).transpose(0, 2, 1)
-            blocks.append(LMIBlock.from_dense("b", _dense(P.transpose(1, 2, 0), w.transpose(1, 2, 0), L)))
+            shift = rng.integers(0, L, size=(Nb, 3))
+            shift[rng.integers(Nb), 0] = 0  # y_0 among the moments
+            r = rng.integers(Nb)
+            shift[r, 2] = shift[r, 1]  # one moment twice in a base entry
+            blocks.append(LMIBlock("b", Polynomial.constant(1, 1.0), 0, B, shift,
+                                   rng.normal(size=3)))
     return blocks
 
 
@@ -384,6 +410,62 @@ def test_table_schur_of_relaxations_matches_dense(monkeypatch):
             Polynomial.zero(3))
     rel = assemble_relaxation(f, [(9.0 - (x[0] + x[1] + x[2] + 1.0) ** 2, GE), (x[0] ** 3, GE)], 3)
     _check_schur(rel.blocks, rel.num_moments, 4)
+
+
+def test_stacks_evaluate_like_their_blocks_with_adjoint_transpose(E0):
+    """Assembled relaxations (box and ball, a ball of many terms, E0 at
+    orders 1 and 2 with its ball): every matrix of every stack is one of its
+    blocks' LMIBlock.evaluate, and the adjoint is the transpose of
+    evaluation, <A(y), X> = <y, A^*(X)> within 1e-12, also on the moment
+    block's face."""
+    from strata_opt.hierarchy import add_ball_constraint
+    from strata_opt.mech import build_distance_problem_ela
+    from strata_opt.sdp import _moment_face
+
+    ela = build_distance_problem_ela(E0)
+    cons = add_ball_constraint(ela.objective, ela.constraints, 58000.0)
+    x = Polynomial.variables(3)
+    f = x[0] * x[1] + 2.0 * x[1] * x[2]
+    rels = [_box_ball_problem(range(7)),
+            assemble_relaxation(f, [(9.0 - (x[0] + x[1] + x[2] + 1.0) ** 2, GE), (x[0] ** 3, GE)], 3),
+            assemble_relaxation(ela.objective, cons, 1), assemble_relaxation(ela.objective, cons, 2)]
+    rng = np.random.default_rng(12)
+    faces = 0
+    for rel in rels:
+        L = rel.num_moments
+        y = rng.normal(size=L)
+        face = _moment_face(rel)
+        for F in (None, face) if face is not None else (None,):
+            stacks = stack_blocks(list(rel.blocks), L, F)
+            if F is None:
+                _stacked(stacks, rel.blocks, L)
+            X = [np.array([_random_sym(rng, x.shape[-1]) for x in st.evaluate(y)]) for st in stacks]
+            lhs = sum(float(np.vdot(st.evaluate(y), Xg)) for st, Xg in zip(stacks, X))
+            rhs = float(y @ sum(st.adjoint(Xg) for st, Xg in zip(stacks, X)))
+            bound = sum(np.linalg.norm(st.evaluate(y)) * np.linalg.norm(Xg) for st, Xg in zip(stacks, X))
+            assert abs(lhs - rhs) <= 1e-12 * bound
+            faces += F is not None
+    assert faces == 1  # E0 at order 2: its quadratic equalities leave the moment block a face
+
+
+def test_memory_estimate_bounds_the_solve():
+    """relaxation_bytes bounds solve_sdp's tracemalloc peak on the n = 5,
+    d = 3 box-and-ball relaxation.  The estimate counts MH, Nb^2 doubles per
+    localizing block; without it it read 15.95 MiB against a 16.39 MiB peak."""
+    import tracemalloc
+
+    from strata_opt.hierarchy import relaxation_bytes
+
+    f, constraints = _box_ball(5)
+    rel = assemble_relaxation(f, constraints, 3)
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak <= relaxation_bytes(5, 3, constraints)
 
 
 def test_saddle_point_direction_matches_dense_solve():
