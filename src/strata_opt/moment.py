@@ -100,8 +100,13 @@ class MomentVector:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float)
         n = pts.shape[1]
-        powers = pts[:, None, :] ** lambda_set(n, 2 * d).exponents[None, :, :]
-        vals = w @ np.prod(powers, axis=2)
+        exps = lambda_set(n, 2 * d).exponents
+        # x^alpha for every alpha at once, one variable at a time: an
+        # (atoms, len(exps), n) array of powers costs peak memory for nothing
+        powers = np.ones((len(pts), len(exps)))
+        for j in range(n):
+            powers *= pts[:, j, None] ** exps[:, j]
+        vals = w @ powers
         return cls(n=n, d=d, values=vals)
 
 
