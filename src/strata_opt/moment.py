@@ -101,8 +101,8 @@ class MomentVector:
         w = np.asarray(weights, dtype=float)
         n = pts.shape[1]
         exps = lambda_set(n, 2 * d).exponents
-        # x^alpha for every alpha at once, one variable at a time: an
-        # (atoms, len(exps), n) array of powers costs peak memory for nothing
+        # x^alpha for all alpha, one variable at a time: the broadcast
+        # (atoms, len(exps), n) array of powers raised the peak RSS
         powers = np.ones((len(pts), len(exps)))
         for j in range(n):
             powers *= pts[:, j, None] ** exps[:, j]

@@ -52,10 +52,11 @@ H_gamma with H_gamma = [B == gamma] and G[shift[gamma, t], gamma] = g_t:
 with V = F V' F^T, V' its scaling in the face.  The blocks at y are
 (G^T y)[B], and the adjoint <A_i[alpha], X_i> is (G_i h_i)[alpha] with
 h_i[gamma] the sum of X_i over B == gamma: bincounts over the rows g . y,
-the same data as the equality rows.  Step lengths are taken in the scaled space, where both iterates are
-diag(dvec).  Blocks of equal side and base table are stacked, so each
-per-block step is one batched call per stack.  Everything is deterministic:
-no randomization is used anywhere in this module.
+the same data as the equality rows.  Step lengths are taken in the scaled
+space, where both iterates are diag(dvec).  Blocks of equal side and base
+table are stacked, so each per-block step is one batched call per stack.
+Everything is deterministic: no randomization is used anywhere in this
+module.
 """
 
 from __future__ import annotations
