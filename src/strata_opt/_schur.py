@@ -84,8 +84,8 @@ class _Stack:
         self.cols = np.concatenate([b.shift.ravel() for b in blocks])
         self.vals = np.concatenate([np.tile(b.coeffs / np.max(np.abs(b.coeffs)), Nb)
                                     for b in blocks])
-        # one reused buffer for the terms of evaluate and adjoint: their
-        # per-call temporaries raised the certify and pop-ineq peak RSS
+        # the products of evaluate and adjoint go to one reused buffer: as
+        # per-call temporaries they raised the certify and pop-ineq peak RSS
         self.terms = np.empty(self.cols.size)
         self.MH = np.empty((k, Nb, Nb))
         GT = np.zeros((k * Nb, L))
@@ -111,8 +111,7 @@ class _Stack:
             X = y[self.B][None]
         else:
             k, Nb = self.shape[0], self.Nb
-            np.take(y, self.cols, out=self.terms)
-            self.terms *= self.vals
+            np.multiply(self.vals, y[self.cols], out=self.terms)
             X = np.bincount(self.rows, self.terms, minlength=k * Nb)
             X = X.reshape(k, Nb)[:, self.B]
         return X if self.face is None else self.face.T @ X @ self.face
@@ -123,8 +122,7 @@ class _Stack:
         if self.direct:
             return np.bincount(self.entries, X, minlength=self.L)
         h = np.bincount(self.entries, X, minlength=self.shape[0] * self.Nb)
-        np.take(h, self.rows, out=self.terms)
-        self.terms *= self.vals
+        np.multiply(self.vals, h[self.rows], out=self.terms)
         return np.bincount(self.cols, self.terms, minlength=self.L)
 
     def add_schur(self, V: np.ndarray, M: np.ndarray, Qbuf: np.ndarray, Ybuf: np.ndarray,

@@ -283,9 +283,10 @@ def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
     Counted: M, its factor, the copy the factorization makes and the
     L x L product of a localizing stack; the dense rows E with their thin
     SVD; W = L^{-1} E^T and K; the Q and Y chunk buffers; and per
-    localizing block its MH, G^T, MH G^T and G^T in coordinates."""
+    localizing block its MH, G^T, MH G^T, and G^T in coordinates with its
+    term buffer."""
     L, m = num_moments, equality_rows
-    doubles = sum(nb * nb + 2 * nb * L + 3 * nb * t for t, nb in blocks)
+    doubles = sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb in blocks)
     doubles += 4 * L * L + 3 * m * L + L * m + 2 * m * m + 2 * CHUNK_DOUBLES
     return 8 * doubles
 
