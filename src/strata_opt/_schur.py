@@ -237,17 +237,26 @@ class TableSchur:
         self.M = np.empty((L, L))  # row and column 0 collect the constants' share, unused
         self.L = L
 
-    def matrix(self, V: list) -> np.ndarray:
-        """M for the inverse scaling points V[g] of the stacks: a view into a
-        buffer that the next call overwrites, exactly symmetric."""
+    def matrix(self, V: list, rows: np.ndarray | None = None) -> np.ndarray:
+        """M for the inverse scaling points V[g] of the stacks, plus
+        rows^T rows for linear rows (k, L) already scaled by their NT
+        scaling: a view into a buffer that the next call overwrites,
+        exactly symmetric.  The rows' part is written first, by one syrk
+        into the buffer, so that it makes no L x L temporary."""
+        if rows is not None:
+            np.matmul(rows.T, rows, out=self.M)
+        elif not self.stacks:
+            self.M.fill(0.0)
         for g, (st, Vg) in enumerate(zip(self.stacks, V)):
-            st.add_schur(st.lift(Vg), self.M, self.Q, self.Y, g == 0)
-        if not self.stacks[-1].direct:
+            st.add_schur(st.lift(Vg), self.M, self.Q, self.Y, g == 0 and rows is None)
+        if self.stacks and not self.stacks[-1].direct:
             _mirror(self.M, [(0, self.L)])
         return self.M[1:, 1:]
 
     def adjoint(self, X: list) -> np.ndarray:
         """[sum_g <A_g[alpha], X[g]>]_alpha over the moments alpha != 0."""
+        if not self.stacks:
+            return np.zeros(self.L - 1)
         out = self.stacks[0].adjoint(X[0])
         for st, x in zip(self.stacks[1:], X[1:]):
             out += st.adjoint(x)
@@ -256,7 +265,9 @@ class TableSchur:
 
 def stack_blocks(blocks: list, L: int, face: np.ndarray | None = None) -> list:
     """The blocks stacked by side and base table, the direct (moment) stack
-    last and solved on face when one is given (see _Stack)."""
+    last and solved on face when one is given (see _Stack).  The solver
+    never stacks a block of side 1: it keeps those as linear rows (see
+    sdp._linear_rows)."""
     groups: dict[tuple, list] = {}
     for b in blocks:
         direct = (b.shift.shape[1] == 1 and b.coeffs[0] > 0.0

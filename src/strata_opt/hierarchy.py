@@ -94,6 +94,7 @@ class OrderDiagnostics:
     iterations: int
     schur_dim: int = 0      # moments in the Newton system (SdpSolution.schur_dim)
     equality_rows: int = 0  # independent equality rows kept (SdpSolution.equality_rows)
+    linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -414,6 +415,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             iterations=sol.iterations,
             schur_dim=sol.schur_dim,
             equality_rows=sol.equality_rows,
+            linear_rows=sol.linear_rows,
             seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )
         diags.append(rec)

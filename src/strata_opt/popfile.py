@@ -9,12 +9,15 @@ One statement per line::
     ball 300            # optional: append the inequality c - f >= 0
 
 Polynomials are conventional infix expressions over the declared names with
-+ - * / ^ and parentheses; '/' is only allowed by a numeric constant.  Blank
-lines and '#' comments are ignored.
++ - * / ^ and parentheses; '/' is only allowed by a numeric constant.  Every
+number and every coefficient must be a finite double: a literal such as
+1e999, or a product such as 1e200*1e200, is an error.  Blank lines and '#'
+comments are ignored.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -94,6 +97,8 @@ class _Parser:
         p = self.expr()
         if self.pos != len(self.tokens):
             raise PopFormatError(f"trailing input near {self.peek()[1]!r}")
+        if not all(math.isfinite(c) for c in p.terms.values()):
+            raise PopFormatError("a coefficient overflows a double")
         return p
 
     def expr(self) -> Polynomial:
@@ -156,7 +161,10 @@ class _Parser:
     def base(self) -> Polynomial:
         kind, val = self.take()
         if kind == "num":
-            return Polynomial.constant(self.n, float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise PopFormatError(f"number {val!r} overflows a double")
+            return Polynomial.constant(self.n, value)
         if kind == "name":
             if val not in self.var_index:
                 raise PopFormatError(f"unknown variable {val!r}")
@@ -247,6 +255,8 @@ def parse_pop(text: str) -> PopProblem:
                     ball = float(rest.strip())
                 except ValueError:
                     raise PopFormatError(f"ball needs a number, got {rest.strip()!r}")
+                if not math.isfinite(ball):
+                    raise PopFormatError(f"ball needs a finite number, got {rest.strip()!r}")
             else:
                 raise PopFormatError(f"unknown statement {head!r}")
         except PopFormatError as exc:

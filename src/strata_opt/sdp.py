@@ -3,19 +3,24 @@ coordinates.
 
 Solves
 
-    minimize  c_0 + <c, u>   s.t.   A_i(u) := C_i + sum_k u_k A_i[k] >= 0  (every block i),
+    minimize  c_0 + <c, u>   s.t.   A_i(u) := C_i + sum_k u_k A_i[k] >= 0  (blocks i of side > 1),
+                                    a_j . u + b_j >= 0                     (blocks j of side 1),
                                     E u = e,
 
 the shape every moment relaxation assembles to: the u_k are the moments
 y_alpha with alpha != 0 (y_0 is pinned to 1 and never solved for), each
 block is M_k(g . y), the rows of g . y read through the base table of M_k
-(moment.LMIBlock), and the rows E u = e are the
-equalities (moment.EqualityRows).  Rows that depend on others are dropped
-once, at set-up, by a thin SVD, which leaves E with orthonormal rows; the
-start u = E^T e satisfies them.  Where an equality h has 2v <= d, every
-feasible y has M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment
-block has no interior along those vectors, so it is solved in the basis F
-of their complement, as F^T M_d(y) F (_moment_face).  Without that, the
+(moment.LMIBlock), and the rows E u = e are the equalities
+(moment.EqualityRows).  A constraint g >= 0 with
+ceil(deg g / 2) = d gives the 1 x 1 block M_0(g . y), the linear
+inequality (g . y)_0 >= 0: such blocks are the rows A u + b >= 0, each
+scaled by its largest coefficient, with slack s and dual z as vectors.
+Equality rows that depend on others are dropped once, at set-up, by a
+thin SVD, which leaves E with orthonormal rows; the start u = E^T e
+satisfies them.  Where an equality h has 2v <= d, every feasible y has
+M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment block has no
+interior along those vectors, so it is solved in the basis F of their
+complement, as F^T M_d(y) F (_moment_face).  Without that, the
 scaling of the block blows up exactly along the directions the rows fix,
 and the Cholesky factorization of M breaks down near the optimum.
 
@@ -27,15 +32,24 @@ The Newton step solves the KKT system
     [ M  -E^T ] [ du   ]   [ rhs - r ]
     [ E   0   ] [ dlam ] = [ q       ],    M[alpha, beta] = sum_i <A_i[alpha], V_i A_i[beta] V_i>,
 
-with r = c - A^*(Z) - E^T lam the dual residual, q = e - E u the equality
-residual and rhs[alpha] = sum_i <A_i[alpha], G_i^{-T} (T_i - R_i^) G_i^{-1}>
+with r = c - A^*(Z) - A^T z - E^T lam the dual residual, q = e - E u the
+equality residual and rhs[alpha] = sum_i <A_i[alpha], G_i^{-T} (T_i - R_i^) G_i^{-1}>
 for a complementarity target T_i and the scaled primal residual R_i^.  M is
 positive definite, because the moment block contains every moment.  It is
-factored M = L L^T; then W = L^{-1} E^T, K = W^T W = E M^{-1} E^T and
+factored M = L L^T (_linalg.kkt_solver); then W = L^{-1} E^T,
+K = W^T W = E M^{-1} E^T and
 
-    dlam = K^{-1} (q - W^T L^{-1} b),   du = L^{-T} (L^{-1} b + W dlam),   b = rhs - r.
+    dlam = K^{-1} (q - W^T L^{-1} p),   du = L^{-T} (L^{-1} p + W dlam),   p = rhs - r.
 
-The dual objective is -sum_i <C_i, Z_i> + e^T lam.
+The dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.
+
+The rows take the 1 x 1 case of every formula, elementwise.  Their
+scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
+A^T diag(w^2) A to M and A^T (w (t - w r_s)) to rhs, for a target t and the
+primal residual r_s = A u + b - s; after the solve ds = A du + r_s,
+ds^ = w ds, dz^ = t - ds^ and dz = w dz^.  Their step bound is a ratio
+test: the least dv / (-ds^) over the entries with ds^ < 0, and the same
+for dz^.  Without rows none of this runs.
 
 M is built by the sparse-data formula of Fujisawa, Kojima and Nakata
 ("Exploiting sparsity in primal-dual interior-point methods for
@@ -65,6 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import chol_stack, kkt_solver
 from ._schur import CHUNK_DOUBLES, TableSchur, stack_blocks
 from .moment import MomentVector, RelaxationProblem
 from .poly import grlex_position, lambda_set
@@ -99,40 +114,7 @@ class SdpSolution:
     relative_gap: float = float("nan")  # the quantity gap_tol bounds
     schur_dim: int = 0      # moments in the Newton system; 0 when the IPM did not run
     equality_rows: int = 0  # independent equality rows kept
-
-
-def _chol(mat: np.ndarray) -> np.ndarray | None:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _chol_regularized(mat: np.ndarray):
-    """Cholesky with escalating diagonal regularization; None when hopeless."""
-    L = _chol(mat)
-    if L is not None:
-        return L
-    scale = max(np.trace(mat) / mat.shape[0], 1.0)
-    for boost in (1e-14, 1e-11, 1e-8):
-        L = _chol(mat + boost * scale * np.eye(mat.shape[0]))
-        if L is not None:
-            return L
-    return None
-
-
-def _chol_stack(mats: np.ndarray):
-    """Cholesky factors of a matrix or a stack of them, in one batched call;
-    if any block is not numerically positive definite, block by block with
-    _chol_regularized.  None when some block stays hopeless."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        side = mats.shape[-1]
-        factors = [_chol_regularized(m) for m in mats.reshape(-1, side, side)]
-        if any(L is None for L in factors):
-            return None
-        return np.reshape(factors, mats.shape)
+    linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
 
 
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -148,12 +130,19 @@ def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
         return np.where(lam >= 0.0, np.inf, -1.0 / lam)
 
 
+def _ratio_step(dv: np.ndarray, delta_hat: np.ndarray) -> float:
+    """_max_step for k blocks of side 1 at once: the largest t with
+    dv + t*delta_hat >= 0 entrywise (dv > 0), a ratio test."""
+    lam = float(np.min(delta_hat / dv))
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     """Nesterov-Todd scaling W = G G^T with G^{-1} S G^{-T} = G^T Z G = diag(dv),
     for one block or, batched, for every block of a stack.
 
     Returns (G^{-1}, dv), or None when S or Z cannot be factored."""
-    factors = _chol_stack(np.stack((S, Z)))
+    factors = chol_stack(np.stack((S, Z)))
     if factors is None:
         return None
     ls, lz = factors
@@ -161,117 +150,6 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     U, dv, _ = np.linalg.svd(lzT @ ls)
     dv = np.maximum(dv, 1e-150)
     return (U / np.sqrt(dv)[..., None, :]).swapaxes(-1, -2) @ lzT, dv
-
-
-_SUBST_BLOCK = 32
-
-
-def _triangular(L: np.ndarray):
-    """Solvers for  L x = rhs  (forward) and  L^T x = rhs  (backward) by
-    blocked substitution; forward takes a vector or a matrix of columns.
-
-    The inverses of L's small diagonal blocks are formed once, in one batched
-    call; each solve is then O(N^2) matrix-vector (or matrix) work.  forward
-    halves the blocks recursively, so that with a matrix of columns most of
-    its work is a few large products rather than many thin ones."""
-    N = L.shape[0]
-    spans = [(a, min(a + _SUBST_BLOCK, N)) for a in range(0, N, _SUBST_BLOCK)]
-    diag = np.tile(np.eye(_SUBST_BLOCK), (len(spans), 1, 1))
-    for k, (a, b) in enumerate(spans):
-        diag[k, : b - a, : b - a] = L[a:b, a:b]
-    # identity padding of the last block leaves its inverse exact
-    inv = [blk[: b - a, : b - a] for blk, (a, b) in zip(np.linalg.inv(diag), spans)]
-
-    def forward(rhs: np.ndarray) -> np.ndarray:
-        w = np.array(rhs, dtype=float)
-        _forward_blocks(L, spans, inv, w, 0, len(spans))
-        return w
-
-    def backward(rhs: np.ndarray) -> np.ndarray:
-        x = np.empty(N)
-        for (a, b), Ki in zip(reversed(spans), reversed(inv)):
-            x[a:b] = (rhs[a:b] - x[b:] @ L[b:, a:b]) @ Ki
-        return x
-
-    return forward, backward
-
-
-def _forward_blocks(L: np.ndarray, spans: list, inv: list, w: np.ndarray, i: int, j: int) -> None:
-    """Blocks i..j-1 of w <- L^{-1} w in place, halving the range: the
-    update between the halves is one product."""
-    if j - i == 1:
-        a, b = spans[i]
-        w[a:b] = inv[i] @ w[a:b]
-        return
-    h = (i + j) // 2
-    a, m, b = spans[i][0], spans[h][0], spans[j - 1][1]
-    _forward_blocks(L, spans, inv, w, i, h)
-    w[m:b] -= L[m:b, a:m] @ w[a:m]
-    _forward_blocks(L, spans, inv, w, h, j)
-
-
-def _chol_solver(L: np.ndarray):
-    """Solver for  L L^T x = rhs."""
-    forward, backward = _triangular(L)
-    return lambda rhs: backward(forward(rhs))
-
-
-# up to this many unknowns N + m, one LU solve of the whole system per right-hand
-# side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
-# thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
-_DENSE_KKT = 64
-
-
-def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """K^{-1} rhs, or the minimum-norm least-squares solution when K is
-    exactly singular."""
-    try:
-        return np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(K, rhs, rcond=None)[0]
-
-
-def _kkt_solver(M: np.ndarray, E: np.ndarray):
-    """Solver of the saddle-point system
-
-        [ M  -E^T ] [ du   ]   [ b ]
-        [ E   0   ] [ dlam ] = [ q ],
-
-    through M = L L^T, W = L^{-1} E^T and the Cholesky factor of
-    K = W^T W = E M^{-1} E^T: dlam = K^{-1} (q - W^T L^{-1} b) and
-    du = L^{-T} (L^{-1} b + W dlam).  Small systems take one LU solve of
-    the whole matrix instead, unless a moment is missing from M (which the
-    Cholesky route regularizes).  None when M or K cannot be factored."""
-    N, m = M.shape[0], E.shape[0]
-    if N + m <= _DENSE_KKT and np.all(np.diagonal(M) > 0.0):
-        K = np.zeros((N + m, N + m))
-        K[:N, :N] = M
-        K[:N, N:] = -E.T
-        K[N:, :N] = E
-
-        def dense(b: np.ndarray, q: np.ndarray):
-            x = _dense_solve(K, np.concatenate((b, q)))
-            return x[:N], x[N:]
-
-        return dense
-    LM = _chol_regularized(M)
-    if LM is None:
-        return None
-    forward, backward = _triangular(LM)
-    if not m:
-        return lambda b, q: (backward(forward(b)), np.zeros(0))
-    W = forward(E.T)
-    LK = _chol_regularized(W.T @ W)
-    if LK is None:
-        return None
-    k_solve = _chol_solver(LK)
-
-    def solve(b: np.ndarray, q: np.ndarray):
-        z = forward(b)
-        dlam = k_solve(q - W.T @ z)
-        return backward(z + W @ dlam), dlam
-
-    return solve
 
 
 def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
@@ -284,7 +162,8 @@ def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
     L x L product of a localizing stack; the dense rows E with their thin
     SVD; W = L^{-1} E^T and K; the Q and Y chunk buffers; and per
     localizing block its MH, G^T, MH G^T, and G^T in coordinates with its
-    term buffer."""
+    term buffer.  A block of side 1 is a linear row: the row and its
+    scaled copy fit in its 2 L doubles."""
     L, m = num_moments, equality_rows
     doubles = sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb in blocks)
     doubles += 4 * L * L + 3 * m * L + L * m + 2 * m * m + 2 * CHUNK_DOUBLES
@@ -319,7 +198,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c0 = float(problem.objective[0])
 
     def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0, rank=0):
+               schur_dim=0, rank=0, linear=0):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -334,6 +213,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             relative_gap=rel_gap,
             schur_dim=schur_dim,
             equality_rows=rank,
+            linear_rows=linear,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0) would starve
@@ -366,7 +246,8 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
 
     core = _ipm(c_raw, blocks, E, e, u, opts, _moment_face(problem) if rank else None)
     return finish(core.u, core.status, core.iterations, core.trace,
-                  core.gap, core.pres, core.dres, core.rel_gap, N, rank)
+                  core.gap, core.pres, core.dres, core.rel_gap, N, rank,
+                  sum(b.side == 1 for b in blocks))
 
 
 def _moment_face(problem: RelaxationProblem) -> np.ndarray | None:
@@ -406,6 +287,19 @@ class _CoreResult:
     pres: float
     dres: float
     rel_gap: float = float("nan")
+    rows: tuple = ()  # slack s and dual z of the linear rows at the last iterate
+
+
+def _linear_rows(blocks: list, L: int) -> np.ndarray:
+    """The blocks of side 1 as rows (k, L) over the full moment vector y:
+    row j is the one entry of block j, row base[0, 0] of its shifted
+    sequence, scaled by the block's largest coefficient as _Stack scales a
+    stack.  Column 0 (y_0 = 1) holds the constants b, the rest A, of the
+    inequalities A u + b >= 0."""
+    rows = np.zeros((len(blocks), L))
+    for row, blk in zip(rows, blocks):
+        np.add.at(row, blk.shift[blk.base[0, 0]], blk.coeffs / np.max(np.abs(blk.coeffs)))
+    return rows
 
 
 def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
@@ -414,22 +308,28 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     from u (which satisfies E u = e); the moment block is solved in the
     basis `face` (see _moment_face) when one is given.
 
-    Blocks of equal side and base table form one stack, so that every
-    per-block factorization, decomposition and product is one batched call
-    per stack."""
+    Blocks of side 1 are the k linear rows A u + b >= 0 (_linear_rows),
+    with slack s and dual z as vectors: each 1 x 1 formula of a stack is
+    then elementwise, and with k = 0 none of it runs.  The other blocks
+    of equal side and base table form one stack, so that every per-block
+    factorization, decomposition and product is one batched call per
+    stack."""
     N = c_raw.shape[0]
 
     # per-problem rescaling: largest absolute coefficient becomes 1
     s_obj = float(np.max(np.abs(c_raw))) if np.any(c_raw) else 1.0
     c = c_raw / s_obj
-    stacks = stack_blocks(blocks, N + 1, face)
+    stacks = stack_blocks([blk for blk in blocks if blk.side > 1], N + 1, face)
+    rows = _linear_rows([blk for blk in blocks if blk.side == 1], N + 1)
+    A, b = rows[:, 1:], rows[:, 0]
+    k = len(b)
     schur = TableSchur(stacks, N + 1)
     sides = range(len(stacks))
     one = np.zeros(N + 1)
     one[0] = 1.0
     A0 = [st.evaluate(one) for st in stacks]  # constant parts C_i
     eyes = [np.eye(x.shape[-1]) for x in A0]
-    n_total = float(sum(x.shape[0] * x.shape[-1] for x in A0))
+    n_total = float(sum(x.shape[0] * x.shape[-1] for x in A0) + k)
     c_norm = float(np.max(np.abs(c))) if np.any(c) else 1.0
     e_norm = float(np.max(np.abs(e), initial=0.0))
 
@@ -440,11 +340,16 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
 
     start = at(u, 1.0)
     a0_norms = [np.linalg.norm(x.reshape(len(x), -1), axis=1) for x in start]
+    peaks = [float(np.max(x)) for x in a0_norms]
+    if k:
+        row_norms = np.abs(A @ u + b)
+        peaks.append(float(np.max(row_norms)))
 
     # strictly interior start: slack and dual multiplier proportional to I
-    tau = 1.0 + max(float(np.max(x)) for x in a0_norms)
+    tau = 1.0 + max(peaks)
     S = [tau * np.broadcast_to(I, x.shape) for I, x in zip(eyes, start)]
     Z = [np.broadcast_to(I, x.shape).copy() for I, x in zip(eyes, start)]
+    s, z = np.full(k, tau), np.ones(k)
     lam = np.zeros(E.shape[0])
 
     trace: list[tuple] = []
@@ -465,12 +370,19 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
 
         pobj = float(c @ u)
         dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides) + float(e @ lam)
-        mu = sum(float(np.vdot(S[g], Z[g])) for g in sides) / n_total
+        sz = sum(float(np.vdot(S[g], Z[g])) for g in sides)
+        res = [float(np.max(np.linalg.norm(R[g].reshape(len(R[g]), -1), axis=1)
+                            / (1.0 + a0_norms[g]))) for g in sides]
+        if k:
+            r_lin = A @ u + b - s
+            r -= A.T @ z
+            dobj -= float(b @ z)
+            sz += float(s @ z)
+            res.append(float(np.max(np.abs(r_lin) / (1.0 + row_norms))))
+        mu = sz / n_total
         gap = pobj - dobj
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(float(np.max(np.linalg.norm(R[g].reshape(len(R[g]), -1), axis=1)
-                                / (1.0 + a0_norms[g]))) for g in sides)
-        pres = max(pres, float(np.max(np.abs(q), initial=0.0)) / (1.0 + e_norm))
+        pres = max(max(res), float(np.max(np.abs(q), initial=0.0)) / (1.0 + e_norm))
         dres = float(np.max(np.abs(r))) / (1.0 + c_norm)
         trace.append((it, mu, pres, dres, pobj, dobj))
 
@@ -501,43 +413,66 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         if any(sc is None for sc in scalings):
             status = NUMERICAL_FAILURE
             break
-        Ginv, dvecs = zip(*scalings)
+        Ginv = [sc[0] for sc in scalings]
+        dvecs = [sc[1] for sc in scalings]
         GinvT = [np.ascontiguousarray(G.swapaxes(1, 2)) for G in Ginv]
         V = [GT @ G for G, GT in zip(Ginv, GinvT)]
 
-        kkt = _kkt_solver(schur.matrix(V), E)
+        rows_w = None
+        if k:
+            # a row's NT scaling: dv = sqrt(s z) and V = w = sqrt(z / s);
+            # its part of M is (w a)(w a)^T
+            dv_lin, w = np.sqrt(s * z), np.sqrt(z / s)
+            rows_w = rows * w[:, None]
+            Aw = rows_w[:, 1:]
+            r_hat = w * r_lin
+        kkt = kkt_solver(schur.matrix(V, rows_w), E)
         if kkt is None:
             status = NUMERICAL_FAILURE
             break
         Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
 
-        def direction(T):
-            """Search direction for complementarity target T (scaled space)."""
-            b = schur.adjoint([GinvT[g] @ (T[g] - Rhat[g]) @ Ginv[g] for g in sides]) - r
-            du, dlam = kkt(b, q)
+        def direction(T, t):
+            """Search direction for complementarity targets T of the stacks
+            and t of the rows, in the scaled space.  The rows' part is
+            (ds, dz, ds_hat, dz_hat), None without rows."""
+            rhs = schur.adjoint([GinvT[g] @ (T[g] - Rhat[g]) @ Ginv[g] for g in sides]) - r
+            if k:
+                rhs += Aw.T @ (t - r_hat)
+            du, dlam = kkt(rhs, q)
             dS = [x + R[g] for g, x in zip(sides, at(du, 0.0))]
             dShat = [Ginv[g] @ dS[g] @ GinvT[g] for g in sides]
             dZhat = [T[g] - dShat[g] for g in sides]
             dZ = [GinvT[g] @ dZhat[g] @ Ginv[g] for g in sides]
-            dZ = [0.5 * (z + z.swapaxes(1, 2)) for z in dZ]
-            return du, dlam, dS, dZ, dShat, dZhat
+            dZ = [0.5 * (x + x.swapaxes(1, 2)) for x in dZ]
+            lin = None
+            if k:
+                ds = A @ du + r_lin
+                ds_hat = ds * w
+                dz_hat = t - ds_hat
+                lin = ds, dz_hat * w, ds_hat, dz_hat
+            return du, dlam, dS, dZ, dShat, dZhat, lin
 
-        def step_lengths(dShat, dZhat):
+        def step_lengths(dShat, dZhat, lin):
             ap = ad = 1.0
             for g in sides:
                 dv = dvecs[g]
                 steps = _max_step(np.concatenate((dv, dv)), np.concatenate((dShat[g], dZhat[g])))
                 ap = min(ap, opts.step_frac * float(steps[: len(dv)].min()))
                 ad = min(ad, opts.step_frac * float(steps[len(dv) :].min()))
+            if k:
+                ap = min(ap, opts.step_frac * _ratio_step(dv_lin, lin[2]))
+                ad = min(ad, opts.step_frac * _ratio_step(dv_lin, lin[3]))
             return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
         T_aff = [-(dvecs[g][:, :, None] * eyes[g]) for g in sides]
-        _, _, dS_a, dZ_a, dSh_a, dZh_a = direction(T_aff)
-        ap_a, ad_a = step_lengths(dSh_a, dZh_a)
-        mu_aff = sum(
-            float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ_a[g])) for g in sides
-        ) / n_total
+        _, _, dS_a, dZ_a, dSh_a, dZh_a, lin_a = direction(T_aff, -dv_lin if k else None)
+        ap_a, ad_a = step_lengths(dSh_a, dZh_a, lin_a)
+        sz_aff = sum(float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ_a[g])) for g in sides)
+        if k:
+            sz_aff += float((s + ap_a * lin_a[0]) @ (z + ad_a * lin_a[1]))
+        mu_aff = sz_aff / n_total
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector with Mehrotra second-order term
@@ -548,8 +483,9 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
             rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
                        - 0.5 * (cross + cross.swapaxes(1, 2)))
             T_cor.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
-        du, dlam, dS, dZ, dSh, dZh = direction(T_cor)
-        ap, ad = step_lengths(dSh, dZh)
+        t_cor = (sigma * mu - dv_lin**2 - lin_a[2] * lin_a[3]) / dv_lin if k else None
+        du, dlam, dS, dZ, dSh, dZh, lin = direction(T_cor, t_cor)
+        ap, ad = step_lengths(dSh, dZh, lin)
         if ap <= 1e-14 and ad <= 1e-14:
             status = NUMERICAL_FAILURE
             break
@@ -559,10 +495,14 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         for g in sides:
             S[g] = S[g] + ap * dS[g]
             Z[g] = Z[g] + ad * dZ[g]
+        if k:
+            s = s + ap * lin[0]
+            z = z + ad * lin[1]
         iters = it + 1
 
     if status == OPTIMAL or best is None:
-        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap)
+        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap,
+                           (s, z))
     # on failure report the best iterate seen, not the diverged last one
     _, u_b, gap_b, pres_b, dres_b, rg_b = best
-    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b)
+    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b, (s, z))

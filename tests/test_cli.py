@@ -137,6 +137,21 @@ class TestPopSolve:
         path.write_text("min x\n")
         assert main(["pop-solve", str(path)]) == 1
 
+    @pytest.mark.parametrize("text", ["var x\nmin 1e999*x^2 + x\nball 10\n",
+                                      "var x\nmin x^2\nge 1e400 - x^2\n",
+                                      "var x\nmin x^2\nge 1e200*1e200*x\n"])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, text):
+        import warnings
+
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from an inf coefficient
+            assert main(["pop-solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "overflows a double" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["pop-solve", "/nonexistent.pop"]) == 1
 

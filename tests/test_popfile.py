@@ -112,6 +112,24 @@ class TestPopFiles:
         with pytest.raises(PopFormatError, match="line 3"):
             parse_pop("var x\nmin x\nge x + bogus\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("var x\nmin 1e999*x^2 + x\n", 2, "number '1e999' overflows"),
+        ("var x\nmin x^2\nge 1e400 - x^2\n", 3, "number '1e400' overflows"),
+        ("var x\nmin x^2\n\nge 1e200*1e200*x\n", 4, "coefficient overflows"),
+        ("var x\nmin x^2 + (1e300*x)^2\n", 2, "coefficient overflows"),
+        ("var x\nmin 1e200*1e200*x - 1e200*1e200*x\n", 2, "coefficient overflows"),  # inf - inf
+        ("var x\nmin x^2\nball inf\n", 3, "ball needs a finite number"),
+        ("var x\nmin x^2\nball nan\n", 3, "ball needs a finite number"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, line, message):
+        with pytest.raises(PopFormatError, match=f"line {line}: .*{message}"):
+            parse_pop(text)
+
+    def test_largest_finite_numbers_accepted(self):
+        prob = parse_pop("var x\nmin 1.7e308*x^2 + 1e-320*x\nge 1e200*1e100 - x^2\n")
+        assert prob.objective.coefficient((2,)) == 1.7e308
+        assert prob.constraints[0][0].coefficient((0,)) == 1e300
+
     def test_generated_distance_problem_round_trips(self, a0):
         from strata_opt.mech import build_distance_problem_sym2
 

@@ -11,7 +11,7 @@ def _sample_report():
         problem={"command": "distance", "input": "E0", "stratum": "cubic-ela",
                  "c": 58000.0, "voigt": np.eye(2)},
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
-                      "schur_dim": 54, "equality_rows": 5,
+                      "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
         status_xi=1,
@@ -43,16 +43,17 @@ class TestJsonRoundTrip:
 
     def test_run_diagnostics_round_trip(self):
         # min x on x^2 = 1, |x| <= 2: at d = 1 the Newton system has the moments
-        # y1, y2 and the one row y2 = 1
+        # y1, y2 and the one row y2 = 1, and 4 - x^2 >= 0 is the linear row 4 - y2 >= 0
         x = Polynomial.variable(0, 1)
         res = run_hierarchy(x, [(x * x - 1.0, EQ), (4.0 - x * x, GE)], HierarchyOptions(d_max=2))
         rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
         again = Report.from_json(rep.to_json())
         assert again == rep
         first = again.diagnostics[0]
-        assert (first["schur_dim"], first["equality_rows"]) == (2, 1)
+        assert (first["schur_dim"], first["equality_rows"], first["linear_rows"]) == (2, 1, 1)
         for plain, rec in zip(again.diagnostics, res.diagnostics):
-            assert (plain["schur_dim"], plain["equality_rows"]) == (rec.schur_dim, rec.equality_rows)
+            assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
+                    == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
             assert plain["seconds"] == rec.seconds
         # the certified order went through every phase
         assert set(again.diagnostics[-1]["seconds"]) == {"assemble", "solve", "rank", "extract"}

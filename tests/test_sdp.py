@@ -5,16 +5,8 @@ import strata_opt._schur as schur_module
 from strata_opt._schur import TableSchur, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
-from strata_opt.sdp import (
-    SolverOptions,
-    _chol_regularized,
-    _chol_solver,
-    _chol_stack,
-    _kkt_solver,
-    _max_step,
-    _nt_scaling,
-    solve_sdp,
-)
+from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver
+from strata_opt.sdp import SolverOptions, _ipm, _linear_rows, _max_step, _nt_scaling, solve_sdp
 
 
 def _lmi_problem(objective, blocks):
@@ -42,6 +34,12 @@ def _correlation_problem():
     return _lmi_problem([0.0, 1.0, 0.0], [([[0, 1], [1, 0]], [[0], [1]], [1.0])])
 
 
+def _mixed_problem(c):
+    # minimize y1 s.t. [[1, y1], [y1, 1]] >= 0 and y1 + c >= 0  ->  max(-1, -c)
+    return _lmi_problem([0.0, 1.0, 0.0], [([[0, 1], [1, 0]], [[0], [1]], [1.0]),
+                                          ([[0]], [[0, 1]], [c, 1.0])])
+
+
 def _interval_problem():
     # minimize y1 s.t. y1 >= 0 and 3 - y1 >= 0  ->  0
     return _lmi_problem([0.0, 1.0, 0.0], [([[0]], [[1]], [1.0]), ([[0]], [[0, 1]], [3.0, -1.0])])
@@ -57,6 +55,25 @@ class TestAnalyticInstances:
         sol = solve_sdp(_interval_problem())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("c, optimum, dual", [(0.5, -0.5, 1.0), (2.0, -1.0, 0.0)])
+    def test_psd_block_and_linear_row(self, c, optimum, dual):
+        """The row y1 + c >= 0, scaled to (y1 + c) / max(1, c), is active at
+        c = 1/2 with dual 1 (the objective's y1 coefficient) and inactive at
+        c = 2 with dual 0 and slack 1/2."""
+        prob = _mixed_problem(c)
+        sol = solve_sdp(prob)
+        assert sol.status == "optimal" and sol.linear_rows == 1
+        assert sol.objective == pytest.approx(optimum, abs=1e-7)
+        core = _ipm(prob.objective[1:], list(prob.blocks), np.zeros((0, 2)), np.zeros(0),
+                    np.zeros(2), SolverOptions())
+        assert core.status == "optimal"
+        s, z = core.rows
+        assert s.shape == z.shape == (1,)
+        assert s[0] > 0.0 and z[0] > 0.0
+        assert z[0] == pytest.approx(dual, abs=1e-6)
+        assert s[0] == pytest.approx((optimum + c) / max(1.0, c), abs=1e-6)
+        assert s[0] * z[0] <= SolverOptions().gap_tol  # complementary at the optimum
 
     def test_feasibility_at_optimum(self):
         prob = _correlation_problem()
@@ -132,11 +149,15 @@ class TestEqualityElimination:
         assert sol.relative_gap <= SolverOptions().gap_tol
 
     def test_schur_dim_counts_free_moments(self):
-        prob = self._problem()  # y1, y2 in the Newton system, one row y2 = 1
-        sol = solve_sdp(prob)
-        assert (sol.schur_dim, sol.equality_rows) == (2, 1)
+        # y1, y2 in the Newton system, one equality row y2 = 1 and 4 - x^2 >= 0
+        # the linear row 4 - y2 >= 0; at d = 2 it is a 2 x 2 block
+        sol = solve_sdp(self._problem())
+        assert (sol.schur_dim, sol.equality_rows, sol.linear_rows) == (2, 1, 1)
+        x = Polynomial.variable(0, 1)
+        lifted = solve_sdp(assemble_relaxation(x, [(x * x - 1.0, EQ), (4.0 - x * x, GE)], 2))
+        assert (lifted.schur_dim, lifted.equality_rows, lifted.linear_rows) == (4, 3, 0)
         box = solve_sdp(_box_ball_problem(range(7)))
-        assert (box.schur_dim, box.equality_rows) == (209, 0)
+        assert (box.schur_dim, box.equality_rows, box.linear_rows) == (209, 0, 0)
 
     def test_equalities_hold_exactly(self):
         prob = self._problem()
@@ -227,7 +248,7 @@ class TestCholeskySolve:
         for N in (1, 5, 32, 33, 150):
             M = _random_pd(rng, N)
             rhs = rng.normal(size=N)
-            x = _chol_solver(np.linalg.cholesky(M))(rhs)
+            x = chol_solver(np.linalg.cholesky(M))(rhs)
             np.testing.assert_allclose(M @ x, rhs, atol=1e-9 * np.linalg.norm(rhs))
 
 
@@ -284,17 +305,17 @@ class TestSameSideStacks:
             np.linalg.cholesky(singular)
         good = [_random_pd(rng, 6) for _ in range(3)]
         stack = np.array(good[:2] + [singular] + good[2:])
-        L = _chol_stack(stack)
+        L = chol_stack(stack)
         assert L.shape == stack.shape
         for i, m in enumerate(good[:2] + [singular] + good[2:]):
-            np.testing.assert_array_equal(L[i], _chol_regularized(m))
+            np.testing.assert_array_equal(L[i], chol_regularized(m))
         np.testing.assert_allclose(L[2] @ L[2].T, singular, atol=1e-8 * np.abs(singular).max())
         assert _nt_scaling(stack, np.array([_random_pd(rng, 6) for _ in range(4)])) is not None
 
     def test_hopeless_block_fails_the_stack(self):
         rng = np.random.default_rng(6)
         stack = np.array([_random_pd(rng, 4), -_random_pd(rng, 4)])
-        assert _chol_stack(stack) is None
+        assert chol_stack(stack) is None
         assert _nt_scaling(stack, np.array([_random_pd(rng, 4)] * 2)) is None
 
 
@@ -412,6 +433,26 @@ def test_table_schur_of_relaxations_matches_dense(monkeypatch):
     _check_schur(rel.blocks, rel.num_moments, 4)
 
 
+def test_schur_matrix_adds_the_rows_gram_matrix():
+    """TableSchur.matrix with linear rows is the stacks' matrix plus
+    rows^T rows, for the moment stack (written straight into M), for a
+    localizing stack, and without stacks (a pure linear program)."""
+    rng = np.random.default_rng(14)
+    prob = _box_ball_problem(range(7))
+    L = prob.num_moments
+    for blocks in (prob.blocks[:1], prob.blocks, ()):
+        stacks = stack_blocks(list(blocks), L)
+        schur = TableSchur(stacks, L)
+        V = [np.array([_random_pd(rng, st.shape[1]) for _ in range(st.shape[0])]) for st in stacks]
+        rows = rng.normal(size=(3, L))
+        want = schur.matrix(V).copy() + (rows.T @ rows)[1:, 1:]
+        got = schur.matrix(V, rows)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not np.any(TableSchur([], L).matrix([]))
+    assert not np.any(TableSchur([], L).adjoint([]))
+
+
 def test_stacks_evaluate_like_their_blocks_with_adjoint_transpose(E0):
     """Assembled relaxations (box and ball, a ball of many terms, E0 at
     orders 1 and 2 with its ball): every matrix of every stack is one of its
@@ -468,13 +509,65 @@ def test_memory_estimate_bounds_the_solve():
     assert peak <= relaxation_bytes(5, 3, constraints)
 
 
+def test_memory_estimate_bounds_the_solve_with_linear_rows():
+    """The same at order 1, where the five box constraints and the ball of
+    _box_ball(5) are six linear rows (the objective is f's part of degree
+    at most 2, so that order 1 is admissible)."""
+    import tracemalloc
+
+    from strata_opt.hierarchy import relaxation_bytes
+
+    f, constraints = _box_ball(5)
+    quadratic = Polynomial(5, {alpha: c for alpha, c in f.terms.items() if sum(alpha) <= 2})
+    rel = assemble_relaxation(quadratic, constraints, 1)
+    assert [b.side for b in rel.blocks] == [6] + [1] * 6
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.linear_rows == 6
+    assert peak <= relaxation_bytes(5, 1, constraints)
+
+
+def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
+    """The rows A u + b of the side-1 blocks of assembled relaxations (E0 at
+    order 1 with its ball, the six rows of _box_ball(5) at order 1) are the
+    blocks' LMIBlock.evaluate scaled by their largest coefficient, and
+    <A u, x> = <u, A^T x> within 1e-12."""
+    from strata_opt.hierarchy import add_ball_constraint
+    from strata_opt.mech import build_distance_problem_ela
+
+    ela = build_distance_problem_ela(E0)
+    f, box_ball = _box_ball(5)
+    rels = [assemble_relaxation(ela.objective,
+                                add_ball_constraint(ela.objective, ela.constraints, 58000.0), 1),
+            assemble_relaxation(Polynomial(5, {a: c for a, c in f.terms.items() if sum(a) <= 2}),
+                                box_ball, 1)]
+    rng = np.random.default_rng(13)
+    for rel, k in zip(rels, (1, 6)):
+        rows = [b for b in rel.blocks if b.side == 1]
+        L = rel.num_moments
+        full = _linear_rows(rows, L)
+        assert full.shape == (k, L)
+        A, b = full[:, 1:], full[:, 0]
+        y = rng.normal(size=L)
+        want = np.array([blk.evaluate(y)[0, 0] / np.max(np.abs(blk.coeffs)) for blk in rows])
+        got = A @ y[1:] + y[0] * b
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        x = rng.normal(size=k)
+        lhs, rhs = float((A @ y[1:]) @ x), float(y[1:] @ (A.T @ x))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(y) * np.linalg.norm(x)
+
+
 def test_saddle_point_direction_matches_dense_solve():
     rng = np.random.default_rng(17)
     for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35)):  # dense LU, then Cholesky
         M = _random_pd(rng, N)
         E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2] if m else np.zeros((0, N))
         b, q = rng.normal(size=N), rng.normal(size=m)
-        du, dlam = _kkt_solver(M, E)(b, q)
+        du, dlam = kkt_solver(M, E)(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
         want = np.linalg.solve(K, np.concatenate((b, q)))
         got = np.concatenate((du, dlam))
