@@ -33,7 +33,6 @@ from .mech import (
     harmonic_decompose_ela,
     piezo_harmonic_part,
 )
-from .popfile import PopFormatError, parse_pop
 from .reports import Report, diagnostics_to_plain
 from .sdp import SolverOptions
 
@@ -359,6 +358,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pop_solve(args) -> int:
+    # imported here: without a bytecode cache every other command would compile it
+    from .popfile import PopFormatError, parse_pop
+
     try:
         with open(args.file) as fh:
             problem = parse_pop(fh.read())

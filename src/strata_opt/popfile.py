@@ -53,6 +53,11 @@ _TOKEN = re.compile(
 )
 
 
+def _shown(val: str | None) -> str:
+    """A token's text for an error message; None is the end of the line."""
+    return "end of line" if val is None else repr(val)
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -91,7 +96,7 @@ class _Parser:
     def expect_op(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise PopFormatError(f"expected {op!r}, got {val!r}")
+            raise PopFormatError(f"expected {op!r}, got {_shown(val)}")
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -151,7 +156,7 @@ class _Parser:
             self.take()
             kind, val = self.take()
             if kind != "num" or not re.fullmatch(r"\d+", val):
-                raise PopFormatError(f"exponent must be a nonnegative integer, got {val!r}")
+                raise PopFormatError(f"exponent must be a nonnegative integer, got {_shown(val)}")
             exponent = int(val)
             if exponent > 64:
                 raise PopFormatError(f"exponent {exponent} too large (limit 64)")
@@ -175,7 +180,7 @@ class _Parser:
             return p
         if kind == "op" and val == "-":
             return -self.factor()
-        raise PopFormatError(f"unexpected token {val!r}")
+        raise PopFormatError("unexpected end of line" if val is None else f"unexpected token {val!r}")
 
 
 def parse_polynomial(text: str, var_names) -> Polynomial:
@@ -251,6 +256,8 @@ def parse_pop(text: str) -> PopProblem:
                 else:
                     constraints.append((p, EQ if head == "eq" else GE))
             elif head == "ball":
+                if ball is not None:
+                    raise PopFormatError("duplicate ball statement")
                 try:
                     ball = float(rest.strip())
                 except ValueError:

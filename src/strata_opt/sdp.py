@@ -41,7 +41,10 @@ K = W^T W = E M^{-1} E^T and
 
     dlam = K^{-1} (q - W^T L^{-1} p),   du = L^{-T} (L^{-1} p + W dlam),   p = rhs - r.
 
-The dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.
+The dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks
+in the set-up's thin SVD of E or in an iteration's KKT factorization
+(solve_bytes): the SVD's outputs are released before the IPM starts, and
+each iteration's factors before the next M is built.
 
 The rows take the 1 x 1 case of every formula, elementwise.  Their
 scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
@@ -153,21 +156,26 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
 
 
 def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
-    """Bytes solve_sdp needs, estimated from the table sizes alone: blocks
+    """Bytes solve_sdp needs at its peak, from the table sizes alone: blocks
     lists (terms, base entries) of each localizing block (the moment block
     is counted with M), equality_rows counts the rows before dependent ones
-    are dropped.
-
-    Counted: M, its factor, the copy the factorization makes and the
-    L x L product of a localizing stack; the dense rows E with their thin
-    SVD; W = L^{-1} E^T and K; the Q and Y chunk buffers; and per
-    localizing block its MH, G^T, MH G^T, and G^T in coordinates with its
-    term buffer.  A block of side 1 is a linear row: the row and its
-    scaled copy fit in its 2 L doubles."""
+    are dropped.  With L moments, m rows and r = min(m, L), the peak is the
+    larger of the set-up, the thin SVD of E (m, L): E, the outputs U and Vt,
+    and numpy's copies of E, U and Vt with gesdd's work (at most 4 r^2 + 8 r);
+    and an iteration: every array of one KKT factorization as if alive
+    together (M, its factor and the Cholesky's copy of M, W = L^{-1} E^T with
+    its update, K with its copy and factor), the rows kept, the Q and Y
+    chunk buffers, and per localizing block its MH, G^T, MH G^T, and G^T in
+    coordinates with its term buffer.  A block of side 1 is a linear row:
+    the row and its scaled copy fit in its 2 L doubles.  Not counted: a
+    regularized retry of the Cholesky (two more L x L) and the moment
+    block's index plan (_schur._plan)."""
     L, m = num_moments, equality_rows
-    doubles = sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb in blocks)
-    doubles += 4 * L * L + 3 * m * L + L * m + 2 * m * m + 2 * CHUNK_DOUBLES
-    return 8 * doubles
+    r = min(m, L)
+    setup = 2 * m * L + 2 * r * (m + L) + 4 * r * r + 8 * r
+    iteration = 3 * L * L + 5 * L * r // 2 + 3 * r * r + 2 * CHUNK_DOUBLES
+    iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb in blocks)
+    return 8 * max(setup, iteration)
 
 
 def _equality_system(equalities, L: int):
@@ -237,12 +245,18 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf, rank=rank)
         # stored as the transpose of contiguous columns, which W = L^{-1} E^T reads
         E, e = np.ascontiguousarray(Vt[:rank].T).T, e_kept
+        del U, sv, Vt  # not to add to the IPM's peak
 
     if rank == N:
         # no free moments: feasibility is a property of the fixed values alone
         y = np.concatenate(([1.0], u))
         ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
         return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0, rank=rank)
+    if not blocks:  # on {E u = e}, c is bounded below iff it lies in the row space of E
+        dres = float(np.max(np.abs(c_raw - E.T @ (E @ c_raw)), initial=0.0)
+                     / (1.0 + np.max(np.abs(c_raw), initial=0.0)))
+        status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
+        return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0, rank=rank)
 
     core = _ipm(c_raw, blocks, E, e, u, opts, _moment_face(problem) if rank else None)
     return finish(core.u, core.status, core.iterations, core.trace,
@@ -426,6 +440,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
             rows_w = rows * w[:, None]
             Aw = rows_w[:, 1:]
             r_hat = w * r_lin
+        kkt = None  # release the last factors before M is built and factored
         kkt = kkt_solver(schur.matrix(V, rows_w), E)
         if kkt is None:
             status = NUMERICAL_FAILURE

@@ -155,6 +155,16 @@ class TestPopSolve:
     def test_missing_file(self, capsys):
         assert main(["pop-solve", "/nonexistent.pop"]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("var x\nmin x^2\nball 3\nball 5\n", "line 4: duplicate ball statement"),
+        ("var x\nmin (x\n", "line 2: expected ')', got end of line"),
+    ])
+    def test_input_check_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        assert main(["pop-solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_archimedean_warning_without_ball(self, tmp_path, capsys):
         path = tmp_path / "p.pop"
         path.write_text("var x\nmin x^2\nge x\nge 1 - x\n")

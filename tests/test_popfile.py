@@ -108,6 +108,20 @@ class TestPopFiles:
         with pytest.raises(PopFormatError):
             parse_pop("var x\nmin x\nmin x^2")
 
+    def test_duplicate_ball_rejected(self):
+        with pytest.raises(PopFormatError, match="line 4: duplicate ball statement"):
+            parse_pop("var x\nmin x^2\nball 3\nball 5\n")
+
+    @pytest.mark.parametrize("statement, message", [
+        ("min x +", "unexpected end of line"),
+        ("min (x", "expected ')', got end of line"),
+        ("min x^", "exponent must be a nonnegative integer, got end of line"),
+    ])
+    def test_errors_at_the_end_of_a_line_name_it(self, statement, message):
+        with pytest.raises(PopFormatError) as info:
+            parse_pop(f"var x\n{statement}\n")
+        assert str(info.value) == f"line 2: {message}"
+
     def test_line_numbers_in_errors(self):
         with pytest.raises(PopFormatError, match="line 3"):
             parse_pop("var x\nmin x\nge x + bogus\n")

@@ -574,19 +574,30 @@ def test_saddle_point_direction_matches_dense_solve():
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def _lift_relaxation(tensor, d):
+    """The order-d relaxation of a tensor's distance problem as the lift
+    benchmark builds it (ball 1.5 f(0), coordinates dilated by the natural
+    scale), with n and the dilated constraints."""
+    from strata_opt.hierarchy import add_ball_constraint
+    from strata_opt.mech import (ElasticityTensor, PiezoTensor, build_distance_problem_ela,
+                                 build_distance_problem_piezo, build_distance_problem_sym2)
+
+    build = (build_distance_problem_ela if isinstance(tensor, ElasticityTensor)
+             else build_distance_problem_piezo if isinstance(tensor, PiezoTensor)
+             else build_distance_problem_sym2)
+    prob = build(tensor)
+    f, zero, r = prob.objective, np.zeros(prob.n), prob.natural_scale
+    cons = [(g.dilate(r), kind) for g, kind in
+            add_ball_constraint(f, prob.constraints, 1.5 * f.evaluate(zero), zero)]
+    return assemble_relaxation(f.dilate(r), cons, d), prob.n, cons
+
+
 def test_a0_order_three_solve_peak_memory(a0):
     """solve_sdp on the a0/O2 order-3 relaxation stays below 70 MB of
     Python-tracked allocations (the dense coefficient stacks took 142 MB)."""
     import tracemalloc
 
-    from strata_opt.hierarchy import add_ball_constraint
-    from strata_opt.mech import build_distance_problem_sym2
-
-    prob = build_distance_problem_sym2(a0)
-    f = prob.objective
-    cons = add_ball_constraint(f, prob.constraints, 1.5 * f.evaluate(np.zeros(prob.n)))
-    r = prob.natural_scale
-    rel = assemble_relaxation(f.dilate(r), [(g.dilate(r), kind) for g, kind in cons], 3)
+    rel = _lift_relaxation(a0, 3)[0]
     tracemalloc.start()
     try:
         sol = solve_sdp(rel)
@@ -639,3 +650,96 @@ def test_rotated_elasticity_order_two_stays_optimal():
     assert sol.status == "optimal"
     # E0's pinned distance 74.131148, to the benchmark's 2e-5 relative
     assert prob.total_distance(sol.objective) == pytest.approx(74.131148, rel=2e-5)
+
+
+def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
+    """On the a0 order-3 solve, each factorization of the Schur matrix (and
+    of K = E M^{-1} E^T) happens with no earlier factor of it alive, and no
+    output of the equality rows' SVD is alive when the IPM starts."""
+    import weakref
+
+    import strata_opt._linalg as linalg
+    import strata_opt.sdp as sdp
+
+    factors, alive_at_factorization = {}, []
+    real_chol = linalg.chol_regularized
+
+    def chol(mat):
+        alive_at_factorization.append(
+            (mat.shape, sum(ref() is not None for ref in factors.get(mat.shape, []))))
+        L = real_chol(mat)
+        factors.setdefault(mat.shape, []).append(weakref.ref(L))
+        return L
+
+    svd_outputs, alive_at_ipm = [], []
+    real_svd, real_ipm = np.linalg.svd, sdp._ipm
+
+    def svd(*args, **kwargs):
+        out = real_svd(*args, **kwargs)
+        svd_outputs.extend(weakref.ref(x) for x in out)
+        return out
+
+    def ipm(*args, **kwargs):
+        alive_at_ipm.append(sum(ref() is not None for ref in svd_outputs))
+        return real_ipm(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "chol_regularized", chol)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(sdp, "_ipm", ipm)
+    sol = solve_sdp(_lift_relaxation(a0, 3)[0])
+    assert sol.status == "optimal" and sol.equality_rows > 0
+    assert svd_outputs and alive_at_ipm == [0]
+    N, m = sol.schur_dim, sol.equality_rows
+    schur = [alive for shape, alive in alive_at_factorization if shape == (N, N)]
+    k_factors = [alive for shape, alive in alive_at_factorization if shape == (m, m)]
+    assert len(schur) == len(k_factors) == sol.iterations
+    assert schur == k_factors == [0] * len(schur)
+
+
+@pytest.mark.parametrize("fixture, d", [("e0_aln", 2), ("E0", 2), ("a0", 3)])
+def test_memory_estimate_bounds_the_peak_with_equality_rows(fixture, d, request):
+    """relaxation_bytes bounds solve_sdp's tracemalloc peak plus the copy of
+    the Schur matrix that numpy's Cholesky makes outside tracemalloc, on the
+    lift relaxations, which have equality rows."""
+    import tracemalloc
+
+    from strata_opt.hierarchy import relaxation_bytes
+
+    rel, n, cons = _lift_relaxation(request.getfixturevalue(fixture), d)
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.equality_rows > 0
+    assert relaxation_bytes(n, d, cons) >= peak + 8 * sol.schur_dim ** 2
+
+
+@pytest.mark.parametrize("objective, status, value", [
+    ([2.0, 0.0, 0.0], "optimal", 2.0), ([0.0, 1.0, 0.0], "unbounded_suspected", None)])
+def test_relaxation_without_a_block(objective, status, value):
+    """A problem whose only block is 0 >= 0 has no block left once vacuous
+    blocks are dropped: optimal when the objective is constant, else
+    unbounded."""
+    sol = solve_sdp(_lmi_problem(objective, [([[0]], [[1]], [0.0])]))
+    assert sol.status == status and sol.iterations == 0
+    if value is not None:
+        assert sol.objective == value
+
+
+@pytest.mark.parametrize("objective, status", [([0.0, 1.0, 0.0], "optimal"),
+                                               ([0.0, 0.0, 1.0], "unbounded_suspected")])
+def test_relaxation_without_a_block_on_equality_rows(objective, status):
+    """With the row y1 = 1/2 the feasible set is a line: y1 is constant on
+    it (optimal, 1/2) and y2 is not."""
+    from strata_opt.moment import EqualityRows
+
+    rel = _lmi_problem(objective, [([[0]], [[1]], [0.0])])
+    row = EqualityRows("h", Polynomial.constant(1, 1.0), 0, np.array([[0, 1]]), np.array([-0.5, 1.0]))
+    sol = solve_sdp(RelaxationProblem(n=1, d=1, d0=1, objective=rel.objective, blocks=rel.blocks,
+                                      equalities=(row,)))
+    assert sol.status == status and sol.equality_rows == 1
+    np.testing.assert_allclose(sol.y.values[:2], [1.0, 0.5], atol=1e-15)
+    if status == "optimal":
+        assert sol.objective == pytest.approx(0.5, abs=1e-15)

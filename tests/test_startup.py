@@ -1,6 +1,6 @@
 """Process-level behaviour, checked in fresh interpreters: what importing the
-command line loads (no scipy, no process pool), the BLAS thread default, and
-bounds that do not depend on the BLAS thread count."""
+command line loads (no scipy, no process pool, no problem-file parser), the
+BLAS thread default, and bounds that do not depend on the BLAS thread count."""
 
 import json
 import os
@@ -43,6 +43,15 @@ def test_cli_import_loads_no_process_pool():
     # the pool is imported by the --jobs > 1 branch only; the --jobs 2 CLI
     # tests cover it
     code = "import sys, strata_opt.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = _python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_problem_file_parser():
+    # popfile is imported by pop-solve only: where no bytecode is cached,
+    # every other command would compile it
+    code = "import sys, strata_opt.cli; print('strata_opt.popfile' in sys.modules)"
     proc = _python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
