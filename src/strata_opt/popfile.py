@@ -6,7 +6,7 @@ One statement per line::
     min <polynomial>    # objective
     eq <polynomial>     # equality constraint, = 0
     ge <polynomial>     # inequality constraint, >= 0
-    ball 300            # optional: append the inequality c - f >= 0
+    ball 300            # optional, once: append the inequality c - f >= 0
 
 Polynomials are conventional infix expressions over the declared names with
 + - * / ^ and parentheses; '/' is only allowed by a numeric constant.  Every
