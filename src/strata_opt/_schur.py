@@ -21,9 +21,11 @@ end are built and MH is mirrored.
 
 G is kept in the blocks' own form (moment.LMIBlock): G^T in coordinates,
 entry (gamma, shift[gamma, t]) holding coeffs[t], the rows of the shifted
-sequence g . y.  The blocks at y are (G^T y)[B], one bincount and a gather;
-the adjoint <A[alpha], X> is (G h)[alpha] with h[gamma] the sum of X over
-B == gamma, two bincounts.  The dense G^T serves the Schur gemm alone.
+sequence g . y (ShiftRows).  The blocks at y are (G^T y)[B], one bincount
+and a gather; the adjoint <A[alpha], X> is (G h)[alpha] with h[gamma] the
+sum of X over B == gamma, two bincounts.  The dense G^T serves the Schur
+gemm alone.  The same rows, dense, are the solver's equality system and
+its linear rows (see sdp).
 """
 
 from __future__ import annotations
@@ -32,10 +34,40 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CHUNK_DOUBLES", "TableSchur", "stack_blocks"]
+__all__ = ["CHUNK_DOUBLES", "ShiftRows", "TableSchur", "scaled", "stack_blocks"]
 
 _PANEL = 8               # rows a per gemm of the Schur build
 CHUNK_DOUBLES = 1 << 18  # size of the Q and Y buffers, in doubles, that sets the column chunk
+
+
+class ShiftRows:
+    """The rows of shifted sequences g . y, table after table.  A table is
+    (shift, c), the data of a block (moment.LMIBlock) or a part of it: row
+    gamma is sum_t c[t] y[shift[gamma, t]].  In coordinates, term j adds
+    vals[j] * y[cols[j]] to row rows[j]; dense() gives the (count, L)
+    matrix."""
+
+    def __init__(self, tables):
+        rows, cols, vals, self.count = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)], 0
+        for shift, c in tables:
+            rows.append(np.repeat(np.arange(self.count, self.count + len(shift)), shift.shape[1]))
+            cols.append(shift.ravel())
+            vals.append(np.tile(c, len(shift)))
+            self.count += len(shift)
+        self.rows, self.cols, self.vals = map(np.concatenate, (rows, cols, vals))
+
+    def dense(self, L: int) -> np.ndarray:
+        """The rows as a (count, L) matrix over the moments; terms that name
+        the same moment add up."""
+        return np.bincount(self.rows * L + self.cols, self.vals,
+                           minlength=self.count * L).reshape(self.count, L)
+
+
+def scaled(blocks):
+    """The tables of blocks (moment.LMIBlock), each scaled by its largest
+    coefficient: the form of every row the solver keeps, those of the
+    equalities, of the linear rows and of each stack's G^T."""
+    return ((b.shift, b.coeffs / np.max(np.abs(b.coeffs))) for b in blocks)
 
 
 def _layers(keys: np.ndarray) -> list:
@@ -54,14 +86,14 @@ def _layers(keys: np.ndarray) -> list:
 class _Stack:
     """k blocks of side s that share a base table B with Nb base entries,
     each scaled by its largest coefficient.  Their G_i^T are kept together
-    in coordinate form: rows gamma + i Nb, columns shift_i[gamma, t] and
-    values coeffs_i[t] / scale_i, concatenated over the k blocks.
+    in coordinate form (ShiftRows): rows gamma + i Nb, columns
+    shift_i[gamma, t] and values coeffs_i[t] / scale_i.
 
     Its part of the Schur matrix is sum_i G_i MH_i G_i^T, where
     MH_i[gamma, gamma'] = <H_gamma, V_i H_gamma' V_i> comes from the table
     formula on B.  The moment block has G = I (direct) and writes its MH
     straight into M.  The other stacks apply their G_i by one gemm through
-    G^T (k, Nb, L), scattered from the coordinate form for that gemm only.
+    G^T (k, Nb, L), the coordinate form made dense for that gemm only.
 
     MH is symmetric, so a column chunk [j0, j1) only needs its rows below
     j1: the pairs (a, b) with B[a, b] < j1.  The rest is mirrored.
@@ -79,18 +111,13 @@ class _Stack:
         self.entries = (np.arange(k)[:, None, None] * Nb + self.B).ravel()
         if direct:
             return
-        self.rows = np.concatenate([np.repeat(np.arange(i * Nb, (i + 1) * Nb), b.shift.shape[1])
-                                    for i, b in enumerate(blocks)])
-        self.cols = np.concatenate([b.shift.ravel() for b in blocks])
-        self.vals = np.concatenate([np.tile(b.coeffs / np.max(np.abs(b.coeffs)), Nb)
-                                    for b in blocks])
+        rows = ShiftRows(scaled(blocks))
+        self.rows, self.cols, self.vals = rows.rows, rows.cols, rows.vals
         # the products of evaluate and adjoint go to one reused buffer: as
         # per-call temporaries they raised the certify and pop-ineq peak RSS
         self.terms = np.empty(self.cols.size)
         self.MH = np.empty((k, Nb, Nb))
-        GT = np.zeros((k * Nb, L))
-        np.add.at(GT, (self.rows, self.cols), self.vals)
-        self.GT = GT.reshape(k, Nb, L)
+        self.GT = rows.dense(L).reshape(k, Nb, L)
         self.Xt = np.empty(self.GT.shape)
 
     def plan(self, budget: int) -> tuple[int, int]:
@@ -266,8 +293,8 @@ class TableSchur:
 def stack_blocks(blocks: list, L: int, face: np.ndarray | None = None) -> list:
     """The blocks stacked by side and base table, the direct (moment) stack
     last and solved on face when one is given (see _Stack).  The solver
-    never stacks a block of side 1: it keeps those as linear rows (see
-    sdp._linear_rows)."""
+    never stacks a block of side 1: it keeps those as linear rows, the
+    blocks' scaled ShiftRows made dense (see sdp)."""
     groups: dict[tuple, list] = {}
     for b in blocks:
         direct = (b.shift.shape[1] == 1 and b.coeffs[0] > 0.0

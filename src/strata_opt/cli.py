@@ -383,7 +383,7 @@ def cmd_pop_solve(args) -> int:
     t0 = time.perf_counter()
     try:
         result = run_hierarchy(f, constraints, opts)
-    except RelaxationTooLarge as exc:
+    except (ValueError, RelaxationTooLarge) as exc:  # e.g. a tolerance that is not positive
         print(f"error: {exc}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - t0

@@ -129,8 +129,8 @@ def add_ball_constraint(f: Polynomial, constraints, c: float, x_ref=None):
     module Archimedean.  When a feasible reference point is supplied the
     hypothesis c > f(x_ref) is enforced.
     """
-    if c <= 0:
-        raise ValueError(f"ball constant must be positive, got c={c}")
+    if not np.isfinite(c) or c <= 0:
+        raise ValueError(f"ball constant must be finite and positive, got c={c}")
     if x_ref is not None and f.evaluate(x_ref) >= c:
         raise ValueError(
             f"ball constant c={c} does not dominate f(x_ref)={f.evaluate(x_ref)}"
@@ -194,6 +194,8 @@ def extract_minimizers(
     combination; weights from the Vandermonde system against y.  Returns
     (points, weights); raises ExtractionFailure when any step degenerates.
     """
+    if s < 1:
+        raise ExtractionFailure(f"target rank {s} below 1")
     rng = rng or np.random.default_rng(0)
     n = y.n
     M = moment_matrix(y, d)
@@ -385,6 +387,12 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
     r = float(opts.coordinate_scale)
     if not np.isfinite(r) or r <= 0.0:
         raise ValueError(f"coordinate_scale must be positive, got {r}")
+    if not 0.0 < opts.rank_eps < 1.0:
+        raise ValueError(f"rank_eps must lie in (0, 1), got {opts.rank_eps}")
+    for name in ("gap_tol", "feas_tol"):
+        tol = getattr(opts.solver, name)
+        if not np.isfinite(tol) or tol <= 0.0:
+            raise ValueError(f"{name} must be finite and positive, got {tol}")
     if r != 1.0:
         f_solve = f.dilate(r)
         cons_solve = [(g.dilate(r), kind) for g, kind in constraints]

@@ -15,10 +15,11 @@ a base table: with delta_t the exponents of g, k = d - v and
 
 for gamma in Lambda(2k), the block is M_k(g . y)[a, b] = (g . y)[base[a, b]],
 base the s x s table of M_k (base[a, b] = position of alpha_a + alpha_b).
-A_alpha, the coefficient matrix of y_alpha, is never formed.  Each equality
-h = 0 keeps the rows alone: (h . y)_gamma = 0 for gamma in Lambda(2(d - v)),
-the distinct entries of M_{d-v}(h . y), so the feasible set is that of the
-PSD pair M_{d-v}(+-h . y) >= 0 without the pair's empty interior.
+A_alpha, the coefficient matrix of y_alpha, is never formed.  An equality
+h = 0 is the same block M_{d-v}(h . y), whose rows must vanish:
+(h . y)_gamma = 0 for gamma in Lambda(2(d - v)), the distinct entries of the
+block, so the feasible set is that of the PSD pair M_{d-v}(+-h . y) >= 0
+without the pair's empty interior.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .poly import IndexSet, Polynomial, grlex_position, lambda_set
 __all__ = [
     "MomentVector",
     "LMIBlock",
-    "EqualityRows",
     "RelaxationProblem",
     "constraint_half_degree",
     "minimal_order",
@@ -118,8 +118,8 @@ def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
     v = constraint_half_degree(g)
     if v > y.d:
         raise ValueError(f"deg(g)={g.degree} too high for order d={y.d}")
-    _v, _k, shift, coeffs = _shift_table(g, y.d)
-    return y.values[shift] @ coeffs
+    block = _block_for(g, "", y.d)
+    return y.values[block.shift] @ block.coeffs
 
 
 @lru_cache(maxsize=None)
@@ -150,12 +150,13 @@ def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LMIBlock:
-    """One PSD block M_k(g . y): the rows of the shifted sequence g . y, read
+    """One block M_k(g . y): the rows of the shifted sequence g . y, read
     through a base table.  Row gamma is (g . y)_gamma = sum_t coeffs[t] *
-    y[shift[gamma, t]] (the data of EqualityRows), and entry (a, b) of the
-    block is row base[a, b].  An assembled block of order k has base the
-    table of M_k and gamma running over Lambda(2k); any symmetric base with
-    entries 0..len(shift) - 1 is a block."""
+    y[shift[gamma, t]], and entry (a, b) of the block is row base[a, b].
+    An inequality asks the block to be PSD, an equality its rows to vanish.
+    An assembled block of order k has base the table of M_k and gamma
+    running over Lambda(2k); any symmetric base with entries
+    0..len(shift) - 1 is a block."""
 
     label: str
     g: Polynomial
@@ -174,22 +175,6 @@ class LMIBlock:
 
 
 @dataclass(frozen=True)
-class EqualityRows:
-    """The rows sum_t coeffs[t] * y[positions[r, t]] = 0 of an equality h = 0,
-    one per gamma in Lambda(2(d - v)): the shift vector (h . y) over the
-    entries of M_{d-v}(h . y)."""
-
-    label: str
-    h: Polynomial
-    v: int
-    positions: np.ndarray = field(repr=False)  # (rows, t)
-    coeffs: np.ndarray = field(repr=False)     # (t,)
-
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.positions] @ self.coeffs
-
-
-@dataclass(frozen=True)
 class RelaxationProblem:
     """Order-d relaxation in explicit SDP form."""
 
@@ -197,8 +182,8 @@ class RelaxationProblem:
     d: int
     d0: int
     objective: np.ndarray  # coefficients of f over Lambda(2d), zero padded
-    blocks: tuple[LMIBlock, ...]
-    equalities: tuple[EqualityRows, ...] = ()
+    blocks: tuple[LMIBlock, ...]           # PSD
+    equalities: tuple[LMIBlock, ...] = ()  # rows vanish
 
     @property
     def index_set(self) -> IndexSet:
@@ -216,35 +201,22 @@ class RelaxationProblem:
         return float(self.objective @ values)
 
 
-def _shift_table(g: Polynomial, d: int):
-    """v, k = d - v, the shift table and g's coefficients: shift[p, t] is the
-    position in Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t."""
-    n = g.n
-    v = constraint_half_degree(g)
-    k = d - v
-    deltas = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
-    coeffs = np.array(list(g.terms.values()), dtype=float)
-    shift = grlex_position(lambda_set(n, 2 * k).exponents[:, None, :] + deltas[None, :, :])
-    return v, k, shift, coeffs
-
-
 def _block_for(g: Polynomial, label: str, d: int) -> LMIBlock:
-    v, k, shift, coeffs = _shift_table(g, d)
-    return LMIBlock(label=label, g=g, v=v, base=_sum_positions(g.n, k), shift=shift,
-                    coeffs=coeffs)
-
-
-def _rows_for(h: Polynomial, label: str, d: int) -> EqualityRows:
-    v, _k, shift, coeffs = _shift_table(h, d)
-    return EqualityRows(label=label, h=h, v=v, positions=shift, coeffs=coeffs)
+    """The order-d block M_k(g . y), k = d - v: shift[p, t] is the position in
+    Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t, coeffs g's."""
+    n, v = g.n, constraint_half_degree(g)
+    deltas = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
+    shift = grlex_position(lambda_set(n, 2 * (d - v)).exponents[:, None, :] + deltas[None, :, :])
+    return LMIBlock(label=label, g=g, v=v, base=_sum_positions(n, d - v), shift=shift,
+                    coeffs=np.array(list(g.terms.values()), dtype=float))
 
 
 def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem:
     """Build the order-d relaxation of min f over {g >= 0 / h = 0}.
 
     ``constraints`` is a list of ``(Polynomial, kind)`` with kind "ge" or
-    "eq"; each inequality becomes a localizing block, each equality the
-    rows of its shift vector.
+    "eq"; each becomes the localizing block of its polynomial, a PSD block
+    for an inequality and rows that vanish for an equality.
     """
     n = f.n
     for g, kind in constraints:
@@ -267,6 +239,6 @@ def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem
         if kind == GE:
             blocks.append(_block_for(g, f"g{i}", d))
         else:
-            equalities.append(_rows_for(g, f"h{i}", d))
+            equalities.append(_block_for(g, f"h{i}", d))
     return RelaxationProblem(n=n, d=d, d0=d0, objective=objective, blocks=tuple(blocks),
                              equalities=tuple(equalities))

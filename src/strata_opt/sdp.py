@@ -10,11 +10,12 @@ Solves
 the shape every moment relaxation assembles to: the u_k are the moments
 y_alpha with alpha != 0 (y_0 is pinned to 1 and never solved for), each
 block is M_k(g . y), the rows of g . y read through the base table of M_k
-(moment.LMIBlock), and the rows E u = e are the equalities
-(moment.EqualityRows).  A constraint g >= 0 with
-ceil(deg g / 2) = d gives the 1 x 1 block M_0(g . y), the linear
-inequality (g . y)_0 >= 0: such blocks are the rows A u + b >= 0, each
-scaled by its largest coefficient, with slack s and dual z as vectors.
+(moment.LMIBlock), and the rows E u = e are those of the equalities'
+blocks, which vanish.  A constraint g >= 0 with ceil(deg g / 2) = d gives
+the 1 x 1 block M_0(g . y), the linear inequality (g . y)_0 >= 0: such
+blocks are the rows A u + b >= 0, with slack s and dual z as vectors.
+Every row, of E, of A or of a block's G^T, is made by one builder
+(_schur.ShiftRows), scaled by its block's largest coefficient (scaled).
 Equality rows that depend on others are dropped once, at set-up, by a
 thin SVD, which leaves E with orthonormal rows; the start u = E^T e
 satisfies them.  Where an equality h has 2v <= d, every feasible y has
@@ -83,9 +84,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import chol_stack, kkt_solver
-from ._schur import CHUNK_DOUBLES, TableSchur, stack_blocks
+from ._schur import CHUNK_DOUBLES, ShiftRows, TableSchur, scaled, stack_blocks
 from .moment import MomentVector, RelaxationProblem
-from .poly import grlex_position, lambda_set
+from .poly import lambda_set
 
 __all__ = ["SolverOptions", "SdpSolution", "solve_bytes", "solve_sdp"]
 
@@ -178,26 +179,6 @@ def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
     return 8 * max(setup, iteration)
 
 
-def _equality_system(equalities, L: int):
-    """Dense rows E y[1:] = e of the equality tables over the moments, each
-    row scaled by its largest coefficient (or |e|); all-zero rows dropped."""
-    counts = [eq.positions.shape[0] for eq in equalities]
-    full = np.zeros((sum(counts), L))
-    if equalities:
-        # the terms of one row sit at distinct positions: one assignment places them all
-        starts = np.cumsum([0] + counts[:-1])
-        row = np.concatenate([np.repeat(np.arange(r0, r0 + len(eq.positions)), eq.positions.shape[1])
-                              for r0, eq in zip(starts, equalities)])
-        pos = np.concatenate([eq.positions.ravel() for eq in equalities])
-        coeff = np.concatenate([np.broadcast_to(eq.coeffs, eq.positions.shape).ravel()
-                                for eq in equalities])
-        full[row, pos] = coeff
-    E, e = full[:, 1:], -full[:, 0]
-    scale = np.maximum(np.max(np.abs(E), axis=1, initial=0.0), np.abs(e))
-    keep = scale > 0
-    return E[keep] / scale[keep, None], e[keep] / scale[keep]
-
-
 def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
     opts = options or SolverOptions()
     L = problem.num_moments
@@ -224,17 +205,20 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             linear_rows=linear,
         )
 
-    # identically-zero blocks (vacuous constraints like 0 >= 0) would starve
-    # the scaling; drop them up front (the moment block is never zero)
+    # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
+    # starve the scaling; drop them up front (the moment block is never zero)
     blocks = [b for b in problem.blocks if np.any(b.coeffs)]
+    equalities = [h for h in problem.equalities if np.any(h.coeffs)]
 
-    E, e = _equality_system(problem.equalities, L)
+    R = ShiftRows(scaled(equalities)).dense(L)
+    E, e = R[:, 1:], -R[:, 0]
+    del R  # E is a view: the rows die when E is rebound after the SVD
     rank = 0
     u = np.zeros(N)
-    if E.shape[0] and not N:
-        # a row 0 = e with e != 0 (zero rows were dropped): no moment can meet it
+    if not N and np.any(e):
+        # a row 0 = e with e != 0: no moment can meet it
         return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
-    if E.shape[0]:
+    if E.shape[0] and N:
         # one thin SVD gives orthonormal rows for the independent equalities
         # and the least-squares start u = E^T e
         U, sv, Vt = np.linalg.svd(E, full_matrices=False)
@@ -258,35 +242,30 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
         return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0, rank=rank)
 
-    core = _ipm(c_raw, blocks, E, e, u, opts, _moment_face(problem) if rank else None)
+    face = _moment_face(problem.n, problem.d, equalities) if rank else None
+    core = _ipm(c_raw, blocks, E, e, u, opts, face)
     return finish(core.u, core.status, core.iterations, core.trace,
                   core.gap, core.pres, core.dres, core.rel_gap, N, rank,
                   sum(b.side == 1 for b in blocks))
 
 
-def _moment_face(problem: RelaxationProblem) -> np.ndarray | None:
+def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
     """Orthonormal basis (s, s') of the face of the moment block M_d(y) that
-    the equalities leave: for h = 0 of half degree v and |gamma| <= d - 2v,
-    the coefficients of h x^gamma over Lambda(d) satisfy
-    M_d(y) (h x^gamma) = ((h . y)_{alpha + gamma})_alpha = 0 at every y that
-    meets the rows.  On that kernel the block has no interior, and the
-    scaling V blows up along exactly the directions the rows fix; solving
-    the block in the complement keeps them out of the Schur matrix.  None
-    when there is no such kernel."""
-    n, d = problem.n, problem.d
+    the equalities' blocks (d - v >= v) leave: for h = 0 of half degree v
+    and |gamma| <= d - 2v, the coefficients of h x^gamma over Lambda(d)
+    satisfy M_d(y) (h x^gamma) = ((h . y)_{alpha + gamma})_alpha = 0 at every
+    y that meets the rows.  On that kernel the block has no interior, and
+    the scaling V blows up along exactly the directions the rows fix;
+    solving the block in the complement keeps them out of the Schur matrix.
+    Lambda is graded, so h x^gamma is row gamma of the block, among its
+    first |Lambda(d - 2v)| rows, and lies within Lambda(d).  None when there
+    is no such kernel."""
     side = len(lambda_set(n, d))
-    kernel = []
-    for eq in problem.equalities:
-        if d < 2 * eq.v or not eq.h.terms:
-            continue
-        deltas = np.array(list(eq.h.terms), dtype=np.int64).reshape(-1, n)
-        pos = grlex_position(lambda_set(n, d - 2 * eq.v).exponents[:, None, :] + deltas[None])
-        K = np.zeros((len(pos), side))
-        K[np.arange(len(pos))[:, None], pos] = np.array(list(eq.h.terms.values()))
-        kernel.append(K)
+    kernel = [(h.shift[: len(lambda_set(n, d - 2 * h.v))], h.coeffs)
+              for h in equalities if d >= 2 * h.v]
     if not kernel:
         return None
-    _, sv, Vt = np.linalg.svd(np.vstack(kernel))
+    _, sv, Vt = np.linalg.svd(ShiftRows(kernel).dense(side))
     rank = int(np.sum(sv > max(side, len(sv)) * np.finfo(float).eps * sv[0]))
     return np.ascontiguousarray(Vt[rank:].T) if rank else None
 
@@ -304,26 +283,15 @@ class _CoreResult:
     rows: tuple = ()  # slack s and dual z of the linear rows at the last iterate
 
 
-def _linear_rows(blocks: list, L: int) -> np.ndarray:
-    """The blocks of side 1 as rows (k, L) over the full moment vector y:
-    row j is the one entry of block j, row base[0, 0] of its shifted
-    sequence, scaled by the block's largest coefficient as _Stack scales a
-    stack.  Column 0 (y_0 = 1) holds the constants b, the rest A, of the
-    inequalities A u + b >= 0."""
-    rows = np.zeros((len(blocks), L))
-    for row, blk in zip(rows, blocks):
-        np.add.at(row, blk.shift[blk.base[0, 0]], blk.coeffs / np.max(np.abs(blk.coeffs)))
-    return rows
-
-
 def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
          u: np.ndarray, opts: SolverOptions, face: np.ndarray | None = None) -> _CoreResult:
     """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
     from u (which satisfies E u = e); the moment block is solved in the
     basis `face` (see _moment_face) when one is given.
 
-    Blocks of side 1 are the k linear rows A u + b >= 0 (_linear_rows),
-    with slack s and dual z as vectors: each 1 x 1 formula of a stack is
+    Blocks of side 1 are the k linear rows A u + b >= 0, their one row each
+    (ShiftRows) with the constants b in column 0 (y_0 = 1), and with slack
+    s and dual z as vectors: each 1 x 1 formula of a stack is
     then elementwise, and with k = 0 none of it runs.  The other blocks
     of equal side and base table form one stack, so that every per-block
     factorization, decomposition and product is one batched call per
@@ -334,7 +302,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     s_obj = float(np.max(np.abs(c_raw))) if np.any(c_raw) else 1.0
     c = c_raw / s_obj
     stacks = stack_blocks([blk for blk in blocks if blk.side > 1], N + 1, face)
-    rows = _linear_rows([blk for blk in blocks if blk.side == 1], N + 1)
+    rows = ShiftRows(scaled(blk for blk in blocks if blk.side == 1)).dense(N + 1)
     A, b = rows[:, 1:], rows[:, 0]
     k = len(b)
     schur = TableSchur(stacks, N + 1)

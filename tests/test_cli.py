@@ -178,6 +178,15 @@ class TestPopSolve:
                      "--feas-tol", "1e-9", "--rank-eps", "1e-5"])
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value, name", [("--rank-eps", "inf", "rank_eps"),
+                                                   ("--feas-tol", "0", "feas_tol")])
+    def test_invalid_tolerance_rejected(self, tmp_path, capsys, flag, value, name):
+        path = tmp_path / "p.pop"
+        path.write_text("var x\nmin x^2\nge x\nge 1 - x\nball 2\n")
+        assert main(["pop-solve", str(path), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and "Traceback" not in err
+
     def test_huge_order_refused_before_assembly(self, tmp_path, capsys, monkeypatch):
         import strata_opt.hierarchy as hierarchy
 
@@ -285,6 +294,25 @@ class TestDistanceCommand:
                      "--c", "1"])
         assert code == 1
         assert "does not dominate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_ball_constant_rejected(self, capsys, c):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the row scaling
+            code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo", "--c", c])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ball constant must be finite and positive, got c={c}\n"
+
+    @pytest.mark.parametrize("flag, value, name", [("--rank-eps", "2", "rank_eps"),
+                                                   ("--gap-tol", "nan", "gap_tol")])
+    def test_invalid_tolerance_rejected(self, capsys, flag, value, name):
+        code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and "Traceback" not in err
 
     def test_pa_scale_input_certifies(self, tmp_path, capsys):
         # stiffness given in Pa instead of GPa: coordinate normalization

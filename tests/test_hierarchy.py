@@ -39,6 +39,16 @@ class TestBallConstraint:
         with pytest.raises(ValueError):
             add_ball_constraint(f, [], -1.0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_c(self, c):
+        import warnings
+
+        f = _sum_sq(1, [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ball constant must be finite and positive"):
+                add_ball_constraint(f, [], c)
+
     def test_accepts_strictly_feasible_reference(self):
         f = _sum_sq(1, [0.0])
         out = add_ball_constraint(f, [], 4.1, x_ref=[2.0])
@@ -139,6 +149,13 @@ class TestExtraction:
         assert len(pts) == 1
         np.testing.assert_allclose(pts[0], [1.0, 2.0], atol=1e-7)
         assert w[0] == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_target_rank_below_one_fails(self, s):
+        # the rank test counts no singular value when rank_eps >= 1
+        y = MomentVector.from_dirac(np.array([1.0, 2.0]), 2)
+        with pytest.raises(ExtractionFailure, match="target rank"):
+            extract_minimizers(y, 2, s)
 
 
 class TestRunHierarchy:
@@ -244,6 +261,20 @@ class TestRunHierarchy:
         cons = add_ball_constraint(f, [], 4.0)
         with pytest.raises(ValueError):
             run_hierarchy(f, cons, HierarchyOptions(d_max=1, coordinate_scale=0.0))
+
+    @pytest.mark.parametrize("options, name", [
+        ({"rank_eps": 0.0}, "rank_eps"), ({"rank_eps": 1.0}, "rank_eps"),
+        ({"rank_eps": 2.0}, "rank_eps"), ({"rank_eps": float("nan")}, "rank_eps"),
+        ({"solver": SolverOptions(gap_tol=0.0)}, "gap_tol"),
+        ({"solver": SolverOptions(gap_tol=float("inf"))}, "gap_tol"),
+        ({"solver": SolverOptions(feas_tol=-1e-8)}, "feas_tol"),
+        ({"solver": SolverOptions(feas_tol=float("nan"))}, "feas_tol"),
+    ])
+    def test_invalid_tolerances_rejected(self, options, name):
+        f = _sum_sq(1, [0.0])
+        cons = add_ball_constraint(f, [], 4.0)
+        with pytest.raises(ValueError, match=name):
+            run_hierarchy(f, cons, HierarchyOptions(d_max=1, **options))
 
 
 def test_projected_atom_certifies_rotated_scaled_input():

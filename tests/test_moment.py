@@ -135,7 +135,7 @@ class TestAssemble:
         sides = [b.side for b in rel.blocks]
         # moment 28 and ball 7; ten cubic equalities of one row each (v = 2)
         assert sides == [28, 7]
-        assert [eq.positions.shape[0] for eq in rel.equalities] == [1] * 10
+        assert [eq.shift.shape[0] for eq in rel.equalities] == [1] * 10
         assert rel.v_max == 2
         assert rel.num_moments == len(lambda_set(6, 4)) == 210
 
@@ -149,7 +149,7 @@ class TestAssemble:
         sides = [b.side for b in rel.blocks]
         assert sides[0] == len(lambda_set(9, 1)) == 10
         assert sides[1:] == [1]  # the ball; 5 equalities of one row each
-        assert [eq.positions.shape[0] for eq in rel.equalities] == [1] * 5
+        assert [eq.shift.shape[0] for eq in rel.equalities] == [1] * 5
         assert rel.num_moments == 55
 
     def test_assembly_matches_localizing_matrices(self, rng):
@@ -168,11 +168,11 @@ class TestAssemble:
             rel.blocks[1].evaluate(y.values), localizing_matrix(g1, y, d - 1), atol=1e-12
         )
         # the equality's rows are the distinct entries of its localizing matrix
-        rows = rel.equalities[0].evaluate(y.values)
+        eq = rel.equalities[0]
+        rows = y.values[eq.shift] @ eq.coeffs
         np.testing.assert_allclose(rows, shift_vector(g2, y), atol=1e-12)
-        np.testing.assert_allclose(
-            rows[_sum_positions(n, d - 1)], localizing_matrix(g2, y, d - 1), atol=1e-12
-        )
+        np.testing.assert_array_equal(eq.base, _sum_positions(n, d - 1))
+        np.testing.assert_allclose(eq.evaluate(y.values), localizing_matrix(g2, y, d - 1), atol=1e-12)
 
     def test_objective_consistency(self, rng):
         f = Polynomial(2, {(0, 0): 3.0, (1, 1): -2.0, (2, 0): 1.0})

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import strata_opt._schur as schur_module
-from strata_opt._schur import TableSchur, stack_blocks
+from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver
-from strata_opt.sdp import SolverOptions, _ipm, _linear_rows, _max_step, _nt_scaling, solve_sdp
+from strata_opt.sdp import SolverOptions, _ipm, _max_step, _nt_scaling, solve_sdp
 
 
 def _lmi_problem(objective, blocks):
@@ -475,7 +475,7 @@ def test_stacks_evaluate_like_their_blocks_with_adjoint_transpose(E0):
     for rel in rels:
         L = rel.num_moments
         y = rng.normal(size=L)
-        face = _moment_face(rel)
+        face = _moment_face(rel.n, rel.d, rel.equalities)
         for F in (None, face) if face is not None else (None,):
             stacks = stack_blocks(list(rel.blocks), L, F)
             if F is None:
@@ -549,7 +549,7 @@ def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
     for rel, k in zip(rels, (1, 6)):
         rows = [b for b in rel.blocks if b.side == 1]
         L = rel.num_moments
-        full = _linear_rows(rows, L)
+        full = ShiftRows(scaled(rows)).dense(L)
         assert full.shape == (k, L)
         A, b = full[:, 1:], full[:, 0]
         y = rng.normal(size=L)
@@ -617,7 +617,7 @@ def test_moment_face_is_the_kernel_the_rows_force():
     x, y = Polynomial.variables(2)
     h = x * x + y * y - 1.0
     rel = assemble_relaxation(x * y, [(h, EQ)], 2)
-    Q = _moment_face(rel)
+    Q = _moment_face(rel.n, rel.d, rel.equalities)
     assert Q.shape == (6, 5)  # one kernel vector, h itself, over Lambda(2)
     np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-14)
     atoms = MomentVector.from_atoms([[0.6, 0.8], [-1.0, 0.0]], [0.3, 0.7], 2)
@@ -625,7 +625,7 @@ def test_moment_face_is_the_kernel_the_rows_force():
     h_vec = np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # 1, x, y, x^2, xy, y^2
     np.testing.assert_allclose(M @ h_vec, 0.0, atol=1e-14)
     np.testing.assert_allclose(Q.T @ h_vec, 0.0, atol=1e-14)
-    assert _moment_face(assemble_relaxation(x * y, [(h, EQ)], 1)) is None  # d < 2v
+    assert _moment_face(2, 1, assemble_relaxation(x * y, [(h, EQ)], 1).equalities) is None  # d < 2v
 
 
 def test_rotated_elasticity_order_two_stays_optimal():
@@ -654,8 +654,10 @@ def test_rotated_elasticity_order_two_stays_optimal():
 
 def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
     """On the a0 order-3 solve, each factorization of the Schur matrix (and
-    of K = E M^{-1} E^T) happens with no earlier factor of it alive, and no
-    output of the equality rows' SVD is alive when the IPM starts."""
+    of K = E M^{-1} E^T) happens with no earlier factor of it alive, and
+    neither the equalities' dense row matrix (E is a view into it until the
+    SVD's rows replace it) nor any output of their SVD is alive when the IPM
+    starts."""
     import weakref
 
     import strata_opt._linalg as linalg
@@ -671,24 +673,32 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         factors.setdefault(mat.shape, []).append(weakref.ref(L))
         return L
 
-    svd_outputs, alive_at_ipm = [], []
-    real_svd, real_ipm = np.linalg.svd, sdp._ipm
+    svd_outputs, dense_rows, alive_at_ipm = [], [], []
+    real_svd, real_ipm, real_dense = np.linalg.svd, sdp._ipm, schur_module.ShiftRows.dense
 
     def svd(*args, **kwargs):
         out = real_svd(*args, **kwargs)
         svd_outputs.extend(weakref.ref(x) for x in out)
         return out
 
+    def dense(self, L):
+        out = real_dense(self, L)
+        if not alive_at_ipm:  # made at set-up; the views E and e keep out.base alive
+            dense_rows.append(weakref.ref(out.base if out.base is not None else out))
+        return out
+
     def ipm(*args, **kwargs):
-        alive_at_ipm.append(sum(ref() is not None for ref in svd_outputs))
+        alive_at_ipm.append((sum(ref() is not None for ref in svd_outputs),
+                             sum(ref() is not None for ref in dense_rows)))
         return real_ipm(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "chol_regularized", chol)
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(schur_module.ShiftRows, "dense", dense)
     monkeypatch.setattr(sdp, "_ipm", ipm)
     sol = solve_sdp(_lift_relaxation(a0, 3)[0])
     assert sol.status == "optimal" and sol.equality_rows > 0
-    assert svd_outputs and alive_at_ipm == [0]
+    assert svd_outputs and dense_rows and alive_at_ipm == [(0, 0)]
     N, m = sol.schur_dim, sol.equality_rows
     schur = [alive for shape, alive in alive_at_factorization if shape == (N, N)]
     k_factors = [alive for shape, alive in alive_at_factorization if shape == (m, m)]
@@ -728,18 +738,32 @@ def test_relaxation_without_a_block(objective, status, value):
         assert sol.objective == value
 
 
+def _on_row(objective, shift, coeffs):
+    """The problem whose only block is 0 >= 0, with the one equality row
+    sum_t coeffs[t] y[shift[t]] = 0."""
+    rel = _lmi_problem(objective, [([[0]], [[1]], [0.0])])
+    row = LMIBlock("h", Polynomial.constant(1, 1.0), 0, np.array([[0]]), np.array([shift]),
+                   np.array(coeffs, dtype=float))
+    return RelaxationProblem(n=1, d=1, d0=1, objective=rel.objective, blocks=rel.blocks,
+                             equalities=(row,))
+
+
 @pytest.mark.parametrize("objective, status", [([0.0, 1.0, 0.0], "optimal"),
                                                ([0.0, 0.0, 1.0], "unbounded_suspected")])
 def test_relaxation_without_a_block_on_equality_rows(objective, status):
     """With the row y1 = 1/2 the feasible set is a line: y1 is constant on
     it (optimal, 1/2) and y2 is not."""
-    from strata_opt.moment import EqualityRows
-
-    rel = _lmi_problem(objective, [([[0]], [[1]], [0.0])])
-    row = EqualityRows("h", Polynomial.constant(1, 1.0), 0, np.array([[0, 1]]), np.array([-0.5, 1.0]))
-    sol = solve_sdp(RelaxationProblem(n=1, d=1, d0=1, objective=rel.objective, blocks=rel.blocks,
-                                      equalities=(row,)))
+    sol = solve_sdp(_on_row(objective, [0, 1], [-0.5, 1.0]))
     assert sol.status == status and sol.equality_rows == 1
     np.testing.assert_allclose(sol.y.values[:2], [1.0, 0.5], atol=1e-15)
     if status == "optimal":
         assert sol.objective == pytest.approx(0.5, abs=1e-15)
+
+
+def test_equality_row_naming_a_moment_twice_adds_its_terms():
+    """-0.5 y0 + 0.25 y1 + 0.75 y1 = 0 is the row y1 = 1/2: the terms that
+    name the same moment add up."""
+    sol = solve_sdp(_on_row([0.0, 1.0, 0.0], [0, 1, 1], [-0.5, 0.25, 0.75]))
+    assert sol.status == "optimal" and sol.equality_rows == 1
+    np.testing.assert_allclose(sol.y.values[:2], [1.0, 0.5], atol=1e-15)
+    assert sol.objective == pytest.approx(0.5, abs=1e-15)
