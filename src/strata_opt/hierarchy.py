@@ -29,7 +29,7 @@ from .moment import (
     minimal_order,
     moment_matrix,
 )
-from .poly import Polynomial, lambda_set
+from .poly import Polynomial, lambda_set, monomials, term_arrays
 from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
@@ -53,6 +53,17 @@ class ExtractionFailure(RuntimeError):
 # share of the available memory one relaxation may take; the CLI's process
 # pool divides it among its workers
 MEMORY_FRACTION = 0.5
+# pivot threshold of the atom extraction and the relative constraint
+# violation up to which an extracted atom counts as feasible
+EXTRACTION_TOL = 1e-6
+FEAS_REPORT_TOL = 1e-6
+# relative singular-value cutoff of the projection's least-squares step.  On
+# a stratum the equalities are dependent (cubic-piezo: 5 equations, a rank-3
+# Jacobian on the variety), and near it the extra singular values are
+# rounding noise, 1e-15 of the largest, just above lstsq's default cutoff
+# eps * max(m, n): dividing by them moved an atom along its orbit by 0.64 at
+# |x| ~ 300 and changed f by up to 4 times the acceptance tolerance
+PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 
 class RelaxationTooLarge(MemoryError):
@@ -73,8 +84,6 @@ class RelaxationTooLarge(MemoryError):
 class HierarchyOptions:
     d_max: int = 4
     rank_eps: float = 1e-6          # relative singular-value threshold
-    extraction_tol: float = 1e-6
-    feas_report_tol: float = 1e-6   # a-posteriori constraint check on atoms
     seed: int = 0                   # base seed for the extraction combination
     solver: SolverOptions = field(default_factory=SolverOptions)
     # Exact change of coordinates x = r * x~ applied before assembly: bounds
@@ -339,42 +348,20 @@ def _check_memory(n: int, d: int, constraints, budget: float) -> None:
         raise RelaxationTooLarge(d, needed, int(budget))
 
 
-def _compile(polys, n: int):
-    """Exponents X and coefficients C with polys[i](x) = C[i] @ prod(x ** X, axis=1)
-    for polynomials in n variables."""
-    monos = sorted({alpha for p in polys for alpha in p.terms})
-    column = {alpha: j for j, alpha in enumerate(monos)}
-    C = np.zeros((len(polys), len(monos)))
-    for i, p in enumerate(polys):
-        for alpha, c in p.terms.items():
-            C[i, column[alpha]] = c
-    return np.array(monos, dtype=float).reshape(-1, n), C
-
-
 def _project(x: np.ndarray, h, jacobian, steps: int = 3) -> np.ndarray:
     """At most `steps` Gauss-Newton steps towards {h = 0}: each the
     minimum-norm least-squares step on the Jacobian of the equalities,
     until their values are rounding errors of their terms.  h and jacobian
-    are _compile'd equalities and their gradients."""
+    are the term_arrays of the equalities and of their gradients."""
     X, C = h
     for _ in range(steps):
-        mono = np.prod(x ** X, axis=1)
+        mono = monomials(X, x[None])[0]
         value = C @ mono
         if np.all(np.abs(value) <= 4.0 * np.finfo(float).eps * (np.abs(C) @ np.abs(mono))):
             break
-        J = (jacobian[1] @ np.prod(x ** jacobian[0], axis=1)).reshape(len(C), -1)
-        x = x - np.linalg.lstsq(J, value, rcond=None)[0]
+        J = (jacobian[1] @ monomials(jacobian[0], x[None])[0]).reshape(len(C), -1)
+        x = x - np.linalg.lstsq(J, value, rcond=PROJECTION_RCOND)[0]
     return x
-
-
-def _violations(compiled, is_eq: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Violation of each compiled constraint at x, relative to the magnitude
-    1 + sum |c_alpha x^alpha| of the constraint's own terms."""
-    X, C = compiled
-    mono = np.prod(x ** X, axis=1)
-    val = C @ mono
-    raw = np.where(is_eq, np.abs(val), np.maximum(0.0, -val))
-    return raw / (1.0 + np.abs(C) @ np.abs(mono))
 
 
 def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None = None) -> HierarchyResult:
@@ -466,21 +453,26 @@ def _attempt_extraction(f, constraints, sol, d, s, opts, rec, r=1.0):
     back by r, projected onto the equalities {h = 0} (_project) and
     validated against the original objective and constraints.
     """
-    compiled = _compile([g for g, _ in constraints], f.n)
+    X, C = term_arrays([g for g, _ in constraints], f.n)
     is_eq = np.array([kind == EQ for _, kind in constraints], dtype=bool)
     equalities = [g for g, kind in constraints if kind == EQ]
     if equalities:
-        h = (compiled[0], compiled[1][is_eq])
-        jacobian = _compile([dg for g in equalities for dg in g.gradient()], f.n)
+        h = (X, C[is_eq])
+        jacobian = term_arrays([dg for g in equalities for dg in g.gradient()], f.n)
 
     def violation(x):
-        return float(np.max(_violations(compiled, is_eq, x), initial=0.0))
+        """The largest violation of a constraint at x, relative to the
+        magnitude 1 + sum |c_alpha x^alpha| of the constraint's own terms."""
+        mono = monomials(X, x[None])[0]
+        val = C @ mono
+        raw = np.where(is_eq, np.abs(val), np.maximum(0.0, -val))
+        return float(np.max(raw / (1.0 + np.abs(C) @ np.abs(mono)), initial=0.0))
     for attempt in range(4):  # initial draw + 3 reseeds
         seed = opts.seed + attempt
         rec.extraction_seeds.append(seed)
         try:
             points, _weights = extract_minimizers(
-                sol.y, d, s, tol=opts.extraction_tol, rng=np.random.default_rng(seed)
+                sol.y, d, s, tol=EXTRACTION_TOL, rng=np.random.default_rng(seed)
             )
         except ExtractionFailure as exc:
             rec.extraction_status = f"failed: {exc}"
@@ -498,7 +490,7 @@ def _attempt_extraction(f, constraints, sol, d, s, opts, rec, r=1.0):
             fgap = abs(f.evaluate(x) - sol.objective)
             max_viol = max(max_viol, viol)
             max_fgap = max(max_fgap, fgap)
-            if viol <= opts.feas_report_tol and fgap <= f_tol:
+            if viol <= FEAS_REPORT_TOL and fgap <= f_tol:
                 good.append(x)
         rec.max_constraint_violation = max_viol
         rec.max_objective_mismatch = max_fgap

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import IndexSet, Polynomial, grlex_position, lambda_set
+from .poly import IndexSet, Polynomial, grlex_position, lambda_set, monomials, term_arrays
 
 __all__ = [
     "MomentVector",
@@ -82,10 +82,6 @@ class MomentVector:
     def index_set(self) -> IndexSet:
         return lambda_set(self.n, 2 * self.d)
 
-    @property
-    def y0(self) -> float:
-        return float(self.values[0])
-
     def __getitem__(self, alpha) -> float:
         return float(self.values[self.index_set.position[tuple(alpha)]])
 
@@ -98,15 +94,8 @@ class MomentVector:
     def from_atoms(cls, points, weights, d: int) -> "MomentVector":
         """Moments of the atomic measure sum_j w_j * delta_{x_j}."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.asarray(weights, dtype=float)
         n = pts.shape[1]
-        exps = lambda_set(n, 2 * d).exponents
-        # x^alpha for all alpha, one variable at a time: the broadcast
-        # (atoms, len(exps), n) array of powers raised the peak RSS
-        powers = np.ones((len(pts), len(exps)))
-        for j in range(n):
-            powers *= pts[:, j, None] ** exps[:, j]
-        vals = w @ powers
+        vals = np.asarray(weights, dtype=float) @ monomials(lambda_set(n, 2 * d).exponents, pts)
         return cls(n=n, d=d, values=vals)
 
 
@@ -197,18 +186,15 @@ class RelaxationProblem:
     def v_max(self) -> int:
         return max((c.v for c in self.blocks[1:] + self.equalities), default=0)
 
-    def objective_value(self, values: np.ndarray) -> float:
-        return float(self.objective @ values)
-
 
 def _block_for(g: Polynomial, label: str, d: int) -> LMIBlock:
     """The order-d block M_k(g . y), k = d - v: shift[p, t] is the position in
     Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t, coeffs g's."""
     n, v = g.n, constraint_half_degree(g)
-    deltas = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
+    deltas, coeffs = term_arrays([g], n)
     shift = grlex_position(lambda_set(n, 2 * (d - v)).exponents[:, None, :] + deltas[None, :, :])
     return LMIBlock(label=label, g=g, v=v, base=_sum_positions(n, d - v), shift=shift,
-                    coeffs=np.array(list(g.terms.values()), dtype=float))
+                    coeffs=coeffs[0])
 
 
 def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem:
@@ -228,10 +214,9 @@ def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem
     if d < d0:
         raise ValueError(f"relaxation order d={d} below minimal order d0={d0}")
 
-    idx2d = lambda_set(n, 2 * d)
-    objective = np.zeros(len(idx2d))
-    for alpha, coeff in f.sorted_terms():
-        objective[idx2d.position[alpha]] = coeff
+    X, C = term_arrays([f], n)
+    objective = np.zeros(len(lambda_set(n, 2 * d)))
+    objective[grlex_position(X)] = C[0]
 
     blocks = [_block_for(Polynomial.constant(n, 1.0), "moment", d)]
     equalities = []

@@ -23,6 +23,8 @@ __all__ = [
     "grlex_key",
     "grlex_position",
     "lambda_set",
+    "monomials",
+    "term_arrays",
 ]
 
 
@@ -101,6 +103,34 @@ def grlex_position(alphas) -> np.ndarray:
     for i in range(n - 1):
         pos = pos + C[tail[..., i + 1] + n - i - 2, n - i - 1]
     return pos
+
+
+def term_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The array form of polynomials in n variables: exponents X (T, n) of
+    every monomial that occurs in any of them, in graded-lex order, and
+    coefficients C (len(polys), T), so that polys[i] = sum_t C[i, t] x^X[t].
+    Both are read-only."""
+    # descending (-degree, alpha) is grlex_key's order without its tuples
+    monos = sorted({alpha for p in polys for alpha in p.terms}, key=lambda a: (-sum(a), a),
+                   reverse=True)
+    column = {alpha: t for t, alpha in enumerate(monos)}
+    C = np.zeros((len(polys), len(monos)))
+    for i, p in enumerate(polys):
+        for alpha, c in p.terms.items():
+            C[i, column[alpha]] = c
+    X = np.array(monos, dtype=np.int64).reshape(-1, n)
+    X.flags.writeable = C.flags.writeable = False
+    return X, C
+
+
+def monomials(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The (m, T) values x^X[t] at each row x of points (m, n).  They are
+    built one variable at a time: the broadcast (m, T, n) array of powers
+    raised the peak memory."""
+    out = np.ones((len(points), len(X)))
+    for j in range(X.shape[1]):
+        out *= points[:, j, None] ** X[:, j]
+    return out
 
 
 class Polynomial:
@@ -259,36 +289,15 @@ class Polynomial:
         return hash((self.n, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
-
-    def evaluate(self, x) -> float:
-        """Evaluate at a point; term accumulation follows graded-lex order."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        total = 0.0
-        for alpha, c in self.sorted_terms():
-            m = c
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    m *= xi**ai
-            total += m
-        return total
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (m, n) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise ValueError(f"points have shape {pts.shape}, expected (m, {self.n})")
-        out = np.zeros(pts.shape[0])
-        for alpha, c in self.sorted_terms():
-            mono = np.full(pts.shape[0], c)
-            for i, ai in enumerate(alpha):
-                if ai:
-                    mono *= pts[:, i] ** ai
-            out += mono
-        return out
+    def evaluate(self, x):
+        """p at a point (n,), a float, or at each row of points (m, n), an
+        array.  A point's value is bitwise its row's value in a batch."""
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
+            raise ValueError(f"points have shape {pts.shape}, expected ({self.n},) or (m, {self.n})")
+        X, C = term_arrays([self], self.n)
+        values = np.sum(monomials(X, pts.reshape(-1, self.n)) * C[0], axis=1)
+        return float(values[0]) if pts.ndim == 1 else values
 
     def __repr__(self) -> str:
         if not self.terms:

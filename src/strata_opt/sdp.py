@@ -94,6 +94,8 @@ OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_FAILURE = "numerical_failure"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
+# share of the step to the boundary of the cone that an iteration takes
+STEP_FRAC = 0.98
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,6 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_frac: float = 0.98
     objective_floor: float = -1e12  # scaled-objective divergence guard
 
 
@@ -280,7 +281,6 @@ class _CoreResult:
     pres: float
     dres: float
     rel_gap: float = float("nan")
-    rows: tuple = ()  # slack s and dual z of the linear rows at the last iterate
 
 
 def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
@@ -441,11 +441,11 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
             for g in sides:
                 dv = dvecs[g]
                 steps = _max_step(np.concatenate((dv, dv)), np.concatenate((dShat[g], dZhat[g])))
-                ap = min(ap, opts.step_frac * float(steps[: len(dv)].min()))
-                ad = min(ad, opts.step_frac * float(steps[len(dv) :].min()))
+                ap = min(ap, STEP_FRAC * float(steps[: len(dv)].min()))
+                ad = min(ad, STEP_FRAC * float(steps[len(dv) :].min()))
             if k:
-                ap = min(ap, opts.step_frac * _ratio_step(dv_lin, lin[2]))
-                ad = min(ad, opts.step_frac * _ratio_step(dv_lin, lin[3]))
+                ap = min(ap, STEP_FRAC * _ratio_step(dv_lin, lin[2]))
+                ad = min(ad, STEP_FRAC * _ratio_step(dv_lin, lin[3]))
             return ap, ad
 
         # predictor (affine scaling: drive S Z -> 0)
@@ -484,8 +484,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         iters = it + 1
 
     if status == OPTIMAL or best is None:
-        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap,
-                           (s, z))
+        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap)
     # on failure report the best iterate seen, not the diverged last one
     _, u_b, gap_b, pres_b, dres_b, rg_b = best
-    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b, (s, z))
+    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b)

@@ -282,7 +282,7 @@ def test_criterion_5_hierarchy_monotonicity():
         pts = rng.uniform(-2.0, 2.0, size=(3 * 10**5, n))
         pts = pts[np.sum(pts**2, axis=1) <= 4.0][: 10**5]
         assert len(pts) == 10**5
-        best = float(np.min(f.evaluate_many(pts)))
+        best = float(np.min(f.evaluate(pts)))
         for b in bounds:
             assert b <= best + 10.0 * gap
         checked += 1

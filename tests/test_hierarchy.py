@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strata_opt.hierarchy import (
+    FEAS_REPORT_TOL,
     ExtractionFailure,
     HierarchyOptions,
     add_ball_constraint,
@@ -203,7 +204,7 @@ class TestRunHierarchy:
         # brute-force feasible samples dominate every certified bound
         pts = rng.uniform(-2, 2, size=(20000, 2))
         pts = pts[np.sum(pts**2, axis=1) <= 4.0]
-        best = float(np.min(f.evaluate_many(pts)))
+        best = float(np.min(f.evaluate(pts)))
         for b in bounds:
             assert b <= best + 1e-6 * (1 + abs(best))
 
@@ -279,7 +280,7 @@ class TestRunHierarchy:
 
 def test_projected_atom_certifies_rotated_scaled_input():
     """cr0.225 scaled by 159.675 in one rotation: its extracted atom missed
-    the equalities by more than feas_report_tol (status 0) until atoms were
+    the equalities by more than FEAS_REPORT_TOL (status 0) until atoms were
     projected onto {h = 0} before validation."""
     from strata_opt.mech import PiezoTensor, build_distance_problem_piezo
     from strata_opt.moment import minimal_order
@@ -300,10 +301,36 @@ def test_projected_atom_certifies_rotated_scaled_input():
                                                          coordinate_scale=problem.natural_scale))
     assert res.status_xi == 1
     last = res.diagnostics[-1]
-    assert last.max_constraint_violation <= HierarchyOptions().feas_report_tol
+    assert last.max_constraint_violation <= FEAS_REPORT_TOL
     assert last.max_violation_before_projection >= last.max_constraint_violation
     # the pinned sweep distance, scaled: 1.868767 within the sweep tolerance 5e-5
     assert problem.total_distance(res.bound) == pytest.approx(1.868767 * scale, abs=5e-5 * scale)
+
+
+def test_projection_step_ignores_rounding_noise():
+    """cr0.10 in one rotation, at order 1: near the stratum the Jacobian of
+    its 5 equalities has rank 3, and its other singular values are rounding
+    noise.  A least-squares step that divided by them moved the atom along
+    its orbit, and f then missed the bound by 3.8 times the acceptance
+    tolerance (status 0)."""
+    from conftest import random_rotation
+    from test_invariance_e2e import _rotate_piezo
+
+    from strata_opt.datasets import DATASETS
+    from strata_opt.mech import PiezoTensor, build_distance_problem_piezo
+
+    tensor = PiezoTensor(voigt=np.array(DATASETS["cr0.10"].voigt))
+    problem = build_distance_problem_piezo(
+        _rotate_piezo(tensor, random_rotation(np.random.default_rng(25))))
+    f = problem.objective
+    zero = np.zeros(problem.n)
+    constraints = add_ball_constraint(f, problem.constraints, 1.5 * f.evaluate(zero), zero)
+    res = run_hierarchy(f, constraints, HierarchyOptions(d_max=1,
+                                                         coordinate_scale=problem.natural_scale))
+    assert res.status_xi == 1
+    last = res.diagnostics[-1]
+    f_tol = max(1e-4 * (1.0 + abs(last.objective)), 10.0 * last.duality_gap)
+    assert last.max_objective_mismatch <= 0.05 * f_tol
 
 
 def test_unconstrained_problem_extracts_without_projection():

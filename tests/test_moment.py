@@ -179,7 +179,7 @@ class TestAssemble:
         rel = assemble_relaxation(f, [], 2)
         y = MomentVector(n=2, d=2, values=rng.normal(size=rel.num_moments))
         manual = sum(c * y[a] for a, c in f.terms.items())
-        assert rel.objective_value(y.values) == pytest.approx(manual, rel=1e-13)
+        assert rel.objective @ y.values == pytest.approx(manual, rel=1e-13)
 
     def test_nesting_prefix_blocks(self):
         f = Polynomial.monomial((2,), 1.0)

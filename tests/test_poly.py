@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata_opt.moment import MomentVector, assemble_relaxation
 from strata_opt.poly import (
     Polynomial,
     grlex_key,
@@ -106,13 +107,6 @@ class TestPolynomialBasics:
         with pytest.raises(ValueError):
             p.evaluate([1.0, 2.0, 3.0])
 
-    def test_evaluate_many_matches_scalar(self, rng):
-        p = _random_poly(rng, 2, 4)
-        pts = rng.uniform(-1, 1, size=(50, 2))
-        vec = p.evaluate_many(pts)
-        for i in range(50):
-            assert vec[i] == pytest.approx(p.evaluate(pts[i]), rel=1e-12, abs=1e-12)
-
     def test_power(self):
         x = Polynomial.variable(0, 2)
         y = Polynomial.variable(1, 2)
@@ -193,6 +187,47 @@ def polynomials(draw, n=2, max_deg=3):
         )
     )
     return Polynomial(n, dict(zip(members, coeffs)))
+
+
+@st.composite
+def polynomials_and_points(draw):
+    """A polynomial in 1 to 4 variables of degree at most 4, with some
+    coefficients zero, and 1 to 6 points in [-2, 2]^n."""
+    n = draw(st.integers(1, 4))
+    members = lambda_set(n, draw(st.integers(0, 4))).members
+    coeff = st.one_of(st.just(0.0), st.floats(min_value=-8, max_value=8, allow_nan=False))
+    p = Polynomial(n, dict(zip(members, draw(st.lists(coeff, min_size=len(members),
+                                                     max_size=len(members))))))
+    m = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False),
+                           min_size=m * n, max_size=m * n))
+    return p, np.array(coords).reshape(m, n)
+
+
+@given(polynomials_and_points())
+@settings(max_examples=80, deadline=None)
+def test_evaluation_kernel(case):
+    """A batch of points is bitwise its rows evaluated one at a time; a
+    value is <f, y> for the assembled objective f and the Dirac moments y
+    of the point, and the term-by-term sum, up to rounding of the terms'
+    magnitude |p|(|x|); other shapes are refused."""
+    p, P = case
+    batch = p.evaluate(P)
+    assert batch.shape == (len(P),)
+    np.testing.assert_array_equal(batch, [p.evaluate(x) for x in P])
+    d = max(1, math.ceil(p.degree / 2))
+    objective = assemble_relaxation(p, [], d).objective
+    magnitude = Polynomial(p.n, {a: abs(c) for a, c in p.terms.items()})
+    for x in P:
+        value = p.evaluate(x)
+        assert isinstance(value, float)
+        scale = 1e-12 * max(1.0, magnitude.evaluate(np.abs(x)))
+        assert abs(value - objective @ MomentVector.from_dirac(x, d).values) <= scale
+        terms = sum(c * math.prod(xi**a for xi, a in zip(x, alpha)) for alpha, c in p.terms.items())
+        assert abs(value - terms) <= scale
+    for shape in ((p.n + 1,), (len(P), p.n, 1)):
+        with pytest.raises(ValueError):
+            p.evaluate(np.zeros(shape))
 
 
 @given(polynomials(), polynomials())

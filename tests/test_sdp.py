@@ -6,7 +6,7 @@ from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver
-from strata_opt.sdp import SolverOptions, _ipm, _max_step, _nt_scaling, solve_sdp
+from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
 
 
 def _lmi_problem(objective, blocks):
@@ -60,20 +60,23 @@ class TestAnalyticInstances:
     def test_psd_block_and_linear_row(self, c, optimum, dual):
         """The row y1 + c >= 0, scaled to (y1 + c) / max(1, c), is active at
         c = 1/2 with dual 1 (the objective's y1 coefficient) and inactive at
-        c = 2 with dual 0 and slack 1/2."""
+        c = 2 with dual 0 and slack 1/2.  The slack is the row at the optimum
+        and the dual minus the slope of the optimum in c (the envelope
+        theorem), times the row's scale: the optimum max(-1, -c) is linear
+        in c on [c - 1/4, c + 1/4]."""
         prob = _mixed_problem(c)
         sol = solve_sdp(prob)
         assert sol.status == "optimal" and sol.linear_rows == 1
         assert sol.objective == pytest.approx(optimum, abs=1e-7)
-        core = _ipm(prob.objective[1:], list(prob.blocks), np.zeros((0, 2)), np.zeros(0),
-                    np.zeros(2), SolverOptions())
-        assert core.status == "optimal"
-        s, z = core.rows
-        assert s.shape == z.shape == (1,)
-        assert s[0] > 0.0 and z[0] > 0.0
-        assert z[0] == pytest.approx(dual, abs=1e-6)
-        assert s[0] == pytest.approx((optimum + c) / max(1.0, c), abs=1e-6)
-        assert s[0] * z[0] <= SolverOptions().gap_tol  # complementary at the optimum
+        scale = max(1.0, c)
+        slack = float(prob.blocks[1].evaluate(sol.y.values)[0, 0]) / scale
+        below, above = (solve_sdp(_mixed_problem(c + h)) for h in (-0.25, 0.25))
+        assert below.status == above.status == "optimal"
+        row_dual = -(above.objective - below.objective) / 0.5 * scale
+        assert slack >= -1e-8 and row_dual >= -1e-6
+        assert row_dual == pytest.approx(dual, abs=1e-6)
+        assert slack == pytest.approx((optimum + c) / scale, abs=1e-6)
+        assert slack * row_dual <= SolverOptions().gap_tol  # complementary at the optimum
 
     def test_feasibility_at_optimum(self):
         prob = _correlation_problem()
