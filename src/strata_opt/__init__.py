@@ -2,11 +2,11 @@
 distances from constitutive tensors to closed isotropy strata.
 
 The package layers as follows: ``poly`` (sparse polynomials, graded index
-sets) feeds ``moment`` (moment/localizing matrices, LMI assembly), solved by
-``sdp`` (dense primal-dual interior point) and driven by ``hierarchy``
-(relaxation loop, rank certification, atom extraction).  ``mech`` holds the
-constitutive-tensor algebra and reduces stratum distances to small
-polynomial problems; ``datasets``, ``popfile``, ``reports`` and ``cli``
+sets as exponent arrays) feeds ``moment`` (moment/localizing matrices, LMI
+assembly), solved by ``sdp`` (dense primal-dual interior point) and driven
+by ``hierarchy`` (relaxation loop, rank certification, atom extraction).
+``mech`` holds the constitutive-tensor algebra and reduces stratum distances
+to small polynomial problems; ``datasets``, ``popfile``, ``reports`` and ``cli``
 provide the data and user-facing plumbing.
 
 Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
@@ -42,11 +42,7 @@ from .moment import (  # noqa: E402
     moment_matrix,
     shift_vector,
 )
-from .poly import (  # noqa: E402
-    IndexSet,
-    Polynomial,
-    lambda_set,
-)
+from .poly import Polynomial, lambda_set  # noqa: E402
 from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "GE",
     "HierarchyOptions",
     "HierarchyResult",
-    "IndexSet",
     "MomentVector",
     "Polynomial",
     "RelaxationProblem",

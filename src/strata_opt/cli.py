@@ -33,7 +33,7 @@ from .mech import (
     harmonic_decompose_ela,
     piezo_harmonic_part,
 )
-from .reports import Report, diagnostics_to_plain
+from .reports import Report, diagnostics_to_plain, environment
 from .sdp import SolverOptions
 
 STRATA = {"O2": "sym2", "cubic-ela": "elasticity", "cubic-piezo": "piezo"}
@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _fmt(x: float | None) -> str:
+    return "n/a" if x is None else f"{x:.6f}"
 
 
 def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
@@ -56,8 +56,16 @@ def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
 
 def _tensor(kind: str, voigt):
     """The tensor of the given kind from its Voigt (or 3x3) matrix;
-    asymmetry is an error, not silently averaged away."""
-    voigt = np.array(voigt, dtype=float)
+    asymmetry is an error, not silently averaged away, and so is an entry
+    that is not finite."""
+    try:
+        voigt = np.array(voigt, dtype=float)
+    except TypeError as exc:  # e.g. a JSON object
+        raise ValueError(f"voigt must be a matrix of numbers ({exc})") from None
+    bad = np.argwhere(~np.isfinite(voigt)) if voigt.ndim else ()
+    if len(bad):
+        raise ValueError("tensor entries must be finite, got "
+                         + ", ".join(f"{voigt[tuple(i)]} at {tuple(i.tolist())}" for i in bad))
     if kind == "sym2":
         return Sym2Tensor.from_matrix(voigt)
     if kind == "elasticity":
@@ -71,6 +79,9 @@ def _load_input(path: str):
     """Read a tensor file {kind, units, voigt}."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object {{kind, units, voigt}}, "
+                         f"got {type(data).__name__}")
     kind = data.get("kind")
     return kind, _tensor(kind, data.get("voigt")), data.get("units", "")
 
@@ -195,6 +206,7 @@ def _distance_single(job) -> Report:
         minimizers_voigt=minimizers_voigt,
         residuals=residuals,
         seconds=seconds,
+        environment=environment(),
     )
     return report
 
@@ -419,6 +431,7 @@ def cmd_pop_solve(args) -> int:
             minimizers_voigt=[list(map(float, x)) for x in result.minimizers],
             residuals={},
             seconds=seconds,
+            environment=environment(),
         )
         report.write(args.json)
 

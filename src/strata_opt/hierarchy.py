@@ -29,7 +29,7 @@ from .moment import (
     minimal_order,
     moment_matrix,
 )
-from .poly import Polynomial, lambda_set, monomials, term_arrays
+from .poly import Polynomial, grlex_position, lambda_set, monomials, term_arrays
 from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
@@ -216,21 +216,14 @@ def extract_minimizers(
     V = vecs[:, order] * np.sqrt(lam_top)
 
     pivots = _echelon_basis(V, tol)
-    idx_d = lambda_set(n, d)
-    basis_monos = [idx_d.members[p] for p in pivots]
-    if any(sum(b) >= d for b in basis_monos):
+    basis = lambda_set(n, d)[pivots]
+    if np.any(basis.sum(axis=1) >= d):
         raise ExtractionFailure("pivot monomial of top degree; cannot shift basis")
 
     # U expresses every monomial row in terms of the basis rows on the variety
     U = np.linalg.solve(V[pivots, :].T, V.T).T
-
-    mult = []
-    for k in range(n):
-        rows = []
-        for b in basis_monos:
-            shifted = tuple(b[j] + (1 if j == k else 0) for j in range(n))
-            rows.append(U[idx_d.position[shifted]])
-        mult.append(np.array(rows))
+    # mult[k][i] is the row of x_k times the i-th basis monomial
+    mult = U[grlex_position(basis + np.eye(n, dtype=np.int64)[:, None, :])]
 
     lam_mix = rng.random(n) + 0.1
     lam_mix /= lam_mix.sum()

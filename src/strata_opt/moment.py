@@ -15,6 +15,8 @@ a base table: with delta_t the exponents of g, k = d - v and
 
 for gamma in Lambda(2k), the block is M_k(g . y)[a, b] = (g . y)[base[a, b]],
 base the s x s table of M_k (base[a, b] = position of alpha_a + alpha_b).
+An index set Lambda(k) is the exponent array lambda_set(n, k) and pos is
+grlex_position, so every table is one gather over such arrays.
 A_alpha, the coefficient matrix of y_alpha, is never formed.  An equality
 h = 0 is the same block M_{d-v}(h . y), whose rows must vanish:
 (h . y)_gamma = 0 for gamma in Lambda(2(d - v)), the distinct entries of the
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import IndexSet, Polynomial, grlex_position, lambda_set, monomials, term_arrays
+from .poly import Polynomial, grlex_position, lambda_set, monomials, term_arrays
 
 __all__ = [
     "MomentVector",
@@ -70,20 +72,20 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = lambda_set(self.n, 2 * self.d)
+        size = math.comb(self.n + 2 * self.d, self.n)
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(idx),):
+        if vals.shape != (size,):
             raise ValueError(
-                f"expected {len(idx)} moments for n={self.n}, d={self.d}, got {vals.shape}"
+                f"expected {size} moments for n={self.n}, d={self.d}, got {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
 
-    @property
-    def index_set(self) -> IndexSet:
-        return lambda_set(self.n, 2 * self.d)
-
     def __getitem__(self, alpha) -> float:
-        return float(self.values[self.index_set.position[tuple(alpha)]])
+        """y_alpha; KeyError for an alpha outside Lambda(2d)."""
+        a = np.asarray(alpha)
+        if a.shape != (self.n,) or np.any((a < 0) | (a % 1 != 0)) or a.sum() > 2 * self.d:
+            raise KeyError(alpha)
+        return float(self.values[grlex_position(a)])
 
     @classmethod
     def from_dirac(cls, x, d: int) -> "MomentVector":
@@ -95,7 +97,7 @@ class MomentVector:
         """Moments of the atomic measure sum_j w_j * delta_{x_j}."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[1]
-        vals = np.asarray(weights, dtype=float) @ monomials(lambda_set(n, 2 * d).exponents, pts)
+        vals = np.asarray(weights, dtype=float) @ monomials(lambda_set(n, 2 * d), pts)
         return cls(n=n, d=d, values=vals)
 
 
@@ -107,7 +109,7 @@ def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
     v = constraint_half_degree(g)
     if v > y.d:
         raise ValueError(f"deg(g)={g.degree} too high for order d={y.d}")
-    block = _block_for(g, "", y.d)
+    block = _block_for(g, y.d)
     return y.values[block.shift] @ block.coeffs
 
 
@@ -115,7 +117,7 @@ def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
 def _sum_positions(n: int, k: int) -> np.ndarray:
     """Position table of M_k: entry (a, b) is the position of
     alpha_a + alpha_b in Lambda(2k), for alpha_a, alpha_b in Lambda(k)."""
-    rows = lambda_set(n, k).exponents
+    rows = lambda_set(n, k)
     table = grlex_position(rows[:, None, :] + rows[None, :, :])
     table.flags.writeable = False
     return table
@@ -147,8 +149,6 @@ class LMIBlock:
     running over Lambda(2k); any symmetric base with entries
     0..len(shift) - 1 is a block."""
 
-    label: str
-    g: Polynomial
     v: int
     base: np.ndarray = field(repr=False)    # (side, side) rows of shift
     shift: np.ndarray = field(repr=False)   # (rows, t) positions in Lambda(2d)
@@ -169,32 +169,26 @@ class RelaxationProblem:
 
     n: int
     d: int
-    d0: int
     objective: np.ndarray  # coefficients of f over Lambda(2d), zero padded
     blocks: tuple[LMIBlock, ...]           # PSD
     equalities: tuple[LMIBlock, ...] = ()  # rows vanish
 
     @property
-    def index_set(self) -> IndexSet:
-        return lambda_set(self.n, 2 * self.d)
-
-    @property
     def num_moments(self) -> int:
-        return len(self.index_set)
+        return math.comb(self.n + 2 * self.d, self.n)
 
     @property
     def v_max(self) -> int:
         return max((c.v for c in self.blocks[1:] + self.equalities), default=0)
 
 
-def _block_for(g: Polynomial, label: str, d: int) -> LMIBlock:
+def _block_for(g: Polynomial, d: int) -> LMIBlock:
     """The order-d block M_k(g . y), k = d - v: shift[p, t] is the position in
     Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t, coeffs g's."""
     n, v = g.n, constraint_half_degree(g)
     deltas, coeffs = term_arrays([g], n)
-    shift = grlex_position(lambda_set(n, 2 * (d - v)).exponents[:, None, :] + deltas[None, :, :])
-    return LMIBlock(label=label, g=g, v=v, base=_sum_positions(n, d - v), shift=shift,
-                    coeffs=coeffs[0])
+    shift = grlex_position(lambda_set(n, 2 * (d - v))[:, None, :] + deltas[None, :, :])
+    return LMIBlock(v=v, base=_sum_positions(n, d - v), shift=shift, coeffs=coeffs[0])
 
 
 def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem:
@@ -215,15 +209,12 @@ def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem
         raise ValueError(f"relaxation order d={d} below minimal order d0={d0}")
 
     X, C = term_arrays([f], n)
-    objective = np.zeros(len(lambda_set(n, 2 * d)))
+    objective = np.zeros(math.comb(n + 2 * d, n))
     objective[grlex_position(X)] = C[0]
 
-    blocks = [_block_for(Polynomial.constant(n, 1.0), "moment", d)]
+    blocks = [_block_for(Polynomial.constant(n, 1.0), d)]
     equalities = []
-    for i, (g, kind) in enumerate(constraints, start=1):
-        if kind == GE:
-            blocks.append(_block_for(g, f"g{i}", d))
-        else:
-            equalities.append(_block_for(g, f"h{i}", d))
-    return RelaxationProblem(n=n, d=d, d0=d0, objective=objective, blocks=tuple(blocks),
+    for g, kind in constraints:
+        (blocks if kind == GE else equalities).append(_block_for(g, d))
+    return RelaxationProblem(n=n, d=d, objective=objective, blocks=tuple(blocks),
                              equalities=tuple(equalities))

@@ -5,13 +5,16 @@ A polynomial in ``n`` variables is a finite map from exponent vectors
 kept in canonical form (no zero coefficients) and every ordered traversal
 uses graded lexicographic order, so that the monomials of degree <= k are
 always a prefix of the monomials of degree <= k+1.
+
+An index set Lambda(n, k) is the read-only (binomial(n+k, n), n) array of
+those exponent vectors (lambda_set); a vector's row in it is given in
+closed form by grlex_position, for any k at or above its degree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
@@ -19,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "Polynomial",
-    "IndexSet",
     "grlex_key",
     "grlex_position",
     "lambda_set",
@@ -33,45 +35,23 @@ def grlex_key(alpha: tuple[int, ...]) -> tuple:
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """All exponent vectors of total degree <= k on n variables, graded-lex ordered."""
-
-    n: int
-    k: int
-    members: tuple[tuple[int, ...], ...]
-    position: dict = field(repr=False, compare=False)
-    exponents: np.ndarray = field(repr=False, compare=False)  # members as an (len, n) array
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self.position
-
-
 @lru_cache(maxsize=None)
-def lambda_set(n: int, k: int) -> IndexSet:
-    """Index set of the binomial(n+k, n) exponent vectors with |alpha| <= k."""
+def lambda_set(n: int, k: int) -> np.ndarray:
+    """The binomial(n+k, n) exponent vectors with |alpha| <= k, graded-lex
+    ordered, as a read-only (binomial(n+k, n), n) int64 array."""
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if k < 0:
         raise ValueError(f"degree bound must be nonnegative, got k={k}")
-    members = []
-    for total in range(k + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            alpha = [0] * n
-            for i in combo:
-                alpha[i] += 1
-            members.append(tuple(alpha))
-    assert len(members) == math.comb(n + k, n)
-    position = {alpha: i for i, alpha in enumerate(members)}
-    exponents = np.array(members, dtype=np.int64)
+    # the multisets of t variables in lexicographic order are the monomials of
+    # degree t in graded-lex order; a row counts each variable in its multiset
+    combos = (np.array(list(itertools.combinations_with_replacement(range(n), t)))
+              for t in range(k + 1))
+    exponents = np.concatenate([(c[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.int64)
+                                for c in combos])
+    assert exponents.shape == (math.comb(n + k, n), n)
     exponents.flags.writeable = False
-    return IndexSet(n=n, k=k, members=tuple(members), position=position, exponents=exponents)
+    return exponents
 
 
 @lru_cache(maxsize=None)
@@ -88,21 +68,18 @@ def _binomials(size: int) -> np.ndarray:
 def grlex_position(alphas) -> np.ndarray:
     """Positions of exponent vectors (the last axis) in graded-lex order.
 
-    Equal to ``lambda_set(n, k).position[alpha]`` for any k >= |alpha|, since
-    the sets are prefixes of one another: the binomial(n + t - 1, n)
-    monomials of degree below t = |alpha| come first, then those of degree t
-    that are larger in lexicographic order, one hockey-stick sum per
-    coordinate."""
+    Equal to the row of alpha in lambda_set(n, k) for any k >= |alpha|: with
+    tail_j = alpha_j + ... + alpha_{n-1}, the binomial(tail_0 + n - 1, n)
+    monomials of lower degree come first, then one hockey-stick sum
+    binomial(tail_j + n - 1 - j, n - j) per coordinate j >= 1 counts those of
+    the same degree larger in lexicographic order; one gather sums them all.
+    Only exponent vectors with nonnegative entries have a position."""
     alphas = np.asarray(alphas, dtype=np.int64)
     n = alphas.shape[-1]
-    # tail[..., i] = alpha_{i+1} + ... + alpha_{n-1}
     tail = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]
-    t = tail[..., 0]
-    C = _binomials(n + int(t.max(initial=0)) + 1)
-    pos = C[n + t - 1, n]
-    for i in range(n - 1):
-        pos = pos + C[tail[..., i + 1] + n - i - 2, n - i - 1]
-    return pos
+    C = _binomials(n + int(tail[..., 0].max(initial=0)) + 1)
+    j = np.arange(n)
+    return C[tail + (n - 1 - j), n - j].sum(axis=-1)
 
 
 def term_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:

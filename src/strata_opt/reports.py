@@ -7,11 +7,15 @@ A report stores only plain Python scalars/lists so that
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-__all__ = ["Report", "diagnostics_to_plain"]
+__all__ = ["Report", "diagnostics_to_plain", "environment"]
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _plain(obj):
@@ -27,6 +31,19 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     return obj
+
+
+def environment() -> dict:
+    """What produced a run's numbers: the Python, numpy and BLAS versions (no
+    BLAS where numpy predates show_config(mode="dicts")) and the BLAS thread
+    variables as this process sees them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "blas": blas,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
 
 def diagnostics_to_plain(diagnostics) -> list[dict]:
@@ -47,6 +64,7 @@ class Report:
     minimizers_voigt: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
     seconds: float = 0.0
+    environment: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.problem = _plain(self.problem)
@@ -57,6 +75,7 @@ class Report:
         self.minimizers_voigt = _plain(self.minimizers_voigt)
         self.residuals = _plain(self.residuals)
         self.seconds = float(self.seconds)
+        self.environment = _plain(self.environment)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(asdict(self), indent=indent, allow_nan=False)

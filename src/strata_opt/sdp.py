@@ -79,6 +79,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,6 @@ import numpy as np
 from ._linalg import chol_stack, kkt_solver
 from ._schur import CHUNK_DOUBLES, ShiftRows, TableSchur, scaled, stack_blocks
 from .moment import MomentVector, RelaxationProblem
-from .poly import lambda_set
 
 __all__ = ["SolverOptions", "SdpSolution", "solve_bytes", "solve_sdp"]
 
@@ -244,7 +244,8 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0, rank=rank)
 
     face = _moment_face(problem.n, problem.d, equalities) if rank else None
-    core = _ipm(c_raw, blocks, E, e, u, opts, face)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # overflow fails the solve
+        core = _ipm(c_raw, blocks, E, e, u, opts, face)
     return finish(core.u, core.status, core.iterations, core.trace,
                   core.gap, core.pres, core.dres, core.rel_gap, N, rank,
                   sum(b.side == 1 for b in blocks))
@@ -261,8 +262,8 @@ def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
     Lambda is graded, so h x^gamma is row gamma of the block, among its
     first |Lambda(d - 2v)| rows, and lies within Lambda(d).  None when there
     is no such kernel."""
-    side = len(lambda_set(n, d))
-    kernel = [(h.shift[: len(lambda_set(n, d - 2 * h.v))], h.coeffs)
+    side = math.comb(n + d, n)
+    kernel = [(h.shift[: math.comb(n + d - 2 * h.v, n)], h.coeffs)
               for h in equalities if d >= 2 * h.v]
     if not kernel:
         return None
@@ -437,10 +438,15 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
             return du, dlam, dS, dZ, dShat, dZhat, lin
 
         def step_lengths(dShat, dZhat, lin):
+            # (0, 0), which ends the solve, for a direction that is not finite:
+            # it shows in the moment block, which reads every moment
             ap = ad = 1.0
             for g in sides:
                 dv = dvecs[g]
-                steps = _max_step(np.concatenate((dv, dv)), np.concatenate((dShat[g], dZhat[g])))
+                delta = np.concatenate((dShat[g], dZhat[g]))
+                if not np.isfinite(delta).all():
+                    return 0.0, 0.0
+                steps = _max_step(np.concatenate((dv, dv)), delta)
                 ap = min(ap, STEP_FRAC * float(steps[: len(dv)].min()))
                 ad = min(ad, STEP_FRAC * float(steps[len(dv) :].min()))
             if k:

@@ -249,7 +249,7 @@ def test_criterion_4_concentration_sweep():
 def _random_pop(rng):
     n = int(rng.integers(1, 4))
     deg = int(rng.integers(2, 5))
-    members = lambda_set(n, deg).members
+    members = list(map(tuple, lambda_set(n, deg).tolist()))
     terms = {}
     for alpha in members:
         if rng.random() < 0.45:

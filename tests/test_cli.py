@@ -107,6 +107,41 @@ class TestInputFiles:
     def test_dataset_stratum_mismatch(self, capsys):
         assert main(["distance", "--dataset", "a0", "--stratum", "cubic-ela"]) == 1
 
+    def test_zero_tensor_has_no_relative_distance(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"kind": "piezo", "voigt": np.zeros((3, 6)).tolist()}))
+        report = tmp_path / "rep.json"
+        argv = ["distance", "--input", str(path), "--stratum", "cubic-piezo", "--json", str(report)]
+        assert main(argv) == 0
+        assert "relative distance: n/a" in capsys.readouterr().out
+        assert Report.from_json(report.read_text()).relative_distance is None
+
+    SUBCOMMANDS = [["distance", "--stratum", "cubic-piezo"], ["classify"], ["decompose"]]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS)
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2, 3]", "expected a JSON object"),
+        ('{"kind": "piezo", "voigt": {"a": 1}}', "voigt must be a matrix of numbers"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(argv + ["--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS)
+    @pytest.mark.parametrize("value, text", [(float("nan"), "nan"), (float("-inf"), "-inf")])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, argv, value, text):
+        voigt = np.arange(18.0).reshape(3, 6).tolist()
+        voigt[1][2] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "piezo", "voigt": voigt}))
+        assert main(argv + ["--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: tensor entries must be finite, got {text} at (1, 2)\n"
+
 
 class TestPopSolve:
     def test_interval_problem(self, tmp_path, capsys):
@@ -128,6 +163,7 @@ class TestPopSolve:
         assert out.count("minimizer : (") == 2
         rep = Report.from_json((tmp_path / "rep.json").read_text())
         assert rep.status_xi == 1
+        assert rep.environment["numpy"] == np.__version__
         got = sorted(v[0] for v in rep.minimizers_voigt)
         assert got[0] == pytest.approx(-1.0, abs=1e-5)
         assert got[1] == pytest.approx(1.0, abs=1e-5)
@@ -154,6 +190,22 @@ class TestPopSolve:
 
     def test_missing_file(self, capsys):
         assert main(["pop-solve", "/nonexistent.pop"]) == 1
+
+    @pytest.mark.parametrize("text", ["var x\nmin x^2 + 1\nball 1e-300\n",
+                                      "var x\nmin x^2 + 5\nball 1\n",
+                                      "var x\nmin x^2\nge -1\n"])
+    def test_infeasible_problem_fails_without_warnings(self, tmp_path, capsys, text):
+        """The IPM's iterates overflow on these infeasible problems: every
+        order ends in numerical_failure, exit 3, with no warning or error."""
+        import warnings
+
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pop-solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "error:" not in err
 
     @pytest.mark.parametrize("text, message", [
         ("var x\nmin x^2\nball 3\nball 5\n", "line 4: duplicate ball statement"),
@@ -247,6 +299,7 @@ class TestDistanceCommand:
         )
         norm_ref = np.sqrt(rep.distance**2 / rep.relative_distance**2)
         assert rep.residuals["distance_consistency"] <= 1e-4 * (1 + norm_ref)
+        assert rep.environment["numpy"] == np.__version__
 
     def test_a0_transverse_isotropy_run(self, tmp_path, capsys):
         rep_path = tmp_path / "rep.json"

@@ -341,6 +341,18 @@ def test_unconstrained_problem_extracts_without_projection():
     assert res.diagnostics[-1].max_violation_before_projection == 0.0
 
 
+def test_overflowing_solve_ends_in_numerical_failure():
+    """min x^2 + 1 over x^2 + 1 <= 1e-300 is infeasible, and the IPM's
+    iterates overflow.  Each order ends with numerical_failure (status -1),
+    not with a LinAlgError from a non-finite step nor a RuntimeWarning,
+    which the test settings turn into an error."""
+    x = Polynomial.variable(0, 1)
+    f = x * x + 1.0
+    res = run_hierarchy(f, add_ball_constraint(f, [], 1e-300), HierarchyOptions(d_max=2))
+    assert res.status_xi == -1
+    assert [d.solver_status for d in res.diagnostics] == ["numerical_failure"] * 2
+
+
 class TestMemoryBudget:
     @staticmethod
     def _cgroup(tmp_path, line, folder, files):

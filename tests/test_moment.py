@@ -21,6 +21,20 @@ def _dirac(x, d):
     return MomentVector.from_dirac(np.asarray(x, dtype=float), d)
 
 
+class TestMomentVector:
+    def test_item_is_the_moment(self):
+        y = _dirac([2.0, 3.0], 1)
+        assert y[(1, 1)] == 6.0 and y[(0, 2)] == 9.0 and y[(0, 0)] == 1.0
+
+    @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), (-1, 1), (2, -1), (2, 1), (0, 3),
+                                       (0.5, 1)])
+    def test_item_outside_lambda_2d_raises(self, alpha):
+        """Wrong length, a negative or fractional entry, or degree above 2d:
+        grlex_position alone would give (-1, 1) the position of (0, 1)."""
+        with pytest.raises(KeyError):
+            _dirac([2.0, 3.0], 1)[alpha]
+
+
 class TestShiftVector:
     def test_unit_polynomial_truncates(self, rng):
         y = MomentVector(n=2, d=2, values=rng.normal(size=len(lambda_set(2, 4))))
@@ -33,7 +47,7 @@ class TestShiftVector:
         out = shift_vector(Polynomial.variable(0, 3), y)
         # v = 1 for a linear g, so the target set is Lambda(2(d-1))
         target = lambda_set(3, 2)
-        for pos, alpha in enumerate(target.members):
+        for pos, alpha in enumerate(target.tolist()):
             assert out[pos] == pytest.approx(2.0 * y[alpha], rel=1e-14)
 
     def test_single_term_is_shifted_copy(self, rng):
@@ -41,7 +55,7 @@ class TestShiftVector:
         g = Polynomial.monomial((1, 1), 3.0)
         out = shift_vector(g, y)
         target = lambda_set(2, 2)
-        for pos, alpha in enumerate(target.members):
+        for pos, alpha in enumerate(target.tolist()):
             assert out[pos] == pytest.approx(3.0 * y[(alpha[0] + 1, alpha[1] + 1)])
 
     def test_degree_overflow_rejected(self):
@@ -56,7 +70,7 @@ class TestMomentMatrix:
         y = _dirac(x, 2)
         for k in (1, 2):
             M = moment_matrix(y, k)
-            mono = np.array([np.prod(x**np.array(a)) for a in lambda_set(3, k).members])
+            mono = np.array([np.prod(x**np.array(a)) for a in lambda_set(3, k)])
             np.testing.assert_allclose(M, np.outer(mono, mono), rtol=1e-12, atol=1e-12)
             assert np.linalg.matrix_rank(M, tol=1e-9) == 1
 
@@ -106,7 +120,7 @@ class TestLocalizingMatrix:
             g = g - diff * diff
         y = _dirac(x, 2)
         M = localizing_matrix(g, y, 1)
-        mono = np.array([np.prod(x**np.array(a)) for a in lambda_set(2, 1).members])
+        mono = np.array([np.prod(x**np.array(a)) for a in lambda_set(2, 1)])
         gval = c - np.sum((x - x0) ** 2)
         np.testing.assert_allclose(M, gval * np.outer(mono, mono), rtol=1e-12)
         assert np.linalg.eigvalsh(M)[0] >= -1e-12
@@ -216,16 +230,23 @@ class TestAssemble:
         assert minimal_order(Polynomial.variable(0, 1), [(g, GE)]) == 2
 
 
+def _positions(n, k):
+    """Reference positions in graded-lex order, independent of
+    grlex_position: the row of each exponent vector in lambda_set(n, k)."""
+    return {alpha: i for i, alpha in enumerate(map(tuple, lambda_set(n, k).tolist()))}
+
+
 def _block_by_entries(g, d, idx2d):
-    """Reference assembly: the coefficient array filled one entry at a time."""
-    rows = lambda_set(g.n, d - constraint_half_degree(g))
+    """Reference assembly: the coefficient array filled one entry at a time;
+    idx2d maps the exponent vectors of Lambda(2d) to their positions."""
+    rows = lambda_set(g.n, d - constraint_half_degree(g)).tolist()
     side = len(rows)
     A = np.zeros((len(idx2d), side, side))
-    for a, alpha in enumerate(rows.members):
+    for a, alpha in enumerate(rows):
         for b in range(a, side):
-            base = tuple(x + z for x, z in zip(alpha, rows.members[b]))
+            base = tuple(x + z for x, z in zip(alpha, rows[b]))
             for delta, coeff in g.sorted_terms():
-                pos = idx2d.position[tuple(x + z for x, z in zip(base, delta))]
+                pos = idx2d[tuple(x + z for x, z in zip(base, delta))]
                 A[pos, a, b] += coeff
                 if b != a:
                     A[pos, b, a] += coeff
@@ -235,7 +256,7 @@ def _block_by_entries(g, d, idx2d):
 def _cancelling_poly(rng, n, deg):
     """A random polynomial of exact degree deg, built by arithmetic in which
     repeated monomials add up and some terms cancel exactly."""
-    members = lambda_set(n, deg).members
+    members = list(map(tuple, lambda_set(n, deg).tolist()))
     top = [a for a in members if sum(a) == deg]
     p = Polynomial.monomial(top[rng.integers(len(top))], float(rng.normal()) + 3.0)
     for _ in range(2 * len(members)):
@@ -251,11 +272,11 @@ class TestVectorizedAssembly:
                                          (2, 4, 3), (3, 3, 2), (4, 2, 2), (6, 1, 2)])
     def test_block_equals_entrywise_loop_bitwise(self, n, deg, d):
         rng = np.random.default_rng([n, deg, d])
-        idx2d = lambda_set(n, 2 * d)
+        idx2d = _positions(n, 2 * d)
         for _ in range(3):
             g = _cancelling_poly(rng, n, deg)
             assert g.degree == deg
-            blk = _block_for(g, "g", d)
+            blk = _block_for(g, d)
             ref = _block_by_entries(g, d, idx2d)
             # each (moment, row, col) entry of the table carries one coefficient
             A = np.zeros(ref.shape)
@@ -269,15 +290,17 @@ class TestVectorizedAssembly:
 
     def test_zero_constraint_gives_zero_block(self):
         x = Polynomial.variable(0, 2)
-        blk = _block_for(x - x, "g", 1)
+        blk = _block_for(x - x, 1)
         assert blk.side == 3 and not np.any(blk.coeffs)
         assert not np.any(blk.evaluate(np.ones(len(lambda_set(2, 2)))))
 
     @pytest.mark.parametrize("n,d", [(1, 3), (3, 2), (6, 2)])
     def test_moment_matrix_equals_entrywise_lookup(self, rng, n, d):
         y = MomentVector(n=n, d=d, values=rng.normal(size=len(lambda_set(n, 2 * d))))
+        position = _positions(n, 2 * d)
         for k in range(d + 1):
-            rows = lambda_set(n, k).members
-            ref = np.array([[y[tuple(x + z for x, z in zip(a, b))] for b in rows] for a in rows])
+            rows = lambda_set(n, k).tolist()
+            ref = np.array([[y.values[position[tuple(x + z for x, z in zip(a, b))]] for b in rows]
+                            for a in rows])
             assert moment_matrix(y, k).tobytes() == ref.tobytes()
 

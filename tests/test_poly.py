@@ -16,9 +16,7 @@ from strata_opt.poly import (
 
 class TestLambdaSet:
     def test_univariate(self):
-        idx = lambda_set(1, 1)
-        assert idx.members == ((0,), (1,))
-        assert len(idx) == 2
+        assert lambda_set(1, 1).tolist() == [[0], [1]]
 
     def test_cardinalities(self):
         assert len(lambda_set(2, 2)) == 6
@@ -28,30 +26,55 @@ class TestLambdaSet:
 
     def test_zero_vector_first(self):
         for n in (1, 3, 6):
-            assert lambda_set(n, 3).members[0] == (0,) * n
-            assert lambda_set(n, 3).position[(0,) * n] == 0
+            assert lambda_set(n, 3)[0].tolist() == [0] * n
+            assert grlex_position((0,) * n) == 0
 
     def test_graded_lex_order(self):
-        idx = lambda_set(3, 4)
-        keys = [grlex_key(a) for a in idx.members]
+        members = list(map(tuple, lambda_set(3, 4).tolist()))
+        keys = [grlex_key(a) for a in members]
         assert keys == sorted(keys)
-        assert len(set(idx.members)) == len(idx)
-        assert all(sum(a) <= 4 for a in idx.members)
+        assert len(set(members)) == len(members)
+        assert all(sum(a) <= 4 for a in members)
 
     def test_prefix_nesting(self):
         for k in range(4):
-            small = lambda_set(4, k).members
-            big = lambda_set(4, k + 1).members
-            assert big[: len(small)] == small
+            small = lambda_set(4, k)
+            big = lambda_set(4, k + 1)
+            np.testing.assert_array_equal(big[: len(small)], small)
 
     def test_grlex_position_matches_index_sets(self):
         for n in range(1, 7):
             for k in range(6):
                 idx = lambda_set(n, k)
-                np.testing.assert_array_equal(grlex_position(idx.exponents), np.arange(len(idx)))
-                # a set is a prefix of every larger one
-                big = lambda_set(n, k + 2)
-                assert [big.position[a] for a in idx.members] == list(range(len(idx)))
+                np.testing.assert_array_equal(grlex_position(idx), np.arange(len(idx)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grlex_position_on_callers_shapes(self, n):
+        """Against the enumeration order of lambda_set, on the shapes the
+        callers pass: one vector (n,), a moment table (s, s, n), a block's
+        shifted rows (rows, t, n) and the extraction's shifted basis (n, s, n)."""
+        rng = np.random.default_rng(n)
+        ref = {alpha: i for i, alpha in enumerate(map(tuple, lambda_set(n, 6).tolist()))}
+
+        def expected(alphas):
+            return np.array([ref[tuple(a)] for a in alphas.reshape(-1, n).tolist()]
+                            ).reshape(alphas.shape[:-1])
+
+        rows = lambda_set(n, 2)
+        deltas = rows[rng.choice(len(rows), size=min(4, len(rows)), replace=False)]
+        basis = rows[rng.choice(len(rows), size=min(5, len(rows)), replace=False)]
+        for alphas in (rows[-1], rows[:, None, :] + rows[None, :, :],
+                       lambda_set(n, 4)[:, None, :] + deltas[None, :, :],
+                       basis + np.eye(n, dtype=np.int64)[:, None, :]):
+            got = grlex_position(alphas)
+            assert got.shape == alphas.shape[:-1]
+            np.testing.assert_array_equal(got, expected(alphas))
+
+    def test_arrays_are_read_only(self):
+        idx = lambda_set(3, 2)
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -169,9 +192,8 @@ class TestArithmeticResults:
 
 
 def _random_poly(rng, n, deg):
-    idx = lambda_set(n, deg)
     terms = {}
-    for alpha in idx.members:
+    for alpha in map(tuple, lambda_set(n, deg).tolist()):
         if rng.random() < 0.4:
             terms[alpha] = float(rng.normal())
     return Polynomial(n, terms)
@@ -179,7 +201,7 @@ def _random_poly(rng, n, deg):
 
 @st.composite
 def polynomials(draw, n=2, max_deg=3):
-    members = lambda_set(n, max_deg).members
+    members = list(map(tuple, lambda_set(n, max_deg).tolist()))
     coeffs = draw(
         st.lists(
             st.floats(min_value=-8, max_value=8, allow_nan=False),
@@ -194,7 +216,7 @@ def polynomials_and_points(draw):
     """A polynomial in 1 to 4 variables of degree at most 4, with some
     coefficients zero, and 1 to 6 points in [-2, 2]^n."""
     n = draw(st.integers(1, 4))
-    members = lambda_set(n, draw(st.integers(0, 4))).members
+    members = list(map(tuple, lambda_set(n, draw(st.integers(0, 4))).tolist()))
     coeff = st.one_of(st.just(0.0), st.floats(min_value=-8, max_value=8, allow_nan=False))
     p = Polynomial(n, dict(zip(members, draw(st.lists(coeff, min_size=len(members),
                                                      max_size=len(members))))))

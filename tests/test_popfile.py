@@ -55,7 +55,7 @@ class TestPolynomialText:
 
 @st.composite
 def small_polys(draw):
-    members = lambda_set(2, 3).members
+    members = list(map(tuple, lambda_set(2, 3).tolist()))
     coeffs = draw(st.lists(
         st.one_of(st.just(0.0), st.integers(-9, 9).map(float),
                   st.floats(-4, 4, allow_nan=False)),
@@ -161,7 +161,7 @@ def _long_sum(num_terms, seed=0):
     partial sums are exact, so that some of them cancel to zero.  Returns the
     text and the terms as (sign, coefficient, exponent)."""
     rng = np.random.default_rng(seed)
-    members = lambda_set(2, 80).members[: max(1, num_terms // 2)]
+    members = list(map(tuple, lambda_set(2, 80).tolist()))[: max(1, num_terms // 2)]
     terms = []
     while len(terms) < num_terms:
         alpha = members[rng.integers(len(members))]

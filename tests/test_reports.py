@@ -3,7 +3,7 @@ import numpy as np
 from strata_opt.hierarchy import HierarchyOptions, run_hierarchy
 from strata_opt.moment import EQ, GE
 from strata_opt.poly import Polynomial
-from strata_opt.reports import Report, diagnostics_to_plain
+from strata_opt.reports import THREAD_VARS, Report, diagnostics_to_plain, environment
 
 
 def _sample_report():
@@ -21,6 +21,10 @@ def _sample_report():
         minimizers_voigt=[np.arange(4.0).reshape(2, 2)],
         residuals={"max_constraint_violation": 1e-9},
         seconds=0.93,
+        environment={"python": "3.11.7", "numpy": "2.4.6",
+                     "blas": {"name": "scipy-openblas", "version": "0.3.31"},
+                     "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                 "MKL_NUM_THREADS": "1"}},
     )
 
 
@@ -59,6 +63,20 @@ class TestJsonRoundTrip:
         assert set(again.diagnostics[-1]["seconds"]) == {"assemble", "solve", "rank", "extract"}
         assert all(v >= 0.0 for v in again.diagnostics[-1]["seconds"].values())
         assert again.diagnostics[-1]["max_violation_before_projection"] >= 0.0
+
+    def test_environment_round_trip(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = environment()
+        rep = Report(problem={}, environment=env)
+        again = Report.from_json(rep.to_json())
+        assert again == rep and again.environment == env
+        assert env["numpy"] == np.__version__
+        assert env["python"].count(".") == 2
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == set(THREAD_VARS)
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
 
     def test_write_and_read(self, tmp_path):
         rep = _sample_report()

@@ -13,10 +13,9 @@ def _lmi_problem(objective, blocks):
     """Hand-built LMI problem over Lambda(1, 2) = {1, y1, y2}: blocks lists
     (base, shift, coeffs) of each block, whose entry (a, b) is
     sum_t coeffs[t] y[shift[base[a, b], t]]."""
-    built = tuple(LMIBlock(f"b{i}", Polynomial.constant(1, 1.0), 0, np.array(B), np.array(shift),
-                           np.array(coeffs, dtype=float))
-                  for i, (B, shift, coeffs) in enumerate(blocks))
-    return RelaxationProblem(n=1, d=1, d0=1, objective=np.asarray(objective, float), blocks=built)
+    built = tuple(LMIBlock(0, np.array(B), np.array(shift), np.array(coeffs, dtype=float))
+                  for B, shift, coeffs in blocks)
+    return RelaxationProblem(n=1, d=1, objective=np.asarray(objective, float), blocks=built)
 
 
 def _dense(block, L):
@@ -115,7 +114,7 @@ class TestContracts:
         prob = _correlation_problem()
         ref = solve_sdp(prob)
         scaled = RelaxationProblem(
-            n=prob.n, d=prob.d, d0=prob.d0,
+            n=prob.n, d=prob.d,
             objective=7.5 * prob.objective, blocks=prob.blocks,
         )
         sol = solve_sdp(scaled)
@@ -390,8 +389,7 @@ def _hand_built_blocks(sides, k, N):
             shift[rng.integers(Nb), 0] = 0  # y_0 among the moments
             r = rng.integers(Nb)
             shift[r, 2] = shift[r, 1]  # one moment twice in a base entry
-            blocks.append(LMIBlock("b", Polynomial.constant(1, 1.0), 0, B, shift,
-                                   rng.normal(size=3)))
+            blocks.append(LMIBlock(0, B, shift, rng.normal(size=3)))
     return blocks
 
 
@@ -745,9 +743,8 @@ def _on_row(objective, shift, coeffs):
     """The problem whose only block is 0 >= 0, with the one equality row
     sum_t coeffs[t] y[shift[t]] = 0."""
     rel = _lmi_problem(objective, [([[0]], [[1]], [0.0])])
-    row = LMIBlock("h", Polynomial.constant(1, 1.0), 0, np.array([[0]]), np.array([shift]),
-                   np.array(coeffs, dtype=float))
-    return RelaxationProblem(n=1, d=1, d0=1, objective=rel.objective, blocks=rel.blocks,
+    row = LMIBlock(0, np.array([[0]]), np.array([shift]), np.array(coeffs, dtype=float))
+    return RelaxationProblem(n=1, d=1, objective=rel.objective, blocks=rel.blocks,
                              equalities=(row,))
 
 
