@@ -18,7 +18,8 @@ before numpy, as the command line does, and ``--jobs`` workers inherit it.
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -43,13 +43,15 @@ def lambda_set(n: int, k: int) -> np.ndarray:
         raise ValueError(f"need at least one variable, got n={n}")
     if k < 0:
         raise ValueError(f"degree bound must be nonnegative, got k={k}")
-    # the multisets of t variables in lexicographic order are the monomials of
-    # degree t in graded-lex order; a row counts each variable in its multiset
-    combos = (np.array(list(itertools.combinations_with_replacement(range(n), t)))
-              for t in range(k + 1))
-    exponents = np.concatenate([(c[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.int64)
-                                for c in combos])
-    assert exponents.shape == (math.comb(n + k, n), n)
+    rows = []
+    for total in range(k + 1):
+        for combo in itertools.combinations_with_replacement(range(n), total):
+            alpha = [0] * n
+            for i in combo:
+                alpha[i] += 1
+            rows.append(alpha)
+    assert len(rows) == math.comb(n + k, n)
+    exponents = np.array(rows, dtype=np.int64)
     exponents.flags.writeable = False
     return exponents
 

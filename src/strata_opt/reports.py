@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-__all__ = ["Report", "diagnostics_to_plain", "environment"]
+from . import THREAD_VARS
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+__all__ = ["Report", "diagnostics_to_plain", "environment"]
 
 
 def _plain(obj):

@@ -46,17 +46,17 @@ class TestShiftVector:
         y = _dirac(x, 2)
         out = shift_vector(Polynomial.variable(0, 3), y)
         # v = 1 for a linear g, so the target set is Lambda(2(d-1))
-        target = lambda_set(3, 2)
-        for pos, alpha in enumerate(target.tolist()):
-            assert out[pos] == pytest.approx(2.0 * y[alpha], rel=1e-14)
+        position = _positions(3, 4)
+        for pos, alpha in enumerate(map(tuple, lambda_set(3, 2).tolist())):
+            assert out[pos] == pytest.approx(2.0 * y.values[position[alpha]], rel=1e-14)
 
     def test_single_term_is_shifted_copy(self, rng):
         y = MomentVector(n=2, d=2, values=rng.normal(size=len(lambda_set(2, 4))))
         g = Polynomial.monomial((1, 1), 3.0)
         out = shift_vector(g, y)
-        target = lambda_set(2, 2)
-        for pos, alpha in enumerate(target.tolist()):
-            assert out[pos] == pytest.approx(3.0 * y[(alpha[0] + 1, alpha[1] + 1)])
+        position = _positions(2, 4)
+        for pos, (a0, a1) in enumerate(lambda_set(2, 2).tolist()):
+            assert out[pos] == pytest.approx(3.0 * y.values[position[(a0 + 1, a1 + 1)]])
 
     def test_degree_overflow_rejected(self):
         y = _dirac([1.0], 1)
@@ -192,7 +192,8 @@ class TestAssemble:
         f = Polynomial(2, {(0, 0): 3.0, (1, 1): -2.0, (2, 0): 1.0})
         rel = assemble_relaxation(f, [], 2)
         y = MomentVector(n=2, d=2, values=rng.normal(size=rel.num_moments))
-        manual = sum(c * y[a] for a, c in f.terms.items())
+        position = _positions(2, 4)
+        manual = sum(c * y.values[position[a]] for a, c in f.terms.items())
         assert rel.objective @ y.values == pytest.approx(manual, rel=1e-13)
 
     def test_nesting_prefix_blocks(self):
