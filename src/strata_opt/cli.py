@@ -30,6 +30,7 @@ from .mech import (
     classify_sym2,
     d2prime_ela,
     d2prime_piezo,
+    deviatoric_coordinates,
     harmonic_decompose_ela,
     piezo_harmonic_part,
 )
@@ -107,8 +108,7 @@ def _normal_form_projection(kind: str, problem) -> np.ndarray:
         lam = lam.copy()
         lam[i] = lam[j] = 0.5 * (lam[i] + lam[j])
         proj = vecs @ np.diag(lam) @ vecs.T
-        m = Sym2Tensor.from_matrix(proj, tol=1e-6).mat
-        return np.array([m[0, 0], m[1, 1], m[2, 2], m[1, 2], m[0, 2], m[0, 1]])
+        return deviatoric_coordinates(Sym2Tensor.from_matrix(proj, tol=1e-6))
     # cubic normal form: a single coordinate direction, least-squares scaled
     direction = np.zeros(n)
     if kind == "elasticity":

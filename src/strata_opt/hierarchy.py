@@ -101,6 +101,8 @@ class OrderDiagnostics:
     objective: float
     duality_gap: float
     iterations: int
+    num_moments: int = 0    # moments of the relaxation, whether or not the IPM ran
+    block_sides: list = field(default_factory=list)  # sides of the assembled PSD blocks
     schur_dim: int = 0      # moments in the Newton system (SdpSolution.schur_dim)
     equality_rows: int = 0  # independent equality rows kept (SdpSolution.equality_rows)
     linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
@@ -401,6 +403,8 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             objective=sol.objective,
             duality_gap=sol.duality_gap,
             iterations=sol.iterations,
+            num_moments=problem.num_moments,
+            block_sides=[b.side for b in problem.blocks],
             schur_dim=sol.schur_dim,
             equality_rows=sol.equality_rows,
             linear_rows=sol.linear_rows,

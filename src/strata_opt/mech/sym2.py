@@ -3,7 +3,10 @@
 The closed stratum of tensors with at least transverse isotropy ([O(2)]) is
 the variety a^2 x a = 0, where x is the generalized cross product; three
 equal eigenvalues (isotropy, [SO(3)]) is a' = 0, and the generic class is
-orthotropy ([D2]).
+orthotropy ([D2]).  The covariant depends on the deviator a' alone, so the
+distance problem is posed in the 5 coordinates of a' in an orthonormal basis
+(deviatoric_coordinates); the isotropic part of the closest tensor is the
+input's.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "classify_sym2",
     "Sym2Classification",
     "build_distance_problem_sym2",
+    "deviatoric_coordinates",
 ]
 
 ISOTROPIC = "isotropic"
@@ -152,33 +156,54 @@ def classify_sym2(a: Sym2Tensor, tol: float = 1e-6) -> Sym2Classification:
     return Sym2Classification(label, float(r_iso), float(r_ti), tuple(chain))
 
 
-SYM2_VARS = ("a11", "a22", "a33", "a23", "a13", "a12")
+# Orthonormal (Frobenius) basis of the traceless symmetric matrices:
+# (e11 - e22)/sqrt2, (e11 + e22 - 2 e33)/sqrt6, then the shears 23, 13, 12
+# of (eij + eji)/sqrt2.  Coordinates in it keep the norm: |a'| = |x|.
+_R2, _R6 = np.sqrt(0.5), np.sqrt(1.0 / 6.0)
+DEVIATORIC_BASIS = np.zeros((5, 3, 3))
+DEVIATORIC_BASIS[0] = np.diag([_R2, -_R2, 0.0])
+DEVIATORIC_BASIS[1] = np.diag([_R6, _R6, -2.0 * _R6])
+for _k, (_i, _j) in enumerate(((1, 2), (0, 2), (0, 1)), start=2):
+    DEVIATORIC_BASIS[_k, _i, _j] = DEVIATORIC_BASIS[_k, _j, _i] = _R2
+DEVIATORIC_BASIS.flags.writeable = False
+DEV_VARS = ("x1", "x2", "x3", "x4", "x5")
 
 
-def _symbolic_sym2():
-    """The generic symmetric matrix over the 6 Voigt-ordered variables."""
-    x = Polynomial.variables(6)
-    a11, a22, a33, a23, a13, a12 = x
-    return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+def deviatoric_coordinates(a: Sym2Tensor) -> np.ndarray:
+    """The 5 coordinates of the deviator a' in DEVIATORIC_BASIS; the
+    isotropic part tr(a)/3 q is orthogonal to every basis matrix."""
+    return np.einsum("kij,ij->k", DEVIATORIC_BASIS, a.mat)
+
+
+def _drop_rounding(p: Polynomial) -> Polynomial:
+    """p without the coefficients below 1e-12 of its largest: the basis'
+    irrational entries leave rounding remainders (1e-17) of terms that
+    cancel exactly; the smallest true coefficient is 0.14 of the largest."""
+    big = max(abs(c) for c in p.terms.values())
+    return Polynomial(p.n, {a: c for a, c in p.terms.items() if abs(c) > 1e-12 * big})
 
 
 def build_distance_problem_sym2(a0: Sym2Tensor) -> DistanceProblem:
-    """Distance from a0 to the transversely isotropic closed stratum.
+    """Distance from a0 to the transversely isotropic closed stratum,
+    reduced to the 5 coordinates x of the deviator a'.
 
-    Minimizes |a0 - a|^2 over the 10 cubic equations (a^2 x a) = 0 in the
-    six independent components of a.
+    |a0 - a|^2 = |a0' - a'|^2 + (tr a0 - tr a)^2 / 3, and the covariant sees
+    only the deviator (a^2 x a = a'^2 x a', as a x q = 0 and a x a = 0), so
+    the isotropic part is free and takes the input's: the problem is
+    min |x - x0|^2 over the 10 cubic equations (a'^2 x a') = 0, with offset
+    0.  minimizer_voigt rebuilds the full tensor a' + tr(a0)/3 q.
     """
-    A = _symbolic_sym2()
-    f = Polynomial.zero(6)
-    for i in range(3):
-        for j in range(3):
-            diff = A[i][j] - float(a0.mat[i, j])
-            f = f + diff * diff
+    x0 = deviatoric_coordinates(a0)
+    x = Polynomial.variables(5)
+    f = sum((xk - float(ck)) * (xk - float(ck)) for xk, ck in zip(x, x0))
+    A = [[sum(xk * float(b) for xk, b in zip(x, DEVIATORIC_BASIS[:, i, j])) for j in range(3)]
+         for i in range(3)]
     cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
-    constraints = [(cross[i][j][k], EQ) for (i, j, k) in ta.SYM3_SLOTS]
+    constraints = [(_drop_rounding(cross[i][j][k]), EQ) for (i, j, k) in ta.SYM3_SLOTS]
+    iso = a0.trace() / 3.0 * np.eye(3)
 
     def minimizer_voigt(x: np.ndarray) -> np.ndarray:
-        return Sym2Tensor.from_components(*x).mat
+        return np.einsum("k,kij->ij", x, DEVIATORIC_BASIS) + iso
 
     def tensor_distance(x: np.ndarray) -> float:
         return float(np.linalg.norm(a0.mat - minimizer_voigt(x)))
@@ -188,9 +213,9 @@ def build_distance_problem_sym2(a0: Sym2Tensor) -> DistanceProblem:
         objective=f,
         constraints=constraints,
         offset=0.0,
-        var_names=SYM2_VARS,
+        var_names=DEV_VARS,
         reference_voigt=a0.mat.copy(),
         minimizer_voigt=minimizer_voigt,
         tensor_distance=tensor_distance,
-        natural_scale=float(np.max(np.abs(a0.mat))) or 1.0,
+        natural_scale=float(np.max(np.abs(x0))) or 1.0,
     )

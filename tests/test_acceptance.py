@@ -28,6 +28,7 @@ from strata_opt.mech import (
     cross_gen,
     d2prime_ela,
     d2prime_piezo,
+    deviatoric_coordinates,
     ela_norm2_split,
     harmonic_decompose_ela,
     invariants_h3,
@@ -51,7 +52,7 @@ def _report(criterion: int, message: str) -> None:
 def test_criterion_1_transverse_isotropy_sym2():
     a0 = Sym2Tensor.from_matrix(get_dataset("a0").voigt)
     prob = build_distance_problem_sym2(a0)
-    x_ref = Sym2Tensor.from_matrix(get_dataset("b").voigt).components
+    x_ref = deviatoric_coordinates(Sym2Tensor.from_matrix(get_dataset("b").voigt))
     constraints = add_ball_constraint(prob.objective, prob.constraints, 300.0, x_ref)
 
     t0 = time.perf_counter()

@@ -312,6 +312,31 @@ class TestDistanceCommand:
         assert rep.bound == pytest.approx(18.0, abs=1e-3)  # squared distance
         assert rep.distance == pytest.approx(np.sqrt(18.0), abs=1e-4)
 
+    @pytest.mark.parametrize("scale", [1e-2, 1e2])
+    def test_o2_auto_ball_constant(self, tmp_path, capsys, scale):
+        # a rotated and scaled a0 under --c auto: the reference point is the
+        # merged-eigenvalue tensor in deviator coordinates
+        from strata_opt.datasets import get_dataset
+
+        from conftest import random_rotation
+
+        g = random_rotation(np.random.default_rng(11))
+        a = scale * g @ get_dataset("a0").voigt @ g.T
+        a = 0.5 * (a + a.T)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "sym2", "voigt": a.tolist()}))
+        rep_path = tmp_path / "rep.json"
+        code = main(["distance", "--input", str(path), "--stratum", "O2",
+                     "--json", str(rep_path)])
+        assert code == 0
+        rep = Report.from_json(rep_path.read_text())
+        assert rep.bound == pytest.approx(18.0 * scale**2, abs=1e-3 * scale**2)
+        closest = np.array(rep.minimizers_voigt[0])
+        assert closest.shape == (3, 3)
+        assert np.trace(closest) == pytest.approx(np.trace(a), abs=1e-9 * scale)
+        first = rep.diagnostics[0]
+        assert (first["d"], first["num_moments"], first["block_sides"]) == (2, 126, [21, 6])
+
     def test_auto_ball_constant(self, capsys):
         code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo"])
         out = capsys.readouterr().out

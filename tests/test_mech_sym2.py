@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strata_opt.datasets import get_dataset
+from strata_opt.hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
 from strata_opt.mech import (
     Sym2Tensor,
     Sym3Tensor,
     build_distance_problem_sym2,
     classify_sym2,
     cross_gen,
+    deviatoric_coordinates,
     traceless,
 )
+from strata_opt.mech import _tensalg as ta
+from strata_opt.mech.sym2 import DEVIATORIC_BASIS
+from strata_opt.moment import EQ
+from strata_opt.poly import Polynomial
 
 
 def _sym(rng):
@@ -98,10 +107,43 @@ class TestClassification:
         assert "transversely_isotropic" in cls.chain
 
 
+def _six_variable_problem(a0):
+    """The paper's formulation: min |a0 - a|^2 over (a^2 x a) = 0 in the six
+    Voigt components (a11, a22, a33, a23, a13, a12) of a."""
+    x = Polynomial.variables(6)
+    a11, a22, a33, a23, a13, a12 = x
+    A = [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+    f = Polynomial.zero(6)
+    for i in range(3):
+        for j in range(3):
+            diff = A[i][j] - float(a0.mat[i, j])
+            f = f + diff * diff
+    cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
+    return f, [(cross[i][j][k], EQ) for (i, j, k) in ta.SYM3_SLOTS]
+
+
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_sym2 = st.lists(_entries, min_size=6, max_size=6).map(lambda c: Sym2Tensor.from_components(*c))
+
+
+class TestDeviatoricCoordinates:
+    def test_basis_is_orthonormal_and_traceless(self):
+        np.testing.assert_allclose(np.einsum("kij,lij->kl", DEVIATORIC_BASIS, DEVIATORIC_BASIS),
+                                   np.eye(5), atol=1e-15)
+        np.testing.assert_allclose(np.einsum("kii->k", DEVIATORIC_BASIS), 0.0, atol=1e-15)
+
+
 class TestDistanceProblem:
+    def test_five_variables(self, a0):
+        prob = build_distance_problem_sym2(a0)
+        assert prob.n == 5 and len(prob.var_names) == 5
+        assert prob.offset == 0.0
+        assert prob.natural_scale == pytest.approx(np.max(np.abs(deviatoric_coordinates(a0))))
+        assert build_distance_problem_sym2(Sym2Tensor(mat=3.0 * np.eye(3))).natural_scale == 1.0
+
     def test_objective_vanishes_at_input(self, a0):
         prob = build_distance_problem_sym2(a0)
-        assert prob.objective.evaluate(a0.components) == pytest.approx(0.0, abs=1e-12)
+        assert prob.objective.evaluate(deviatoric_coordinates(a0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_ten_cubic_equalities(self, a0):
         prob = build_distance_problem_sym2(a0)
@@ -112,33 +154,92 @@ class TestDistanceProblem:
         b = Sym2Tensor(mat=np.diag([1.0, 1.0, -2.0]))
         prob = build_distance_problem_sym2(b)
         for g, _ in prob.constraints:
-            assert g.evaluate(b.components) == pytest.approx(0.0, abs=1e-12)
+            assert g.evaluate(deviatoric_coordinates(b)) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=_sym2)
+    def test_constraints_are_the_covariant(self, a):
+        # a^2 x a = a'^2 x a': the cubics at the deviator's coordinates are
+        # the covariant of the full tensor
+        prob = build_distance_problem_sym2(Sym2Tensor(mat=np.eye(3)))
+        x = deviatoric_coordinates(a)
+        cross = cross_gen(Sym2Tensor(mat=a.mat @ a.mat), a).components
+        values = [g.evaluate(x) for g, _ in prob.constraints]
+        np.testing.assert_allclose(values, cross, rtol=0, atol=1e-12 * (1.0 + a.norm()) ** 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(a0=_sym2, a=_sym2)
+    def test_objective_is_squared_tensor_distance(self, a0, a):
+        prob = build_distance_problem_sym2(a0)
+        x = deviatoric_coordinates(a)
+        dist = prob.tensor_distance(x)
+        assert prob.objective.evaluate(x) == pytest.approx(dist**2, rel=1e-9, abs=1e-9)
+        assert np.trace(prob.minimizer_voigt(x)) == pytest.approx(a0.trace(), rel=1e-12, abs=1e-9)
 
     def test_closed_form_minimizer_value(self, a0):
         prob = build_distance_problem_sym2(a0)
         astar = np.array([[-44.0, 20.0, -20.0], [20.0, 31.0, 5.0], [-20.0, 5.0, 31.0]]) / 6.0
-        x = Sym2Tensor.from_matrix(astar).components
+        x = deviatoric_coordinates(Sym2Tensor.from_matrix(astar))
         assert prob.objective.evaluate(x) == pytest.approx(18.0, rel=1e-12)
         for g, _ in prob.constraints:
             assert abs(g.evaluate(x)) <= 1e-12
+        np.testing.assert_allclose(prob.minimizer_voigt(x), astar, atol=1e-14)
 
     def test_distance_helpers(self, a0):
         prob = build_distance_problem_sym2(a0)
-        x = a0.components
+        x = deviatoric_coordinates(a0)
         assert prob.tensor_distance(x) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(prob.minimizer_voigt(x), a0.mat, atol=1e-14)
 
     def test_distance_to_own_stratum_is_zero(self):
         # a transversely isotropic input certifies 0 and recovers itself
-        from strata_opt.hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
-
         b = Sym2Tensor(mat=np.diag([1.0, 1.0, -2.0]))
         prob = build_distance_problem_sym2(b)
-        cons = add_ball_constraint(prob.objective, prob.constraints, 50.0, b.components)
+        cons = add_ball_constraint(prob.objective, prob.constraints, 50.0,
+                                   deviatoric_coordinates(b))
         res = run_hierarchy(prob.objective, cons, HierarchyOptions(d_max=2))
         assert res.status_xi == 1
         assert abs(res.bound) <= 1e-5
         np.testing.assert_allclose(prob.minimizer_voigt(res.minimizers[0]), b.mat, atol=1e-3)
+
+    def test_isotropic_input_is_its_own_closest_tensor(self):
+        # a' = 0 lies on the stratum: distance 0, and the closest tensor is
+        # the input, isotropic part included
+        iso = Sym2Tensor(mat=2.0 * np.eye(3))
+        prob = build_distance_problem_sym2(iso)
+        cons = add_ball_constraint(prob.objective, prob.constraints, 1.0, np.zeros(5))
+        res = run_hierarchy(prob.objective, cons,
+                            HierarchyOptions(d_max=3, coordinate_scale=prob.natural_scale))
+        assert res.status_xi == 1
+        assert prob.total_distance(res.bound) <= 1e-4
+        np.testing.assert_allclose(prob.minimizer_voigt(res.minimizers[0]), iso.mat, atol=1e-4)
+
+
+class TestSixVariableFormulation:
+    """The deviator problem against the paper's six-variable one, both with
+    the ball centred at the reference tensor b."""
+
+    def _solve_both(self, a0, c):
+        b = Sym2Tensor.from_matrix(get_dataset("b").voigt)
+        f6, h6 = _six_variable_problem(a0)
+        six = run_hierarchy(f6, add_ball_constraint(f6, h6, c, b.components),
+                            HierarchyOptions(d_max=2))
+        prob = build_distance_problem_sym2(a0)
+        cons = add_ball_constraint(prob.objective, prob.constraints, c, deviatoric_coordinates(b))
+        five = run_hierarchy(prob.objective, cons, HierarchyOptions(d_max=2))
+        return six, five
+
+    @pytest.mark.parametrize("c", [202.0, 300.0, 450.0])
+    def test_both_certify_at_order_two(self, a0, c):
+        six, five = self._solve_both(a0, c)
+        assert (six.status_xi, six.order_reached) == (five.status_xi, five.order_reached) == (1, 2)
+        assert five.bound == pytest.approx(six.bound, rel=1e-6)
+
+    def test_both_stop_uncertified_with_the_same_bound(self, a0):
+        six, five = self._solve_both(a0, 600.0)
+        assert six.status_xi == five.status_xi == 0
+        assert six.order_reached == five.order_reached == 2
+        assert five.bound == pytest.approx(six.bound, rel=1e-6)
 
 
 class TestValidation:

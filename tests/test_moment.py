@@ -147,11 +147,13 @@ class TestAssemble:
         cons = add_ball_constraint(prob.objective, prob.constraints, 300.0)
         rel = assemble_relaxation(prob.objective, cons, 2)
         sides = [b.side for b in rel.blocks]
-        # moment 28 and ball 7; ten cubic equalities of one row each (v = 2)
-        assert sides == [28, 7]
+        # 5 deviator coordinates: moment 21 and ball 6; ten cubic equalities
+        # of one row each (v = 2)
+        assert sides == [21, 6]
         assert [eq.shift.shape[0] for eq in rel.equalities] == [1] * 10
         assert rel.v_max == 2
-        assert rel.num_moments == len(lambda_set(6, 4)) == 210
+        assert rel.num_moments == len(lambda_set(5, 4)) == 126
+        assert assemble_relaxation(prob.objective, cons, 3).num_moments == 462
 
     def test_block_sides_ela_problem(self, E0):
         from strata_opt.mech import build_distance_problem_ela

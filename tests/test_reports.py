@@ -11,6 +11,7 @@ def _sample_report():
         problem={"command": "distance", "input": "E0", "stratum": "cubic-ela",
                  "c": 58000.0, "voigt": np.eye(2)},
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
+                      "num_moments": 55, "block_sides": [10, 1],
                       "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
@@ -55,14 +56,28 @@ class TestJsonRoundTrip:
         assert again == rep
         first = again.diagnostics[0]
         assert (first["schur_dim"], first["equality_rows"], first["linear_rows"]) == (2, 1, 1)
+        # the moments 1, y1, y2; the 2x2 moment block and the 1x1 ball
+        assert (first["num_moments"], first["block_sides"]) == (3, [2, 1])
         for plain, rec in zip(again.diagnostics, res.diagnostics):
             assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
                     == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
+            assert (plain["num_moments"], plain["block_sides"]) == (rec.num_moments,
+                                                                    rec.block_sides)
             assert plain["seconds"] == rec.seconds
         # the certified order went through every phase
         assert set(again.diagnostics[-1]["seconds"]) == {"assemble", "solve", "rank", "extract"}
         assert all(v >= 0.0 for v in again.diagnostics[-1]["seconds"].values())
         assert again.diagnostics[-1]["max_violation_before_projection"] >= 0.0
+
+    def test_sizes_recorded_when_the_ipm_does_not_run(self):
+        # x = 1 and x^2 = 1 fix both moments of order 1: no free moment is
+        # left, so the IPM does not run, yet the sizes are reported
+        x = Polynomial.variable(0, 1)
+        res = run_hierarchy(x, [(x - 1.0, EQ), (x * x - 1.0, EQ)], HierarchyOptions(d_max=1))
+        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+        first = Report.from_json(rep.to_json()).diagnostics[0]
+        assert first["schur_dim"] == 0 and first["iterations"] == 0
+        assert (first["num_moments"], first["block_sides"]) == (3, [2])
 
     def test_environment_round_trip(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
