@@ -30,7 +30,6 @@ from .mech import (
     classify_sym2,
     d2prime_ela,
     d2prime_piezo,
-    deviatoric_coordinates,
     harmonic_decompose_ela,
     piezo_harmonic_part,
 )
@@ -87,46 +86,14 @@ def _load_input(path: str):
     return kind, _tensor(kind, data.get("voigt")), data.get("units", "")
 
 
-def _build_problem(kind: str, tensor):
-    if kind == "sym2":
-        return build_distance_problem_sym2(tensor)
-    if kind == "elasticity":
-        return build_distance_problem_ela(tensor)
-    return build_distance_problem_piezo(tensor)
+BUILDERS = {"sym2": build_distance_problem_sym2, "elasticity": build_distance_problem_ela,
+            "piezo": build_distance_problem_piezo}
 
 
-def _normal_form_projection(kind: str, problem) -> np.ndarray:
-    """Feasible reference point: projection of the input onto the stratum
-    normal form in the fixed frame (used by the automatic ball constant)."""
-    n = problem.n
-    if kind == "sym2":
-        a0 = problem.reference_voigt
-        lam, vecs = np.linalg.eigh(a0)
-        # merge the two closest eigenvalues -> transversely isotropic point
-        gaps = [abs(lam[0] - lam[1]), abs(lam[1] - lam[2]), abs(lam[0] - lam[2])]
-        i, j = ((0, 1), (1, 2), (0, 2))[int(np.argmin(gaps))]
-        lam = lam.copy()
-        lam[i] = lam[j] = 0.5 * (lam[i] + lam[j])
-        proj = vecs @ np.diag(lam) @ vecs.T
-        return deviatoric_coordinates(Sym2Tensor.from_matrix(proj, tol=1e-6))
-    # cubic normal form: a single coordinate direction, least-squares scaled
-    direction = np.zeros(n)
-    if kind == "elasticity":
-        direction[[0, 1, 2]] = 1.0  # L1 = L2 = L3
-    else:
-        direction[3] = 1.0  # h123
-    f = problem.objective
-    a = f.evaluate(direction) + f.evaluate(-direction) - 2.0 * f.evaluate(np.zeros(n))
-    b = 0.5 * (f.evaluate(direction) - f.evaluate(-direction))
-    if a <= 0:
-        return np.zeros(n)
-    return -(b / a) * direction
-
-
-def _resolve_ball_constant(c_arg: str, kind: str, problem):
-    f = problem.objective
-    candidates = [np.zeros(problem.n), _normal_form_projection(kind, problem)]
-    x_ref = min(candidates, key=lambda x: f.evaluate(x))
+def _resolve_ball_constant(c_arg: str, problem):
+    """The ball constant and the feasible point it must dominate: "auto"
+    takes 1.5 f(x_ref) at the problem's normal-form point x_ref."""
+    f, x_ref = problem.objective, problem.x_ref
     if c_arg != "auto":
         return float(c_arg), x_ref
     f_ref = f.evaluate(x_ref)
@@ -158,8 +125,8 @@ def _distance_single(job) -> Report:
     label, kind, voigt, c_arg, args_dict = job
     args = argparse.Namespace(**args_dict)
     tensor = _tensor(kind, voigt)
-    problem = _build_problem(kind, tensor)
-    c, x_ref = _resolve_ball_constant(c_arg, kind, problem)
+    problem = BUILDERS[kind](tensor)
+    c, x_ref = _resolve_ball_constant(c_arg, problem)
     constraints = add_ball_constraint(problem.objective, problem.constraints, c, x_ref)
     d0 = minimal_order(problem.objective, constraints)
     opts = _hierarchy_options(args, d0, coordinate_scale=problem.natural_scale)
@@ -172,7 +139,7 @@ def _distance_single(job) -> Report:
     residuals = {}
     if result.status_xi >= 0 and np.isfinite(result.bound):
         distance = problem.total_distance(result.bound)
-        norm_ref = float(np.linalg.norm(tensor.mat)) if kind == "sym2" else tensor.norm()
+        norm_ref = tensor.norm()
         relative = distance / norm_ref if norm_ref > 0 else None
     if result.minimizers:
         minimizers_voigt = [problem.minimizer_voigt(x) for x in result.minimizers]
@@ -333,6 +300,10 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"== classify: {label} ({kind}, tol = {args.tol:g})")
+    # the residuals are scale-invariant but the norms of a tensor near the
+    # largest double overflow: divide exactly by a power of two above its entries
+    m = tensor.mat if kind == "sym2" else tensor.voigt
+    tensor = type(tensor)(np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1]))
     if kind == "sym2":
         cls = classify_sym2(tensor, tol=args.tol)
         print(f"  class: {cls.label}")
@@ -343,8 +314,8 @@ def cmd_classify(args) -> int:
     elif kind == "elasticity":
         h = harmonic_decompose_ela(tensor)
         nE = tensor.norm()
-        r_d = h.dprime.norm() / nE
-        r_v = h.vprime.norm() / nE
+        r_d = h.dprime.norm() / nE if nE > 0 else 0.0
+        r_v = h.vprime.norm() / nE if nE > 0 else 0.0
         nH2 = h.h4.norm2()
         r_d2 = d2prime_ela(h.h4).norm() / nH2 if nH2 > 0 else 0.0
         cubic = r_d <= args.tol and r_v <= args.tol and r_d2 <= args.tol

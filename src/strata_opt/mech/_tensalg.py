@@ -26,6 +26,11 @@ for _I, (_i, _j) in enumerate(VOIGT_PAIRS):
     PAIR_TO_VOIGT[(_i, _j)] = _I
     PAIR_TO_VOIGT[(_j, _i)] = _I
 VOIGT_WEIGHTS = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
+# multiplicity of each entry of a 6x6 (fourth-order) and a 3x6 (third-order,
+# jk-symmetric) Voigt matrix in the full tensor's squared norm
+VOIGT4_WEIGHTS = np.outer(VOIGT_WEIGHTS, VOIGT_WEIGHTS)
+VOIGT3_WEIGHTS = np.tile(VOIGT_WEIGHTS, (3, 1))
+VOIGT4_WEIGHTS.flags.writeable = VOIGT3_WEIGHTS.flags.writeable = False
 
 # independent slots of a totally symmetric third-order tensor
 SYM3_SLOTS = (

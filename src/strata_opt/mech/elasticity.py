@@ -154,40 +154,35 @@ class ElaHarmonic:
                 raise ValueError("deviatoric components must be traceless")
 
 
+def _placements(a: Sym2Tensor, b: Sym2Tensor) -> list:
+    """a_ij b_kl, b_ij a_kl, a_ik b_jl, b_ik a_jl, a_il b_jk, b_il a_jk."""
+    return [np.einsum(spec, p, q) for spec in ("ij,kl->ijkl", "ik,jl->ijkl", "il,jk->ijkl")
+            for p, q in ((a.mat, b.mat), (b.mat, a.mat))]
+
+
 def tensor_prod_4(a: Sym2Tensor, b: Sym2Tensor) -> ElasticityTensor:
     """Totally symmetric product (a (x)_4 b) = a . b symmetrized over all slots."""
-    am, bm = a.mat, b.mat
-    T = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    T[i, j, k, l] = (
-                        am[i, j] * bm[k, l] + bm[i, j] * am[k, l]
-                        + am[i, k] * bm[j, l] + bm[i, k] * am[j, l]
-                        + am[i, l] * bm[j, k] + bm[i, l] * am[j, k]
-                    ) / 6.0
+    T = sum(_placements(a, b)) / 6.0
     return ElasticityTensor(voigt=ta.as_array(ta.voigt_from_full4(T)))
 
 
 def tensor_prod_22(a: Sym2Tensor, b: Sym2Tensor) -> ElasticityTensor:
     """(a (x)_22 b)_{ijkl} = (2 a_{ij} b_{kl} + 2 b_{ij} a_{kl}
     - a_{ik} b_{jl} - a_{il} b_{jk} - b_{ik} a_{jl} - b_{il} a_{jk}) / 6."""
-    am, bm = a.mat, b.mat
-    T = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    T[i, j, k, l] = (
-                        2 * am[i, j] * bm[k, l] + 2 * bm[i, j] * am[k, l]
-                        - am[i, k] * bm[j, l] - am[i, l] * bm[j, k]
-                        - bm[i, k] * am[j, l] - bm[i, l] * am[j, k]
-                    ) / 6.0
+    t = _placements(a, b)
+    T = (2 * t[0] + 2 * t[1] - t[2] - t[4] - t[3] - t[5]) / 6.0
     return ElasticityTensor(voigt=ta.as_array(ta.voigt_from_full4(T)))
 
 
 _Q = Sym2Tensor(mat=np.eye(3))
+
+
+@lru_cache(maxsize=1)
+def _isotropic_voigts() -> tuple:
+    """Voigt matrices of q (x)_4 q and q (x)_22 q."""
+    P4, P22 = tensor_prod_4(_Q, _Q).voigt, tensor_prod_22(_Q, _Q).voigt
+    P4.flags.writeable = P22.flags.writeable = False
+    return P4, P22
 
 
 def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
@@ -198,8 +193,8 @@ def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
     dp, vp = traceless(d), traceless(v)
     a = Sym2Tensor(mat=2.0 / 7.0 * (dp.mat + 2.0 * vp.mat))
     b = Sym2Tensor(mat=2.0 * (dp.mat - vp.mat))
-    iso = ((alpha + 2 * beta) / 15.0 * tensor_prod_4(_Q, _Q).voigt
-           + (alpha - beta) / 6.0 * tensor_prod_22(_Q, _Q).voigt)
+    P4, P22 = _isotropic_voigts()
+    iso = (alpha + 2 * beta) / 15.0 * P4 + (alpha - beta) / 6.0 * P22
     HV = E.voigt - iso - tensor_prod_4(_Q, a).voigt - tensor_prod_22(_Q, b).voigt
     scale = max(1.0, float(np.max(np.abs(E.voigt))))
     return ElaHarmonic(
@@ -212,8 +207,8 @@ def recompose_ela(h: ElaHarmonic) -> ElasticityTensor:
     """E = E_iso + q (x)_4 a + q (x)_22 b + H."""
     a = Sym2Tensor(mat=2.0 / 7.0 * (h.dprime.mat + 2.0 * h.vprime.mat))
     b = Sym2Tensor(mat=2.0 * (h.dprime.mat - h.vprime.mat))
-    V = ((h.alpha + 2 * h.beta) / 15.0 * tensor_prod_4(_Q, _Q).voigt
-         + (h.alpha - h.beta) / 6.0 * tensor_prod_22(_Q, _Q).voigt
+    P4, P22 = _isotropic_voigts()
+    V = ((h.alpha + 2 * h.beta) / 15.0 * P4 + (h.alpha - h.beta) / 6.0 * P22
          + tensor_prod_4(_Q, a).voigt + tensor_prod_22(_Q, b).voigt
          + h.h4.to_voigt())
     return ElasticityTensor(voigt=V)
@@ -238,17 +233,10 @@ def ela_norm2_split(h: ElaHarmonic) -> float:
 
 
 @lru_cache(maxsize=1)
-def _symbolic_h4():
-    """Full harmonic tensor over the nine coordinate polynomials."""
-    x = Polynomial.variables(9)
-    return ta.full4_from_voigt(ta.h4_voigt(x))
-
-
-@lru_cache(maxsize=1)
 def d2prime_ela_polynomials() -> tuple:
     """The five independent components (11, 22, 12, 13, 23) of
     d2' = dev(H : H) as quadratics in the nine harmonic coordinates."""
-    T = _symbolic_h4()
+    T = ta.full4_from_voigt(ta.h4_voigt(Polynomial.variables(9)))
     d2p = ta.deviator(ta.contract_d2_full4(T))
     return (d2p[0][0], d2p[1][1], d2p[0][1], d2p[0][2], d2p[1][2])
 
@@ -276,44 +264,41 @@ def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -
     return True
 
 
-def build_distance_problem_ela(E0: ElasticityTensor) -> DistanceProblem:
-    """Distance from E0 to the cubic closed stratum, reduced to 9 variables.
+@lru_cache(maxsize=1)
+def _h4_basis() -> np.ndarray:
+    """Voigt matrices of the nine harmonic coordinates, (9, 6, 6)."""
+    basis = np.array([ta.h4_voigt(e) for e in np.eye(9)])
+    basis.flags.writeable = False
+    return basis
 
-    min |H0 - H|^2 over d2'(H) = 0; the dropped second-order components
+
+def build_distance_problem_ela(E0: ElasticityTensor) -> DistanceProblem:
+    """Distance from E0 to the cubic closed stratum, reduced to the nine
+    coordinates of the harmonic part H.
+
+    min |H0 - H|^2 over d2'(H) = 0; the candidate is the isotropic part
+    (alpha0, beta0) of E0 plus H, the dropped second-order components
     contribute the constant offset 2/21 |d0'+2v0'|^2 + 4/3 |d0'-v0'|^2, and
-    the closest cubic tensor is rebuilt as (alpha0, beta0, 0, 0, H*).
+    x_ref is the fit of H0 along the normal form L1 = L2 = L3.
     """
     h0 = harmonic_decompose_ela(E0)
-    H0V = h0.h4.to_voigt()
-    HV = ta.h4_voigt(Polynomial.variables(9))
-    diff = [[HV[I][J] - float(H0V[I, J]) for J in range(6)] for I in range(6)]
-    f = ta.norm2_voigt4(diff)
-    constraints = [(p, EQ) for p in d2prime_ela_polynomials()]
-
+    x0 = h0.h4.as_array()
+    basis = _h4_basis()
+    P4, P22 = _isotropic_voigts()
     dp, vp = h0.dprime.mat, h0.vprime.mat
     offset = float(
         2.0 / 21.0 * np.einsum("ij,ij", dp + 2 * vp, dp + 2 * vp)
         + 4.0 / 3.0 * np.einsum("ij,ij", dp - vp, dp - vp)
     )
-    zero = Sym2Tensor(mat=np.zeros((3, 3)))
-
-    def minimizer_voigt(x: np.ndarray) -> np.ndarray:
-        harm = ElaHarmonic(alpha=h0.alpha, beta=h0.beta, dprime=zero,
-                           vprime=zero, h4=H4Params.from_array(x))
-        return recompose_ela(harm).voigt
-
-    def tensor_distance(x: np.ndarray) -> float:
-        diffV = E0.voigt - minimizer_voigt(x)
-        return float(np.sqrt(ta.norm2_voigt4(diffV)))
-
     return DistanceProblem(
-        kind="elasticity",
-        objective=f,
-        constraints=constraints,
-        offset=offset,
+        reference=E0.voigt,
+        fixed=(h0.alpha + 2 * h0.beta) / 15.0 * P4 + (h0.alpha - h0.beta) / 6.0 * P22,
+        basis=basis,
+        weights=ta.VOIGT4_WEIGHTS,
+        x0=x0,
+        normal_form=np.repeat([1.0, 0.0], (3, 6)),  # the cubic normal form L1 = L2 = L3
+        constraints=[(p, EQ) for p in d2prime_ela_polynomials()],
         var_names=H4_VARS,
-        reference_voigt=E0.voigt.copy(),
-        minimizer_voigt=minimizer_voigt,
-        tensor_distance=tensor_distance,
-        natural_scale=float(np.max(np.abs(H0V))) or 1.0,
+        offset=offset,
+        natural_scale=float(np.max(np.abs(np.tensordot(x0, basis, axes=1)))) or 1.0,
     )

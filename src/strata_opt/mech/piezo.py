@@ -131,19 +131,14 @@ class PiezoSplit:
             raise ValueError("g and h are not orthogonal")
 
 
-def _total_symmetrization(T: np.ndarray) -> np.ndarray:
-    return sum(np.transpose(T, p) for p in itertools.permutations(range(3))) / 6.0
-
-
 def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
     """Compute h = e^s - 3/5 q . tr(e^s) and the residual g = e - h."""
     T = e.full()
-    es = _total_symmetrization(T)
+    es = sum(np.transpose(T, p) for p in itertools.permutations(range(3))) / 6.0
     t = np.einsum("ijj->i", es)
-    qt = np.zeros((3, 3, 3))
-    for i, j, k in itertools.product(range(3), repeat=3):
-        qt[i, j, k] = (np.eye(3)[i, j] * t[k] + np.eye(3)[j, k] * t[i]
-                       + np.eye(3)[k, i] * t[j]) / 3.0
+    q = np.eye(3)
+    qt = (np.einsum("ij,k->ijk", q, t) + np.einsum("jk,i->ijk", q, t)
+          + np.einsum("ki,j->ijk", q, t)) / 3.0
     hfull = es - 0.6 * qt
     h = H3Params.from_full(hfull)
     g = PiezoTensor.from_full(T - hfull)
@@ -151,15 +146,10 @@ def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
 
 
 @lru_cache(maxsize=1)
-def _symbolic_h3():
-    return ta.h3_full(Polynomial.variables(7))
-
-
-@lru_cache(maxsize=1)
 def d2prime_piezo_polynomials() -> tuple:
     """The five independent components (11, 22, 12, 13, 23) of
     d2' = dev(h : h) as quadratics in the seven coordinates."""
-    T = _symbolic_h3()
+    T = ta.h3_full(Polynomial.variables(7))
     d2p = ta.deviator(ta.contract_d2_full3(T))
     return (d2p[0][0], d2p[1][1], d2p[0][1], d2p[0][2], d2p[1][2])
 
@@ -210,35 +200,32 @@ def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> b
     return True
 
 
-def build_distance_problem_piezo(e0: PiezoTensor) -> DistanceProblem:
-    """Distance from e0 to the cubic closed stratum, reduced to 7 variables.
+@lru_cache(maxsize=1)
+def _h3_basis() -> np.ndarray:
+    """Voigt matrices of the seven harmonic coordinates, (7, 3, 6)."""
+    basis = np.array([ta.voigt_from_full3(ta.h3_full(e)) for e in np.eye(7)])
+    basis.flags.writeable = False
+    return basis
 
-    min |h0 - h|^2 over d2'(h) = 0, offset by |g0|^2; the closest cubic
-    tensor is simply e* = h*.
+
+def build_distance_problem_piezo(e0: PiezoTensor) -> DistanceProblem:
+    """Distance from e0 to the cubic closed stratum, reduced to the seven
+    coordinates of the harmonic part h.
+
+    min |h0 - h|^2 over d2'(h) = 0, offset by |g0|^2; the candidate is h
+    itself, and x_ref is the fit of h0 along the normal form h123.
     """
     split = piezo_harmonic_part(e0)
-    h0V = ta.as_array(ta.voigt_from_full3(split.h.full()))
-    hV = ta.voigt_from_full3(_symbolic_h3())
-    diff = [[hV[i][J] - float(h0V[i, J]) for J in range(6)] for i in range(3)]
-    f = ta.norm2_voigt3(diff)
-    constraints = [(p, EQ) for p in d2prime_piezo_polynomials()]
-    offset = split.g.norm2()
-
-    def minimizer_voigt(x: np.ndarray) -> np.ndarray:
-        return H3Params.from_array(x).to_tensor().voigt
-
-    def tensor_distance(x: np.ndarray) -> float:
-        diffV = e0.voigt - minimizer_voigt(x)
-        return float(np.sqrt(ta.norm2_voigt3(diffV)))
-
+    x0 = split.h.as_array()
+    basis = _h3_basis()
     return DistanceProblem(
-        kind="piezo",
-        objective=f,
-        constraints=constraints,
-        offset=offset,
+        reference=e0.voigt,
+        basis=basis,
+        weights=ta.VOIGT3_WEIGHTS,
+        x0=x0,
+        normal_form=np.eye(7)[3],  # the cubic normal form: h123 alone
+        constraints=[(p, EQ) for p in d2prime_piezo_polynomials()],
         var_names=H3_VARS,
-        reference_voigt=e0.voigt.copy(),
-        minimizer_voigt=minimizer_voigt,
-        tensor_distance=tensor_distance,
-        natural_scale=float(np.max(np.abs(h0V))) or 1.0,
+        offset=split.g.norm2(),
+        natural_scale=float(np.max(np.abs(np.tensordot(x0, basis, axes=1)))) or 1.0,
     )

@@ -12,6 +12,7 @@ input's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,39 +184,41 @@ def _drop_rounding(p: Polynomial) -> Polynomial:
     return Polynomial(p.n, {a: c for a, c in p.terms.items() if abs(c) > 1e-12 * big})
 
 
+@lru_cache(maxsize=1)
+def _transverse_equations() -> tuple:
+    """The 10 independent cubics (x'^2 x x')_ijk of the deviator in its 5
+    coordinates, built once."""
+    x = Polynomial.variables(5)
+    A = [[sum(xk * float(b) for xk, b in zip(x, DEVIATORIC_BASIS[:, i, j])) for j in range(3)]
+         for i in range(3)]
+    cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
+    return tuple(_drop_rounding(cross[i][j][k]) for (i, j, k) in ta.SYM3_SLOTS)
+
+
 def build_distance_problem_sym2(a0: Sym2Tensor) -> DistanceProblem:
     """Distance from a0 to the transversely isotropic closed stratum,
     reduced to the 5 coordinates x of the deviator a'.
 
     |a0 - a|^2 = |a0' - a'|^2 + (tr a0 - tr a)^2 / 3, and the covariant sees
     only the deviator (a^2 x a = a'^2 x a', as a x q = 0 and a x a = 0), so
-    the isotropic part is free and takes the input's: the problem is
-    min |x - x0|^2 over the 10 cubic equations (a'^2 x a') = 0, with offset
-    0.  minimizer_voigt rebuilds the full tensor a' + tr(a0)/3 q.
+    the isotropic part is free and takes the input's: the candidate is
+    tr(a0)/3 q + sum_k x_k DEVIATORIC_BASIS[k], the problem min |x - x0|^2
+    over the 10 cubic equations (a'^2 x a') = 0, with offset 0.  The normal
+    form is the axis n of the eigenvalue left alone when the two closest
+    eigenvalues of a0 merge: x_ref is that merge, the projection of a0'
+    onto the line of dev(n n^T).
     """
     x0 = deviatoric_coordinates(a0)
-    x = Polynomial.variables(5)
-    f = sum((xk - float(ck)) * (xk - float(ck)) for xk, ck in zip(x, x0))
-    A = [[sum(xk * float(b) for xk, b in zip(x, DEVIATORIC_BASIS[:, i, j])) for j in range(3)]
-         for i in range(3)]
-    cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
-    constraints = [(_drop_rounding(cross[i][j][k]), EQ) for (i, j, k) in ta.SYM3_SLOTS]
-    iso = a0.trace() / 3.0 * np.eye(3)
-
-    def minimizer_voigt(x: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", x, DEVIATORIC_BASIS) + iso
-
-    def tensor_distance(x: np.ndarray) -> float:
-        return float(np.linalg.norm(a0.mat - minimizer_voigt(x)))
-
+    lam, vecs = np.linalg.eigh(a0.mat)
+    axis = vecs[:, 2 if lam[1] - lam[0] <= lam[2] - lam[1] else 0]
     return DistanceProblem(
-        kind="sym2",
-        objective=f,
-        constraints=constraints,
-        offset=0.0,
+        reference=a0.mat,
+        fixed=a0.trace() / 3.0 * np.eye(3),
+        basis=DEVIATORIC_BASIS,
+        weights=np.ones((3, 3)),
+        x0=x0,
+        normal_form=np.einsum("kij,i,j->k", DEVIATORIC_BASIS, axis, axis),
+        constraints=[(g, EQ) for g in _transverse_equations()],
         var_names=DEV_VARS,
-        reference_voigt=a0.mat.copy(),
-        minimizer_voigt=minimizer_voigt,
-        tensor_distance=tensor_distance,
         natural_scale=float(np.max(np.abs(x0))) or 1.0,
     )

@@ -407,3 +407,45 @@ class TestDistanceCommand:
         rep = Report.from_json(rep_path.read_text())
         assert rep.distance == pytest.approx(74.131148e9, rel=1e-4)
         assert rep.relative_distance == pytest.approx(0.103910, abs=1e-4)
+
+
+class TestHugeTensors:
+    """Entries near the largest double: classify reads the class off the
+    tensor scaled to unit size, and distance refuses a squared distance that
+    overflows, with no warning on the way."""
+
+    SYM2 = {"kind": "sym2", "voigt": (1e300 * np.diag([1.0, 1.0, -2.0])).tolist()}
+    ELA = {"kind": "elasticity", "voigt": (1e200 * np.eye(6)).tolist()}
+
+    def _run(self, tmp_path, capsys, data, argv):
+        import warnings
+
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--input", str(path)])
+        out, err = capsys.readouterr()
+        assert "Warning" not in err and "Traceback" not in err
+        return code, out, err
+
+    def test_classify_transversely_isotropic(self, tmp_path, capsys):
+        code, out, _ = self._run(tmp_path, capsys, self.SYM2, ["classify"])
+        assert code == 0
+        assert "class: transversely_isotropic" in out and "nan" not in out
+
+    def test_classify_cubic_elasticity(self, tmp_path, capsys):
+        code, out, _ = self._run(tmp_path, capsys, self.ELA, ["classify"])
+        assert code == 0
+        assert "class: at-least-cubic" in out and "nan" not in out
+
+    @pytest.mark.parametrize("data, stratum", [(SYM2, "O2"), (ELA, "cubic-ela")])
+    def test_distance_refuses_overflow(self, tmp_path, capsys, data, stratum):
+        code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
+        assert code == 1
+        assert err == "error: the squared distance overflows a double\n"
+
+    def test_classify_zero_elasticity_tensor(self, tmp_path, capsys):
+        data = {"kind": "elasticity", "voigt": np.zeros((6, 6)).tolist()}
+        code, out, _ = self._run(tmp_path, capsys, data, ["classify"])
+        assert code == 0 and "class: at-least-cubic" in out

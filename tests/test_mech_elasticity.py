@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,33 @@ class TestDistanceProblem:
         assert prob.offset == pytest.approx(0.0, abs=1e-16)
         x_own = harmonic_decompose_ela(E).h4.as_array()
         assert prob.objective.evaluate(x_own) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestProductsMatchIndexLoops:
+    """The array forms of the two products against their index-loop
+    definitions: each entry adds the same six products in the same order,
+    so the results are bitwise equal."""
+
+    @staticmethod
+    def _loops(a, b):
+        T4, T22 = np.zeros((3, 3, 3, 3)), np.zeros((3, 3, 3, 3))
+        for i, j, k, l in itertools.product(range(3), repeat=4):
+            T4[i, j, k, l] = (
+                a[i, j] * b[k, l] + b[i, j] * a[k, l]
+                + a[i, k] * b[j, l] + b[i, k] * a[j, l]
+                + a[i, l] * b[j, k] + b[i, l] * a[j, k]
+            ) / 6.0
+            T22[i, j, k, l] = (
+                2 * a[i, j] * b[k, l] + 2 * b[i, j] * a[k, l]
+                - a[i, k] * b[j, l] - a[i, l] * b[j, k]
+                - b[i, k] * a[j, l] - b[i, l] * a[j, k]
+            ) / 6.0
+        return (ElasticityTensor(voigt=np.array(voigt_from_full4(T4))).voigt,
+                ElasticityTensor(voigt=np.array(voigt_from_full4(T22))).voigt)
+
+    def test_bitwise_equal(self, rng):
+        for _ in range(20):
+            a, b = (Sym2Tensor(mat=m + m.T) for m in rng.normal(size=(2, 3, 3)) * 10.0)
+            V4, V22 = self._loops(a.mat, b.mat)
+            assert np.array_equal(tensor_prod_4(a, b).voigt, V4)
+            assert np.array_equal(tensor_prod_22(a, b).voigt, V22)

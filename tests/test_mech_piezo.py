@@ -229,3 +229,21 @@ class TestDistanceProblem:
         prob = build_distance_problem_piezo(h.to_tensor())
         assert prob.offset == pytest.approx(0.0, abs=1e-20)
         assert prob.objective.evaluate(h.as_array()) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_harmonic_part_matches_index_loops(rng):
+    """The array form of q . tr(e^s) against its index-loop definition,
+    bitwise: each entry adds the same three products in the same order."""
+    for _ in range(10):
+        e = _random_piezo(rng)
+        T = e.full()
+        es = sum(np.transpose(T, p) for p in itertools.permutations(range(3))) / 6.0
+        t = np.einsum("ijj->i", es)
+        qt = np.zeros((3, 3, 3))
+        for i, j, k in itertools.product(range(3), repeat=3):
+            qt[i, j, k] = (np.eye(3)[i, j] * t[k] + np.eye(3)[j, k] * t[i]
+                           + np.eye(3)[k, i] * t[j]) / 3.0
+        h = es - 0.6 * qt
+        split = piezo_harmonic_part(e)
+        assert np.array_equal(split.h.full(), H3Params.from_full(h).full())
+        assert np.array_equal(split.g.full(), PiezoTensor.from_full(T - h).full())
