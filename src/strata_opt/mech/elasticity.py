@@ -178,11 +178,17 @@ _Q = Sym2Tensor(mat=np.eye(3))
 
 
 @lru_cache(maxsize=1)
-def _isotropic_voigts() -> tuple:
+def _isotropic_basis() -> tuple:
     """Voigt matrices of q (x)_4 q and q (x)_22 q."""
     P4, P22 = tensor_prod_4(_Q, _Q).voigt, tensor_prod_22(_Q, _Q).voigt
     P4.flags.writeable = P22.flags.writeable = False
     return P4, P22
+
+
+def _isotropic_voigt(alpha: float, beta: float) -> np.ndarray:
+    """E_iso = (alpha + 2 beta)/15 q (x)_4 q + (alpha - beta)/6 q (x)_22 q."""
+    P4, P22 = _isotropic_basis()
+    return (alpha + 2 * beta) / 15.0 * P4 + (alpha - beta) / 6.0 * P22
 
 
 def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
@@ -193,9 +199,7 @@ def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
     dp, vp = traceless(d), traceless(v)
     a = Sym2Tensor(mat=2.0 / 7.0 * (dp.mat + 2.0 * vp.mat))
     b = Sym2Tensor(mat=2.0 * (dp.mat - vp.mat))
-    P4, P22 = _isotropic_voigts()
-    iso = (alpha + 2 * beta) / 15.0 * P4 + (alpha - beta) / 6.0 * P22
-    HV = E.voigt - iso - tensor_prod_4(_Q, a).voigt - tensor_prod_22(_Q, b).voigt
+    HV = E.voigt - _isotropic_voigt(alpha, beta) - tensor_prod_4(_Q, a).voigt - tensor_prod_22(_Q, b).voigt
     scale = max(1.0, float(np.max(np.abs(E.voigt))))
     return ElaHarmonic(
         alpha=alpha, beta=beta, dprime=dp, vprime=vp,
@@ -207,10 +211,8 @@ def recompose_ela(h: ElaHarmonic) -> ElasticityTensor:
     """E = E_iso + q (x)_4 a + q (x)_22 b + H."""
     a = Sym2Tensor(mat=2.0 / 7.0 * (h.dprime.mat + 2.0 * h.vprime.mat))
     b = Sym2Tensor(mat=2.0 * (h.dprime.mat - h.vprime.mat))
-    P4, P22 = _isotropic_voigts()
-    V = ((h.alpha + 2 * h.beta) / 15.0 * P4 + (h.alpha - h.beta) / 6.0 * P22
-         + tensor_prod_4(_Q, a).voigt + tensor_prod_22(_Q, b).voigt
-         + h.h4.to_voigt())
+    V = (_isotropic_voigt(h.alpha, h.beta) + tensor_prod_4(_Q, a).voigt
+         + tensor_prod_22(_Q, b).voigt + h.h4.to_voigt())
     return ElasticityTensor(voigt=V)
 
 
@@ -284,7 +286,6 @@ def build_distance_problem_ela(E0: ElasticityTensor) -> DistanceProblem:
     h0 = harmonic_decompose_ela(E0)
     x0 = h0.h4.as_array()
     basis = _h4_basis()
-    P4, P22 = _isotropic_voigts()
     dp, vp = h0.dprime.mat, h0.vprime.mat
     offset = float(
         2.0 / 21.0 * np.einsum("ij,ij", dp + 2 * vp, dp + 2 * vp)
@@ -292,7 +293,7 @@ def build_distance_problem_ela(E0: ElasticityTensor) -> DistanceProblem:
     )
     return DistanceProblem(
         reference=E0.voigt,
-        fixed=(h0.alpha + 2 * h0.beta) / 15.0 * P4 + (h0.alpha - h0.beta) / 6.0 * P22,
+        fixed=_isotropic_voigt(h0.alpha, h0.beta),
         basis=basis,
         weights=ta.VOIGT4_WEIGHTS,
         x0=x0,
