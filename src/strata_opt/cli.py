@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -32,6 +31,7 @@ from .mech import (
     d2prime_piezo,
     harmonic_decompose_ela,
     piezo_harmonic_part,
+    unit_scaled,
 )
 from .reports import Report, diagnostics_to_plain, environment
 from .sdp import SolverOptions
@@ -104,18 +104,12 @@ def _resolve_ball_constant(c_arg: str, problem):
 
 
 def _hierarchy_options(args, d0: int, coordinate_scale: float = 1.0) -> HierarchyOptions:
-    try:
-        seed = int(os.environ.get("STRATA_OPT_SEED", "0"))
-    except ValueError:
-        print("warning: ignoring non-integer STRATA_OPT_SEED", file=sys.stderr)
-        seed = 0
     d_max = args.dmax if args.dmax is not None else d0 + 1
     if args.dmax is not None and args.dmax < d0:
         print(f"note: raising --dmax to the minimal admissible order {d0}", file=sys.stderr)
     return HierarchyOptions(
         d_max=max(d_max, d0),
         rank_eps=args.rank_eps,
-        seed=seed,
         solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol),
         coordinate_scale=coordinate_scale,
     )
@@ -160,7 +154,6 @@ def _distance_single(job) -> Report:
             "gap_tol": args.gap_tol,
             "feas_tol": args.feas_tol,
             "rank_eps": args.rank_eps,
-            "seed": opts.seed,
             "offset": problem.offset,
             "coordinate_scale": opts.coordinate_scale,
             "voigt": voigt,
@@ -300,10 +293,9 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"== classify: {label} ({kind}, tol = {args.tol:g})")
-    # the residuals are scale-invariant but the norms of a tensor near the
-    # largest double overflow: divide exactly by a power of two above its entries
-    m = tensor.mat if kind == "sym2" else tensor.voigt
-    tensor = type(tensor)(np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1]))
+    # the residuals do not depend on scale, but the norms of a tensor near the
+    # largest double overflow
+    tensor = type(tensor)(unit_scaled(tensor.mat if kind == "sym2" else tensor.voigt))
     if kind == "sym2":
         cls = classify_sym2(tensor, tol=args.tol)
         print(f"  class: {cls.label}")
@@ -391,7 +383,6 @@ def cmd_pop_solve(args) -> int:
                 "gap_tol": args.gap_tol,
                 "feas_tol": args.feas_tol,
                 "rank_eps": args.rank_eps,
-                "seed": opts.seed,
                 "offset": 0.0,
             },
             diagnostics=diagnostics_to_plain(result.diagnostics),

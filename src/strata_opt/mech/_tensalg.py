@@ -130,6 +130,12 @@ def voigt_from_full3(T):
     return [[T[i][j][k] for (j, k) in VOIGT_PAIRS] for i in range(3)]
 
 
+def unit_scaled(m):
+    """m divided by the power of two at or above its largest entry: exact, so
+    a scale-invariant test reads the same answer without overflow or underflow."""
+    return np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
+
+
 def norm2_voigt4(V):
     """Squared 81-component norm from the Voigt table (pair multiplicities)."""
     acc = V[0][0] * 0.0

@@ -254,6 +254,7 @@ def d2prime_ela(H: H4Params) -> Sym2Tensor:
 def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:
     """At-least-cubic test d' = v' = 0 and d2'(H) = 0, all relative;
     with strict=True additionally requires a nonzero harmonic part."""
+    E = ElasticityTensor(ta.unit_scaled(E.voigt))  # the test does not depend on scale
     h = harmonic_decompose_ela(E)
     nE = max(E.norm(), np.finfo(float).tiny)
     nH2 = h.h4.norm2()

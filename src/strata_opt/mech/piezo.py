@@ -64,7 +64,9 @@ class PiezoTensor:
         return ta.as_array(ta.full3_from_voigt(self.voigt))
 
     def norm2(self) -> float:
-        return float(ta.norm2_voigt3(self.voigt))
+        # past the largest double it reads inf, which DistanceProblem refuses
+        with np.errstate(over="ignore"):
+            return float(ta.norm2_voigt3(self.voigt))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm2()))
@@ -125,9 +127,10 @@ class PiezoSplit:
     h: H3Params
 
     def __post_init__(self):
-        inner = float(np.einsum("ijk,ijk", self.g.full(), self.h.full()))
-        scale = self.g.norm2() + self.h.norm2()
-        if abs(inner) > 1e-10 * (1.0 + scale):
+        # a test that does not depend on scale, so it reads the parts scaled
+        # to unit size: no square overflows or underflows
+        g, h = ta.unit_scaled(np.stack([self.g.full(), self.h.full()]))
+        if abs(np.vdot(g, h)) > 1e-10 * (np.vdot(g, g) + np.vdot(h, h)):
             raise ValueError("g and h are not orthogonal")
 
 
@@ -188,6 +191,7 @@ def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
 def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> bool:
     """At-least-cubic test g = 0 and d2'(h) = 0 (relative tolerances);
     strict=True additionally requires h != 0."""
+    e = PiezoTensor(ta.unit_scaled(e.voigt))  # the test does not depend on scale
     split = piezo_harmonic_part(e)
     ne = max(e.norm(), np.finfo(float).tiny)
     nh2 = split.h.norm2()

@@ -353,15 +353,21 @@ class TestDistanceCommand:
         assert [r["problem"]["input"] for r in reports] == ["aln", "cr0.10"]
         assert all(r["status_xi"] == 1 for r in reports)
 
-    def test_seed_env_override_recorded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STRATA_OPT_SEED", "17")
+    def test_reports_carry_no_seed(self, tmp_path, capsys):
+        # the extraction's combination is fixed, so there is no seed to record
         rep_path = tmp_path / "rep.json"
         code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo",
                      "--c", "3", "--json", str(rep_path)])
         assert code == 0
-        rep = Report.from_json(rep_path.read_text())
-        assert rep.problem["seed"] == 17
-        assert rep.diagnostics[-1]["extraction_seeds"][0] == 17
+        pop_path = tmp_path / "p.pop"
+        pop_path.write_text("var x\nmin (x^2 - 1)^2\nball 3\n")
+        code = main(["pop-solve", str(pop_path), "--dmax", "4", "--json",
+                     str(tmp_path / "pop.json")])
+        assert code == 0
+        for path in (rep_path, tmp_path / "pop.json"):
+            rep = Report.from_json(path.read_text())
+            assert "seed" not in rep.problem
+            assert rep.diagnostics and all("extraction_seeds" not in r for r in rep.diagnostics)
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["distance", "--stratum", "cubic-ela"]) == 1
@@ -416,6 +422,7 @@ class TestHugeTensors:
 
     SYM2 = {"kind": "sym2", "voigt": (1e300 * np.diag([1.0, 1.0, -2.0])).tolist()}
     ELA = {"kind": "elasticity", "voigt": (1e200 * np.eye(6)).tolist()}
+    PIEZO = {"kind": "piezo", "voigt": np.full((3, 6), 1e200).tolist()}
 
     def _run(self, tmp_path, capsys, data, argv):
         import warnings
@@ -439,7 +446,8 @@ class TestHugeTensors:
         assert code == 0
         assert "class: at-least-cubic" in out and "nan" not in out
 
-    @pytest.mark.parametrize("data, stratum", [(SYM2, "O2"), (ELA, "cubic-ela")])
+    @pytest.mark.parametrize("data, stratum", [(SYM2, "O2"), (ELA, "cubic-ela"),
+                                               (PIEZO, "cubic-piezo")])
     def test_distance_refuses_overflow(self, tmp_path, capsys, data, stratum):
         code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
         assert code == 1

@@ -103,14 +103,14 @@ class TestExtraction:
     def test_single_dirac(self, rng):
         x = np.array([0.25, -1.5, 2.0])
         y = MomentVector.from_dirac(x, 2)
-        pts, w = extract_minimizers(y, 2, 1, tol=1e-8, rng=np.random.default_rng(0))
+        pts, w = extract_minimizers(y, 2, 1, tol=1e-8)
         assert len(pts) == 1
         np.testing.assert_allclose(pts[0], x, atol=1e-8)
         assert w[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_two_atoms_sign_pair(self):
         y = MomentVector.from_atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5], 2)
-        pts, w = extract_minimizers(y, 2, 2, tol=1e-8, rng=np.random.default_rng(1))
+        pts, w = extract_minimizers(y, 2, 2, tol=1e-8)
         got = sorted(p[0] for p in pts)
         np.testing.assert_allclose(got, [-1.0, 1.0], atol=1e-8)
         np.testing.assert_allclose([p[1] for p in pts], [0.0, 0.0], atol=1e-8)
@@ -119,32 +119,51 @@ class TestExtraction:
     def test_three_atoms(self):
         pts_in = [[0.0, 0.5], [1.0, -0.5], [-1.2, 0.1]]
         y = MomentVector.from_atoms(pts_in, [0.2, 0.5, 0.3], 2)
-        pts, w = extract_minimizers(y, 2, 3, tol=1e-8, rng=np.random.default_rng(2))
+        pts, w = extract_minimizers(y, 2, 3, tol=1e-8)
         got = sorted((tuple(np.round(p, 6)) for p in pts))
         want = sorted(tuple(np.round(np.array(p), 6)) for p in pts_in)
         assert got == want
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_atoms_sharing_coordinates(self, seed):
-        # every coordinate value repeats across atoms, so each multiplication
-        # matrix alone has repeated eigenvalues; the random combination must
-        # still separate all four atoms
-        pts_in = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]]
-        w_in = [0.1, 0.2, 0.3, 0.4]
-        y = MomentVector.from_atoms(pts_in, w_in, 3)
-        pts, w = extract_minimizers(y, 3, 4, tol=1e-8, rng=np.random.default_rng(seed))
-        assert len(pts) == 4
+    # every coordinate value repeats across atoms, so each multiplication
+    # matrix alone has repeated eigenvalues; the fixed combination must still
+    # separate them all
+    SHARED_COORDINATES = (
+        ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]], [0.1, 0.2, 0.3, 0.4], 3),
+        ([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)], [1.0 / 9] * 9, 5),
+        ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+         [0.25, 0.25, 0.25, 0.25], 3),
+        ([[2.0, 0.5], [2.0, -0.5], [2.0, 1.5]], [0.5, 0.3, 0.2], 3),
+    )
+
+    @pytest.mark.parametrize("layout", range(len(SHARED_COORDINATES)))
+    def test_atoms_sharing_coordinates(self, layout):
+        pts_in, w_in, d = self.SHARED_COORDINATES[layout]
+        y = MomentVector.from_atoms(pts_in, w_in, d)
+        pts, w = extract_minimizers(y, d, len(pts_in), tol=1e-8)
+        assert len(pts) == len(pts_in)
         for q, wq in zip(pts_in, w_in):
             j = int(np.argmin([np.max(np.abs(p - q)) for p in pts]))
             np.testing.assert_allclose(pts[j], q, atol=1e-8)
             assert w[j] == pytest.approx(wq, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [2.0, 1.0, 0.1, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_atoms_colliding_in_the_combination_fail(self, t, d):
+        # x + t * (sqrt 3, -sqrt 2) gives the combination sqrt 2 x1 + sqrt 3 x2
+        # the same value as x: the two atoms cannot be separated, and the
+        # extraction must say so rather than return a wrong atom
+        x = np.array([0.3, -0.7])
+        y = MomentVector.from_atoms([x, x + t * np.array([np.sqrt(3.0), -np.sqrt(2.0)])],
+                                    [0.4, 0.6], d)
+        with pytest.raises(ExtractionFailure, match="cluster"):
+            extract_minimizers(y, d, 2, tol=1e-8)
 
     def test_overstated_rank_recovers_or_fails(self):
         # asking for more atoms than the measure has: spurious atoms must be
         # weight-rejected (or the degenerate factorization must error out)
         y = MomentVector.from_dirac(np.array([1.0, 2.0]), 2)
         try:
-            pts, w = extract_minimizers(y, 2, 3, tol=1e-8, rng=np.random.default_rng(0))
+            pts, w = extract_minimizers(y, 2, 3, tol=1e-8)
         except ExtractionFailure:
             return
         assert len(pts) == 1
@@ -225,13 +244,17 @@ class TestRunHierarchy:
         with pytest.raises(ValueError):
             run_hierarchy((x * x) ** 2, [], HierarchyOptions(d_max=1))
 
-    def test_seed_reproducibility(self):
-        x_hat = np.array([0.5, 0.5])
-        f = _sum_sq(2, x_hat)
-        cons = add_ball_constraint(f, [], 9.0, np.zeros(2))
-        r1 = run_hierarchy(f, cons, HierarchyOptions(d_max=1, seed=7))
-        r2 = run_hierarchy(f, cons, HierarchyOptions(d_max=1, seed=7))
-        np.testing.assert_array_equal(r1.minimizers[0], r2.minimizers[0])
+    def test_minimizers_reproducible(self):
+        # the extraction's combination is fixed: two runs agree bit for bit on
+        # the four minimizers (+-1, +-1)
+        x, y = Polynomial.variables(2)
+        f = (x * x - 1.0) ** 2 + (y * y - 1.0) ** 2
+        cons = add_ball_constraint(f, [], 3.0, np.array([0.5, 0.5]))
+        r1 = run_hierarchy(f, cons, HierarchyOptions(d_max=4))
+        r2 = run_hierarchy(f, cons, HierarchyOptions(d_max=4))
+        assert len(r1.minimizers) == len(r2.minimizers) == 4
+        for a, b in zip(r1.minimizers, r2.minimizers):
+            np.testing.assert_array_equal(a, b)
 
     def test_coordinate_scale_preserves_bound_and_minimizer(self):
         x_hat = np.array([0.3, -1.2, 0.7])

@@ -109,7 +109,35 @@ def test_sym2_builds_share_their_equations():
 @pytest.mark.parametrize("build, tensor", [
     (build_distance_problem_sym2, Sym2Tensor(mat=1e300 * np.diag([1.0, 1.0, -2.0]))),
     (build_distance_problem_ela, ElasticityTensor(voigt=1e200 * np.eye(6))),
+    (build_distance_problem_piezo, PiezoTensor(voigt=np.full((3, 6), 1e200))),
 ])
 def test_overflowing_squared_distance_is_refused(build, tensor):
     with pytest.raises(ValueError, match="squared distance overflows a double"):
         build(tensor)
+
+
+CUBIC_ELA = np.array([[250.0, 100, 100, 0, 0, 0], [100, 250, 100, 0, 0, 0],
+                      [100, 100, 250, 0, 0, 0], [0, 0, 0, 60, 0, 0],
+                      [0, 0, 0, 0, 60, 0], [0, 0, 0, 0, 0, 60]])
+CUBIC_PIEZO = PiezoTensor.from_full(ta.as_array(ta.h3_full(np.eye(7)[3]))).voigt  # h123 alone
+
+
+IS_CUBIC = {
+    "elasticity": lambda V, strict: is_cubic_ela(ElasticityTensor(voigt=V), strict=strict),
+    "piezo": lambda V, strict: is_cubic_piezo(PiezoTensor(voigt=V), strict=strict),
+}
+
+
+@pytest.mark.parametrize("kind, voigt", [
+    ("elasticity", CUBIC_ELA), ("piezo", CUBIC_PIEZO),
+    ("elasticity", np.array(DATASETS["E0"].voigt)), ("piezo", np.array(DATASETS["aln"].voigt)),
+], ids=["cubic-ela", "h123", "E0", "aln"])
+@pytest.mark.parametrize("scale", [1e-165, 1e150, 1e200])
+def test_cubic_tests_do_not_depend_on_scale(kind, voigt, scale):
+    import warnings
+
+    for strict in (False, True):
+        unit = IS_CUBIC[kind](voigt, strict)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert IS_CUBIC[kind](scale * voigt, strict) == unit, strict

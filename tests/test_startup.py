@@ -57,6 +57,27 @@ def test_cli_import_loads_no_problem_file_parser():
     assert proc.stdout.strip() == "False"
 
 
+RUN_AND_LIST_MODULES = """
+import sys
+from strata_opt.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_cli_runs_load_no_random_number_modules(tmp_path):
+    # the extraction's combination is fixed: a run never imports numpy.random,
+    # and with it secrets, hmac and _hashlib
+    pop = tmp_path / "p.pop"
+    pop.write_text("var x\nmin (x^2 - 1)^2\nball 3\n")
+    for argv in (["distance", "--dataset", "aln", "--stratum", "cubic-piezo"],
+                 ["pop-solve", str(pop), "--dmax", "4"]):
+        proc = _python(["-c", RUN_AND_LIST_MODULES, *argv])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
+
+
 def test_blas_threads_default_to_one():
     assert _values_after_import() == ["1", "1", "1"]
 
