@@ -178,11 +178,11 @@ _Q = Sym2Tensor(mat=np.eye(3))
 
 
 @lru_cache(maxsize=1)
-def _isotropic_basis() -> tuple:
-    """Voigt matrices of q (x)_4 q and q (x)_22 q."""
-    P4, P22 = tensor_prod_4(_Q, _Q).voigt, tensor_prod_22(_Q, _Q).voigt
-    P4.flags.writeable = P22.flags.writeable = False
-    return P4, P22
+def _isotropic_basis() -> np.ndarray:
+    """Voigt matrices of q (x)_4 q and q (x)_22 q, (2, 6, 6)."""
+    basis = np.array([tensor_prod_4(_Q, _Q).voigt, tensor_prod_22(_Q, _Q).voigt])
+    basis.flags.writeable = False
+    return basis
 
 
 def _isotropic_voigt(alpha: float, beta: float) -> np.ndarray:
@@ -279,28 +279,16 @@ def build_distance_problem_ela(E0: ElasticityTensor) -> DistanceProblem:
     """Distance from E0 to the cubic closed stratum, reduced to the nine
     coordinates of the harmonic part H.
 
-    min |H0 - H|^2 over d2'(H) = 0; the candidate is the isotropic part
-    (alpha0, beta0) of E0 plus H, the dropped second-order components
-    contribute the constant offset 2/21 |d0'+2v0'|^2 + 4/3 |d0'-v0'|^2, and
-    x_ref is the fit of H0 along the normal form L1 = L2 = L3.
+    min |H0 - H|^2 over d2'(H) = 0: the isotropic part is free, the
+    second-order components d', v' are dropped (the offset), and x_ref is
+    the fit of H0 along the normal form L1 = L2 = L3.
     """
-    h0 = harmonic_decompose_ela(E0)
-    x0 = h0.h4.as_array()
-    basis = _h4_basis()
-    dp, vp = h0.dprime.mat, h0.vprime.mat
-    offset = float(
-        2.0 / 21.0 * np.einsum("ij,ij", dp + 2 * vp, dp + 2 * vp)
-        + 4.0 / 3.0 * np.einsum("ij,ij", dp - vp, dp - vp)
-    )
     return DistanceProblem(
         reference=E0.voigt,
-        fixed=_isotropic_voigt(h0.alpha, h0.beta),
-        basis=basis,
         weights=ta.VOIGT4_WEIGHTS,
-        x0=x0,
+        free=_isotropic_basis(),
+        basis=_h4_basis(),
         normal_form=np.repeat([1.0, 0.0], (3, 6)),  # the cubic normal form L1 = L2 = L3
         constraints=[(p, EQ) for p in d2prime_ela_polynomials()],
         var_names=H4_VARS,
-        offset=offset,
-        natural_scale=float(np.max(np.abs(np.tensordot(x0, basis, axes=1)))) or 1.0,
     )

@@ -64,9 +64,7 @@ class PiezoTensor:
         return ta.as_array(ta.full3_from_voigt(self.voigt))
 
     def norm2(self) -> float:
-        # past the largest double it reads inf, which DistanceProblem refuses
-        with np.errstate(over="ignore"):
-            return float(ta.norm2_voigt3(self.voigt))
+        return float(ta.norm2_voigt3(self.voigt))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm2()))
@@ -216,20 +214,15 @@ def build_distance_problem_piezo(e0: PiezoTensor) -> DistanceProblem:
     """Distance from e0 to the cubic closed stratum, reduced to the seven
     coordinates of the harmonic part h.
 
-    min |h0 - h|^2 over d2'(h) = 0, offset by |g0|^2; the candidate is h
-    itself, and x_ref is the fit of h0 along the normal form h123.
+    min |h0 - h|^2 over d2'(h) = 0: nothing is free, g0 is dropped (the
+    offset), and x_ref is the fit of h0 along the normal form h123.
     """
-    split = piezo_harmonic_part(e0)
-    x0 = split.h.as_array()
-    basis = _h3_basis()
     return DistanceProblem(
         reference=e0.voigt,
-        basis=basis,
         weights=ta.VOIGT3_WEIGHTS,
-        x0=x0,
+        free=np.empty((0, 3, 6)),
+        basis=_h3_basis(),
         normal_form=np.eye(7)[3],  # the cubic normal form: h123 alone
         constraints=[(p, EQ) for p in d2prime_piezo_polynomials()],
         var_names=H3_VARS,
-        offset=split.g.norm2(),
-        natural_scale=float(np.max(np.abs(np.tensordot(x0, basis, axes=1)))) or 1.0,
     )

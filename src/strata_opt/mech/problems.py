@@ -13,48 +13,70 @@ from ..poly import Polynomial
 class DistanceProblem:
     """A stratum-distance problem in reduced coordinates.
 
-    Every stratum distance is min |x - x0|^2 in the tensor norm over the
-    reduced (harmonic) coordinates x, subject to the stratum's covariant
-    equations.  The affine map x -> fixed + sum_k x_k basis[k] gives the
-    candidate tensor's Voigt matrix and ``weights`` the norm's Voigt
-    multiplicities; from them one code path derives the Gram matrix Q, the
-    objective |x - x0|_Q^2 and the candidate at any x, so each builder
-    supplies only its stratum's facts.  The squared distance from the input
-    (``reference``) to the candidate at x is ``offset + objective(x)``: the
-    offset collects the harmonic components that the stratum drops.  The
-    stratum contains the line t * normal_form, and ``x_ref`` is its point
-    closest to x0 in Q, t = d^T Q x0 / d^T Q d: a feasible point never
-    worse than x = 0, where the automatic ball constant is set.
+    A builder gives only its stratum's facts: the input (``reference``), the
+    norm's Voigt multiplicities (``weights``), the directions of the part the
+    stratum leaves free (``free``) and of the coordinates x (``basis``), the
+    equations in x and a normal form.  The norm splits orthogonally over
+    span(free), span(basis) and their complement, so one least-squares
+    projection of the reference, scaled by a power of two to unit size,
+    gives ``x0``, the candidate's free part ``fixed`` and the ``offset``
+    (the complement's squared norm, which no candidate changes); scaling
+    the input by 2^j scales them by exactly 2^j, 2^j and 4^j.  Coordinates
+    within the projection's rounding of zero read zero.  The objective is
+    |x - x0|_Q^2, and the squared distance to the candidate
+    ``fixed + sum_k x_k basis[k]`` is ``offset + objective(x)``.  ``x_ref``
+    is the point of the stratum's line t * normal_form closest to x0 in Q:
+    feasible and never worse than x = 0.  ``natural_scale`` is the largest
+    |entry| of x0 and of x0 . basis (1 at x0 = 0).
 
-    Raises ValueError when the squared distance overflows a double.
+    Raises ValueError when the squared distance overflows a double or a
+    nonzero reference's squared norm underflows one.
     """
 
     reference: np.ndarray     # the input's Voigt matrix
-    basis: np.ndarray         # (n, *reference.shape)
     weights: np.ndarray       # Voigt multiplicities of the tensor norm, shaped as reference
-    x0: np.ndarray            # the input's reduced coordinates: objective(x0) = 0
+    free: np.ndarray          # (m, *reference.shape): the part no equation constrains
+    basis: np.ndarray         # (n, *reference.shape): the reduced coordinates' directions
     normal_form: np.ndarray   # direction d of a line t * d on the stratum
     constraints: list         # [(Polynomial, "eq")]: the stratum's equations
     var_names: tuple
-    fixed: np.ndarray | float = 0.0   # the candidate tensor at x = 0
-    offset: float = 0.0
-    natural_scale: float = 1.0   # magnitude of the optimal coordinates
+    x0: np.ndarray = field(init=False)       # the input's coordinates: objective(x0) = 0
+    fixed: np.ndarray = field(init=False)    # the candidate tensor at x = 0
+    offset: float = field(init=False)
+    natural_scale: float = field(init=False)
     Q: np.ndarray = field(init=False, repr=False)
     objective: Polynomial = field(init=False, repr=False)
     x_ref: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.basis)
+        m, n, W = len(self.free), len(self.basis), self.weights
+        # the independent entries (of a square matrix: upper triangle, off-diagonals twice)
+        mult = np.triu(2.0 - np.eye(len(W))) if W.shape[0] == W.shape[1] else np.ones(W.shape)
+        keep = mult > 0
+        root = np.sqrt((W * mult)[keep])
+        A = np.concatenate([self.free, self.basis])[:, keep].T * root[:, None]
+        e = np.frexp(np.max(np.abs(self.reference)))[1]  # as in unit_scaled
+        v = np.ldexp(self.reference, -e)[keep] * root
+        q, r = np.linalg.qr(A, mode="complete")  # q[:, m + n:] spans the complement
+        c = q.T @ v
+        coef = np.linalg.solve(r[:m + n], c[:m + n])
+        coef[np.abs(coef) <= 2.0 * np.finfo(float).eps * np.linalg.norm(v)] = 0.0
         B = self.basis.reshape(n, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.Q = (B * self.weights.ravel()) @ B.T
-            Qx0 = self.Q @ self.x0
-            linear = -2.0 * Qx0
-            constant = float(self.x0 @ Qx0)
+            self.x0 = np.ldexp(coef[m:], e)
+            self.fixed = np.ldexp(coef[:m] @ self.free.reshape(m, W.size), e).reshape(W.shape)
+            self.offset = float(np.ldexp(c[m + n:] @ c[m + n:], 2 * e))
+            self.Q = (B * W.ravel()) @ B.T
+            linear = -2.0 * (self.Q @ self.x0)
+            constant = -0.5 * float(self.x0 @ linear)
             # the headroom of 2 keeps the ball constant 1.5 f(x_ref) finite
             total = 2.0 * (self.offset + constant)
+            tiny = v.any() and np.ldexp(v @ v, 2 * e) < np.finfo(float).tiny
         if not (np.isfinite(linear).all() and np.isfinite(total)):
             raise ValueError("the squared distance overflows a double")
+        if tiny:
+            raise ValueError("the squared distance underflows a double")
+        self.natural_scale = float(np.max(np.abs(np.append(self.x0, self.x0 @ B)))) or 1.0
         unit = np.eye(n, dtype=np.int64)
         terms = {(0,) * n: constant}
         for k in range(n):

@@ -201,24 +201,20 @@ def build_distance_problem_sym2(a0: Sym2Tensor) -> DistanceProblem:
 
     |a0 - a|^2 = |a0' - a'|^2 + (tr a0 - tr a)^2 / 3, and the covariant sees
     only the deviator (a^2 x a = a'^2 x a', as a x q = 0 and a x a = 0), so
-    the isotropic part is free and takes the input's: the candidate is
-    tr(a0)/3 q + sum_k x_k DEVIATORIC_BASIS[k], the problem min |x - x0|^2
-    over the 10 cubic equations (a'^2 x a') = 0, with offset 0.  The normal
-    form is the axis n of the eigenvalue left alone when the two closest
-    eigenvalues of a0 merge: x_ref is that merge, the projection of a0'
-    onto the line of dev(n n^T).
+    the isotropic part q is free and the candidate keeps the input's: the
+    problem is min |x - x0|^2 over the 10 cubic equations (a'^2 x a') = 0,
+    and nothing is dropped (offset 0).  The normal form is the axis n of the
+    eigenvalue left alone when the two closest eigenvalues of a0 merge:
+    x_ref is that merge, the projection of a0' onto the line of dev(n n^T).
     """
-    x0 = deviatoric_coordinates(a0)
     lam, vecs = np.linalg.eigh(a0.mat)
     axis = vecs[:, 2 if lam[1] - lam[0] <= lam[2] - lam[1] else 0]
     return DistanceProblem(
         reference=a0.mat,
-        fixed=a0.trace() / 3.0 * np.eye(3),
-        basis=DEVIATORIC_BASIS,
         weights=np.ones((3, 3)),
-        x0=x0,
+        free=np.eye(3)[None],
+        basis=DEVIATORIC_BASIS,
         normal_form=np.einsum("kij,i,j->k", DEVIATORIC_BASIS, axis, axis),
         constraints=[(g, EQ) for g in _transverse_equations()],
         var_names=DEV_VARS,
-        natural_scale=float(np.max(np.abs(x0))) or 1.0,
     )

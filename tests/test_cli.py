@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strata_opt.cli import main
+from strata_opt.datasets import get_dataset
 from strata_opt.reports import Report
 
 
@@ -416,9 +417,9 @@ class TestDistanceCommand:
 
 
 class TestHugeTensors:
-    """Entries near the largest double: classify reads the class off the
-    tensor scaled to unit size, and distance refuses a squared distance that
-    overflows, with no warning on the way."""
+    """Entries near the largest double, and tiny ones: classify reads the
+    class off the tensor scaled to unit size, and distance refuses a squared
+    distance that overflows or underflows, with no warning on the way."""
 
     SYM2 = {"kind": "sym2", "voigt": (1e300 * np.diag([1.0, 1.0, -2.0])).tolist()}
     ELA = {"kind": "elasticity", "voigt": (1e200 * np.eye(6)).tolist()}
@@ -452,6 +453,15 @@ class TestHugeTensors:
         code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
         assert code == 1
         assert err == "error: the squared distance overflows a double\n"
+
+    @pytest.mark.parametrize("ds_id, stratum", [("a0", "O2"), ("E0", "cubic-ela"),
+                                                ("aln", "cubic-piezo")])
+    def test_distance_refuses_underflow(self, tmp_path, capsys, ds_id, stratum):
+        ds = get_dataset(ds_id)
+        data = {"kind": ds.kind, "voigt": (1e-165 * np.array(ds.voigt)).tolist()}
+        code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
+        assert code == 1
+        assert err == "error: the squared distance underflows a double\n"
 
     def test_classify_zero_elasticity_tensor(self, tmp_path, capsys):
         data = {"kind": "elasticity", "voigt": np.zeros((6, 6)).tolist()}

@@ -1,4 +1,5 @@
-"""The one distance form of the three strata: the Gram matrix Q against the
+"""The one distance form of the three strata: the projection's x0, fixed part
+and offset against the harmonic splits, the Gram matrix Q against the
 symbolic expansion of the tensor norm, the objective against the directly
 formed distance, and the normal-form point x_ref against the stratum's own
 membership test."""
@@ -15,10 +16,14 @@ from strata_opt.mech import (
     build_distance_problem_piezo,
     build_distance_problem_sym2,
     classify_sym2,
+    deviatoric_coordinates,
+    harmonic_decompose_ela,
     is_cubic_ela,
     is_cubic_piezo,
+    piezo_harmonic_part,
 )
 from strata_opt.mech import _tensalg as ta
+from strata_opt.mech.elasticity import _isotropic_voigt
 from strata_opt.mech.sym2 import DEVIATORIC_BASIS
 from strata_opt.poly import Polynomial
 
@@ -60,6 +65,78 @@ FIRST = {"sym2": "a0", "elasticity": "E0", "piezo": "aln"}
 def _problem(ds_id, rng):
     ds = DATASETS[ds_id]
     return STRATA[ds.kind][0](_rotated(ds.kind, ds.voigt, random_rotation(rng)))
+
+
+def _ela_split(E):
+    h = harmonic_decompose_ela(E)
+    dp, vp = h.dprime.mat, h.vprime.mat
+    offset = 2.0 / 21.0 * np.sum((dp + 2 * vp) ** 2) + 4.0 / 3.0 * np.sum((dp - vp) ** 2)
+    return h.h4.as_array(), _isotropic_voigt(h.alpha, h.beta), offset
+
+
+def _piezo_split(e):
+    split = piezo_harmonic_part(e)
+    return split.h.as_array(), np.zeros((3, 6)), split.g.norm2()
+
+
+# per stratum: x0, the fixed part and the offset from the harmonic split that
+# decompose and classify use (the builders' own formulas before the projection)
+SPLITS = {
+    "sym2": lambda a: (deviatoric_coordinates(a), a.trace() / 3.0 * np.eye(3), 0.0),
+    "elasticity": _ela_split,
+    "piezo": _piezo_split,
+}
+
+
+@pytest.mark.parametrize("ds_id", sorted(DATASETS))
+def test_projection_agrees_with_the_harmonic_split(ds_id, rng):
+    kind = DATASETS[ds_id].kind
+    for _ in range(5):
+        T = _rotated(kind, DATASETS[ds_id].voigt, random_rotation(rng))
+        prob = STRATA[kind][0](T)
+        x0, fixed, offset = SPLITS[kind](T)
+        nrm = T.norm()
+        assert np.max(np.abs(prob.x0 - x0)) <= 1e-15 * nrm
+        assert np.max(np.abs(prob.fixed - fixed)) <= 1e-15 * nrm
+        assert abs(prob.offset - offset) <= 1e-15 * nrm**2
+    if kind == "sym2":
+        assert prob.offset == 0.0  # nothing is dropped: the complement is empty
+
+
+# per stratum: a tensor on the free part from two random coefficients
+ON_FREE = {
+    "sym2": lambda alpha, beta: Sym2Tensor(mat=alpha * np.eye(3)),
+    "elasticity": lambda alpha, beta: ElasticityTensor(voigt=_isotropic_voigt(alpha, beta)),
+    "piezo": lambda alpha, beta: PiezoTensor(voigt=np.zeros((3, 6))),  # nothing is free
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRATA))
+def test_input_on_the_free_part_has_zero_coordinates(kind, rng):
+    """x0 is exactly zero, not rounding noise, so natural_scale is 1."""
+    for _ in range(5):
+        prob = STRATA[kind][0](ON_FREE[kind](*rng.normal(size=2) * 100.0))
+        assert not prob.x0.any() and prob.natural_scale == 1.0
+
+
+def test_huge_tensor_on_the_free_part_is_not_refused():
+    """Its squared distance is 0, and the underflow test does not overflow."""
+    prob = build_distance_problem_sym2(Sym2Tensor(mat=1e300 * np.eye(3)))
+    assert prob.offset == 0.0 and not prob.x0.any()
+
+
+@pytest.mark.parametrize("kind", sorted(STRATA))
+@pytest.mark.parametrize("j", [-300, -40, 40, 300])
+def test_scaling_by_a_power_of_two_is_exact(kind, j, rng):
+    """Both inputs project the same tensor scaled to unit size, so x0 and
+    the fixed part scale by exactly 2^j and the offset by 4^j."""
+    T = _rotated(kind, DATASETS[FIRST[kind]].voigt, random_rotation(rng))
+    voigt = T.mat if kind == "sym2" else T.voigt
+    prob = STRATA[kind][0](T)
+    scaled = STRATA[kind][0](type(T)(np.ldexp(voigt, j)))
+    np.testing.assert_array_equal(scaled.x0, np.ldexp(prob.x0, j))
+    np.testing.assert_array_equal(scaled.fixed, np.ldexp(prob.fixed, j))
+    assert scaled.offset == np.ldexp(prob.offset, 2 * j)
 
 
 @pytest.mark.parametrize("kind", sorted(STRATA))
@@ -110,9 +187,15 @@ def test_sym2_builds_share_their_equations():
     (build_distance_problem_sym2, Sym2Tensor(mat=1e300 * np.diag([1.0, 1.0, -2.0]))),
     (build_distance_problem_ela, ElasticityTensor(voigt=1e200 * np.eye(6))),
     (build_distance_problem_piezo, PiezoTensor(voigt=np.full((3, 6), 1e200))),
+    (build_distance_problem_sym2, Sym2Tensor(mat=1e-165 * np.array(DATASETS["a0"].voigt))),
+    (build_distance_problem_ela, ElasticityTensor(voigt=1e-165 * np.array(DATASETS["E0"].voigt))),
+    (build_distance_problem_piezo, PiezoTensor(voigt=1e-165 * np.array(DATASETS["aln"].voigt))),
 ])
 def test_overflowing_squared_distance_is_refused(build, tensor):
-    with pytest.raises(ValueError, match="squared distance overflows a double"):
+    """Huge tensors overflow and tiny ones underflow: both are refused."""
+    huge = np.max(np.abs(tensor.mat if isinstance(tensor, Sym2Tensor) else tensor.voigt)) > 1.0
+    word = "overflows" if huge else "underflows"
+    with pytest.raises(ValueError, match=f"squared distance {word} a double"):
         build(tensor)
 
 
