@@ -1,4 +1,4 @@
-"""The one form of a stratum-distance problem: an affine map, a metric and x0."""
+"""The one form of a stratum-distance problem: an affine map, a metric and one projection."""
 
 from __future__ import annotations
 
