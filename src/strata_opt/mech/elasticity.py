@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..moment import EQ
-from ..poly import Polynomial
+from ..poly import forms_from_tensor
 from . import _tensalg as ta
 from .problems import DistanceProblem
 from .sym2 import Sym2Tensor, traceless
@@ -69,13 +69,13 @@ class ElasticityTensor:
         return cls(voigt=m)
 
     def full(self) -> np.ndarray:
-        return ta.as_array(ta.full4_from_voigt(self.voigt))
+        return ta.full4_from_voigt(self.voigt)
 
     def norm2(self) -> float:
         return float(ta.norm2_voigt4(self.voigt))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
+        return ta.voigt_norm(self.voigt, ta.VOIGT4_WEIGHTS)
 
     def trace_12(self) -> Sym2Tensor:
         """d_{kl} = E_{iikl}."""
@@ -113,7 +113,7 @@ class H4Params:
                          self.Y1, self.Y2, self.Z1, self.Z2])
 
     def to_voigt(self) -> np.ndarray:
-        return ta.as_array(ta.h4_voigt(self.as_array()))
+        return ta.h4_voigt(self.as_array())
 
     def to_tensor(self) -> ElasticityTensor:
         return ElasticityTensor(voigt=self.to_voigt())
@@ -163,7 +163,7 @@ def _placements(a: Sym2Tensor, b: Sym2Tensor) -> list:
 def tensor_prod_4(a: Sym2Tensor, b: Sym2Tensor) -> ElasticityTensor:
     """Totally symmetric product (a (x)_4 b) = a . b symmetrized over all slots."""
     T = sum(_placements(a, b)) / 6.0
-    return ElasticityTensor(voigt=ta.as_array(ta.voigt_from_full4(T)))
+    return ElasticityTensor(voigt=ta.voigt_from_full4(T))
 
 
 def tensor_prod_22(a: Sym2Tensor, b: Sym2Tensor) -> ElasticityTensor:
@@ -171,7 +171,7 @@ def tensor_prod_22(a: Sym2Tensor, b: Sym2Tensor) -> ElasticityTensor:
     - a_{ik} b_{jl} - a_{il} b_{jk} - b_{ik} a_{jl} - b_{il} a_{jk}) / 6."""
     t = _placements(a, b)
     T = (2 * t[0] + 2 * t[1] - t[2] - t[4] - t[3] - t[5]) / 6.0
-    return ElasticityTensor(voigt=ta.as_array(ta.voigt_from_full4(T)))
+    return ElasticityTensor(voigt=ta.voigt_from_full4(T))
 
 
 _Q = Sym2Tensor(mat=np.eye(3))
@@ -237,18 +237,18 @@ def ela_norm2_split(h: ElaHarmonic) -> float:
 @lru_cache(maxsize=1)
 def d2prime_ela_polynomials() -> tuple:
     """The five independent components (11, 22, 12, 13, 23) of
-    d2' = dev(H : H) as quadratics in the nine harmonic coordinates."""
-    T = ta.full4_from_voigt(ta.h4_voigt(Polynomial.variables(9)))
-    d2p = ta.deviator(ta.contract_d2_full4(T))
-    return (d2p[0][0], d2p[1][1], d2p[0][1], d2p[0][2], d2p[1][2])
+    d2' = dev(H : H) as quadratics in the nine harmonic coordinates: the
+    coefficient of x_a x_b is dev(T_a : T_b), T_a the full tensor of the
+    a-th basis vector."""
+    T = ta.full4_from_voigt(_h4_basis())
+    K = ta.dev(np.einsum("aipqr,bpqrj->abij", T, T))
+    return forms_from_tensor(K[..., ta.DEV_ROWS, ta.DEV_COLS], 2)
 
 
 def d2prime_ela(H: H4Params) -> Sym2Tensor:
     """Deviatoric part of the quadratic covariant d2 = H : H."""
-    x = H.as_array()
-    c11, c22, c12, c13, c23 = (p.evaluate(x) for p in d2prime_ela_polynomials())
-    c33 = -c11 - c22
-    return Sym2Tensor(mat=np.array([[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]]))
+    T = H.to_tensor().full()
+    return Sym2Tensor(mat=ta.dev(np.einsum("ipqr,pqrj->ij", T, T)))
 
 
 def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:
@@ -270,7 +270,7 @@ def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -
 @lru_cache(maxsize=1)
 def _h4_basis() -> np.ndarray:
     """Voigt matrices of the nine harmonic coordinates, (9, 6, 6)."""
-    basis = np.array([ta.h4_voigt(e) for e in np.eye(9)])
+    basis = ta.h4_voigt(np.eye(9))
     basis.flags.writeable = False
     return basis
 

@@ -13,14 +13,13 @@ in the seven free coordinates of h.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ..moment import EQ
-from ..poly import Polynomial
+from ..poly import forms_from_tensor
 from . import _tensalg as ta
 from .problems import DistanceProblem
 from .sym2 import Sym2Tensor
@@ -58,16 +57,16 @@ class PiezoTensor:
         scale = max(1.0, float(np.max(np.abs(T))))
         if np.max(np.abs(T - np.transpose(T, (0, 2, 1)))) > tol * scale:
             raise ValueError("tensor is not symmetric in its last two slots")
-        return cls(voigt=ta.as_array(ta.voigt_from_full3(T)))
+        return cls(voigt=ta.voigt_from_full3(T))
 
     def full(self) -> np.ndarray:
-        return ta.as_array(ta.full3_from_voigt(self.voigt))
+        return ta.full3_from_voigt(self.voigt)
 
     def norm2(self) -> float:
         return float(ta.norm2_voigt3(self.voigt))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
+        return ta.voigt_norm(self.voigt, ta.VOIGT3_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class H3Params:
                          self.h222, self.h223, self.h333])
 
     def full(self) -> np.ndarray:
-        return ta.as_array(ta.h3_full(self.as_array()))
+        return ta.h3_full(self.as_array())
 
     def to_tensor(self) -> PiezoTensor:
         return PiezoTensor.from_full(self.full())
@@ -135,7 +134,7 @@ class PiezoSplit:
 def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
     """Compute h = e^s - 3/5 q . tr(e^s) and the residual g = e - h."""
     T = e.full()
-    es = sum(np.transpose(T, p) for p in itertools.permutations(range(3))) / 6.0
+    es = ta.symmetrize3(T)
     t = np.einsum("ijj->i", es)
     q = np.eye(3)
     qt = (np.einsum("ij,k->ijk", q, t) + np.einsum("jk,i->ijk", q, t)
@@ -149,18 +148,18 @@ def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
 @lru_cache(maxsize=1)
 def d2prime_piezo_polynomials() -> tuple:
     """The five independent components (11, 22, 12, 13, 23) of
-    d2' = dev(h : h) as quadratics in the seven coordinates."""
-    T = ta.h3_full(Polynomial.variables(7))
-    d2p = ta.deviator(ta.contract_d2_full3(T))
-    return (d2p[0][0], d2p[1][1], d2p[0][1], d2p[0][2], d2p[1][2])
+    d2' = dev(h : h) as quadratics in the seven coordinates: the coefficient
+    of x_a x_b is dev(T_a : T_b), T_a the full tensor of the a-th basis
+    vector."""
+    T = ta.full3_from_voigt(_h3_basis())
+    K = ta.dev(np.einsum("aikl,bklj->abij", T, T))
+    return forms_from_tensor(K[..., ta.DEV_ROWS, ta.DEV_COLS], 2)
 
 
 def d2prime_piezo(h: H3Params) -> Sym2Tensor:
     """Deviatoric part of the quadratic covariant d2 = h : h."""
-    x = h.as_array()
-    c11, c22, c12, c13, c23 = (p.evaluate(x) for p in d2prime_piezo_polynomials())
-    c33 = -c11 - c22
-    return Sym2Tensor(mat=np.array([[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]]))
+    T = h.full()
+    return Sym2Tensor(mat=ta.dev(np.einsum("ikl,klj->ij", T, T)))
 
 
 def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
@@ -172,15 +171,14 @@ def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
     with v3 = h : d2', v5 = d2' . v3 and v7 = d2' . v5.
     """
     T = h.full()
-    d2 = np.einsum("ikl,klj->ij", T, T)
-    d2p = d2 - np.trace(d2) / 3.0 * np.eye(3)
+    d2p = d2prime_piezo(h).mat
     v3 = np.einsum("ijk,jk->i", T, d2p)
     v5 = d2p @ v3
     v7 = d2p @ v5
     I2 = float(np.einsum("ijk,ijk", T, T))
     I4 = float(np.einsum("ij,ij", d2p, d2p))
     I6 = float(v3 @ v3)
-    cross = ta.as_array(ta.cross_sym2_vec(d2p, v3))
+    cross = ta.cross_sym2_vec(d2p, v3)
     I10 = float(np.einsum("ij,ij", cross, cross))
     I15 = float(np.linalg.det(np.column_stack([v3, v5, v7])))
     return (I2, I4, I6, I10, I15)
@@ -205,7 +203,7 @@ def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> b
 @lru_cache(maxsize=1)
 def _h3_basis() -> np.ndarray:
     """Voigt matrices of the seven harmonic coordinates, (7, 3, 6)."""
-    basis = np.array([ta.voigt_from_full3(ta.h3_full(e)) for e in np.eye(7)])
+    basis = ta.voigt_from_full3(ta.h3_full(np.eye(7)))
     basis.flags.writeable = False
     return basis
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..poly import Polynomial
+from ._tensalg import voigt_norm
 
 
 @dataclass
@@ -22,8 +23,9 @@ class DistanceProblem:
     gives ``x0``, the candidate's free part ``fixed`` and the ``offset``
     (the complement's squared norm, which no candidate changes); scaling
     the input by 2^j scales them by exactly 2^j, 2^j and 4^j.  Coordinates
-    within the projection's rounding of zero read zero.  The objective is
-    |x - x0|_Q^2, and the squared distance to the candidate
+    and complement components within the projection's rounding of zero read
+    zero, so an input on span(free) + span(basis) has offset 0.  The
+    objective is |x - x0|_Q^2, and the squared distance to the candidate
     ``fixed + sum_k x_k basis[k]`` is ``offset + objective(x)``.  ``x_ref``
     is the point of the stratum's line t * normal_form closest to x0 in Q:
     feasible and never worse than x = 0.  ``natural_scale`` is the largest
@@ -60,12 +62,15 @@ class DistanceProblem:
         q, r = np.linalg.qr(A, mode="complete")  # q[:, m + n:] spans the complement
         c = q.T @ v
         coef = np.linalg.solve(r[:m + n], c[:m + n])
-        coef[np.abs(coef) <= 2.0 * np.finfo(float).eps * np.linalg.norm(v)] = 0.0
+        noise = 2.0 * np.finfo(float).eps * np.linalg.norm(v)
+        coef[np.abs(coef) <= noise] = 0.0
+        rest = c[m + n:]
+        rest[np.abs(rest) <= noise] = 0.0
         B = self.basis.reshape(n, -1)
         with np.errstate(over="ignore", invalid="ignore"):
             self.x0 = np.ldexp(coef[m:], e)
             self.fixed = np.ldexp(coef[:m] @ self.free.reshape(m, W.size), e).reshape(W.shape)
-            self.offset = float(np.ldexp(c[m + n:] @ c[m + n:], 2 * e))
+            self.offset = float(np.ldexp(rest @ rest, 2 * e))
             self.Q = (B * W.ravel()) @ B.T
             linear = -2.0 * (self.Q @ self.x0)
             constant = -0.5 * float(self.x0 @ linear)
@@ -98,7 +103,7 @@ class DistanceProblem:
     def tensor_distance(self, x) -> float:
         """|reference - candidate(x)| in the tensor norm, formed directly."""
         diff = self.reference - self.minimizer_voigt(x)
-        return float(np.sqrt(np.sum(self.weights * diff * diff)))
+        return voigt_norm(diff, self.weights)
 
     def total_distance(self, bound: float) -> float:
         """Stratum distance from a certified bound on the reduced objective."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..poly import Polynomial
+from ..poly import Polynomial, forms_from_tensor
 from ..moment import EQ
 from . import _tensalg as ta
 from .problems import DistanceProblem
@@ -101,7 +101,7 @@ class Sym3Tensor:
     @property
     def components(self) -> np.ndarray:
         """The 10 independent slots in lexicographic index order."""
-        return np.array([self.full[s] for s in ta.SYM3_SLOTS])
+        return ta.sym3_components(self.full)
 
     def norm2(self) -> float:
         return float(np.einsum("ijk,ijk", self.full, self.full))
@@ -112,7 +112,7 @@ class Sym3Tensor:
 
 def cross_gen(a: Sym2Tensor, b: Sym2Tensor) -> Sym3Tensor:
     """Generalized cross product (a x b)_{ijk} = -(a_{il} eps_{ljs} b_{sk})^s."""
-    return Sym3Tensor(full=ta.as_array(ta.cross_sym2_sym2(a.mat, b.mat)))
+    return Sym3Tensor(full=ta.cross_sym2_sym2(a.mat, b.mat))
 
 
 def traceless(a: Sym2Tensor) -> Sym2Tensor:
@@ -187,12 +187,11 @@ def _drop_rounding(p: Polynomial) -> Polynomial:
 @lru_cache(maxsize=1)
 def _transverse_equations() -> tuple:
     """The 10 independent cubics (x'^2 x x')_ijk of the deviator in its 5
-    coordinates, built once."""
-    x = Polynomial.variables(5)
-    A = [[sum(xk * float(b) for xk, b in zip(x, DEVIATORIC_BASIS[:, i, j])) for j in range(3)]
-         for i in range(3)]
-    cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
-    return tuple(_drop_rounding(cross[i][j][k]) for (i, j, k) in ta.SYM3_SLOTS)
+    coordinates, built once: the coefficient of x_a x_b x_c is
+    (D_a D_b) x D_c over the basis matrices D of DEVIATORIC_BASIS."""
+    D = DEVIATORIC_BASIS
+    K = ta.cross_sym2_sym2(np.einsum("aij,bjk->abik", D, D)[:, :, None], D)
+    return tuple(_drop_rounding(p) for p in forms_from_tensor(ta.sym3_components(K), 3))
 
 
 def build_distance_problem_sym2(a0: Sym2Tensor) -> DistanceProblem:

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "Polynomial",
+    "forms_from_tensor",
     "grlex_key",
     "grlex_position",
     "lambda_set",
@@ -284,3 +285,21 @@ class Polynomial:
         bits = [f"{c:+g}*x^{a}" for a, c in self.sorted_terms()]
         return f"Polynomial({self.n}, {' '.join(bits)})"
 
+
+
+def forms_from_tensor(K, k: int) -> tuple[Polynomial, ...]:
+    """The forms of degree k whose coefficient tensor is K, of shape
+    (n,) * k + out: form o is the sum over index tuples (a1, ..., ak) of
+    K[a1, ..., ak, o] x_a1 ... x_ak, one polynomial per entry of out in C
+    order.  Tuples that are permutations of each other share a monomial, so
+    their coefficients add."""
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    tuples = np.indices((n,) * k).reshape(k, -1).T
+    exponents = (tuples[:, :, None] == np.arange(n)).sum(axis=1)
+    _, first, column = np.unique(grlex_position(exponents), return_index=True, return_inverse=True)
+    rows = K.reshape(n**k, -1)
+    C = np.zeros((len(first), rows.shape[1]))
+    np.add.at(C, column, rows)
+    monos = [tuple(alpha) for alpha in exponents[first].tolist()]
+    return tuple(Polynomial._trusted(n, dict(zip(monos, c))) for c in C.T.tolist())

@@ -5,6 +5,7 @@ import pytest
 
 from strata_opt.cli import main
 from strata_opt.datasets import get_dataset
+from strata_opt.mech import ElasticityTensor
 from strata_opt.reports import Report
 
 
@@ -453,6 +454,18 @@ class TestHugeTensors:
         code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
         assert code == 1
         assert err == "error: the squared distance overflows a double\n"
+
+    def test_huge_isotropic_tensor_is_at_distance_zero(self, tmp_path, capsys):
+        """lambda = 1e200, mu = 5e199: the projection's rounding in the
+        complement reads zero, so the offset does not overflow."""
+        lam, mu = 1e200, 5e199
+        voigt = np.diag([2 * mu] * 3 + [mu] * 3)
+        voigt[:3, :3] += lam
+        report = tmp_path / "rep.json"
+        code, _, _ = self._run(tmp_path, capsys, {"kind": "elasticity", "voigt": voigt.tolist()},
+                               ["distance", "--stratum", "cubic-ela", "--json", str(report)])
+        assert code == 0
+        assert Report.from_json(report.read_text()).distance <= 1e-12 * ElasticityTensor(voigt).norm()
 
     @pytest.mark.parametrize("ds_id, stratum", [("a0", "O2"), ("E0", "cubic-ela"),
                                                 ("aln", "cubic-piezo")])

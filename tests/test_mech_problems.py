@@ -10,12 +10,17 @@ import pytest
 from strata_opt.datasets import DATASETS
 from strata_opt.mech import (
     ElasticityTensor,
+    H3Params,
+    H4Params,
     PiezoTensor,
     Sym2Tensor,
     build_distance_problem_ela,
     build_distance_problem_piezo,
     build_distance_problem_sym2,
     classify_sym2,
+    cross_gen,
+    d2prime_ela,
+    d2prime_piezo,
     deviatoric_coordinates,
     harmonic_decompose_ela,
     is_cubic_ela,
@@ -23,7 +28,8 @@ from strata_opt.mech import (
     piezo_harmonic_part,
 )
 from strata_opt.mech import _tensalg as ta
-from strata_opt.mech.elasticity import _isotropic_voigt
+from strata_opt.mech.elasticity import _h4_basis, _isotropic_voigt
+from strata_opt.mech.piezo import _h3_basis
 from strata_opt.mech.sym2 import DEVIATORIC_BASIS
 from strata_opt.poly import Polynomial
 
@@ -36,27 +42,30 @@ def _rotated(kind, voigt, g):
         return Sym2Tensor(mat=g @ voigt @ g.T)
     if kind == "elasticity":
         T = np.einsum("ia,jb,kc,ld,abcd->ijkl", g, g, g, g, ElasticityTensor(voigt=voigt).full())
-        return ElasticityTensor(voigt=ta.as_array(ta.voigt_from_full4(T)))
+        return ElasticityTensor(voigt=ta.voigt_from_full4(T))
     T = np.einsum("ia,jb,kc,abc->ijk", g, g, g, PiezoTensor(voigt=voigt).full())
-    return PiezoTensor(voigt=ta.as_array(ta.voigt_from_full3(T)))
+    return PiezoTensor(voigt=ta.voigt_from_full3(T))
 
 
-def _sym2_norm2(x):
-    A = [[sum(xk * float(b) for xk, b in zip(x, DEVIATORIC_BASIS[:, i, j])) for j in range(3)]
-         for i in range(3)]
-    return sum(A[i][j] * A[i][j] for i in range(3) for j in range(3))
+def _norm2_over_symbols(basis, full):
+    """|sum_k x_k basis[k]|^2 expanded over Polynomial symbols, summed over
+    every entry of the full tensor: the expansion the builders made before
+    the objective came from Q."""
+    x = Polynomial.variables(len(basis))
+    T = full(sum(b * xk for xk, b in zip(x, basis)))  # an object array of Polynomials
+    return sum(t * t for t in T.ravel())
 
 
-# per stratum: builder, squared tensor norm of the reduced coordinates' tensor
-# (the expansion the builders made before the objective came from Q), and
-# the stratum's membership test on a Voigt matrix
+# per stratum: builder, squared tensor norm of the reduced coordinates' tensor,
+# and the stratum's membership test on a Voigt matrix
 STRATA = {
-    "sym2": (build_distance_problem_sym2, _sym2_norm2,
+    "sym2": (build_distance_problem_sym2, lambda: _norm2_over_symbols(DEVIATORIC_BASIS, np.asarray),
              lambda V: classify_sym2(Sym2Tensor(mat=V)).label != "orthotropic"),
-    "elasticity": (build_distance_problem_ela, lambda x: ta.norm2_voigt4(ta.h4_voigt(x)),
+    "elasticity": (build_distance_problem_ela,
+                   lambda: _norm2_over_symbols(_h4_basis(), ta.full4_from_voigt),
                    lambda V: is_cubic_ela(ElasticityTensor(voigt=V))),
     "piezo": (build_distance_problem_piezo,
-              lambda x: ta.norm2_voigt3(ta.voigt_from_full3(ta.h3_full(x))),
+              lambda: _norm2_over_symbols(_h3_basis(), ta.full3_from_voigt),
               lambda V: is_cubic_piezo(PiezoTensor(voigt=V))),
 }
 FIRST = {"sym2": "a0", "elasticity": "E0", "piezo": "aln"}
@@ -119,6 +128,18 @@ def test_input_on_the_free_part_has_zero_coordinates(kind, rng):
         assert not prob.x0.any() and prob.natural_scale == 1.0
 
 
+@pytest.mark.parametrize("kind", sorted(STRATA))
+@pytest.mark.parametrize("j", [-100, 0, 100, 600])
+def test_input_on_the_free_part_has_offset_zero(kind, j, rng):
+    """The complement's rounding reads zero too, so the offset is exactly 0
+    at every scale: at 2^600 its noise squared used to overflow."""
+    for _ in range(5):
+        T = ON_FREE[kind](*rng.normal(size=2) * 100.0)
+        voigt = T.mat if kind == "sym2" else T.voigt
+        prob = STRATA[kind][0](type(T)(np.ldexp(voigt, j)))
+        assert prob.offset == 0.0 and not prob.x0.any()
+
+
 def test_huge_tensor_on_the_free_part_is_not_refused():
     """Its squared distance is 0, and the underflow test does not overflow."""
     prob = build_distance_problem_sym2(Sym2Tensor(mat=1e300 * np.eye(3)))
@@ -143,7 +164,7 @@ def test_scaling_by_a_power_of_two_is_exact(kind, j, rng):
 def test_gram_matrix_is_half_the_hessian_of_the_norm(kind, rng):
     prob = _problem(FIRST[kind], rng)
     n = prob.n
-    p = STRATA[kind][1](Polynomial.variables(n))
+    p = STRATA[kind][1]()
     unit = np.eye(n, dtype=int)
     half_hessian = np.array([[p.coefficient(unit[k] + unit[l]) * (1.0 if k == l else 0.5)
                               for l in range(n)] for k in range(n)])
@@ -176,6 +197,31 @@ def test_normal_form_point_lies_on_the_stratum(ds_id, rng):
         assert STRATA[kind][2](prob.minimizer_voigt(x))
 
 
+def _transverse_covariant(x):
+    a = Sym2Tensor(mat=np.einsum("k,kij->ij", x, DEVIATORIC_BASIS))
+    return cross_gen(Sym2Tensor(mat=a.mat @ a.mat), a).components
+
+
+# per stratum: the numeric covariant at x, in the order of the equations
+COVARIANTS = {
+    "sym2": _transverse_covariant,
+    "elasticity": lambda x: d2prime_ela(H4Params.from_array(x)).mat[ta.DEV_ROWS, ta.DEV_COLS],
+    "piezo": lambda x: d2prime_piezo(H3Params.from_array(x)).mat[ta.DEV_ROWS, ta.DEV_COLS],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRATA))
+def test_equations_are_the_numeric_covariant(kind, rng):
+    """The equations come from coefficient tensors, the covariant from the
+    point's own tensor: both must give the same values."""
+    prob = _problem(FIRST[kind], rng)
+    for _ in range(20):
+        x = rng.normal(size=prob.n)
+        expected = COVARIANTS[kind](x)
+        values = np.array([g.evaluate(x) for g, _ in prob.constraints])
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
 def test_sym2_builds_share_their_equations():
     p1 = build_distance_problem_sym2(Sym2Tensor(mat=np.diag([1.0, 2.0, 4.0])))
     p2 = build_distance_problem_sym2(Sym2Tensor(mat=np.eye(3)))
@@ -202,7 +248,7 @@ def test_overflowing_squared_distance_is_refused(build, tensor):
 CUBIC_ELA = np.array([[250.0, 100, 100, 0, 0, 0], [100, 250, 100, 0, 0, 0],
                       [100, 100, 250, 0, 0, 0], [0, 0, 0, 60, 0, 0],
                       [0, 0, 0, 0, 60, 0], [0, 0, 0, 0, 0, 60]])
-CUBIC_PIEZO = PiezoTensor.from_full(ta.as_array(ta.h3_full(np.eye(7)[3]))).voigt  # h123 alone
+CUBIC_PIEZO = PiezoTensor.from_full(ta.h3_full(np.eye(7)[3])).voigt  # h123 alone
 
 
 IS_CUBIC = {

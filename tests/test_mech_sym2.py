@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,17 @@ class TestClassification:
         assert "transversely_isotropic" in cls.chain
 
 
+def _cross_over_symbols(a, b):
+    """The independent slots of (a x b)_ijk = -(a_il eps_ljs b_sk)^s for 3x3
+    nested lists of Polynomials, expanded term by term from the definition."""
+    def raw(i, j, k):
+        return sum(a[i][l] * b[s][k] * float(ta.LEVI[l, j, s])
+                   for l in range(3) for s in range(3) if ta.LEVI[l, j, s])
+
+    return [sum(raw(*p) for p in itertools.permutations(slot)) * (1.0 / 6.0) * -1.0
+            for slot in ta.SYM3_SLOTS]
+
+
 def _six_variable_problem(a0):
     """The paper's formulation: min |a0 - a|^2 over (a^2 x a) = 0 in the six
     Voigt components (a11, a22, a33, a23, a13, a12) of a."""
@@ -118,8 +131,8 @@ def _six_variable_problem(a0):
         for j in range(3):
             diff = A[i][j] - float(a0.mat[i, j])
             f = f + diff * diff
-    cross = ta.cross_sym2_sym2(ta.mat_mul(A, A), A)
-    return f, [(cross[i][j][k], EQ) for (i, j, k) in ta.SYM3_SLOTS]
+    A2 = [[sum(A[i][k] * A[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return f, [(g, EQ) for g in _cross_over_symbols(A2, A)]
 
 
 _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from strata_opt.moment import MomentVector, assemble_relaxation
 from strata_opt.poly import (
     Polynomial,
+    forms_from_tensor,
     grlex_key,
     grlex_position,
     lambda_set,
@@ -286,3 +288,18 @@ def test_gradient_of_known_polynomial():
     assert dx == 6.0 * x * y
     assert dy == 3.0 * x * x - 1.0
     assert Polynomial.constant(2, 4.0).gradient() == (Polynomial.zero(2), Polynomial.zero(2))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_forms_from_tensor_is_the_sum_over_index_tuples(k, rng):
+    n, out = 4, (2, 3)
+    K = rng.normal(size=(n,) * k + out)
+    x = Polynomial.variables(n)
+    forms = forms_from_tensor(K, k)
+    assert len(forms) == math.prod(out)
+    for o, form in zip(itertools.product(*map(range, out)), forms):
+        direct = sum(float(K[a + o]) * math.prod(x[i] for i in a)
+                     for a in itertools.product(range(n), repeat=k))
+        assert set(form.terms) == set(direct.terms)
+        for alpha, c in direct.terms.items():
+            assert form.terms[alpha] == pytest.approx(c, rel=1e-14, abs=1e-14)
