@@ -1,8 +1,8 @@
 """strata_opt: moment relaxations for polynomial optimization, applied to
 distances from constitutive tensors to closed isotropy strata.
 
-The package layers as follows: ``poly`` (sparse polynomials, graded index
-sets as exponent arrays) feeds ``moment`` (moment/localizing matrices, LMI
+The package layers as follows: ``poly`` (polynomials and graded index sets,
+both exponent arrays) feeds ``moment`` (moment/localizing matrices, LMI
 assembly), solved by ``sdp`` (dense primal-dual interior point) and driven
 by ``hierarchy`` (relaxation loop, rank certification, atom extraction).
 ``mech`` holds the constitutive-tensor algebra and reduces stratum distances

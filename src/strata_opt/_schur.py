@@ -115,7 +115,7 @@ class _Stack:
         self.rows, self.cols, self.vals = rows.rows, rows.cols, rows.vals
         # the products of evaluate and adjoint go to one reused buffer: as
         # per-call temporaries they raised the certify and pop-ineq peak RSS
-        self.terms = np.empty(self.cols.size)
+        self.products = np.empty(self.cols.size)
         self.MH = np.empty((k, Nb, Nb))
         self.GT = rows.dense(L).reshape(k, Nb, L)
         self.Xt = np.empty(self.GT.shape)
@@ -138,8 +138,8 @@ class _Stack:
             X = y[self.B][None]
         else:
             k, Nb = self.shape[0], self.Nb
-            np.multiply(self.vals, y[self.cols], out=self.terms)
-            X = np.bincount(self.rows, self.terms, minlength=k * Nb)
+            np.multiply(self.vals, y[self.cols], out=self.products)
+            X = np.bincount(self.rows, self.products, minlength=k * Nb)
             X = X.reshape(k, Nb)[:, self.B]
         return X if self.face is None else self.face.T @ X @ self.face
 
@@ -149,8 +149,8 @@ class _Stack:
         if self.direct:
             return np.bincount(self.entries, X, minlength=self.L)
         h = np.bincount(self.entries, X, minlength=self.shape[0] * self.Nb)
-        np.multiply(self.vals, h[self.rows], out=self.terms)
-        return np.bincount(self.cols, self.terms, minlength=self.L)
+        np.multiply(self.vals, h[self.rows], out=self.products)
+        return np.bincount(self.cols, self.products, minlength=self.L)
 
     def add_schur(self, V: np.ndarray, M: np.ndarray, Qbuf: np.ndarray, Ybuf: np.ndarray,
                   assign: bool) -> None:

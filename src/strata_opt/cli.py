@@ -138,7 +138,8 @@ def _distance_single(job) -> Report:
     if result.minimizers:
         minimizers_voigt = [problem.minimizer_voigt(x) for x in result.minimizers]
         direct = problem.tensor_distance(result.minimizers[0])
-        residuals["distance_consistency"] = abs(distance - direct) if distance is not None else None
+        residuals["distance_consistency"] = (abs(distance - direct) / (tensor.norm() or 1.0)
+                                             if distance is not None else None)
         last = result.diagnostics[-1]
         residuals["max_constraint_violation"] = last.max_constraint_violation
         residuals["max_objective_mismatch"] = last.max_objective_mismatch

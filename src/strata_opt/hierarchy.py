@@ -343,7 +343,7 @@ def relaxation_bytes(n: int, d: int, constraints) -> int:
         if kind == EQ:
             rows += math.comb(n + 2 * k, n)
         else:
-            blocks.append((len(g.terms), math.comb(n + 2 * k, n)))
+            blocks.append((len(g.coeffs), math.comb(n + 2 * k, n)))
     return solve_bytes(math.comb(n + 2 * d, n), blocks, rows)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..poly import Polynomial
+from ..poly import Polynomial, _wrap, lambda_set
 from ._tensalg import voigt_norm
 
 
@@ -82,13 +82,9 @@ class DistanceProblem:
         if tiny:
             raise ValueError("the squared distance underflows a double")
         self.natural_scale = float(np.max(np.abs(np.append(self.x0, self.x0 @ B)))) or 1.0
-        unit = np.eye(n, dtype=np.int64)
-        terms = {(0,) * n: constant}
-        for k in range(n):
-            terms[tuple(unit[k])] = linear[k]
-            for l in range(k, n):
-                terms[tuple(unit[k] + unit[l])] = self.Q[k, l] * (1.0 if k == l else 2.0)
-        self.objective = Polynomial(n, terms)
+        # lambda_set(n, 2) lists 1, x_1..x_n, then x_k x_l (k <= l) row by row
+        quadratic = (self.Q * (2.0 - np.eye(n)))[np.triu_indices(n)]
+        self.objective = _wrap(lambda_set(n, 2), np.concatenate([[constant], linear, quadratic]))
         Qd = self.Q @ self.normal_form
         self.x_ref = float(Qd @ self.x0) / float(Qd @ self.normal_form) * self.normal_form
 

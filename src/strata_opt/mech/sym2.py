@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..poly import Polynomial, forms_from_tensor
+from ..poly import Polynomial, _wrap, forms_from_tensor
 from ..moment import EQ
 from . import _tensalg as ta
 from .problems import DistanceProblem
@@ -180,8 +180,8 @@ def _drop_rounding(p: Polynomial) -> Polynomial:
     """p without the coefficients below 1e-12 of its largest: the basis'
     irrational entries leave rounding remainders (1e-17) of terms that
     cancel exactly; the smallest true coefficient is 0.14 of the largest."""
-    big = max(abs(c) for c in p.terms.values())
-    return Polynomial(p.n, {a: c for a, c in p.terms.items() if abs(c) > 1e-12 * big})
+    keep = np.abs(p.coeffs) > 1e-12 * np.abs(p.coeffs).max()
+    return _wrap(p.exponents[keep], p.coeffs[keep])
 
 
 @lru_cache(maxsize=1)

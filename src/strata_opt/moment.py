@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import Polynomial, grlex_position, lambda_set, monomials, term_arrays
+from .poly import Polynomial, grlex_position, lambda_set, monomials
 
 __all__ = [
     "MomentVector",
@@ -186,9 +186,8 @@ def _block_for(g: Polynomial, d: int) -> LMIBlock:
     """The order-d block M_k(g . y), k = d - v: shift[p, t] is the position in
     Lambda(2d) of (the p-th member of Lambda(2k)) + delta_t, coeffs g's."""
     n, v = g.n, constraint_half_degree(g)
-    deltas, coeffs = term_arrays([g], n)
-    shift = grlex_position(lambda_set(n, 2 * (d - v))[:, None, :] + deltas[None, :, :])
-    return LMIBlock(v=v, base=_sum_positions(n, d - v), shift=shift, coeffs=coeffs[0])
+    shift = grlex_position(lambda_set(n, 2 * (d - v))[:, None, :] + g.exponents[None, :, :])
+    return LMIBlock(v=v, base=_sum_positions(n, d - v), shift=shift, coeffs=g.coeffs)
 
 
 def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem:
@@ -208,9 +207,8 @@ def assemble_relaxation(f: Polynomial, constraints, d: int) -> RelaxationProblem
     if d < d0:
         raise ValueError(f"relaxation order d={d} below minimal order d0={d0}")
 
-    X, C = term_arrays([f], n)
     objective = np.zeros(math.comb(n + 2 * d, n))
-    objective[grlex_position(X)] = C[0]
+    objective[grlex_position(f.exponents)] = f.coeffs
 
     blocks = [_block_for(Polynomial.constant(n, 1.0), d)]
     equalities = []

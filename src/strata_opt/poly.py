@@ -1,14 +1,13 @@
 """Sparse multivariate polynomials and graded index sets.
 
-A polynomial in ``n`` variables is a finite map from exponent vectors
-(tuples of ``n`` nonnegative integers) to float coefficients.  Terms are
-kept in canonical form (no zero coefficients) and every ordered traversal
-uses graded lexicographic order, so that the monomials of degree <= k are
-always a prefix of the monomials of degree <= k+1.
+A polynomial in ``n`` variables is two read-only arrays, which every layer
+reads as they are: ``exponents`` (T, n) int64, distinct rows ascending in
+graded-lex order (degree <= k before degree k+1), and ``coeffs`` (T,)
+float64, none of them zero.
 
 An index set Lambda(n, k) is the read-only (binomial(n+k, n), n) array of
-those exponent vectors (lambda_set); a vector's row in it is given in
-closed form by grlex_position, for any k at or above its degree.
+the exponent vectors of degree <= k (lambda_set); a vector's row in it is
+given in closed form by grlex_position, for any k at or above its degree.
 """
 
 from __future__ import annotations
@@ -16,24 +15,17 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
 __all__ = [
     "Polynomial",
     "forms_from_tensor",
-    "grlex_key",
     "grlex_position",
     "lambda_set",
     "monomials",
     "term_arrays",
 ]
-
-
-def grlex_key(alpha: tuple[int, ...]) -> tuple:
-    """Sort key realizing graded lexicographic order (x1 > x2 > ... within a grade)."""
-    return (sum(alpha), tuple(-a for a in alpha))
 
 
 @lru_cache(maxsize=None)
@@ -85,20 +77,47 @@ def grlex_position(alphas) -> np.ndarray:
     return C[tail + (n - 1 - j), n - j].sum(axis=-1)
 
 
+def _wrap(exponents: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
+    """The polynomial of rows already distinct and in order, without exact zeros."""
+    if np.count_nonzero(coeffs) < len(coeffs):
+        keep = coeffs != 0.0
+        exponents, coeffs = exponents[keep], coeffs[keep]
+    exponents.setflags(write=False)
+    coeffs.setflags(write=False)
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "exponents", exponents)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+def _union(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows in graded-lex order, a stable sort of the rows into
+    that order and each sorted row's index among the distinct ones.  Sorting
+    on (degree, -alpha) needs no position table, which grows as degree^2."""
+    order = np.lexsort(np.vstack([-exponents[:, ::-1].T, exponents.sum(axis=1)]))
+    rows = exponents[order]
+    new = np.ones(len(order), bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new], order, np.cumsum(new) - 1
+
+
+def _merge(exponents: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
+    """The polynomial sum_t coeffs[t] x^exponents[t] of rows in any order that
+    may repeat: a repeated row's coefficients add in input order."""
+    rows, order, group = _union(exponents)
+    sums = np.bincount(group, coeffs[order], len(rows)).astype(float, copy=False)  # int64 if empty
+    return _wrap(rows, sums)
+
+
 def term_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The array form of polynomials in n variables: exponents X (T, n) of
-    every monomial that occurs in any of them, in graded-lex order, and
-    coefficients C (len(polys), T), so that polys[i] = sum_t C[i, t] x^X[t].
-    Both are read-only."""
-    # descending (-degree, alpha) is grlex_key's order without its tuples
-    monos = sorted({alpha for p in polys for alpha in p.terms}, key=lambda a: (-sum(a), a),
-                   reverse=True)
-    column = {alpha: t for t, alpha in enumerate(monos)}
-    C = np.zeros((len(polys), len(monos)))
-    for i, p in enumerate(polys):
-        for alpha, c in p.terms.items():
-            C[i, column[alpha]] = c
-    X = np.array(monos, dtype=np.int64).reshape(-1, n)
+    """Polynomials in n variables over their common support, X (T, n) in
+    graded-lex order, and their coefficients C (len(polys), T): polys[i] =
+    sum_t C[i, t] x^X[t].  Both are read-only."""
+    X, order, column = _union(
+        np.concatenate([np.empty((0, n), np.int64)] + [p.exponents for p in polys]))
+    C = np.zeros((len(polys), len(X)))
+    owner = np.repeat(np.arange(len(polys)), [len(p.coeffs) for p in polys])
+    C[owner[order], column] = np.concatenate([np.empty(0)] + [p.coeffs for p in polys])[order]
     X.flags.writeable = C.flags.writeable = False
     return X, C
 
@@ -117,36 +136,26 @@ class Polynomial:
     """Immutable sparse polynomial with float coefficients.
 
     Supports +, -, * (with scalars and polynomials) and ** by nonnegative
-    integers.  Equality is exact on the canonical term map.
+    integers.  Equality is exact on the canonical arrays.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("exponents", "coeffs")
 
-    def __init__(self, n: int, terms: dict | None = None):
+    def __new__(cls, n: int, terms=None):
+        """The polynomial sum of c x^alpha over a mapping {alpha: c}: every alpha
+        has n integer entries in [0, 2^53), exact as floats; every c is finite."""
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
-        clean: dict[tuple[int, ...], float] = {}
-        for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent vector {alpha} for n={n}")
-            c = float(coeff)
-            if c != 0.0:
-                clean[alpha] = clean.get(alpha, 0.0) + c
-                if clean[alpha] == 0.0:
-                    del clean[alpha]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
-        """Wrap a term map whose exponents are already valid tuples of length n
-        and whose coefficients are floats, dropping exact zeros.  Arithmetic
-        results come through here; outside input goes through __init__."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", {a: c for a, c in terms.items() if c != 0.0})
-        return p
+        terms = terms or {}
+        try:
+            raw = np.array(list(terms), dtype=float).reshape(len(terms), n)
+            coeffs = np.array(list(terms.values()), dtype=float).reshape(len(terms))
+        except (TypeError, ValueError):
+            raise ValueError(f"need a map from exponent vectors of length {n} to numbers") from None
+        if not (((raw >= 0) & (raw < 2**53) & (raw == np.floor(raw))).all()
+                and np.isfinite(coeffs).all()):
+            raise ValueError("exponents must be integers in [0, 2^53) and coefficients finite")
+        return _merge(raw.astype(np.int64), coeffs)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -160,9 +169,7 @@ class Polynomial:
     def variable(cls, i: int, n: int) -> "Polynomial":
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for n={n}")
-        alpha = [0] * n
-        alpha[i] = 1
-        return cls(n, {tuple(alpha): 1.0})
+        return cls(n, {tuple(int(j == i) for j in range(n)): 1.0})
 
     @classmethod
     def monomial(cls, alpha, c: float = 1.0) -> "Polynomial":
@@ -179,38 +186,34 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
     @property
+    def n(self) -> int:
+        return self.exponents.shape[1]
+
+    @property
     def degree(self) -> int:
-        """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(a) for a in self.terms)
+        """Total degree (of the last row); 0 for the zero polynomial."""
+        return int(self.exponents[-1].sum()) if len(self.coeffs) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        """Terms in ascending graded-lex order (deterministic traversal)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        return not len(self.coeffs)
 
     def coefficient(self, alpha) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
+        return float(self.coeffs[(self.exponents == np.reshape(alpha, self.n)).all(axis=1)].sum())
 
     def gradient(self) -> tuple["Polynomial", ...]:
-        """The partial derivatives (dp/dx_1, ..., dp/dx_n)."""
-        parts = []
-        for i in range(self.n):
-            terms = {}
-            for alpha, c in self.terms.items():
-                if alpha[i]:
-                    terms[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]] = c * alpha[i]
-            parts.append(Polynomial._trusted(self.n, terms))
-        return tuple(parts)
+        """(dp/dx_1, ..., dp/dx_n); lowering the rows by one in x_i keeps their order."""
+        X = self.exponents
+        i, t = X.T.nonzero()  # by variable, then by row
+        lowered, coeffs = X[t] - np.eye(self.n, dtype=np.int64)[i], self.coeffs[t] * X[t, i]
+        ends = np.bincount(i, minlength=self.n).cumsum().tolist()
+        return tuple(_wrap(lowered[a:b], coeffs[a:b]) for a, b in zip([0] + ends, ends))
 
     def dilate(self, r: float) -> "Polynomial":
         """The polynomial x -> p(r * x): coefficients scale by r^|alpha|."""
         r = float(r)
-        return Polynomial._trusted(self.n, {a: c * r ** sum(a) for a, c in self.terms.items()})
+        powers = np.array([r**k for k in range(self.degree + 1)])
+        return _wrap(self.exponents, self.coeffs * powers[self.exponents.sum(axis=1)])
 
     # -- arithmetic ---------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -222,15 +225,13 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            out[alpha] = out.get(alpha, 0.0) + c
-        return Polynomial._trusted(self.n, out)
+        return _merge(np.concatenate([self.exponents, other.exponents]),
+                      np.concatenate([self.coeffs, other.coeffs]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {a: -c for a, c in self.terms.items()})
+        return _wrap(self.exponents, -self.coeffs)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -239,34 +240,34 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        """A product with a one-term factor shifts the other's rows, which
+        keeps their order; any other product merges all pairs of terms."""
         if not isinstance(other, Polynomial):
-            s = float(other)
-            return Polynomial._trusted(self.n, {a: c * s for a, c in self.terms.items()})
+            return _wrap(self.exponents, self.coeffs * float(other))
         other = self._coerce(other)
-        out: dict[tuple[int, ...], float] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = tuple(map(add, a1, a2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial._trusted(self.n, out)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return _wrap(self.exponents + other.exponents, self.coeffs * other.coeffs)
+        return _merge((self.exponents[:, None] + other.exponents[None]).reshape(-1, self.n),
+                      np.outer(self.coeffs, other.coeffs).ravel())
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = Polynomial.constant(self.n, 1.0)
-        for _ in range(exponent):
+        result = self if exponent else Polynomial.constant(self.n, 1.0)
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (np.array_equal(self.exponents, other.exponents)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.exponents.tobytes(), self.coeffs.tobytes()))
 
     # -- evaluation ---------------------------------------------------
     def evaluate(self, x):
@@ -275,16 +276,14 @@ class Polynomial:
         pts = np.asarray(x, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
             raise ValueError(f"points have shape {pts.shape}, expected ({self.n},) or (m, {self.n})")
-        X, C = term_arrays([self], self.n)
-        values = np.sum(monomials(X, pts.reshape(-1, self.n)) * C[0], axis=1)
+        values = np.sum(monomials(self.exponents, pts.reshape(-1, self.n)) * self.coeffs, axis=1)
         return float(values[0]) if pts.ndim == 1 else values
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero:
             return f"Polynomial({self.n}, 0)"
-        bits = [f"{c:+g}*x^{a}" for a, c in self.sorted_terms()]
+        bits = [f"{c:+g}*x^{tuple(a)}" for a, c in zip(self.exponents.tolist(), self.coeffs)]
         return f"Polynomial({self.n}, {' '.join(bits)})"
-
 
 
 def forms_from_tensor(K, k: int) -> tuple[Polynomial, ...]:
@@ -297,9 +296,7 @@ def forms_from_tensor(K, k: int) -> tuple[Polynomial, ...]:
     n = K.shape[0]
     tuples = np.indices((n,) * k).reshape(k, -1).T
     exponents = (tuples[:, :, None] == np.arange(n)).sum(axis=1)
-    _, first, column = np.unique(grlex_position(exponents), return_index=True, return_inverse=True)
-    rows = K.reshape(n**k, -1)
-    C = np.zeros((len(first), rows.shape[1]))
-    np.add.at(C, column, rows)
-    monos = [tuple(alpha) for alpha in exponents[first].tolist()]
-    return tuple(Polynomial._trusted(n, dict(zip(monos, c))) for c in C.T.tolist())
+    X, order, column = _union(exponents)
+    C = np.zeros((K.size // n**k, len(X)))
+    np.add.at(C.T, column, K.reshape(n**k, -1)[order])
+    return tuple(_wrap(X, c) for c in C)

@@ -9,10 +9,10 @@ One statement per line::
     ball 300            # optional, once: append the inequality c - f >= 0
 
 Polynomials are conventional infix expressions over the declared names with
-+ - * / ^ and parentheses; '/' is only allowed by a numeric constant.  Every
-number and every coefficient must be a finite double: a literal such as
-1e999, or a product such as 1e200*1e200, is an error.  Blank lines and '#'
-comments are ignored.
++ - * / ^ and parentheses; '/' is only allowed by a numeric constant, and a
+power has exponent <= 64 and degree <= 2^32.  Every number and every
+coefficient must be a finite double: a literal such as 1e999, or a product
+such as 1e200*1e200, is an error.  Blank lines and '#' comments are ignored.
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from .moment import EQ, GE
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, _merge
 
 __all__ = [
     "PopProblem",
@@ -76,6 +79,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+@lru_cache(maxsize=None)
+def _atoms(n: int) -> tuple[Polynomial, tuple[Polynomial, ...]]:
+    """1 and the n variables: each number scales 1, each name is a variable."""
+    return Polynomial.constant(n, 1.0), tuple(Polynomial.variables(n))
+
+
 class _Parser:
     """Recursive-descent parser for the infix polynomial grammar."""
 
@@ -84,6 +93,7 @@ class _Parser:
         self.pos = 0
         self.var_index = var_index
         self.n = n
+        self.one, self.variables = _atoms(n)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -99,36 +109,29 @@ class _Parser:
             raise PopFormatError(f"expected {op!r}, got {_shown(val)}")
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            p = self.expr()
         if self.pos != len(self.tokens):
             raise PopFormatError(f"trailing input near {self.peek()[1]!r}")
-        if not all(math.isfinite(c) for c in p.terms.values()):
+        if not np.isfinite(p.coeffs).all():
             raise PopFormatError("a coefficient overflows a double")
         return p
 
     def expr(self) -> Polynomial:
-        """A signed sum of terms, added into one term map as they are read,
-        so a sum of T terms costs O(T).  A monomial that cancels is removed
-        at once, so the map and its order match term-by-term addition."""
-        kind, val = self.peek()
-        sign = 1.0
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1.0 if val == "-" else 1.0
-        acc = {alpha: sign * c for alpha, c in self.term().terms.items()}
+        """A signed sum of terms: their rows are gathered as they are read
+        and merged once, so a sum of T terms costs O(T log T), and a
+        repeated monomial's coefficients add in the order of the text."""
+        exponents, coeffs = [], []
         while True:
             kind, val = self.peek()
+            sign = -1.0 if (kind, val) == ("op", "-") else 1.0
             if kind == "op" and val in "+-":
                 self.take()
-                sign = -1.0 if val == "-" else 1.0
-                for alpha, c in self.term().terms.items():
-                    total = acc.get(alpha, 0.0) + sign * c
-                    if total == 0.0:
-                        del acc[alpha]
-                    else:
-                        acc[alpha] = total
-            else:
-                return Polynomial._trusted(self.n, acc)
+            elif exponents:
+                return _merge(np.concatenate(exponents), np.concatenate(coeffs))
+            p = self.term()
+            exponents.append(p.exponents)
+            coeffs.append(sign * p.coeffs)
 
     def term(self) -> Polynomial:
         p = self.factor()
@@ -158,8 +161,11 @@ class _Parser:
             if kind != "num" or not re.fullmatch(r"\d+", val):
                 raise PopFormatError(f"exponent must be a nonnegative integer, got {_shown(val)}")
             exponent = int(val)
-            if exponent > 64:
-                raise PopFormatError(f"exponent {exponent} too large (limit 64)")
+            # other nodes add degrees, so a line of T tokens has degree below
+            # T * 2^32: its exponents stay far inside the int64 range
+            if exponent > 64 or p.degree * exponent > 2**32:
+                raise PopFormatError(f"power {exponent} of a degree-{p.degree} factor too large "
+                                     "(limits: exponent 64, degree 2^32)")
             p = p**exponent
         return p
 
@@ -169,11 +175,11 @@ class _Parser:
             value = float(val)
             if not math.isfinite(value):
                 raise PopFormatError(f"number {val!r} overflows a double")
-            return Polynomial.constant(self.n, value)
+            return self.one * value
         if kind == "name":
             if val not in self.var_index:
                 raise PopFormatError(f"unknown variable {val!r}")
-            return Polynomial.variable(self.var_index[val], self.n)
+            return self.variables[self.var_index[val]]
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")
@@ -202,7 +208,7 @@ def format_polynomial(p: Polynomial, var_names) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for alpha, coeff in sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True):
+    for alpha, coeff in zip(p.exponents[::-1].tolist(), p.coeffs[::-1].tolist()):
         factors = []
         for name, a in zip(var_names, alpha):
             if a == 1:

@@ -62,7 +62,7 @@ class Report:
     distance: float | None = None
     relative_distance: float | None = None
     minimizers_voigt: list = field(default_factory=list)
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)  # distance_consistency is relative to |input|
     seconds: float = 0.0
     environment: dict = field(default_factory=dict)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strata_opt.mech import ElasticityTensor, PiezoTensor, Sym2Tensor
+from strata_opt.poly import term_arrays
 
 
 @pytest.fixture
@@ -52,5 +53,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def poly_allclose(p, q, tol=1e-12):
     """Coefficient-wise comparison of two polynomials."""
-    keys = set(p.terms) | set(q.terms)
-    return all(abs(p.coefficient(a) - q.coefficient(a)) <= tol for a in keys)
+    _, C = term_arrays([p, q], p.n)
+    return bool(np.all(np.abs(C[0] - C[1]) <= tol))
+
+
+def term_dict(p):
+    """The map {alpha: c} of a polynomial's terms, for references built in tests."""
+    return dict(zip(map(tuple, p.exponents.tolist()), p.coeffs.tolist()))

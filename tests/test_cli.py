@@ -467,6 +467,19 @@ class TestHugeTensors:
         assert code == 0
         assert Report.from_json(report.read_text()).distance <= 1e-12 * ElasticityTensor(voigt).norm()
 
+    def test_huge_isotropic_tensor_distance_consistency_is_relative(self, tmp_path, capsys):
+        """The same input: the distance and the direct norm |E - E*| at the
+        atom differ by the rounding of |E| = 3e200 (about 1e185), which the
+        report gives relative to |E|."""
+        lam, mu = 1e200, 5e199
+        voigt = np.diag([2 * mu] * 3 + [mu] * 3)
+        voigt[:3, :3] += lam
+        report = tmp_path / "rep.json"
+        code, _, _ = self._run(tmp_path, capsys, {"kind": "elasticity", "voigt": voigt.tolist()},
+                               ["distance", "--stratum", "cubic-ela", "--json", str(report)])
+        assert code == 0
+        assert Report.from_json(report.read_text()).residuals["distance_consistency"] <= 1e-12
+
     @pytest.mark.parametrize("ds_id, stratum", [("a0", "O2"), ("E0", "cubic-ela"),
                                                 ("aln", "cubic-piezo")])
     def test_distance_refuses_underflow(self, tmp_path, capsys, ds_id, stratum):

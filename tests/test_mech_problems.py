@@ -190,7 +190,7 @@ def test_normal_form_point_lies_on_the_stratum(ds_id, rng):
         prob = _problem(ds_id, rng)
         x = prob.x_ref
         for g, _ in prob.constraints:
-            terms = sum(abs(c) * np.prod(np.abs(x) ** np.array(a)) for a, c in g.terms.items())
+            terms = np.abs(g.coeffs) @ np.prod(np.abs(x) ** g.exponents, axis=1)
             assert abs(g.evaluate(x)) <= 1e-12 * terms
         f = prob.objective
         assert f.evaluate(x) <= f.evaluate(np.zeros(prob.n))

@@ -195,7 +195,8 @@ class TestAssemble:
         rel = assemble_relaxation(f, [], 2)
         y = MomentVector(n=2, d=2, values=rng.normal(size=rel.num_moments))
         position = _positions(2, 4)
-        manual = sum(c * y.values[position[a]] for a, c in f.terms.items())
+        manual = sum(c * y.values[position[tuple(a)]]
+                     for a, c in zip(f.exponents.tolist(), f.coeffs))
         assert rel.objective @ y.values == pytest.approx(manual, rel=1e-13)
 
     def test_nesting_prefix_blocks(self):
@@ -248,7 +249,7 @@ def _block_by_entries(g, d, idx2d):
     for a, alpha in enumerate(rows):
         for b in range(a, side):
             base = tuple(x + z for x, z in zip(alpha, rows[b]))
-            for delta, coeff in g.sorted_terms():
+            for delta, coeff in zip(g.exponents.tolist(), g.coeffs):
                 pos = idx2d[tuple(x + z for x, z in zip(base, delta))]
                 A[pos, a, b] += coeff
                 if b != a:

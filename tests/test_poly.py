@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata_opt.moment import MomentVector, assemble_relaxation
+from strata_opt.popfile import format_polynomial, parse_polynomial
 from strata_opt.poly import (
     Polynomial,
     forms_from_tensor,
-    grlex_key,
     grlex_position,
     lambda_set,
 )
+from conftest import term_dict
+
+
+def _grlex_key(alpha):
+    """Sort key of graded lexicographic order (x1 > x2 > ... within a grade)."""
+    return (sum(alpha), tuple(-a for a in alpha))
 
 
 class TestLambdaSet:
@@ -33,7 +39,7 @@ class TestLambdaSet:
 
     def test_graded_lex_order(self):
         members = list(map(tuple, lambda_set(3, 4).tolist()))
-        keys = [grlex_key(a) for a in members]
+        keys = [_grlex_key(a) for a in members]
         assert keys == sorted(keys)
         assert len(set(members)) == len(members)
         assert all(sum(a) <= 4 for a in members)
@@ -96,9 +102,9 @@ class TestPolynomialBasics:
 
     def test_no_zero_coeffs_stored(self):
         p = Polynomial(2, {(1, 0): 1.0, (0, 1): 0.0})
-        assert (0, 1) not in p.terms
+        assert p.exponents.tolist() == [[1, 0]] and p.coeffs.tolist() == [1.0]
         q = p - p
-        assert q.is_zero and q.terms == {}
+        assert q.is_zero and q.exponents.shape == (0, 2) and q.coeffs.shape == (0,)
 
     def test_mul_monomials(self):
         x = Polynomial.variable(0, 1)
@@ -155,38 +161,48 @@ class TestArithmeticResults:
 
     def _operands(self, rng):
         p = _random_poly(rng, 3, 3)
-        cancel = next(iter(p.terms))
-        q = {a: c for a, c in _random_poly(rng, 3, 2).terms.items() if a != cancel}
+        terms = term_dict(p)
+        cancel = next(iter(terms))
+        q = {a: c for a, c in term_dict(_random_poly(rng, 3, 2)).items() if a != cancel}
         # share monomials with p, and cancel one of them exactly
-        q.update({a: float(rng.normal()) for a in list(p.terms)[1:3]})
-        q[cancel] = -p.terms[cancel]
+        q.update({a: float(rng.normal()) for a in list(terms)[1:3]})
+        q[cancel] = -terms[cancel]
         return p, Polynomial(3, q)
 
     def test_results_equal_public_construction(self, rng):
         for _ in range(10):
             p, q = self._operands(rng)
             for res in (p + q, p - q, q - p, -p, p * q, 2.5 * p, p * 0.0, p.dilate(-1.7), p ** 3):
-                ref = Polynomial(3, res.terms)
+                ref = Polynomial(3, term_dict(res))
                 assert res == ref
-                assert list(res.terms.items()) == list(ref.terms.items())
+                assert res.exponents.tolist() == ref.exponents.tolist()
+                assert res.coeffs.tolist() == ref.coeffs.tolist()
 
     def test_results_drop_exact_zeros(self, rng):
         p, q = self._operands(rng)
         for res in (p + q, p - p, p * 0.0, p.dilate(0.0), (p - p) * q):
-            assert all(c != 0.0 for c in res.terms.values())
-        assert (p + q).coefficient(next(iter(p.terms))) == 0.0
-        assert next(iter(p.terms)) not in (p + q).terms
+            assert res.coeffs.all()
+        assert (p + q).coefficient(p.exponents[0]) == 0.0
+        assert p.exponents[0].tolist() not in (p + q).exponents.tolist()
 
     def test_results_are_immutable(self, rng):
         p, q = self._operands(rng)
         for res in (p + q, -p, p * q, p.dilate(2.0)):
             with pytest.raises(AttributeError):
-                res.terms = {}
+                res.coeffs = np.zeros(0)
+            with pytest.raises(AttributeError):
+                res.exponents = np.zeros((0, 3), np.int64)
             with pytest.raises(AttributeError):
                 res.n = 5
+            with pytest.raises(ValueError):
+                res.coeffs[0] = 1.0
+            with pytest.raises(ValueError):
+                res.exponents[0, 0] = 1
 
     def test_public_constructor_rejects_bad_exponents(self):
-        for terms in ({(1, 0): 1.0}, {(1, 0, 0, 1): 1.0}, {(1, -1, 0): 2.0}):
+        for terms in ({(1, 0): 1.0}, {(1, 0, 0, 1): 1.0}, {(1, -1, 0): 2.0},
+                      {(1.5, 0, 0): 1.0}, {(1, 0, 0): float("nan")}, {(1, 0, 0): float("inf")},
+                      {(2**53, 0, 0): 1.0}):
             with pytest.raises(ValueError):
                 Polynomial(3, terms)
         with pytest.raises(ValueError):
@@ -241,13 +257,14 @@ def test_evaluation_kernel(case):
     np.testing.assert_array_equal(batch, [p.evaluate(x) for x in P])
     d = max(1, math.ceil(p.degree / 2))
     objective = assemble_relaxation(p, [], d).objective
-    magnitude = Polynomial(p.n, {a: abs(c) for a, c in p.terms.items()})
+    magnitude = Polynomial(p.n, {a: abs(c) for a, c in term_dict(p).items()})
     for x in P:
         value = p.evaluate(x)
         assert isinstance(value, float)
         scale = 1e-12 * max(1.0, magnitude.evaluate(np.abs(x)))
         assert abs(value - objective @ MomentVector.from_dirac(x, d).values) <= scale
-        terms = sum(c * math.prod(xi**a for xi, a in zip(x, alpha)) for alpha, c in p.terms.items())
+        terms = sum(c * math.prod(xi**a for xi, a in zip(x, alpha))
+                    for alpha, c in term_dict(p).items())
         assert abs(value - terms) <= scale
     for shape in ((p.n + 1,), (len(P), p.n, 1)):
         with pytest.raises(ValueError):
@@ -300,6 +317,103 @@ def test_forms_from_tensor_is_the_sum_over_index_tuples(k, rng):
     for o, form in zip(itertools.product(*map(range, out)), forms):
         direct = sum(float(K[a + o]) * math.prod(x[i] for i in a)
                      for a in itertools.product(range(n), repeat=k))
-        assert set(form.terms) == set(direct.terms)
-        for alpha, c in direct.terms.items():
-            assert form.terms[alpha] == pytest.approx(c, rel=1e-14, abs=1e-14)
+        assert form.exponents.tolist() == direct.exponents.tolist()
+        assert form.coeffs.tolist() == pytest.approx(direct.coeffs.tolist(), rel=1e-14, abs=1e-14)
+
+
+# -- the representation invariant, against dict references ---------------------
+
+def _dict_add(a, b, sign=1.0):
+    out = dict(a)
+    for alpha, c in b.items():
+        out[alpha] = out.get(alpha, 0.0) + sign * c
+    return out
+
+
+def _dict_mul(a, b):
+    out = {}
+    for a1, c1 in a.items():
+        for a2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(a1, a2))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def _assert_canonical(p, ref, n):
+    """Distinct nonnegative rows strictly ascending in graded-lex position,
+    nonzero coefficients, both arrays read-only, and p equal to the
+    polynomial of the reference map."""
+    X, c = p.exponents, p.coeffs
+    assert X.dtype == np.int64 and c.dtype == np.float64
+    assert X.shape == (len(c), n) and p.n == n
+    assert (X >= 0).all()
+    assert (np.diff(grlex_position(X)) > 0).all()
+    assert c.all()
+    assert not X.flags.writeable and not c.flags.writeable
+    assert p == Polynomial(n, {alpha: v for alpha, v in ref.items() if v != 0.0})
+
+
+@st.composite
+def dyadic_terms(draw, n):
+    """A map over Lambda(n, 3), in a drawn order, with coefficients in
+    {-1, -3/4, ..., 1}: sums and products of such maps are exact in any
+    order, so the arrays' results must equal the dict references."""
+    members = draw(st.permutations(list(map(tuple, lambda_set(n, 3).tolist()))))
+    quarters = draw(st.lists(st.integers(-4, 4), min_size=len(members), max_size=len(members)))
+    return {alpha: q / 4 for alpha, q in zip(members, quarters) if q}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_representation_invariant(data):
+    n = data.draw(st.integers(1, 3))
+    a, b = data.draw(dyadic_terms(n)), data.draw(dyadic_terms(n))
+    s, r = data.draw(st.floats(-4, 4)), data.draw(st.floats(-4, 4))
+    k = data.draw(st.integers(0, 3))
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    power = {(0,) * n: 1.0}
+    for _ in range(k):
+        power = _dict_mul(power, a)
+    names = ("x", "y", "z")[:n]
+    text = "({0})*({1}) - ({0})^2 + ({1})/4".format(format_polynomial(p, names),
+                                                   format_polynomial(q, names))
+    cases = [
+        (p, a),
+        (p + q, _dict_add(a, b)),
+        (p - q, _dict_add(a, b, -1.0)),
+        (p * s, {alpha: c * s for alpha, c in a.items()}),
+        (p * q, _dict_mul(a, b)),
+        (p ** k, power),
+        (p.dilate(r), {alpha: c * r ** sum(alpha) for alpha, c in a.items()}),
+        (parse_polynomial(text, names),
+         _dict_add(_dict_add(_dict_mul(a, b), _dict_mul(a, a), -1.0),
+                   {alpha: c * 0.25 for alpha, c in b.items()})),
+    ]
+    for i, dp in enumerate(p.gradient()):
+        lowered = {alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]: c * alpha[i]
+                   for alpha, c in a.items() if alpha[i]}
+        cases.append((dp, lowered))
+    for res, ref in cases:
+        _assert_canonical(res, ref, n)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_representation_invariant_of_forms(data):
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    K = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=2 * n**k, max_size=2 * n**k)),
+                 dtype=float).reshape((n,) * k + (2,))
+    for o, form in enumerate(forms_from_tensor(K, k)):
+        ref = {}
+        for idx in itertools.product(range(n), repeat=k):
+            alpha = tuple(idx.count(j) for j in range(n))
+            ref[alpha] = ref.get(alpha, 0.0) + K[idx + (o,)]
+        _assert_canonical(form, ref, n)
+
+
+def test_one_term_product_that_underflows_is_zero():
+    x, y = Polynomial.variables(2)
+    tiny = (1e-200 * x) * (1e-200 * y)
+    assert tiny.is_zero and tiny.exponents.shape == (0, 2) and tiny.coeffs.shape == (0,)
+    _assert_canonical((1e-200 * x) * (1e-200 * y + x), {(2, 0): 1e-200}, 2)
+    _assert_canonical((1e-200 * x + y) * (1e-200 * y), {(0, 2): 1e-200}, 2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata_opt import popfile
 from strata_opt.poly import Polynomial, lambda_set
 from strata_opt.popfile import (
     PopFormatError,
@@ -139,6 +140,20 @@ class TestPopFiles:
         with pytest.raises(PopFormatError, match=f"line {line}: .*{message}"):
             parse_pop(text)
 
+    def test_high_degrees_merge_exactly(self):
+        """Degree 16384: the merge sorts the rows, with no position table."""
+        p = parse_polynomial("((x^64)^64)^4 + y + ((x^64)^64)^4", ("x", "y"))
+        assert p.exponents.tolist() == [[0, 1], [16384, 0]] and p.coeffs.tolist() == [1.0, 2.0]
+
+    def test_a_power_past_degree_2_to_the_32_is_refused(self):
+        """Nested powers multiply degrees: without the limit, x^(64^11) would
+        wrap the int64 exponent to x^0."""
+        text = "x"
+        for _ in range(11):
+            text = f"({text})^64"
+        with pytest.raises(PopFormatError, match="line 2: power 64 of a degree-1073741824 factor"):
+            parse_pop(f"var x\nmin {text}\n")
+
     def test_largest_finite_numbers_accepted(self):
         prob = parse_pop("var x\nmin 1.7e308*x^2 + 1e-320*x\nge 1e200*1e100 - x^2\n")
         assert prob.objective.coefficient((2,)) == 1.7e308
@@ -189,22 +204,26 @@ class TestLongSums:
             ref = ref + mono if sign > 0 else ref - mono
         p = parse_polynomial(text, ("x", "y"))
         assert p == ref
-        assert list(p.terms.items()) == list(ref.terms.items())
-        assert len(p.terms) < len(set(alpha for _, _, alpha in terms))  # some cancelled
+        assert p.exponents.tolist() == ref.exponents.tolist()
+        assert p.coeffs.tolist() == ref.coeffs.tolist()
+        assert len(p.coeffs) < len(set(alpha for _, _, alpha in terms))  # some cancelled
 
     def test_validation_grows_linearly(self, monkeypatch):
+        """The rows that the parse merges grow linearly with the sum: its
+        terms are merged once, not the partial sum at every term."""
         counted = []
-        validate = Polynomial.__init__
+        merge = popfile._merge
 
-        def counting_init(self, n, terms=None):
-            counted.append(len(terms or {}))
-            validate(self, n, terms)
+        def counting_merge(exponents, coeffs):
+            counted.append(len(coeffs))
+            return merge(exponents, coeffs)
 
-        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        monkeypatch.setattr(popfile, "_merge", counting_merge)
 
-        def validated_terms(num_terms):
+        def merged_rows(num_terms):
             counted.clear()
             parse_polynomial(_long_sum(num_terms)[0], ("x", "y"))
             return sum(counted)
 
-        assert validated_terms(2000) <= 2.2 * validated_terms(1000)
+        assert 1000 <= merged_rows(1000)
+        assert merged_rows(2000) <= 2.2 * merged_rows(1000)

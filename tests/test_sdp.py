@@ -5,6 +5,7 @@ import strata_opt._schur as schur_module
 from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
+from conftest import term_dict
 from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver
 from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
 
@@ -519,7 +520,7 @@ def test_memory_estimate_bounds_the_solve_with_linear_rows():
     from strata_opt.hierarchy import relaxation_bytes
 
     f, constraints = _box_ball(5)
-    quadratic = Polynomial(5, {alpha: c for alpha, c in f.terms.items() if sum(alpha) <= 2})
+    quadratic = Polynomial(5, {a: c for a, c in term_dict(f).items() if sum(a) <= 2})
     rel = assemble_relaxation(quadratic, constraints, 1)
     assert [b.side for b in rel.blocks] == [6] + [1] * 6
     tracemalloc.start()
@@ -544,7 +545,7 @@ def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
     f, box_ball = _box_ball(5)
     rels = [assemble_relaxation(ela.objective,
                                 add_ball_constraint(ela.objective, ela.constraints, 58000.0), 1),
-            assemble_relaxation(Polynomial(5, {a: c for a, c in f.terms.items() if sum(a) <= 2}),
+            assemble_relaxation(Polynomial(5, {a: c for a, c in term_dict(f).items() if sum(a) <= 2}),
                                 box_ball, 1)]
     rng = np.random.default_rng(13)
     for rel, k in zip(rels, (1, 6)):
