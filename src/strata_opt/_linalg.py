@@ -1,17 +1,60 @@
 """Dense linear algebra of the interior-point method (see sdp).
 
-Cholesky factors with escalating diagonal regularization, of one matrix or
-batched over a stack; blocked triangular substitution with the factor; and
-the solver of the saddle-point (KKT) system of each Newton step, through
-the Cholesky factor of the Schur matrix M, or by one dense LU solve when the
-system is small.
+Orthonormal rows for the independent equality rows; Cholesky factors with
+escalating diagonal regularization, of one matrix or batched over a stack;
+blocked triangular substitution with the factor; and the solver of the
+saddle-point (KKT) system of each Newton step, through the Cholesky factor
+of the Schur matrix M, or by one dense LU solve when the system is small.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["chol_regularized", "chol_solver", "chol_stack", "kkt_solver"]
+__all__ = ["chol_regularized", "chol_solver", "chol_stack", "kkt_solver", "orthonormal_rows"]
+
+
+def orthonormal_rows(E: np.ndarray, e: np.ndarray):
+    """Orthonormal rows V for the independent rows of E u = e (m, N), with
+    V u = e_kept the same system: (V^T as contiguous columns, e_kept, the
+    route), "gram" where _gram_rows can show the thin SVD's rank, "svd"
+    where the thin SVD decides."""
+    kept = _gram_rows(E, e)
+    return (*kept, "gram") if kept is not None else (*_svd_rows(E, e), "svd")
+
+
+def _gram_rows(E: np.ndarray, e: np.ndarray):
+    """V = diag(lam)^{-1/2} U^T E from E E^T = U diag(lam) U^T, over the
+    eigenvalues above the Gram matrix's rounding tol lam_1, tol = max(m, N)
+    eps.  The Gram matrix loses half the digits of the small singular
+    values, so None unless the route keeps the SVD's rule sigma > tol
+    sigma_1: the kept eigenvalues must stand clear of the rounding (none
+    below sqrt(tol) lam_1), and ||E - E V^T V||_F, which bounds every
+    dropped singular value, must be within tol sigma_1."""
+    tol = max(E.shape) * np.finfo(float).eps
+    lam, U = np.linalg.eigh(E @ E.T)  # ascending
+    top = max(float(lam[-1]), 0.0)
+    rank = int(np.sum(lam > tol * top))
+    if rank and lam[-rank] < math.sqrt(tol) * top:
+        return None
+    W = U[:, len(lam) - rank:] / np.sqrt(lam[len(lam) - rank:])
+    del U
+    Vt = E.T @ W
+    residual = (E @ Vt) @ Vt.T
+    residual -= E
+    if np.linalg.norm(residual) > tol * math.sqrt(top):
+        return None
+    return Vt, W.T @ e
+
+
+def _svd_rows(E: np.ndarray, e: np.ndarray):
+    """The rows of _gram_rows from one thin SVD of E, whose rank rule
+    keeps the singular values above max(m, N) eps sigma_1."""
+    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * sv[0]))
+    return np.ascontiguousarray(Vt[:rank].T), U[:, :rank].T @ e / sv[:rank]
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -126,7 +169,9 @@ def kkt_solver(M: np.ndarray, E: np.ndarray):
     K = W^T W = E M^{-1} E^T: dlam = K^{-1} (q - W^T L^{-1} b) and
     du = L^{-T} (L^{-1} b + W dlam).  Small systems take one LU solve of
     the whole matrix instead, unless a moment is missing from M (which the
-    Cholesky route regularizes).  None when M or K cannot be factored."""
+    Cholesky route regularizes).  Returns the solver and whether it reuses
+    one factorization (the Cholesky route), where the LU route factors at
+    every solve; None when M or K cannot be factored."""
     N, m = M.shape[0], E.shape[0]
     if N + m <= _DENSE_KKT and np.all(np.diagonal(M) > 0.0):
         K = np.zeros((N + m, N + m))
@@ -138,13 +183,13 @@ def kkt_solver(M: np.ndarray, E: np.ndarray):
             x = _dense_solve(K, np.concatenate((b, q)))
             return x[:N], x[N:]
 
-        return dense
+        return dense, False
     LM = chol_regularized(M)
     if LM is None:
         return None
     forward, backward = _triangular(LM)
     if not m:
-        return lambda b, q: (backward(forward(b)), np.zeros(0))
+        return (lambda b, q: (backward(forward(b)), np.zeros(0))), True
     W = forward(E.T)
     LK = chol_regularized(W.T @ W)
     if LK is None:
@@ -156,4 +201,4 @@ def kkt_solver(M: np.ndarray, E: np.ndarray):
         dlam = k_solve(q - W.T @ z)
         return backward(z + W @ dlam), dlam
 
-    return solve
+    return solve, True

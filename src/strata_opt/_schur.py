@@ -34,10 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CHUNK_DOUBLES", "ShiftRows", "TableSchur", "scaled", "stack_blocks"]
+__all__ = ["CHUNK_DOUBLES", "ShiftRows", "TableSchur", "scaled", "stack_blocks", "stack_doubles"]
 
 _PANEL = 8               # rows a per gemm of the Schur build
 CHUNK_DOUBLES = 1 << 18  # size of the Q and Y buffers, in doubles, that sets the column chunk
+# least chunk width of a block of side above it: the plan stores, per chunk,
+# every pair below the chunk's end, so at side 220 (E0 at order 3) chunks of
+# CHUNK_DOUBLES's 5 columns made a plan of 202 MiB
+_MIN_WIDTH = 64
 
 
 class ShiftRows:
@@ -122,9 +126,10 @@ class _Stack:
 
     def plan(self, budget: int) -> tuple[int, int]:
         """Cut the Nb columns of MH into chunks whose Q and Y fit in budget
-        doubles (_plan).  Returns the sizes of Q and Y that they need."""
+        doubles, or of _MIN_WIDTH columns for a side above it (_plan).
+        Returns the sizes of Q and Y that they need."""
         k, s, _ = self.shape
-        width = max(1, min(self.Nb, budget // (k * max(s * s, s * (s + 1) // 2 + _PANEL * s))))
+        width = _width(k, s, self.Nb, budget)
         self.chunks = _plan(self.B.tobytes(), s, k, width)
         return k * s * s * width, max(k * rows * (j1 - j0) for j0, j1, *_, rows, _, _, _ in self.chunks)
 
@@ -187,6 +192,28 @@ class _Stack:
             np.matmul(*product, out=M)
         else:
             M += np.matmul(*product)
+
+
+def _width(k: int, s: int, Nb: int, budget: int) -> int:
+    """Columns per chunk of a stack of k blocks of side s on Nb base
+    entries: as many as fit Q (s^2 rows per column and block) and Y (at most
+    s (s + 1) / 2 + _PANEL s) in budget doubles, at least _MIN_WIDTH for a
+    side above it."""
+    width = max(1, budget // (k * max(s * s, s * (s + 1) // 2 + _PANEL * s)))
+    return min(Nb, max(width, _MIN_WIDTH) if s > _MIN_WIDTH else width)
+
+
+def stack_doubles(k: int, s: int, Nb: int) -> tuple[int, int, int]:
+    """Bounds, in doubles, on the Q and Y buffers that a stack of k blocks
+    of side s on Nb base entries needs (_Stack.plan) and on its index plan
+    (_plan), from the sizes alone.  The plan holds six indices per entry of
+    B (the cache key, the rows c and, over the chunks, the scatter triples
+    and columns), per chunk two per pair below its end and its diagonal,
+    and 1024 doubles per chunk bound its arrays' objects."""
+    width = _width(k, s, Nb, CHUNK_DOUBLES)
+    chunks = -(-Nb // width)
+    return (k * s * s * width, k * (s * (s + 1) // 2 + _PANEL * s) * width,
+            6 * s * s + chunks * (s * s + 2 * s + 1024))
 
 
 @lru_cache(maxsize=32)

@@ -106,6 +106,8 @@ class OrderDiagnostics:
     schur_dim: int = 0      # moments in the Newton system (SdpSolution.schur_dim)
     equality_rows: int = 0  # independent equality rows kept (SdpSolution.equality_rows)
     linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
+    correctors: int = 0     # extra correctors kept (SdpSolution.correctors)
+    equality_setup: str | None = None  # "gram", "svd" or None without rows (SdpSolution.equality_setup)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -343,8 +345,8 @@ def relaxation_bytes(n: int, d: int, constraints) -> int:
         if kind == EQ:
             rows += math.comb(n + 2 * k, n)
         else:
-            blocks.append((len(g.coeffs), math.comb(n + 2 * k, n)))
-    return solve_bytes(math.comb(n + 2 * d, n), blocks, rows)
+            blocks.append((len(g.coeffs), math.comb(n + 2 * k, n), math.comb(n + k, n)))
+    return solve_bytes(math.comb(n + 2 * d, n), math.comb(n + d, n), blocks, rows)
 
 
 def _check_memory(n: int, d: int, constraints, budget: float) -> None:
@@ -418,6 +420,8 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             schur_dim=sol.schur_dim,
             equality_rows=sol.equality_rows,
             linear_rows=sol.linear_rows,
+            correctors=sol.correctors,
+            equality_setup=sol.equality_setup,
             seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )
         diags.append(rec)

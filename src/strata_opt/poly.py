@@ -160,6 +160,9 @@ class Polynomial:
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild from the arrays
+        return _wrap, (self.exponents, self.coeffs)
+
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, n: int, c: float) -> "Polynomial":

@@ -16,9 +16,13 @@ the 1 x 1 block M_0(g . y), the linear inequality (g . y)_0 >= 0: such
 blocks are the rows A u + b >= 0, with slack s and dual z as vectors.
 Every row, of E, of A or of a block's G^T, is made by one builder
 (_schur.ShiftRows), scaled by its block's largest coefficient (scaled).
-Equality rows that depend on others are dropped once, at set-up, by a
-thin SVD, which leaves E with orthonormal rows; the start u = E^T e
-satisfies them.  Where an equality h has 2v <= d, every feasible y has
+Equality rows that depend on others are dropped once, at set-up, which
+leaves E with orthonormal rows; the start u = E^T e satisfies them
+(_linalg.orthonormal_rows).  The rows are diag(lam)^{-1/2} U^T E from the
+Gram matrix E E^T = U diag(lam) U^T, where its spectrum has a clear gap
+above the rounding and the kept rows leave ||E - E V^T V||_F within the
+thin SVD's rank rule, max(m, N) eps sigma_1; otherwise the thin SVD of E
+decides.  Where an equality h has 2v <= d, every feasible y has
 M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment block has no
 interior along those vectors, so it is solved in the basis F of their
 complement, as F^T M_d(y) F (_moment_face).  Without that, the
@@ -26,9 +30,15 @@ scaling of the block blows up exactly along the directions the rows fix,
 and the Cholesky factorization of M breaks down near the optimum.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  Per iteration the scaling point of each
-block is factored as W_i = G_i G_i^T, and V_i = W_i^{-1} = G_i^{-T} G_i^{-1}.
-The Newton step solves the KKT system
+Mehrotra predictor-corrector step.  Where the Newton system's factors
+serve every solve (the Cholesky route of _linalg.kkt_solver, not the small
+systems' LU), up to EXTRA_CORRECTORS more correctors follow, each with the
+last direction's own dS^ dZ^ as its second-order term (Carpenter, Lustig,
+Mulvey and Shanno, SIAM J. Optim. 3, 1993; Gondzio, Comput. Optim. Appl. 6,
+1996), and each kept only if it lengthens the shorter of the primal and
+dual steps.  Per iteration the scaling point of each block is factored
+as W_i = G_i G_i^T, and V_i = W_i^{-1} = G_i^{-T} G_i^{-1}.  The Newton
+step solves the KKT system
 
     [ M  -E^T ] [ du   ]   [ rhs - r ]
     [ E   0   ] [ dlam ] = [ q       ],    M[alpha, beta] = sum_i <A_i[alpha], V_i A_i[beta] V_i>,
@@ -43,9 +53,9 @@ K = W^T W = E M^{-1} E^T and
     dlam = K^{-1} (q - W^T L^{-1} p),   du = L^{-T} (L^{-1} p + W dlam),   p = rhs - r.
 
 The dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks
-in the set-up's thin SVD of E or in an iteration's KKT factorization
-(solve_bytes): the SVD's outputs are released before the IPM starts, and
-each iteration's factors before the next M is built.
+in the set-up's decomposition of E or in an iteration's KKT factorization
+(solve_bytes): the set-up's arrays are released before the IPM starts,
+and each iteration's factors before the next M is built.
 
 The rows take the 1 x 1 case of every formula, elementwise.  Their
 scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
@@ -80,12 +90,13 @@ module.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chol_stack, kkt_solver
-from ._schur import CHUNK_DOUBLES, ShiftRows, TableSchur, scaled, stack_blocks
+from ._linalg import chol_stack, kkt_solver, orthonormal_rows
+from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
 __all__ = ["SolverOptions", "SdpSolution", "solve_bytes", "solve_sdp"]
@@ -96,6 +107,11 @@ NUMERICAL_FAILURE = "numerical_failure"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
 # share of the step to the boundary of the cone that an iteration takes
 STEP_FRAC = 0.98
+# correctors tried after Mehrotra's in an iteration, from the same factors
+EXTRA_CORRECTORS = 2
+# doubles that solve_bytes adds for the solver's small arrays and objects
+# (up to 116 KiB beyond its other terms on the embedded tensors' relaxations)
+_SMALL = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,13 +129,18 @@ class SdpSolution:
     duality_gap: float           # absolute, in problem units
     iterations: int
     status: str
-    trace: list = field(default_factory=list)  # per-iteration diagnostics
+    # per iteration (it, mu, pres, dres, pobj, dobj, shorter): shorter lists
+    # min(primal step, dual step) of Mehrotra's corrector and of each extra
+    # corrector kept, () where no step was taken
+    trace: list = field(default_factory=list)
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     relative_gap: float = float("nan")  # the quantity gap_tol bounds
     schur_dim: int = 0      # moments in the Newton system; 0 when the IPM did not run
     equality_rows: int = 0  # independent equality rows kept
     linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
+    correctors: int = 0     # extra correctors kept, summed over the iterations
+    equality_setup: str | None = None  # "gram" or "svd", the set-up route; None without rows
 
 
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -157,27 +178,37 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     return (U / np.sqrt(dv)[..., None, :]).swapaxes(-1, -2) @ lzT, dv
 
 
-def solve_bytes(num_moments: int, blocks, equality_rows: int) -> int:
-    """Bytes solve_sdp needs at its peak, from the table sizes alone: blocks
-    lists (terms, base entries) of each localizing block (the moment block
-    is counted with M), equality_rows counts the rows before dependent ones
-    are dropped.  With L moments, m rows and r = min(m, L), the peak is the
-    larger of the set-up, the thin SVD of E (m, L): E, the outputs U and Vt,
-    and numpy's copies of E, U and Vt with gesdd's work (at most 4 r^2 + 8 r);
-    and an iteration: every array of one KKT factorization as if alive
-    together (M, its factor and the Cholesky's copy of M, W = L^{-1} E^T with
-    its update, K with its copy and factor), the rows kept, the Q and Y
-    chunk buffers, and per localizing block its MH, G^T, MH G^T, and G^T in
-    coordinates with its term buffer.  A block of side 1 is a linear row:
-    the row and its scaled copy fit in its 2 L doubles.  Not counted: a
-    regularized retry of the Cholesky (two more L x L) and the moment
-    block's index plan (_schur._plan)."""
+def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
+    """Bytes solve_sdp needs at its peak, from the table sizes alone: side is
+    the moment block's, blocks lists (terms, base entries, side) of each
+    localizing block (the moment block is counted with M), equality_rows
+    counts the rows before dependent ones are dropped.  With L moments, m
+    rows and r = min(m, L), the peak is the larger of the set-up and an
+    iteration.  The set-up term bounds both of its routes: the Gram route,
+    E (m, L) with E E^T, the eigenvectors U, and numpy's copy of E E^T with
+    syevd's work (2 m^2 + 6 m doubles and 5 m ints) in the
+    eigendecomposition, then E with the scaled U, V^T, E V^T and the
+    residual; and the thin SVD of E, E, the outputs U and Vt, and numpy's
+    copies of E, U and Vt with gesdd's work (at most 4 r^2 + 8 r).  An
+    iteration holds every array of one KKT factorization as if alive
+    together (M, its factor and the Cholesky's copy of M, W = L^{-1} E^T
+    with its update, K with its copy and factor), the rows kept, the Q and
+    Y chunk buffers (_schur.stack_doubles), and per localizing block its
+    MH, G^T, MH G^T, and G^T in coordinates with its term buffer.  A block
+    of side 1 is a linear row: the row and its scaled copy fit in its 2 L
+    doubles.  The stacks' index plans (_schur._plan) stay alive throughout,
+    and _SMALL bounds the rest.  Not counted: a regularized retry of the
+    Cholesky (two more L x L)."""
     L, m = num_moments, equality_rows
     r = min(m, L)
-    setup = 2 * m * L + 2 * r * (m + L) + 4 * r * r + 8 * r
-    iteration = 3 * L * L + 5 * L * r // 2 + 3 * r * r + 2 * CHUNK_DOUBLES
-    iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb in blocks)
-    return 8 * max(setup, iteration)
+    svd = 2 * m * L + 2 * r * (m + L) + 4 * r * r + 8 * r
+    gram = m * L + max(5 * m * m + 10 * m, m * L + 2 * m * r + r * L)
+    stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
+    q, y, plans = zip(stack_doubles(1, side, L),
+                      *(stack_doubles(k, s, nb) for (nb, s), k in stacks.items()))
+    iteration = 3 * L * L + 5 * L * r // 2 + 3 * r * r + max(q) + max(y) + sum(plans)
+    iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb, _ in blocks)
+    return 8 * (max(svd, gram, iteration) + _SMALL)
 
 
 def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -188,7 +219,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c0 = float(problem.objective[0])
 
     def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0, rank=0, linear=0):
+               schur_dim=0, rank=0, linear=0, correctors=0):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -204,6 +235,8 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             schur_dim=schur_dim,
             equality_rows=rank,
             linear_rows=linear,
+            correctors=correctors,
+            equality_setup=setup,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
@@ -213,24 +246,23 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
 
     R = ShiftRows(scaled(equalities)).dense(L)
     E, e = R[:, 1:], -R[:, 0]
-    del R  # E is a view: the rows die when E is rebound after the SVD
-    rank = 0
+    del R  # E is a view: the rows die when E is rebound to the kept rows
+    rank, setup = 0, None
     u = np.zeros(N)
     if not N and np.any(e):
         # a row 0 = e with e != 0: no moment can meet it
         return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
     if E.shape[0] and N:
-        # one thin SVD gives orthonormal rows for the independent equalities
-        # and the least-squares start u = E^T e
-        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-        rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
-        e_kept = U[:, :rank].T @ e / sv[:rank]
-        u = Vt[:rank].T @ e_kept
+        # orthonormal rows for the independent equalities, as the columns
+        # of Vt, and the least-squares start u = Vt e_kept
+        Vt, e_kept, setup = orthonormal_rows(E, e)
+        rank = Vt.shape[1]
+        u = Vt @ e_kept
         if np.max(np.abs(E @ u - e), initial=0.0) > 1e-8:
             return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf, rank=rank)
-        # stored as the transpose of contiguous columns, which W = L^{-1} E^T reads
-        E, e = np.ascontiguousarray(Vt[:rank].T).T, e_kept
-        del U, sv, Vt  # not to add to the IPM's peak
+        # the transpose of contiguous columns, which W = L^{-1} E^T reads
+        E, e = Vt.T, e_kept
+        del Vt
 
     if rank == N:
         # no free moments: feasibility is a property of the fixed values alone
@@ -248,7 +280,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         core = _ipm(c_raw, blocks, E, e, u, opts, face)
     return finish(core.u, core.status, core.iterations, core.trace,
                   core.gap, core.pres, core.dres, core.rel_gap, N, rank,
-                  sum(b.side == 1 for b in blocks))
+                  sum(b.side == 1 for b in blocks), core.correctors)
 
 
 def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
@@ -282,6 +314,7 @@ class _CoreResult:
     pres: float
     dres: float
     rel_gap: float = float("nan")
+    correctors: int = 0
 
 
 def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
@@ -343,6 +376,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     rel_gap = float("inf")
     best = None  # (merit, u, gap, pres, dres, rel_gap) of the best iterate seen
     stalled = 0
+    correctors = 0
 
     for it in range(opts.max_iter):
         iters = it
@@ -367,7 +401,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         pres = max(max(res), float(np.max(np.abs(q), initial=0.0)) / (1.0 + e_norm))
         dres = float(np.max(np.abs(r))) / (1.0 + c_norm)
-        trace.append((it, mu, pres, dres, pobj, dobj))
+        trace.append((it, mu, pres, dres, pobj, dobj, ()))
 
         if not np.isfinite(mu) or (mu <= 0.0 and it > 0):
             # S or Z lost positive definiteness to rounding: corrupted
@@ -409,11 +443,14 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
             rows_w = rows * w[:, None]
             Aw = rows_w[:, 1:]
             r_hat = w * r_lin
-        kkt = None  # release the last factors before M is built and factored
+        # release the last factors and directions before M is built and factored
+        kkt = step = trial = dS = dZ = lin = None
+        dS_a = dZ_a = dSh_a = dZh_a = lin_a = None
         kkt = kkt_solver(schur.matrix(V, rows_w), E)
         if kkt is None:
             status = NUMERICAL_FAILURE
             break
+        kkt, factored = kkt
         Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
 
         def direction(T, t):
@@ -464,17 +501,35 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         mu_aff = sz_aff / n_total
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        # corrector with Mehrotra second-order term
-        T_cor = []
-        for g in sides:
-            dv = dvecs[g]
-            cross = dSh_a[g] @ dZh_a[g]
-            rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
-                       - 0.5 * (cross + cross.swapaxes(1, 2)))
-            T_cor.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
-        t_cor = (sigma * mu - dv_lin**2 - lin_a[2] * lin_a[3]) / dv_lin if k else None
-        du, dlam, dS, dZ, dSh, dZh, lin = direction(T_cor, t_cor)
-        ap, ad = step_lengths(dSh, dZh, lin)
+        def corrector(dSh, dZh, lin):
+            """The corrector whose second-order term is the product of the
+            scaled steps dSh, dZh (and lin's) of an earlier direction, with
+            its step lengths."""
+            T = []
+            for g in sides:
+                dv = dvecs[g]
+                cross = dSh[g] @ dZh[g]
+                rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
+                           - 0.5 * (cross + cross.swapaxes(1, 2)))
+                T.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
+            t = (sigma * mu - dv_lin**2 - lin[2] * lin[3]) / dv_lin if k else None
+            step = direction(T, t)
+            return step, step_lengths(*step[4:])
+
+        # Mehrotra's corrector, from the predictor; then, while the factors
+        # serve every solve, up to EXTRA_CORRECTORS more, each from the last
+        # one's own term, kept only if it lengthens the shorter step
+        step, (ap, ad) = corrector(dSh_a, dZh_a, lin_a)
+        shorter = [min(ap, ad)]
+        for _ in range(EXTRA_CORRECTORS if factored else 0):
+            trial, (tp, td) = corrector(*step[4:])
+            if min(tp, td) <= shorter[-1]:
+                break
+            step, ap, ad = trial, tp, td
+            shorter.append(min(ap, ad))
+        correctors += len(shorter) - 1
+        trace[-1] = trace[-1][:6] + (tuple(shorter),)
+        du, dlam, dS, dZ, _, _, lin = step
         if ap <= 1e-14 and ad <= 1e-14:
             status = NUMERICAL_FAILURE
             break
@@ -490,7 +545,8 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         iters = it + 1
 
     if status == OPTIMAL or best is None:
-        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap)
+        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap,
+                           correctors)
     # on failure report the best iterate seen, not the diverged last one
     _, u_b, gap_b, pres_b, dres_b, rg_b = best
-    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b)
+    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b, correctors)

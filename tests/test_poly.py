@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -417,3 +419,33 @@ def test_one_term_product_that_underflows_is_zero():
     assert tiny.is_zero and tiny.exponents.shape == (0, 2) and tiny.coeffs.shape == (0,)
     _assert_canonical((1e-200 * x) * (1e-200 * y + x), {(2, 0): 1e-200}, 2)
     _assert_canonical((1e-200 * x + y) * (1e-200 * y), {(0, 2): 1e-200}, 2)
+
+
+@pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy,
+                                    copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_polynomials_and_problems_pickle_and_copy(copier, E0):
+    """A Polynomial, a DistanceProblem and a PopProblem survive pickle (as
+    sent to a --jobs worker), copy and deepcopy, with equal read-only arrays."""
+    from strata_opt.mech import build_distance_problem_ela
+    from strata_opt.popfile import parse_pop
+
+    x, y = Polynomial.variables(2)
+    dist = build_distance_problem_ela(E0)
+    pop = parse_pop("var x y\nmin (x - 1)^2 + x*y\neq x^2 + y^2 - 1\nge 1 - x\n")
+
+    def polys(obj):
+        if isinstance(obj, Polynomial):
+            return [obj]
+        return [obj.objective] + [g for g, _ in obj.constraints]
+
+    for obj in (3.0 * x * y - y**3 + 0.5, Polynomial(3, {}), dist, pop):
+        again = copier(obj)
+        before, after = polys(obj), polys(again)
+        assert len(after) == len(before)
+        for p, q in zip(before, after):
+            assert type(q) is Polynomial and q == p
+            np.testing.assert_array_equal(q.exponents, p.exponents)
+            np.testing.assert_array_equal(q.coeffs, p.coeffs)
+            assert q.exponents.shape == p.exponents.shape
+            assert not (q.exponents.flags.writeable or q.coeffs.flags.writeable)
+    np.testing.assert_array_equal(copier(dist).x0, dist.x0)

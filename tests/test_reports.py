@@ -13,6 +13,7 @@ def _sample_report():
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
                       "num_moments": 55, "block_sides": [10, 1],
                       "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
+                      "correctors": 3, "equality_setup": "gram",
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
         status_xi=1,
@@ -58,9 +59,13 @@ class TestJsonRoundTrip:
         assert (first["schur_dim"], first["equality_rows"], first["linear_rows"]) == (2, 1, 1)
         # the moments 1, y1, y2; the 2x2 moment block and the 1x1 ball
         assert (first["num_moments"], first["block_sides"]) == (3, [2, 1])
+        # a system this small is solved by LU, which takes no extra corrector
+        assert (first["correctors"], first["equality_setup"]) == (0, "gram")
         for plain, rec in zip(again.diagnostics, res.diagnostics):
             assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
                     == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
+            assert (plain["correctors"], plain["equality_setup"]) == (rec.correctors,
+                                                                      rec.equality_setup)
             assert (plain["num_moments"], plain["block_sides"]) == (rec.num_moments,
                                                                     rec.block_sides)
             assert plain["seconds"] == rec.seconds
@@ -78,6 +83,21 @@ class TestJsonRoundTrip:
         first = Report.from_json(rep.to_json()).diagnostics[0]
         assert first["schur_dim"] == 0 and first["iterations"] == 0
         assert (first["num_moments"], first["block_sides"]) == (3, [2])
+        assert (first["correctors"], first["equality_setup"]) == (0, "gram")
+
+    def test_corrector_count_and_no_rows_round_trip(self):
+        # min x1 x2 x3 + x4 on the unit ball from d = 2: 69 free moments, no
+        # equality row, a Newton system on the Cholesky route
+        xs = [Polynomial.variable(i, 4) for i in range(4)]
+        f = xs[0] * xs[1] * xs[2] + xs[3]
+        ball = 1.0 - (xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3])
+        res = run_hierarchy(f, [(ball, GE)], HierarchyOptions(d_max=2))
+        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+        again = Report.from_json(rep.to_json())
+        assert again == rep
+        plain = [(p["correctors"], p["equality_setup"]) for p in again.diagnostics]
+        assert plain == [(rec.correctors, None) for rec in res.diagnostics]
+        assert again.diagnostics[0]["schur_dim"] == 69 and again.diagnostics[0]["correctors"] > 0
 
     def test_environment_round_trip(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

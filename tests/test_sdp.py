@@ -108,7 +108,7 @@ class TestContracts:
     def test_weak_duality_audit(self):
         for prob in (_correlation_problem(), _interval_problem()):
             sol = solve_sdp(prob)
-            _, _, _, _, pobj, dobj = sol.trace[-1]
+            pobj, dobj = sol.trace[-1][4:6]
             assert dobj <= pobj + 10.0 * SolverOptions().gap_tol * (1 + abs(pobj) + abs(dobj))
 
     def test_objective_scaling_covariance(self):
@@ -177,6 +177,7 @@ class TestEqualityElimination:
         twice = solve_sdp(assemble_relaxation(x, [cons[0], (2.0 * x * x - 2.0, EQ)] + cons, 2))
         assert once.status == twice.status == "optimal"
         assert twice.equality_rows == once.equality_rows == 3
+        assert twice.equality_setup == once.equality_setup == "gram"
         assert twice.objective == pytest.approx(once.objective, abs=1e-9)
         np.testing.assert_allclose(twice.y.values, once.y.values, atol=1e-7)
 
@@ -192,7 +193,7 @@ class TestEqualityElimination:
         assert sol.objective == pytest.approx(2530.474727, abs=0.5)
         # weak duality audit on a real problem: the internally computed dual
         # value never exceeds the primal by more than 10 * gap_tol (scaled)
-        _, _, _, _, pobj, dobj = sol.trace[-1]
+        pobj, dobj = sol.trace[-1][4:6]
         assert dobj <= pobj + 10.0 * SolverOptions().gap_tol * (1 + abs(pobj) + abs(dobj))
         assert sol.relative_gap <= SolverOptions().gap_tol
 
@@ -419,6 +420,32 @@ def test_table_formula_on_small_stacks(sides, k, N, monkeypatch):
     assert all(len(st.chunks) > 1 for st in stacks if st.shape[1] == 5)
 
 
+def test_wide_blocks_take_chunks_of_at_least_64_columns():
+    """A block of side above 64 is cut into chunks of at least 64 columns,
+    though fewer fit CHUNK_DOUBLES, and still gives the dense formula's
+    matrix; a side of at most 64 keeps the budget's width.  stack_doubles
+    bounds the buffers that TableSchur allocates and the index plan."""
+    stacks = _check_schur(_hand_built_blocks((70,), 1, 70), 71, 5)
+    (st,) = stacks
+    assert schur_module.CHUNK_DOUBLES // (70 * 70) < 64
+    assert [j1 - j0 for j0, j1, *_ in st.chunks[:-1]] == [64] * (len(st.chunks) - 1)
+    assert schur_module._width(1, 56, 1540, schur_module.CHUNK_DOUBLES) == 83  # 2^18 // 56^2
+    q, y, plan = schur_module.stack_doubles(1, 70, st.Nb)
+    schur = TableSchur(stacks, 71)
+    assert schur.Q.size <= q and schur.Y.size <= y
+    arrays = [a for chunk in st.chunks for a in _arrays(chunk)]
+    assert sum(a.nbytes for a in arrays) + 2 * 8 * 70 * 70 <= 8 * plan
+
+
+def _arrays(obj):
+    """The numpy arrays in nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for x in obj for a in _arrays(x)]
+    return []
+
+
 def test_table_schur_of_relaxations_matches_dense(monkeypatch):
     """Assembled relaxations: the moment block (written straight into M),
     one stack of six box blocks of two terms and the ball, and a ball of
@@ -569,7 +596,9 @@ def test_saddle_point_direction_matches_dense_solve():
         M = _random_pd(rng, N)
         E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2] if m else np.zeros((0, N))
         b, q = rng.normal(size=N), rng.normal(size=m)
-        du, dlam = kkt_solver(M, E)(b, q)
+        solve, factored = kkt_solver(M, E)
+        assert factored == (N + m > 64)  # the route it reports
+        du, dlam = solve(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
         want = np.linalg.solve(K, np.concatenate((b, q)))
         got = np.concatenate((du, dlam))
@@ -655,11 +684,13 @@ def test_rotated_elasticity_order_two_stays_optimal():
 
 
 def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
-    """On the a0 order-3 solve, each factorization of the Schur matrix (and
-    of K = E M^{-1} E^T) happens with no earlier factor of it alive, and
-    neither the equalities' dense row matrix (E is a view into it until the
-    SVD's rows replace it) nor any output of their SVD is alive when the IPM
-    starts."""
+    """On the a0 order-3 solve, by either set-up route, each factorization of the Schur matrix (and
+    of K = E M^{-1} E^T) happens with no earlier factor of it alive, the
+    extra correctors reuse it, and none of the set-up's arrays is alive when
+    the IPM starts: the equalities' dense row matrix (E is a view into it
+    until the kept rows replace it), the Gram matrix E E^T, the outputs of
+    its eigendecomposition and, on the fallback route, the outputs of the
+    thin SVD of E."""
     import weakref
 
     import strata_opt._linalg as linalg
@@ -675,12 +706,20 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         factors.setdefault(mat.shape, []).append(weakref.ref(L))
         return L
 
-    svd_outputs, dense_rows, alive_at_ipm = [], [], []
-    real_svd, real_ipm, real_dense = np.linalg.svd, sdp._ipm, schur_module.ShiftRows.dense
+    gram_arrays, svd_outputs, dense_rows, alive_at_ipm = [], [], [], []
+    real_eigh, real_svd, real_ipm = np.linalg.eigh, np.linalg.svd, sdp._ipm
+    real_dense, real_gram = schur_module.ShiftRows.dense, linalg._gram_rows
+
+    def eigh(a, *args, **kwargs):
+        out = real_eigh(a, *args, **kwargs)
+        if not alive_at_ipm:  # the IPM's own calls are not the set-up's
+            gram_arrays.extend(weakref.ref(x) for x in (a, *out))
+        return out
 
     def svd(*args, **kwargs):
         out = real_svd(*args, **kwargs)
-        svd_outputs.extend(weakref.ref(x) for x in out)
+        if not alive_at_ipm:
+            svd_outputs.extend(weakref.ref(x) for x in out)
         return out
 
     def dense(self, L):
@@ -690,22 +729,132 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         return out
 
     def ipm(*args, **kwargs):
-        alive_at_ipm.append((sum(ref() is not None for ref in svd_outputs),
-                             sum(ref() is not None for ref in dense_rows)))
+        alive_at_ipm.append(tuple(sum(ref() is not None for ref in refs)
+                                  for refs in (gram_arrays, svd_outputs, dense_rows)))
         return real_ipm(*args, **kwargs)
 
+    rel = _lift_relaxation(a0, 3)[0]
     monkeypatch.setattr(linalg, "chol_regularized", chol)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(schur_module.ShiftRows, "dense", dense)
     monkeypatch.setattr(sdp, "_ipm", ipm)
-    sol = solve_sdp(_lift_relaxation(a0, 3)[0])
-    assert sol.status == "optimal" and sol.equality_rows > 0
-    assert svd_outputs and dense_rows and alive_at_ipm == [(0, 0)]
-    N, m = sol.schur_dim, sol.equality_rows
-    schur = [alive for shape, alive in alive_at_factorization if shape == (N, N)]
-    k_factors = [alive for shape, alive in alive_at_factorization if shape == (m, m)]
-    assert len(schur) == len(k_factors) == sol.iterations
-    assert schur == k_factors == [0] * len(schur)
+    for route in ("gram", "svd"):
+        for record in (factors, alive_at_factorization, gram_arrays, svd_outputs, dense_rows,
+                       alive_at_ipm):
+            record.clear()
+        with monkeypatch.context() as patch:
+            if route == "svd":  # the Gram route runs, then is refused
+                patch.setattr(linalg, "_gram_rows", lambda E, e: real_gram(E, e) and None)
+            sol = solve_sdp(rel)
+        assert sol.status == "optimal" and sol.equality_rows > 0 and sol.equality_setup == route
+        # the Gram matrix with its eigenvalues and eigenvectors, and the SVD's
+        # three outputs on the fallback route (a0's quartic rows leave the
+        # order-3 moment block no face to find)
+        assert len(gram_arrays) == 3 and len(svd_outputs) == (3 if route == "svd" else 0)
+        assert dense_rows and alive_at_ipm == [(0, 0, 0)]
+        assert sol.correctors > 0
+        N, m = sol.schur_dim, sol.equality_rows
+        schur = [alive for shape, alive in alive_at_factorization if shape == (N, N)]
+        k_factors = [alive for shape, alive in alive_at_factorization if shape == (m, m)]
+        assert len(schur) == len(k_factors) == sol.iterations
+        assert schur == k_factors == [0] * len(schur)
+
+
+def _builtin_relaxations(orders):
+    """The lift-style relaxations of the embedded tensors (aln, the Cr
+    sweep, E0 and a0) at d0 + j for j in orders."""
+    from strata_opt.cli import _tensor
+    from strata_opt.datasets import CR_SWEEP, DATASETS
+
+    for ds_id in CR_SWEEP + ("E0", "a0"):
+        ds = DATASETS[ds_id]
+        tensor = _tensor(ds.kind, ds.voigt)
+        d0 = 2 if ds.kind == "sym2" else 1  # O2's equations are quartic, the others quadratic
+        for j in orders:
+            yield f"{ds_id} d={d0 + j}", _lift_relaxation(tensor, d0 + j)[0]
+
+
+def _equality_system(rel):
+    """E and e of a relaxation's rows, as solve_sdp forms them."""
+    R = ShiftRows(scaled(h for h in rel.equalities if np.any(h.coeffs))).dense(rel.num_moments)
+    return R[:, 1:], -R[:, 0]
+
+
+def test_gram_route_keeps_the_svd_rank_on_every_builtin_relaxation():
+    """The Gram route accepts the rows of every embedded tensor's relaxation
+    at d0 and d0 + 1, with the thin SVD's rank and the same least-squares
+    start u = E^+ e."""
+    from strata_opt._linalg import _gram_rows, _svd_rows
+
+    seen = 0
+    for name, rel in _builtin_relaxations((0, 1)):
+        E, e = _equality_system(rel)
+        gram, svd = _gram_rows(E, e), _svd_rows(E, e)
+        assert gram is not None, name
+        assert gram[0].shape == svd[0].shape, name
+        np.testing.assert_allclose(gram[0] @ gram[1], svd[0] @ svd[1], atol=1e-12, err_msg=name)
+        Vt = gram[0]
+        assert np.max(np.abs(Vt.T @ Vt - np.eye(Vt.shape[1]))) <= 1e-12, name
+        seen += 1
+    assert seen == 22
+
+
+@pytest.mark.parametrize("ratio", [1e-10, 1e-5])
+def test_rows_without_a_clear_gram_gap_take_the_svd(ratio):
+    """Rows whose smallest kept singular value is 1e-10 of the largest fall
+    into the Gram matrix's rounding (and 1e-5 leaves no clear gap): the thin
+    SVD decides, and keeps them as today."""
+    from strata_opt._linalg import _gram_rows, _svd_rows
+
+    rng = np.random.default_rng(5)
+    U = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    V = np.linalg.qr(rng.normal(size=(20, 8)))[0]
+    sv = np.array([1.0, 0.7, 0.5, 0.3, 0.2, ratio, 0.0, 0.0])
+    E = (U * sv) @ V.T
+    e = E @ rng.normal(size=20)
+    assert _gram_rows(E, e) is None
+    Vt, e_kept = _svd_rows(E, e)
+    assert Vt.shape == (20, 6)
+    assert np.max(np.abs(E @ (Vt @ e_kept) - e)) <= 1e-12
+    # a relaxation with such rows: y1 = 1 and y1 + 2 ratio y2 = 1 + 2 ratio
+    x = Polynomial.variable(0, 1)
+    cons = [(x - 1.0, EQ), (x + 2.0 * ratio * x * x - 1.0 - 2.0 * ratio, EQ), (4.0 - x * x, GE)]
+    sol = solve_sdp(assemble_relaxation(x, cons, 1))
+    assert (sol.status, sol.equality_setup, sol.equality_rows) == ("optimal", "svd", 2)
+    # y2 is read through the small row: its rounding is amplified by 1 / ratio
+    np.testing.assert_allclose(sol.y.values, [1.0, 1.0, 1.0], atol=1e-15 / ratio)
+
+
+def test_extra_correctors_lengthen_the_shorter_step_and_keep_the_bound(E0, monkeypatch):
+    """On E0 at order 2 every kept corrector lengthened the shorter of the
+    two step lengths of the direction before it, and the solve without
+    extra correctors reaches the same status and bound, within the
+    reported duality gaps."""
+    import strata_opt.sdp as sdp
+
+    rel = _lift_relaxation(E0, 2)[0]
+    sol = solve_sdp(rel)
+    assert sol.status == "optimal" and sol.correctors > 0
+    steps = [entry[6] for entry in sol.trace]
+    assert all(b > a for shorter in steps for a, b in zip(shorter, shorter[1:]))
+    assert sum(max(len(shorter) - 1, 0) for shorter in steps) == sol.correctors
+    monkeypatch.setattr(sdp, "EXTRA_CORRECTORS", 0)
+    plain = solve_sdp(rel)
+    assert plain.status == sol.status and plain.correctors == 0
+    assert all(len(entry[6]) <= 1 for entry in plain.trace)
+    assert abs(plain.objective - sol.objective) <= plain.duality_gap + sol.duality_gap
+
+
+def test_dense_lu_relaxations_take_no_extra_corrector():
+    """The order-d0 relaxations of the piezo tensors and of E0 (the certify
+    sizes) are solved by the dense LU, which factors at every solve: no
+    extra corrector, and the set-up takes the Gram route."""
+    for name, rel in _builtin_relaxations((0,)):
+        if name.startswith("a0"):
+            continue
+        sol = solve_sdp(rel)
+        assert (sol.status, sol.correctors, sol.equality_setup) == ("optimal", 0, "gram"), name
 
 
 @pytest.mark.parametrize("fixture, d", [("e0_aln", 2), ("E0", 2), ("a0", 3)])
