@@ -1,19 +1,24 @@
 """Dense linear algebra of the interior-point method (see sdp).
 
-Orthonormal rows for the independent equality rows; Cholesky factors with
-escalating diagonal regularization, of one matrix or batched over a stack;
-blocked triangular substitution with the factor; and the solver of the
-saddle-point (KKT) system of each Newton step, through the Cholesky factor
-of the Schur matrix M, or by one dense LU solve when the system is small.
+Orthonormal rows for the independent equality rows, and a pivoted basis
+of their kernel (null_basis), whose pivots Gaussian elimination with
+partial pivoting chooses; Cholesky factors with escalating diagonal
+regularization, of one matrix or batched over a stack; blocked triangular
+substitution with the factor; and the solver of the saddle-point (KKT)
+system of each Newton step, through the Cholesky factor of the Schur
+matrix M reduced to that kernel, or by one dense LU solve when the system
+is small.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["chol_regularized", "chol_solver", "chol_stack", "kkt_solver", "orthonormal_rows"]
+__all__ = ["DENSE_KKT", "NullBasis", "chol_regularized", "chol_solver", "chol_stack", "kkt_solver",
+           "null_basis", "orthonormal_rows"]
 
 
 def orthonormal_rows(E: np.ndarray, e: np.ndarray):
@@ -94,14 +99,11 @@ def chol_stack(mats: np.ndarray):
 _SUBST_BLOCK = 32
 
 
-def _triangular(L: np.ndarray):
-    """Solvers for  L x = rhs  (forward) and  L^T x = rhs  (backward) by
-    blocked substitution; forward takes a vector or a matrix of columns.
+def chol_solver(L: np.ndarray):
+    """Solver for  L L^T x = rhs, a vector, by blocked substitution.
 
     The inverses of L's small diagonal blocks are formed once, in one batched
-    call; each solve is then O(N^2) matrix-vector (or matrix) work.  forward
-    halves the blocks recursively, so that with a matrix of columns most of
-    its work is a few large products rather than many thin ones."""
+    call; each solve is then O(N^2) matrix-vector work."""
     N = L.shape[0]
     spans = [(a, min(a + _SUBST_BLOCK, N)) for a in range(0, N, _SUBST_BLOCK)]
     diag = np.tile(np.eye(_SUBST_BLOCK), (len(spans), 1, 1))
@@ -110,44 +112,104 @@ def _triangular(L: np.ndarray):
     # identity padding of the last block leaves its inverse exact
     inv = [blk[: b - a, : b - a] for blk, (a, b) in zip(np.linalg.inv(diag), spans)]
 
-    def forward(rhs: np.ndarray) -> np.ndarray:
-        w = np.array(rhs, dtype=float)
-        _forward_blocks(L, spans, inv, w, 0, len(spans))
-        return w
-
-    def backward(rhs: np.ndarray) -> np.ndarray:
-        x = np.empty(N)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        w = np.empty(N)  # L w = rhs
+        for (a, b), Ki in zip(spans, inv):
+            w[a:b] = Ki @ (rhs[a:b] - L[a:b, :a] @ w[:a])
+        x = np.empty(N)  # L^T x = w
         for (a, b), Ki in zip(reversed(spans), reversed(inv)):
-            x[a:b] = (rhs[a:b] - x[b:] @ L[b:, a:b]) @ Ki
+            x[a:b] = (w[a:b] - x[b:] @ L[b:, a:b]) @ Ki
         return x
 
-    return forward, backward
+    return solve
 
 
-def _forward_blocks(L: np.ndarray, spans: list, inv: list, w: np.ndarray, i: int, j: int) -> None:
-    """Blocks i..j-1 of w <- L^{-1} w in place, halving the range: the
-    update between the halves is one product."""
-    if j - i == 1:
-        a, b = spans[i]
-        w[a:b] = inv[i] @ w[a:b]
+# rows that _eliminate takes one at a time
+_LEAF = 16
+
+
+def _pivots(B: np.ndarray) -> list:
+    """The pivot columns of B (r, N), rank r, in the order in which
+    Gaussian elimination with partial pivoting on B^T takes them as its
+    pivot rows.  B is overwritten."""
+    pivots: list = []
+    _eliminate(B, 0, B.shape[0], pivots)
+    return pivots
+
+
+def _eliminate(B: np.ndarray, k: int, n: int, pivots: list) -> None:
+    """Rows k..k+n-1 of B, each eliminated by the rows above it, appending
+    their pivots: row j takes its largest entry as its pivot and is scaled
+    to 1 there, and the rows below it are cleared in that column.  Nothing
+    is swapped: a cleared column stays exactly 0 in every later row, so
+    argmax cannot take it twice.  Recursive on the rows (Toledo, SIAM J.
+    Matrix Anal. Appl. 18, 1997): the upper half, then one triangular
+    solve and one product that clear its pivot columns in the lower half,
+    then the lower half."""
+    if n <= _LEAF:
+        for j in range(k, k + n):
+            p = int(np.abs(B[j]).argmax())
+            pivots.append(p)
+            B[j] /= B[j, p]
+            B[j + 1:k + n] -= B[j + 1:k + n, p, None] * B[j]
+            B[j + 1:k + n, p] = 0.0
         return
-    h = (i + j) // 2
-    a, m, b = spans[i][0], spans[h][0], spans[j - 1][1]
-    _forward_blocks(L, spans, inv, w, i, h)
-    w[m:b] -= L[m:b, a:m] @ w[a:m]
-    _forward_blocks(L, spans, inv, w, h, j)
+    h = n // 2
+    _eliminate(B, k, h, pivots)
+    cols = pivots[-h:]
+    # the upper half on its pivots is unit upper triangular, U; the lower
+    # half R loses R[:, cols] U^{-1} times the upper half
+    U = np.triu(B[k:k + h, cols])
+    R = B[k + h:k + n]
+    R -= np.linalg.solve(U.T, R[:, cols].T).T @ B[k:k + h]
+    R[:, cols] = 0.0
+    _eliminate(B, k + h, n - h, pivots)
 
 
-def chol_solver(L: np.ndarray):
-    """Solver for  L L^T x = rhs."""
-    forward, backward = _triangular(L)
-    return lambda rhs: backward(forward(rhs))
+class NullBasis(NamedTuple):
+    """The kernel of the rows E (r, N), rank r, as Z = Pi^T [-C; I]: the pivot
+    moments P (r), the free moments F (f = N - r) and C = E_P^{-1} E_F
+    (r, f).  E Z = E_P (-C) + E_F = 0."""
+    P: np.ndarray
+    F: np.ndarray
+    C: np.ndarray
+
+    @property
+    def growth(self) -> float:
+        """max |C|, by which the basis amplifies rounding: at most 1 for the
+        pivots of largest volume, and small for those of partial pivoting
+        unless the elimination's growth is."""
+        return float(np.max(np.abs(self.C), initial=0.0))
+
+
+def null_basis(E: np.ndarray) -> NullBasis:
+    """The pivoted kernel basis of E (r, N), with its pivot moments chosen
+    by Gaussian elimination with partial pivoting on E^T.  The elimination
+    leaves G E for some invertible G, with U = G E_P unit upper triangular
+    in the order of the pivots, so C = E_P^{-1} E_F = U^{-1} (G E)_F."""
+    GE = np.array(E, order="C")
+    P = np.array(_pivots(GE))
+    free = np.ones(E.shape[1], bool)
+    free[P] = False
+    F = np.flatnonzero(free)
+    return NullBasis(P, F, _unit_upper_solve(GE[:, P], GE[:, F]))
+
+
+def _unit_upper_solve(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """U^{-1} Y for U unit upper triangular, by blocks of rows from the
+    last: one small solve and one product per block."""
+    r = U.shape[0]
+    X = np.empty(Y.shape)
+    for a in reversed(range(0, r, _SUBST_BLOCK)):
+        b = min(a + _SUBST_BLOCK, r)
+        X[a:b] = np.linalg.solve(U[a:b, a:b], Y[a:b] - U[a:b, b:] @ X[b:])
+    return X
 
 
 # up to this many unknowns N + m, one LU solve of the whole system per right-hand
 # side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
 # thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
-_DENSE_KKT = 64
+DENSE_KKT = 64
 
 
 def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,21 +221,35 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
-def kkt_solver(M: np.ndarray, E: np.ndarray):
+def kkt_solver(M: np.ndarray, E: np.ndarray, basis: NullBasis | None = None):
     """Solver of the saddle-point system
 
         [ M  -E^T ] [ du   ]   [ b ]
         [ E   0   ] [ dlam ] = [ q ],
 
-    through M = L L^T, W = L^{-1} E^T and the Cholesky factor of
-    K = W^T W = E M^{-1} E^T: dlam = K^{-1} (q - W^T L^{-1} b) and
-    du = L^{-T} (L^{-1} b + W dlam).  Small systems take one LU solve of
-    the whole matrix instead, unless a moment is missing from M (which the
-    Cholesky route regularizes).  Returns the solver and whether it reuses
-    one factorization (the Cholesky route), where the LU route factors at
-    every solve; None when M or K cannot be factored."""
+    in the kernel of E, whose rows are orthonormal: with the pivoted basis
+    Z of null_basis (basis, or built here when None), du = E^T q + Z w, the
+    reduced matrix
+
+        M_r = Z^T M Z = M_FF + C^T T + T^T C,   T = M_PP C / 2 - M_PF,
+
+    is factored M_r = L L^T and w = M_r^{-1} Z^T b, with Z^T v = v_F - C^T v_P;
+    then one refinement w' = M_r^{-1} Z^T (b - M du) against M itself, and
+    the least-squares dlam = E (M du - b).  The refinement takes E^T q's
+    part of the residual, which is rounding in the interior-point method
+    (its iterates meet E u = e), and the rounding of M_r: M_r mixes M's
+    entries through C, which amplifies it, and the refinement brings the
+    residual M du - E^T dlam - b back to about that of a Cholesky solve of
+    M, which the dual residual needs near the optimum.  E du = q holds to
+    rounding whatever the conditioning of M.  The solver reads M, which
+    must not change while it is in use.  Without rows M_r is M itself and
+    there is no refinement.  Small systems take one LU solve of the whole
+    matrix instead, unless a moment is missing from M (which the Cholesky
+    route regularizes).  Returns the solver and whether it reuses one
+    factorization (the Cholesky route), where the LU route factors at
+    every solve; None when M_r cannot be factored."""
     N, m = M.shape[0], E.shape[0]
-    if N + m <= _DENSE_KKT and np.all(np.diagonal(M) > 0.0):
+    if N + m <= DENSE_KKT and np.all(np.diagonal(M) > 0.0):
         K = np.zeros((N + m, N + m))
         K[:N, :N] = M
         K[:N, N:] = -E.T
@@ -184,21 +260,37 @@ def kkt_solver(M: np.ndarray, E: np.ndarray):
             return x[:N], x[N:]
 
         return dense, False
-    LM = chol_regularized(M)
+    if not m:
+        LM = chol_regularized(M)
+        if LM is None:
+            return None
+        solve_m = chol_solver(LM)
+        return (lambda b, q: (solve_m(b), np.zeros(0))), True
+    P, F, C = basis if basis is not None else null_basis(E)
+    MP = M[P][:, np.concatenate((P, F))]  # M_PP, then M_PF
+    T = MP[:, :m] @ C
+    T *= 0.5
+    T -= MP[:, m:]
+    del MP
+    CT = C.T @ T
+    del T
+    Mr = M[np.ix_(F, F)]
+    Mr += CT
+    Mr += CT.T
+    del CT
+    LM = chol_regularized(Mr)
+    del Mr
     if LM is None:
         return None
-    forward, backward = _triangular(LM)
-    if not m:
-        return (lambda b, q: (backward(forward(b)), np.zeros(0))), True
-    W = forward(E.T)
-    LK = chol_regularized(W.T @ W)
-    if LK is None:
-        return None
-    k_solve = chol_solver(LK)
+    solve_r = chol_solver(LM)
 
     def solve(b: np.ndarray, q: np.ndarray):
-        z = forward(b)
-        dlam = k_solve(q - W.T @ z)
-        return backward(z + W @ dlam), dlam
+        du, v = E.T @ q, b
+        for _ in range(2):  # the step, then its refinement
+            w = solve_r(v[F] - C.T @ v[P])
+            du[F] += w
+            du[P] -= C @ w
+            v = b - M @ du
+        return du, E @ -v
 
     return solve, True

@@ -30,7 +30,7 @@ from .moment import (
     minimal_order,
     moment_matrix,
 )
-from .poly import Polynomial, grlex_position, lambda_set, monomials, term_arrays
+from .poly import Polynomial, grlex_position, jacobian_arrays, lambda_set, monomials, term_arrays
 from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
@@ -108,6 +108,7 @@ class OrderDiagnostics:
     linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
     correctors: int = 0     # extra correctors kept (SdpSolution.correctors)
     equality_setup: str | None = None  # "gram", "svd" or None without rows (SdpSolution.equality_setup)
+    basis_growth: float | None = None  # max |C| of the kernel basis (SdpSolution.basis_growth)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -359,7 +360,7 @@ def _project(x: np.ndarray, h, jacobian, steps: int = 3) -> np.ndarray:
     """At most `steps` Gauss-Newton steps towards {h = 0}: each the
     minimum-norm least-squares step on the Jacobian of the equalities,
     until their values are rounding errors of their terms.  h and jacobian
-    are the term_arrays of the equalities and of their gradients."""
+    are the term_arrays of the equalities and their jacobian_arrays."""
     X, C = h
     for _ in range(steps):
         mono = monomials(X, x[None])[0]
@@ -422,6 +423,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             linear_rows=sol.linear_rows,
             correctors=sol.correctors,
             equality_setup=sol.equality_setup,
+            basis_growth=sol.basis_growth,
             seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )
         diags.append(rec)
@@ -469,7 +471,7 @@ def _attempt_extraction(f, constraints, sol, d, s, rec, r=1.0):
     equalities = [g for g, kind in constraints if kind == EQ]
     if equalities:
         h = (X, C[is_eq])
-        jacobian = term_arrays([dg for g in equalities for dg in g.gradient()], f.n)
+        jacobian = jacobian_arrays(equalities, f.n)
 
     def violation(x):
         """The largest violation of a constraint at x, relative to the

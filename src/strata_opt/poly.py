@@ -22,6 +22,7 @@ __all__ = [
     "Polynomial",
     "forms_from_tensor",
     "grlex_position",
+    "jacobian_arrays",
     "lambda_set",
     "monomials",
     "term_arrays",
@@ -113,11 +114,37 @@ def term_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Polynomials in n variables over their common support, X (T, n) in
     graded-lex order, and their coefficients C (len(polys), T): polys[i] =
     sum_t C[i, t] x^X[t].  Both are read-only."""
-    X, order, column = _union(
-        np.concatenate([np.empty((0, n), np.int64)] + [p.exponents for p in polys]))
-    C = np.zeros((len(polys), len(X)))
+    X, coeffs, owner = _stacked(polys, n)
+    return _collect(X, coeffs, owner, len(polys))
+
+
+def jacobian_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The term_arrays of the gradients of polys, dpolys[i]/dx_j in row
+    i n + j, from the polynomials' own arrays: each term c x^alpha with
+    alpha_j > 0 gives c alpha_j x^(alpha - e_j) to row i n + j."""
+    X, coeffs, owner = _stacked(polys, n)
+    t, j = X.nonzero()
+    lowered = X[t]
+    lowered[np.arange(len(t)), j] -= 1
+    return _collect(lowered, coeffs[t] * X[t, j], owner[t] * n + j, len(polys) * n)
+
+
+def _stacked(polys, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of polys one after another: exponents, coefficients and
+    the index of the polynomial each term belongs to."""
+    X = np.concatenate([np.empty((0, n), np.int64)] + [p.exponents for p in polys])
+    coeffs = np.concatenate([np.empty(0)] + [p.coeffs for p in polys])
     owner = np.repeat(np.arange(len(polys)), [len(p.coeffs) for p in polys])
-    C[owner[order], column] = np.concatenate([np.empty(0)] + [p.coeffs for p in polys])[order]
+    return X, coeffs, owner
+
+
+def _collect(exponents: np.ndarray, coeffs: np.ndarray, owner: np.ndarray, count: int):
+    """X over the distinct rows of exponents and C (count, len(X)) with
+    coeffs[k] at (owner[k], the column of exponents[k]); each (owner, row)
+    pair occurs once.  Both are read-only."""
+    X, order, column = _union(exponents)
+    C = np.zeros((count, len(X)))
+    C[owner[order], column] = coeffs[order]
     X.flags.writeable = C.flags.writeable = False
     return X, C
 

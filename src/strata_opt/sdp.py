@@ -22,7 +22,11 @@ leaves E with orthonormal rows; the start u = E^T e satisfies them
 Gram matrix E E^T = U diag(lam) U^T, where its spectrum has a clear gap
 above the rounding and the kept rows leave ||E - E V^T V||_F within the
 thin SVD's rank rule, max(m, N) eps sigma_1; otherwise the thin SVD of E
-decides.  Where an equality h has 2v <= d, every feasible y has
+decides.  The kept rows' kernel then gets a pivoted basis
+Z = Pi^T [-C; I] (_linalg.null_basis): Gaussian elimination with partial
+pivoting on E^T picks r pivot moments P, the other f = N - r moments F
+are free and C = E_P^{-1} E_F, so that E Z = 0.  Systems small enough for
+the dense LU skip it.  Where an equality h has 2v <= d, every feasible y has
 M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment block has no
 interior along those vectors, so it is solved in the basis F of their
 complement, as F^T M_d(y) F (_moment_face).  Without that, the
@@ -46,16 +50,27 @@ step solves the KKT system
 with r = c - A^*(Z) - A^T z - E^T lam the dual residual, q = e - E u the
 equality residual and rhs[alpha] = sum_i <A_i[alpha], G_i^{-T} (T_i - R_i^) G_i^{-1}>
 for a complementarity target T_i and the scaled primal residual R_i^.  M is
-positive definite, because the moment block contains every moment.  It is
-factored M = L L^T (_linalg.kkt_solver); then W = L^{-1} E^T,
-K = W^T W = E M^{-1} E^T and
+positive definite, because the moment block contains every moment.  The
+step is taken in the kernel of E (_linalg.kkt_solver): the reduced matrix
 
-    dlam = K^{-1} (q - W^T L^{-1} p),   du = L^{-T} (L^{-1} p + W dlam),   p = rhs - r.
+    M_r = Z^T M Z = M_FF + C^T T + T^T C,   T = M_PP C / 2 - M_PF,
 
-The dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks
-in the set-up's decomposition of E or in an iteration's KKT factorization
-(solve_bytes): the set-up's arrays are released before the IPM starts,
-and each iteration's factors before the next M is built.
+two products, is factored M_r = L L^T once per iteration, and with
+p = rhs - r
+
+    w = M_r^{-1} Z^T p,   du = E^T q + Z w,
+
+then one refinement w' = M_r^{-1} Z^T (p - M du) of du against M itself,
+and dlam = E (M du - p).  M_r mixes M's entries through C, which amplifies
+its rounding near the optimum; the refinement brings the dual residual back
+to about that of a Cholesky solve of M, and takes E^T q's part, which is
+rounding: the iterates meet E u = e.  E du = q holds to rounding however
+ill-conditioned M is.  Without rows M_r is M, with no refinement.  The
+dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks in
+the set-up's decomposition of E or kernel basis, or in an iteration's KKT
+factorization (solve_bytes): the set-up's arrays but the basis are
+released before the IPM starts, and each iteration's factors before the
+next M is built.
 
 The rows take the 1 x 1 case of every formula, elementwise.  Their
 scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
@@ -95,7 +110,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chol_stack, kkt_solver, orthonormal_rows
+from ._linalg import DENSE_KKT, chol_stack, kkt_solver, null_basis, orthonormal_rows
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
@@ -141,6 +156,7 @@ class SdpSolution:
     linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
     correctors: int = 0     # extra correctors kept, summed over the iterations
     equality_setup: str | None = None  # "gram" or "svd", the set-up route; None without rows
+    basis_growth: float | None = None  # max |C| of the pivoted kernel basis; None without one
 
 
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -183,32 +199,44 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
     the moment block's, blocks lists (terms, base entries, side) of each
     localizing block (the moment block is counted with M), equality_rows
     counts the rows before dependent ones are dropped.  With L moments, m
-    rows and r = min(m, L), the peak is the larger of the set-up and an
-    iteration.  The set-up term bounds both of its routes: the Gram route,
-    E (m, L) with E E^T, the eigenvectors U, and numpy's copy of E E^T with
-    syevd's work (2 m^2 + 6 m doubles and 5 m ints) in the
-    eigendecomposition, then E with the scaled U, V^T, E V^T and the
-    residual; and the thin SVD of E, E, the outputs U and Vt, and numpy's
-    copies of E, U and Vt with gesdd's work (at most 4 r^2 + 8 r).  An
-    iteration holds every array of one KKT factorization as if alive
-    together (M, its factor and the Cholesky's copy of M, W = L^{-1} E^T
-    with its update, K with its copy and factor), the rows kept, the Q and
-    Y chunk buffers (_schur.stack_doubles), and per localizing block its
-    MH, G^T, MH G^T, and G^T in coordinates with its term buffer.  A block
-    of side 1 is a linear row: the row and its scaled copy fit in its 2 L
-    doubles.  The stacks' index plans (_schur._plan) stay alive throughout,
-    and _SMALL bounds the rest.  Not counted: a regularized retry of the
-    Cholesky (two more L x L)."""
+    rows and r = min(m, L), the peak is the largest of the set-up's stages
+    and an iteration.  The rows: the Gram route, E (m, L) with
+    E E^T, the eigenvectors U, and numpy's copy of E E^T with syevd's work
+    (2 m^2 + 6 m doubles and 5 m ints) in the eigendecomposition, then E
+    with the scaled U, V^T, E V^T and the residual; or the thin SVD of E,
+    E, the outputs U and Vt, and numpy's copies of E, U and Vt with
+    gesdd's work (at most 4 r^2 + 8 r).  The kernel basis (null_basis), on
+    the kept rows E: the pivoting's copy G E with the half-height product
+    of its top step, then G E_P, G E_F and C.  An iteration holds E and C
+    (at most 2 rank L), the Newton system's arrays at the largest of its
+    stages (_linalg.kkt_solver: M throughout, with M[P] and its reordered
+    copy, 2 rank L; or T with C^T T, f L; or C^T T with the reduced matrix
+    M_r of side f = L - rank, or M_r with its factor and the Cholesky's
+    copy, 3 f^2; without rows M, its factor and the copy), each convex in
+    the rank, so that the worse end of [0, r] bounds it; then the Q and Y
+    chunk buffers (_schur.stack_doubles), and per localizing block its MH,
+    G^T, MH G^T, and G^T in coordinates with its term buffer.
+    A block of side 1 is a linear row: the row and its scaled copy fit in
+    its 2 L doubles.  The stacks' index plans (_schur._plan) stay alive
+    throughout, and _SMALL bounds the rest.  Not counted: a regularized
+    retry of the Cholesky (two more f x f)."""
     L, m = num_moments, equality_rows
     r = min(m, L)
     svd = 2 * m * L + 2 * r * (m + L) + 4 * r * r + 8 * r
     gram = m * L + max(5 * m * m + 10 * m, m * L + 2 * m * r + r * L)
+    basis = 2 * r * L + r * r + 2 * r * (L - r)
+
+    def newton(rank):
+        f = L - rank
+        return 2 * rank * L + L * L + max(2 * rank * L, f * L, 3 * f * f)
+
     stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
     q, y, plans = zip(stack_doubles(1, side, L),
                       *(stack_doubles(k, s, nb) for (nb, s), k in stacks.items()))
-    iteration = 3 * L * L + 5 * L * r // 2 + 3 * r * r + max(q) + max(y) + sum(plans)
+    iteration = max(newton(0), newton(r)) if m else 3 * L * L
+    iteration += max(q) + max(y) + sum(plans)
     iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb, _ in blocks)
-    return 8 * (max(svd, gram, iteration) + _SMALL)
+    return 8 * (max(svd, gram, basis, iteration) + _SMALL)
 
 
 def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -219,7 +247,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c0 = float(problem.objective[0])
 
     def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0, rank=0, linear=0, correctors=0):
+               schur_dim=0, rank=0, linear=0, correctors=0, growth=None):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -237,6 +265,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             linear_rows=linear,
             correctors=correctors,
             equality_setup=setup,
+            basis_growth=growth,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
@@ -260,7 +289,6 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         u = Vt @ e_kept
         if np.max(np.abs(E @ u - e), initial=0.0) > 1e-8:
             return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf, rank=rank)
-        # the transpose of contiguous columns, which W = L^{-1} E^T reads
         E, e = Vt.T, e_kept
         del Vt
 
@@ -276,11 +304,14 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0, rank=rank)
 
     face = _moment_face(problem.n, problem.d, equalities) if rank else None
+    # the kernel basis of the Newton steps; small systems take the dense LU
+    basis = null_basis(E) if rank and N + rank > DENSE_KKT else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # overflow fails the solve
-        core = _ipm(c_raw, blocks, E, e, u, opts, face)
+        core = _ipm(c_raw, blocks, E, e, u, opts, face, basis)
     return finish(core.u, core.status, core.iterations, core.trace,
                   core.gap, core.pres, core.dres, core.rel_gap, N, rank,
-                  sum(b.side == 1 for b in blocks), core.correctors)
+                  sum(b.side == 1 for b in blocks), core.correctors,
+                  basis.growth if basis is not None else None)
 
 
 def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
@@ -318,10 +349,12 @@ class _CoreResult:
 
 
 def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
-         u: np.ndarray, opts: SolverOptions, face: np.ndarray | None = None) -> _CoreResult:
+         u: np.ndarray, opts: SolverOptions, face: np.ndarray | None = None,
+         basis=None) -> _CoreResult:
     """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
     from u (which satisfies E u = e); the moment block is solved in the
-    basis `face` (see _moment_face) when one is given.
+    basis `face` (see _moment_face) when one is given, and the Newton steps
+    in the kernel basis of E `basis` (_linalg.null_basis) when one is given.
 
     Blocks of side 1 are the k linear rows A u + b >= 0, their one row each
     (ShiftRows) with the constants b in column 0 (y_0 = 1), and with slack
@@ -446,7 +479,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         # release the last factors and directions before M is built and factored
         kkt = step = trial = dS = dZ = lin = None
         dS_a = dZ_a = dSh_a = dZh_a = lin_a = None
-        kkt = kkt_solver(schur.matrix(V, rows_w), E)
+        kkt = kkt_solver(schur.matrix(V, rows_w), E, basis)
         if kkt is None:
             status = NUMERICAL_FAILURE
             break

@@ -14,7 +14,9 @@ from strata_opt.poly import (
     Polynomial,
     forms_from_tensor,
     grlex_position,
+    jacobian_arrays,
     lambda_set,
+    term_arrays,
 )
 from conftest import term_dict
 
@@ -298,6 +300,33 @@ def test_gradient_matches_central_differences(p):
         h[i] = 1e-5
         fd = (p.evaluate(x + h) - p.evaluate(x - h)) / 2e-5
         assert g == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@given(st.lists(polynomials(), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_jacobian_arrays_are_the_term_arrays_of_the_gradients(polys):
+    X, C = jacobian_arrays(polys, 2)
+    want_X, want_C = term_arrays([dp for p in polys for dp in p.gradient()], 2)
+    np.testing.assert_array_equal(X, want_X)
+    np.testing.assert_array_equal(C, want_C)
+    assert C.shape == (2 * len(polys), len(X))
+    assert not (X.flags.writeable or C.flags.writeable)
+
+
+def test_jacobian_arrays_of_the_strata_equations(a0, E0, e0_aln):
+    """Bitwise the term_arrays of the gradients on each built-in stratum's
+    equations, which the atom projection reads."""
+    from strata_opt.mech import (build_distance_problem_ela, build_distance_problem_piezo,
+                                 build_distance_problem_sym2)
+
+    for prob in (build_distance_problem_sym2(a0), build_distance_problem_ela(E0),
+                 build_distance_problem_piezo(e0_aln)):
+        eqs = [g for g, _ in prob.constraints]
+        assert eqs
+        X, C = jacobian_arrays(eqs, prob.n)
+        want_X, want_C = term_arrays([dg for g in eqs for dg in g.gradient()], prob.n)
+        np.testing.assert_array_equal(X, want_X)
+        np.testing.assert_array_equal(C, want_C)
 
 
 def test_gradient_of_known_polynomial():

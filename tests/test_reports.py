@@ -13,7 +13,7 @@ def _sample_report():
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
                       "num_moments": 55, "block_sides": [10, 1],
                       "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
-                      "correctors": 3, "equality_setup": "gram",
+                      "correctors": 3, "equality_setup": "gram", "basis_growth": 1.5,
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
         status_xi=1,
@@ -60,12 +60,13 @@ class TestJsonRoundTrip:
         # the moments 1, y1, y2; the 2x2 moment block and the 1x1 ball
         assert (first["num_moments"], first["block_sides"]) == (3, [2, 1])
         # a system this small is solved by LU, which takes no extra corrector
-        assert (first["correctors"], first["equality_setup"]) == (0, "gram")
+        # and no kernel basis
+        assert (first["correctors"], first["equality_setup"], first["basis_growth"]) == (0, "gram", None)
         for plain, rec in zip(again.diagnostics, res.diagnostics):
             assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
                     == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
-            assert (plain["correctors"], plain["equality_setup"]) == (rec.correctors,
-                                                                      rec.equality_setup)
+            assert ((plain["correctors"], plain["equality_setup"], plain["basis_growth"])
+                    == (rec.correctors, rec.equality_setup, rec.basis_growth))
             assert (plain["num_moments"], plain["block_sides"]) == (rec.num_moments,
                                                                     rec.block_sides)
             assert plain["seconds"] == rec.seconds
@@ -84,6 +85,7 @@ class TestJsonRoundTrip:
         assert first["schur_dim"] == 0 and first["iterations"] == 0
         assert (first["num_moments"], first["block_sides"]) == (3, [2])
         assert (first["correctors"], first["equality_setup"]) == (0, "gram")
+        assert first["basis_growth"] is None
 
     def test_corrector_count_and_no_rows_round_trip(self):
         # min x1 x2 x3 + x4 on the unit ball from d = 2: 69 free moments, no
@@ -95,9 +97,25 @@ class TestJsonRoundTrip:
         rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
         again = Report.from_json(rep.to_json())
         assert again == rep
-        plain = [(p["correctors"], p["equality_setup"]) for p in again.diagnostics]
-        assert plain == [(rec.correctors, None) for rec in res.diagnostics]
+        plain = [(p["correctors"], p["equality_setup"], p["basis_growth"]) for p in again.diagnostics]
+        assert plain == [(rec.correctors, None, None) for rec in res.diagnostics]
         assert again.diagnostics[0]["schur_dim"] == 69 and again.diagnostics[0]["correctors"] > 0
+
+    def test_basis_growth_round_trip(self):
+        # min x1 x2 x3 + x4 on the unit sphere from d = 2: 69 free moments and
+        # the 15 rows of the sphere's multiples, a Newton system in the kernel
+        # of the rows
+        xs = [Polynomial.variable(i, 4) for i in range(4)]
+        f = xs[0] * xs[1] * xs[2] + xs[3]
+        sphere = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3] - 1.0
+        res = run_hierarchy(f, [(sphere, EQ)], HierarchyOptions(d_max=2))
+        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+        again = Report.from_json(rep.to_json())
+        assert again == rep
+        first, rec = again.diagnostics[0], res.diagnostics[0]
+        assert (first["schur_dim"], first["equality_rows"]) == (69, 15)
+        assert isinstance(first["basis_growth"], float) and first["basis_growth"] > 0.0
+        assert [p["basis_growth"] for p in again.diagnostics] == [r.basis_growth for r in res.diagnostics]
 
     def test_environment_round_trip(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -6,7 +6,7 @@ from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from conftest import term_dict
-from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver
+from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver, null_basis
 from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
 
 
@@ -592,17 +592,72 @@ def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
 
 def test_saddle_point_direction_matches_dense_solve():
     rng = np.random.default_rng(17)
-    for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35)):  # dense LU, then Cholesky
+    # dense LU, then Cholesky: without rows, and in the kernel of 35 and of 89 rows
+    for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35), (90, 89)):
         M = _random_pd(rng, N)
         E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2] if m else np.zeros((0, N))
         b, q = rng.normal(size=N), rng.normal(size=m)
-        solve, factored = kkt_solver(M, E)
+        solve, factored = kkt_solver(M, E, null_basis(E) if m else None)
         assert factored == (N + m > 64)  # the route it reports
         du, dlam = solve(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
         want = np.linalg.solve(K, np.concatenate((b, q)))
         got = np.concatenate((du, dlam))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [35, 89])
+def test_kernel_step_meets_the_rows_when_m_is_ill_conditioned(m):
+    """With M's eigenvalues from 1e-12 to 1 the step still meets E du = q
+    to rounding: du0 meets the rows through E_P alone and the kernel part
+    Z w adds nothing to E du, whatever the error in w.  The exact solution
+    is (x, lam) of unit size; the basis built by kkt_solver itself is the
+    one null_basis gives."""
+    rng = np.random.default_rng(23)
+    N = 90
+    Q = np.linalg.qr(rng.normal(size=(N, N)))[0]
+    M = (Q * np.logspace(-12, 0, N)) @ Q.T
+    E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2]
+    x, lam = rng.normal(size=N), rng.normal(size=m)
+    b, q = M @ x - E.T @ lam, E @ x
+    basis = null_basis(E)
+    assert basis.growth < 10.0
+    du, dlam = kkt_solver(M, E, basis)[0](b, q)
+    assert np.max(np.abs(E @ du - q)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
+    again = kkt_solver(M, E)[0](b, q)
+    assert np.array_equal(again[0], du) and np.array_equal(again[1], dlam)
+
+
+def test_kernel_basis_spans_the_kernel_of_the_rows():
+    """Z = Pi^T [-C; I] satisfies E Z = 0 to rounding, and its pivots are r
+    distinct moments."""
+    rng = np.random.default_rng(29)
+    for N, m in ((10, 1), (50, 20), (120, 119)):
+        E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2]
+        P, F, C = basis = null_basis(E)
+        assert sorted([*P, *F]) == list(range(N)) and C.shape == (m, N - m)
+        assert np.max(np.abs(E[:, F] - E[:, P] @ C)) <= 1e-13 * (1.0 + basis.growth)
+
+
+def test_missing_moment_fixed_by_a_row_takes_the_kernel_route():
+    """A small system whose M misses a moment is not sent to the dense LU;
+    where a row fixes that moment, the reduced matrix is positive definite,
+    the basis is built for it and the step matches the dense solve."""
+    rng = np.random.default_rng(31)
+    N, m = 20, 3
+    M = _random_pd(rng, N)
+    M[4, :] = M[:, 4] = 0.0
+    X = rng.normal(size=(N, m))
+    X[:, 0] = 0.0
+    X[4] = [1.0, 0.0, 0.0]
+    E = np.linalg.qr(X)[0].T  # orthonormal rows, the first the moment 4 alone
+    b, q = rng.normal(size=N), rng.normal(size=m)
+    solve, factored = kkt_solver(M, E)
+    assert factored
+    du, dlam = solve(b, q)
+    K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
+    want = np.linalg.solve(K, np.concatenate((b, q)))
+    assert np.max(np.abs(np.concatenate((du, dlam)) - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _lift_relaxation(tensor, d):
@@ -684,13 +739,14 @@ def test_rotated_elasticity_order_two_stays_optimal():
 
 
 def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
-    """On the a0 order-3 solve, by either set-up route, each factorization of the Schur matrix (and
-    of K = E M^{-1} E^T) happens with no earlier factor of it alive, the
-    extra correctors reuse it, and none of the set-up's arrays is alive when
-    the IPM starts: the equalities' dense row matrix (E is a view into it
-    until the kept rows replace it), the Gram matrix E E^T, the outputs of
-    its eigendecomposition and, on the fallback route, the outputs of the
-    thin SVD of E."""
+    """On the a0 order-3 solve, by either set-up route, the Newton system is
+    factored once per iteration, on the (f, f) reduced matrix (f = N - m),
+    with no earlier factor of it alive; the extra correctors reuse it; and
+    when the IPM starts no set-up array is alive but the kernel basis: not
+    the equalities' dense row matrix (E is a view into it until the kept
+    rows replace it), the Gram matrix E E^T, the outputs of its
+    eigendecomposition, on the fallback route the outputs of the thin SVD
+    of E, nor the copy of the rows that the pivoting eliminates."""
     import weakref
 
     import strata_opt._linalg as linalg
@@ -706,9 +762,9 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         factors.setdefault(mat.shape, []).append(weakref.ref(L))
         return L
 
-    gram_arrays, svd_outputs, dense_rows, alive_at_ipm = [], [], [], []
+    gram_arrays, svd_outputs, dense_rows, lu_copies, alive_at_ipm = [], [], [], [], []
     real_eigh, real_svd, real_ipm = np.linalg.eigh, np.linalg.svd, sdp._ipm
-    real_dense, real_gram = schur_module.ShiftRows.dense, linalg._gram_rows
+    real_dense, real_gram, real_pivots = schur_module.ShiftRows.dense, linalg._gram_rows, linalg._pivots
 
     def eigh(a, *args, **kwargs):
         out = real_eigh(a, *args, **kwargs)
@@ -728,20 +784,26 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
             dense_rows.append(weakref.ref(out.base if out.base is not None else out))
         return out
 
+    def pivots(B):
+        lu_copies.append(weakref.ref(B))
+        return real_pivots(B)
+
     def ipm(*args, **kwargs):
         alive_at_ipm.append(tuple(sum(ref() is not None for ref in refs)
-                                  for refs in (gram_arrays, svd_outputs, dense_rows)))
+                                  for refs in (gram_arrays, svd_outputs, dense_rows, lu_copies)))
+        assert isinstance(args[7], linalg.NullBasis)  # the basis, made at set-up
         return real_ipm(*args, **kwargs)
 
     rel = _lift_relaxation(a0, 3)[0]
     monkeypatch.setattr(linalg, "chol_regularized", chol)
+    monkeypatch.setattr(linalg, "_pivots", pivots)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(schur_module.ShiftRows, "dense", dense)
     monkeypatch.setattr(sdp, "_ipm", ipm)
     for route in ("gram", "svd"):
         for record in (factors, alive_at_factorization, gram_arrays, svd_outputs, dense_rows,
-                       alive_at_ipm):
+                       lu_copies, alive_at_ipm):
             record.clear()
         with monkeypatch.context() as patch:
             if route == "svd":  # the Gram route runs, then is refused
@@ -752,13 +814,11 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         # three outputs on the fallback route (a0's quartic rows leave the
         # order-3 moment block no face to find)
         assert len(gram_arrays) == 3 and len(svd_outputs) == (3 if route == "svd" else 0)
-        assert dense_rows and alive_at_ipm == [(0, 0, 0)]
+        assert dense_rows and len(lu_copies) == 1 and alive_at_ipm == [(0, 0, 0, 0)]
         assert sol.correctors > 0
         N, m = sol.schur_dim, sol.equality_rows
-        schur = [alive for shape, alive in alive_at_factorization if shape == (N, N)]
-        k_factors = [alive for shape, alive in alive_at_factorization if shape == (m, m)]
-        assert len(schur) == len(k_factors) == sol.iterations
-        assert schur == k_factors == [0] * len(schur)
+        assert [shape for shape, _ in alive_at_factorization] == [(N - m, N - m)] * sol.iterations
+        assert [alive for _, alive in alive_at_factorization] == [0] * sol.iterations
 
 
 def _builtin_relaxations(orders):
@@ -844,6 +904,18 @@ def test_extra_correctors_lengthen_the_shorter_step_and_keep_the_bound(E0, monke
     assert plain.status == sol.status and plain.correctors == 0
     assert all(len(entry[6]) <= 1 for entry in plain.trace)
     assert abs(plain.objective - sol.objective) <= plain.duality_gap + sol.duality_gap
+
+
+def test_kernel_steps_reach_a_tight_dual_tolerance(E0):
+    """E0 at order 2 solved to gap_tol = feas_tol = 1e-10, as the range-space
+    steps M = L L^T, W = L^{-1} E^T solved it: the reduced matrix Z^T M Z
+    amplifies the rounding of M near the optimum, and without the step's
+    refinement against M the dual residual stalls above 1e-10
+    (numerical_failure after 15 iterations)."""
+    rel = _lift_relaxation(E0, 2)[0]
+    sol = solve_sdp(rel, SolverOptions(gap_tol=1e-10, feas_tol=1e-10))
+    assert sol.status == "optimal" and sol.basis_growth is not None
+    assert sol.dual_residual <= 1e-10 and sol.primal_residual <= 1e-10
 
 
 def test_dense_lu_relaxations_take_no_extra_corrector():
