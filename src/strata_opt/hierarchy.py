@@ -107,8 +107,7 @@ class OrderDiagnostics:
     equality_rows: int = 0  # independent equality rows kept (SdpSolution.equality_rows)
     linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
     correctors: int = 0     # extra correctors kept (SdpSolution.correctors)
-    equality_setup: str | None = None  # "gram", "svd" or None without rows (SdpSolution.equality_setup)
-    basis_growth: float | None = None  # max |C| of the kernel basis (SdpSolution.basis_growth)
+    basis_growth: float | None = None  # max |C| of the rows' echelon form (SdpSolution.basis_growth)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -422,7 +421,6 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             equality_rows=sol.equality_rows,
             linear_rows=sol.linear_rows,
             correctors=sol.correctors,
-            equality_setup=sol.equality_setup,
             basis_growth=sol.basis_growth,
             seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )

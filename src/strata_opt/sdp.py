@@ -16,17 +16,13 @@ the 1 x 1 block M_0(g . y), the linear inequality (g . y)_0 >= 0: such
 blocks are the rows A u + b >= 0, with slack s and dual z as vectors.
 Every row, of E, of A or of a block's G^T, is made by one builder
 (_schur.ShiftRows), scaled by its block's largest coefficient (scaled).
-Equality rows that depend on others are dropped once, at set-up, which
-leaves E with orthonormal rows; the start u = E^T e satisfies them
-(_linalg.orthonormal_rows).  The rows are diag(lam)^{-1/2} U^T E from the
-Gram matrix E E^T = U diag(lam) U^T, where its spectrum has a clear gap
-above the rounding and the kept rows leave ||E - E V^T V||_F within the
-thin SVD's rank rule, max(m, N) eps sigma_1; otherwise the thin SVD of E
-decides.  The kept rows' kernel then gets a pivoted basis
-Z = Pi^T [-C; I] (_linalg.null_basis): Gaussian elimination with partial
-pivoting on E^T picks r pivot moments P, the other f = N - r moments F
-are free and C = E_P^{-1} E_F, so that E Z = 0.  Systems small enough for
-the dense LU skip it.  Where an equality h has 2v <= d, every feasible y has
+At set-up one Gaussian elimination with partial pivoting, in place on
+the equality rows (_linalg.echelon_rows), drops the dependent rows, picks
+r pivot moments P, leaves the other f = N - r moments F free and brings
+the rows to reduced row echelon form E = Pi [I C], C = E_P^{-1} E_F, with
+constants e: the start u = Pi [e; 0] meets them, and Z = Pi^T [-C; I] is
+a basis of their kernel.  After set-up the solver reads the rows only
+through (P, F, C, e).  Where an equality h has 2v <= d, every feasible y has
 M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment block has no
 interior along those vectors, so it is solved in the basis F of their
 complement, as F^T M_d(y) F (_moment_face).  Without that, the
@@ -58,19 +54,18 @@ step is taken in the kernel of E (_linalg.kkt_solver): the reduced matrix
 two products, is factored M_r = L L^T once per iteration, and with
 p = rhs - r
 
-    w = M_r^{-1} Z^T p,   du = E^T q + Z w,
+    w = M_r^{-1} Z^T p,   du = Pi [q; 0] + Z w,
 
 then one refinement w' = M_r^{-1} Z^T (p - M du) of du against M itself,
-and dlam = E (M du - p).  M_r mixes M's entries through C, which amplifies
+and dlam = (M du - p)_P.  M_r mixes M's entries through C, which amplifies
 its rounding near the optimum; the refinement brings the dual residual back
-to about that of a Cholesky solve of M, and takes E^T q's part, which is
-rounding: the iterates meet E u = e.  E du = q holds to rounding however
+to about that of a Cholesky solve of M, and takes Pi [q; 0]'s part, which
+is rounding: the iterates meet E u = e.  E du = q holds to rounding however
 ill-conditioned M is.  Without rows M_r is M, with no refinement.  The
 dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks in
-the set-up's decomposition of E or kernel basis, or in an iteration's KKT
-factorization (solve_bytes): the set-up's arrays but the basis are
-released before the IPM starts, and each iteration's factors before the
-next M is built.
+the set-up's elimination or in an iteration's KKT factorization
+(solve_bytes): the set-up's arrays but (P, F, C, e) are released before
+the IPM starts, and each iteration's factors before the next M is built.
 
 The rows take the 1 x 1 case of every formula, elementwise.  Their
 scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
@@ -110,7 +105,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import DENSE_KKT, chol_stack, kkt_solver, null_basis, orthonormal_rows
+from ._linalg import chol_stack, echelon_rows, kkt_solver
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
@@ -155,8 +150,7 @@ class SdpSolution:
     equality_rows: int = 0  # independent equality rows kept
     linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
     correctors: int = 0     # extra correctors kept, summed over the iterations
-    equality_setup: str | None = None  # "gram" or "svd", the set-up route; None without rows
-    basis_growth: float | None = None  # max |C| of the pivoted kernel basis; None without one
+    basis_growth: float | None = None  # max |C| of the rows' echelon form; None without rows
 
 
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -199,21 +193,19 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
     the moment block's, blocks lists (terms, base entries, side) of each
     localizing block (the moment block is counted with M), equality_rows
     counts the rows before dependent ones are dropped.  With L moments, m
-    rows and r = min(m, L), the peak is the largest of the set-up's stages
-    and an iteration.  The rows: the Gram route, E (m, L) with
-    E E^T, the eigenvectors U, and numpy's copy of E E^T with syevd's work
-    (2 m^2 + 6 m doubles and 5 m ints) in the eigendecomposition, then E
-    with the scaled U, V^T, E V^T and the residual; or the thin SVD of E,
-    E, the outputs U and Vt, and numpy's copies of E, U and Vt with
-    gesdd's work (at most 4 r^2 + 8 r).  The kernel basis (null_basis), on
-    the kept rows E: the pivoting's copy G E with the half-height product
-    of its top step, then G E_P, G E_F and C.  An iteration holds E and C
-    (at most 2 rank L), the Newton system's arrays at the largest of its
-    stages (_linalg.kkt_solver: M throughout, with M[P] and its reordered
-    copy, 2 rank L; or T with C^T T, f L; or C^T T with the reduced matrix
-    M_r of side f = L - rank, or M_r with its factor and the Cholesky's
-    copy, 3 f^2; without rows M, its factor and the copy), each convex in
-    the rank, so that the worse end of [0, r] bounds it; then the Q and Y
+    rows and r = min(m, L), the peak is the larger of the set-up and an
+    iteration.  The set-up (_linalg.echelon_rows) eliminates in place on
+    the dense rows R (m, L), with |R| for the reference magnitudes; its
+    top step holds the triangular solve's operands, their copies and the
+    multipliers (at most 5 m^2 / 4), then the multipliers, the upper half's
+    copy and the product (m^2 / 4 + m L); the back substitution holds R,
+    U = R_P and [R_F, R_0] (r^2 + r L).  An iteration holds C (at most
+    rank L), the Newton system's arrays at the largest of its stages
+    (_linalg.kkt_solver: M throughout, with M[P] and its reordered copy,
+    2 rank L; or T with C^T T, f L; or C^T T with the reduced matrix M_r of
+    side f = L - rank, or M_r with its factor and the Cholesky's copy,
+    3 f^2; without rows M, its factor and the copy), each convex in the
+    rank, so that the worse end of [0, r] bounds it; then the Q and Y
     chunk buffers (_schur.stack_doubles), and per localizing block its MH,
     G^T, MH G^T, and G^T in coordinates with its term buffer.
     A block of side 1 is a linear row: the row and its scaled copy fit in
@@ -222,13 +214,11 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
     retry of the Cholesky (two more f x f)."""
     L, m = num_moments, equality_rows
     r = min(m, L)
-    svd = 2 * m * L + 2 * r * (m + L) + 4 * r * r + 8 * r
-    gram = m * L + max(5 * m * m + 10 * m, m * L + 2 * m * r + r * L)
-    basis = 2 * r * L + r * r + 2 * r * (L - r)
+    setup = m * L + max(5 * m * m // 4, m * m // 4 + m * L, r * r + r * L)
 
     def newton(rank):
         f = L - rank
-        return 2 * rank * L + L * L + max(2 * rank * L, f * L, 3 * f * f)
+        return rank * L + L * L + max(2 * rank * L, f * L, 3 * f * f)
 
     stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
     q, y, plans = zip(stack_doubles(1, side, L),
@@ -236,7 +226,7 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
     iteration = max(newton(0), newton(r)) if m else 3 * L * L
     iteration += max(q) + max(y) + sum(plans)
     iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb, _ in blocks)
-    return 8 * (max(svd, gram, basis, iteration) + _SMALL)
+    return 8 * (max(setup, iteration) + _SMALL)
 
 
 def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -247,7 +237,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c0 = float(problem.objective[0])
 
     def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0, rank=0, linear=0, correctors=0, growth=None):
+               schur_dim=0, linear=0, correctors=0):
         values = np.concatenate(([1.0], u))
         y = MomentVector(n=problem.n, d=problem.d, values=values)
         return SdpSolution(
@@ -264,8 +254,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             equality_rows=rank,
             linear_rows=linear,
             correctors=correctors,
-            equality_setup=setup,
-            basis_growth=growth,
+            basis_growth=E.growth if rank else None,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
@@ -273,45 +262,30 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     blocks = [b for b in problem.blocks if np.any(b.coeffs)]
     equalities = [h for h in problem.equalities if np.any(h.coeffs)]
 
-    R = ShiftRows(scaled(equalities)).dense(L)
-    E, e = R[:, 1:], -R[:, 0]
-    del R  # E is a view: the rows die when E is rebound to the kept rows
-    rank, setup = 0, None
-    u = np.zeros(N)
-    if not N and np.any(e):
-        # a row 0 = e with e != 0: no moment can meet it
+    # the independent rows in echelon form, and the start u = Pi [e; 0]
+    E, residual = echelon_rows(ShiftRows(scaled(equalities)).dense(L))
+    rank = len(E.P)
+    u = E.particular(E.e)
+    if residual > 1e-8:  # a dropped row that the kept ones contradict
         return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
-    if E.shape[0] and N:
-        # orthonormal rows for the independent equalities, as the columns
-        # of Vt, and the least-squares start u = Vt e_kept
-        Vt, e_kept, setup = orthonormal_rows(E, e)
-        rank = Vt.shape[1]
-        u = Vt @ e_kept
-        if np.max(np.abs(E @ u - e), initial=0.0) > 1e-8:
-            return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf, rank=rank)
-        E, e = Vt.T, e_kept
-        del Vt
 
     if rank == N:
         # no free moments: feasibility is a property of the fixed values alone
         y = np.concatenate(([1.0], u))
         ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
-        return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0, rank=rank)
-    if not blocks:  # on {E u = e}, c is bounded below iff it lies in the row space of E
-        dres = float(np.max(np.abs(c_raw - E.T @ (E @ c_raw)), initial=0.0)
+        return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
+    if not blocks:  # on {E u = e}, c is bounded below iff its reduced cost vanishes
+        dres = float(np.max(np.abs(c_raw[E.F] - E.C.T @ c_raw[E.P]), initial=0.0)
                      / (1.0 + np.max(np.abs(c_raw), initial=0.0)))
         status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
-        return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0, rank=rank)
+        return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0)
 
     face = _moment_face(problem.n, problem.d, equalities) if rank else None
-    # the kernel basis of the Newton steps; small systems take the dense LU
-    basis = null_basis(E) if rank and N + rank > DENSE_KKT else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # overflow fails the solve
-        core = _ipm(c_raw, blocks, E, e, u, opts, face, basis)
+        core = _ipm(c_raw, blocks, E, u, opts, face)
     return finish(core.u, core.status, core.iterations, core.trace,
-                  core.gap, core.pres, core.dres, core.rel_gap, N, rank,
-                  sum(b.side == 1 for b in blocks), core.correctors,
-                  basis.growth if basis is not None else None)
+                  core.gap, core.pres, core.dres, core.rel_gap, N,
+                  sum(b.side == 1 for b in blocks), core.correctors)
 
 
 def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
@@ -348,13 +322,13 @@ class _CoreResult:
     correctors: int = 0
 
 
-def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
-         u: np.ndarray, opts: SolverOptions, face: np.ndarray | None = None,
-         basis=None) -> _CoreResult:
+def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
+         face: np.ndarray | None = None) -> _CoreResult:
     """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
-    from u (which satisfies E u = e); the moment block is solved in the
-    basis `face` (see _moment_face) when one is given, and the Newton steps
-    in the kernel basis of E `basis` (_linalg.null_basis) when one is given.
+    from u (which satisfies E u = e), with the rows E u = e in echelon form
+    (_linalg.EchelonRows), whose kernel basis the Newton steps take; the
+    moment block is solved in the basis `face` (see _moment_face) when one
+    is given.
 
     Blocks of side 1 are the k linear rows A u + b >= 0, their one row each
     (ShiftRows) with the constants b in column 0 (y_0 = 1), and with slack
@@ -380,6 +354,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     eyes = [np.eye(x.shape[-1]) for x in A0]
     n_total = float(sum(x.shape[0] * x.shape[-1] for x in A0) + k)
     c_norm = float(np.max(np.abs(c))) if np.any(c) else 1.0
+    e = E.e
     e_norm = float(np.max(np.abs(e), initial=0.0))
 
     def at(v, const):
@@ -399,7 +374,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
     S = [tau * np.broadcast_to(I, x.shape) for I, x in zip(eyes, start)]
     Z = [np.broadcast_to(I, x.shape).copy() for I, x in zip(eyes, start)]
     s, z = np.full(k, tau), np.ones(k)
-    lam = np.zeros(E.shape[0])
+    lam = np.zeros(len(e))
 
     trace: list[tuple] = []
     status = MAX_ITERATIONS
@@ -415,8 +390,8 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         iters = it
         Au = at(u, 1.0)
         R = [Au[g] - S[g] for g in sides]
-        r = c - schur.adjoint(Z) - E.T @ lam
-        q = e - E @ u
+        r = c - schur.adjoint(Z) - E.adjoint(lam)
+        q = e - E.apply(u)
 
         pobj = float(c @ u)
         dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides) + float(e @ lam)
@@ -479,7 +454,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E: np.ndarray, e: np.ndarray,
         # release the last factors and directions before M is built and factored
         kkt = step = trial = dS = dZ = lin = None
         dS_a = dZ_a = dSh_a = dZh_a = lin_a = None
-        kkt = kkt_solver(schur.matrix(V, rows_w), E, basis)
+        kkt = kkt_solver(schur.matrix(V, rows_w), E)
         if kkt is None:
             status = NUMERICAL_FAILURE
             break

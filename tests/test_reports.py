@@ -13,7 +13,7 @@ def _sample_report():
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
                       "num_moments": 55, "block_sides": [10, 1],
                       "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
-                      "correctors": 3, "equality_setup": "gram", "basis_growth": 1.5,
+                      "correctors": 3, "basis_growth": 1.5,
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
         status_xi=1,
@@ -59,14 +59,14 @@ class TestJsonRoundTrip:
         assert (first["schur_dim"], first["equality_rows"], first["linear_rows"]) == (2, 1, 1)
         # the moments 1, y1, y2; the 2x2 moment block and the 1x1 ball
         assert (first["num_moments"], first["block_sides"]) == (3, [2, 1])
-        # a system this small is solved by LU, which takes no extra corrector
-        # and no kernel basis
-        assert (first["correctors"], first["equality_setup"], first["basis_growth"]) == (0, "gram", None)
+        # a system this small is solved by LU, which takes no extra
+        # corrector; the row y2 = 1 in echelon form has C = 0
+        assert (first["correctors"], first["basis_growth"]) == (0, 0.0)
         for plain, rec in zip(again.diagnostics, res.diagnostics):
             assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
                     == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
-            assert ((plain["correctors"], plain["equality_setup"], plain["basis_growth"])
-                    == (rec.correctors, rec.equality_setup, rec.basis_growth))
+            assert ((plain["correctors"], plain["basis_growth"])
+                    == (rec.correctors, rec.basis_growth))
             assert (plain["num_moments"], plain["block_sides"]) == (rec.num_moments,
                                                                     rec.block_sides)
             assert plain["seconds"] == rec.seconds
@@ -84,8 +84,8 @@ class TestJsonRoundTrip:
         first = Report.from_json(rep.to_json()).diagnostics[0]
         assert first["schur_dim"] == 0 and first["iterations"] == 0
         assert (first["num_moments"], first["block_sides"]) == (3, [2])
-        assert (first["correctors"], first["equality_setup"]) == (0, "gram")
-        assert first["basis_growth"] is None
+        # the rows leave no free moment: C is empty, with growth 0
+        assert (first["correctors"], first["basis_growth"]) == (0, 0.0)
 
     def test_corrector_count_and_no_rows_round_trip(self):
         # min x1 x2 x3 + x4 on the unit ball from d = 2: 69 free moments, no
@@ -97,8 +97,8 @@ class TestJsonRoundTrip:
         rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
         again = Report.from_json(rep.to_json())
         assert again == rep
-        plain = [(p["correctors"], p["equality_setup"], p["basis_growth"]) for p in again.diagnostics]
-        assert plain == [(rec.correctors, None, None) for rec in res.diagnostics]
+        plain = [(p["correctors"], p["basis_growth"]) for p in again.diagnostics]
+        assert plain == [(rec.correctors, None) for rec in res.diagnostics]
         assert again.diagnostics[0]["schur_dim"] == 69 and again.diagnostics[0]["correctors"] > 0
 
     def test_basis_growth_round_trip(self):

@@ -6,7 +6,7 @@ from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from conftest import term_dict
-from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, kkt_solver, null_basis
+from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, echelon_rows, kkt_solver
 from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
 
 
@@ -177,7 +177,6 @@ class TestEqualityElimination:
         twice = solve_sdp(assemble_relaxation(x, [cons[0], (2.0 * x * x - 2.0, EQ)] + cons, 2))
         assert once.status == twice.status == "optimal"
         assert twice.equality_rows == once.equality_rows == 3
-        assert twice.equality_setup == once.equality_setup == "gram"
         assert twice.objective == pytest.approx(once.objective, abs=1e-9)
         np.testing.assert_allclose(twice.y.values, once.y.values, atol=1e-7)
 
@@ -590,14 +589,24 @@ def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(y) * np.linalg.norm(x)
 
 
+def _echelon(E, e=None):
+    """The rows E u = e (e = 0 by default) in echelon form, and their dense
+    matrix Pi [I C]."""
+    rows, _ = echelon_rows(np.column_stack((-(np.zeros(len(E)) if e is None else e), E)))
+    dense = np.zeros((len(rows.P), E.shape[1]))
+    dense[np.arange(len(rows.P)), rows.P] = 1.0
+    dense[:, rows.F] = rows.C
+    return rows, dense
+
+
 def test_saddle_point_direction_matches_dense_solve():
     rng = np.random.default_rng(17)
     # dense LU, then Cholesky: without rows, and in the kernel of 35 and of 89 rows
     for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35), (90, 89)):
         M = _random_pd(rng, N)
-        E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2] if m else np.zeros((0, N))
+        rows, E = _echelon(rng.normal(size=(m, N)))
         b, q = rng.normal(size=N), rng.normal(size=m)
-        solve, factored = kkt_solver(M, E, null_basis(E) if m else None)
+        solve, factored = kkt_solver(M, rows)
         assert factored == (N + m > 64)  # the route it reports
         du, dlam = solve(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
@@ -609,40 +618,37 @@ def test_saddle_point_direction_matches_dense_solve():
 @pytest.mark.parametrize("m", [35, 89])
 def test_kernel_step_meets_the_rows_when_m_is_ill_conditioned(m):
     """With M's eigenvalues from 1e-12 to 1 the step still meets E du = q
-    to rounding: du0 meets the rows through E_P alone and the kernel part
-    Z w adds nothing to E du, whatever the error in w.  The exact solution
-    is (x, lam) of unit size; the basis built by kkt_solver itself is the
-    one null_basis gives."""
+    to rounding: du0 = Pi [q; 0] meets the rows through E_P = I alone and
+    the kernel part Z w adds nothing to E du, whatever the error in w.  The
+    exact solution is (x, lam) of unit size."""
     rng = np.random.default_rng(23)
     N = 90
     Q = np.linalg.qr(rng.normal(size=(N, N)))[0]
     M = (Q * np.logspace(-12, 0, N)) @ Q.T
-    E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2]
+    rows, E = _echelon(np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2])
     x, lam = rng.normal(size=N), rng.normal(size=m)
     b, q = M @ x - E.T @ lam, E @ x
-    basis = null_basis(E)
-    assert basis.growth < 10.0
-    du, dlam = kkt_solver(M, E, basis)[0](b, q)
+    assert rows.growth < 10.0
+    du, dlam = kkt_solver(M, rows)[0](b, q)
     assert np.max(np.abs(E @ du - q)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
-    again = kkt_solver(M, E)[0](b, q)
-    assert np.array_equal(again[0], du) and np.array_equal(again[1], dlam)
 
 
 def test_kernel_basis_spans_the_kernel_of_the_rows():
-    """Z = Pi^T [-C; I] satisfies E Z = 0 to rounding, and its pivots are r
-    distinct moments."""
+    """Z = Pi^T [-C; I] satisfies E Z = 0 to rounding for the rows E as
+    given, and its pivots are r distinct moments."""
     rng = np.random.default_rng(29)
     for N, m in ((10, 1), (50, 20), (120, 119)):
         E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2]
-        P, F, C = basis = null_basis(E)
+        rows = _echelon(E)[0]
+        P, F, C = rows.P, rows.F, rows.C
         assert sorted([*P, *F]) == list(range(N)) and C.shape == (m, N - m)
-        assert np.max(np.abs(E[:, F] - E[:, P] @ C)) <= 1e-13 * (1.0 + basis.growth)
+        assert np.max(np.abs(E[:, F] - E[:, P] @ C)) <= 1e-13 * (1.0 + rows.growth)
 
 
 def test_missing_moment_fixed_by_a_row_takes_the_kernel_route():
     """A small system whose M misses a moment is not sent to the dense LU;
-    where a row fixes that moment, the reduced matrix is positive definite,
-    the basis is built for it and the step matches the dense solve."""
+    where a row fixes that moment, the reduced matrix is positive definite
+    and the step matches the dense solve."""
     rng = np.random.default_rng(31)
     N, m = 20, 3
     M = _random_pd(rng, N)
@@ -650,9 +656,10 @@ def test_missing_moment_fixed_by_a_row_takes_the_kernel_route():
     X = rng.normal(size=(N, m))
     X[:, 0] = 0.0
     X[4] = [1.0, 0.0, 0.0]
-    E = np.linalg.qr(X)[0].T  # orthonormal rows, the first the moment 4 alone
+    rows, E = _echelon(np.linalg.qr(X)[0].T)  # the first row the moment 4 alone
+    assert rows.P[0] == 4
     b, q = rng.normal(size=N), rng.normal(size=m)
-    solve, factored = kkt_solver(M, E)
+    solve, factored = kkt_solver(M, rows)
     assert factored
     du, dlam = solve(b, q)
     K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
@@ -739,14 +746,14 @@ def test_rotated_elasticity_order_two_stays_optimal():
 
 
 def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
-    """On the a0 order-3 solve, by either set-up route, the Newton system is
-    factored once per iteration, on the (f, f) reduced matrix (f = N - m),
-    with no earlier factor of it alive; the extra correctors reuse it; and
-    when the IPM starts no set-up array is alive but the kernel basis: not
-    the equalities' dense row matrix (E is a view into it until the kept
-    rows replace it), the Gram matrix E E^T, the outputs of its
-    eigendecomposition, on the fallback route the outputs of the thin SVD
-    of E, nor the copy of the rows that the pivoting eliminates."""
+    """On the a0 order-3 solve the Newton system is factored once per
+    iteration, on the (f, f) reduced matrix (f = N - m), with no earlier
+    factor of it alive; the extra correctors reuse it; and when the IPM
+    starts, all that is left of the set-up is the rows' echelon form
+    (P, F, C, e): not the equalities' dense row matrix, which the
+    elimination overwrote, nor its triangle U.  What the set-up leaves
+    alive is C's buffer [C, -e] and the index and start vectors."""
+    import tracemalloc
     import weakref
 
     import strata_opt._linalg as linalg
@@ -762,63 +769,50 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
         factors.setdefault(mat.shape, []).append(weakref.ref(L))
         return L
 
-    gram_arrays, svd_outputs, dense_rows, lu_copies, alive_at_ipm = [], [], [], [], []
-    real_eigh, real_svd, real_ipm = np.linalg.eigh, np.linalg.svd, sdp._ipm
-    real_dense, real_gram, real_pivots = schur_module.ShiftRows.dense, linalg._gram_rows, linalg._pivots
-
-    def eigh(a, *args, **kwargs):
-        out = real_eigh(a, *args, **kwargs)
-        if not alive_at_ipm:  # the IPM's own calls are not the set-up's
-            gram_arrays.extend(weakref.ref(x) for x in (a, *out))
-        return out
-
-    def svd(*args, **kwargs):
-        out = real_svd(*args, **kwargs)
-        if not alive_at_ipm:
-            svd_outputs.extend(weakref.ref(x) for x in out)
-        return out
+    dense_rows, setups, at_ipm = [], [], []
+    real_dense, real_echelon, real_ipm = schur_module.ShiftRows.dense, sdp.echelon_rows, sdp._ipm
 
     def dense(self, L):
         out = real_dense(self, L)
-        if not alive_at_ipm:  # made at set-up; the views E and e keep out.base alive
+        if not at_ipm:  # made at set-up
             dense_rows.append(weakref.ref(out.base if out.base is not None else out))
         return out
 
-    def pivots(B):
-        lu_copies.append(weakref.ref(B))
-        return real_pivots(B)
+    def echelon(R):
+        setups.append(R.shape)
+        return real_echelon(R)
 
     def ipm(*args, **kwargs):
-        alive_at_ipm.append(tuple(sum(ref() is not None for ref in refs)
-                                  for refs in (gram_arrays, svd_outputs, dense_rows, lu_copies)))
-        assert isinstance(args[7], linalg.NullBasis)  # the basis, made at set-up
+        rows = args[2]
+        assert isinstance(rows, linalg.EchelonRows) and rows.C.base.shape == (len(rows.P), len(rows.F) + 1)
+        kept = rows.C.base.nbytes + sum(x.nbytes for x in (rows.P, rows.F, rows.e, args[3]))
+        at_ipm.append((sum(ref() is not None for ref in dense_rows),
+                       tracemalloc.get_traced_memory()[0] - before - kept))
         return real_ipm(*args, **kwargs)
 
     rel = _lift_relaxation(a0, 3)[0]
     monkeypatch.setattr(linalg, "chol_regularized", chol)
-    monkeypatch.setattr(linalg, "_pivots", pivots)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(schur_module.ShiftRows, "dense", dense)
+    monkeypatch.setattr(sdp, "echelon_rows", echelon)
     monkeypatch.setattr(sdp, "_ipm", ipm)
-    for route in ("gram", "svd"):
-        for record in (factors, alive_at_factorization, gram_arrays, svd_outputs, dense_rows,
-                       lu_copies, alive_at_ipm):
-            record.clear()
-        with monkeypatch.context() as patch:
-            if route == "svd":  # the Gram route runs, then is refused
-                patch.setattr(linalg, "_gram_rows", lambda E, e: real_gram(E, e) and None)
-            sol = solve_sdp(rel)
-        assert sol.status == "optimal" and sol.equality_rows > 0 and sol.equality_setup == route
-        # the Gram matrix with its eigenvalues and eigenvectors, and the SVD's
-        # three outputs on the fallback route (a0's quartic rows leave the
-        # order-3 moment block no face to find)
-        assert len(gram_arrays) == 3 and len(svd_outputs) == (3 if route == "svd" else 0)
-        assert dense_rows and len(lu_copies) == 1 and alive_at_ipm == [(0, 0, 0, 0)]
-        assert sol.correctors > 0
-        N, m = sol.schur_dim, sol.equality_rows
-        assert [shape for shape, _ in alive_at_factorization] == [(N - m, N - m)] * sol.iterations
-        assert [alive for _, alive in alive_at_factorization] == [0] * sol.iterations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_sdp(rel)
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.equality_rows > 0
+    (m, L), = setups
+    assert L == rel.num_moments and m > sol.equality_rows
+    # a0's quartic rows leave the order-3 moment block no face to find; the
+    # rest alive at the IPM's start (about 8 KB) is small objects, below half
+    # of U's 8 r^2 bytes (68 KB) and far below the dense rows' 8 m L (776 KB)
+    assert dense_rows and [alive for alive, _ in at_ipm] == [0]
+    assert at_ipm[0][1] < 4 * sol.equality_rows ** 2
+    assert sol.correctors > 0
+    N, r = sol.schur_dim, sol.equality_rows
+    assert [shape for shape, _ in alive_at_factorization] == [(N - r, N - r)] * sol.iterations
+    assert [alive for _, alive in alive_at_factorization] == [0] * sol.iterations
 
 
 def _builtin_relaxations(orders):
@@ -841,49 +835,60 @@ def _equality_system(rel):
     return R[:, 1:], -R[:, 0]
 
 
-def test_gram_route_keeps_the_svd_rank_on_every_builtin_relaxation():
-    """The Gram route accepts the rows of every embedded tensor's relaxation
-    at d0 and d0 + 1, with the thin SVD's rank and the same least-squares
-    start u = E^+ e."""
-    from strata_opt._linalg import _gram_rows, _svd_rows
-
+def test_echelon_rows_keep_the_svd_rank_on_every_builtin_relaxation():
+    """The elimination keeps as many rows as the thin SVD's rank rule
+    (sigma > max(m, N) eps sigma_1) on every embedded tensor's relaxation at
+    d0 and d0 + 1, and its start u = Pi [e; 0] meets the raw rows."""
     seen = 0
     for name, rel in _builtin_relaxations((0, 1)):
         E, e = _equality_system(rel)
-        gram, svd = _gram_rows(E, e), _svd_rows(E, e)
-        assert gram is not None, name
-        assert gram[0].shape == svd[0].shape, name
-        np.testing.assert_allclose(gram[0] @ gram[1], svd[0] @ svd[1], atol=1e-12, err_msg=name)
-        Vt = gram[0]
-        assert np.max(np.abs(Vt.T @ Vt - np.eye(Vt.shape[1]))) <= 1e-12, name
+        sv = np.linalg.svd(E, compute_uv=False)
+        rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * sv[0]))
+        rows, residual = echelon_rows(np.column_stack((-e, E)))
+        assert len(rows.P) == rank and residual <= 1e-8, name
+        assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12, name
         seen += 1
     assert seen == 22
 
 
 @pytest.mark.parametrize("ratio", [1e-10, 1e-5])
-def test_rows_without_a_clear_gram_gap_take_the_svd(ratio):
-    """Rows whose smallest kept singular value is 1e-10 of the largest fall
-    into the Gram matrix's rounding (and 1e-5 leaves no clear gap): the thin
-    SVD decides, and keeps them as today."""
-    from strata_opt._linalg import _gram_rows, _svd_rows
-
+def test_near_dependent_rows_keep_the_svd_rank(ratio):
+    """Rows whose smallest kept singular value is 1e-10 (or 1e-5) of the
+    largest stand far above the elimination's rounding: it keeps them, with
+    the thin SVD's rank."""
     rng = np.random.default_rng(5)
     U = np.linalg.qr(rng.normal(size=(8, 8)))[0]
     V = np.linalg.qr(rng.normal(size=(20, 8)))[0]
     sv = np.array([1.0, 0.7, 0.5, 0.3, 0.2, ratio, 0.0, 0.0])
     E = (U * sv) @ V.T
     e = E @ rng.normal(size=20)
-    assert _gram_rows(E, e) is None
-    Vt, e_kept = _svd_rows(E, e)
-    assert Vt.shape == (20, 6)
-    assert np.max(np.abs(E @ (Vt @ e_kept) - e)) <= 1e-12
+    rows, _ = echelon_rows(np.column_stack((-e, E)))
+    assert len(rows.P) == 6
+    assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12
     # a relaxation with such rows: y1 = 1 and y1 + 2 ratio y2 = 1 + 2 ratio
     x = Polynomial.variable(0, 1)
     cons = [(x - 1.0, EQ), (x + 2.0 * ratio * x * x - 1.0 - 2.0 * ratio, EQ), (4.0 - x * x, GE)]
     sol = solve_sdp(assemble_relaxation(x, cons, 1))
-    assert (sol.status, sol.equality_setup, sol.equality_rows) == ("optimal", "svd", 2)
+    assert (sol.status, sol.equality_rows) == ("optimal", 2)
     # y2 is read through the small row: its rounding is amplified by 1 / ratio
     np.testing.assert_allclose(sol.y.values, [1.0, 1.0, 1.0], atol=1e-15 / ratio)
+
+
+@pytest.mark.parametrize("delta, status, iterations", [
+    (1.0, "numerical_failure", 0), (1e-6, "numerical_failure", 0), (1e-12, "optimal", None)])
+def test_contradicting_rows_fail_and_rounding_passes(delta, status, iterations):
+    """x + y = 1 and 2x + 2y = 2 + delta on the disc of radius 2: the second
+    row depends on the first, and its residual delta / 2 past 1e-8 ends the
+    solve before the IPM; at rounding size it is dropped and the solve goes
+    on with one row."""
+    x, y = Polynomial.variables(2)
+    cons = [(x + y - 1.0, EQ), (2.0 * x + 2.0 * y - 2.0 - delta, EQ), (4.0 - x * x - y * y, GE)]
+    sol = solve_sdp(assemble_relaxation(x * y, cons, 1))
+    assert sol.status == status
+    if iterations is not None:
+        assert sol.iterations == iterations
+    else:
+        assert sol.equality_rows == 1
 
 
 def test_extra_correctors_lengthen_the_shorter_step_and_keep_the_bound(E0, monkeypatch):
@@ -921,12 +926,12 @@ def test_kernel_steps_reach_a_tight_dual_tolerance(E0):
 def test_dense_lu_relaxations_take_no_extra_corrector():
     """The order-d0 relaxations of the piezo tensors and of E0 (the certify
     sizes) are solved by the dense LU, which factors at every solve: no
-    extra corrector, and the set-up takes the Gram route."""
+    extra corrector."""
     for name, rel in _builtin_relaxations((0,)):
         if name.startswith("a0"):
             continue
         sol = solve_sdp(rel)
-        assert (sol.status, sol.correctors, sol.equality_setup) == ("optimal", 0, "gram"), name
+        assert (sol.status, sol.correctors) == ("optimal", 0), name
 
 
 @pytest.mark.parametrize("fixture, d", [("e0_aln", 2), ("E0", 2), ("a0", 3)])

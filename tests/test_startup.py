@@ -102,28 +102,38 @@ def test_cli_bound_agrees_across_blas_thread_counts(tmp_path):
     assert _agree_within_gap_tol(*bounds)
 
 
-ORDER_TWO_E0 = """
+ORDER_TWO = """
+import sys
 import numpy as np
 from strata_opt import add_ball_constraint, assemble_relaxation, solve_sdp
+from strata_opt.cli import _tensor
 from strata_opt.datasets import get_dataset
-from strata_opt.mech import ElasticityTensor, build_distance_problem_ela
+from strata_opt.mech import (build_distance_problem_ela, build_distance_problem_piezo,
+                             build_distance_problem_sym2)
 
-p = build_distance_problem_ela(ElasticityTensor.from_voigt(np.array(get_dataset("E0").voigt)))
-r = p.natural_scale
-cons = add_ball_constraint(p.objective, p.constraints, 58000.0)
-sol = solve_sdp(assemble_relaxation(p.objective.dilate(r), [(g.dilate(r), k) for g, k in cons], 2))
-assert sol.status == "optimal", sol.status
-print(repr(sol.objective))
+ds, d = get_dataset(sys.argv[1]), int(sys.argv[2])
+build = {"elasticity": build_distance_problem_ela, "piezo": build_distance_problem_piezo,
+         "sym2": build_distance_problem_sym2}[ds.kind]
+p = build(_tensor(ds.kind, ds.voigt))
+f, zero, r = p.objective, np.zeros(p.n), p.natural_scale
+cons = add_ball_constraint(f, p.constraints, 1.5 * f.evaluate(zero), zero)
+sol = solve_sdp(assemble_relaxation(f.dilate(r), [(g.dilate(r), k) for g, k in cons], d))
+print(sol.status, sol.iterations, repr(sol.objective))
 """
 
 
 def test_order_two_value_agrees_across_blas_thread_counts():
-    # the CLI certifies E0 at order 1, whose matrices are too small for a
-    # second BLAS thread to start; at order 2 (715 moments) the
-    # threaded kernels change the summation order and the value moves
-    values = []
-    for threads in ("1", "2"):
-        proc = _python(["-c", ORDER_TWO_E0], OPENBLAS_NUM_THREADS=threads)
-        assert proc.returncode == 0, proc.stderr
-        values.append(float(proc.stdout))
-    assert _agree_within_gap_tol(*values)
+    # the CLI certifies at d0, whose matrices are too small for a second
+    # BLAS thread to start; at d0 + 1, as the lift benchmark poses it (E0
+    # with 715 moments), the threaded kernels change the summation order
+    # and the value moves, but not the status or the iteration count
+    for name, d in (("E0", 2), ("aln", 2), ("a0", 3)):
+        runs = []
+        for threads in ("1", "2"):
+            proc = _python(["-c", ORDER_TWO, name, str(d)], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            status, iterations, value = proc.stdout.split()
+            runs.append((status, int(iterations), float(value)))
+        (s1, i1, v1), (s2, i2, v2) = runs
+        assert s1 == s2 == "optimal" and i1 == i2, (name, runs)
+        assert _agree_within_gap_tol(v1, v2), (name, runs)
