@@ -1,14 +1,15 @@
 """Dense linear algebra of the interior-point method (see sdp).
 
-The equality rows in reduced row echelon form (echelon_rows), from one
-Gaussian elimination with partial pivoting that drops the dependent rows
-and picks the pivot moments, whose form Pi [I C] also gives the pivoted
-basis of their kernel; Cholesky factors with escalating diagonal
-regularization, of one matrix or batched over a stack; blocked triangular
-substitution with the factor; and the solver of the saddle-point (KKT)
-system of each Newton step, through the Cholesky factor of the Schur
-matrix M reduced to that kernel, or by one dense LU solve when the system
-is small.
+The equality rows in reduced row echelon form (echelon_rows), from the
+rows in coordinates: they split into blocks that share no moment, and one
+Gaussian elimination with partial pivoting per block drops the dependent
+rows and picks the pivot moments; the form Pi [I C], C block diagonal,
+also gives the pivoted basis of their kernel.  Cholesky factors with
+escalating diagonal regularization, of one matrix or batched over a
+stack; blocked triangular substitution with the factor; and the solver of
+the saddle-point (KKT) system of each Newton step, through the Cholesky
+factor of the Schur matrix M reduced to that kernel one block of C at a
+time, or by one dense LU solve when the system is small.
 """
 
 from __future__ import annotations
@@ -87,21 +88,43 @@ class EchelonRows(NamedTuple):
     """The independent equality rows E u = e in reduced row echelon form,
     E = Pi [I C]: row i reads u[P[i]] + C[i] u[F] = e[i], for the pivot
     moments P (r), the free moments F (f = N - r) and C = E_P^{-1} E_F
-    (r, f) of the rows as given.  Their kernel is Z = Pi^T [-C; I]."""
+    (r, f) of the rows as given.  Their kernel is Z = Pi^T [-C; I].
+
+    The rows fall into blocks, no two of which name the same moment, so C
+    is block diagonal: P and F list the moments block by block, and blocks
+    holds (rows, cols, C_k), the slices of P and F that a block covers and
+    its part C_k of C, small neighbours merged into one (_merged).  The
+    free moments that no row names come last in F, where C has no column.
+    sizes holds (kept rows, free moments) of each block before merging."""
     P: np.ndarray
     F: np.ndarray
-    C: np.ndarray
+    blocks: tuple
     e: np.ndarray
+    sizes: tuple
+
+    def c_dot(self, x: np.ndarray) -> np.ndarray:
+        """C x, for x over F."""
+        out = np.empty(len(self.P))
+        for rows, cols, C in self.blocks:
+            np.matmul(x[cols], C.T, out=out[rows])
+        return out
+
+    def ct_dot(self, lam: np.ndarray) -> np.ndarray:
+        """C^T lam, over F."""
+        out = np.zeros(len(self.F))
+        for rows, cols, C in self.blocks:
+            np.matmul(lam[rows], C, out=out[cols])
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """E u = u_P + C u_F."""
-        return u[self.P] + self.C @ u[self.F]
+        return u[self.P] + self.c_dot(u[self.F])
 
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
         """E^T lam: lam at P and C^T lam at F."""
         out = np.empty(len(self.P) + len(self.F))
         out[self.P] = lam
-        out[self.F] = lam @ self.C
+        out[self.F] = self.ct_dot(lam)
         return out
 
     def particular(self, q: np.ndarray) -> np.ndarray:
@@ -115,38 +138,166 @@ class EchelonRows(NamedTuple):
         """max |C|, by which the basis Z amplifies rounding: at most 1 for
         the pivots of largest volume, and small for those of partial
         pivoting unless the elimination's growth is."""
-        return float(np.max(np.abs(self.C), initial=0.0))
+        return max((float(np.max(np.abs(C), initial=0.0)) for _, _, C in self.blocks), default=0.0)
 
 
-def echelon_rows(R: np.ndarray):
-    """The rows R (m, L) of  R[:, 1:] u + R[:, 0] = 0  in reduced row echelon
-    form, from one Gaussian elimination with partial pivoting, in place on
-    R (_eliminate): the independent rows as EchelonRows, and the largest
-    |constant| left in a dropped row, the raw row's residual at every u
-    that meets the kept rows (0 when every row is kept).
+def _row_blocks(rows: np.ndarray, cols: np.ndarray, m: int, L: int):
+    """The block of each of m rows given in coordinates (rows[j], cols[j])
+    over L columns, and the number of blocks: two rows share a block when a
+    chain of rows, each naming a moment (a column past 0) that the next one
+    names, joins them.  Each pass takes every row's label to the least
+    label among the rows that share a moment with it, and follows the
+    labels to their ends, until the rows that name a moment all carry the
+    label of the first row that names it."""
+    named = cols > 0
+    rows, cols = rows[named], cols[named]
+    label = np.arange(m)
+    first = np.empty(L, dtype=np.int64)
+    while True:
+        first.fill(m)
+        np.minimum.at(first, cols, label[rows])
+        np.minimum.at(label, rows, first[cols])
+        while not (label[label] == label).all():
+            label = label[label]
+        if (label[rows] == label[first[cols]]).all():
+            number = (label == np.arange(m)).cumsum()
+            return number[label] - 1, int(number[-1])
 
-    The rank rule tracks magnitudes: row j is dropped when its largest
-    remaining |entry| is at most max(m, N) eps ref_j, where ref_j is
-    max |E_j| plus the |multipliers| of the rows subtracted from it, which
-    bound the rounding the elimination left in it.  The elimination leaves
-    U = R_P, the kept rows on their pivots, unit upper triangular, so that
-    C = U^{-1} R_F and e = -U^{-1} R_0, by blocks of rows from the last."""
-    m, L = R.shape
-    pivots = np.full(m, -1)
-    ref = np.max(np.abs(R[:, 1:]), axis=1, initial=0.0)
-    if L > 1:
-        _eliminate(R, 0, m, pivots, ref, max(m, L - 1) * np.finfo(float).eps)
+
+def echelon_rows(R, L: int | None = None):
+    """The rows of  E u + e0 = 0  in reduced row echelon form, block by
+    block.  R is a dense (m, L) matrix [e0 E], or the rows in coordinates
+    over L columns (_schur.ShiftRows: term j adds vals[j] at (rows[j],
+    cols[j]), column 0 the constants).  Returns the independent rows as
+    EchelonRows, and the largest |constant| left in a dropped row, the raw
+    row's residual at every u that meets the kept rows (0 when every row is
+    kept).
+
+    The rows split into blocks that share no moment (_row_blocks).  Each
+    block's rows are made dense over its own moments alone, all blocks side
+    by side in one flat buffer, and eliminated on their own by Gaussian
+    elimination with partial pivoting in place (_eliminate).  The rank rule
+    is that of the rows as a whole and tracks magnitudes: row j is dropped
+    when its largest remaining |entry| is at most max(m, N) eps ref_j,
+    where ref_j is max |E_j| plus the |multipliers| of the rows subtracted
+    from it, which bound the rounding the elimination left in it.  The
+    elimination leaves U = R_P, a block's kept rows on their pivots, unit
+    upper triangular, so that C_k = U^{-1} R_F and e = -U^{-1} R_0
+    (_unit_upper_solve)."""
+    if L is None:
+        m, L = R.shape
+        rows, cols = np.nonzero(R)
+        vals = R[rows, cols]
+    else:
+        m, rows, cols, vals = R.count, R.rows, R.cols, R.vals
+    if not m:
+        return EchelonRows(np.zeros(0, np.int64), np.arange(L - 1), (), np.zeros(0), ()), 0.0
+    block, K = _row_blocks(rows, cols, m, L)
+    # the blocks side by side: block k's rows, and its moments in ascending
+    # order after a column for the constants, make a (heights[k], widths[k])
+    # matrix at offsets[k] of one flat buffer
+    order = block.argsort(kind="stable")
+    ordered = block[order]
+    heights = np.bincount(block, minlength=K)
+    place = np.empty(m, dtype=np.int64)  # of a row in its block
+    place[order] = np.arange(m) - (heights.cumsum() - heights)[ordered]
+    owner = np.full(L, -1)
+    owner[cols] = block[rows]
+    owner[0] = -1
+    named = (owner >= 0).nonzero()[0]
+    moments = named[owner[named].argsort(kind="stable")]
+    widths = np.bincount(owner[named], minlength=K) + 1
+    first = widths.cumsum() - widths  # of a block's columns, side by side
+    is_moment = np.ones(widths.sum(), dtype=bool)
+    is_moment[first] = False
+    column = np.zeros(L, dtype=np.int64)  # of a moment in its block
+    column[moments] = is_moment.nonzero()[0] - first[owner[moments]]
+    cells = heights * widths
+    offsets = cells.cumsum() - cells
+    at = block[rows]
+    flat = np.bincount(offsets[at] + place[rows] * widths[at] + column[cols], vals,
+                       minlength=cells.sum())
+    pivots = np.full(m, -1)  # of the rows in block order
+    tol = max(m, L - 1) * np.finfo(float).eps
+    dense, a = [], 0
+    for o, h, w in zip(offsets.tolist(), heights.tolist(), widths.tolist()):
+        Rk = flat[o:o + h * w].reshape(h, w)
+        if w > 1:
+            _eliminate(Rk, 0, h, pivots[a:a + h], np.abs(Rk[:, 1:]).max(axis=1), tol)
+        dense.append(Rk)
+        a += h
     kept = pivots >= 0
-    residual = float(np.max(np.abs(R[~kept, 0]), initial=0.0))
-    rows, P = np.flatnonzero(kept), pivots[kept]
-    F = np.delete(np.arange(L), np.append(P, 0))  # not setdiff1d, which imports numpy.ma
-    U = R[np.ix_(rows, P)]
-    X = R[np.ix_(rows, np.append(F, 0))]  # [R_F, R_0], then U^{-1} [R_F, R_0]
-    for a in reversed(range(0, len(rows), _SUBST_BLOCK)):
-        b = min(a + _SUBST_BLOCK, len(rows))
-        X[a:b] -= U[a:b, b:] @ X[b:]
-        X[a:b] = np.linalg.solve(U[a:b, a:b], X[a:b])
-    return EchelonRows(P - 1, F - 1, X[:, :-1], -X[:, -1]), residual
+    owners = ordered[kept]
+    taken = first[owners] + pivots[kept]
+    moment = np.zeros(len(is_moment), dtype=np.int64)
+    moment[is_moment] = moments - 1
+    keep_cols = np.ones(len(is_moment), dtype=bool)  # the constants and the free moments
+    keep_cols[taken] = False
+    P = moment[taken]
+    F = np.concatenate((moment[keep_cols & is_moment], (owner[1:] < 0).nonzero()[0]))
+    residual = 0.0
+    if len(P) < m:  # the constants of the dropped rows
+        dropped = ordered[~kept]
+        residual = float(np.abs(flat[offsets[dropped] + place[order][~kept] * widths[dropped]]).max())
+    e = np.empty(len(P))
+    parts, sizes, a, p0, f0 = [], [], 0, 0, 0
+    for Rk, r, c in zip(dense, np.bincount(owners, minlength=K).tolist(), first.tolist()):
+        h, w = Rk.shape
+        piv = pivots[a:a + h]
+        if r < h:
+            ok = piv >= 0
+            Rk, piv = Rk[ok], piv[ok]
+        X = Rk[:, keep_cols[c:c + w]]
+        if r > 1:
+            _unit_upper_solve(Rk[:, piv], X)
+        e[p0:p0 + r] = X[:, 0]
+        f = w - 1 - r
+        parts.append((p0, f0, X[:, 1:]))
+        sizes.append((r, f))
+        a, p0, f0 = a + h, p0 + r, f0 + f
+    return EchelonRows(P, F, _merged(parts), np.negative(e, out=e), tuple(sizes)), residual
+
+
+# doubles of C up to which neighbouring blocks share one product
+_MERGE = 2048
+
+
+def _merged(parts: list) -> tuple:
+    """The blocks (p0, f0, C_k) of C, neighbours merged into one
+    block-diagonal C while it holds at most _MERGE doubles, as (rows, cols,
+    C) with the slices of P and F: one product of a merged block costs
+    about what a product of one small block costs, in numpy's call
+    overhead, and its zeros add little."""
+    out, run = [], []
+
+    def close():
+        (p0, f0, C), (p1, f1, D) = run[0], run[-1]
+        if len(run) > 1:
+            C = np.zeros((p1 + len(D) - p0, f1 + D.shape[1] - f0))
+            for p, f, D in run:
+                C[p - p0:p - p0 + len(D), f - f0:f - f0 + D.shape[1]] = D
+        out.append((slice(p0, p0 + len(C)), slice(f0, f0 + C.shape[1]), C))
+        run.clear()
+
+    for p, f, C in parts:
+        if run and (p + len(C) - run[0][0]) * (f + C.shape[1] - run[0][1]) > _MERGE:
+            close()
+        run.append((p, f, C))
+    if run:
+        close()
+    return tuple(out)
+
+
+def _unit_upper_solve(U: np.ndarray, X: np.ndarray) -> None:
+    """X <- U^{-1} X in place, for U unit upper triangular: by blocks of
+    rows from the last, the rows of a diagonal block one at a time."""
+    r = len(U)
+    for a in reversed(range(0, r, _SUBST_BLOCK)):
+        b = min(a + _SUBST_BLOCK, r)
+        if b < r:
+            X[a:b] -= U[a:b, b:] @ X[b:]
+        for i in range(b - 1, a, -1):
+            X[a:i] -= U[a:i, i, None] * X[i]
 
 
 # rows that _eliminate takes one at a time
@@ -171,10 +322,11 @@ def _eliminate(B: np.ndarray, k: int, n: int, pivots: np.ndarray, ref: np.ndarra
                 continue
             pivots[j] = p
             B[j] /= B[j, p]
-            mult = B[j + 1:k + n, p].copy()
-            ref[j + 1:k + n] += np.abs(mult)
-            B[j + 1:k + n] -= mult[:, None] * B[j]
-            B[j + 1:k + n, p] = 0.0
+            if j + 1 < k + n:
+                mult = B[j + 1:k + n, p].copy()
+                ref[j + 1:k + n] += np.abs(mult)
+                B[j + 1:k + n] -= mult[:, None] * B[j]
+                B[j + 1:k + n, p] = 0.0
         return
     h = n // 2
     _eliminate(B, k, h, pivots, ref, tol)
@@ -192,6 +344,19 @@ def _eliminate(B: np.ndarray, k: int, n: int, pivots: np.ndarray, ref: np.ndarra
     _eliminate(B, k + h, n - h, pivots, ref, tol)
 
 
+# rows of M that _gather copies at a time
+_GATHER = 128
+
+
+def _gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M[np.ix_(rows, cols)], _GATHER rows of M at a time: a copy of whole
+    rows and then a gather of columns is about twice as fast."""
+    out = np.empty((len(rows), len(cols)))
+    for a in range(0, len(rows), _GATHER):
+        out[a:a + _GATHER] = M[rows[a:a + _GATHER]][:, cols]
+    return out
+
+
 # up to this many unknowns N + m, one LU solve of the whole system per right-hand
 # side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
 # thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
@@ -207,15 +372,16 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
-def kkt_solver(M: np.ndarray, E: EchelonRows):
-    """Solver of the saddle-point system
+def kkt_solver(E: EchelonRows, N: int):
+    """Factorization of the saddle-point systems
 
         [ M  -E^T ] [ du   ]   [ b ]
-        [ E   0   ] [ dlam ] = [ q ],
+        [ E   0   ] [ dlam ] = [ q ]
 
-    for the rows E = Pi [I C] (echelon_rows), in their kernel: with the
-    pivoted basis Z = Pi^T [-C; I] and du = Pi [q; 0] + Z w, the reduced
-    matrix
+    over N moments, for the rows E = Pi [I C] (echelon_rows): a function
+    that takes M and returns the solver of its system.  The step is taken in
+    the rows' kernel: with the pivoted basis Z = Pi^T [-C; I] and
+    du = Pi [q; 0] + Z w, the reduced matrix
 
         M_r = Z^T M Z = M_FF + C^T T + T^T C,   T = M_PP C / 2 - M_PF,
 
@@ -228,56 +394,79 @@ def kkt_solver(M: np.ndarray, E: EchelonRows):
     refinement brings the residual M du - E^T dlam - b back to about that
     of a Cholesky solve of M, which the dual residual needs near the
     optimum.  E du = q holds to rounding whatever the conditioning of M.
+
+    C is block diagonal (EchelonRows), so T and C^T T are built one block
+    C_k of C at a time: the columns F_k of T read the rows P_k and F_k of M
+    on the columns P, and C^T T is added into M_r a panel C_k^T T_{P_k} at
+    a time, (r + f) sum_k r_k f_k flops in all.  M_r orders F as E.F does,
+    block by block.
+
     The solver reads M, which must not change while it is in use.  Without
     rows M_r is M itself and there is no refinement.  Small systems take
     one LU solve of the whole matrix instead, unless a moment is missing
-    from M (which the Cholesky route regularizes).  Returns the solver and
-    whether it reuses one factorization (the Cholesky route), where the LU
-    route factors at every solve; None when M_r cannot be factored."""
-    P, F, C, _ = E
-    N, m = M.shape[0], len(P)
-    if N + m <= DENSE_KKT and np.all(np.diagonal(M) > 0.0):
-        K = np.zeros((N + m, N + m))
-        K[:N, :N] = M
-        K[N + np.arange(m), P] = 1.0
-        K[N:, F] = C
-        K[:N, N:] = -K[N:, :N].T
+    from M (which the Cholesky route regularizes): the matrix's rows E and
+    columns -E^T are written once, and each M is copied into it, so that a
+    solver of this route holds only until the next factorization.  The
+    function returns the solver and whether it reuses one factorization
+    (the Cholesky route), where the LU route factors at every solve; None
+    when M_r cannot be factored."""
+    P, F = E.P, E.F
+    m = len(P)
+    K = None
 
-        def dense(b: np.ndarray, q: np.ndarray):
-            x = _dense_solve(K, np.concatenate((b, q)))
-            return x[:N], x[N:]
+    def factor(M: np.ndarray):
+        nonlocal K
+        if N + m <= DENSE_KKT and np.all(np.diagonal(M) > 0.0):
+            if K is None:
+                K = np.zeros((N + m, N + m))
+                K[N + np.arange(m), P] = 1.0
+                for rows, cols, C in E.blocks:
+                    K[np.ix_(N + np.arange(m)[rows], F[cols])] = C
+                K[:N, N:] = -K[N:, :N].T
+            K[:N, :N] = M
 
-        return dense, False
-    if not m:
-        LM = chol_regularized(M)
+            def dense(b: np.ndarray, q: np.ndarray):
+                x = _dense_solve(K, np.concatenate((b, q)))
+                return x[:N], x[N:]
+
+            return dense, False
+        if not m:
+            LM = chol_regularized(M)
+            if LM is None:
+                return None
+            solve_m = chol_solver(LM)
+            return (lambda b, q: (solve_m(b), np.zeros(0))), True
+        Tt = np.empty((len(F), m))  # T^T
+        for rows, cols, C in E.blocks:
+            G = _gather(M, np.concatenate((P[rows], F[cols])), P)  # M_{P_k P}, then M_{F_k P}
+            np.matmul(C.T, G[:len(C)], out=Tt[cols])
+            Tt[cols] *= 0.5
+            Tt[cols] -= G[len(C):]
+        named = E.blocks[-1][1].stop
+        Tt[named:] = _gather(M, F[named:], P)  # moments that no row names
+        np.negative(Tt[named:], out=Tt[named:])
+        Mr = _gather(M, F, F)
+        for rows, cols, C in E.blocks:
+            if C.size:
+                panel = Tt[:, rows] @ C  # the columns F_k of T^T C
+                Mr[:, cols] += panel
+                Mr[cols] += panel.T
+        del Tt
+        LM = chol_regularized(Mr)
+        del Mr
         if LM is None:
             return None
-        solve_m = chol_solver(LM)
-        return (lambda b, q: (solve_m(b), np.zeros(0))), True
-    MP = M[P][:, np.concatenate((P, F))]  # M_PP, then M_PF
-    T = MP[:, :m] @ C
-    T *= 0.5
-    T -= MP[:, m:]
-    del MP
-    CT = C.T @ T
-    del T
-    Mr = M[np.ix_(F, F)]
-    Mr += CT
-    Mr += CT.T
-    del CT
-    LM = chol_regularized(Mr)
-    del Mr
-    if LM is None:
-        return None
-    solve_r = chol_solver(LM)
+        solve_r = chol_solver(LM)
 
-    def solve(b: np.ndarray, q: np.ndarray):
-        du, v = E.particular(q), b
-        for _ in range(2):  # the step, then its refinement
-            w = solve_r(v[F] - C.T @ v[P])
-            du[F] += w
-            du[P] -= C @ w
-            v = b - M @ du
-        return du, -v[P]
+        def solve(b: np.ndarray, q: np.ndarray):
+            du, v = E.particular(q), b
+            for _ in range(2):  # the step, then its refinement
+                w = solve_r(v[F] - E.ct_dot(v[P]))
+                du[F] += w
+                du[P] -= E.c_dot(w)
+                v = b - M @ du
+            return du, -v[P]
 
-    return solve, True
+        return solve, True
+
+    return factor

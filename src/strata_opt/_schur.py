@@ -52,13 +52,13 @@ class ShiftRows:
     matrix."""
 
     def __init__(self, tables):
-        rows, cols, vals, self.count = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)], 0
-        for shift, c in tables:
-            rows.append(np.repeat(np.arange(self.count, self.count + len(shift)), shift.shape[1]))
-            cols.append(shift.ravel())
-            vals.append(np.tile(c, len(shift)))
-            self.count += len(shift)
-        self.rows, self.cols, self.vals = map(np.concatenate, (rows, cols, vals))
+        tables = list(tables)
+        lengths = [len(shift) for shift, _ in tables]
+        self.count = sum(lengths)
+        terms = np.repeat(np.array([shift.shape[1] for shift, _ in tables], dtype=np.int64), lengths)
+        self.rows = np.repeat(np.arange(self.count), terms)
+        self.cols = np.concatenate([shift.ravel() for shift, _ in tables] + [np.zeros(0, np.int64)])
+        self.vals = np.concatenate([np.resize(c, shift.size) for shift, c in tables] + [np.zeros(0)])
 
     def dense(self, L: int) -> np.ndarray:
         """The rows as a (count, L) matrix over the moments; terms that name
@@ -71,7 +71,7 @@ def scaled(blocks):
     """The tables of blocks (moment.LMIBlock), each scaled by its largest
     coefficient: the form of every row the solver keeps, those of the
     equalities, of the linear rows and of each stack's G^T."""
-    return ((b.shift, b.coeffs / np.max(np.abs(b.coeffs))) for b in blocks)
+    return ((b.shift, b.coeffs / np.abs(b.coeffs).max()) for b in blocks)
 
 
 def _layers(keys: np.ndarray) -> list:

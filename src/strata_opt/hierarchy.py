@@ -108,6 +108,7 @@ class OrderDiagnostics:
     linear_rows: int = 0    # side-1 blocks solved as linear inequalities (SdpSolution.linear_rows)
     correctors: int = 0     # extra correctors kept (SdpSolution.correctors)
     basis_growth: float | None = None  # max |C| of the rows' echelon form (SdpSolution.basis_growth)
+    row_blocks: list | None = None  # (kept rows, free moments) per block of rows (SdpSolution.row_blocks)
     rank_low: int = -1
     rank_high: int = -1
     rank_satisfied: bool = False
@@ -422,6 +423,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
             linear_rows=sol.linear_rows,
             correctors=sol.correctors,
             basis_growth=sol.basis_growth,
+            row_blocks=sol.row_blocks,
             seconds={"assemble": t1 - t0, "solve": t2 - t1},
         )
         diags.append(rec)

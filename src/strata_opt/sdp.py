@@ -16,13 +16,16 @@ the 1 x 1 block M_0(g . y), the linear inequality (g . y)_0 >= 0: such
 blocks are the rows A u + b >= 0, with slack s and dual z as vectors.
 Every row, of E, of A or of a block's G^T, is made by one builder
 (_schur.ShiftRows), scaled by its block's largest coefficient (scaled).
-At set-up one Gaussian elimination with partial pivoting, in place on
-the equality rows (_linalg.echelon_rows), drops the dependent rows, picks
-r pivot moments P, leaves the other f = N - r moments F free and brings
-the rows to reduced row echelon form E = Pi [I C], C = E_P^{-1} E_F, with
+At set-up the equality rows, in coordinates, split into blocks that name
+no moment in common, and one Gaussian elimination with partial pivoting
+per block, in place on that block's rows made dense over its own moments
+(_linalg.echelon_rows), drops the dependent rows, picks r pivot moments P,
+leaves the other f = N - r moments F free and brings the rows to reduced
+row echelon form E = Pi [I C], C = E_P^{-1} E_F block diagonal, with
 constants e: the start u = Pi [e; 0] meets them, and Z = Pi^T [-C; I] is
 a basis of their kernel.  After set-up the solver reads the rows only
-through (P, F, C, e).  Where an equality h has 2v <= d, every feasible y has
+through (P, F, C, e), C block by block.  Where an equality h has
+2v <= d, every feasible y has
 M_d(y) (h x^gamma) = 0 for |gamma| <= d - 2v: the moment block has no
 interior along those vectors, so it is solved in the basis F of their
 complement, as F^T M_d(y) F (_moment_face).  Without that, the
@@ -51,7 +54,8 @@ step is taken in the kernel of E (_linalg.kkt_solver): the reduced matrix
 
     M_r = Z^T M Z = M_FF + C^T T + T^T C,   T = M_PP C / 2 - M_PF,
 
-two products, is factored M_r = L L^T once per iteration, and with
+built one block C_k of C at a time in (r + f) sum_k r_k f_k flops, is
+factored M_r = L L^T once per iteration, and with
 p = rhs - r
 
     w = M_r^{-1} Z^T p,   du = Pi [q; 0] + Z w,
@@ -105,7 +109,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chol_stack, echelon_rows, kkt_solver
+from ._linalg import _GATHER, chol_stack, echelon_rows, kkt_solver
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
@@ -151,6 +155,8 @@ class SdpSolution:
     linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
     correctors: int = 0     # extra correctors kept, summed over the iterations
     basis_growth: float | None = None  # max |C| of the rows' echelon form; None without rows
+    # (kept rows, free moments) of each independent block of equality rows; None without rows
+    row_blocks: list | None = None
 
 
 def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -194,31 +200,35 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
     localizing block (the moment block is counted with M), equality_rows
     counts the rows before dependent ones are dropped.  With L moments, m
     rows and r = min(m, L), the peak is the larger of the set-up and an
-    iteration.  The set-up (_linalg.echelon_rows) eliminates in place on
-    the dense rows R (m, L), with |R| for the reference magnitudes; its
-    top step holds the triangular solve's operands, their copies and the
-    multipliers (at most 5 m^2 / 4), then the multipliers, the upper half's
-    copy and the product (m^2 / 4 + m L); the back substitution holds R,
-    U = R_P and [R_F, R_0] (r^2 + r L).  An iteration holds C (at most
-    rank L), the Newton system's arrays at the largest of its stages
-    (_linalg.kkt_solver: M throughout, with M[P] and its reordered copy,
-    2 rank L; or T with C^T T, f L; or C^T T with the reduced matrix M_r of
-    side f = L - rank, or M_r with its factor and the Cholesky's copy,
-    3 f^2; without rows M, its factor and the copy), each convex in the
-    rank, so that the worse end of [0, r] bounds it; then the Q and Y
-    chunk buffers (_schur.stack_doubles), and per localizing block its MH,
-    G^T, MH G^T, and G^T in coordinates with its term buffer.
-    A block of side 1 is a linear row: the row and its scaled copy fit in
-    its 2 L doubles.  The stacks' index plans (_schur._plan) stay alive
-    throughout, and _SMALL bounds the rest.  Not counted: a regularized
-    retry of the Cholesky (two more f x f)."""
+    iteration.  The table sizes do not tell how the rows split into blocks
+    (_linalg.echelon_rows), so the set-up is bounded as if one block held
+    every row and moment: the blocks' dense rows side by side (m L), one
+    block's elimination at a time, in place, whose top step holds the
+    triangular solve's operands, their copies and the multipliers (at most
+    5 m^2 / 4), then the multipliers, the upper half's copy and the product
+    (m^2 / 4 + m L); or its back substitution, with the kept rows' copy,
+    U = R_P and [R_0, R_F] (m L + r^2 + r L); and the parts of C made so far
+    (r L).  An iteration holds C (at most rank L), M, and the Newton
+    system's arrays at the largest of its stages (_linalg.kkt_solver: T^T
+    with one block's rows of M on the columns P, 2 rank L; or T^T with the
+    reduced matrix M_r of side f = L - rank and one block's panel of
+    T^T C, rank L + 2 f^2; or M_r with its factor and the Cholesky's copy,
+    3 f^2; without rows M, its factor and the copy), plus _linalg._GATHER
+    rows of M copied at a time, each convex in the rank, so that the worse
+    end of [0, r] bounds it; then the Q and Y chunk buffers
+    (_schur.stack_doubles), and per localizing block its MH, G^T, MH G^T,
+    and G^T in coordinates with its term buffer.  A block of side 1 is a
+    linear row: the row and its scaled copy fit in its 2 L doubles.  The
+    stacks' index plans (_schur._plan) stay alive throughout, and _SMALL
+    bounds the rest, the rows in coordinates among it.  Not counted: a
+    regularized retry of the Cholesky (two more f x f)."""
     L, m = num_moments, equality_rows
     r = min(m, L)
-    setup = m * L + max(5 * m * m // 4, m * m // 4 + m * L, r * r + r * L)
+    setup = m * L + max(5 * m * m // 4, m * m // 4 + m * L, m * L + r * r + r * L) + r * L
 
     def newton(rank):
         f = L - rank
-        return rank * L + L * L + max(2 * rank * L, f * L, 3 * f * f)
+        return rank * L + L * L + max(2 * rank * L, rank * L + 2 * f * f, 3 * f * f) + _GATHER * L
 
     stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
     q, y, plans = zip(stack_doubles(1, side, L),
@@ -255,6 +265,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
             linear_rows=linear,
             correctors=correctors,
             basis_growth=E.growth if rank else None,
+            row_blocks=list(E.sizes) if rank else None,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
@@ -263,7 +274,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     equalities = [h for h in problem.equalities if np.any(h.coeffs)]
 
     # the independent rows in echelon form, and the start u = Pi [e; 0]
-    E, residual = echelon_rows(ShiftRows(scaled(equalities)).dense(L))
+    E, residual = echelon_rows(ShiftRows(scaled(equalities)), L)
     rank = len(E.P)
     u = E.particular(E.e)
     if residual > 1e-8:  # a dropped row that the kept ones contradict
@@ -275,7 +286,7 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
         ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
         return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
     if not blocks:  # on {E u = e}, c is bounded below iff its reduced cost vanishes
-        dres = float(np.max(np.abs(c_raw[E.F] - E.C.T @ c_raw[E.P]), initial=0.0)
+        dres = float(np.max(np.abs(c_raw[E.F] - E.ct_dot(c_raw[E.P])), initial=0.0)
                      / (1.0 + np.max(np.abs(c_raw), initial=0.0)))
         status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
         return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0)
@@ -355,6 +366,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
     n_total = float(sum(x.shape[0] * x.shape[-1] for x in A0) + k)
     c_norm = float(np.max(np.abs(c))) if np.any(c) else 1.0
     e = E.e
+    newton = kkt_solver(E, N)
     e_norm = float(np.max(np.abs(e), initial=0.0))
 
     def at(v, const):
@@ -454,7 +466,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
         # release the last factors and directions before M is built and factored
         kkt = step = trial = dS = dZ = lin = None
         dS_a = dZ_a = dSh_a = dZh_a = lin_a = None
-        kkt = kkt_solver(schur.matrix(V, rows_w), E)
+        kkt = newton(schur.matrix(V, rows_w))
         if kkt is None:
             status = NUMERICAL_FAILURE
             break

@@ -13,7 +13,7 @@ def _sample_report():
         diagnostics=[{"d": 1, "solver_status": "optimal", "objective": np.float64(2530.47),
                       "num_moments": 55, "block_sides": [10, 1],
                       "schur_dim": 54, "equality_rows": 5, "linear_rows": 1,
-                      "correctors": 3, "basis_growth": 1.5,
+                      "correctors": 3, "basis_growth": 1.5, "row_blocks": [[2, 13], [1, 8]],
                       "seconds": {"assemble": 0.001, "solve": np.float64(0.02), "rank": 1e-4,
                                   "extract": 0.003}}],
         status_xi=1,
@@ -62,7 +62,10 @@ class TestJsonRoundTrip:
         # a system this small is solved by LU, which takes no extra
         # corrector; the row y2 = 1 in echelon form has C = 0
         assert (first["correctors"], first["basis_growth"]) == (0, 0.0)
+        # that row is one block of one kept row and no free moment
+        assert first["row_blocks"] == [[1, 0]]
         for plain, rec in zip(again.diagnostics, res.diagnostics):
+            assert plain["row_blocks"] == [list(b) for b in rec.row_blocks]
             assert ((plain["schur_dim"], plain["equality_rows"], plain["linear_rows"])
                     == (rec.schur_dim, rec.equality_rows, rec.linear_rows))
             assert ((plain["correctors"], plain["basis_growth"])
@@ -97,8 +100,8 @@ class TestJsonRoundTrip:
         rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
         again = Report.from_json(rep.to_json())
         assert again == rep
-        plain = [(p["correctors"], p["basis_growth"]) for p in again.diagnostics]
-        assert plain == [(rec.correctors, None) for rec in res.diagnostics]
+        plain = [(p["correctors"], p["basis_growth"], p["row_blocks"]) for p in again.diagnostics]
+        assert plain == [(rec.correctors, None, None) for rec in res.diagnostics]
         assert again.diagnostics[0]["schur_dim"] == 69 and again.diagnostics[0]["correctors"] > 0
 
     def test_basis_growth_round_trip(self):
@@ -116,6 +119,20 @@ class TestJsonRoundTrip:
         assert (first["schur_dim"], first["equality_rows"]) == (69, 15)
         assert isinstance(first["basis_growth"], float) and first["basis_growth"] > 0.0
         assert [p["basis_growth"] for p in again.diagnostics] == [r.basis_growth for r in res.diagnostics]
+
+    def test_row_blocks_round_trip(self):
+        # x + y = 1 and z = w name disjoint moments at d = 1: two blocks of
+        # rows, each with one kept row and one free moment
+        x, y, z, w = (Polynomial.variable(i, 4) for i in range(4))
+        f = (x - 1.0) * (x - 1.0) + (y - 2.0) * (y - 2.0) + (z - 1.0) * (z - 1.0) + w * w
+        cons = [(x + y - 1.0, EQ), (z - w, EQ), (10.0 - x * x - y * y - z * z - w * w, GE)]
+        res = run_hierarchy(f, cons, HierarchyOptions(d_max=2))
+        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+        again = Report.from_json(rep.to_json())
+        assert again == rep and res.status_xi == 1
+        assert again.diagnostics[0]["row_blocks"] == [[1, 1], [1, 1]]
+        assert [p["row_blocks"] for p in again.diagnostics] == [
+            [list(b) for b in rec.row_blocks] for rec in res.diagnostics]
 
     def test_environment_round_trip(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strata_opt._schur as schur_module
 from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
@@ -589,13 +591,21 @@ def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(y) * np.linalg.norm(x)
 
 
+def _dense_c(rows):
+    """C (r, f) of rows in echelon form, its blocks made one dense matrix."""
+    C = np.zeros((len(rows.P), len(rows.F)))
+    for r, f, block in rows.blocks:
+        C[r, f] = block
+    return C
+
+
 def _echelon(E, e=None):
     """The rows E u = e (e = 0 by default) in echelon form, and their dense
     matrix Pi [I C]."""
     rows, _ = echelon_rows(np.column_stack((-(np.zeros(len(E)) if e is None else e), E)))
     dense = np.zeros((len(rows.P), E.shape[1]))
     dense[np.arange(len(rows.P)), rows.P] = 1.0
-    dense[:, rows.F] = rows.C
+    dense[:, rows.F] = _dense_c(rows)
     return rows, dense
 
 
@@ -606,7 +616,7 @@ def test_saddle_point_direction_matches_dense_solve():
         M = _random_pd(rng, N)
         rows, E = _echelon(rng.normal(size=(m, N)))
         b, q = rng.normal(size=N), rng.normal(size=m)
-        solve, factored = kkt_solver(M, rows)
+        solve, factored = kkt_solver(rows, N)(M)
         assert factored == (N + m > 64)  # the route it reports
         du, dlam = solve(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
@@ -629,7 +639,7 @@ def test_kernel_step_meets_the_rows_when_m_is_ill_conditioned(m):
     x, lam = rng.normal(size=N), rng.normal(size=m)
     b, q = M @ x - E.T @ lam, E @ x
     assert rows.growth < 10.0
-    du, dlam = kkt_solver(M, rows)[0](b, q)
+    du, dlam = kkt_solver(rows, N)(M)[0](b, q)
     assert np.max(np.abs(E @ du - q)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
 
 
@@ -640,7 +650,7 @@ def test_kernel_basis_spans_the_kernel_of_the_rows():
     for N, m in ((10, 1), (50, 20), (120, 119)):
         E = np.linalg.svd(rng.normal(size=(m, N)), full_matrices=False)[2]
         rows = _echelon(E)[0]
-        P, F, C = rows.P, rows.F, rows.C
+        P, F, C = rows.P, rows.F, _dense_c(rows)
         assert sorted([*P, *F]) == list(range(N)) and C.shape == (m, N - m)
         assert np.max(np.abs(E[:, F] - E[:, P] @ C)) <= 1e-13 * (1.0 + rows.growth)
 
@@ -659,7 +669,7 @@ def test_missing_moment_fixed_by_a_row_takes_the_kernel_route():
     rows, E = _echelon(np.linalg.qr(X)[0].T)  # the first row the moment 4 alone
     assert rows.P[0] == 4
     b, q = rng.normal(size=N), rng.normal(size=m)
-    solve, factored = kkt_solver(M, rows)
+    solve, factored = kkt_solver(rows, N)(M)
     assert factored
     du, dlam = solve(b, q)
     K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
@@ -748,11 +758,11 @@ def test_rotated_elasticity_order_two_stays_optimal():
 def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch):
     """On the a0 order-3 solve the Newton system is factored once per
     iteration, on the (f, f) reduced matrix (f = N - m), with no earlier
-    factor of it alive; the extra correctors reuse it; and when the IPM
-    starts, all that is left of the set-up is the rows' echelon form
-    (P, F, C, e): not the equalities' dense row matrix, which the
-    elimination overwrote, nor its triangle U.  What the set-up leaves
-    alive is C's buffer [C, -e] and the index and start vectors."""
+    factor of it alive; the extra correctors reuse it; the set-up makes no
+    dense (m, L) matrix of the rows, only each block's rows over its own
+    moments; and when the IPM starts, all that is left of the set-up is the
+    rows' echelon form (P, F, C, e): each block's [e_k C_k] (or a merged
+    block's C), and the index and start vectors."""
     import tracemalloc
     import weakref
 
@@ -773,21 +783,26 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
     real_dense, real_echelon, real_ipm = schur_module.ShiftRows.dense, sdp.echelon_rows, sdp._ipm
 
     def dense(self, L):
-        out = real_dense(self, L)
         if not at_ipm:  # made at set-up
-            dense_rows.append(weakref.ref(out.base if out.base is not None else out))
-        return out
+            dense_rows.append((self.count, L))
+        return real_dense(self, L)
 
-    def echelon(R):
-        setups.append(R.shape)
-        return real_echelon(R)
+    def echelon(R, L):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_echelon(R, L)
+        setups.append((R.count, L, tracemalloc.get_traced_memory()[1] - start))
+        return out
 
     def ipm(*args, **kwargs):
         rows = args[2]
-        assert isinstance(rows, linalg.EchelonRows) and rows.C.base.shape == (len(rows.P), len(rows.F) + 1)
-        kept = rows.C.base.nbytes + sum(x.nbytes for x in (rows.P, rows.F, rows.e, args[3]))
-        at_ipm.append((sum(ref() is not None for ref in dense_rows),
-                       tracemalloc.get_traced_memory()[0] - before - kept))
+        assert isinstance(rows, linalg.EchelonRows)
+        buffers = {id(C.base if C.base is not None else C): C.base if C.base is not None else C
+                   for _, _, C in rows.blocks}
+        kept = (sum(x.nbytes for x in buffers.values())
+                + sum(x.nbytes for x in (rows.P, rows.F, rows.e, args[3])))
+        assert kept < 8 * len(rows.P) * (len(rows.F) + 1)  # below a dense C
+        at_ipm.append(tracemalloc.get_traced_memory()[0] - before - kept)
         return real_ipm(*args, **kwargs)
 
     rel = _lift_relaxation(a0, 3)[0]
@@ -802,13 +817,15 @@ def test_one_factorization_and_no_set_up_array_alive_in_the_loop(a0, monkeypatch
     finally:
         tracemalloc.stop()
     assert sol.status == "optimal" and sol.equality_rows > 0
-    (m, L), = setups
+    (m, L, setup_peak), = setups
     assert L == rel.num_moments and m > sol.equality_rows
     # a0's quartic rows leave the order-3 moment block no face to find; the
-    # rest alive at the IPM's start (about 8 KB) is small objects, below half
-    # of U's 8 r^2 bytes (68 KB) and far below the dense rows' 8 m L (776 KB)
-    assert dense_rows and [alive for alive, _ in at_ipm] == [0]
-    assert at_ipm[0][1] < 4 * sol.equality_rows ** 2
+    # set-up's peak (the rows' blocks and their index arrays, about 140 KB)
+    # stays below a quarter of the dense rows' 8 m L (776 KB), and the rest
+    # alive at the IPM's start
+    # (about 8 KB) is small objects, below half of U's 8 r^2 bytes (68 KB)
+    assert dense_rows == [] and setup_peak < 2 * m * L
+    assert at_ipm[0] < 4 * sol.equality_rows ** 2
     assert sol.correctors > 0
     N, r = sol.schur_dim, sol.equality_rows
     assert [shape for shape, _ in alive_at_factorization] == [(N - r, N - r)] * sol.iterations
@@ -849,6 +866,113 @@ def test_echelon_rows_keep_the_svd_rank_on_every_builtin_relaxation():
         assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12, name
         seen += 1
     assert seen == 22
+
+
+@st.composite
+def planted_blocks(draw):
+    """Rows E u = e that fall into independent blocks, each the product of
+    two small integer matrices (so that its rank is exact), over moments of
+    their own, with 64 more moments that no row names; rows and moments
+    shuffled.  e = E x for an integer x, so that the rows are consistent."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        s = draw(st.integers(1, min(m, n)))
+        entries = st.lists(st.integers(-2, 2), min_size=s * (m + n), max_size=s * (m + n))
+        AB = np.array(draw(entries), dtype=float)
+        blocks.append(AB[:m * s].reshape(m, s) @ AB[m * s:].reshape(s, n))
+    rows, cols = sum(len(B) for B in blocks), sum(B.shape[1] for B in blocks)
+    E = np.zeros((rows, cols + 64))
+    r = c = 0
+    for B in blocks:
+        E[r:r + len(B), c:c + B.shape[1]] = B
+        r, c = r + len(B), c + B.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = E[rng.permutation(rows)][:, rng.permutation(cols + 64)]
+    return E, E @ rng.integers(-3, 4, size=E.shape[1])
+
+
+@given(planted_blocks())
+@settings(max_examples=60, deadline=None)
+def test_planted_blocks_keep_the_svd_rank_and_take_the_kernel_step(case):
+    """On rows in independent blocks, shuffled, the elimination block by
+    block keeps as many rows as the thin SVD's rank rule, its start meets
+    the raw rows, and the kernel step (N + r > 64, the Cholesky route)
+    matches a dense solve of the saddle-point system on those rows."""
+    E, e = case
+    N = E.shape[1]
+    sv = np.linalg.svd(E, compute_uv=False)
+    rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * sv[0]))
+    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    assert len(rows.P) == rank and residual <= 1e-12
+    assert sum(r for r, _ in rows.sizes) == rank
+    assert sorted([*rows.P, *rows.F]) == list(range(N))
+    assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12
+    dense = np.zeros((rank, N))
+    dense[np.arange(rank), rows.P] = 1.0
+    dense[:, rows.F] = _dense_c(rows)
+    rng = np.random.default_rng(rank)
+    M = _random_pd(rng, N)
+    b, q = rng.normal(size=N), rng.normal(size=rank)
+    solve, factored = kkt_solver(rows, N)(M)
+    assert factored
+    K = np.block([[M, -dense.T], [dense, np.zeros((rank, rank))]])
+    want = np.linalg.solve(K, np.concatenate((b, q)))
+    got = np.concatenate(solve(b, q))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_single_row_blocks_and_moments_no_row_names():
+    """Three rows over disjoint moments, one moment named by none: three
+    blocks of one row each; the unnamed moment comes last among the free
+    ones, and each row in echelon form is itself divided by its pivot."""
+    E = np.array([[1.0, -4.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 3.0]])
+    e = np.array([2.0, 4.0, 6.0])
+    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    assert residual == 0.0 and rows.sizes == ((1, 1), (1, 0), (1, 0))
+    np.testing.assert_array_equal(rows.P, [1, 2, 4])
+    np.testing.assert_array_equal(rows.F, [0, 3])
+    np.testing.assert_array_equal(_dense_c(rows), [[-0.25, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(rows.e, [-0.5, 2.0, 2.0])
+    assert rows.growth == 0.25
+
+
+def test_block_of_dependent_rows_keeps_one():
+    """A block whose three rows are multiples of one row keeps one of them,
+    beside a block of one row; the kept rows' start meets all five."""
+    E = np.array([[0.0, 1.0, 2.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0, 1.0],
+                  [0.0, -2.0, -4.0, 0.0, 0.0],
+                  [0.0, 0.5, 1.0, 0.0, 0.0]])
+    e = np.array([1.0, 3.0, -2.0, 0.5])
+    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    assert residual <= 1e-15 and rows.sizes == ((1, 1), (1, 1))
+    assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-15
+
+
+def test_contradicting_block_fails_before_the_ipm():
+    """x + y = 1 and 2x + 2y = 3 contradict each other, beside the block
+    z = w that is fine: the solve ends in numerical_failure after 0
+    iterations."""
+    x, y, z, w = Polynomial.variables(4)
+    cons = [(x + y - 1.0, EQ), (z - w, EQ), (2.0 * x + 2.0 * y - 3.0, EQ),
+            (4.0 - x * x - y * y - z * z - w * w, GE)]
+    sol = solve_sdp(assemble_relaxation(x * y + z, cons, 1))
+    assert (sol.status, sol.iterations) == ("numerical_failure", 0)
+
+
+def test_row_blocks_of_a_relaxation():
+    """x + y = 1 and z = w at order 1 name disjoint moments: two blocks of
+    one kept row and one free moment each; the moments x^2, ... that no row
+    names are the rest of the free ones."""
+    x, y, z, w = Polynomial.variables(4)
+    cons = [(x + y - 1.0, EQ), (z - w, EQ), (4.0 - x * x - y * y - z * z - w * w, GE)]
+    f = (x - 1.0) * (x - 1.0) + (y - 2.0) * (y - 2.0) + (z - 1.0) * (z - 1.0) + w * w
+    sol = solve_sdp(assemble_relaxation(f, cons, 1))
+    assert sol.status == "optimal" and sol.row_blocks == [(1, 1), (1, 1)]
+    assert solve_sdp(assemble_relaxation(f, cons[2:], 1)).row_blocks is None
 
 
 @pytest.mark.parametrize("ratio", [1e-10, 1e-5])
