@@ -93,8 +93,9 @@ class EchelonRows(NamedTuple):
     The rows fall into blocks, no two of which name the same moment, so C
     is block diagonal: P and F list the moments block by block, and blocks
     holds (rows, cols, C_k), the slices of P and F that a block covers and
-    its part C_k of C, small neighbours merged into one (_merged).  The
-    free moments that no row names come last in F, where C has no column.
+    its part C_k of C, small neighbours merged into one (_merged), in the
+    order of each block's smallest moment.  The free moments that no row
+    names come last in F, where C has no column.
     sizes holds (kept rows, free moments) of each block before merging."""
     P: np.ndarray
     F: np.ndarray
@@ -148,7 +149,10 @@ def _row_blocks(rows: np.ndarray, cols: np.ndarray, m: int, L: int):
     names, joins them.  Each pass takes every row's label to the least
     label among the rows that share a moment with it, and follows the
     labels to their ends, until the rows that name a moment all carry the
-    label of the first row that names it."""
+    label of the first row that names it.  The blocks are numbered in the
+    order of their smallest moment, whatever the order of the rows: the
+    free moments, and so the reduced Newton matrix that kkt_solver
+    factors, then run as near the graded moment order as blocks allow."""
     named = cols > 0
     rows, cols = rows[named], cols[named]
     label = np.arange(m)
@@ -160,8 +164,15 @@ def _row_blocks(rows: np.ndarray, cols: np.ndarray, m: int, L: int):
         while not (label[label] == label).all():
             label = label[label]
         if (label[rows] == label[first[cols]]).all():
-            number = (label == np.arange(m)).cumsum()
-            return number[label] - 1, int(number[-1])
+            # each block's key: its smallest moment, after them the rows
+            # that name none
+            key = L + np.arange(m)
+            blocks = label[first[first < m]]  # the block of each named moment, ascending
+            np.minimum.at(key, blocks, np.arange(len(blocks)))
+            roots = (label == np.arange(m)).nonzero()[0]
+            number = np.empty(m, dtype=np.int64)
+            number[roots[key[roots].argsort(kind="stable")]] = np.arange(len(roots))
+            return number[label], len(roots)
 
 
 def echelon_rows(R, L: int | None = None):

@@ -666,8 +666,10 @@ def test_missing_moment_fixed_by_a_row_takes_the_kernel_route():
     X = rng.normal(size=(N, m))
     X[:, 0] = 0.0
     X[4] = [1.0, 0.0, 0.0]
-    rows, E = _echelon(np.linalg.qr(X)[0].T)  # the first row the moment 4 alone
-    assert rows.P[0] == 4
+    # the first row names the moment 4 alone: a block of its own, which comes
+    # after the block of the other two rows, whose smallest moment is 0
+    rows, E = _echelon(np.linalg.qr(X)[0].T)
+    assert rows.P[-1] == 4 and rows.sizes == ((2, 17), (1, 0))
     b, q = rng.normal(size=N), rng.normal(size=m)
     solve, factored = kkt_solver(rows, N)(M)
     assert factored
