@@ -93,15 +93,17 @@ class EchelonRows(NamedTuple):
     The rows fall into blocks, no two of which name the same moment, so C
     is block diagonal: P and F list the moments block by block, and blocks
     holds (rows, cols, C_k), the slices of P and F that a block covers and
-    its part C_k of C, small neighbours merged into one (_merged), in the
-    order of each block's smallest moment.  The free moments that no row
-    names come last in F, where C has no column.
-    sizes holds (kept rows, free moments) of each block before merging."""
+    its part C_k of C, in the order of each block's smallest moment.  The
+    free moments that no row names come last in F, where C has no column."""
     P: np.ndarray
     F: np.ndarray
     blocks: tuple
     e: np.ndarray
-    sizes: tuple
+
+    @property
+    def sizes(self) -> tuple:
+        """(kept rows, free moments) of each block: the shapes of its C_k."""
+        return tuple(C.shape for _, _, C in self.blocks)
 
     def c_dot(self, x: np.ndarray) -> np.ndarray:
         """C x, for x over F."""
@@ -175,11 +177,11 @@ def _row_blocks(rows: np.ndarray, cols: np.ndarray, m: int, L: int):
             return number[label], len(roots)
 
 
-def echelon_rows(R, L: int | None = None):
+def echelon_rows(R, L: int):
     """The rows of  E u + e0 = 0  in reduced row echelon form, block by
-    block.  R is a dense (m, L) matrix [e0 E], or the rows in coordinates
-    over L columns (_schur.ShiftRows: term j adds vals[j] at (rows[j],
-    cols[j]), column 0 the constants).  Returns the independent rows as
+    block.  R holds the rows in coordinates over L columns
+    (_schur.ShiftRows: R.count rows, term j adds R.vals[j] at (R.rows[j],
+    R.cols[j]), column 0 the constants).  Returns the independent rows as
     EchelonRows, and the largest |constant| left in a dropped row, the raw
     row's residual at every u that meets the kept rows (0 when every row is
     kept).
@@ -195,14 +197,9 @@ def echelon_rows(R, L: int | None = None):
     elimination leaves U = R_P, a block's kept rows on their pivots, unit
     upper triangular, so that C_k = U^{-1} R_F and e = -U^{-1} R_0
     (_unit_upper_solve)."""
-    if L is None:
-        m, L = R.shape
-        rows, cols = np.nonzero(R)
-        vals = R[rows, cols]
-    else:
-        m, rows, cols, vals = R.count, R.rows, R.cols, R.vals
+    m, rows, cols, vals = R.count, R.rows, R.cols, R.vals
     if not m:
-        return EchelonRows(np.zeros(0, np.int64), np.arange(L - 1), (), np.zeros(0), ()), 0.0
+        return EchelonRows(np.zeros(0, np.int64), np.arange(L - 1), (), np.zeros(0)), 0.0
     block, K = _row_blocks(rows, cols, m, L)
     # the blocks side by side: block k's rows, and its moments in ascending
     # order after a column for the constants, make a (heights[k], widths[k])
@@ -251,7 +248,7 @@ def echelon_rows(R, L: int | None = None):
         dropped = ordered[~kept]
         residual = float(np.abs(flat[offsets[dropped] + place[order][~kept] * widths[dropped]]).max())
     e = np.empty(len(P))
-    parts, sizes, a, p0, f0 = [], [], 0, 0, 0
+    blocks, a, p0, f0 = [], 0, 0, 0
     for Rk, r, c in zip(dense, np.bincount(owners, minlength=K).tolist(), first.tolist()):
         h, w = Rk.shape
         piv = pivots[a:a + h]
@@ -263,40 +260,9 @@ def echelon_rows(R, L: int | None = None):
             _unit_upper_solve(Rk[:, piv], X)
         e[p0:p0 + r] = X[:, 0]
         f = w - 1 - r
-        parts.append((p0, f0, X[:, 1:]))
-        sizes.append((r, f))
+        blocks.append((slice(p0, p0 + r), slice(f0, f0 + f), X[:, 1:]))
         a, p0, f0 = a + h, p0 + r, f0 + f
-    return EchelonRows(P, F, _merged(parts), np.negative(e, out=e), tuple(sizes)), residual
-
-
-# doubles of C up to which neighbouring blocks share one product
-_MERGE = 2048
-
-
-def _merged(parts: list) -> tuple:
-    """The blocks (p0, f0, C_k) of C, neighbours merged into one
-    block-diagonal C while it holds at most _MERGE doubles, as (rows, cols,
-    C) with the slices of P and F: one product of a merged block costs
-    about what a product of one small block costs, in numpy's call
-    overhead, and its zeros add little."""
-    out, run = [], []
-
-    def close():
-        (p0, f0, C), (p1, f1, D) = run[0], run[-1]
-        if len(run) > 1:
-            C = np.zeros((p1 + len(D) - p0, f1 + D.shape[1] - f0))
-            for p, f, D in run:
-                C[p - p0:p - p0 + len(D), f - f0:f - f0 + D.shape[1]] = D
-        out.append((slice(p0, p0 + len(C)), slice(f0, f0 + C.shape[1]), C))
-        run.clear()
-
-    for p, f, C in parts:
-        if run and (p + len(C) - run[0][0]) * (f + C.shape[1] - run[0][1]) > _MERGE:
-            close()
-        run.append((p, f, C))
-    if run:
-        close()
-    return tuple(out)
+    return EchelonRows(P, F, tuple(blocks), np.negative(e, out=e)), residual
 
 
 def _unit_upper_solve(U: np.ndarray, X: np.ndarray) -> None:
@@ -355,19 +321,6 @@ def _eliminate(B: np.ndarray, k: int, n: int, pivots: np.ndarray, ref: np.ndarra
     _eliminate(B, k + h, n - h, pivots, ref, tol)
 
 
-# rows of M that _gather copies at a time
-_GATHER = 128
-
-
-def _gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """M[np.ix_(rows, cols)], _GATHER rows of M at a time: a copy of whole
-    rows and then a gather of columns is about twice as fast."""
-    out = np.empty((len(rows), len(cols)))
-    for a in range(0, len(rows), _GATHER):
-        out[a:a + _GATHER] = M[rows[a:a + _GATHER]][:, cols]
-    return out
-
-
 # up to this many unknowns N + m, one LU solve of the whole system per right-hand
 # side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
 # thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
@@ -416,24 +369,24 @@ def kkt_solver(E: EchelonRows, N: int):
     rows M_r is M itself and there is no refinement.  Small systems take
     one LU solve of the whole matrix instead, unless a moment is missing
     from M (which the Cholesky route regularizes): the matrix's rows E and
-    columns -E^T are written once, and each M is copied into it, so that a
-    solver of this route holds only until the next factorization.  The
-    function returns the solver and whether it reuses one factorization
-    (the Cholesky route), where the LU route factors at every solve; None
-    when M_r cannot be factored."""
+    columns -E^T are written once, and each factorization copies them with
+    M into a matrix of its own.  The function returns the solver and
+    whether it reuses one factorization (the Cholesky route), where the LU
+    route factors at every solve; None when M_r cannot be factored."""
     P, F = E.P, E.F
     m = len(P)
-    K = None
+    K0 = None  # [0 -E^T; E 0], K of the LU route without M
 
     def factor(M: np.ndarray):
-        nonlocal K
+        nonlocal K0
         if N + m <= DENSE_KKT and np.all(np.diagonal(M) > 0.0):
-            if K is None:
-                K = np.zeros((N + m, N + m))
-                K[N + np.arange(m), P] = 1.0
+            if K0 is None:
+                K0 = np.zeros((N + m, N + m))
+                K0[N + np.arange(m), P] = 1.0
                 for rows, cols, C in E.blocks:
-                    K[np.ix_(N + np.arange(m)[rows], F[cols])] = C
-                K[:N, N:] = -K[N:, :N].T
+                    K0[np.ix_(N + np.arange(m)[rows], F[cols])] = C
+                K0[:N, N:] = -K0[N:, :N].T
+            K = K0.copy()
             K[:N, :N] = M
 
             def dense(b: np.ndarray, q: np.ndarray):
@@ -449,14 +402,14 @@ def kkt_solver(E: EchelonRows, N: int):
             return (lambda b, q: (solve_m(b), np.zeros(0))), True
         Tt = np.empty((len(F), m))  # T^T
         for rows, cols, C in E.blocks:
-            G = _gather(M, np.concatenate((P[rows], F[cols])), P)  # M_{P_k P}, then M_{F_k P}
+            G = M[np.ix_(np.concatenate((P[rows], F[cols])), P)]  # M_{P_k P}, then M_{F_k P}
             np.matmul(C.T, G[:len(C)], out=Tt[cols])
             Tt[cols] *= 0.5
             Tt[cols] -= G[len(C):]
         named = E.blocks[-1][1].stop
-        Tt[named:] = _gather(M, F[named:], P)  # moments that no row names
+        Tt[named:] = M[np.ix_(F[named:], P)]  # moments that no row names
         np.negative(Tt[named:], out=Tt[named:])
-        Mr = _gather(M, F, F)
+        Mr = M[np.ix_(F, F)]
         for rows, cols, C in E.blocks:
             if C.size:
                 panel = Tt[:, rows] @ C  # the columns F_k of T^T C

@@ -340,14 +340,15 @@ def _cgroup_free_bytes(below: float = float("inf"), proc: str = "/proc/self/cgro
 def relaxation_bytes(n: int, d: int, constraints) -> int:
     """Estimated bytes of the order-d relaxation's solve, from the sizes of
     its tables, without building them."""
-    blocks, rows = [], 0
+    blocks, rows, terms = [], 0, 0
     for g, kind in constraints:
         k = d - constraint_half_degree(g)
         if kind == EQ:
             rows += math.comb(n + 2 * k, n)
+            terms += math.comb(n + 2 * k, n) * len(g.coeffs)
         else:
             blocks.append((len(g.coeffs), math.comb(n + 2 * k, n), math.comb(n + k, n)))
-    return solve_bytes(math.comb(n + 2 * d, n), math.comb(n + d, n), blocks, rows)
+    return solve_bytes(math.comb(n + 2 * d, n), math.comb(n + d, n), blocks, rows, terms)
 
 
 def _check_memory(n: int, d: int, constraints, budget: float) -> None:

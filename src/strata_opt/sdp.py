@@ -109,7 +109,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _GATHER, chol_stack, echelon_rows, kkt_solver
+from ._linalg import chol_stack, echelon_rows, kkt_solver
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
@@ -194,41 +194,45 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     return (U / np.sqrt(dv)[..., None, :]).swapaxes(-1, -2) @ lzT, dv
 
 
-def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int) -> int:
+def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int,
+                equality_terms: int) -> int:
     """Bytes solve_sdp needs at its peak, from the table sizes alone: side is
     the moment block's, blocks lists (terms, base entries, side) of each
     localizing block (the moment block is counted with M), equality_rows
-    counts the rows before dependent ones are dropped.  With L moments, m
-    rows and r = min(m, L), the peak is the larger of the set-up and an
-    iteration.  The table sizes do not tell how the rows split into blocks
-    (_linalg.echelon_rows), so the set-up is bounded as if one block held
-    every row and moment: the blocks' dense rows side by side (m L), one
-    block's elimination at a time, in place, whose top step holds the
-    triangular solve's operands, their copies and the multipliers (at most
-    5 m^2 / 4), then the multipliers, the upper half's copy and the product
-    (m^2 / 4 + m L); or its back substitution, with the kept rows' copy,
-    U = R_P and [R_0, R_F] (m L + r^2 + r L); and the parts of C made so far
-    (r L).  An iteration holds C (at most rank L), M, and the Newton
-    system's arrays at the largest of its stages (_linalg.kkt_solver: T^T
-    with one block's rows of M on the columns P, 2 rank L; or T^T with the
-    reduced matrix M_r of side f = L - rank and one block's panel of
-    T^T C, rank L + 2 f^2; or M_r with its factor and the Cholesky's copy,
-    3 f^2; without rows M, its factor and the copy), plus _linalg._GATHER
-    rows of M copied at a time, each convex in the rank, so that the worse
-    end of [0, r] bounds it; then the Q and Y chunk buffers
-    (_schur.stack_doubles), and per localizing block its MH, G^T, MH G^T,
-    and G^T in coordinates with its term buffer.  A block of side 1 is a
-    linear row: the row and its scaled copy fit in its 2 L doubles.  The
-    stacks' index plans (_schur._plan) stay alive throughout, and _SMALL
-    bounds the rest, the rows in coordinates among it.  Not counted: a
+    counts the rows before dependent ones are dropped and equality_terms
+    their terms.  With L moments, m rows and r = min(m, L), the peak is the
+    larger of the set-up and an iteration.  The set-up holds the rows in
+    coordinates (_schur.ShiftRows, 3 words a term) and, at their largest,
+    the index arrays that find their blocks or place their terms
+    (_linalg.echelon_rows, 5 more words a term).  The table sizes do not
+    tell how the rows split into blocks, so the rest of the set-up is
+    bounded as if one block held every row and moment: the blocks' dense
+    rows side by side (m L), one block's elimination at a time, in place,
+    whose top step holds the triangular solve's operands, their copies and
+    the multipliers (at most 5 m^2 / 4), then the multipliers, the upper
+    half's copy and the product (m^2 / 4 + m L); or its back substitution,
+    with the kept rows' copy, U = R_P and [R_0, R_F] (m L + r^2 + r L); and
+    the parts of C made so far (r L).  An iteration holds C (at most rank
+    L), M, and the Newton system's arrays at the largest of its stages
+    (_linalg.kkt_solver: T^T with one block's rows of M on the columns P,
+    2 rank L; or T^T with the reduced matrix M_r of side f = L - rank and
+    one block's panel of T^T C, rank L + 2 f^2; or M_r with its factor and
+    the Cholesky's copy, 3 f^2; without rows M, its factor and the copy),
+    each convex in the rank, so that the worse end of [0, r] bounds it;
+    then the Q and Y chunk buffers (_schur.stack_doubles), and per
+    localizing block its MH, G^T, MH G^T, and G^T in coordinates with its
+    term buffer.  A block of side 1 is a linear row: the row and its scaled
+    copy fit in its 2 L doubles.  The stacks' index plans (_schur._plan)
+    stay alive throughout, and _SMALL bounds the rest.  Not counted: a
     regularized retry of the Cholesky (two more f x f)."""
     L, m = num_moments, equality_rows
     r = min(m, L)
-    setup = m * L + max(5 * m * m // 4, m * m // 4 + m * L, m * L + r * r + r * L) + r * L
+    setup = (8 * equality_terms + m * L
+             + max(5 * m * m // 4, m * m // 4 + m * L, m * L + r * r + r * L) + r * L)
 
     def newton(rank):
         f = L - rank
-        return rank * L + L * L + max(2 * rank * L, rank * L + 2 * f * f, 3 * f * f) + _GATHER * L
+        return rank * L + L * L + max(2 * rank * L, rank * L + 2 * f * f, 3 * f * f)
 
     stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
     q, y, plans = zip(stack_doubles(1, side, L),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -599,10 +601,17 @@ def _dense_c(rows):
     return C
 
 
+def _dense_echelon(R):
+    """echelon_rows of the dense rows R = [e0 E], given in coordinates."""
+    rows, cols = np.nonzero(R)
+    return echelon_rows(SimpleNamespace(count=len(R), rows=rows, cols=cols, vals=R[rows, cols]),
+                        R.shape[1])
+
+
 def _echelon(E, e=None):
     """The rows E u = e (e = 0 by default) in echelon form, and their dense
     matrix Pi [I C]."""
-    rows, _ = echelon_rows(np.column_stack((-(np.zeros(len(E)) if e is None else e), E)))
+    rows, _ = _dense_echelon(np.column_stack((-(np.zeros(len(E)) if e is None else e), E)))
     dense = np.zeros((len(rows.P), E.shape[1]))
     dense[np.arange(len(rows.P)), rows.P] = 1.0
     dense[:, rows.F] = _dense_c(rows)
@@ -623,6 +632,22 @@ def test_saddle_point_direction_matches_dense_solve():
         want = np.linalg.solve(K, np.concatenate((b, q)))
         got = np.concatenate((du, dlam))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_dense_route_solvers_keep_their_own_matrix():
+    """Two factorizations of the small system's route: the first solver
+    still solves its own M after the second one is made."""
+    rng = np.random.default_rng(19)
+    N, m = 30, 5
+    rows, E = _echelon(rng.normal(size=(m, N)))
+    factor = kkt_solver(rows, N)
+    M1, M2 = _random_pd(rng, N), _random_pd(rng, N)
+    (first, factored), _ = factor(M1), factor(M2)
+    assert not factored
+    b, q = rng.normal(size=N), rng.normal(size=m)
+    K = np.block([[M1, -E.T], [E, np.zeros((m, m))]])
+    want = np.linalg.solve(K, np.concatenate((b, q)))
+    assert np.max(np.abs(np.concatenate(first(b, q)) - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [35, 89])
@@ -863,7 +888,7 @@ def test_echelon_rows_keep_the_svd_rank_on_every_builtin_relaxation():
         E, e = _equality_system(rel)
         sv = np.linalg.svd(E, compute_uv=False)
         rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * sv[0]))
-        rows, residual = echelon_rows(np.column_stack((-e, E)))
+        rows, residual = _dense_echelon(np.column_stack((-e, E)))
         assert len(rows.P) == rank and residual <= 1e-8, name
         assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12, name
         seen += 1
@@ -905,7 +930,7 @@ def test_planted_blocks_keep_the_svd_rank_and_take_the_kernel_step(case):
     N = E.shape[1]
     sv = np.linalg.svd(E, compute_uv=False)
     rank = int(np.sum(sv > max(E.shape) * np.finfo(float).eps * sv[0]))
-    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    rows, residual = _dense_echelon(np.column_stack((-e, E)))
     assert len(rows.P) == rank and residual <= 1e-12
     assert sum(r for r, _ in rows.sizes) == rank
     assert sorted([*rows.P, *rows.F]) == list(range(N))
@@ -932,7 +957,7 @@ def test_single_row_blocks_and_moments_no_row_names():
                   [0.0, 0.0, 2.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0, 3.0]])
     e = np.array([2.0, 4.0, 6.0])
-    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    rows, residual = _dense_echelon(np.column_stack((-e, E)))
     assert residual == 0.0 and rows.sizes == ((1, 1), (1, 0), (1, 0))
     np.testing.assert_array_equal(rows.P, [1, 2, 4])
     np.testing.assert_array_equal(rows.F, [0, 3])
@@ -949,7 +974,7 @@ def test_block_of_dependent_rows_keeps_one():
                   [0.0, -2.0, -4.0, 0.0, 0.0],
                   [0.0, 0.5, 1.0, 0.0, 0.0]])
     e = np.array([1.0, 3.0, -2.0, 0.5])
-    rows, residual = echelon_rows(np.column_stack((-e, E)))
+    rows, residual = _dense_echelon(np.column_stack((-e, E)))
     assert residual <= 1e-15 and rows.sizes == ((1, 1), (1, 1))
     assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-15
 
@@ -988,7 +1013,7 @@ def test_near_dependent_rows_keep_the_svd_rank(ratio):
     sv = np.array([1.0, 0.7, 0.5, 0.3, 0.2, ratio, 0.0, 0.0])
     E = (U * sv) @ V.T
     e = E @ rng.normal(size=20)
-    rows, _ = echelon_rows(np.column_stack((-e, E)))
+    rows, _ = _dense_echelon(np.column_stack((-e, E)))
     assert len(rows.P) == 6
     assert np.max(np.abs(E @ rows.particular(rows.e) - e)) <= 1e-12
     # a relaxation with such rows: y1 = 1 and y1 + 2 ratio y2 = 1 + 2 ratio
