@@ -8,9 +8,9 @@ drifting relative to cubic symmetry as the chromium concentration grows.
 
 import numpy as np
 
+import strata_opt
 from strata_opt.datasets import CR_SWEEP, get_dataset
-from strata_opt.hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
-from strata_opt.mech import PiezoTensor, build_distance_problem_piezo, piezo_harmonic_part
+from strata_opt.mech import PiezoTensor, piezo_harmonic_part
 
 e0 = PiezoTensor(voigt=np.array(get_dataset("aln").voigt))
 print("raw AlN tensor [C/m^2]:")
@@ -20,24 +20,16 @@ split = piezo_harmonic_part(e0)
 print(f"\n|g|^2 = {split.g.norm2():.6f} (non-harmonic residual, fixed cost)")
 print(f"|h|^2 = {split.h.norm2():.6f} (leading harmonic part, optimized)")
 
-problem = build_distance_problem_piezo(e0)
-constraints = add_ball_constraint(problem.objective, problem.constraints, 3.0, np.zeros(7))
-result = run_hierarchy(problem.objective, constraints, HierarchyOptions(d_max=2))
-delta = problem.total_distance(result.bound)
-print(f"\nAlN: status {result.status_xi:+d}, bound {result.bound:.6f} C^2/m^4, "
-      f"distance {delta:.6f} C/m^2, relative {delta / e0.norm():.6f}")
+report = strata_opt.distance(e0, c=3.0, d_max=2)
+print(f"\nAlN: status {report.status_xi:+d}, bound {report.bound:.6f} C^2/m^4, "
+      f"distance {report.distance:.6f} C/m^2, relative {report.relative_distance:.6f}")
 print("closest cubic tensor [C/m^2]:")
-print(np.round(problem.minimizer_voigt(result.minimizers[0]), 6))
+print(np.round(report.minimizers_voigt[0], 6))
 
-print("\nconcentration sweep:")
+print("\nconcentration sweep (ball constant c = 1.5 f(x_ref)):")
 print(f"  {'x':>7s} {'distance':>10s} {'relative':>10s} {'order':>6s}")
 for ds_id in CR_SWEEP:
-    ds = get_dataset(ds_id)
-    e = PiezoTensor(voigt=np.array(ds.voigt))
-    prob = build_distance_problem_piezo(e)
-    c = 1.5 * prob.objective.evaluate(np.zeros(7))
-    cons = add_ball_constraint(prob.objective, prob.constraints, c, np.zeros(7))
-    res = run_hierarchy(prob.objective, cons, HierarchyOptions(d_max=2))
-    d = prob.total_distance(res.bound)
+    report = strata_opt.distance(PiezoTensor(voigt=np.array(get_dataset(ds_id).voigt)), d_max=2)
     x_label = "0" if ds_id == "aln" else ds_id[2:]
-    print(f"  {x_label:>7s} {d:10.6f} {d / e.norm():10.6f} {res.order_reached:6d}")
+    print(f"  {x_label:>7s} {report.distance:10.6f} {report.relative_distance:10.6f} "
+          f"{report.diagnostics[-1]['d']:6d}")

@@ -6,8 +6,9 @@ both exponent arrays) feeds ``moment`` (moment/localizing matrices, LMI
 assembly), solved by ``sdp`` (dense primal-dual interior point) and driven
 by ``hierarchy`` (relaxation loop, rank certification, atom extraction).
 ``mech`` holds the constitutive-tensor algebra and reduces stratum distances
-to small polynomial problems; ``datasets``, ``popfile``, ``reports`` and ``cli``
-provide the data and user-facing plumbing.
+to small polynomial problems; ``pipeline.distance`` runs one stratum distance
+on top of both and returns its report.  ``datasets``, ``popfile``, ``reports``
+and ``cli`` provide the data and user-facing plumbing.
 
 Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 unless they are already set.  The SDPs solved here are
@@ -43,6 +44,7 @@ from .moment import (  # noqa: E402
     moment_matrix,
     shift_vector,
 )
+from .pipeline import distance  # noqa: E402
 from .poly import Polynomial, lambda_set  # noqa: E402
 from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
 
@@ -59,6 +61,7 @@ __all__ = [
     "add_ball_constraint",
     "assemble_relaxation",
     "check_rank_condition",
+    "distance",
     "extract_minimizers",
     "lambda_set",
     "localizing_matrix",

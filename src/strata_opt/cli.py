@@ -12,31 +12,22 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
-from . import hierarchy
+from . import hierarchy, pipeline
 from .datasets import get_dataset, list_datasets
-from .hierarchy import HierarchyOptions, RelaxationTooLarge, add_ball_constraint, run_hierarchy
+from .hierarchy import (HierarchyOptions, RelaxationTooLarge, add_ball_constraint, order_limit,
+                        run_hierarchy)
 from .moment import minimal_order
-from .mech import (
-    ElasticityTensor,
-    PiezoTensor,
-    Sym2Tensor,
-    build_distance_problem_ela,
-    build_distance_problem_piezo,
-    build_distance_problem_sym2,
-    classify_sym2,
-    d2prime_ela,
-    d2prime_piezo,
-    harmonic_decompose_ela,
-    piezo_harmonic_part,
-    unit_scaled,
-)
-from .reports import Report, diagnostics_to_plain, environment
+from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, classify_sym2, d2prime_ela,
+                   d2prime_piezo, harmonic_decompose_ela, piezo_harmonic_part, unit_scaled)
+from .reports import Report, diagnostics_to_plain, environment, write_reports
 from .sdp import SolverOptions
 
-STRATA = {"O2": "sym2", "cubic-ela": "elasticity", "cubic-piezo": "piezo"}
+STRATA = {stratum: kind for stratum, kind, _build in pipeline.STRATA.values()}
+EXIT_CODES = {1: 0, 0: 2, -1: 3}  # by status_xi; a batch exits with its largest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,93 +74,29 @@ def _load_input(path: str):
         raise ValueError(f"{path}: expected a JSON object {{kind, units, voigt}}, "
                          f"got {type(data).__name__}")
     kind = data.get("kind")
-    return kind, _tensor(kind, data.get("voigt")), data.get("units", "")
+    return kind, _tensor(kind, data.get("voigt"))
 
 
-BUILDERS = {"sym2": build_distance_problem_sym2, "elasticity": build_distance_problem_ela,
-            "piezo": build_distance_problem_piezo}
+def _inputs(args) -> list:
+    """(label, kind, tensor) of each --dataset id, or of the --input file."""
+    if args.input:
+        return [(args.input, *_load_input(args.input))]
+    return [(ds.id, ds.kind, _tensor(ds.kind, ds.voigt)) for ds in map(get_dataset, args.dataset)]
 
 
-def _resolve_ball_constant(c_arg: str, problem):
-    """The ball constant and the feasible point it must dominate: "auto"
-    takes 1.5 f(x_ref) at the problem's normal-form point x_ref."""
-    f, x_ref = problem.objective, problem.x_ref
-    if c_arg != "auto":
-        return float(c_arg), x_ref
-    f_ref = f.evaluate(x_ref)
-    c = 1.5 * f_ref
-    if c <= f_ref:  # input already on the stratum: any small margin works
-        c = 1e-6 * (1.0 + f.evaluate(np.zeros(problem.n)))
-    return c, x_ref
+def _note_raised_order(requested: int | None, used: int) -> None:
+    if requested is not None and requested < used:
+        print(f"note: raising --dmax to the minimal admissible order {used}", file=sys.stderr)
 
 
-def _hierarchy_options(args, d0: int, coordinate_scale: float = 1.0) -> HierarchyOptions:
-    d_max = args.dmax if args.dmax is not None else d0 + 1
-    if args.dmax is not None and args.dmax < d0:
-        print(f"note: raising --dmax to the minimal admissible order {d0}", file=sys.stderr)
-    return HierarchyOptions(
-        d_max=max(d_max, d0),
-        rank_eps=args.rank_eps,
-        solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol),
-        coordinate_scale=coordinate_scale,
-    )
-
-
-def _distance_single(job) -> Report:
-    label, kind, voigt, c_arg, args_dict = job
-    args = argparse.Namespace(**args_dict)
-    tensor = _tensor(kind, voigt)
-    problem = BUILDERS[kind](tensor)
-    c, x_ref = _resolve_ball_constant(c_arg, problem)
-    constraints = add_ball_constraint(problem.objective, problem.constraints, c, x_ref)
-    d0 = minimal_order(problem.objective, constraints)
-    opts = _hierarchy_options(args, d0, coordinate_scale=problem.natural_scale)
-    t0 = time.perf_counter()
-    result = run_hierarchy(problem.objective, constraints, opts)
-    seconds = time.perf_counter() - t0
-
-    distance = relative = None
-    minimizers_voigt = []
-    residuals = {}
-    if result.status_xi >= 0 and np.isfinite(result.bound):
-        distance = problem.total_distance(result.bound)
-        norm_ref = tensor.norm()
-        relative = distance / norm_ref if norm_ref > 0 else None
-    if result.minimizers:
-        minimizers_voigt = [problem.minimizer_voigt(x) for x in result.minimizers]
-        direct = problem.tensor_distance(result.minimizers[0])
-        residuals["distance_consistency"] = (abs(distance - direct) / (tensor.norm() or 1.0)
-                                             if distance is not None else None)
-        last = result.diagnostics[-1]
-        residuals["max_constraint_violation"] = last.max_constraint_violation
-        residuals["max_objective_mismatch"] = last.max_objective_mismatch
-
-    report = Report(
-        problem={
-            "command": "distance",
-            "input": label,
-            "stratum": args.stratum,
-            "kind": kind,
-            "c": c,
-            "d_max": opts.d_max,
-            "gap_tol": args.gap_tol,
-            "feas_tol": args.feas_tol,
-            "rank_eps": args.rank_eps,
-            "offset": problem.offset,
-            "coordinate_scale": opts.coordinate_scale,
-            "voigt": voigt,
-        },
-        diagnostics=diagnostics_to_plain(result.diagnostics),
-        status_xi=result.status_xi,
-        bound=None if not np.isfinite(result.bound) else result.bound,
-        distance=distance,
-        relative_distance=relative,
-        minimizers_voigt=minimizers_voigt,
-        residuals=residuals,
-        seconds=seconds,
-        environment=environment(),
-    )
-    return report
+def _write_json(path: str, reports) -> int:
+    """Write one report, or a list as a JSON array; 1 when path cannot be written."""
+    try:
+        write_reports(path, reports)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _share_memory(workers: int) -> None:
@@ -179,50 +106,38 @@ def _share_memory(workers: int) -> None:
 
 
 def cmd_distance(args) -> int:
-    stratum_kind = STRATA.get(args.stratum)
-    if stratum_kind is None:
-        print(f"unknown stratum {args.stratum!r}", file=sys.stderr)
-        return 1
-    jobs = []
     try:
-        if args.dataset:
-            for ds_id in args.dataset:
-                ds = get_dataset(ds_id)
-                if ds.kind != stratum_kind:
-                    raise ValueError(
-                        f"dataset {ds_id} has kind {ds.kind}, incompatible with stratum {args.stratum}"
-                    )
-                jobs.append((ds_id, ds.kind, ds.voigt.tolist(), args.c, vars(args)))
-        else:
-            kind, tensor, _units = _load_input(args.input)
-            if kind != stratum_kind:
-                raise ValueError(
-                    f"input kind {kind} is incompatible with stratum {args.stratum}"
-                )
-            voigt = tensor.mat if kind == "sym2" else tensor.voigt
-            jobs.append((args.input, kind, voigt.tolist(), args.c, vars(args)))
+        c = args.c if args.c == "auto" else float(args.c)
+        labels, kinds, tensors = zip(*_inputs(args))
+        for label, kind in zip(labels, kinds):
+            if kind != STRATA[args.stratum]:
+                raise ValueError(f"{label} has kind {kind}, incompatible with stratum {args.stratum}")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    solver = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
+    run = partial(pipeline.distance, c=c, d_max=args.dmax, solver=solver, rank_eps=args.rank_eps)
     try:
-        if args.jobs > 1 and len(jobs) > 1:
+        if args.jobs > 1 and len(tensors) > 1:
             # imported here: the process-pool machinery is a cost of --jobs only
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = min(args.jobs, len(jobs))
+            workers = min(args.jobs, len(tensors))
             with ProcessPoolExecutor(max_workers=workers, initializer=_share_memory,
                                      initargs=(workers,)) as pool:
-                reports = list(pool.map(_distance_single, jobs))
+                reports = list(pool.map(run, tensors))
         else:
-            reports = [_distance_single(job) for job in jobs]
+            reports = [run(tensor) for tensor in tensors]
     except (ValueError, RelaxationTooLarge) as exc:  # e.g. a ball constant below f(x_ref)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for report in reports:
+    for label, report in zip(labels, reports):
         p = report.problem
-        print(f"== distance: {p['input']} -> stratum {p['stratum']} (c = {p['c']:g})")
+        p["input"] = label
+        _note_raised_order(args.dmax, p["d_max"])
+        print(f"== distance: {label} -> stratum {p['stratum']} (c = {p['c']:g})")
         print(f"  status xi        : {report.status_xi:+d}")
         if report.bound is not None:
             print(f"  certified bound  : {_fmt(report.bound)}")
@@ -233,27 +148,15 @@ def cmd_distance(args) -> int:
             _print_matrix(np.array(mv), indent="    ")
         print(f"  wall time        : {report.seconds:.2f} s")
 
-    if args.json:
-        payload = reports[0].to_json() if len(reports) == 1 else (
-            "[" + ",\n".join(r.to_json() for r in reports) + "]"
-        )
-        with open(args.json, "w") as fh:
-            fh.write(payload + "\n")
-
-    xis = [r.status_xi for r in reports]
-    if all(x == 1 for x in xis):
-        return 0
-    return 3 if any(x == -1 for x in xis) else 2
+    if args.json and _write_json(args.json, reports[0] if len(reports) == 1 else reports):
+        return 1
+    return max(EXIT_CODES[r.status_xi] for r in reports)
 
 
 def _get_tensor(args):
-    if args.dataset:
-        if len(args.dataset) != 1:
-            raise ValueError("decompose/classify take a single dataset")
-        ds = get_dataset(args.dataset[0])
-        return ds.id, ds.kind, _tensor(ds.kind, ds.voigt)
-    kind, tensor, _units = _load_input(args.input)
-    return args.input, kind, tensor
+    if args.dataset and len(args.dataset) != 1:
+        raise ValueError("decompose/classify take a single dataset")
+    return _inputs(args)[0]
 
 
 def cmd_decompose(args) -> int:
@@ -354,8 +257,10 @@ def cmd_pop_solve(args) -> int:
     else:
         print("warning: no ball statement; convergence is only guaranteed for "
               "Archimedean constraints", file=sys.stderr)
-    d0 = minimal_order(f, constraints)
-    opts = _hierarchy_options(args, d0)
+    d_max = order_limit(args.dmax, minimal_order(f, constraints))
+    _note_raised_order(args.dmax, d_max)
+    opts = HierarchyOptions(d_max=d_max, rank_eps=args.rank_eps,
+                            solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol))
     t0 = time.perf_counter()
     try:
         result = run_hierarchy(f, constraints, opts)
@@ -390,15 +295,14 @@ def cmd_pop_solve(args) -> int:
             status_xi=result.status_xi,
             bound=bound,
             distance=None if bound is None else float(np.sqrt(max(0.0, bound))),
-            relative_distance=None,
             minimizers_voigt=[list(map(float, x)) for x in result.minimizers],
-            residuals={},
             seconds=seconds,
             environment=environment(),
         )
-        report.write(args.json)
+        if _write_json(args.json, report):
+            return 1
 
-    return {1: 0, 0: 2, -1: 3}[result.status_xi]
+    return EXIT_CODES[result.status_xi]
 
 
 def cmd_datasets(args) -> int:

@@ -135,6 +135,11 @@ class HierarchyResult:
         return self.status_xi == 1
 
 
+def order_limit(d_max: int | None, d0: int) -> int:
+    """The highest order a run tries: d0 + 1 unless given, and never below d0."""
+    return d0 + 1 if d_max is None else max(d_max, d0)
+
+
 def add_ball_constraint(f: Polynomial, constraints, c: float, x_ref=None):
     """Append the coercivity trick inequality c - f >= 0.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import THREAD_VARS
 
-__all__ = ["Report", "diagnostics_to_plain", "environment"]
+__all__ = ["Report", "diagnostics_to_plain", "environment", "write_reports"]
 
 
 def _plain(obj):
@@ -47,10 +47,7 @@ def environment() -> dict:
 
 
 def diagnostics_to_plain(diagnostics) -> list[dict]:
-    out = []
-    for rec in diagnostics:
-        out.append(_plain(vars(rec)))
-    return out
+    return [_plain(vars(rec)) for rec in diagnostics]
 
 
 @dataclass
@@ -84,7 +81,10 @@ class Report:
     def from_json(cls, text: str) -> "Report":
         return cls(**json.loads(text))
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+
+def write_reports(path, reports) -> None:
+    """Write one report, or a list of them as a JSON array, to path."""
+    text = reports.to_json() if isinstance(reports, Report) else (
+        "[" + ",\n".join(r.to_json() for r in reports) + "]")
+    with open(path, "w") as fh:
+        fh.write(text + "\n")

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
+from strata_opt import distance
 from strata_opt.datasets import CR_SWEEP, get_dataset
 from strata_opt.hierarchy import (
     HierarchyOptions,
@@ -221,28 +222,25 @@ def test_criterion_4_concentration_sweep():
     rows = {}
     for ds_id in CR_SWEEP:
         e0 = PiezoTensor(voigt=np.array(get_dataset(ds_id).voigt))
-        prob = build_distance_problem_piezo(e0)
-        c = 1.5 * prob.objective.evaluate(np.zeros(7))
-        constraints = add_ball_constraint(prob.objective, prob.constraints, c, np.zeros(7))
-        res = run_hierarchy(prob.objective, constraints, HierarchyOptions(d_max=2))
-        assert res.status_xi == 1, ds_id
-        rows[ds_id] = (e0, prob, prob.total_distance(res.bound), res.minimizers[0])
+        report = distance(e0, d_max=2)
+        assert report.status_xi == 1, ds_id
+        rows[ds_id] = (e0, report.distance, np.array(report.minimizers_voigt[0]))
     elapsed = time.perf_counter() - t0
     assert elapsed <= 90.0
 
     d_exp, r_exp = TABLE1["aln"]
-    e0, _, delta, _ = rows["aln"]
+    e0, delta, _ = rows["aln"]
     assert abs(delta - d_exp) <= 1e-5
     assert abs(delta / e0.norm() - r_exp) <= 1e-5
 
     rng = np.random.default_rng(20220711)
-    for ds_id, (e0, prob, delta, x) in rows.items():
-        assert abs(prob.tensor_distance(x) - delta) <= 5e-5, ds_id
-        assert is_cubic_piezo(PiezoTensor(voigt=prob.minimizer_voigt(x))), ds_id
+    for ds_id, (e0, delta, closest) in rows.items():
+        assert abs(PiezoTensor(voigt=e0.voigt - closest).norm() - delta) <= 5e-5, ds_id
+        assert is_cubic_piezo(PiezoTensor(voigt=closest)), ds_id
         assert abs(_cubic_orbit_distance(e0.voigt, rng) - delta) <= 5e-5, ds_id
         assert delta <= TABLE1[ds_id][0] + 5e-5, ds_id
 
-    offsets = ", ".join(f"{i} {d - TABLE1[i][0]:+.1e}" for i, (_, _, d, _) in rows.items())
+    offsets = ", ".join(f"{i} {d - TABLE1[i][0]:+.1e}" for i, (_, d, _) in rows.items())
     _report(4, f"nine concentrations certified and matched by extraction and direct "
                f"search; Delta - table: {offsets}; {elapsed:.1f} s total")
 

@@ -193,6 +193,14 @@ class TestPopSolve:
     def test_missing_file(self, capsys):
         assert main(["pop-solve", "/nonexistent.pop"]) == 1
 
+    def test_unwritable_report_path_refused(self, tmp_path, capsys):
+        path = tmp_path / "p.pop"
+        path.write_text("var x\nmin x^2\nge x\nge 1 - x\nball 2\n")
+        code = main(["pop-solve", str(path), "--json", str(tmp_path / "missing" / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["var x\nmin x^2 + 1\nball 1e-300\n",
                                       "var x\nmin x^2 + 5\nball 1\n",
                                       "var x\nmin x^2\nge -1\n"])
@@ -370,6 +378,24 @@ class TestDistanceCommand:
             rep = Report.from_json(path.read_text())
             assert "seed" not in rep.problem
             assert rep.diagnostics and all("extraction_seeds" not in r for r in rep.diagnostics)
+
+    def test_unwritable_report_path_refused(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "r.json"
+        for datasets in ("aln", "aln,cr0.10"):
+            code = main(["distance", "--dataset", datasets, "--stratum", "cubic-piezo",
+                         "--json", str(missing)])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert "status xi        : +1" in out
+            assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+
+    def test_dmax_below_minimal_order_is_raised(self, tmp_path, capsys):
+        rep_path = tmp_path / "rep.json"
+        code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo",
+                     "--dmax", "0", "--json", str(rep_path)])
+        assert code == 0
+        assert capsys.readouterr().err == "note: raising --dmax to the minimal admissible order 1\n"
+        assert Report.from_json(rep_path.read_text()).problem["d_max"] == 1
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["distance", "--stratum", "cubic-ela"]) == 1

@@ -8,27 +8,17 @@ scales linearly with it; both facts exercise every layer at once
 import numpy as np
 import pytest
 
-from strata_opt.hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
-from strata_opt.mech import (
-    ElasticityTensor,
-    PiezoTensor,
-    build_distance_problem_ela,
-    build_distance_problem_piezo,
-)
+from strata_opt import distance
+from strata_opt.mech import ElasticityTensor, PiezoTensor
 from strata_opt.mech._tensalg import voigt_from_full3, voigt_from_full4
 
 from conftest import random_rotation
 
 
-def _run(problem, c_scale=1.5):
-    c = c_scale * problem.objective.evaluate(np.zeros(problem.n))
-    constraints = add_ball_constraint(
-        problem.objective, problem.constraints, c, np.zeros(problem.n)
-    )
-    opts = HierarchyOptions(d_max=2, coordinate_scale=problem.natural_scale)
-    res = run_hierarchy(problem.objective, constraints, opts)
-    assert res.status_xi == 1
-    return problem.total_distance(res.bound)
+def _run(tensor):
+    report = distance(tensor, d_max=2)
+    assert report.status_xi == 1
+    return report.distance
 
 
 def _rotate_ela(E: ElasticityTensor, g: np.ndarray) -> ElasticityTensor:
@@ -43,17 +33,17 @@ def _rotate_piezo(e: PiezoTensor, g: np.ndarray) -> PiezoTensor:
 
 class TestRotationInvariance:
     def test_elasticity_distance(self, E0, rng):
-        base = _run(build_distance_problem_ela(E0))
+        base = _run(E0)
         for _ in range(3):
             g = random_rotation(rng)
-            rotated = _run(build_distance_problem_ela(_rotate_ela(E0, g)))
+            rotated = _run(_rotate_ela(E0, g))
             assert rotated == pytest.approx(base, abs=5e-5)
 
     def test_piezo_distance(self, e0_aln, rng):
-        base = _run(build_distance_problem_piezo(e0_aln))
+        base = _run(e0_aln)
         for _ in range(3):
             g = random_rotation(rng)
-            rotated = _run(build_distance_problem_piezo(_rotate_piezo(e0_aln, g)))
+            rotated = _run(_rotate_piezo(e0_aln, g))
             assert rotated == pytest.approx(base, abs=5e-5)
 
 
@@ -62,15 +52,15 @@ class TestScaleCovariance:
     # Pa (1e9 larger than GPa) certifies as cleanly as the reference units
 
     def test_elasticity_distance_scales_linearly(self, E0):
-        base = _run(build_distance_problem_ela(E0))
+        base = _run(E0)
         for s in (1e-3, 1e3, 1e9):
             scaled = ElasticityTensor(voigt=s * E0.voigt)
-            d = _run(build_distance_problem_ela(scaled))
+            d = _run(scaled)
             assert d == pytest.approx(s * base, rel=2e-5)
 
     def test_piezo_distance_scales_linearly(self, e0_aln):
-        base = _run(build_distance_problem_piezo(e0_aln))
+        base = _run(e0_aln)
         for s in (0.01, 100.0, 1e6):
             scaled = PiezoTensor(voigt=s * e0_aln.voigt)
-            d = _run(build_distance_problem_piezo(scaled))
+            d = _run(scaled)
             assert d == pytest.approx(s * base, rel=2e-5)

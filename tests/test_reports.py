@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 
 from strata_opt.hierarchy import HierarchyOptions, run_hierarchy
 from strata_opt.moment import EQ, GE
 from strata_opt.poly import Polynomial
-from strata_opt.reports import THREAD_VARS, Report, diagnostics_to_plain, environment
+from strata_opt.reports import (THREAD_VARS, Report, diagnostics_to_plain, environment,
+                                write_reports)
 
 
 def _sample_report():
@@ -151,5 +154,7 @@ class TestJsonRoundTrip:
     def test_write_and_read(self, tmp_path):
         rep = _sample_report()
         path = tmp_path / "report.json"
-        rep.write(path)
+        write_reports(path, rep)
         assert Report.from_json(path.read_text()) == rep
+        write_reports(path, [rep, rep])
+        assert [Report(**r) for r in json.loads(path.read_text())] == [rep, rep]

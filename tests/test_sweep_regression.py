@@ -11,9 +11,9 @@ future drift here is a real regression.
 import numpy as np
 import pytest
 
+from strata_opt import distance
 from strata_opt.datasets import CR_SWEEP, get_dataset
-from strata_opt.hierarchy import HierarchyOptions, add_ball_constraint, run_hierarchy
-from strata_opt.mech import PiezoTensor, build_distance_problem_piezo
+from strata_opt.mech import PiezoTensor
 
 VERIFIED = {
     "aln": (1.214679, 0.684254),
@@ -31,12 +31,8 @@ VERIFIED = {
 @pytest.mark.parametrize("ds_id", CR_SWEEP)
 def test_certified_sweep_distance(ds_id):
     e0 = PiezoTensor(voigt=np.array(get_dataset(ds_id).voigt))
-    prob = build_distance_problem_piezo(e0)
-    c = 1.5 * prob.objective.evaluate(np.zeros(7))
-    constraints = add_ball_constraint(prob.objective, prob.constraints, c, np.zeros(7))
-    res = run_hierarchy(prob.objective, constraints, HierarchyOptions(d_max=2))
-    assert res.status_xi == 1
-    delta = prob.total_distance(res.bound)
+    report = distance(e0, d_max=2)
+    assert report.status_xi == 1
     d_exp, r_exp = VERIFIED[ds_id]
-    assert delta == pytest.approx(d_exp, abs=5e-5)
-    assert delta / e0.norm() == pytest.approx(r_exp, abs=5e-5)
+    assert report.distance == pytest.approx(d_exp, abs=5e-5)
+    assert report.distance / e0.norm() == pytest.approx(r_exp, abs=5e-5)
