@@ -21,8 +21,9 @@ from .datasets import get_dataset, list_datasets
 from .hierarchy import (HierarchyOptions, RelaxationTooLarge, add_ball_constraint, order_limit,
                         run_hierarchy)
 from .moment import minimal_order
-from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, classify_sym2, d2prime_ela,
-                   d2prime_piezo, harmonic_decompose_ela, piezo_harmonic_part, unit_scaled)
+from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, check_finite, classify_sym2,
+                   d2prime_ela, d2prime_piezo, harmonic_decompose_ela, piezo_harmonic_part,
+                   unit_scaled)
 from .reports import Report, diagnostics_to_plain, environment, write_reports
 from .sdp import SolverOptions
 
@@ -53,10 +54,7 @@ def _tensor(kind: str, voigt):
         voigt = np.array(voigt, dtype=float)
     except TypeError as exc:  # e.g. a JSON object
         raise ValueError(f"voigt must be a matrix of numbers ({exc})") from None
-    bad = np.argwhere(~np.isfinite(voigt)) if voigt.ndim else ()
-    if len(bad):
-        raise ValueError("tensor entries must be finite, got "
-                         + ", ".join(f"{voigt[tuple(i)]} at {tuple(i.tolist())}" for i in bad))
+    check_finite(voigt)
     if kind == "sym2":
         return Sym2Tensor.from_matrix(voigt)
     if kind == "elasticity":

@@ -7,7 +7,10 @@ yields a lower bound rho_d; when the flatness condition
 
 holds for the optimal moment vector y, the bound is certified, the measure
 behind y is atomic, and its atoms (the global minimizers) are extracted from
-the moment matrix.  The overall status mirrors the classic three-valued
+the moment matrix.  Each atom is projected onto the equalities {h = 0} and,
+where no inequality is active, polished by Newton steps on the KKT system
+of min f over {h = 0}, before it is validated against f and the
+constraints.  The overall status mirrors the classic three-valued
 convention: -1 no order solved, 0 solved but not certified, +1 certified.
 """
 
@@ -30,7 +33,8 @@ from .moment import (
     minimal_order,
     moment_matrix,
 )
-from .poly import Polynomial, grlex_position, jacobian_arrays, lambda_set, monomials, term_arrays
+from .poly import (Polynomial, derivative_arrays, grlex_position, lambda_set, monomials,
+                   term_arrays)
 from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
@@ -65,6 +69,12 @@ FEAS_REPORT_TOL = 1e-6
 # eps * max(m, n): dividing by them moved an atom along its orbit by 0.64 at
 # |x| ~ 300 and changed f by up to 4 times the acceptance tolerance
 PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
+# value of an inequality, relative to its terms' magnitude, up to which it
+# counts as active at an atom.  The atoms of a solve stopped at relative gap
+# delta are off by about sqrt(delta), 1e-4 at the default gap_tol, so no
+# active inequality reads as inactive; an inactive one read as active only
+# leaves its atom unpolished
+ACTIVE_TOL = 1e-3
 
 
 class RelaxationTooLarge(MemoryError):
@@ -362,19 +372,61 @@ def _check_memory(n: int, d: int, constraints, budget: float) -> None:
         raise RelaxationTooLarge(d, needed, int(budget))
 
 
-def _project(x: np.ndarray, h, jacobian, steps: int = 3) -> np.ndarray:
+def _project(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
     """At most `steps` Gauss-Newton steps towards {h = 0}: each the
     minimum-norm least-squares step on the Jacobian of the equalities,
-    until their values are rounding errors of their terms.  h and jacobian
-    are the term_arrays of the equalities and their jacobian_arrays."""
-    X, C = h
+    until their values are rounding errors of their terms.  X and C are
+    the derivative_arrays of [f] + the equalities, as _polish reads them."""
+    n = len(x)
+    H, G = C[0][1:], C[1][n:]
     for _ in range(steps):
         mono = monomials(X, x[None])[0]
-        value = C @ mono
-        if np.all(np.abs(value) <= 4.0 * np.finfo(float).eps * (np.abs(C) @ np.abs(mono))):
+        value = H @ mono
+        if np.all(np.abs(value) <= 4.0 * np.finfo(float).eps * (np.abs(H) @ np.abs(mono))):
             break
-        J = (jacobian[1] @ monomials(jacobian[0], x[None])[0]).reshape(len(C), -1)
+        J = (G @ mono).reshape(len(H), n)
         x = x - np.linalg.lstsq(J, value, rcond=PROJECTION_RCOND)[0]
+    return x
+
+
+def _polish(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
+    """At most `steps` Newton steps on the KKT system of min f over {h = 0}
+    from x: each solves
+
+        [ H_f + sum_j lam_j H_hj   J^T ] [ dx ]     [ grad f + J^T lam ]
+        [ J                        0   ] [ dl ] = - [ h                ]
+
+    with lam the least-squares multipliers of grad f + J^T lam = 0, by lstsq
+    with PROJECTION_RCOND as in _project (on a stratum J is rank deficient),
+    and is kept only if it lowers the KKT residual |(grad f + J^T lam, h)|.
+    A kept step below PROJECTION_RCOND |x| ends the polish: the next one,
+    about its square, would be rounding.  X and C are the derivative_arrays
+    of [f] + the equalities of orders 0, 1 and 2, so that one monomial
+    evaluation serves a point."""
+    n, m = len(x), len(C[0]) - 1
+    K = np.zeros((n + m, n + m))
+
+    def kkt(x):
+        """The KKT residual's square and vector at x, and the KKT matrix's
+        blocks: J and the Hessian of the Lagrangian."""
+        mono = monomials(X, x[None])[0]
+        grad = C[1] @ mono
+        J = grad[n:].reshape(m, n)
+        lam = np.linalg.lstsq(J.T, -grad[:n], rcond=PROJECTION_RCOND)[0] if m else grad[:0]
+        r = np.concatenate((grad[:n] + J.T @ lam, C[0][1:] @ mono))
+        hess = (C[2] @ mono).reshape(m + 1, n * n)
+        return r @ r, r, J, (hess[0] + lam @ hess[1:]).reshape(n, n)
+
+    best, r, J, H = kkt(x)
+    for _ in range(steps):
+        K[:n, :n], K[:n, n:], K[n:, :n] = H, J.T, J
+        dx = np.linalg.lstsq(K, r, rcond=PROJECTION_RCOND)[0][:n]
+        at_trial = kkt(x - dx)
+        if not at_trial[0] < best:
+            break
+        x, (best, r, J, H) = x - dx, at_trial
+        if dx @ dx <= PROJECTION_RCOND**2 * (x @ x):
+            break
     return x
 
 
@@ -469,23 +521,33 @@ def _attempt_extraction(f, constraints, sol, d, s, rec, r=1.0):
     """One atom extraction plus a-posteriori atom validation.
 
     Atoms live in the (possibly dilated) solver coordinates; they are mapped
-    back by r, projected onto the equalities {h = 0} (_project) and
-    validated against the original objective and constraints.
+    back by r and projected onto the equalities {h = 0} (_project).  An atom
+    at which no inequality is active (ACTIVE_TOL) is then polished by Newton
+    steps on the KKT system of min f over {h = 0} (_polish): its accuracy no
+    longer rides on the gap the solver stopped at.  An atom at an active
+    inequality stays as projected.  Every atom is validated against the
+    original objective and constraints.
     """
     X, C = term_arrays([g for g, _ in constraints], f.n)
     is_eq = np.array([kind == EQ for _, kind in constraints], dtype=bool)
     equalities = [g for g, kind in constraints if kind == EQ]
-    if equalities:
-        h = (X, C[is_eq])
-        jacobian = jacobian_arrays(equalities, f.n)
+    DX, DC = derivative_arrays([f] + equalities, f.n, (0, 1, 2))
+
+    def values(x):
+        """The constraints' values at x and the magnitudes 1 + sum |c_alpha
+        x^alpha| of their own terms."""
+        mono = monomials(X, x[None])[0]
+        return C @ mono, 1.0 + np.abs(C) @ np.abs(mono)
 
     def violation(x):
-        """The largest violation of a constraint at x, relative to the
-        magnitude 1 + sum |c_alpha x^alpha| of the constraint's own terms."""
-        mono = monomials(X, x[None])[0]
-        val = C @ mono
+        """The largest violation of a constraint at x, relative to its terms."""
+        val, size = values(x)
         raw = np.where(is_eq, np.abs(val), np.maximum(0.0, -val))
-        return float(np.max(raw / (1.0 + np.abs(C) @ np.abs(mono)), initial=0.0))
+        return float(np.max(raw / size, initial=0.0))
+
+    def active(x):
+        val, size = values(x)
+        return bool(np.any(~is_eq & (val <= ACTIVE_TOL * size)))
     try:
         points, _weights = extract_minimizers(sol.y, d, s, tol=EXTRACTION_TOL)
     except ExtractionFailure as exc:
@@ -493,7 +555,8 @@ def _attempt_extraction(f, constraints, sol, d, s, rec, r=1.0):
         return [], False
 
     raw = [r * x for x in points]
-    points = [_project(x, h, jacobian) for x in raw] if equalities else raw
+    points = [_project(x, DX, DC) for x in raw]
+    points = [x if active(x) else _polish(x, DX, DC) for x in points]
     rec.max_violation_before_projection = max(violation(x) for x in raw)
     f_tol = max(1e-4 * (1.0 + abs(sol.objective)), 10.0 * sol.duality_gap)
     viols = [violation(x) for x in points]

@@ -97,6 +97,16 @@ def voigt_from_full3(T):
     return T[..., _ROWS, _COLS]
 
 
+def check_finite(m) -> None:
+    """Refuse an array with an entry that is not finite, naming each one and
+    its index."""
+    m = np.asarray(m)
+    bad = np.argwhere(~np.isfinite(m)) if m.ndim else ()
+    if len(bad):
+        raise ValueError("tensor entries must be finite, got "
+                         + ", ".join(f"{m[tuple(i)]} at {tuple(i.tolist())}" for i in bad))
+
+
 def unit_scaled(m):
     """m divided by the power of two at or above its largest entry: exact, so
     a scale-invariant test reads the same answer without overflow or underflow."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .hierarchy import HierarchyOptions, add_ball_constraint, order_limit, run_hierarchy
 from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, build_distance_problem_ela,
-                   build_distance_problem_piezo, build_distance_problem_sym2)
+                   build_distance_problem_piezo, build_distance_problem_sym2, check_finite)
 from .moment import minimal_order
 from .reports import Report, diagnostics_to_plain, environment
 from .sdp import SolverOptions
@@ -30,14 +30,16 @@ def distance(tensor, c="auto", d_max=None, solver=None, rank_eps=1e-6) -> Report
     raised to d0 when below.  The report's ``problem["input"]`` is None for
     the caller to label.
 
-    Raises ValueError when the squared distance does not fit a double, c
-    does not dominate f(x_ref) or a tolerance is invalid, and
-    hierarchy.RelaxationTooLarge when an order needs too much memory.
+    Raises ValueError when an entry of the tensor is not finite, the squared
+    distance does not fit a double, c does not dominate f(x_ref) or a
+    tolerance is invalid, and hierarchy.RelaxationTooLarge when an order
+    needs too much memory.
     """
     try:
         stratum, kind, build = STRATA[type(tensor)]
     except KeyError:
         raise TypeError(f"no stratum for a {type(tensor).__name__}") from None
+    check_finite(tensor.mat if isinstance(tensor, Sym2Tensor) else tensor.voigt)
     problem = build(tensor)
     f = problem.objective
     if c == "auto":

@@ -33,7 +33,12 @@ scaling of the block blows up exactly along the directions the rows fix,
 and the Cholesky factorization of M breaks down near the optimum.
 
 Algorithm: infeasible-start path following with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  Where the Newton system's factors
+Mehrotra predictor-corrector step.  The start is the u that meets the rows,
+with S = tau I and Z = I / tau in every block (s = tau and z = 1 / tau for
+the rows), tau = 1 + the largest norm of a block at u: S Z = I, so the
+start is centred at mu = 1 whatever the problem's scale.  (Z = I, at
+mu = tau, took about a tenth more iterations on the order-(d0 + 1)
+relaxations of the strata.)  Where the Newton system's factors
 serve every solve (the Cholesky route of _linalg.kkt_solver, not the small
 systems' LU), up to EXTRA_CORRECTORS more correctors follow, each with the
 last direction's own dS^ dZ^ as its second-order term (Carpenter, Lustig,
@@ -385,11 +390,11 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
         row_norms = np.abs(A @ u + b)
         peaks.append(float(np.max(row_norms)))
 
-    # strictly interior start: slack and dual multiplier proportional to I
+    # strictly interior start on the central path's mu = 1: S = tau I, Z = I / tau
     tau = 1.0 + max(peaks)
     S = [tau * np.broadcast_to(I, x.shape) for I, x in zip(eyes, start)]
-    Z = [np.broadcast_to(I, x.shape).copy() for I, x in zip(eyes, start)]
-    s, z = np.full(k, tau), np.ones(k)
+    Z = [np.broadcast_to(I / tau, x.shape).copy() for I, x in zip(eyes, start)]
+    s, z = np.full(k, tau), np.full(k, 1.0 / tau)
     lam = np.zeros(len(e))
 
     trace: list[tuple] = []

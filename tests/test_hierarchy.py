@@ -447,3 +447,56 @@ class TestMemoryBudget:
         # the refusal keeps the worker's share when it crosses the process boundary
         exc = pickle.loads(pickle.dumps(hierarchy.RelaxationTooLarge(3, 10, 5)))
         assert "0.125 of the available memory" in str(exc)
+
+
+def _extract_from_dirac(f, constraints, point, d=2):
+    """_attempt_extraction on the moments of the Dirac measure at point, as a
+    solve that stopped there would give them: (atoms, accepted)."""
+    from strata_opt.hierarchy import OrderDiagnostics, _attempt_extraction
+    from strata_opt.sdp import SdpSolution
+
+    y = MomentVector.from_dirac(np.asarray(point, dtype=float), d)
+    value = f.evaluate(point)
+    sol = SdpSolution(y=y, objective=value, duality_gap=0.0, iterations=0, status="optimal")
+    rec = OrderDiagnostics(d=d, solver_status="optimal", objective=value, duality_gap=0.0,
+                           iterations=0)
+    return _attempt_extraction(f, constraints, sol, d, 1, rec)
+
+
+class TestPolish:
+    def test_two_symmetric_minimizers_to_rounding(self):
+        """The atoms of (x^2 - 1)^2 take the error of the moments the solver
+        stopped at, 1.5e-6 before the polish; Newton steps on f' = 0 leave
+        rounding."""
+        x = Polynomial.variable(0, 1)
+        f = (x * x - 1.0) ** 2
+        cons = add_ball_constraint(f, [], 3.0, np.array([0.5]))
+        res = run_hierarchy(f, cons, HierarchyOptions(d_max=4))
+        assert res.status_xi == 1
+        got = sorted(float(p[0]) for p in res.minimizers)
+        np.testing.assert_allclose(got, [-1.0, 1.0], rtol=0.0, atol=1e-10)
+
+    def test_atom_off_the_minimizer_along_the_equality(self):
+        """min x + y on x^2 + y^2 = 1 from an atom on the circle 1e-5 off
+        the minimizer: the projection onto the circle leaves it where it is,
+        and the KKT steps move it along the circle to -(1, 1)/sqrt(2)."""
+        from strata_opt.moment import EQ
+
+        x, y = Polynomial.variables(2)
+        theta = 1.25 * np.pi + 1e-5
+        atoms, accepted = _extract_from_dirac(x + y, [(x * x + y * y - 1.0, EQ)],
+                                              [np.cos(theta), np.sin(theta)])
+        assert accepted and len(atoms) == 1
+        np.testing.assert_allclose(atoms[0], -np.sqrt(0.5) * np.ones(2), rtol=0.0, atol=1e-10)
+
+    def test_atom_at_an_active_inequality_is_not_polished(self):
+        """min x + y on x^2 + y^2 = 1 and x >= 0.6 has its minimizer at
+        (0.6, -0.8), where x >= 0.6 is active.  Steps on the KKT system of
+        the equality alone would leave the feasible set; the atom stays."""
+        from strata_opt.moment import EQ
+
+        x, y = Polynomial.variables(2)
+        cons = [(x * x + y * y - 1.0, EQ), (x - 0.6, GE)]
+        atoms, accepted = _extract_from_dirac(x + y, cons, [0.6, -0.8])
+        assert accepted and len(atoms) == 1
+        np.testing.assert_allclose(atoms[0], [0.6, -0.8], rtol=0.0, atol=1e-12)

@@ -58,3 +58,16 @@ def test_given_ball_constant_is_kept_and_checked():
     assert report.distance == pytest.approx(74.131148, abs=5e-5)
     with pytest.raises(ValueError, match="does not dominate"):
         strata_opt.distance(E0, c=1.0)
+
+
+@pytest.mark.parametrize("ds_id", ["a0", "E0", "aln"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entry_refused_with_its_index(ds_id, value):
+    """The library refuses a tensor entry that is not finite as the command
+    line does, naming the entry, before its distance problem is built."""
+    tensor = _dataset_tensor(ds_id)
+    field = "mat" if isinstance(tensor, Sym2Tensor) else "voigt"
+    array = np.array(getattr(tensor, field))
+    array[1, 2] = value
+    with pytest.raises(ValueError, match=rf"^tensor entries must be finite, got {value} at \(1, 2\)"):
+        strata_opt.distance(type(tensor)(**{field: array}))

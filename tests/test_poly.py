@@ -12,9 +12,9 @@ from strata_opt.moment import MomentVector, assemble_relaxation
 from strata_opt.popfile import format_polynomial, parse_polynomial
 from strata_opt.poly import (
     Polynomial,
+    derivative_arrays,
     forms_from_tensor,
     grlex_position,
-    jacobian_arrays,
     lambda_set,
     term_arrays,
 )
@@ -103,6 +103,19 @@ class TestPolynomialBasics:
     def test_constant(self):
         p = Polynomial.constant(3, 5.0)
         assert p.evaluate([9.0, -2.0, 0.5]) == 5.0
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, 1.5, -3e300, 5e-324])
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_constant_arrays_are_the_mapping_constructors(self, n, c):
+        p, q = Polynomial.constant(n, c), Polynomial(n, {(0,) * n: c})
+        for a, b in ((p.exponents, q.exponents), (p.coeffs, q.coeffs)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_constant_refuses_a_non_finite_value(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial.constant(2, c)
 
     def test_no_zero_coeffs_stored(self):
         p = Polynomial(2, {(1, 0): 1.0, (0, 1): 0.0})
@@ -305,7 +318,7 @@ def test_gradient_matches_central_differences(p):
 @given(st.lists(polynomials(), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_jacobian_arrays_are_the_term_arrays_of_the_gradients(polys):
-    X, C = jacobian_arrays(polys, 2)
+    X, (C,) = derivative_arrays(polys, 2, (1,))
     want_X, want_C = term_arrays([dp for p in polys for dp in p.gradient()], 2)
     np.testing.assert_array_equal(X, want_X)
     np.testing.assert_array_equal(C, want_C)
@@ -323,10 +336,25 @@ def test_jacobian_arrays_of_the_strata_equations(a0, E0, e0_aln):
                  build_distance_problem_piezo(e0_aln)):
         eqs = [g for g, _ in prob.constraints]
         assert eqs
-        X, C = jacobian_arrays(eqs, prob.n)
+        X, (C,) = derivative_arrays(eqs, prob.n, (1,))
         want_X, want_C = term_arrays([dg for g in eqs for dg in g.gradient()], prob.n)
         np.testing.assert_array_equal(X, want_X)
         np.testing.assert_array_equal(C, want_C)
+
+
+@given(st.lists(polynomials(), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_derivative_arrays_of_three_orders_share_one_support(polys):
+    """Orders 0, 1 and 2 over one support are bitwise the term_arrays of
+    the polynomials, their gradients and their gradients' gradients."""
+    X, (C0, C1, C2) = derivative_arrays(polys, 2, (0, 1, 2))
+    grads = [dp for p in polys for dp in p.gradient()]
+    hessians = [ddp for dp in grads for ddp in dp.gradient()]
+    want_X, want_C = term_arrays(list(polys) + grads + hessians, 2)
+    np.testing.assert_array_equal(X, want_X)
+    np.testing.assert_array_equal(np.vstack((C0, C1, C2)), want_C)
+    assert (len(C0), len(C1), len(C2)) == (len(polys), 2 * len(polys), 4 * len(polys))
+    assert not (X.flags.writeable or C0.flags.writeable or C2.flags.writeable)
 
 
 def test_gradient_of_known_polynomial():

@@ -1105,6 +1105,20 @@ def test_memory_estimate_bounds_the_peak_with_equality_rows(fixture, d, request)
     assert relaxation_bytes(n, d, cons) >= peak + 8 * sol.schur_dim ** 2
 
 
+def test_start_is_on_the_central_path_at_mu_one():
+    """S = tau I and Z = I / tau in every stack and every linear row, so the
+    first iterate has mu = 1, whatever tau the start's blocks give."""
+    x, y = Polynomial.variables(2)
+    cons = [(x * x + y * y - 1.0, EQ), (4.0 - x * x - y * y, GE),
+            (10.0 - x**4 - y**4, GE)]
+    problem = assemble_relaxation(x + 2.0 * y, cons, 2)
+    assert sorted(b.side for b in problem.blocks) == [1, 3, 6]
+    sol = solve_sdp(problem)
+    assert sol.status == "optimal"
+    assert sol.linear_rows == 1 and sol.equality_rows > 0
+    assert sol.trace[0][1] == pytest.approx(1.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("objective, status, value", [
     ([2.0, 0.0, 0.0], "optimal", 2.0), ([0.0, 1.0, 0.0], "unbounded_suspected", None)])
 def test_relaxation_without_a_block(objective, status, value):
