@@ -7,7 +7,8 @@ assembly), solved by ``sdp`` (dense primal-dual interior point) and driven
 by ``hierarchy`` (relaxation loop, rank certification, atom extraction).
 ``mech`` holds the constitutive-tensor algebra and reduces stratum distances
 to small polynomial problems; ``pipeline.distance`` runs one stratum distance
-on top of both and returns its report.  ``datasets``, ``popfile``, ``reports``
+on top of both, and ``pipeline.pop_solve`` one parsed problem file, each
+returning its report.  ``datasets``, ``popfile``, ``reports``
 and ``cli`` provide the data and user-facing plumbing.
 
 Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
@@ -44,7 +45,7 @@ from .moment import (  # noqa: E402
     moment_matrix,
     shift_vector,
 )
-from .pipeline import distance  # noqa: E402
+from .pipeline import distance, pop_solve  # noqa: E402
 from .poly import Polynomial, lambda_set  # noqa: E402
 from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
 
@@ -68,6 +69,7 @@ __all__ = [
     "minimal_order",
     "moment_matrix",
     "numerical_rank",
+    "pop_solve",
     "run_hierarchy",
     "shift_vector",
     "solve_sdp",

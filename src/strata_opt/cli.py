@@ -11,23 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from functools import partial
 
 import numpy as np
 
 from . import hierarchy, pipeline
 from .datasets import get_dataset, list_datasets
-from .hierarchy import (HierarchyOptions, RelaxationTooLarge, add_ball_constraint, order_limit,
-                        run_hierarchy)
-from .moment import minimal_order
-from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, check_finite, classify_sym2,
-                   d2prime_ela, d2prime_piezo, harmonic_decompose_ela, piezo_harmonic_part,
-                   unit_scaled)
-from .reports import Report, diagnostics_to_plain, environment, write_reports
+from .hierarchy import RelaxationTooLarge
+from .mech import (classify_ela, classify_piezo, classify_sym2, harmonic_decompose_ela,
+                   piezo_harmonic_part)
+from .reports import write_reports
 from .sdp import SolverOptions
 
 STRATA = {stratum: kind for stratum, kind, _build in pipeline.STRATA.values()}
+TENSOR_TYPES = {kind: cls for cls, (_stratum, kind, _build) in pipeline.STRATA.items()}
 EXIT_CODES = {1: 0, 0: 2, -1: 3}  # by status_xi; a batch exits with its largest
 
 
@@ -47,21 +44,15 @@ def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
 
 
 def _tensor(kind: str, voigt):
-    """The tensor of the given kind from its Voigt (or 3x3) matrix;
-    asymmetry is an error, not silently averaged away, and so is an entry
-    that is not finite."""
+    """The tensor of the given kind from its Voigt (or 3x3) matrix; the type
+    refuses an entry that is not finite and an asymmetric matrix."""
     try:
         voigt = np.array(voigt, dtype=float)
     except TypeError as exc:  # e.g. a JSON object
         raise ValueError(f"voigt must be a matrix of numbers ({exc})") from None
-    check_finite(voigt)
-    if kind == "sym2":
-        return Sym2Tensor.from_matrix(voigt)
-    if kind == "elasticity":
-        return ElasticityTensor.from_voigt(voigt)
-    if kind == "piezo":
-        return PiezoTensor(voigt=voigt)
-    raise ValueError(f"unknown tensor kind {kind!r}")
+    if kind not in TENSOR_TYPES:
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    return TENSOR_TYPES[kind](voigt)
 
 
 def _load_input(path: str):
@@ -97,45 +88,42 @@ def _write_json(path: str, reports) -> int:
     return 0
 
 
+def _solver_options(args) -> dict:
+    """The order and tolerance flags as keyword arguments of a pipeline run."""
+    return dict(d_max=args.dmax, rank_eps=args.rank_eps,
+                solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol))
+
+
 def _share_memory(workers: int) -> None:
     """Process-pool initializer: workers that solve at the same time split
-    the memory budget of run_hierarchy, so together they stay within it."""
+    the hierarchy's memory budget, so together they stay within it."""
     hierarchy.MEMORY_FRACTION /= workers
 
 
 def cmd_distance(args) -> int:
-    try:
-        c = args.c if args.c == "auto" else float(args.c)
-        labels, kinds, tensors = zip(*_inputs(args))
-        for label, kind in zip(labels, kinds):
-            if kind != STRATA[args.stratum]:
-                raise ValueError(f"{label} has kind {kind}, incompatible with stratum {args.stratum}")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    c = args.c if args.c == "auto" else float(args.c)
+    labels, kinds, tensors = zip(*_inputs(args))
+    for label, kind in zip(labels, kinds):
+        if kind != STRATA[args.stratum]:
+            raise ValueError(f"{label} has kind {kind}, incompatible with stratum {args.stratum}")
+    run = partial(pipeline.distance, c=c, **_solver_options(args))
+    if args.jobs > 1 and len(tensors) > 1:
+        # imported here: the process-pool machinery is a cost of --jobs only
+        from concurrent.futures import ProcessPoolExecutor
 
-    solver = SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
-    run = partial(pipeline.distance, c=c, d_max=args.dmax, solver=solver, rank_eps=args.rank_eps)
-    try:
-        if args.jobs > 1 and len(tensors) > 1:
-            # imported here: the process-pool machinery is a cost of --jobs only
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(args.jobs, len(tensors))
-            with ProcessPoolExecutor(max_workers=workers, initializer=_share_memory,
-                                     initargs=(workers,)) as pool:
-                reports = list(pool.map(run, tensors))
-        else:
-            reports = [run(tensor) for tensor in tensors]
-    except (ValueError, RelaxationTooLarge) as exc:  # e.g. a ball constant below f(x_ref)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        workers = min(args.jobs, len(tensors))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_memory,
+                                 initargs=(workers,)) as pool:
+            reports = list(pool.map(run, tensors))
+    else:
+        reports = [run(tensor) for tensor in tensors]
 
     for label, report in zip(labels, reports):
         p = report.problem
         p["input"] = label
         _note_raised_order(args.dmax, p["d_max"])
-        print(f"== distance: {label} -> stratum {p['stratum']} (c = {p['c']:g})")
+        print(f"== distance: {label} -> stratum {p['stratum']} "
+              f"(c = {'n/a' if p['c'] is None else format(p['c'], 'g')})")
         print(f"  status xi        : {report.status_xi:+d}")
         if report.bound is not None:
             print(f"  certified bound  : {_fmt(report.bound)}")
@@ -158,11 +146,7 @@ def _get_tensor(args):
 
 
 def cmd_decompose(args) -> int:
-    try:
-        label, kind, tensor = _get_tensor(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    label, kind, tensor = _get_tensor(args)
     print(f"== harmonic decomposition: {label} ({kind})")
     if kind == "elasticity":
         h = harmonic_decompose_ela(tensor)
@@ -189,15 +173,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        label, kind, tensor = _get_tensor(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    label, kind, tensor = _get_tensor(args)
     print(f"== classify: {label} ({kind}, tol = {args.tol:g})")
-    # the residuals do not depend on scale, but the norms of a tensor near the
-    # largest double overflow
-    tensor = type(tensor)(unit_scaled(tensor.mat if kind == "sym2" else tensor.voigt))
     if kind == "sym2":
         cls = classify_sym2(tensor, tol=args.tol)
         print(f"  class: {cls.label}")
@@ -205,102 +182,38 @@ def cmd_classify(args) -> int:
         print(f"  |a^2 x a| / |a|^3 = {cls.transverse_residual:.3e}")
         if len(cls.chain) > 1:
             print("  closed-stratum membership chain: " + " -> ".join(cls.chain))
-    elif kind == "elasticity":
-        h = harmonic_decompose_ela(tensor)
-        nE = tensor.norm()
-        r_d = h.dprime.norm() / nE if nE > 0 else 0.0
-        r_v = h.vprime.norm() / nE if nE > 0 else 0.0
-        nH2 = h.h4.norm2()
-        r_d2 = d2prime_ela(h.h4).norm() / nH2 if nH2 > 0 else 0.0
-        cubic = r_d <= args.tol and r_v <= args.tol and r_d2 <= args.tol
-        strict = cubic and np.sqrt(nH2) > args.tol * nE
-        label_out = "at-least-cubic" + (" (strictly cubic)" if strict else "") if cubic else "not cubic"
-        print(f"  class: {label_out}")
-        print(f"  |d'| / |E|     = {r_d:.3e}")
-        print(f"  |v'| / |E|     = {r_v:.3e}")
-        print(f"  |d2'| / |H|^2  = {r_d2:.3e}")
-    else:
-        split = piezo_harmonic_part(tensor)
-        ne = tensor.norm()
-        r_g = split.g.norm() / ne if ne > 0 else 0.0
-        nh2 = split.h.norm2()
-        r_d2 = d2prime_piezo(split.h).norm() / nh2 if nh2 > 0 else 0.0
-        cubic = r_g <= args.tol and r_d2 <= args.tol
-        strict = cubic and np.sqrt(nh2) > args.tol * ne
-        label_out = "at-least-cubic" + (" (strictly cubic)" if strict else "") if cubic else "not cubic"
-        print(f"  class: {label_out}")
-        print(f"  |g| / |e|      = {r_g:.3e}")
-        print(f"  |d2'| / |h|^2  = {r_d2:.3e}")
+        return 0
+    cls = (classify_ela if kind == "elasticity" else classify_piezo)(tensor, tol=args.tol)
+    print(f"  class: {cls.label}")
+    for name, residual in cls.residuals.items():
+        print(f"  {name:<15}= {residual:.3e}")
     return 0
 
 
 def cmd_pop_solve(args) -> int:
     # imported here: without a bytecode cache every other command would compile it
-    from .popfile import PopFormatError, parse_pop
+    from .popfile import parse_pop
 
-    try:
-        with open(args.file) as fh:
-            problem = parse_pop(fh.read())
-    except (OSError, PopFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    f = problem.objective
-    constraints = list(problem.constraints)
-    if problem.ball is not None:
-        try:
-            constraints = add_ball_constraint(f, constraints, problem.ball)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
+    with open(args.file) as fh:
+        problem = parse_pop(fh.read())
+    if problem.ball is None:
         print("warning: no ball statement; convergence is only guaranteed for "
               "Archimedean constraints", file=sys.stderr)
-    d_max = order_limit(args.dmax, minimal_order(f, constraints))
-    _note_raised_order(args.dmax, d_max)
-    opts = HierarchyOptions(d_max=d_max, rank_eps=args.rank_eps,
-                            solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol))
-    t0 = time.perf_counter()
-    try:
-        result = run_hierarchy(f, constraints, opts)
-    except (ValueError, RelaxationTooLarge) as exc:  # e.g. a tolerance that is not positive
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    seconds = time.perf_counter() - t0
+    report = pipeline.pop_solve(problem, **_solver_options(args))
+    report.problem["file"] = args.file
+    _note_raised_order(args.dmax, report.problem["d_max"])
 
     print(f"== pop-solve: {args.file}")
-    print(f"  status xi : {result.status_xi:+d}")
-    if np.isfinite(result.bound):
-        print(f"  bound     : {_fmt(result.bound)}")
-    for x in result.minimizers:
-        print("  minimizer : (" + ", ".join(_fmt(v) for v in x) + ")")
-    print(f"  wall time : {seconds:.2f} s")
+    print(f"  status xi : {report.status_xi:+d}")
+    if report.bound is not None:
+        print(f"  bound     : {_fmt(report.bound)}")
+    for x in report.minimizers_voigt:
+        print("  minimizer : (" + ", ".join(map(_fmt, x)) + ")")
+    print(f"  wall time : {report.seconds:.2f} s")
 
-    if args.json:
-        bound = None if not np.isfinite(result.bound) else result.bound
-        report = Report(
-            problem={
-                "command": "pop-solve",
-                "file": args.file,
-                "var_names": list(problem.var_names),
-                "ball": problem.ball,
-                "d_max": opts.d_max,
-                "gap_tol": args.gap_tol,
-                "feas_tol": args.feas_tol,
-                "rank_eps": args.rank_eps,
-                "offset": 0.0,
-            },
-            diagnostics=diagnostics_to_plain(result.diagnostics),
-            status_xi=result.status_xi,
-            bound=bound,
-            distance=None if bound is None else float(np.sqrt(max(0.0, bound))),
-            minimizers_voigt=[list(map(float, x)) for x in result.minimizers],
-            seconds=seconds,
-            environment=environment(),
-        )
-        if _write_json(args.json, report):
-            return 1
-
-    return EXIT_CODES[result.status_xi]
+    if args.json and _write_json(args.json, report):
+        return 1
+    return EXIT_CODES[report.status_xi]
 
 
 def cmd_datasets(args) -> int:
@@ -308,11 +221,7 @@ def cmd_datasets(args) -> int:
         if not args.id:
             print("error: datasets show needs an id", file=sys.stderr)
             return 1
-        try:
-            ds = get_dataset(args.id)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        ds = get_dataset(args.id)
         print(f"== {ds.id} ({ds.kind}, units {ds.units})")
         print(f"  source: {ds.source}")
         _print_matrix(ds.voigt)
@@ -379,7 +288,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError, RelaxationTooLarge) as exc:
+        # an input, parse or run error (a bad file, a ball constant below
+        # f(x_ref), a tolerance that is not positive): one line, exit code 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -103,6 +103,17 @@ class HierarchyOptions:
     # regardless of the input units.
     coordinate_scale: float = 1.0
 
+    def __post_init__(self):
+        r = float(self.coordinate_scale)
+        if not np.isfinite(r) or r <= 0.0:
+            raise ValueError(f"coordinate_scale must be positive, got {r}")
+        if not 0.0 < self.rank_eps < 1.0:
+            raise ValueError(f"rank_eps must lie in (0, 1), got {self.rank_eps}")
+        for name in ("gap_tol", "feas_tol"):
+            tol = getattr(self.solver, name)
+            if not np.isfinite(tol) or tol <= 0.0:
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
+
 
 @dataclass
 class OrderDiagnostics:
@@ -438,14 +449,6 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
     if opts.d_max < d0:
         raise ValueError(f"d_max={opts.d_max} below minimal order d0={d0}")
     r = float(opts.coordinate_scale)
-    if not np.isfinite(r) or r <= 0.0:
-        raise ValueError(f"coordinate_scale must be positive, got {r}")
-    if not 0.0 < opts.rank_eps < 1.0:
-        raise ValueError(f"rank_eps must lie in (0, 1), got {opts.rank_eps}")
-    for name in ("gap_tol", "feas_tol"):
-        tol = getattr(opts.solver, name)
-        if not np.isfinite(tol) or tol <= 0.0:
-            raise ValueError(f"{name} must be finite and positive, got {tol}")
     if r != 1.0:
         f_solve = f.dilate(r)
         cons_solve = [(g.dilate(r), kind) for g, kind in constraints]

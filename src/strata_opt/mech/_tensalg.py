@@ -113,6 +113,21 @@ def unit_scaled(m):
     return np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
 
 
+def symmetric_matrix(m, n: int, what: str, tol: float, message: str):
+    """0.5 (m + m^T), refusing first an entry that is not finite, then another
+    shape than n x n and an asymmetry above tol of the largest |entry| (with
+    message; compared at unit size, so no difference overflows)."""
+    m = np.asarray(m, dtype=float)
+    check_finite(m)
+    if m.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} {what}, got shape {m.shape}")
+    if (m != m.T).any():  # an exactly symmetric matrix, as every one built here, skips the test
+        u = unit_scaled(m)
+        if np.max(np.abs(u - u.T)) > tol * np.max(np.abs(u)):
+            raise ValueError(message)
+    return 0.5 * (m + m.T)
+
+
 def voigt_norm(V, W):
     """sqrt(sum W V V) for a Voigt table V with multiplicities W, formed on V
     scaled by a power of two to unit size: the scaling is exact, and no

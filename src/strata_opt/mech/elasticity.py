@@ -41,32 +41,32 @@ __all__ = [
     "ela_norm2_split",
     "d2prime_ela",
     "d2prime_ela_polynomials",
+    "CubicClassification",
+    "classify_ela",
     "is_cubic_ela",
     "build_distance_problem_ela",
 ]
 
 H4_VARS = ("L1", "L2", "L3", "X1", "X2", "Y1", "Y2", "Z1", "Z2")
+_ASYMMETRIC = "Voigt matrix must be 6x6 symmetric"
 
 
 @dataclass(frozen=True)
 class ElasticityTensor:
-    """Fourth-order elasticity tensor stored as its symmetric 6x6 Voigt matrix."""
+    """Fourth-order elasticity tensor stored as its symmetric 6x6 Voigt
+    matrix.  The constructor refuses an entry that is not finite and an
+    asymmetry above 1e-9 of the largest |entry|, and stores 0.5 (V + V^T)."""
 
     voigt: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.voigt, dtype=float)
-        if m.shape != (6, 6):
-            raise ValueError(f"expected a 6x6 Voigt matrix, got shape {m.shape}")
-        object.__setattr__(self, "voigt", 0.5 * (m + m.T))
+        object.__setattr__(self, "voigt",
+                           ta.symmetric_matrix(self.voigt, 6, "Voigt matrix", 1e-9, _ASYMMETRIC))
 
     @classmethod
     def from_voigt(cls, m, tol: float = 1e-9) -> "ElasticityTensor":
-        m = np.asarray(m, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if m.shape != (6, 6) or np.max(np.abs(m - m.T)) > tol * scale:
-            raise ValueError("Voigt matrix must be 6x6 symmetric")
-        return cls(voigt=m)
+        """The tensor of m, accepting an asymmetry up to tol of its largest |entry|."""
+        return cls(voigt=ta.symmetric_matrix(m, 6, "Voigt matrix", tol, _ASYMMETRIC))
 
     def full(self) -> np.ndarray:
         return ta.full4_from_voigt(self.voigt)
@@ -251,20 +251,47 @@ def d2prime_ela(H: H4Params) -> Sym2Tensor:
     return Sym2Tensor(mat=ta.dev(np.einsum("ipqr,pqrj->ij", T, T)))
 
 
-def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:
-    """At-least-cubic test d' = v' = 0 and d2'(H) = 0, all relative;
-    with strict=True additionally requires a nonzero harmonic part."""
-    E = ElasticityTensor(ta.unit_scaled(E.voigt))  # the test does not depend on scale
+@dataclass(frozen=True)
+class CubicClassification:
+    """The at-least-cubic test: the relative residuals of the stratum's
+    equations by name; cubic when each is at most tol, and strictly cubic
+    when the harmonic part is also above tol of the tensor's norm."""
+
+    residuals: dict
+    cubic: bool
+    strict: bool
+
+    @classmethod
+    def of(cls, residuals: dict, harmonic_norm: float, norm: float, tol: float):
+        cubic = all(r <= tol for r in residuals.values())
+        return cls(residuals, cubic, bool(cubic and harmonic_norm > tol * norm))
+
+    @property
+    def label(self) -> str:
+        if not self.cubic:
+            return "not cubic"
+        return "at-least-cubic (strictly cubic)" if self.strict else "at-least-cubic"
+
+
+def classify_ela(E: ElasticityTensor, tol: float = 1e-6) -> CubicClassification:
+    """The at-least-cubic test d' = v' = 0 and d2'(H) = 0 by |d'|/|E|, |v'|/|E|
+    and |d2'|/|H|^2 (each 0 when its denominator is), read off E scaled to
+    unit size so that no norm overflows."""
+    E = ElasticityTensor(ta.unit_scaled(E.voigt))
     h = harmonic_decompose_ela(E)
-    nE = max(E.norm(), np.finfo(float).tiny)
-    nH2 = h.h4.norm2()
-    if h.dprime.norm() > tol * nE or h.vprime.norm() > tol * nE:
-        return False
-    if nH2 > 0 and d2prime_ela(h.h4).norm() > tol * nH2:
-        return False
-    if strict and np.sqrt(nH2) <= tol * nE:
-        return False
-    return True
+    nE, nH2 = E.norm(), h.h4.norm2()
+    return CubicClassification.of({
+        "|d'| / |E|": h.dprime.norm() / nE if nE > 0 else 0.0,
+        "|v'| / |E|": h.vprime.norm() / nE if nE > 0 else 0.0,
+        "|d2'| / |H|^2": d2prime_ela(h.h4).norm() / nH2 if nH2 > 0 else 0.0,
+    }, np.sqrt(nH2), nE, tol)
+
+
+def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:
+    """classify_ela's answer; with strict=True it also requires a nonzero
+    harmonic part."""
+    cls = classify_ela(E, tol)
+    return cls.strict if strict else cls.cubic
 
 
 @lru_cache(maxsize=1)

@@ -21,6 +21,7 @@ import numpy as np
 from ..moment import EQ
 from ..poly import forms_from_tensor
 from . import _tensalg as ta
+from .elasticity import CubicClassification
 from .problems import DistanceProblem
 from .sym2 import Sym2Tensor
 
@@ -32,6 +33,7 @@ __all__ = [
     "d2prime_piezo",
     "d2prime_piezo_polynomials",
     "invariants_h3",
+    "classify_piezo",
     "is_cubic_piezo",
     "build_distance_problem_piezo",
 ]
@@ -41,12 +43,14 @@ H3_VARS = ("h111", "h112", "h122", "h123", "h222", "h223", "h333")
 
 @dataclass(frozen=True)
 class PiezoTensor:
-    """Third-order piezoelectricity tensor as its 3x6 Voigt matrix."""
+    """Third-order piezoelectricity tensor as its 3x6 Voigt matrix; the
+    constructor refuses an entry that is not finite."""
 
     voigt: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.voigt, dtype=float)
+        ta.check_finite(m)
         if m.shape != (3, 6):
             raise ValueError(f"expected a 3x6 Voigt matrix, got shape {m.shape}")
         object.__setattr__(self, "voigt", m)
@@ -184,20 +188,23 @@ def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
     return (I2, I4, I6, I10, I15)
 
 
-def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> bool:
-    """At-least-cubic test g = 0 and d2'(h) = 0 (relative tolerances);
-    strict=True additionally requires h != 0."""
-    e = PiezoTensor(ta.unit_scaled(e.voigt))  # the test does not depend on scale
+def classify_piezo(e: PiezoTensor, tol: float = 1e-6) -> CubicClassification:
+    """The at-least-cubic test g = 0 and d2'(h) = 0 by |g|/|e| and |d2'|/|h|^2
+    (each 0 when its denominator is), read off e scaled to unit size so that
+    no norm overflows."""
+    e = PiezoTensor(ta.unit_scaled(e.voigt))
     split = piezo_harmonic_part(e)
-    ne = max(e.norm(), np.finfo(float).tiny)
-    nh2 = split.h.norm2()
-    if split.g.norm() > tol * ne:
-        return False
-    if nh2 > 0 and d2prime_piezo(split.h).norm() > tol * nh2:
-        return False
-    if strict and np.sqrt(nh2) <= tol * ne:
-        return False
-    return True
+    ne, nh2 = e.norm(), split.h.norm2()
+    return CubicClassification.of({
+        "|g| / |e|": split.g.norm() / ne if ne > 0 else 0.0,
+        "|d2'| / |h|^2": d2prime_piezo(split.h).norm() / nh2 if nh2 > 0 else 0.0,
+    }, np.sqrt(nh2), ne, tol)
+
+
+def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> bool:
+    """classify_piezo's answer; with strict=True it also requires h != 0."""
+    cls = classify_piezo(e, tol)
+    return cls.strict if strict else cls.cubic
 
 
 @lru_cache(maxsize=1)

@@ -35,27 +35,24 @@ __all__ = [
 ISOTROPIC = "isotropic"
 TRANSVERSELY_ISOTROPIC = "transversely_isotropic"
 ORTHOTROPIC = "orthotropic"
+_ASYMMETRIC = "matrix is not symmetric within tolerance"
 
 
 @dataclass(frozen=True)
 class Sym2Tensor:
-    """Symmetric 3x3 tensor; symmetry is exact by construction."""
+    """Symmetric 3x3 tensor.  The constructor refuses an entry that is not
+    finite and an asymmetry above 1e-9 of the largest |entry|, and stores
+    0.5 (m + m^T), so symmetry is exact."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        object.__setattr__(self, "mat", 0.5 * (m + m.T))
+        object.__setattr__(self, "mat", ta.symmetric_matrix(self.mat, 3, "matrix", 1e-9, _ASYMMETRIC))
 
     @classmethod
     def from_matrix(cls, m, tol: float = 1e-9) -> "Sym2Tensor":
-        m = np.asarray(m, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > tol * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        return cls(mat=m)
+        """The tensor of m, accepting an asymmetry up to tol of its largest |entry|."""
+        return cls(mat=ta.symmetric_matrix(m, 3, "matrix", tol, _ASYMMETRIC))
 
     @classmethod
     def from_components(cls, a11, a22, a33, a23, a13, a12) -> "Sym2Tensor":
@@ -134,9 +131,11 @@ class Sym2Classification:
 def classify_sym2(a: Sym2Tensor, tol: float = 1e-6) -> Sym2Classification:
     """Detect the isotropy class of a symmetric second-order tensor.
 
-    Residuals are relative; near-threshold cases (within 10x of tol) list
-    the whole closed-stratum membership chain instead of a single class.
+    Residuals are relative, read off a scaled to unit size so that no norm
+    overflows; near-threshold cases (within 10x of tol) list the whole
+    closed-stratum membership chain instead of a single class.
     """
+    a = Sym2Tensor(mat=ta.unit_scaled(a.mat))
     nrm = a.norm()
     if nrm == 0.0:
         return Sym2Classification(ISOTROPIC, 0.0, 0.0, (ISOTROPIC,))

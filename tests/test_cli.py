@@ -85,6 +85,20 @@ class TestDecomposeClassify:
         assert "at-least-cubic" in out
         assert "|d2'| / |H|^2" in out
 
+    @pytest.mark.parametrize("ds_id", ["E0", "aln"])
+    def test_classify_prints_the_library_residuals(self, capsys, ds_id):
+        from strata_opt.cli import _tensor
+        from strata_opt.mech import classify_ela, classify_piezo
+
+        ds = get_dataset(ds_id)
+        cls = (classify_ela if ds.kind == "elasticity" else classify_piezo)(_tensor(ds.kind, ds.voigt))
+        assert main(["classify", "--dataset", ds_id]) == 0
+        out = capsys.readouterr().out
+        assert f"  class: {cls.label}\n" in out
+        printed = {name.strip(): value.strip() for name, value in
+                   (line.split("=") for line in out.splitlines()[2:])}
+        assert printed == {name: f"{r:.3e}" for name, r in cls.residuals.items()}
+
 
 class TestInputFiles:
     def test_asymmetric_elasticity_rejected(self, tmp_path, capsys):
