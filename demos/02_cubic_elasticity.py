@@ -28,7 +28,7 @@ print(np.round(harm.dprime.mat, 4))
 print("second-order part v':")
 print(np.round(harm.vprime.mat, 4))
 print("fourth-order harmonic part [H]:")
-print(np.round(harm.h4.to_voigt(), 4))
+print(np.round(harm.h4.voigt, 4))
 
 problem = build_distance_problem_ela(E0)
 print(f"\nreduced problem: {problem.n} variables, "

@@ -18,8 +18,8 @@ import numpy as np
 from . import hierarchy, pipeline
 from .datasets import get_dataset, list_datasets
 from .hierarchy import RelaxationTooLarge
-from .mech import (classify_ela, classify_piezo, classify_sym2, harmonic_decompose_ela,
-                   piezo_harmonic_part)
+from .mech import (classify_ela, classify_piezo, classify_sym2, h3_coordinates,
+                   harmonic_decompose_ela, piezo_harmonic_part, traceless)
 from .reports import write_reports
 from .sdp import SolverOptions
 
@@ -156,19 +156,18 @@ def cmd_decompose(args) -> int:
         print("  v' =")
         _print_matrix(h.vprime.mat)
         print("  [H] =")
-        _print_matrix(h.h4.to_voigt())
+        _print_matrix(h.h4.voigt)
     elif kind == "piezo":
         split = piezo_harmonic_part(tensor)
         print(f"  |g|^2 = {_fmt(split.g.norm2())}   |h|^2 = {_fmt(split.h.norm2())}")
         print("  h components (h111 h112 h122 h123 h222 h223 h333):")
-        print("   " + "  ".join(_fmt(v) for v in split.h.as_array()))
+        print("   " + "  ".join(_fmt(v) for v in h3_coordinates(split.h.full())))
         print("  residual g (Voigt):")
         _print_matrix(split.g.voigt)
     else:
-        tr = tensor.trace()
-        print(f"  trace = {_fmt(tr)}")
+        print(f"  trace = {_fmt(tensor.trace())}")
         print("  deviatoric part:")
-        _print_matrix(tensor.mat - tr / 3.0 * np.eye(3))
+        _print_matrix(traceless(tensor).mat)
     return 0
 
 

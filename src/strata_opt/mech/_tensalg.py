@@ -113,37 +113,52 @@ def unit_scaled(m):
     return np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
 
 
+def refuse_asymmetry(T, transposes, tol: float, message: str) -> None:
+    """Refuse T with message when one of its transposes (axis orders) differs
+    from it by more than tol of its largest |entry|; compared at unit size, so
+    no difference overflows and the rule reads the same at every scale."""
+    u = unit_scaled(T)
+    if any(np.max(np.abs(u - np.transpose(u, axes))) > tol * np.max(np.abs(u))
+           for axes in transposes):
+        raise ValueError(message)
+
+
 def symmetric_matrix(m, n: int, what: str, tol: float, message: str):
-    """0.5 (m + m^T), refusing first an entry that is not finite, then another
+    """m symmetrized, refusing first an entry that is not finite, then another
     shape than n x n and an asymmetry above tol of the largest |entry| (with
-    message; compared at unit size, so no difference overflows)."""
-    m = np.asarray(m, dtype=float)
+    message).  An exactly symmetric m, as every one built here, is kept as it
+    is; another is stored as 0.5 m + 0.5 m^T, which no entry overflows."""
+    m = np.array(m, dtype=float)
     check_finite(m)
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} {what}, got shape {m.shape}")
-    if (m != m.T).any():  # an exactly symmetric matrix, as every one built here, skips the test
-        u = unit_scaled(m)
-        if np.max(np.abs(u - u.T)) > tol * np.max(np.abs(u)):
-            raise ValueError(message)
-    return 0.5 * (m + m.T)
+    if (m != m.T).any():
+        refuse_asymmetry(m, [(1, 0)], tol, message)
+        m = 0.5 * m + 0.5 * m.T
+    return m
 
 
-def voigt_norm(V, W):
-    """sqrt(sum W V V) for a Voigt table V with multiplicities W, formed on V
-    scaled by a power of two to unit size: the scaling is exact, and no
-    square overflows."""
+def _unit_square_sum(V, W):
+    """(sum W (V / 2^e)^2, e), 2^e the power of two at or above V's largest
+    |entry|: the scaling is exact, and no square overflows."""
     e = np.frexp(np.max(np.abs(V)))[1]
-    return float(np.ldexp(np.sqrt(np.sum(W * np.ldexp(V, -e) ** 2)), e))
+    return np.sum(W * np.ldexp(V, -e) ** 2), e
 
 
-def norm2_voigt4(V):
-    """Squared 81-component norm from the Voigt table (pair multiplicities)."""
-    return np.sum(VOIGT4_WEIGHTS * V * V, axis=(-2, -1))
+def voigt_norm2(V, W) -> float:
+    """The squared norm sum W V V of a Voigt table V with multiplicities W,
+    the exponent applied once to the unit-size sum: a value beyond the
+    doubles reads inf, without a warning."""
+    s, e = _unit_square_sum(V, W)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(s, 2 * e))
 
 
-def norm2_voigt3(V):
-    """Squared 27-component norm of a jk-symmetric third-order tensor."""
-    return np.sum(VOIGT3_WEIGHTS * V * V, axis=(-2, -1))
+def voigt_norm(V, W) -> float:
+    """sqrt(sum W V V), formed at unit size like voigt_norm2."""
+    s, e = _unit_square_sum(V, W)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(s), e))
 
 
 def h4_voigt(p):
@@ -168,3 +183,14 @@ def h3_full(p):
     slots = np.array([h111, h112, -h223 - h333, h122, h123,          # in SYM3_SLOTS order
                       -h111 - h122, h222, h223, -h112 - h222, h333])
     return np.moveaxis(slots, 0, -1)[..., SYM3_POSITION]
+
+
+def h4_coordinates(V):
+    """The nine coordinates of h4_voigt read off harmonic Voigt tables: the
+    entries at which h4_voigt places -L1, ..., -Z2."""
+    return -V[..., [1, 0, 0, 0, 1, 1, 2, 2, 0], [2, 2, 1, 3, 3, 4, 4, 5, 5]]
+
+
+def h3_coordinates(T):
+    """The seven free coordinates of h3_full read off full harmonic tensors."""
+    return T[..., [0, 0, 0, 0, 1, 1, 2], [0, 0, 1, 1, 1, 1, 2], [0, 1, 1, 2, 1, 2, 2]]

@@ -33,7 +33,6 @@ from .sym2 import Sym2Tensor, traceless
 __all__ = [
     "ElasticityTensor",
     "ElaHarmonic",
-    "H4Params",
     "tensor_prod_4",
     "tensor_prod_22",
     "harmonic_decompose_ela",
@@ -55,7 +54,8 @@ _ASYMMETRIC = "Voigt matrix must be 6x6 symmetric"
 class ElasticityTensor:
     """Fourth-order elasticity tensor stored as its symmetric 6x6 Voigt
     matrix.  The constructor refuses an entry that is not finite and an
-    asymmetry above 1e-9 of the largest |entry|, and stores 0.5 (V + V^T)."""
+    asymmetry above 1e-9 of the largest |entry|, and stores V symmetrized
+    (ta.symmetric_matrix)."""
 
     voigt: np.ndarray
 
@@ -72,7 +72,7 @@ class ElasticityTensor:
         return ta.full4_from_voigt(self.voigt)
 
     def norm2(self) -> float:
-        return float(ta.norm2_voigt4(self.voigt))
+        return ta.voigt_norm2(self.voigt, ta.VOIGT4_WEIGHTS)
 
     def norm(self) -> float:
         return ta.voigt_norm(self.voigt, ta.VOIGT4_WEIGHTS)
@@ -87,70 +87,21 @@ class ElasticityTensor:
 
 
 @dataclass(frozen=True)
-class H4Params:
-    """Coordinates (L1, L2, L3, X1, X2, Y1, Y2, Z1, Z2) of a fourth-order
-    harmonic tensor in the fixed Voigt parameterization."""
-
-    L1: float
-    L2: float
-    L3: float
-    X1: float
-    X2: float
-    Y1: float
-    Y2: float
-    Z1: float
-    Z2: float
-
-    @classmethod
-    def from_array(cls, x) -> "H4Params":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (9,):
-            raise ValueError(f"expected 9 coordinates, got shape {x.shape}")
-        return cls(*map(float, x))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.L1, self.L2, self.L3, self.X1, self.X2,
-                         self.Y1, self.Y2, self.Z1, self.Z2])
-
-    def to_voigt(self) -> np.ndarray:
-        return ta.h4_voigt(self.as_array())
-
-    def to_tensor(self) -> ElasticityTensor:
-        return ElasticityTensor(voigt=self.to_voigt())
-
-    def norm2(self) -> float:
-        return float(ta.norm2_voigt4(self.to_voigt()))
-
-    @classmethod
-    def from_voigt(cls, V, tol: float = 1e-8) -> "H4Params":
-        """Read the nine coordinates off a harmonic Voigt matrix; rejects
-        matrices that are not harmonic within tol (relative)."""
-        V = np.asarray(V, dtype=float)
-        params = cls(
-            L1=-V[1, 2], L2=-V[0, 2], L3=-V[0, 1],
-            X1=-V[0, 3], X2=-V[1, 3],
-            Y1=-V[1, 4], Y2=-V[2, 4],
-            Z1=-V[2, 5], Z2=-V[0, 5],
-        )
-        scale = max(1.0, float(np.max(np.abs(V))))
-        if np.max(np.abs(params.to_voigt() - V)) > tol * scale:
-            raise ValueError("Voigt matrix is not harmonic within tolerance")
-        return params
-
-
-@dataclass(frozen=True)
 class ElaHarmonic:
-    """Harmonic components (alpha, beta, d', v', H) of an elasticity tensor."""
+    """Harmonic components (alpha, beta, d', v', H) of an elasticity tensor;
+    the harmonic part H is an elasticity tensor itself, whose coordinates are
+    h4_coordinates(h4.voigt).  The deviators' traces are compared with
+    their norms, so the test reads the same at every scale."""
 
     alpha: float
     beta: float
     dprime: Sym2Tensor
     vprime: Sym2Tensor
-    h4: H4Params
+    h4: ElasticityTensor
 
     def __post_init__(self):
         for part in (self.dprime, self.vprime):
-            if abs(part.trace()) > 1e-12 * (1.0 + part.norm()):
+            if abs(part.trace()) > 1e-12 * part.norm():
                 raise ValueError("deviatoric components must be traceless")
 
 
@@ -200,11 +151,7 @@ def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
     a = Sym2Tensor(mat=2.0 / 7.0 * (dp.mat + 2.0 * vp.mat))
     b = Sym2Tensor(mat=2.0 * (dp.mat - vp.mat))
     HV = E.voigt - _isotropic_voigt(alpha, beta) - tensor_prod_4(_Q, a).voigt - tensor_prod_22(_Q, b).voigt
-    scale = max(1.0, float(np.max(np.abs(E.voigt))))
-    return ElaHarmonic(
-        alpha=alpha, beta=beta, dprime=dp, vprime=vp,
-        h4=H4Params.from_voigt(HV, tol=1e-10 * scale),
-    )
+    return ElaHarmonic(alpha=alpha, beta=beta, dprime=dp, vprime=vp, h4=ElasticityTensor(HV))
 
 
 def recompose_ela(h: ElaHarmonic) -> ElasticityTensor:
@@ -212,7 +159,7 @@ def recompose_ela(h: ElaHarmonic) -> ElasticityTensor:
     a = Sym2Tensor(mat=2.0 / 7.0 * (h.dprime.mat + 2.0 * h.vprime.mat))
     b = Sym2Tensor(mat=2.0 * (h.dprime.mat - h.vprime.mat))
     V = (_isotropic_voigt(h.alpha, h.beta) + tensor_prod_4(_Q, a).voigt
-         + tensor_prod_22(_Q, b).voigt + h.h4.to_voigt())
+         + tensor_prod_22(_Q, b).voigt + h.h4.voigt)
     return ElasticityTensor(voigt=V)
 
 
@@ -245,10 +192,13 @@ def d2prime_ela_polynomials() -> tuple:
     return forms_from_tensor(K[..., ta.DEV_ROWS, ta.DEV_COLS], 2)
 
 
-def d2prime_ela(H: H4Params) -> Sym2Tensor:
-    """Deviatoric part of the quadratic covariant d2 = H : H."""
-    T = H.to_tensor().full()
-    return Sym2Tensor(mat=ta.dev(np.einsum("ipqr,pqrj->ij", T, T)))
+def d2prime_ela(H: ElasticityTensor) -> Sym2Tensor:
+    """Deviatoric part of the quadratic covariant d2 = H : H of a harmonic H,
+    contracted as H_ipqr H_jpqr (H is totally symmetric): entries (i, j) and
+    (j, i) add the same products, so d2 is exactly symmetric even where it
+    is the rounding of a cubic H."""
+    T = H.full()
+    return Sym2Tensor(mat=ta.dev(np.einsum("ipqr,jpqr->ij", T, T)))
 
 
 @dataclass(frozen=True)
@@ -262,9 +212,9 @@ class CubicClassification:
     strict: bool
 
     @classmethod
-    def of(cls, residuals: dict, harmonic_norm: float, norm: float, tol: float):
+    def of(cls, residuals: dict, harmonic: bool, tol: float):
         cubic = all(r <= tol for r in residuals.values())
-        return cls(residuals, cubic, bool(cubic and harmonic_norm > tol * norm))
+        return cls(residuals, cubic, bool(cubic and harmonic))
 
     @property
     def label(self) -> str:
@@ -275,16 +225,19 @@ class CubicClassification:
 
 def classify_ela(E: ElasticityTensor, tol: float = 1e-6) -> CubicClassification:
     """The at-least-cubic test d' = v' = 0 and d2'(H) = 0 by |d'|/|E|, |v'|/|E|
-    and |d2'|/|H|^2 (each 0 when its denominator is), read off E scaled to
-    unit size so that no norm overflows."""
+    and |d2'|/|H|^2, read off E scaled to unit size so that no norm
+    overflows.  A harmonic part at most tol of |E| reads as zero, with
+    |d2'|/|H|^2 = 0: there it is rounding, whose d2' is as large as its
+    |H|^2."""
     E = ElasticityTensor(ta.unit_scaled(E.voigt))
     h = harmonic_decompose_ela(E)
     nE, nH2 = E.norm(), h.h4.norm2()
+    harmonic = np.sqrt(nH2) > tol * nE
     return CubicClassification.of({
         "|d'| / |E|": h.dprime.norm() / nE if nE > 0 else 0.0,
         "|v'| / |E|": h.vprime.norm() / nE if nE > 0 else 0.0,
-        "|d2'| / |H|^2": d2prime_ela(h.h4).norm() / nH2 if nH2 > 0 else 0.0,
-    }, np.sqrt(nH2), nE, tol)
+        "|d2'| / |H|^2": d2prime_ela(h.h4).norm() / nH2 if harmonic else 0.0,
+    }, harmonic, tol)
 
 
 def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:

@@ -27,7 +27,6 @@ from .sym2 import Sym2Tensor
 
 __all__ = [
     "PiezoTensor",
-    "H3Params",
     "PiezoSplit",
     "piezo_harmonic_part",
     "d2prime_piezo",
@@ -57,75 +56,32 @@ class PiezoTensor:
 
     @classmethod
     def from_full(cls, T, tol: float = 1e-9) -> "PiezoTensor":
+        """The tensor of a full 3x3x3 T, accepting an asymmetry in its last
+        two slots up to tol of its largest |entry|."""
         T = np.asarray(T, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(T))))
-        if np.max(np.abs(T - np.transpose(T, (0, 2, 1)))) > tol * scale:
-            raise ValueError("tensor is not symmetric in its last two slots")
+        ta.check_finite(T)
+        ta.refuse_asymmetry(T, [(0, 2, 1)], tol, "tensor is not symmetric in its last two slots")
         return cls(voigt=ta.voigt_from_full3(T))
 
     def full(self) -> np.ndarray:
         return ta.full3_from_voigt(self.voigt)
 
     def norm2(self) -> float:
-        return float(ta.norm2_voigt3(self.voigt))
+        return ta.voigt_norm2(self.voigt, ta.VOIGT3_WEIGHTS)
 
     def norm(self) -> float:
         return ta.voigt_norm(self.voigt, ta.VOIGT3_WEIGHTS)
 
 
 @dataclass(frozen=True)
-class H3Params:
-    """Free coordinates (h111, h112, h122, h123, h222, h223, h333) of a
-    third-order harmonic tensor."""
-
-    h111: float
-    h112: float
-    h122: float
-    h123: float
-    h222: float
-    h223: float
-    h333: float
-
-    @classmethod
-    def from_array(cls, x) -> "H3Params":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (7,):
-            raise ValueError(f"expected 7 coordinates, got shape {x.shape}")
-        return cls(*map(float, x))
-
-    @classmethod
-    def from_full(cls, T, tol: float = 1e-8) -> "H3Params":
-        T = np.asarray(T, dtype=float)
-        params = cls(h111=T[0, 0, 0], h112=T[0, 0, 1], h122=T[0, 1, 1],
-                     h123=T[0, 1, 2], h222=T[1, 1, 1], h223=T[1, 1, 2],
-                     h333=T[2, 2, 2])
-        scale = max(1.0, float(np.max(np.abs(T))))
-        if np.max(np.abs(params.full() - T)) > tol * scale:
-            raise ValueError("tensor is not harmonic within tolerance")
-        return params
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.h111, self.h112, self.h122, self.h123,
-                         self.h222, self.h223, self.h333])
-
-    def full(self) -> np.ndarray:
-        return ta.h3_full(self.as_array())
-
-    def to_tensor(self) -> PiezoTensor:
-        return PiezoTensor.from_full(self.full())
-
-    def norm2(self) -> float:
-        T = self.full()
-        return float(np.einsum("ijk,ijk", T, T))
-
-
-@dataclass(frozen=True)
 class PiezoSplit:
     """Orthogonal split e = g + h; g carries the two vector parts and the
-    twisted second-order part, whose finer coordinates are not needed here."""
+    twisted second-order part, whose finer coordinates are not needed here.
+    The harmonic part h is a piezoelectricity tensor itself, whose seven
+    coordinates are h3_coordinates(h.full())."""
 
     g: PiezoTensor
-    h: H3Params
+    h: PiezoTensor
 
     def __post_init__(self):
         # a test that does not depend on scale, so it reads the parts scaled
@@ -136,7 +92,9 @@ class PiezoSplit:
 
 
 def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
-    """Compute h = e^s - 3/5 q . tr(e^s) and the residual g = e - h."""
+    """Compute h = e^s - 3/5 q . tr(e^s) and the residual g = e - h, each
+    read off its full tensor: e^s is symmetric, and g's asymmetry is the
+    rounding of e, so neither is tested."""
     T = e.full()
     es = ta.symmetrize3(T)
     t = np.einsum("ijj->i", es)
@@ -144,9 +102,8 @@ def piezo_harmonic_part(e: PiezoTensor) -> PiezoSplit:
     qt = (np.einsum("ij,k->ijk", q, t) + np.einsum("jk,i->ijk", q, t)
           + np.einsum("ki,j->ijk", q, t)) / 3.0
     hfull = es - 0.6 * qt
-    h = H3Params.from_full(hfull)
-    g = PiezoTensor.from_full(T - hfull)
-    return PiezoSplit(g=g, h=h)
+    return PiezoSplit(g=PiezoTensor(ta.voigt_from_full3(T - hfull)),
+                      h=PiezoTensor(ta.voigt_from_full3(hfull)))
 
 
 @lru_cache(maxsize=1)
@@ -160,13 +117,14 @@ def d2prime_piezo_polynomials() -> tuple:
     return forms_from_tensor(K[..., ta.DEV_ROWS, ta.DEV_COLS], 2)
 
 
-def d2prime_piezo(h: H3Params) -> Sym2Tensor:
-    """Deviatoric part of the quadratic covariant d2 = h : h."""
+def d2prime_piezo(h: PiezoTensor) -> Sym2Tensor:
+    """Deviatoric part of the quadratic covariant d2 = h : h of a harmonic h,
+    contracted as h_ikl h_jkl, as in d2prime_ela."""
     T = h.full()
-    return Sym2Tensor(mat=ta.dev(np.einsum("ikl,klj->ij", T, T)))
+    return Sym2Tensor(mat=ta.dev(np.einsum("ikl,jkl->ij", T, T)))
 
 
-def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
+def invariants_h3(h: PiezoTensor) -> tuple[float, float, float, float, float]:
     """Integrity basis (I2, I4, I6, I10, I15) of a third-order harmonic tensor:
 
         I2 = |h|^2, I4 = |d2'|^2, I6 = |v3|^2, I10 = |d2' x v3|^2,
@@ -189,16 +147,17 @@ def invariants_h3(h: H3Params) -> tuple[float, float, float, float, float]:
 
 
 def classify_piezo(e: PiezoTensor, tol: float = 1e-6) -> CubicClassification:
-    """The at-least-cubic test g = 0 and d2'(h) = 0 by |g|/|e| and |d2'|/|h|^2
-    (each 0 when its denominator is), read off e scaled to unit size so that
-    no norm overflows."""
+    """The at-least-cubic test g = 0 and d2'(h) = 0 by |g|/|e| and |d2'|/|h|^2,
+    read off e scaled to unit size so that no norm overflows; an h at most
+    tol of |e| reads as zero, as in classify_ela."""
     e = PiezoTensor(ta.unit_scaled(e.voigt))
     split = piezo_harmonic_part(e)
     ne, nh2 = e.norm(), split.h.norm2()
+    harmonic = np.sqrt(nh2) > tol * ne
     return CubicClassification.of({
         "|g| / |e|": split.g.norm() / ne if ne > 0 else 0.0,
-        "|d2'| / |h|^2": d2prime_piezo(split.h).norm() / nh2 if nh2 > 0 else 0.0,
-    }, np.sqrt(nh2), ne, tol)
+        "|d2'| / |h|^2": d2prime_piezo(split.h).norm() / nh2 if harmonic else 0.0,
+    }, harmonic, tol)
 
 
 def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> bool:

@@ -31,8 +31,11 @@ class DistanceProblem:
     feasible and never worse than x = 0.  ``natural_scale`` is the largest
     |entry| of x0 and of x0 . basis (1 at x0 = 0).
 
-    Raises ValueError when the squared distance overflows a double or a
-    nonzero reference's squared norm underflows one.
+    Raises ValueError when the squared distance overflows a double, a
+    nonzero reference's squared norm underflows one, or natural_scale raised
+    to the equations' degree is not a normal double: the solver's
+    coordinates are x / natural_scale, so the equations' coefficients would
+    overflow or underflow there.
     """
 
     reference: np.ndarray     # the input's Voigt matrix
@@ -82,6 +85,12 @@ class DistanceProblem:
         if tiny:
             raise ValueError("the squared distance underflows a double")
         self.natural_scale = float(np.max(np.abs(np.append(self.x0, self.x0 @ B)))) or 1.0
+        degree = max(g.degree for g, _ in self.constraints)
+        with np.errstate(over="ignore"):
+            power = np.float64(self.natural_scale) ** degree
+        if not np.finfo(float).tiny <= power < np.inf:
+            raise ValueError(f"the input's scale {self.natural_scale:.3g} to the power {degree} "
+                             "of its equations is not a normal double")
         # lambda_set(n, 2) lists 1, x_1..x_n, then x_k x_l (k <= l) row by row
         quadratic = (self.Q * (2.0 - np.eye(n)))[np.triu_indices(n)]
         self.objective = _wrap(lambda_set(n, 2), np.concatenate([[constant], linear, quadratic]))

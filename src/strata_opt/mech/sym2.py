@@ -41,8 +41,8 @@ _ASYMMETRIC = "matrix is not symmetric within tolerance"
 @dataclass(frozen=True)
 class Sym2Tensor:
     """Symmetric 3x3 tensor.  The constructor refuses an entry that is not
-    finite and an asymmetry above 1e-9 of the largest |entry|, and stores
-    0.5 (m + m^T), so symmetry is exact."""
+    finite and an asymmetry above 1e-9 of the largest |entry|, and stores m
+    symmetrized (ta.symmetric_matrix), so symmetry is exact."""
 
     mat: np.ndarray
 
@@ -68,10 +68,10 @@ class Sym2Tensor:
         return float(np.trace(self.mat))
 
     def norm2(self) -> float:
-        return float(np.einsum("ij,ij", self.mat, self.mat))
+        return ta.voigt_norm2(self.mat, 1.0)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
+        return ta.voigt_norm(self.mat, 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ class Sym3Tensor:
 
     @classmethod
     def from_full(cls, T, tol: float = 1e-9) -> "Sym3Tensor":
+        """The tensor of T, accepting an asymmetry up to tol of its largest |entry|."""
         T = np.asarray(T, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(T))))
-        for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-            if np.max(np.abs(T - np.transpose(T, perm))) > tol * scale:
-                raise ValueError("tensor is not totally symmetric within tolerance")
+        ta.check_finite(T)
+        ta.refuse_asymmetry(T, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], tol,
+                            "tensor is not totally symmetric within tolerance")
         return cls(full=T)
 
     @property
@@ -113,8 +113,11 @@ def cross_gen(a: Sym2Tensor, b: Sym2Tensor) -> Sym3Tensor:
 
 
 def traceless(a: Sym2Tensor) -> Sym2Tensor:
-    """Deviatoric part a' = a - tr(a)/3 q."""
-    return Sym2Tensor(mat=a.mat - np.trace(a.mat) / 3.0 * np.eye(3))
+    """Deviatoric part a' = a - tr(a)/3 q, with a'_33 = -(a'_11 + a'_22) so
+    that its trace is exactly 0 at every scale (+ 0.0 keeps a zero unsigned)."""
+    m = a.mat - np.trace(a.mat) / 3.0 * np.eye(3)
+    m[2, 2] = -(m[0, 0] + m[1, 1]) + 0.0
+    return Sym2Tensor(mat=m)
 
 
 @dataclass(frozen=True)

@@ -60,3 +60,12 @@ def poly_allclose(p, q, tol=1e-12):
 def term_dict(p):
     """The map {alpha: c} of a polynomial's terms, for references built in tests."""
     return dict(zip(map(tuple, p.exponents.tolist()), p.coeffs.tolist()))
+
+
+def rotated_cubic_voigt(c11, c12, c44, g) -> np.ndarray:
+    """The Voigt matrix of the cubic crystal (c11, c12, c44) rotated by g."""
+    from strata_opt.mech import _tensalg as ta
+
+    V = np.diag([c11] * 3 + [c44] * 3) + np.pad(np.full((3, 3), c12) - np.diag([c12] * 3), (0, 3))
+    T = np.einsum("ia,jb,kc,ld,abcd->ijkl", g, g, g, g, ta.full4_from_voigt(V))
+    return ta.voigt_from_full4(T)

@@ -19,8 +19,6 @@ from strata_opt.hierarchy import (
 )
 from strata_opt.mech import (
     ElasticityTensor,
-    H3Params,
-    H4Params,
     PiezoTensor,
     Sym2Tensor,
     build_distance_problem_ela,
@@ -38,7 +36,7 @@ from strata_opt.mech import (
     recompose_ela,
     traceless,
 )
-from strata_opt.mech._tensalg import voigt_from_full4
+from strata_opt.mech._tensalg import h3_full, h4_voigt, voigt_from_full4
 from strata_opt.moment import GE, MomentVector, assemble_relaxation, minimal_order
 from strata_opt.poly import Polynomial, lambda_set
 from strata_opt.sdp import SolverOptions, solve_sdp
@@ -112,7 +110,7 @@ def test_criterion_2_cubic_elasticity():
     assert np.max(np.abs(Estar - estar_paper)) <= 0.05
 
     H0 = harmonic_decompose_ela(E0).h4
-    d2p = d2prime_ela(H4Params.from_array(x)).norm()
+    d2p = d2prime_ela(ElasticityTensor(h4_voigt(x))).norm()
     assert d2p <= 1e-4 * H0.norm2()
     assert elapsed <= 10.0
 
@@ -316,20 +314,20 @@ def test_criterion_6_property_suites(rng):
         np.testing.assert_allclose(split.g.full() + split.h.full(), e.full(), atol=1e-12)
 
     # covariant equivariance under 50 random rotations (1e-9)
-    H = H4Params.from_array(rng.normal(size=9))
-    TH = H.to_tensor().full()
+    H = ElasticityTensor(h4_voigt(rng.normal(size=9)))
+    TH = H.full()
     dH = d2prime_ela(H).mat
-    h = H3Params.from_array(rng.normal(size=7))
+    h = PiezoTensor.from_full(h3_full(rng.normal(size=7)))
     Th = h.full()
     dh = d2prime_piezo(h).mat
     inv_base = invariants_h3(h)
     for _ in range(50):
         g = random_rotation(rng)
-        Hr = H4Params.from_voigt(np.array(voigt_from_full4(
+        Hr = ElasticityTensor(np.array(voigt_from_full4(
             np.einsum("ia,jb,kc,ld,abcd->ijkl", g, g, g, g, TH))))
         np.testing.assert_allclose(d2prime_ela(Hr).mat, g @ dH @ g.T,
                                    atol=1e-9 * max(1.0, np.max(np.abs(dH))))
-        hr = H3Params.from_full(np.einsum("ia,jb,kc,abc->ijk", g, g, g, Th))
+        hr = PiezoTensor.from_full(np.einsum("ia,jb,kc,abc->ijk", g, g, g, Th))
         np.testing.assert_allclose(d2prime_piezo(hr).mat, g @ dh @ g.T,
                                    atol=1e-9 * max(1.0, np.max(np.abs(dh))))
         for val, val_r in zip(inv_base, invariants_h3(hr)):
@@ -337,7 +335,7 @@ def test_criterion_6_property_suites(rng):
 
     # Smith-Bao relations on 100 random tensors
     for _ in range(100):
-        h = H3Params.from_array(rng.normal(size=7))
+        h = PiezoTensor.from_full(h3_full(rng.normal(size=7)))
         I2, I4, I6, I10, I15 = invariants_h3(h)
         T = h.full()
         d2 = np.einsum("ikl,klj->ij", T, T)
@@ -356,13 +354,13 @@ def test_criterion_6_property_suites(rng):
 
     # d2' brute-force contraction equivalence on 100 random inputs (1e-10)
     for _ in range(100):
-        H = H4Params.from_array(rng.normal(size=9))
-        T = H.to_tensor().full()
+        H = ElasticityTensor(h4_voigt(rng.normal(size=9)))
+        T = H.full()
         d2 = np.einsum("ipqr,pqrj->ij", T, T)
         ref = d2 - np.trace(d2) / 3.0 * np.eye(3)
         np.testing.assert_allclose(d2prime_ela(H).mat, ref,
                                    rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(ref))))
-        h = H3Params.from_array(rng.normal(size=7))
+        h = PiezoTensor.from_full(h3_full(rng.normal(size=7)))
         T = h.full()
         d2 = np.einsum("ikl,klj->ij", T, T)
         ref = d2 - np.trace(d2) / 3.0 * np.eye(3)

@@ -8,6 +8,8 @@ from strata_opt.datasets import get_dataset
 from strata_opt.mech import ElasticityTensor
 from strata_opt.reports import Report
 
+from conftest import random_rotation, rotated_cubic_voigt
+
 
 class TestDatasetsCommand:
     def test_listing_has_all_entries(self, capsys):
@@ -65,8 +67,9 @@ class TestDecomposeClassify:
         assert "transversely_isotropic" in capsys.readouterr().out
 
     def test_classify_recomposed_cubic(self, tmp_path, capsys):
-        from strata_opt.mech import (ElaHarmonic, H4Params, Sym2Tensor,
-                                     harmonic_decompose_ela, recompose_ela)
+        from strata_opt.mech import (ElaHarmonic, Sym2Tensor, harmonic_decompose_ela,
+                                     recompose_ela)
+        from strata_opt.mech._tensalg import h4_voigt
         from strata_opt.datasets import get_dataset
         from strata_opt.mech import ElasticityTensor
 
@@ -76,7 +79,7 @@ class TestDecomposeClassify:
         xstar = [-36.401489, -20.227012, -38.908985, -6.396664, 27.780748,
                  -2.277546, 44.251364, -4.557344, 21.161507]
         Estar = recompose_ela(ElaHarmonic(alpha=h0.alpha, beta=h0.beta, dprime=zero,
-                                          vprime=zero, h4=H4Params.from_array(xstar)))
+                                          vprime=zero, h4=ElasticityTensor(h4_voigt(xstar))))
         path = tmp_path / "estar.json"
         path.write_text(json.dumps({"kind": "elasticity", "units": "GPa",
                                     "voigt": Estar.voigt.tolist()}))
@@ -98,6 +101,20 @@ class TestDecomposeClassify:
         printed = {name.strip(): value.strip() for name, value in
                    (line.split("=") for line in out.splitlines()[2:])}
         assert printed == {name: f"{r:.3e}" for name, r in cls.residuals.items()}
+
+
+@pytest.mark.parametrize("unit", ["GPa", "MPa"])
+def test_rotated_cubic_crystal(tmp_path, capsys, unit):
+    """C11, C12, C44 = 252, 161, 131 GPa under a rotation: decompose no longer
+    refuses it in MPa, and classify calls it strictly cubic in both."""
+    scale = {"GPa": 1.0, "MPa": 1e3}[unit]
+    g = random_rotation(np.random.default_rng(3))
+    voigt = rotated_cubic_voigt(252.0 * scale, 161.0 * scale, 131.0 * scale, g)
+    path = tmp_path / "crystal.json"
+    path.write_text(json.dumps({"kind": "elasticity", "units": unit, "voigt": voigt.tolist()}))
+    assert main(["decompose", "--input", str(path)]) == 0
+    assert main(["classify", "--input", str(path)]) == 0
+    assert "class: at-least-cubic (strictly cubic)" in capsys.readouterr().out
 
 
 class TestInputFiles:
@@ -528,6 +545,33 @@ class TestHugeTensors:
         code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", stratum])
         assert code == 1
         assert err == "error: the squared distance underflows a double\n"
+
+    def test_decompose_and_classify_huge_piezo_tensor(self, tmp_path, capsys):
+        """aln x 1e200: the parts' squared norms read inf, without a warning."""
+        data = {"kind": "piezo", "voigt": (1e200 * np.array(get_dataset("aln").voigt)).tolist()}
+        code, out, _ = self._run(tmp_path, capsys, data, ["decompose"])
+        assert code == 0 and "|g|^2 = inf   |h|^2 = inf" in out
+        code, out, _ = self._run(tmp_path, capsys, data, ["classify"])
+        assert code == 0 and "class: not cubic" in out
+
+    @pytest.mark.parametrize("k", [-120, -106, 102, 120])
+    def test_o2_far_from_unit_size_refused(self, tmp_path, capsys, k):
+        """a0 x 10^k: its cubic equations in the solver's coordinates would
+        underflow (k <= -104) or overflow (k >= 102)."""
+        data = {"kind": "sym2", "voigt": (10.0**k * np.array(get_dataset("a0").voigt)).tolist()}
+        code, _, err = self._run(tmp_path, capsys, data, ["distance", "--stratum", "O2"])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [-103, 0, 50])
+    def test_o2_within_range_certifies(self, tmp_path, capsys, k):
+        data = {"kind": "sym2", "voigt": (10.0**k * np.array(get_dataset("a0").voigt)).tolist()}
+        report = tmp_path / "rep.json"
+        code, _, _ = self._run(tmp_path, capsys, data,
+                               ["distance", "--stratum", "O2", "--json", str(report)])
+        assert code == 0
+        assert Report.from_json(report.read_text()).distance == pytest.approx(
+            np.sqrt(18.0) * 10.0**k, rel=1e-6)
 
     def test_classify_zero_elasticity_tensor(self, tmp_path, capsys):
         data = {"kind": "elasticity", "voigt": np.zeros((6, 6)).tolist()}

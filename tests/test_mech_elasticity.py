@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,22 +7,22 @@ import pytest
 from strata_opt.mech import (
     ElaHarmonic,
     ElasticityTensor,
-    H4Params,
     Sym2Tensor,
     build_distance_problem_ela,
     d2prime_ela,
     d2prime_ela_polynomials,
     ela_norm2_split,
+    h4_coordinates,
     harmonic_decompose_ela,
     is_cubic_ela,
     recompose_ela,
     tensor_prod_4,
     tensor_prod_22,
 )
-from strata_opt.mech._tensalg import voigt_from_full4
+from strata_opt.mech._tensalg import h4_voigt, voigt_from_full4
 from strata_opt.poly import Polynomial
 
-from conftest import poly_allclose, random_rotation
+from conftest import poly_allclose, random_rotation, rotated_cubic_voigt
 
 Q = Sym2Tensor(mat=np.eye(3))
 
@@ -43,8 +44,13 @@ def _random_ela(rng) -> ElasticityTensor:
     return ElasticityTensor(voigt=0.5 * (v + v.T))
 
 
-def _random_h4(rng) -> H4Params:
-    return H4Params.from_array(rng.normal(size=9))
+def _h4(x) -> ElasticityTensor:
+    """The harmonic tensor of the nine coordinates x."""
+    return ElasticityTensor(voigt=h4_voigt(x))
+
+
+def _random_h4(rng) -> ElasticityTensor:
+    return _h4(rng.normal(size=9))
 
 
 class TestHarmonicDecomposition:
@@ -61,7 +67,7 @@ class TestHarmonicDecomposition:
         np.testing.assert_allclose(h.vprime.mat, v_exp, atol=1e-10)
 
     def test_reference_harmonic_part(self, E0):
-        HV = harmonic_decompose_ela(E0).h4.to_voigt()
+        HV = harmonic_decompose_ela(E0).h4.voigt
         exp = {
             (0, 0): -1986 / 35, (0, 1): 1093 / 35, (0, 2): 893 / 35,
             (0, 3): 5.0, (0, 4): 352 / 7, (0, 5): -99 / 7,
@@ -95,7 +101,7 @@ class TestHarmonicDecomposition:
             assert E.norm2() == pytest.approx(direct, rel=1e-12)
 
     def test_harmonicity_of_h4(self, rng):
-        T = _random_h4(rng).to_tensor().full()
+        T = _random_h4(rng).full()
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 1, 0, 3), (3, 1, 2, 0)):
             np.testing.assert_allclose(T, np.transpose(T, perm), atol=1e-12)
         np.testing.assert_allclose(np.einsum("iikl->kl", T), 0.0, atol=1e-12)
@@ -136,18 +142,18 @@ class TestTensorProducts:
 
 class TestD2Prime:
     def test_cubic_normal_form_annihilated(self):
-        H = H4Params(L1=0.7, L2=0.7, L3=0.7, X1=0, X2=0, Y1=0, Y2=0, Z1=0, Z2=0)
+        H = _h4([0.7, 0.7, 0.7, 0, 0, 0, 0, 0, 0])
         assert d2prime_ela(H).norm() <= 1e-12
 
     def test_reference_minimizer_residual(self, E0):
         h0 = harmonic_decompose_ela(E0)
-        residual = d2prime_ela(H4Params.from_array(XSTAR))
+        residual = d2prime_ela(_h4(XSTAR))
         assert np.max(np.abs(residual.mat)) <= 1e-5 * h0.h4.norm2()
 
     def test_matches_full_contraction(self, rng):
         for _ in range(100):
             H = _random_h4(rng)
-            T = H.to_tensor().full()
+            T = H.full()
             d2 = np.einsum("ipqr,pqrj->ij", T, T)
             d2p = d2 - np.trace(d2) / 3.0 * np.eye(3)
             np.testing.assert_allclose(
@@ -156,7 +162,7 @@ class TestD2Prime:
 
     def test_homogeneous_degree_two(self, rng):
         H = _random_h4(rng)
-        Ht = H4Params.from_array(3.0 * H.as_array())
+        Ht = ElasticityTensor(voigt=3.0 * H.voigt)
         np.testing.assert_allclose(d2prime_ela(Ht).mat, 9.0 * d2prime_ela(H).mat, rtol=1e-12)
 
     def test_printed_component_polynomials(self):
@@ -186,12 +192,12 @@ class TestD2Prime:
 
     def test_equivariance_under_rotations(self, rng):
         H = _random_h4(rng)
-        T = H.to_tensor().full()
+        T = H.full()
         d2p = d2prime_ela(H).mat
         for _ in range(10):
             g = random_rotation(rng)
             Tr = np.einsum("ia,jb,kc,ld,abcd->ijkl", g, g, g, g, T)
-            Hr = H4Params.from_voigt(np.array(voigt_from_full4(Tr)))
+            Hr = ElasticityTensor(voigt=np.array(voigt_from_full4(Tr)))
             lhs = d2prime_ela(Hr).mat
             rhs = g @ d2p @ g.T
             np.testing.assert_allclose(lhs, rhs, atol=1e-9 * max(1.0, np.max(np.abs(rhs))))
@@ -200,7 +206,7 @@ class TestD2Prime:
 class TestCubicTests:
     def test_recomposed_cubic_is_cubic(self):
         zero = Sym2Tensor(mat=np.zeros((3, 3)))
-        H = H4Params(L1=1.3, L2=1.3, L3=1.3, X1=0, X2=0, Y1=0, Y2=0, Z1=0, Z2=0)
+        H = _h4([1.3, 1.3, 1.3, 0, 0, 0, 0, 0, 0])
         E = recompose_ela(ElaHarmonic(alpha=10.0, beta=4.0, dprime=zero, vprime=zero, h4=H))
         assert is_cubic_ela(E)
         assert is_cubic_ela(E, strict=True)
@@ -208,12 +214,50 @@ class TestCubicTests:
     def test_reference_is_triclinic(self, E0):
         assert not is_cubic_ela(E0)
 
+    @pytest.mark.parametrize("unit", [1.0, 1e3, 1e9])
+    def test_rotated_crystal_in_every_unit(self, unit, rng):
+        """C11, C12, C44 = 252, 161, 131 GPa, given in GPa, MPa and Pa: the
+        deviators' trace is compared with their norm, with no floor of 1."""
+        for _ in range(5):
+            E = ElasticityTensor.from_voigt(
+                rotated_cubic_voigt(252.0 * unit, 161.0 * unit, 131.0 * unit, random_rotation(rng)))
+            back = recompose_ela(harmonic_decompose_ela(E))
+            assert np.max(np.abs(back.voigt - E.voigt)) <= 1e-12 * np.max(np.abs(E.voigt))
+            assert is_cubic_ela(E, strict=True)
+
+    @pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
+    def test_traceless_check_is_scale_free(self, k, E0, rng):
+        for E in (E0, _random_ela(rng)):
+            harmonic_decompose_ela(ElasticityTensor(np.ldexp(E.voigt, k)))
+        zero = Sym2Tensor(mat=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="traceless"):
+            ElaHarmonic(alpha=0.0, beta=0.0, dprime=Sym2Tensor(mat=np.ldexp(np.diag([1.0, 0, 0]), k)),
+                        vprime=zero, h4=ElasticityTensor(np.zeros((6, 6))))
+
+    def test_rotated_isotropic_tensor_is_cubic_not_strict(self, rng):
+        """lambda = 121, mu = 80.8 GPa: the rotated tensor's harmonic part is
+        rounding, whose |d2'| / |H|^2 is O(1); it reads as zero."""
+        for _ in range(20):
+            E = ElasticityTensor.from_voigt(rotated_cubic_voigt(282.6, 121.0, 80.8, random_rotation(rng)))
+            assert is_cubic_ela(E) and not is_cubic_ela(E, strict=True)
+
     def test_isotropic_at_least_cubic_not_strict(self):
         zero = Sym2Tensor(mat=np.zeros((3, 3)))
-        H = H4Params(*([0.0] * 9))
+        H = ElasticityTensor(voigt=np.zeros((6, 6)))
         E = recompose_ela(ElaHarmonic(alpha=10.0, beta=4.0, dprime=zero, vprime=zero, h4=H))
         assert is_cubic_ela(E)
         assert not is_cubic_ela(E, strict=True)
+
+
+class TestOverflow:
+    def test_huge_symmetric_voigt_matrix_kept(self):
+        V = 1.5e308 * np.eye(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = ElasticityTensor(voigt=V)
+            assert np.array_equal(E.voigt, V)
+            assert E.norm() == E.norm2() == np.inf
+            assert ElasticityTensor(voigt=V / 1e8).norm() == pytest.approx(1.5e300 * np.sqrt(15.0))
 
 
 class TestDistanceProblem:
@@ -259,11 +303,11 @@ class TestDistanceProblem:
 
     def test_cubic_input_has_zero_offset_and_distance(self):
         zero = Sym2Tensor(mat=np.zeros((3, 3)))
-        H = H4Params(L1=2.0, L2=2.0, L3=2.0, X1=0, X2=0, Y1=0, Y2=0, Z1=0, Z2=0)
+        H = _h4([2.0, 2.0, 2.0, 0, 0, 0, 0, 0, 0])
         E = recompose_ela(ElaHarmonic(alpha=30.0, beta=12.0, dprime=zero, vprime=zero, h4=H))
         prob = build_distance_problem_ela(E)
         assert prob.offset == pytest.approx(0.0, abs=1e-16)
-        x_own = harmonic_decompose_ela(E).h4.as_array()
+        x_own = h4_coordinates(harmonic_decompose_ela(E).h4.voigt)
         assert prob.objective.evaluate(x_own) == pytest.approx(0.0, abs=1e-12)
 
 

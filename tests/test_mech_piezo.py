@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from strata_opt.mech import (
-    H3Params,
     PiezoTensor,
     build_distance_problem_piezo,
     d2prime_piezo,
     d2prime_piezo_polynomials,
+    h3_coordinates,
     invariants_h3,
     is_cubic_piezo,
     piezo_harmonic_part,
 )
+from strata_opt.mech._tensalg import h3_full, voigt_from_full3
 from strata_opt.poly import Polynomial
 
 from conftest import poly_allclose, random_rotation
@@ -26,8 +27,13 @@ ESTAR = np.array([
 ])
 
 
-def _random_h3(rng) -> H3Params:
-    return H3Params.from_array(rng.normal(size=7))
+def _h3(x) -> PiezoTensor:
+    """The harmonic tensor of the seven coordinates x."""
+    return PiezoTensor.from_full(h3_full(x))
+
+
+def _random_h3(rng) -> PiezoTensor:
+    return _h3(rng.normal(size=7))
 
 
 def _random_piezo(rng) -> PiezoTensor:
@@ -37,10 +43,10 @@ def _random_piezo(rng) -> PiezoTensor:
 class TestHarmonicPart:
     def test_harmonic_input_passes_through(self, rng):
         h = _random_h3(rng)
-        e = h.to_tensor()
-        split = piezo_harmonic_part(e)
+        split = piezo_harmonic_part(h)
         assert split.g.norm() <= 1e-12
-        np.testing.assert_allclose(split.h.as_array(), h.as_array(), atol=1e-12)
+        np.testing.assert_allclose(h3_coordinates(split.h.full()), h3_coordinates(h.full()),
+                                   atol=1e-12)
 
     def test_reference_constant_term(self, e0_aln):
         split = piezo_harmonic_part(e0_aln)
@@ -75,9 +81,21 @@ class TestHarmonicPart:
         )
 
 
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_from_full_symmetry_is_relative(k, rng):
+    """Asymmetry in the last two slots is compared with the largest entry,
+    at every size: no entry of a pair is dropped silently."""
+    T = rng.normal(size=(3, 3, 3))
+    T = T + np.transpose(T, (0, 2, 1))
+    assert np.array_equal(PiezoTensor.from_full(np.ldexp(T, k)).full(), np.ldexp(T, k))
+    T[0, 1, 2] += 1e-3
+    with pytest.raises(ValueError, match="last two slots"):
+        PiezoTensor.from_full(np.ldexp(T, k))
+
+
 class TestD2Prime:
     def test_cubic_normal_form_annihilated(self):
-        h = H3Params(h111=0, h112=0, h122=0, h123=0.9, h222=0, h223=0, h333=0)
+        h = _h3([0, 0, 0, 0.9, 0, 0, 0])
         assert d2prime_piezo(h).norm() <= 1e-14
 
     def test_matches_full_contraction(self, rng):
@@ -92,7 +110,7 @@ class TestD2Prime:
 
     def test_reference_minimizer_residual(self, e0_aln):
         h0 = piezo_harmonic_part(e0_aln).h
-        residual = d2prime_piezo(H3Params.from_array(HSTAR))
+        residual = d2prime_piezo(_h3(HSTAR))
         assert residual.norm() <= 1e-5 * h0.norm2()
 
     def test_printed_component_polynomials(self):
@@ -116,7 +134,7 @@ class TestD2Prime:
         for _ in range(10):
             g = random_rotation(rng)
             Tr = np.einsum("ia,jb,kc,abc->ijk", g, g, g, T)
-            hr = H3Params.from_full(Tr)
+            hr = PiezoTensor.from_full(Tr)
             np.testing.assert_allclose(
                 d2prime_piezo(hr).mat, g @ d2p @ g.T,
                 atol=1e-9 * max(1.0, np.max(np.abs(d2p))),
@@ -126,18 +144,18 @@ class TestD2Prime:
 class TestInvariants:
     def test_cubic_normal_form(self):
         delta = 0.8
-        h = H3Params(h111=0, h112=0, h122=0, h123=delta, h222=0, h223=0, h333=0)
+        h = _h3([0, 0, 0, delta, 0, 0, 0])
         I2, I4, I6, I10, I15 = invariants_h3(h)
         assert I2 == pytest.approx(6 * delta**2, rel=1e-12)
         assert (I4, I6, I10, I15) == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_tensor(self):
-        assert invariants_h3(H3Params(*[0.0] * 7)) == (0.0,) * 5
+        assert invariants_h3(PiezoTensor(voigt=np.zeros((3, 6)))) == (0.0,) * 5
 
     def test_homogeneity_degrees(self, rng):
         h = _random_h3(rng)
         t = 1.7
-        ht = H3Params.from_array(t * h.as_array())
+        ht = PiezoTensor(voigt=t * h.voigt)
         base = invariants_h3(h)
         scaled = invariants_h3(ht)
         for val, val_t, deg in zip(base, scaled, (2, 4, 6, 10, 15)):
@@ -168,7 +186,7 @@ class TestInvariants:
         T = h.full()
         for _ in range(10):
             g = random_rotation(rng)
-            hr = H3Params.from_full(np.einsum("ia,jb,kc,abc->ijk", g, g, g, T))
+            hr = PiezoTensor.from_full(np.einsum("ia,jb,kc,abc->ijk", g, g, g, T))
             rotated = invariants_h3(hr)
             for val, val_r in zip(base, rotated):
                 assert val_r == pytest.approx(val, rel=1e-9, abs=1e-11)
@@ -176,8 +194,7 @@ class TestInvariants:
 
 class TestCubicTest:
     def test_harmonic_cubic_tensor(self):
-        h = H3Params(h111=0, h112=0, h122=0, h123=1.1, h222=0, h223=0, h333=0)
-        e = h.to_tensor()
+        e = _h3([0, 0, 0, 1.1, 0, 0, 0])
         assert is_cubic_piezo(e)
         assert is_cubic_piezo(e, strict=True)
 
@@ -225,10 +242,10 @@ class TestDistanceProblem:
         assert delta / e0_aln.norm() == pytest.approx(0.684256, abs=1e-4)
 
     def test_harmonic_cubic_input_distance_zero(self):
-        h = H3Params(h111=0, h112=0, h122=0, h123=0.5, h222=0, h223=0, h333=0)
-        prob = build_distance_problem_piezo(h.to_tensor())
+        h = _h3([0, 0, 0, 0.5, 0, 0, 0])
+        prob = build_distance_problem_piezo(h)
         assert prob.offset == pytest.approx(0.0, abs=1e-20)
-        assert prob.objective.evaluate(h.as_array()) == pytest.approx(0.0, abs=1e-14)
+        assert prob.objective.evaluate(h3_coordinates(h.full())) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_harmonic_part_matches_index_loops(rng):
@@ -245,5 +262,5 @@ def test_harmonic_part_matches_index_loops(rng):
                            + np.eye(3)[k, i] * t[j]) / 3.0
         h = es - 0.6 * qt
         split = piezo_harmonic_part(e)
-        assert np.array_equal(split.h.full(), H3Params.from_full(h).full())
-        assert np.array_equal(split.g.full(), PiezoTensor.from_full(T - h).full())
+        assert np.array_equal(split.h.voigt, voigt_from_full3(h))
+        assert np.array_equal(split.g.voigt, voigt_from_full3(T - h))

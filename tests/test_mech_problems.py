@@ -10,8 +10,6 @@ import pytest
 from strata_opt.datasets import DATASETS
 from strata_opt.mech import (
     ElasticityTensor,
-    H3Params,
-    H4Params,
     PiezoTensor,
     Sym2Tensor,
     build_distance_problem_ela,
@@ -22,6 +20,8 @@ from strata_opt.mech import (
     d2prime_ela,
     d2prime_piezo,
     deviatoric_coordinates,
+    h3_coordinates,
+    h4_coordinates,
     harmonic_decompose_ela,
     is_cubic_ela,
     is_cubic_piezo,
@@ -80,12 +80,12 @@ def _ela_split(E):
     h = harmonic_decompose_ela(E)
     dp, vp = h.dprime.mat, h.vprime.mat
     offset = 2.0 / 21.0 * np.sum((dp + 2 * vp) ** 2) + 4.0 / 3.0 * np.sum((dp - vp) ** 2)
-    return h.h4.as_array(), _isotropic_voigt(h.alpha, h.beta), offset
+    return h4_coordinates(h.h4.voigt), _isotropic_voigt(h.alpha, h.beta), offset
 
 
 def _piezo_split(e):
     split = piezo_harmonic_part(e)
-    return split.h.as_array(), np.zeros((3, 6)), split.g.norm2()
+    return h3_coordinates(split.h.full()), np.zeros((3, 6)), split.g.norm2()
 
 
 # per stratum: x0, the fixed part and the offset from the harmonic split that
@@ -205,8 +205,8 @@ def _transverse_covariant(x):
 # per stratum: the numeric covariant at x, in the order of the equations
 COVARIANTS = {
     "sym2": _transverse_covariant,
-    "elasticity": lambda x: d2prime_ela(H4Params.from_array(x)).mat[ta.DEV_ROWS, ta.DEV_COLS],
-    "piezo": lambda x: d2prime_piezo(H3Params.from_array(x)).mat[ta.DEV_ROWS, ta.DEV_COLS],
+    "elasticity": lambda x: d2prime_ela(ElasticityTensor(ta.h4_voigt(x))).mat[ta.DEV_ROWS, ta.DEV_COLS],
+    "piezo": lambda x: d2prime_piezo(PiezoTensor.from_full(ta.h3_full(x))).mat[ta.DEV_ROWS, ta.DEV_COLS],
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             Sym2Tensor.from_matrix([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_sym3_symmetry_is_relative(self, k, rng):
+        """The asymmetry is compared with the largest entry, at every size."""
+        T = ta.symmetrize3(rng.normal(size=(3, 3, 3)))
+        assert Sym3Tensor.from_full(np.ldexp(T, k)).full.shape == (3, 3, 3)
+        T[0, 1, 2] += 1e-3
+        with pytest.raises(ValueError, match="totally symmetric"):
+            Sym3Tensor.from_full(np.ldexp(T, k))
+
+    def test_norm_of_a_huge_tensor(self):
+        a0 = np.array(get_dataset("a0").voigt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = Sym2Tensor(mat=1e200 * a0)
+            assert a.norm() == pytest.approx(1e200 * np.linalg.norm(a0), rel=1e-15)
+            assert a.norm2() == np.inf
 
     def test_sym3_total_symmetry_enforced(self):
         T = np.zeros((3, 3, 3))
