@@ -15,7 +15,7 @@ Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 unless they are already set.  The SDPs solved here are
 small, so a BLAS thread pool costs more than it saves; a value set by the
 user wins.  The setting takes effect only when the package is imported
-before numpy, as the command line does, and ``--jobs`` workers inherit it.
+before numpy, as the command line does.
 """
 
 import os

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
-from . import hierarchy, pipeline
+from . import pipeline
 from .datasets import get_dataset, list_datasets
 from .hierarchy import RelaxationTooLarge
 from .mech import (classify_ela, classify_piezo, classify_sym2, h3_coordinates,
@@ -94,29 +93,14 @@ def _solver_options(args) -> dict:
                 solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol))
 
 
-def _share_memory(workers: int) -> None:
-    """Process-pool initializer: workers that solve at the same time split
-    the hierarchy's memory budget, so together they stay within it."""
-    hierarchy.MEMORY_FRACTION /= workers
-
-
 def cmd_distance(args) -> int:
     c = args.c if args.c == "auto" else float(args.c)
     labels, kinds, tensors = zip(*_inputs(args))
     for label, kind in zip(labels, kinds):
         if kind != STRATA[args.stratum]:
             raise ValueError(f"{label} has kind {kind}, incompatible with stratum {args.stratum}")
-    run = partial(pipeline.distance, c=c, **_solver_options(args))
-    if args.jobs > 1 and len(tensors) > 1:
-        # imported here: the process-pool machinery is a cost of --jobs only
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(args.jobs, len(tensors))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_memory,
-                                 initargs=(workers,)) as pool:
-            reports = list(pool.map(run, tensors))
-    else:
-        reports = [run(tensor) for tensor in tensors]
+    opts = _solver_options(args)
+    reports = [pipeline.distance(tensor, c=c, **opts) for tensor in tensors]
 
     for label, report in zip(labels, reports):
         p = report.problem
@@ -251,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", type=str, help="tensor JSON file")
     p.add_argument("--stratum", required=True, choices=sorted(STRATA))
     p.add_argument("--c", type=str, default="auto", help="ball constant or 'auto'")
-    p.add_argument("--jobs", type=int, default=1, help="parallel batch runs")
+    # --jobs is accepted and ignored: a batch runs in this process, and the
+    # benchmark's cli op still passes it
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     _add_common_solver_flags(p)
     p.set_defaults(func=cmd_distance)
 

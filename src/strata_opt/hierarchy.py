@@ -55,8 +55,7 @@ class ExtractionFailure(RuntimeError):
     """Atom extraction could not complete (degenerate pivot or moment mismatch)."""
 
 
-# share of the available memory one relaxation may take; the CLI's process
-# pool divides it among its workers
+# share of the available memory one relaxation may take
 MEMORY_FRACTION = 0.5
 # pivot threshold of the atom extraction and the relative constraint
 # violation up to which an extracted atom counts as feasible
@@ -80,15 +79,14 @@ ACTIVE_TOL = 1e-3
 class RelaxationTooLarge(MemoryError):
     """The estimated memory of a relaxation order exceeds the budget."""
 
-    def __init__(self, d: int, needed: int, budget: int, fraction: float | None = None):
-        fraction = MEMORY_FRACTION if fraction is None else fraction
-        super().__init__(d, needed, budget, fraction)
-        self.d, self.needed, self.budget, self.fraction = d, needed, budget, fraction
+    def __init__(self, d: int, needed: int, budget: int):
+        super().__init__(d, needed, budget)
+        self.d, self.needed, self.budget = d, needed, budget
 
     def __str__(self) -> str:
         return (f"relaxation order d={self.d} needs an estimated {self.needed / 2**20:.6g} MB, "
                 f"over the budget of {self.budget / 2**20:.6g} MB "
-                f"({self.fraction:g} of the available memory)")
+                f"({MEMORY_FRACTION:g} of the available memory)")
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,6 @@ class HierarchyOptions:
             raise ValueError(f"coordinate_scale must be positive, got {r}")
         if not 0.0 < self.rank_eps < 1.0:
             raise ValueError(f"rank_eps must lie in (0, 1), got {self.rank_eps}")
-        for name in ("gap_tol", "feas_tol"):
-            tol = getattr(self.solver, name)
-            if not np.isfinite(tol) or tol <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
 @dataclass
@@ -418,7 +412,7 @@ def _polish(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
     K = np.zeros((n + m, n + m))
 
     def kkt(x):
-        """The KKT residual's square and vector at x, and the KKT matrix's
+        """The KKT residual's norm and vector at x, and the KKT matrix's
         blocks: J and the Hessian of the Lagrangian."""
         mono = monomials(X, x[None])[0]
         grad = C[1] @ mono
@@ -426,7 +420,7 @@ def _polish(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
         lam = np.linalg.lstsq(J.T, -grad[:n], rcond=PROJECTION_RCOND)[0] if m else grad[:0]
         r = np.concatenate((grad[:n] + J.T @ lam, C[0][1:] @ mono))
         hess = (C[2] @ mono).reshape(m + 1, n * n)
-        return r @ r, r, J, (hess[0] + lam @ hess[1:]).reshape(n, n)
+        return math.hypot(*r), r, J, (hess[0] + lam @ hess[1:]).reshape(n, n)
 
     best, r, J, H = kkt(x)
     for _ in range(steps):

@@ -140,6 +140,12 @@ class SolverOptions:
     max_iter: int = 200
     objective_floor: float = -1e12  # scaled-objective divergence guard
 
+    def __post_init__(self):
+        for name in ("gap_tol", "feas_tol"):
+            tol = getattr(self, name)
+            if not np.isfinite(tol) or tol <= 0.0:
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
+
 
 @dataclass
 class SdpSolution:
@@ -255,26 +261,20 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     c_raw = problem.objective[1:].copy()
     c0 = float(problem.objective[0])
 
-    def finish(u, status, iters, trace, gap_unscaled, pres, dres, rel_gap=float("nan"),
-               schur_dim=0, linear=0, correctors=0):
-        values = np.concatenate(([1.0], u))
-        y = MomentVector(n=problem.n, d=problem.d, values=values)
+    def finish(u, status, duality_gap, primal_residual, dual_residual, **fields):
+        """The SdpSolution at u; fields names the outcome's other fields
+        (_ipm's record, or none where the IPM did not run)."""
         return SdpSolution(
-            y=y,
+            y=MomentVector(n=problem.n, d=problem.d, values=np.concatenate(([1.0], u))),
             objective=c0 + float(c_raw @ u),
-            duality_gap=abs(float(gap_unscaled)),
-            iterations=iters,
+            duality_gap=abs(float(duality_gap)),
             status=status,
-            trace=trace,
-            primal_residual=pres,
-            dual_residual=dres,
-            relative_gap=rel_gap,
-            schur_dim=schur_dim,
+            primal_residual=primal_residual,
+            dual_residual=dual_residual,
             equality_rows=rank,
-            linear_rows=linear,
-            correctors=correctors,
             basis_growth=E.growth if rank else None,
             row_blocks=list(E.sizes) if rank else None,
+            **fields,
         )
 
     # identically-zero blocks (vacuous constraints like 0 >= 0 or 0 = 0) would
@@ -287,25 +287,24 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     rank = len(E.P)
     u = E.particular(E.e)
     if residual > 1e-8:  # a dropped row that the kept ones contradict
-        return finish(u, NUMERICAL_FAILURE, 0, [], np.inf, np.inf, np.inf)
+        return finish(u, NUMERICAL_FAILURE, np.inf, np.inf, np.inf, iterations=0)
 
     if rank == N:
         # no free moments: feasibility is a property of the fixed values alone
         y = np.concatenate(([1.0], u))
         ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
-        return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0, [], 0.0, 0.0, 0.0, 0.0)
+        return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0.0, 0.0, 0.0,
+                      iterations=0, relative_gap=0.0)
     if not blocks:  # on {E u = e}, c is bounded below iff its reduced cost vanishes
         dres = float(np.max(np.abs(c_raw[E.F] - E.ct_dot(c_raw[E.P])), initial=0.0)
                      / (1.0 + np.max(np.abs(c_raw), initial=0.0)))
         status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
-        return finish(u, status, 0, [], 0.0, 0.0, dres, 0.0)
+        return finish(u, status, 0.0, 0.0, dres, iterations=0, relative_gap=0.0)
 
     face = _moment_face(problem.n, problem.d, equalities) if rank else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # overflow fails the solve
-        core = _ipm(c_raw, blocks, E, u, opts, face)
-    return finish(core.u, core.status, core.iterations, core.trace,
-                  core.gap, core.pres, core.dres, core.rel_gap, N,
-                  sum(b.side == 1 for b in blocks), core.correctors)
+        outcome = _ipm(c_raw, blocks, E, u, opts, face)
+    return finish(**outcome, schur_dim=N, linear_rows=sum(b.side == 1 for b in blocks))
 
 
 def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
@@ -329,21 +328,8 @@ def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
     return np.ascontiguousarray(Vt[rank:].T) if rank else None
 
 
-@dataclass
-class _CoreResult:
-    u: np.ndarray
-    status: str
-    iterations: int
-    trace: list
-    gap: float
-    pres: float
-    dres: float
-    rel_gap: float = float("nan")
-    correctors: int = 0
-
-
 def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
-         face: np.ndarray | None = None) -> _CoreResult:
+         face: np.ndarray | None = None) -> dict:
     """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
     from u (which satisfies E u = e), with the rows E u = e in echelon form
     (_linalg.EchelonRows), whose kernel basis the Newton steps take; the
@@ -356,7 +342,8 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
     then elementwise, and with k = 0 none of it runs.  The other blocks
     of equal side and base table form one stack, so that every per-block
     factorization, decomposition and product is one batched call per
-    stack."""
+    stack.  Returns the SdpSolution fields the solve decides, by name: at
+    a failure those of the best iterate seen."""
     N = c_raw.shape[0]
 
     # per-problem rescaling: largest absolute coefficient becomes 1
@@ -573,9 +560,10 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
             z = z + ad * lin[1]
         iters = it + 1
 
-    if status == OPTIMAL or best is None:
-        return _CoreResult(u, status, iters, trace, (pobj - dobj) * s_obj, pres, dres, rel_gap,
-                           correctors)
-    # on failure report the best iterate seen, not the diverged last one
-    _, u_b, gap_b, pres_b, dres_b, rg_b = best
-    return _CoreResult(u_b, status, iters, trace, gap_b * s_obj, pres_b, dres_b, rg_b, correctors)
+    gap = pobj - dobj
+    if status != OPTIMAL and best is not None:
+        # on failure report the best iterate seen, not the diverged last one
+        _, u, gap, pres, dres, rel_gap = best
+    return dict(u=u, status=status, iterations=iters, trace=trace,
+                duality_gap=gap * s_obj, primal_residual=pres, dual_residual=dres,
+                relative_gap=rel_gap, correctors=correctors)

@@ -289,15 +289,17 @@ class TestRunHierarchy:
     @pytest.mark.parametrize("options, name", [
         ({"rank_eps": 0.0}, "rank_eps"), ({"rank_eps": 1.0}, "rank_eps"),
         ({"rank_eps": 2.0}, "rank_eps"), ({"rank_eps": float("nan")}, "rank_eps"),
-        ({"solver": SolverOptions(gap_tol=0.0)}, "gap_tol"),
-        ({"solver": SolverOptions(gap_tol=float("inf"))}, "gap_tol"),
-        ({"solver": SolverOptions(feas_tol=-1e-8)}, "feas_tol"),
-        ({"solver": SolverOptions(feas_tol=float("nan"))}, "feas_tol"),
+        ({"solver": {"gap_tol": 0.0}}, "gap_tol"),
+        ({"solver": {"gap_tol": float("inf")}}, "gap_tol"),
+        ({"solver": {"feas_tol": -1e-8}}, "feas_tol"),
+        ({"solver": {"feas_tol": float("nan")}}, "feas_tol"),
     ])
     def test_invalid_tolerances_rejected(self, options, name):
+        # the solver's tolerances are refused by SolverOptions itself
         f = _sum_sq(1, [0.0])
         cons = add_ball_constraint(f, [], 4.0)
         with pytest.raises(ValueError, match=name):
+            options = {k: SolverOptions(**v) if k == "solver" else v for k, v in options.items()}
             run_hierarchy(f, cons, HierarchyOptions(d_max=1, **options))
 
 
@@ -434,19 +436,6 @@ class TestMemoryBudget:
             run_hierarchy(f, cons, HierarchyOptions(d_max=2))
         assert (info.value.d, info.value.needed) == (1, needed)
         assert "0.5 of the available memory" in str(info.value)
-
-    def test_pool_workers_split_the_budget(self, monkeypatch):
-        import pickle
-
-        import strata_opt.hierarchy as hierarchy
-        from strata_opt.cli import _share_memory
-
-        monkeypatch.setattr(hierarchy, "MEMORY_FRACTION", 0.5)
-        _share_memory(4)
-        assert hierarchy.MEMORY_FRACTION == 0.125
-        # the refusal keeps the worker's share when it crosses the process boundary
-        exc = pickle.loads(pickle.dumps(hierarchy.RelaxationTooLarge(3, 10, 5)))
-        assert "0.125 of the available memory" in str(exc)
 
 
 def _extract_from_dirac(f, constraints, point, d=2):

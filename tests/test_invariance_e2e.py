@@ -5,11 +5,14 @@ scales linearly with it; both facts exercise every layer at once
 (decomposition, covariant constraints, assembly, solver, certification).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from strata_opt import distance
-from strata_opt.mech import ElasticityTensor, PiezoTensor
+from strata_opt.datasets import get_dataset
+from strata_opt.mech import ElasticityTensor, PiezoTensor, Sym2Tensor
 from strata_opt.mech._tensalg import voigt_from_full3, voigt_from_full4
 
 from conftest import random_rotation
@@ -64,3 +67,18 @@ class TestScaleCovariance:
             scaled = PiezoTensor(voigt=s * e0_aln.voigt)
             d = _run(scaled)
             assert d == pytest.approx(s * base, rel=2e-5)
+
+    @pytest.mark.parametrize("name, exponents", [("a0", (56, 80, 101)), ("E0", (84, 120, 150)),
+                                                 ("aln", (86, 120, 150, 153))])
+    def test_huge_inputs_certify_without_overflow(self, name, exponents):
+        # the KKT polish compares residual norms, not their squares: a0 x 1e56,
+        # E0 x 1e84 and aln x 1e86 squared theirs past the largest double
+        kind = {"a0": Sym2Tensor, "E0": ElasticityTensor, "aln": PiezoTensor}[name]
+        voigt = np.array(get_dataset(name).voigt)
+        base = distance(kind(voigt)).distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in exponents:
+                report = distance(kind(10.0**k * voigt))
+                assert report.status_xi == 1, k
+                assert report.distance == pytest.approx(10.0**k * base, rel=2e-5), k

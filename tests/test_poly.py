@@ -481,8 +481,8 @@ def test_one_term_product_that_underflows_is_zero():
 @pytest.mark.parametrize("copier", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy,
                                     copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
 def test_polynomials_and_problems_pickle_and_copy(copier, E0):
-    """A Polynomial, a DistanceProblem and a PopProblem survive pickle (as
-    sent to a --jobs worker), copy and deepcopy, with equal read-only arrays."""
+    """A Polynomial, a DistanceProblem and a PopProblem survive pickle, copy
+    and deepcopy, with equal read-only arrays."""
     from strata_opt.mech import build_distance_problem_ela
     from strata_opt.popfile import parse_pop
 

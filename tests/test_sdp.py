@@ -137,6 +137,14 @@ class TestContracts:
         assert sol.status == "max_iterations"
         assert sol.iterations <= 2
 
+    @pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_not_finite_and_positive_refused(self, name, value):
+        # refused at construction: solve_sdp would run 16 iterations with
+        # gap_tol = nan and return numerical_failure
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            SolverOptions(**{name: value})
+
 
 class TestEqualityElimination:
     """Equalities are rows E u = e of the Newton system, not block pairs."""

@@ -1,6 +1,7 @@
-"""Process-level behaviour, checked in fresh interpreters: what importing the
-command line loads (no scipy, no process pool, no problem-file parser), the
-BLAS thread default, and bounds that do not depend on the BLAS thread count."""
+"""Process-level behaviour, checked in fresh interpreters: what importing and
+running the command line loads (no scipy, no process pool, no problem-file
+parser), the BLAS thread default, and bounds that do not depend on the BLAS
+thread count."""
 
 import json
 import os
@@ -39,13 +40,36 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_process_pool():
-    # the pool is imported by the --jobs > 1 branch only; the --jobs 2 CLI
-    # tests cover it
+BATCH_WITH_JOBS = """
+import json, sys
+from strata_opt.cli import main
+runs = []
+for jobs in ("2", "1"):
+    code = main(["distance", "--dataset", "aln,cr0.10", "--stratum", "cubic-piezo",
+                 "--jobs", jobs, "--json", sys.argv[1] + jobs + ".json"])
+    with open(sys.argv[1] + jobs + ".json") as fh:
+        reports = json.load(fh)
+    for report in reports:  # timings: the report's and each order's phases
+        del report["seconds"]
+        for order in report["diagnostics"]:
+            del order["seconds"]
+    runs.append((code, reports))
+print(json.dumps({"pool": "concurrent.futures.process" in sys.modules,
+                  "same": runs[0] == runs[1], "codes": [code for code, _ in runs]}))
+"""
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # a batch runs in the command's own process: --jobs is accepted and
+    # ignored, and the reports are those of --jobs 1 apart from the timings
     code = "import sys, strata_opt.cli; print('concurrent.futures.process' in sys.modules)"
     proc = _python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    proc = _python(["-c", BATCH_WITH_JOBS, str(tmp_path / "jobs")])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"pool": False, "same": True,
+                                                        "codes": [0, 0]}
 
 
 def test_cli_import_loads_no_problem_file_parser():
