@@ -33,8 +33,7 @@ from .moment import (
     minimal_order,
     moment_matrix,
 )
-from .poly import (Polynomial, derivative_arrays, grlex_position, lambda_set, monomials,
-                   term_arrays)
+from .poly import Polynomial, derivative_arrays, grlex_position, lambda_set, monomials
 from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
 
 __all__ = [
@@ -61,19 +60,13 @@ MEMORY_FRACTION = 0.5
 # violation up to which an extracted atom counts as feasible
 EXTRACTION_TOL = 1e-6
 FEAS_REPORT_TOL = 1e-6
-# relative singular-value cutoff of the projection's least-squares step.  On
+# relative singular-value cutoff of the Newton steps' least-squares solves.  On
 # a stratum the equalities are dependent (cubic-piezo: 5 equations, a rank-3
 # Jacobian on the variety), and near it the extra singular values are
 # rounding noise, 1e-15 of the largest, just above lstsq's default cutoff
 # eps * max(m, n): dividing by them moved an atom along its orbit by 0.64 at
 # |x| ~ 300 and changed f by up to 4 times the acceptance tolerance
 PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
-# value of an inequality, relative to its terms' magnitude, up to which it
-# counts as active at an atom.  The atoms of a solve stopped at relative gap
-# delta are off by about sqrt(delta), 1e-4 at the default gap_tol, so no
-# active inequality reads as inactive; an inactive one read as active only
-# leaves its atom unpolished
-ACTIVE_TOL = 1e-3
 
 
 class RelaxationTooLarge(MemoryError):
@@ -129,7 +122,7 @@ class OrderDiagnostics:
     rank_satisfied: bool = False
     extraction_status: str = "not_attempted"
     atom_count: int = 0
-    max_constraint_violation: float = float("nan")       # after projection onto h = 0
+    max_constraint_violation: float = float("nan")       # after the Newton steps
     max_violation_before_projection: float = float("nan")
     max_objective_mismatch: float = float("nan")
     # wall seconds per phase: assemble, solve, rank, extract
@@ -377,24 +370,17 @@ def _check_memory(n: int, d: int, constraints, budget: float) -> None:
         raise RelaxationTooLarge(d, needed, int(budget))
 
 
-def _project(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
-    """At most `steps` Gauss-Newton steps towards {h = 0}: each the
-    minimum-norm least-squares step on the Jacobian of the equalities,
-    until their values are rounding errors of their terms.  X and C are
-    the derivative_arrays of [f] + the equalities, as _polish reads them."""
-    n = len(x)
-    H, G = C[0][1:], C[1][n:]
-    for _ in range(steps):
-        mono = monomials(X, x[None])[0]
-        value = H @ mono
-        if np.all(np.abs(value) <= 4.0 * np.finfo(float).eps * (np.abs(H) @ np.abs(mono))):
-            break
-        J = (G @ mono).reshape(len(H), n)
-        x = x - np.linalg.lstsq(J, value, rcond=PROJECTION_RCOND)[0]
-    return x
+def _violations(C0: np.ndarray, mono: np.ndarray, m: int) -> np.ndarray:
+    """The constraints' violations at a point, relative to their terms'
+    magnitudes 1 + sum |c_alpha x^alpha|: |h| for the m equalities, then
+    max(0, -g) for the inequalities.  C0 holds the order-0 rows of [f] + the
+    equalities + the inequalities, and mono the monomials at the point."""
+    value = C0[1:] @ mono
+    raw = np.concatenate((np.abs(value[:m]), np.maximum(0.0, -value[m:])))
+    return raw / (1.0 + np.abs(C0[1:]) @ np.abs(mono))
 
 
-def _polish(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
+def _newton(x: np.ndarray, X: np.ndarray, C, m: int, steps: int = 3) -> np.ndarray:
     """At most `steps` Newton steps on the KKT system of min f over {h = 0}
     from x: each solves
 
@@ -402,34 +388,40 @@ def _polish(x: np.ndarray, X: np.ndarray, C, steps: int = 3) -> np.ndarray:
         [ J                        0   ] [ dl ] = - [ h                ]
 
     with lam the least-squares multipliers of grad f + J^T lam = 0, by lstsq
-    with PROJECTION_RCOND as in _project (on a stratum J is rank deficient),
-    and is kept only if it lowers the KKT residual |(grad f + J^T lam, h)|.
-    A kept step below PROJECTION_RCOND |x| ends the polish: the next one,
-    about its square, would be rounding.  X and C are the derivative_arrays
-    of [f] + the equalities of orders 0, 1 and 2, so that one monomial
-    evaluation serves a point."""
-    n, m = len(x), len(C[0]) - 1
+    with PROJECTION_RCOND (on a stratum J is rank deficient).  With f = 0
+    the multipliers vanish and the step is the minimum-norm step J^+ h onto
+    {h = 0}.  A step is kept only if it lowers the KKT residual
+    |(grad f + J^T lam, h)| and leaves no inequality violated beyond
+    FEAS_REPORT_TOL: a step across an active face is refused.  A kept step
+    below PROJECTION_RCOND |x| ends the steps: the next one, about its
+    square, would be rounding.  X and C are the derivative_arrays of orders
+    0, 1 and 2 of [f] + the m equalities + the inequalities, so that one
+    monomial evaluation serves a point."""
+    n = len(x)
     K = np.zeros((n + m, n + m))
+    G, D2 = C[1][:(m + 1) * n], C[2][:(m + 1) * n * n]
 
     def kkt(x):
-        """The KKT residual's norm and vector at x, and the KKT matrix's
-        blocks: J and the Hessian of the Lagrangian."""
+        """The KKT residual's norm and vector at x, the KKT matrix's blocks
+        J and the Hessian of the Lagrangian, and whether x satisfies the
+        inequalities."""
         mono = monomials(X, x[None])[0]
-        grad = C[1] @ mono
+        grad = G @ mono
         J = grad[n:].reshape(m, n)
         lam = np.linalg.lstsq(J.T, -grad[:n], rcond=PROJECTION_RCOND)[0] if m else grad[:0]
-        r = np.concatenate((grad[:n] + J.T @ lam, C[0][1:] @ mono))
-        hess = (C[2] @ mono).reshape(m + 1, n * n)
-        return math.hypot(*r), r, J, (hess[0] + lam @ hess[1:]).reshape(n, n)
+        r = np.concatenate((grad[:n] + J.T @ lam, C[0][1:m + 1] @ mono))
+        hess = (D2 @ mono).reshape(m + 1, n * n)
+        feasible = bool(np.all(_violations(C[0], mono, m)[m:] <= FEAS_REPORT_TOL))
+        return math.hypot(*r), r, J, (hess[0] + lam @ hess[1:]).reshape(n, n), feasible
 
-    best, r, J, H = kkt(x)
+    best, r, J, H, _ = kkt(x)
     for _ in range(steps):
         K[:n, :n], K[:n, n:], K[n:, :n] = H, J.T, J
         dx = np.linalg.lstsq(K, r, rcond=PROJECTION_RCOND)[0][:n]
         at_trial = kkt(x - dx)
-        if not at_trial[0] < best:
+        if not (at_trial[0] < best and at_trial[4]):
             break
-        x, (best, r, J, H) = x - dx, at_trial
+        x, (best, r, J, H, _) = x - dx, at_trial
         if dx @ dx <= PROJECTION_RCOND**2 * (x @ x):
             break
     return x
@@ -518,33 +510,24 @@ def _attempt_extraction(f, constraints, sol, d, s, rec, r=1.0):
     """One atom extraction plus a-posteriori atom validation.
 
     Atoms live in the (possibly dilated) solver coordinates; they are mapped
-    back by r and projected onto the equalities {h = 0} (_project).  An atom
-    at which no inequality is active (ACTIVE_TOL) is then polished by Newton
-    steps on the KKT system of min f over {h = 0} (_polish): its accuracy no
-    longer rides on the gap the solver stopped at.  An atom at an active
-    inequality stays as projected.  Every atom is validated against the
-    original objective and constraints.
+    back by r and take Newton steps (_newton) twice: with f = 0, which
+    projects them onto the equalities {h = 0}, then with f, which polishes
+    them on the KKT system of min f over {h = 0}, so that their accuracy no
+    longer rides on the gap the solver stopped at.  Every atom is validated
+    against the original objective and constraints; a rejection names each
+    failed check with its worst value and its tolerance.
     """
-    X, C = term_arrays([g for g, _ in constraints], f.n)
-    is_eq = np.array([kind == EQ for _, kind in constraints], dtype=bool)
+    n = f.n
     equalities = [g for g, kind in constraints if kind == EQ]
-    DX, DC = derivative_arrays([f] + equalities, f.n, (0, 1, 2))
-
-    def values(x):
-        """The constraints' values at x and the magnitudes 1 + sum |c_alpha
-        x^alpha| of their own terms."""
-        mono = monomials(X, x[None])[0]
-        return C @ mono, 1.0 + np.abs(C) @ np.abs(mono)
+    m = len(equalities)
+    X, C = derivative_arrays([f] + equalities + [g for g, kind in constraints if kind != EQ],
+                             n, (0, 1, 2))
+    # the same arrays with f = 0: its rows are the first n^k of order k
+    C_h = [np.vstack((np.zeros((n**k, len(X))), Ck[n**k:])) for k, Ck in enumerate(C)]
 
     def violation(x):
         """The largest violation of a constraint at x, relative to its terms."""
-        val, size = values(x)
-        raw = np.where(is_eq, np.abs(val), np.maximum(0.0, -val))
-        return float(np.max(raw / size, initial=0.0))
-
-    def active(x):
-        val, size = values(x)
-        return bool(np.any(~is_eq & (val <= ACTIVE_TOL * size)))
+        return float(np.max(_violations(C[0], monomials(X, x[None])[0], m), initial=0.0))
     try:
         points, _weights = extract_minimizers(sol.y, d, s, tol=EXTRACTION_TOL)
     except ExtractionFailure as exc:
@@ -552,16 +535,17 @@ def _attempt_extraction(f, constraints, sol, d, s, rec, r=1.0):
         return [], False
 
     raw = [r * x for x in points]
-    points = [_project(x, DX, DC) for x in raw]
-    points = [x if active(x) else _polish(x, DX, DC) for x in points]
+    points = [_newton(_newton(x, X, C_h, m), X, C, m) for x in raw]
     rec.max_violation_before_projection = max(violation(x) for x in raw)
     f_tol = max(1e-4 * (1.0 + abs(sol.objective)), 10.0 * sol.duality_gap)
-    viols = [violation(x) for x in points]
-    fgaps = [abs(f.evaluate(x) - sol.objective) for x in points]
-    rec.max_constraint_violation, rec.max_objective_mismatch = max(viols), max(fgaps)
-    failed = sum(v > FEAS_REPORT_TOL or g > f_tol for v, g in zip(viols, fgaps))
-    if failed:
-        rec.extraction_status = f"rejected: {failed} atoms failed validation"
+    worst_v = max(violation(x) for x in points)
+    worst_g = max(abs(f.evaluate(x) - sol.objective) for x in points)
+    rec.max_constraint_violation, rec.max_objective_mismatch = worst_v, worst_g
+    faults = [f"objective mismatch {worst_g:.1e} > f_tol {f_tol:.1e}"] if worst_g > f_tol else []
+    if worst_v > FEAS_REPORT_TOL:
+        faults.append(f"constraint violation {worst_v:.1e} > {FEAS_REPORT_TOL:.0e}")
+    if faults:
+        rec.extraction_status = "rejected: " + ", ".join(faults)
         return [], False
     rec.extraction_status = "ok"
     rec.atom_count = len(points)

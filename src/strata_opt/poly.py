@@ -25,7 +25,6 @@ __all__ = [
     "grlex_position",
     "lambda_set",
     "monomials",
-    "term_arrays",
 ]
 
 
@@ -110,22 +109,15 @@ def _merge(exponents: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
     return _wrap(rows, sums)
 
 
-def term_arrays(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomials in n variables over their common support, X (T, n) in
-    graded-lex order, and their coefficients C (len(polys), T): polys[i] =
-    sum_t C[i, t] x^X[t].  Both are read-only."""
-    X, coeffs, owner = _stacked(polys, n)
-    return _collect(X, coeffs, owner, len(polys))
-
-
 def derivative_arrays(polys, n: int, orders) -> tuple[np.ndarray, list]:
     """The partial derivatives of polys of each order k in orders over one
     support: X (T, n) in graded-lex order and, per order in ascending order,
     C_k (len(polys) n^k, T) with d^k polys[i]/dx_j1 ... dx_jk in row
-    (((i n + j1) n + j2) ... ) n + jk.  Order 0 is term_arrays and order 1
-    the gradients.  They are built from the polynomials' own arrays: each
-    term c x^alpha with alpha_j > 0 gives c alpha_j x^(alpha - e_j) to row
-    i n + j of the next order.  All are read-only."""
+    (((i n + j1) n + j2) ... ) n + jk: order 0 holds the polynomials'
+    coefficients and order 1 their gradients.  They are built from the
+    polynomials' own arrays: each term c x^alpha with alpha_j > 0 gives
+    c alpha_j x^(alpha - e_j) to row i n + j of the next order.  All are
+    read-only."""
     X, coeffs, owner = _stacked(polys, n)
     count, ends, parts = len(polys), [0], []
     for k in range(max(orders) + 1):
@@ -249,14 +241,6 @@ class Polynomial:
 
     def coefficient(self, alpha) -> float:
         return float(self.coeffs[(self.exponents == np.reshape(alpha, self.n)).all(axis=1)].sum())
-
-    def gradient(self) -> tuple["Polynomial", ...]:
-        """(dp/dx_1, ..., dp/dx_n); lowering the rows by one in x_i keeps their order."""
-        X = self.exponents
-        i, t = X.T.nonzero()  # by variable, then by row
-        lowered, coeffs = X[t] - np.eye(self.n, dtype=np.int64)[i], self.coeffs[t] * X[t, i]
-        ends = np.bincount(i, minlength=self.n).cumsum().tolist()
-        return tuple(_wrap(lowered[a:b], coeffs[a:b]) for a, b in zip([0] + ends, ends))
 
     def dilate(self, r: float) -> "Polynomial":
         """The polynomial x -> p(r * x): coefficients scale by r^|alpha|."""

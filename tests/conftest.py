@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strata_opt.mech import ElasticityTensor, PiezoTensor, Sym2Tensor
-from strata_opt.poly import term_arrays
+from strata_opt.poly import Polynomial
 
 
 @pytest.fixture
@@ -60,6 +60,27 @@ def poly_allclose(p, q, tol=1e-12):
 def term_dict(p):
     """The map {alpha: c} of a polynomial's terms, for references built in tests."""
     return dict(zip(map(tuple, p.exponents.tolist()), p.coeffs.tolist()))
+
+
+def term_arrays(polys, n):
+    """Polynomials in n variables over their common support, X (T, n) in
+    graded-lex order, and their coefficients C (len(polys), T): polys[i] =
+    sum_t C[i, t] x^X[t].  The reference for derivative_arrays' orders."""
+    rows = sorted({a for p in polys for a in term_dict(p)}, key=lambda a: (sum(a), [-e for e in a]))
+    column = {a: t for t, a in enumerate(rows)}
+    C = np.zeros((len(polys), len(rows)))
+    for i, p in enumerate(polys):
+        for a, c in term_dict(p).items():
+            C[i, column[a]] = c
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), C
+
+
+def gradient(p):
+    """(dp/dx_1, ..., dp/dx_n), term by term."""
+    terms = term_dict(p)
+    return tuple(Polynomial(p.n, {a[:i] + (a[i] - 1,) + a[i + 1:]: c * a[i]
+                                  for a, c in terms.items() if a[i]})
+                 for i in range(p.n))
 
 
 def rotated_cubic_voigt(c11, c12, c44, g) -> np.ndarray:

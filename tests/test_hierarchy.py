@@ -438,18 +438,19 @@ class TestMemoryBudget:
         assert "0.5 of the available memory" in str(info.value)
 
 
-def _extract_from_dirac(f, constraints, point, d=2):
+def _extract_from_dirac(f, constraints, point, d=2, shift=0.0):
     """_attempt_extraction on the moments of the Dirac measure at point, as a
-    solve that stopped there would give them: (atoms, accepted)."""
+    solve that stopped there with objective f(point) + shift would give
+    them: (atoms, accepted, the OrderDiagnostics it fills in)."""
     from strata_opt.hierarchy import OrderDiagnostics, _attempt_extraction
     from strata_opt.sdp import SdpSolution
 
     y = MomentVector.from_dirac(np.asarray(point, dtype=float), d)
-    value = f.evaluate(point)
+    value = f.evaluate(point) + shift
     sol = SdpSolution(y=y, objective=value, duality_gap=0.0, iterations=0, status="optimal")
     rec = OrderDiagnostics(d=d, solver_status="optimal", objective=value, duality_gap=0.0,
                            iterations=0)
-    return _attempt_extraction(f, constraints, sol, d, 1, rec)
+    return *_attempt_extraction(f, constraints, sol, d, 1, rec), rec
 
 
 class TestPolish:
@@ -473,19 +474,65 @@ class TestPolish:
 
         x, y = Polynomial.variables(2)
         theta = 1.25 * np.pi + 1e-5
-        atoms, accepted = _extract_from_dirac(x + y, [(x * x + y * y - 1.0, EQ)],
-                                              [np.cos(theta), np.sin(theta)])
+        atoms, accepted, _ = _extract_from_dirac(x + y, [(x * x + y * y - 1.0, EQ)],
+                                                 [np.cos(theta), np.sin(theta)])
         assert accepted and len(atoms) == 1
         np.testing.assert_allclose(atoms[0], -np.sqrt(0.5) * np.ones(2), rtol=0.0, atol=1e-10)
 
     def test_atom_at_an_active_inequality_is_not_polished(self):
         """min x + y on x^2 + y^2 = 1 and x >= 0.6 has its minimizer at
-        (0.6, -0.8), where x >= 0.6 is active.  Steps on the KKT system of
-        the equality alone would leave the feasible set; the atom stays."""
+        (0.6, -0.8), where x >= 0.6 is active.  A step on the KKT system of
+        the equality alone would leave the feasible set, so it is refused
+        and the atom stays."""
         from strata_opt.moment import EQ
 
         x, y = Polynomial.variables(2)
         cons = [(x * x + y * y - 1.0, EQ), (x - 0.6, GE)]
-        atoms, accepted = _extract_from_dirac(x + y, cons, [0.6, -0.8])
+        atoms, accepted, _ = _extract_from_dirac(x + y, cons, [0.6, -0.8])
         assert accepted and len(atoms) == 1
         np.testing.assert_allclose(atoms[0], [0.6, -0.8], rtol=0.0, atol=1e-12)
+
+    def test_atom_near_an_inequality_that_reads_as_active_is_polished(self):
+        """min x + y on x^2 + y^2 = 1 with (f(atom) + 1e-4) - (x + y) >= 0,
+        from an atom on the circle 1e-5 off the minimizer: the inequality's
+        value there is 2.6e-5 of its terms, which an activity test at 1e-3
+        read as active and left the atom 7.1e-6 away.  The minimizer
+        satisfies it, so the KKT steps reach -(1, 1)/sqrt(2)."""
+        from strata_opt.moment import EQ
+
+        x, y = Polynomial.variables(2)
+        theta = 1.25 * np.pi + 1e-5
+        point = [np.cos(theta), np.sin(theta)]
+        cons = [(x * x + y * y - 1.0, EQ),
+                (Polynomial.constant(2, (x + y).evaluate(point) + 1e-4) - (x + y), GE)]
+        atoms, accepted, _ = _extract_from_dirac(x + y, cons, point)
+        assert accepted and len(atoms) == 1
+        np.testing.assert_allclose(atoms[0], -np.sqrt(0.5) * np.ones(2), rtol=0.0, atol=1e-10)
+
+    def test_step_across_an_active_face_is_refused(self):
+        """min (x - 2)^2 + (y - 1)^2 over 1 - x^2 - y^2 >= 0 has no equality,
+        so the KKT step from its minimizer (2, 1)/sqrt(5) is the Newton step
+        to (2, 1), outside the disc: it is refused and the atom stays."""
+        x, y = Polynomial.variables(2)
+        f = (x - 2.0) ** 2 + (y - 1.0) ** 2
+        point = np.array([2.0, 1.0]) / np.sqrt(5.0)
+        atoms, accepted, rec = _extract_from_dirac(f, [(1.0 - x * x - y * y, GE)], point)
+        assert accepted and len(atoms) == 1
+        np.testing.assert_array_equal(atoms[0], point)
+        assert rec.max_constraint_violation <= FEAS_REPORT_TOL
+
+
+@pytest.mark.parametrize("point, shift, message", [
+    (1.0, 1e-2, "objective mismatch 1.0e-02 > f_tol 2.0e-04"),
+    (0.5, 0.0, "constraint violation 2.0e-01 > 1e-06"),
+    (0.5, 1.0, "objective mismatch 1.0e+00 > f_tol 2.5e-04, constraint violation 2.0e-01 > 1e-06"),
+])
+def test_rejection_names_each_failed_check(point, shift, message):
+    """min x over x - 1 >= 0, where no Newton step moves an atom (f is
+    linear): a rejected order names each failed check, its worst value and
+    its tolerance.  x = 0.5 misses the inequality by 0.5 of its terms'
+    magnitude 1 + 1 + 0.5."""
+    x = Polynomial.variable(0, 1)
+    atoms, accepted, rec = _extract_from_dirac(x, [(x - 1.0, GE)], [point], shift=shift)
+    assert (atoms, accepted) == ([], False)
+    assert rec.extraction_status == "rejected: " + message
