@@ -40,7 +40,6 @@ from .moment import (  # noqa: E402
     MomentVector,
     RelaxationProblem,
     assemble_relaxation,
-    localizing_matrix,
     minimal_order,
     moment_matrix,
     shift_vector,
@@ -65,7 +64,6 @@ __all__ = [
     "distance",
     "extract_minimizers",
     "lambda_set",
-    "localizing_matrix",
     "minimal_order",
     "moment_matrix",
     "numerical_rank",

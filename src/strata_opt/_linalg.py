@@ -9,7 +9,12 @@ escalating diagonal regularization, of one matrix or batched over a
 stack; blocked triangular substitution with the factor; and the solver of
 the saddle-point (KKT) system of each Newton step, through the Cholesky
 factor of the Schur matrix M reduced to that kernel one block of C at a
-time, or by one dense LU solve when the system is small.
+time, or by one dense LU solve of the whole system when it is small
+(dense_route).  Rows move that crossover: the Cholesky route then pays a
+reduction per iteration and a refinement pass per solve, while the LU
+route, which factors at every solve, takes no extra correctors; but with
+more than N / 2 rows the reduced matrix is so much smaller than the whole
+system that the Cholesky route wins again.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DENSE_KKT", "EchelonRows", "chol_regularized", "chol_solver", "chol_stack", "echelon_rows",
-           "kkt_solver"]
+__all__ = ["DENSE_KKT", "DENSE_KKT_ROWS", "EchelonRows", "chol_regularized", "chol_solver", "chol_stack",
+           "dense_route", "echelon_rows", "kkt_solver"]
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -321,10 +326,58 @@ def _eliminate(B: np.ndarray, k: int, n: int, pivots: np.ndarray, ref: np.ndarra
     _eliminate(B, k + h, n - h, pivots, ref, tol)
 
 
-# up to this many unknowns N + m, one LU solve of the whole system per right-hand
-# side is cheaper than the Cholesky route's set-up and solves; measured, one BLAS
-# thread: 80-150 us against 300-370 us per iteration at 40-64, dearer from 82 on
-DENSE_KKT = 64
+# The bounds of the LU route, from solve_sdp's time per solve on both routes:
+# median of 9 interleaved solves, one BLAS thread, OpenBLAS 0.3.31, 2 shared
+# vCPU.  a0 and E0 are the tensors' relaxations at d0; the others minimize
+# perfbench's pop quartic in n variables at order d, on the unit sphere
+# (sphere), on the sphere and k - 1 random quadrics through a point of it
+# (k), or, without rows, on the box and the ball:
+#
+#   shape            N    m  N+m    LU ms (iters)   Cholesky ms (iters)   LU wins
+#   E0 d=1          54    5   59      9.1 (9)        13.8 (7)             9/9
+#   sphere n=4 d=2  69   15   84      7.7 (10)       11.9 (8)             9/9
+#   k=2 n=4 d=2     69   29   98      8.1 (10)        9.3 (8)             9/9
+#   sphere n=3 d=3  83   35  118     12.4 (12)       12.1 (8)             3/9
+#   a0 d=2         125    7  132     15.5 (9)        20.9 (9)             7/9
+#   sphere n=5 d=2 125   21  146     12.6 (9)        16.3 (7)             9/9
+#   k=2 n=5 d=2    125   41  166     16.2 (11)       13.6 (8)             0/9
+#   k=3 n=5 d=2    125   60  185     16.4 (10)       11.8 (7)             0/9
+#   sphere n=6 d=2 209   28  237     27.3 (10)       30.6 (8)             9/9
+#   sphere n=7 d=2 329   36  365     67.6 (12)       50.3 (8)             0/9
+#   k=3 n=4 d=2     69   42  111      9.1 (9)         8.1 (7)             0/9
+#   k=4 n=4 d=2     69   54  123      9.4 (9)         8.0 (7)             0/9
+#   k=2 n=3 d=3     83   60  143     12.6 (10)        9.9 (8)             0/9
+#   sphere n=2 d=6  90   66  156     12.9 (8)        11.4 (7)             0/9
+#   sphere n=2 d=7 119   91  210     20.0 (8)        14.8 (7)             0/9
+#   n=3 d=2         34    0   34      8.5 (12)        9.7 (9)             9/9
+#   n=2 d=5         65    0   65     19.3 (12)       20.4 (9)             7/9
+#   n=4 d=2         69    0   69     12.2 (12)       13.3 (9)             7/9
+#   n=3 d=3         83    0   83     17.1 (12)       17.5 (9)             7/9
+#   n=2 d=6         90    0   90     30.8 (12)       30.7 (9)             3/9
+#   n=2 d=7        119    0  119     96.4 (23)       47.4 (9)             0/9
+#   n=5 d=2        125    0  125     19.6 (12)       19.5 (10)            4/9
+#   n=6 d=2        209    0  209     36.2 (13)       32.1 (10)            0/9
+#
+# The LU route, which takes no extra correctors, needs two or three more
+# iterations.  Without rows it wins up to N = 83 and ties at 90 and 125; at
+# 119 it ends in numerical_failure.  With rows the Cholesky route pays a
+# reduction per iteration and a refinement pass per solve, which moves the
+# crossover up: with m <= N / 2 the LU route wins or ties up to N + m = 146.
+# With m > N / 2 it loses at every size, because the Cholesky route factors
+# a matrix of side N - m once per iteration against the LU's N + m at every
+# solve.  DENSE_KKT_ROWS = 160 also keeps the six-variable O2 relaxation
+# (N + m = 216) on the Cholesky route, where its tests pin its bound.
+DENSE_KKT = 96
+DENSE_KKT_ROWS = 160
+
+
+def dense_route(N: int, m: int) -> bool:
+    """Whether kkt_solver solves the system of N moments and m kept rows by
+    one dense LU per solve (given a positive diagonal of M): N <= DENSE_KKT
+    without rows, N + m <= DENSE_KKT_ROWS and 2 m <= N with rows."""
+    if not m:
+        return N <= DENSE_KKT
+    return N + m <= DENSE_KKT_ROWS and 2 * m <= N
 
 
 def _dense_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -366,9 +419,12 @@ def kkt_solver(E: EchelonRows, N: int):
     block by block.
 
     The solver reads M, which must not change while it is in use.  Without
-    rows M_r is M itself and there is no refinement.  Small systems take
-    one LU solve of the whole matrix instead, unless a moment is missing
-    from M (which the Cholesky route regularizes): the matrix's rows E and
+    rows M_r is M itself and there is no refinement.  Small systems
+    (dense_route: N <= DENSE_KKT without rows, N + m <= DENSE_KKT_ROWS and
+    m <= N / 2 with rows, where the reduction and the refinement would cost
+    more than factoring the whole system at every solve) take one LU solve
+    of the whole matrix instead, unless a moment is missing from M (which
+    the Cholesky route regularizes): the matrix's rows E and
     columns -E^T are written once, and each factorization copies them with
     M into a matrix of its own.  The function returns the solver and
     whether it reuses one factorization (the Cholesky route), where the LU
@@ -379,7 +435,7 @@ def kkt_solver(E: EchelonRows, N: int):
 
     def factor(M: np.ndarray):
         nonlocal K0
-        if N + m <= DENSE_KKT and np.all(np.diagonal(M) > 0.0):
+        if dense_route(N, m) and np.all(np.diagonal(M) > 0.0):
             if K0 is None:
                 K0 = np.zeros((N + m, N + m))
                 K0[N + np.arange(m), P] = 1.0

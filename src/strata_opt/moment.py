@@ -42,7 +42,6 @@ __all__ = [
     "minimal_order",
     "shift_vector",
     "moment_matrix",
-    "localizing_matrix",
     "assemble_relaxation",
 ]
 
@@ -128,15 +127,6 @@ def moment_matrix(y: MomentVector, k: int) -> np.ndarray:
     if k > y.d:
         raise ValueError(f"order k={k} exceeds relaxation order d={y.d}")
     return y.values[_sum_positions(y.n, k)]
-
-
-def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
-    """Localizing matrix M_k(g . y); requires k <= d - v_g."""
-    v = constraint_half_degree(g)
-    if k > y.d - v:
-        raise ValueError(f"order k={k} exceeds d - v_g = {y.d - v}")
-    shifted = MomentVector(n=y.n, d=y.d - v, values=shift_vector(g, y))
-    return moment_matrix(shifted, k)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,11 @@ the rows), tau = 1 + the largest norm of a block at u: S Z = I, so the
 start is centred at mu = 1 whatever the problem's scale.  (Z = I, at
 mu = tau, took about a tenth more iterations on the order-(d0 + 1)
 relaxations of the strata.)  Where the Newton system's factors
-serve every solve (the Cholesky route of _linalg.kkt_solver, not the small
-systems' LU), up to EXTRA_CORRECTORS more correctors follow, each with the
+serve every solve (the Cholesky route of _linalg.kkt_solver, not the LU
+that small systems take at every solve: at most 96 moments without rows,
+or N + m <= 160 with m <= N / 2 rows, because rows add the Cholesky
+route's reduction and a refinement pass per solve; _linalg.dense_route),
+up to EXTRA_CORRECTORS more correctors follow, each with the
 last direction's own dS^ dZ^ as its second-order term (Carpenter, Lustig,
 Mulvey and Shanno, SIAM J. Optim. 3, 1993; Gondzio, Comput. Optim. Appl. 6,
 1996), and each kept only if it lengthens the shorter of the primal and
@@ -114,7 +117,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chol_stack, echelon_rows, kkt_solver
+from ._linalg import DENSE_KKT_ROWS, chol_stack, dense_route, echelon_rows, kkt_solver
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
@@ -229,13 +232,17 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int,
     2 rank L; or T^T with the reduced matrix M_r of side f = L - rank and
     one block's panel of T^T C, rank L + 2 f^2; or M_r with its factor and
     the Cholesky's copy, 3 f^2; without rows M, its factor and the copy),
-    each convex in the rank, so that the worse end of [0, r] bounds it;
-    then the Q and Y chunk buffers (_schur.stack_doubles), and per
+    each convex in the rank, so that the worse end of [0, r] bounds it; or,
+    for every rank whose system the LU route takes (_linalg.dense_route), C
+    and the matrices K0 and K of side s = N + rank with LAPACK's copy of K,
+    and the right-hand side, the solution and LAPACK's copy of it (3 s^2 +
+    3 s); then the Q and Y chunk buffers (_schur.stack_doubles), and per
     localizing block its MH, G^T, MH G^T, and G^T in coordinates with its
     term buffer.  A block of side 1 is a linear row: the row and its scaled
     copy fit in its 2 L doubles.  The stacks' index plans (_schur._plan)
     stay alive throughout, and _SMALL bounds the rest.  Not counted: a
-    regularized retry of the Cholesky (two more f x f)."""
+    regularized retry of the Cholesky (two more f x f), and the least-squares
+    solve of an exactly singular K."""
     L, m = num_moments, equality_rows
     r = min(m, L)
     setup = (8 * equality_terms + m * L
@@ -248,7 +255,10 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int,
     stacks = Counter((nb, s) for _, nb, s in blocks if s > 1)
     q, y, plans = zip(stack_doubles(1, side, L),
                       *(stack_doubles(k, s, nb) for (nb, s), k in stacks.items()))
-    iteration = max(newton(0), newton(r)) if m else 3 * L * L
+    cholesky = [newton(0), newton(r)] if m else [3 * L * L]
+    lu = [rank * L + 3 * (L - 1 + rank) * (L + rank)  # the LU route takes no rank past DENSE_KKT_ROWS
+          for rank in range(min(r, DENSE_KKT_ROWS) + 1) if dense_route(L - 1, rank)]
+    iteration = max(cholesky + lu)
     iteration += max(q) + max(y) + sum(plans)
     iteration += sum(nb * nb + 2 * nb * L + 4 * nb * t for t, nb, _ in blocks)
     return 8 * (max(setup, iteration) + _SMALL)

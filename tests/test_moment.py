@@ -9,12 +9,21 @@ from strata_opt.moment import (
     _sum_positions,
     assemble_relaxation,
     constraint_half_degree,
-    localizing_matrix,
     minimal_order,
     moment_matrix,
     shift_vector,
 )
 from strata_opt.poly import Polynomial, lambda_set
+
+
+def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
+    """Localizing matrix M_k(g . y), the dense reference for LMIBlock;
+    requires k <= d - v_g."""
+    v = constraint_half_degree(g)
+    if k > y.d - v:
+        raise ValueError(f"order k={k} exceeds d - v_g = {y.d - v}")
+    shifted = MomentVector(n=y.n, d=y.d - v, values=shift_vector(g, y))
+    return moment_matrix(shifted, k)
 
 
 def _dirac(x, d):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from strata_opt._linalg import DENSE_KKT
 from strata_opt.hierarchy import HierarchyOptions, run_hierarchy
 from strata_opt.moment import EQ, GE
 from strata_opt.poly import Polynomial
@@ -94,18 +95,21 @@ class TestJsonRoundTrip:
         assert (first["correctors"], first["basis_growth"]) == (0, 0.0)
 
     def test_corrector_count_and_no_rows_round_trip(self):
-        # min x1 x2 x3 + x4 on the unit ball from d = 2: 69 free moments, no
-        # equality row, a Newton system on the Cholesky route
-        xs = [Polynomial.variable(i, 4) for i in range(4)]
-        f = xs[0] * xs[1] * xs[2] + xs[3]
-        ball = 1.0 - (xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3])
-        res = run_hierarchy(f, [(ball, GE)], HierarchyOptions(d_max=2))
-        rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
-        again = Report.from_json(rep.to_json())
-        assert again == rep
-        plain = [(p["correctors"], p["basis_growth"], p["row_blocks"]) for p in again.diagnostics]
-        assert plain == [(rec.correctors, None, None) for rec in res.diagnostics]
-        assert again.diagnostics[0]["schur_dim"] == 69 and again.diagnostics[0]["correctors"] > 0
+        # min x1 x2 x3 + x4 on the unit ball from d = 2, in 4 and 5 variables:
+        # 69 and 125 free moments, no equality row, a Newton system on either
+        # side of DENSE_KKT; only the Cholesky route takes extra correctors
+        for n, N in ((4, 69), (5, 125)):
+            xs = [Polynomial.variable(i, n) for i in range(n)]
+            f = xs[0] * xs[1] * xs[2] + xs[3]
+            ball = 1.0 - sum(x * x for x in xs)
+            res = run_hierarchy(f, [(ball, GE)], HierarchyOptions(d_max=2))
+            rep = Report(problem={}, diagnostics=diagnostics_to_plain(res.diagnostics))
+            again = Report.from_json(rep.to_json())
+            assert again == rep
+            plain = [(p["correctors"], p["basis_growth"], p["row_blocks"]) for p in again.diagnostics]
+            assert plain == [(rec.correctors, None, None) for rec in res.diagnostics]
+            first = again.diagnostics[0]
+            assert first["schur_dim"] == N and (first["correctors"] > 0) == (N > DENSE_KKT), n
 
     def test_basis_growth_round_trip(self):
         # min x1 x2 x3 + x4 on the unit sphere from d = 2: 69 free moments and

@@ -10,7 +10,8 @@ from strata_opt._schur import ShiftRows, TableSchur, scaled, stack_blocks
 from strata_opt.moment import EQ, GE, LMIBlock, RelaxationProblem, assemble_relaxation
 from strata_opt.poly import Polynomial
 from conftest import term_dict
-from strata_opt._linalg import chol_regularized, chol_solver, chol_stack, echelon_rows, kkt_solver
+from strata_opt._linalg import (DENSE_KKT, DENSE_KKT_ROWS, chol_regularized, chol_solver, chol_stack,
+                                dense_route, echelon_rows, kkt_solver)
 from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
 
 
@@ -571,6 +572,40 @@ def test_memory_estimate_bounds_the_solve_with_linear_rows():
     assert peak <= relaxation_bytes(5, 1, constraints)
 
 
+def test_memory_estimate_bounds_the_solve_on_the_lu_route():
+    """relaxation_bytes bounds solve_sdp's tracemalloc peak plus the copy of
+    K that LAPACK's LU makes outside tracemalloc, on the largest system of
+    the LU route, N + m = DENSE_KKT_ROWS: |x - c|^2 in 14 variables at
+    order 1 (N = 119) with 41 random quadrics through one point, one kept
+    row each.  Without the LU route's 3 (N + m)^2 doubles of K0, K and that
+    copy the estimate read 1.19 MB against 1.25 MB."""
+    import tracemalloc
+
+    from strata_opt.hierarchy import relaxation_bytes
+
+    n, m = 14, DENSE_KKT_ROWS - 119
+    rng = np.random.default_rng(5)
+    xs = Polynomial.variables(n)
+    x0 = rng.normal(size=n)
+    f = sum((x - float(c)) * (x - float(c)) for x, c in zip(xs, rng.normal(size=n)))
+    constraints = []
+    for _ in range(m):
+        Q, l = rng.normal(size=(n, n)), rng.normal(size=n)
+        h = sum(float(Q[i, j]) * xs[i] * xs[j] for i in range(n) for j in range(n))
+        h = h + sum(float(l[i]) * xs[i] for i in range(n)) - float(x0 @ Q @ x0 + l @ x0)
+        constraints.append((h, EQ))
+    rel = assemble_relaxation(f, constraints, 1)
+    tracemalloc.start()
+    try:
+        sol = solve_sdp(rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and (sol.schur_dim, sol.equality_rows) == (119, m)
+    assert dense_route(119, m) and not dense_route(119, m + 1)
+    assert peak + 8 * DENSE_KKT_ROWS ** 2 <= relaxation_bytes(n, 1, constraints)
+
+
 def test_linear_rows_evaluate_like_their_blocks_with_adjoint_transpose(E0):
     """The rows A u + b of the side-1 blocks of assembled relaxations (E0 at
     order 1 with its ball, the six rows of _box_ball(5) at order 1) are the
@@ -628,18 +663,25 @@ def _echelon(E, e=None):
 
 def test_saddle_point_direction_matches_dense_solve():
     rng = np.random.default_rng(17)
-    # dense LU, then Cholesky: without rows, and in the kernel of 35 and of 89 rows
-    for N, m in ((1, 0), (40, 0), (40, 7), (90, 0), (90, 35), (90, 89)):
+    # each route on either side of its bounds: without rows up to N = DENSE_KKT,
+    # with rows up to N + m = DENSE_KKT_ROWS while 2 m <= N; then Cholesky
+    # without rows, and in the kernel of 20, 46 and 89 rows
+    shapes = ((1, 0), (40, 0), (40, 7), (DENSE_KKT, 0), (90, 35), (90, 45), (DENSE_KKT_ROWS - 20, 20),
+              (DENSE_KKT + 1, 0), (DENSE_KKT_ROWS - 19, 20), (90, 46), (90, 89))
+    routes = []
+    for N, m in shapes:
         M = _random_pd(rng, N)
         rows, E = _echelon(rng.normal(size=(m, N)))
         b, q = rng.normal(size=N), rng.normal(size=m)
         solve, factored = kkt_solver(rows, N)(M)
-        assert factored == (N + m > 64)  # the route it reports
+        assert factored == (not dense_route(N, m))  # the route it reports
+        routes.append(factored)
         du, dlam = solve(b, q)
         K = np.block([[M, -E.T], [E, np.zeros((m, m))]])
         want = np.linalg.solve(K, np.concatenate((b, q)))
         got = np.concatenate((du, dlam))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert routes == [False] * 7 + [True] * 4
 
 
 def test_dense_route_solvers_keep_their_own_matrix():
@@ -907,8 +949,10 @@ def test_echelon_rows_keep_the_svd_rank_on_every_builtin_relaxation():
 def planted_blocks(draw):
     """Rows E u = e that fall into independent blocks, each the product of
     two small integer matrices (so that its rank is exact), over moments of
-    their own, with 64 more moments that no row names; rows and moments
-    shuffled.  e = E x for an integer x, so that the rows are consistent."""
+    their own, with 64 or DENSE_KKT_ROWS more moments that no row names (a
+    Newton system on the LU route, or on the Cholesky route); rows and
+    moments shuffled.  e = E x for an integer x, so that the rows are
+    consistent."""
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
         m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
@@ -917,13 +961,14 @@ def planted_blocks(draw):
         AB = np.array(draw(entries), dtype=float)
         blocks.append(AB[:m * s].reshape(m, s) @ AB[m * s:].reshape(s, n))
     rows, cols = sum(len(B) for B in blocks), sum(B.shape[1] for B in blocks)
-    E = np.zeros((rows, cols + 64))
+    free = draw(st.sampled_from((64, DENSE_KKT_ROWS)))
+    E = np.zeros((rows, cols + free))
     r = c = 0
     for B in blocks:
         E[r:r + len(B), c:c + B.shape[1]] = B
         r, c = r + len(B), c + B.shape[1]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    E = E[rng.permutation(rows)][:, rng.permutation(cols + 64)]
+    E = E[rng.permutation(rows)][:, rng.permutation(cols + free)]
     return E, E @ rng.integers(-3, 4, size=E.shape[1])
 
 
@@ -932,8 +977,10 @@ def planted_blocks(draw):
 def test_planted_blocks_keep_the_svd_rank_and_take_the_kernel_step(case):
     """On rows in independent blocks, shuffled, the elimination block by
     block keeps as many rows as the thin SVD's rank rule, its start meets
-    the raw rows, and the kernel step (N + r > 64, the Cholesky route)
-    matches a dense solve of the saddle-point system on those rows."""
+    the raw rows, and the Newton step on either route (at most 24 named
+    moments and 20 rows: with 64 free moments the LU route, with
+    DENSE_KKT_ROWS of them the kernel step of the Cholesky route) matches a
+    dense solve of the saddle-point system on those rows."""
     E, e = case
     N = E.shape[1]
     sv = np.linalg.svd(E, compute_uv=False)
@@ -950,7 +997,7 @@ def test_planted_blocks_keep_the_svd_rank_and_take_the_kernel_step(case):
     M = _random_pd(rng, N)
     b, q = rng.normal(size=N), rng.normal(size=rank)
     solve, factored = kkt_solver(rows, N)(M)
-    assert factored
+    assert factored == (N > DENSE_KKT_ROWS) == (not dense_route(N, rank))
     K = np.block([[M, -dense.T], [dense, np.zeros((rank, rank))]])
     want = np.linalg.solve(K, np.concatenate((b, q)))
     got = np.concatenate(solve(b, q))

@@ -150,8 +150,10 @@ def test_order_two_value_agrees_across_blas_thread_counts():
     # the CLI certifies at d0, whose matrices are too small for a second
     # BLAS thread to start; at d0 + 1, as the lift benchmark poses it (E0
     # with 715 moments), the threaded kernels change the summation order
-    # and the value moves, but not the status or the iteration count
-    for name, d in (("E0", 2), ("aln", 2), ("a0", 3)):
+    # and the value moves, but not the status or the iteration count.  a0
+    # at its d0 = 2 is the largest built-in system on the LU route
+    # (N + m = 132)
+    for name, d in (("E0", 2), ("aln", 2), ("a0", 3), ("a0", 2)):
         runs = []
         for threads in ("1", "2"):
             proc = _python(["-c", ORDER_TWO, name, str(d)], OPENBLAS_NUM_THREADS=threads)
