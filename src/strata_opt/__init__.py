@@ -42,7 +42,6 @@ from .moment import (  # noqa: E402
     assemble_relaxation,
     minimal_order,
     moment_matrix,
-    shift_vector,
 )
 from .pipeline import distance, pop_solve  # noqa: E402
 from .poly import Polynomial, lambda_set  # noqa: E402
@@ -69,7 +68,6 @@ __all__ = [
     "numerical_rank",
     "pop_solve",
     "run_hierarchy",
-    "shift_vector",
     "solve_sdp",
 ]
 

@@ -7,11 +7,12 @@ yields a lower bound rho_d; when the flatness condition
 
 holds for the optimal moment vector y, the bound is certified, the measure
 behind y is atomic, and its atoms (the global minimizers) are extracted from
-the moment matrix.  Each atom is projected onto the equalities {h = 0} and,
-where no inequality is active, polished by Newton steps on the KKT system
-of min f over {h = 0}, before it is validated against f and the
-constraints.  The overall status mirrors the classic three-valued
-convention: -1 no order solved, 0 solved but not certified, +1 certified.
+the moment matrix.  Each atom is projected onto the equalities {h = 0} and
+polished by Newton steps on the KKT system of min f over {h = 0}, where a
+step that would violate an inequality is refused, before it is validated
+against f and the constraints.  The overall status mirrors the classic
+three-valued convention: -1 no order solved, 0 solved but not certified,
++1 certified.
 """
 
 from __future__ import annotations
@@ -135,12 +136,16 @@ class HierarchyResult:
     bound: float                    # rho, -inf when status_xi == -1
     order_reached: int
     minimizers: list = field(default_factory=list)
-    rank_s: int = 0
     diagnostics: list = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
         return self.status_xi == 1
+
+    @property
+    def rank_s(self) -> int:
+        """The rank of the flat moment matrix: the number of atoms."""
+        return len(self.minimizers)
 
 
 def order_limit(d_max: int | None, d0: int) -> int:
@@ -444,7 +449,6 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
     xi = -1
     rho = -np.inf
     minimizers: list[np.ndarray] = []
-    rank_s = 0
     diags: list[OrderDiagnostics] = []
     order_reached = d0
 
@@ -493,7 +497,6 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
         if accepted:
             xi = 1
             minimizers = atoms
-            rank_s = len(atoms)
             break
 
     return HierarchyResult(
@@ -501,7 +504,6 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
         bound=rho,
         order_reached=order_reached,
         minimizers=minimizers,
-        rank_s=rank_s,
         diagnostics=diags,
     )
 

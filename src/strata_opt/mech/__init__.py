@@ -1,7 +1,7 @@
 """Constitutive-tensor algebra: Voigt forms, harmonic decompositions,
 covariants, isotropy-class tests and reduced stratum-distance problems."""
 
-from ._tensalg import h3_coordinates, h4_coordinates
+from ._tensalg import h3_coordinates
 from .elasticity import (
     CubicClassification,
     ElaHarmonic,
@@ -10,10 +10,7 @@ from .elasticity import (
     classify_ela,
     d2prime_ela,
     d2prime_ela_polynomials,
-    ela_norm2_split,
     harmonic_decompose_ela,
-    is_cubic_ela,
-    recompose_ela,
     tensor_prod_4,
     tensor_prod_22,
 )
@@ -24,8 +21,6 @@ from .piezo import (
     classify_piezo,
     d2prime_piezo,
     d2prime_piezo_polynomials,
-    invariants_h3,
-    is_cubic_piezo,
     piezo_harmonic_part,
 )
 from .problems import DistanceProblem
@@ -62,15 +57,9 @@ __all__ = [
     "d2prime_piezo",
     "d2prime_piezo_polynomials",
     "deviatoric_coordinates",
-    "ela_norm2_split",
     "h3_coordinates",
-    "h4_coordinates",
     "harmonic_decompose_ela",
-    "invariants_h3",
-    "is_cubic_ela",
-    "is_cubic_piezo",
     "piezo_harmonic_part",
-    "recompose_ela",
     "tensor_prod_4",
     "tensor_prod_22",
     "traceless",

@@ -72,13 +72,6 @@ def cross_sym2_sym2(a, b):
     return -symmetrize3(np.einsum("...il,ljs,...sk->...ijk", a, LEVI, b))
 
 
-def cross_sym2_vec(a, v):
-    """Cross product of a symmetric tensor with a vector:
-    (a x v)_{ij} = -(a_{il} eps_{ljs} v_s) symmetrized over (i, j)."""
-    raw = np.einsum("...il,ljs,...s->...ij", a, LEVI, v)
-    return -0.5 * (raw + np.swapaxes(raw, -1, -2))
-
-
 def full4_from_voigt(V):
     """Expand 6x6 Voigt tables into full fourth-order tensors."""
     return V[..., VOIGT_INDEX[:, :, None, None], VOIGT_INDEX]
@@ -183,12 +176,6 @@ def h3_full(p):
     slots = np.array([h111, h112, -h223 - h333, h122, h123,          # in SYM3_SLOTS order
                       -h111 - h122, h222, h223, -h112 - h222, h333])
     return np.moveaxis(slots, 0, -1)[..., SYM3_POSITION]
-
-
-def h4_coordinates(V):
-    """The nine coordinates of h4_voigt read off harmonic Voigt tables: the
-    entries at which h4_voigt places -L1, ..., -Z2."""
-    return -V[..., [1, 0, 0, 0, 1, 1, 2, 2, 0], [2, 2, 1, 3, 3, 4, 4, 5, 5]]
 
 
 def h3_coordinates(T):

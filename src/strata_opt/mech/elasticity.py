@@ -36,13 +36,10 @@ __all__ = [
     "tensor_prod_4",
     "tensor_prod_22",
     "harmonic_decompose_ela",
-    "recompose_ela",
-    "ela_norm2_split",
     "d2prime_ela",
     "d2prime_ela_polynomials",
     "CubicClassification",
     "classify_ela",
-    "is_cubic_ela",
     "build_distance_problem_ela",
 ]
 
@@ -89,9 +86,9 @@ class ElasticityTensor:
 @dataclass(frozen=True)
 class ElaHarmonic:
     """Harmonic components (alpha, beta, d', v', H) of an elasticity tensor;
-    the harmonic part H is an elasticity tensor itself, whose coordinates are
-    h4_coordinates(h4.voigt).  The deviators' traces are compared with
-    their norms, so the test reads the same at every scale."""
+    the harmonic part H is an elasticity tensor itself, the Voigt table that
+    ta.h4_voigt builds from its nine coordinates.  The deviators' traces are
+    compared with their norms, so the test reads the same at every scale."""
 
     alpha: float
     beta: float
@@ -143,7 +140,8 @@ def _isotropic_voigt(alpha: float, beta: float) -> np.ndarray:
 
 
 def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
-    """Split E into (alpha, beta, d', v', H); recompose_ela is its inverse."""
+    """Split E into (alpha, beta, d', v', H), the terms of the module
+    docstring's sum."""
     d = E.trace_12()
     v = E.trace_13()
     alpha, beta = d.trace(), v.trace()
@@ -152,33 +150,6 @@ def harmonic_decompose_ela(E: ElasticityTensor) -> ElaHarmonic:
     b = Sym2Tensor(mat=2.0 * (dp.mat - vp.mat))
     HV = E.voigt - _isotropic_voigt(alpha, beta) - tensor_prod_4(_Q, a).voigt - tensor_prod_22(_Q, b).voigt
     return ElaHarmonic(alpha=alpha, beta=beta, dprime=dp, vprime=vp, h4=ElasticityTensor(HV))
-
-
-def recompose_ela(h: ElaHarmonic) -> ElasticityTensor:
-    """E = E_iso + q (x)_4 a + q (x)_22 b + H."""
-    a = Sym2Tensor(mat=2.0 / 7.0 * (h.dprime.mat + 2.0 * h.vprime.mat))
-    b = Sym2Tensor(mat=2.0 * (h.dprime.mat - h.vprime.mat))
-    V = (_isotropic_voigt(h.alpha, h.beta) + tensor_prod_4(_Q, a).voigt
-         + tensor_prod_22(_Q, b).voigt + h.h4.voigt)
-    return ElasticityTensor(voigt=V)
-
-
-def ela_norm2_split(h: ElaHarmonic) -> float:
-    """|E|^2 from the harmonic components (see module docstring).
-
-    Note: the weights 5 and 4 apply to the isotropic *coefficients*
-    k4 = (alpha + 2 beta)/15 and k22 = (alpha - beta)/6, which is the only
-    normalization under which the split reproduces the Frobenius norm.
-    """
-    k4 = (h.alpha + 2.0 * h.beta) / 15.0
-    k22 = (h.alpha - h.beta) / 6.0
-    dp, vp = h.dprime.mat, h.vprime.mat
-    return float(
-        5.0 * k4**2 + 4.0 * k22**2
-        + 2.0 / 21.0 * np.einsum("ij,ij", dp + 2 * vp, dp + 2 * vp)
-        + 4.0 / 3.0 * np.einsum("ij,ij", dp - vp, dp - vp)
-        + h.h4.norm2()
-    )
 
 
 @lru_cache(maxsize=1)
@@ -238,13 +209,6 @@ def classify_ela(E: ElasticityTensor, tol: float = 1e-6) -> CubicClassification:
         "|v'| / |E|": h.vprime.norm() / nE if nE > 0 else 0.0,
         "|d2'| / |H|^2": d2prime_ela(h.h4).norm() / nH2 if harmonic else 0.0,
     }, harmonic, tol)
-
-
-def is_cubic_ela(E: ElasticityTensor, tol: float = 1e-6, strict: bool = False) -> bool:
-    """classify_ela's answer; with strict=True it also requires a nonzero
-    harmonic part."""
-    cls = classify_ela(E, tol)
-    return cls.strict if strict else cls.cubic
 
 
 @lru_cache(maxsize=1)

@@ -31,9 +31,7 @@ __all__ = [
     "piezo_harmonic_part",
     "d2prime_piezo",
     "d2prime_piezo_polynomials",
-    "invariants_h3",
     "classify_piezo",
-    "is_cubic_piezo",
     "build_distance_problem_piezo",
 ]
 
@@ -124,28 +122,6 @@ def d2prime_piezo(h: PiezoTensor) -> Sym2Tensor:
     return Sym2Tensor(mat=ta.dev(np.einsum("ikl,jkl->ij", T, T)))
 
 
-def invariants_h3(h: PiezoTensor) -> tuple[float, float, float, float, float]:
-    """Integrity basis (I2, I4, I6, I10, I15) of a third-order harmonic tensor:
-
-        I2 = |h|^2, I4 = |d2'|^2, I6 = |v3|^2, I10 = |d2' x v3|^2,
-        I15 = det(v3, v5, v7),
-
-    with v3 = h : d2', v5 = d2' . v3 and v7 = d2' . v5.
-    """
-    T = h.full()
-    d2p = d2prime_piezo(h).mat
-    v3 = np.einsum("ijk,jk->i", T, d2p)
-    v5 = d2p @ v3
-    v7 = d2p @ v5
-    I2 = float(np.einsum("ijk,ijk", T, T))
-    I4 = float(np.einsum("ij,ij", d2p, d2p))
-    I6 = float(v3 @ v3)
-    cross = ta.cross_sym2_vec(d2p, v3)
-    I10 = float(np.einsum("ij,ij", cross, cross))
-    I15 = float(np.linalg.det(np.column_stack([v3, v5, v7])))
-    return (I2, I4, I6, I10, I15)
-
-
 def classify_piezo(e: PiezoTensor, tol: float = 1e-6) -> CubicClassification:
     """The at-least-cubic test g = 0 and d2'(h) = 0 by |g|/|e| and |d2'|/|h|^2,
     read off e scaled to unit size so that no norm overflows; an h at most
@@ -158,12 +134,6 @@ def classify_piezo(e: PiezoTensor, tol: float = 1e-6) -> CubicClassification:
         "|g| / |e|": split.g.norm() / ne if ne > 0 else 0.0,
         "|d2'| / |h|^2": d2prime_piezo(split.h).norm() / nh2 if harmonic else 0.0,
     }, harmonic, tol)
-
-
-def is_cubic_piezo(e: PiezoTensor, tol: float = 1e-6, strict: bool = False) -> bool:
-    """classify_piezo's answer; with strict=True it also requires h != 0."""
-    cls = classify_piezo(e, tol)
-    return cls.strict if strict else cls.cubic
 
 
 @lru_cache(maxsize=1)

@@ -40,7 +40,6 @@ __all__ = [
     "RelaxationProblem",
     "constraint_half_degree",
     "minimal_order",
-    "shift_vector",
     "moment_matrix",
     "assemble_relaxation",
 ]
@@ -98,18 +97,6 @@ class MomentVector:
         n = pts.shape[1]
         vals = np.asarray(weights, dtype=float) @ monomials(lambda_set(n, 2 * d), pts)
         return cls(n=n, d=d, values=vals)
-
-
-def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
-    """The shifted sequence (g . y)_alpha = sum_beta g_beta y_{alpha+beta},
-    over Lambda(2(d - v_g))."""
-    if g.n != y.n:
-        raise ValueError(f"variable count mismatch: {g.n} vs {y.n}")
-    v = constraint_half_degree(g)
-    if v > y.d:
-        raise ValueError(f"deg(g)={g.degree} too high for order d={y.d}")
-    block = _block_for(g, y.d)
-    return y.values[block.shift] @ block.coeffs
 
 
 @lru_cache(maxsize=None)

@@ -131,6 +131,10 @@ UNBOUNDED_SUSPECTED = "unbounded_suspected"
 STEP_FRAC = 0.98
 # correctors tried after Mehrotra's in an iteration, from the same factors
 EXTRA_CORRECTORS = 2
+# iterations before a run ends max_iterations
+ITER_LIMIT = 200
+# a feasible scaled objective below this ends unbounded_suspected
+OBJECTIVE_FLOOR = -1e12
 # doubles that solve_bytes adds for the solver's small arrays and objects
 # (up to 116 KiB beyond its other terms on the embedded tensors' relaxations)
 _SMALL = 1 << 15
@@ -140,8 +144,6 @@ _SMALL = 1 << 15
 class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    max_iter: int = 200
-    objective_floor: float = -1e12  # scaled-objective divergence guard
 
     def __post_init__(self):
         for name in ("gap_tol", "feas_tol"):
@@ -404,7 +406,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
     stalled = 0
     correctors = 0
 
-    for it in range(opts.max_iter):
+    for it in range(ITER_LIMIT):
         iters = it
         Au = at(u, 1.0)
         R = [Au[g] - S[g] for g in sides]
@@ -447,7 +449,7 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
         if rel_gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
             status = OPTIMAL
             break
-        if pobj < opts.objective_floor and pres <= opts.feas_tol:
+        if pobj < OBJECTIVE_FLOOR and pres <= opts.feas_tol:
             status = UNBOUNDED_SUSPECTED
             break
 

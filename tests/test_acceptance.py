@@ -24,16 +24,13 @@ from strata_opt.mech import (
     build_distance_problem_ela,
     build_distance_problem_piezo,
     build_distance_problem_sym2,
+    classify_piezo,
     cross_gen,
     d2prime_ela,
     d2prime_piezo,
     deviatoric_coordinates,
-    ela_norm2_split,
     harmonic_decompose_ela,
-    invariants_h3,
-    is_cubic_piezo,
     piezo_harmonic_part,
-    recompose_ela,
     traceless,
 )
 from strata_opt.mech._tensalg import h3_full, h4_voigt, voigt_from_full4
@@ -41,7 +38,7 @@ from strata_opt.moment import GE, MomentVector, assemble_relaxation, minimal_ord
 from strata_opt.poly import Polynomial, lambda_set
 from strata_opt.sdp import SolverOptions, solve_sdp
 
-from conftest import random_rotation
+from conftest import ela_norm2_split, invariants_h3, random_rotation, recompose_ela
 
 
 def _report(criterion: int, message: str) -> None:
@@ -234,7 +231,7 @@ def test_criterion_4_concentration_sweep():
     rng = np.random.default_rng(20220711)
     for ds_id, (e0, delta, closest) in rows.items():
         assert abs(PiezoTensor(voigt=e0.voigt - closest).norm() - delta) <= 5e-5, ds_id
-        assert is_cubic_piezo(PiezoTensor(voigt=closest)), ds_id
+        assert classify_piezo(PiezoTensor(voigt=closest)).cubic, ds_id
         assert abs(_cubic_orbit_distance(e0.voigt, rng) - delta) <= 5e-5, ds_id
         assert delta <= TABLE1[ds_id][0] + 5e-5, ds_id
 

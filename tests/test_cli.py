@@ -8,7 +8,7 @@ from strata_opt.datasets import get_dataset
 from strata_opt.mech import ElasticityTensor
 from strata_opt.reports import Report
 
-from conftest import random_rotation, rotated_cubic_voigt
+from conftest import random_rotation, recompose_ela, rotated_cubic_voigt
 
 
 class TestDatasetsCommand:
@@ -67,8 +67,7 @@ class TestDecomposeClassify:
         assert "transversely_isotropic" in capsys.readouterr().out
 
     def test_classify_recomposed_cubic(self, tmp_path, capsys):
-        from strata_opt.mech import (ElaHarmonic, Sym2Tensor, harmonic_decompose_ela,
-                                     recompose_ela)
+        from strata_opt.mech import ElaHarmonic, Sym2Tensor, harmonic_decompose_ela
         from strata_opt.mech._tensalg import h4_voigt
         from strata_opt.datasets import get_dataset
         from strata_opt.mech import ElasticityTensor

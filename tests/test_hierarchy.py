@@ -205,6 +205,26 @@ class TestRunHierarchy:
         for lo, hi in zip(solved, solved[1:]):
             assert lo <= hi + gtol
 
+    def test_rank_of_the_on_stratum_shortcut(self, monkeypatch):
+        """distance certifies an input on its stratum without a relaxation:
+        its result carries one minimizer, x_ref, and its rank reads 1."""
+        import strata_opt.pipeline as pipeline
+        from strata_opt.mech import Sym2Tensor
+
+        results = []
+        run = pipeline._run
+
+        def recording_run(*args, **kwargs):
+            out = run(*args, **kwargs)
+            results.append(out[0])
+            return out
+
+        monkeypatch.setattr(pipeline, "_run", recording_run)
+        assert pipeline.distance(Sym2Tensor(mat=2.0 * np.eye(3))).distance == 0.0
+        (res,) = results
+        assert res.status_xi == 1 and res.order_reached == 0 and not res.diagnostics
+        assert res.rank_s == len(res.minimizers) == 1
+
     def test_monotone_bounds_and_lower_bound_property(self, rng):
         from strata_opt.moment import assemble_relaxation, minimal_order
         from strata_opt.sdp import solve_sdp

@@ -1,19 +1,54 @@
-"""Known defects of the solver, each a strict expected failure: the test
-asserts what its ROADMAP item promises, and fails by that assertion until
-the item is mended.  strict=True turns a mended defect into an XPASS
-failure, so the change that mends one removes its marker."""
+"""Known defects of the certified results, each a strict expected failure:
+the test asserts what its ROADMAP item promises, and fails by that
+assertion until the item is mended.  strict=True turns a mended defect into
+an XPASS failure, so the change that mends one removes its marker."""
 
 import numpy as np
 import pytest
 
 from strata_opt import distance, pop_solve
-from strata_opt.mech import Sym2Tensor
+from strata_opt.datasets import get_dataset
+from strata_opt.mech import ElasticityTensor, Sym2Tensor
 from strata_opt.popfile import parse_pop
 from strata_opt.sdp import SolverOptions
 
 
+# E0's certified distance to the cubic stratum
+E0_DISTANCE = 74.13115487140229
+
+
 def _known_defect(item):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item {item}")
+
+
+@_known_defect(1)
+def test_near_stratum_elasticity_distance_is_exact():
+    """E* + delta (E0 - E*), E* the closest cubic tensor to E0: E* is the
+    closest point to every point of the segment, so at delta = 1e-4 the
+    distance is delta |E0 - E*|, certified within 1e-6 relative."""
+    E0 = ElasticityTensor.from_voigt(get_dataset("E0").voigt)
+    Estar = np.array(distance(E0).minimizers_voigt[0])
+    delta = 1e-4
+    exact = delta * ElasticityTensor.from_voigt(E0.voigt - Estar).norm()
+    rep = distance(ElasticityTensor.from_voigt(Estar + delta * (E0.voigt - Estar)))
+    assert rep.status_xi == 1
+    assert abs(rep.distance - exact) <= 1e-6 * exact, (rep.distance, exact)
+
+
+@_known_defect(13)
+def test_scaled_elasticity_inputs_certify_at_the_scaled_distance():
+    """E0 x 1e160 and E0 x 1e-160 have the distances 1e160 and 1e-160 times
+    E0's, ordinary doubles: each is certified there, not refused."""
+    misses = []
+    for scale in (1e160, 1e-160):
+        try:
+            rep = distance(ElasticityTensor.from_voigt(scale * np.array(get_dataset("E0").voigt)))
+        except ValueError as exc:
+            misses.append((scale, str(exc)))
+            continue
+        if rep.status_xi != 1 or rep.distance != pytest.approx(scale * E0_DISTANCE, rel=1e-9):
+            misses.append((scale, rep.status_xi, rep.distance))
+    assert not misses, misses
 
 
 @_known_defect(2)

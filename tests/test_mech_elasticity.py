@@ -10,19 +10,17 @@ from strata_opt.mech import (
     Sym2Tensor,
     build_distance_problem_ela,
     d2prime_ela,
+    classify_ela,
     d2prime_ela_polynomials,
-    ela_norm2_split,
-    h4_coordinates,
     harmonic_decompose_ela,
-    is_cubic_ela,
-    recompose_ela,
     tensor_prod_4,
     tensor_prod_22,
 )
 from strata_opt.mech._tensalg import h4_voigt, voigt_from_full4
 from strata_opt.poly import Polynomial
 
-from conftest import poly_allclose, random_rotation, rotated_cubic_voigt
+from conftest import (ela_norm2_split, h4_coordinates, poly_allclose, random_rotation,
+                      recompose_ela, rotated_cubic_voigt)
 
 Q = Sym2Tensor(mat=np.eye(3))
 
@@ -208,11 +206,11 @@ class TestCubicTests:
         zero = Sym2Tensor(mat=np.zeros((3, 3)))
         H = _h4([1.3, 1.3, 1.3, 0, 0, 0, 0, 0, 0])
         E = recompose_ela(ElaHarmonic(alpha=10.0, beta=4.0, dprime=zero, vprime=zero, h4=H))
-        assert is_cubic_ela(E)
-        assert is_cubic_ela(E, strict=True)
+        assert classify_ela(E).cubic
+        assert classify_ela(E).strict
 
     def test_reference_is_triclinic(self, E0):
-        assert not is_cubic_ela(E0)
+        assert not classify_ela(E0).cubic
 
     @pytest.mark.parametrize("unit", [1.0, 1e3, 1e9])
     def test_rotated_crystal_in_every_unit(self, unit, rng):
@@ -223,7 +221,7 @@ class TestCubicTests:
                 rotated_cubic_voigt(252.0 * unit, 161.0 * unit, 131.0 * unit, random_rotation(rng)))
             back = recompose_ela(harmonic_decompose_ela(E))
             assert np.max(np.abs(back.voigt - E.voigt)) <= 1e-12 * np.max(np.abs(E.voigt))
-            assert is_cubic_ela(E, strict=True)
+            assert classify_ela(E).strict
 
     @pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
     def test_traceless_check_is_scale_free(self, k, E0, rng):
@@ -239,14 +237,14 @@ class TestCubicTests:
         rounding, whose |d2'| / |H|^2 is O(1); it reads as zero."""
         for _ in range(20):
             E = ElasticityTensor.from_voigt(rotated_cubic_voigt(282.6, 121.0, 80.8, random_rotation(rng)))
-            assert is_cubic_ela(E) and not is_cubic_ela(E, strict=True)
+            assert classify_ela(E).cubic and not classify_ela(E).strict
 
     def test_isotropic_at_least_cubic_not_strict(self):
         zero = Sym2Tensor(mat=np.zeros((3, 3)))
         H = ElasticityTensor(voigt=np.zeros((6, 6)))
         E = recompose_ela(ElaHarmonic(alpha=10.0, beta=4.0, dprime=zero, vprime=zero, h4=H))
-        assert is_cubic_ela(E)
-        assert not is_cubic_ela(E, strict=True)
+        assert classify_ela(E).cubic
+        assert not classify_ela(E).strict
 
 
 class TestOverflow:

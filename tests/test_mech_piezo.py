@@ -6,17 +6,16 @@ import pytest
 from strata_opt.mech import (
     PiezoTensor,
     build_distance_problem_piezo,
+    classify_piezo,
     d2prime_piezo,
     d2prime_piezo_polynomials,
     h3_coordinates,
-    invariants_h3,
-    is_cubic_piezo,
     piezo_harmonic_part,
 )
 from strata_opt.mech._tensalg import h3_full, voigt_from_full3
 from strata_opt.poly import Polynomial
 
-from conftest import poly_allclose, random_rotation
+from conftest import invariants_h3, poly_allclose, random_rotation
 
 HSTAR = np.array([-0.075476, -0.426450, 0.088998, -0.005937, 0.412070, -0.308913, 0.609783])
 
@@ -195,16 +194,16 @@ class TestInvariants:
 class TestCubicTest:
     def test_harmonic_cubic_tensor(self):
         e = _h3([0, 0, 0, 1.1, 0, 0, 0])
-        assert is_cubic_piezo(e)
-        assert is_cubic_piezo(e, strict=True)
+        assert classify_piezo(e).cubic
+        assert classify_piezo(e).strict
 
     def test_reference_is_triclinic(self, e0_aln):
-        assert not is_cubic_piezo(e0_aln)
+        assert not classify_piezo(e0_aln).cubic
 
     def test_zero_tensor_at_least_cubic_not_strict(self):
         e = PiezoTensor(voigt=np.zeros((3, 6)))
-        assert is_cubic_piezo(e)
-        assert not is_cubic_piezo(e, strict=True)
+        assert classify_piezo(e).cubic
+        assert not classify_piezo(e).strict
 
 
 class TestDistanceProblem:

@@ -15,16 +15,15 @@ from strata_opt.mech import (
     build_distance_problem_ela,
     build_distance_problem_piezo,
     build_distance_problem_sym2,
+    classify_ela,
+    classify_piezo,
     classify_sym2,
     cross_gen,
     d2prime_ela,
     d2prime_piezo,
     deviatoric_coordinates,
     h3_coordinates,
-    h4_coordinates,
     harmonic_decompose_ela,
-    is_cubic_ela,
-    is_cubic_piezo,
     piezo_harmonic_part,
 )
 from strata_opt.mech import _tensalg as ta
@@ -33,7 +32,7 @@ from strata_opt.mech.piezo import _h3_basis
 from strata_opt.mech.sym2 import DEVIATORIC_BASIS
 from strata_opt.poly import Polynomial
 
-from conftest import random_rotation
+from conftest import h4_coordinates, random_rotation
 
 
 def _rotated(kind, voigt, g):
@@ -63,10 +62,10 @@ STRATA = {
              lambda V: classify_sym2(Sym2Tensor(mat=V)).label != "orthotropic"),
     "elasticity": (build_distance_problem_ela,
                    lambda: _norm2_over_symbols(_h4_basis(), ta.full4_from_voigt),
-                   lambda V: is_cubic_ela(ElasticityTensor(voigt=V))),
+                   lambda V: classify_ela(ElasticityTensor(voigt=V)).cubic),
     "piezo": (build_distance_problem_piezo,
               lambda: _norm2_over_symbols(_h3_basis(), ta.full3_from_voigt),
-              lambda V: is_cubic_piezo(PiezoTensor(voigt=V))),
+              lambda V: classify_piezo(PiezoTensor(voigt=V)).cubic),
 }
 FIRST = {"sym2": "a0", "elasticity": "E0", "piezo": "aln"}
 
@@ -251,9 +250,9 @@ CUBIC_ELA = np.array([[250.0, 100, 100, 0, 0, 0], [100, 250, 100, 0, 0, 0],
 CUBIC_PIEZO = PiezoTensor.from_full(ta.h3_full(np.eye(7)[3])).voigt  # h123 alone
 
 
-IS_CUBIC = {
-    "elasticity": lambda V, strict: is_cubic_ela(ElasticityTensor(voigt=V), strict=strict),
-    "piezo": lambda V, strict: is_cubic_piezo(PiezoTensor(voigt=V), strict=strict),
+CLASSIFY = {
+    "elasticity": lambda V: classify_ela(ElasticityTensor(voigt=V)),
+    "piezo": lambda V: classify_piezo(PiezoTensor(voigt=V)),
 }
 
 
@@ -265,8 +264,9 @@ IS_CUBIC = {
 def test_cubic_tests_do_not_depend_on_scale(kind, voigt, scale):
     import warnings
 
-    for strict in (False, True):
-        unit = IS_CUBIC[kind](voigt, strict)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert IS_CUBIC[kind](scale * voigt, strict) == unit, strict
+    unit = CLASSIFY[kind](voigt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = CLASSIFY[kind](scale * voigt)
+    assert scaled.cubic == unit.cubic
+    assert scaled.strict == unit.strict

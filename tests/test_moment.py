@@ -11,9 +11,25 @@ from strata_opt.moment import (
     constraint_half_degree,
     minimal_order,
     moment_matrix,
-    shift_vector,
 )
 from strata_opt.poly import Polynomial, lambda_set
+
+from conftest import term_dict
+
+
+def shift_vector(g: Polynomial, y: MomentVector) -> np.ndarray:
+    """The shifted sequence (g . y)_alpha = sum_beta g_beta y_{alpha+beta}
+    over Lambda(2(d - v_g)), one term at a time: the reference for the rows
+    of LMIBlock."""
+    if g.n != y.n:
+        raise ValueError(f"variable count mismatch: {g.n} vs {y.n}")
+    v = constraint_half_degree(g)
+    if v > y.d:
+        raise ValueError(f"deg(g)={g.degree} too high for order d={y.d}")
+    position = _positions(y.n, 2 * y.d)
+    return np.array([sum(c * y.values[position[tuple(a + b for a, b in zip(alpha, beta))]]
+                         for beta, c in term_dict(g).items())
+                     for alpha in _positions(y.n, 2 * (y.d - v))])
 
 
 def localizing_matrix(g: Polynomial, y: MomentVector, k: int) -> np.ndarray:
