@@ -7,12 +7,15 @@ yields a lower bound rho_d; when the flatness condition
 
 holds for the optimal moment vector y, the bound is certified, the measure
 behind y is atomic, and its atoms (the global minimizers) are extracted from
-the moment matrix.  Each atom is projected onto the equalities {h = 0} and
-polished by Newton steps on the KKT system of min f over {h = 0}, where a
-step that would violate an inequality is refused, before it is validated
-against f and the constraints.  The overall status mirrors the classic
-three-valued convention: -1 no order solved, 0 solved but not certified,
-+1 certified.
+the moment matrix: at rank one in closed form, the atom y[e_k] / y_0 of
+weight y_0, and at rank s >= 2 from its multiplication matrices.  Each
+atom is projected onto the equalities {h = 0} and polished by Newton steps
+on the KKT system of min f over {h = 0}, where a step that would violate
+an inequality is refused, before it is validated against f and the
+constraints.  An order whose estimated memory is over MEMORY_FLOOR is
+refused before assembly when it exceeds the budget.  The overall status
+mirrors the classic three-valued convention: -1 no order solved, 0 solved
+but not certified, +1 certified.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ class ExtractionFailure(RuntimeError):
 
 # share of the available memory one relaxation may take
 MEMORY_FRACTION = 0.5
+# estimated bytes up to which an order is neither checked against the budget
+# nor refused, so that small orders skip reading it (/proc and cgroup files,
+# about 0.3 ms).  Safe because it is below what the interpreter and numpy
+# already hold (about 40 MB): a budget too small for such an order leaves
+# no room to run at all
+MEMORY_FLOOR = 8 << 20
 # pivot threshold of the atom extraction and the relative constraint
 # violation up to which an extracted atom counts as feasible
 EXTRACTION_TOL = 1e-6
@@ -226,15 +235,44 @@ def _generic_weights(n: int) -> np.ndarray:
 def extract_minimizers(y: MomentVector, d: int, s: int, tol: float = 1e-6, rng=None):
     """Recover the s atoms of the measure behind a flat moment vector.
 
-    Steps: rank-s eigenfactor of M_d(y); column-echelon pivot search for a
+    At s = 1 the monomial basis is {1}: the atom is x_k = y[e_k] / y_0 and
+    its weight y_0, in closed form.  For s >= 2 (Henrion and Lasserre,
+    "Detecting global optimality and extracting solutions in GloptiPoly",
+    2005): rank-s eigenfactor of M_d(y); column-echelon pivot search for a
     monomial basis; per-variable multiplication matrices; simultaneous
     diagonalization through the real Schur form of one fixed generic convex
     combination (_generic_weights); weights from the Vandermonde system
-    against y.  Returns (points, weights); raises ExtractionFailure when any
-    step degenerates, or when the combination does not separate two atoms.
+    against y.  At every s the atoms' moments must reproduce y over
+    Lambda(2d).  Returns (points, weights); raises ExtractionFailure when
+    any step degenerates, when the atoms' moments mismatch y, or when the
+    combination does not separate two atoms.
     """
     if s < 1:
         raise ExtractionFailure(f"target rank {s} below 1")
+    n = y.n
+    if s == 1:
+        if d < 1 or not y.values[0] > 0.0:
+            raise ExtractionFailure(f"no rank-one atom at d={d} with y_0 = {y.values[0]:.3g}")
+        points = [y.values[1:n + 1] / y.values[0]]
+    else:
+        points = _multiplication_atoms(y, d, s, tol)
+
+    # weights from the Vandermonde system over Lambda(2d)
+    A = np.column_stack([MomentVector.from_dirac(x, y.d).values for x in points])
+    w = y.values[:1] if s == 1 else np.linalg.lstsq(A, y.values, rcond=None)[0]
+    resid = float(np.abs(A @ w - y.values).max())
+    if resid > 100.0 * tol * max(1.0, float(np.abs(y.values).max())):
+        raise ExtractionFailure(f"atomic moments mismatch the input (residual {resid:.3e})")
+
+    keep = [(x, float(wj)) for x, wj in zip(points, w) if wj >= tol]
+    if not keep:
+        raise ExtractionFailure("all recovered weights below tolerance")
+    return [x for x, _ in keep], [wj for _, wj in keep]
+
+
+def _multiplication_atoms(y: MomentVector, d: int, s: int, tol: float) -> list:
+    """The s >= 2 atoms behind a flat moment vector, read off the
+    multiplication matrices (see extract_minimizers)."""
     n = y.n
     M = moment_matrix(y, d)
     lam, vecs = np.linalg.eigh(M)
@@ -271,19 +309,7 @@ def extract_minimizers(y: MomentVector, d: int, s: int, tol: float = 1e-6, rng=N
     # orthonormal Schur basis: QR of the eigenvectors triangularizes Nmix
     Q, _ = np.linalg.qr(V)
 
-    points = [np.array([q @ (Nk @ q) for Nk in mult]) for q in Q[:, :s].T]
-
-    # weights from the Vandermonde system over Lambda(2d)
-    A = np.column_stack([MomentVector.from_dirac(x, y.d).values for x in points])
-    w, *_ = np.linalg.lstsq(A, y.values, rcond=None)
-    resid = float(np.max(np.abs(A @ w - y.values)))
-    if resid > 100.0 * tol * max(1.0, float(np.max(np.abs(y.values)))):
-        raise ExtractionFailure(f"atomic moments mismatch the input (residual {resid:.3e})")
-
-    keep = [(x, float(wj)) for x, wj in zip(points, w) if wj >= tol]
-    if not keep:
-        raise ExtractionFailure("all recovered weights below tolerance")
-    return [x for x, _ in keep], [wj for _, wj in keep]
+    return [np.array([q @ (Nk @ q) for Nk in mult]) for q in Q[:, :s].T]
 
 
 def _available_bytes() -> float:
@@ -369,12 +395,6 @@ def relaxation_bytes(n: int, d: int, constraints) -> int:
     return solve_bytes(math.comb(n + 2 * d, n), math.comb(n + d, n), blocks, rows, terms)
 
 
-def _check_memory(n: int, d: int, constraints, budget: float) -> None:
-    needed = relaxation_bytes(n, d, constraints)
-    if needed > budget:
-        raise RelaxationTooLarge(d, needed, int(budget))
-
-
 def _violations(C0: np.ndarray, mono: np.ndarray, m: int) -> np.ndarray:
     """The constraints' violations at a point, relative to their terms'
     magnitudes 1 + sum |c_alpha x^alpha|: |h| for the m equalities, then
@@ -394,8 +414,8 @@ def _newton(x: np.ndarray, X: np.ndarray, C, m: int, steps: int = 3) -> np.ndarr
 
     with lam the least-squares multipliers of grad f + J^T lam = 0, by lstsq
     with PROJECTION_RCOND (on a stratum J is rank deficient).  With f = 0
-    the multipliers vanish and the step is the minimum-norm step J^+ h onto
-    {h = 0}.  A step is kept only if it lowers the KKT residual
+    the multipliers vanish, with no solve, and the step is the minimum-norm
+    step J^+ h onto {h = 0}.  A step is kept only if it lowers the KKT residual
     |(grad f + J^T lam, h)| and leaves no inequality violated beyond
     FEAS_REPORT_TOL: a step across an active face is refused.  A kept step
     below PROJECTION_RCOND |x| ends the steps: the next one, about its
@@ -413,7 +433,8 @@ def _newton(x: np.ndarray, X: np.ndarray, C, m: int, steps: int = 3) -> np.ndarr
         mono = monomials(X, x[None])[0]
         grad = G @ mono
         J = grad[n:].reshape(m, n)
-        lam = np.linalg.lstsq(J.T, -grad[:n], rcond=PROJECTION_RCOND)[0] if m else grad[:0]
+        lam = (np.linalg.lstsq(J.T, -grad[:n], rcond=PROJECTION_RCOND)[0]
+               if m and grad[:n].any() else np.zeros(m))
         r = np.concatenate((grad[:n] + J.T @ lam, C[0][1:m + 1] @ mono))
         hess = (D2 @ mono).reshape(m + 1, n * n)
         feasible = bool(np.all(_violations(C[0], mono, m)[m:] <= FEAS_REPORT_TOL))
@@ -452,10 +473,15 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
     diags: list[OrderDiagnostics] = []
     order_reached = d0
 
-    budget = MEMORY_FRACTION * _available_bytes()
+    budget = None  # read at the first order above MEMORY_FLOOR
     for d in range(d0, opts.d_max + 1):
         order_reached = d
-        _check_memory(f.n, d, cons_solve, budget)
+        needed = relaxation_bytes(f.n, d, cons_solve)
+        if needed > MEMORY_FLOOR:
+            if budget is None:
+                budget = MEMORY_FRACTION * _available_bytes()
+            if needed > budget:
+                raise RelaxationTooLarge(d, needed, int(budget))
         t0 = time.perf_counter()
         problem = assemble_relaxation(f_solve, cons_solve, d)
         t1 = time.perf_counter()

@@ -103,10 +103,13 @@ with V = F V' F^T, V' its scaling in the face.  The blocks at y are
 (G^T y)[B], and the adjoint <A_i[alpha], X_i> is (G_i h_i)[alpha] with
 h_i[gamma] the sum of X_i over B == gamma: bincounts over the rows g . y,
 the same data as the equality rows.  Step lengths are taken in the scaled
-space, where both iterates are diag(dvec).  Blocks of equal side and base
-table are stacked, so each per-block step is one batched call per stack.
-Everything is deterministic: no randomization is used anywhere in this
-module.
+space, where both iterates are diag(dv): once M is factored, each stack
+gets W = 1 / sqrt(dv_i dv_j) and a buffer that takes a direction's dS^ o W
+and dZ^ o W, and one eigvalsh of their lower triangles bounds both steps.
+dZ is formed only for the predictor, whose dZ sigma needs, and for the
+direction taken.  Blocks of equal side and base table are stacked, so each
+per-block step is one batched call per stack.  Everything is
+deterministic: no randomization is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -175,23 +178,23 @@ class SdpSolution:
     row_blocks: list | None = None
 
 
-def _max_step(dv: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
-    """Largest t with  diag(dv) + t*delta_hat >= 0  (dv > 0), for one block
-    or, batched, for each block of a stack.
-
-    In Nesterov-Todd scaled coordinates, where both iterates are diag(dv),
-    this is the step bound of  X + t*Delta >= 0  for either iterate."""
-    root = np.sqrt(dv)
-    sym = 0.5 * (delta_hat + delta_hat.swapaxes(-1, -2))
-    lam = np.linalg.eigvalsh(sym / (root[..., :, None] * root[..., None, :]))[..., 0]
-    with np.errstate(divide="ignore"):
-        return np.where(lam >= 0.0, np.inf, -1.0 / lam)
+def _cone_steps(W: np.ndarray, buf: np.ndarray, dShat: np.ndarray, dZhat: np.ndarray):
+    """The largest t_p, t_d with diag(dv) + t_p dShat >= 0 and diag(dv) +
+    t_d dZhat >= 0 in each block of a stack, given W = 1 / sqrt(dv_i dv_j)
+    and a (2k, s, s) buffer: the steps of S and Z in NT-scaled coordinates.
+    (0, 0) for a direction that is not finite."""
+    k = len(W)
+    np.multiply(dShat, W, out=buf[:k])
+    np.multiply(dZhat, W, out=buf[k:])
+    if not np.isfinite(buf).all():
+        return 0.0, 0.0
+    lam = np.linalg.eigvalsh(buf)[:, 0]
+    return tuple(np.inf if x >= 0.0 else -1.0 / x for x in (lam[:k].min(), lam[k:].min()))
 
 
 def _ratio_step(dv: np.ndarray, delta_hat: np.ndarray) -> float:
-    """_max_step for k blocks of side 1 at once: the largest t with
-    dv + t*delta_hat >= 0 entrywise (dv > 0), a ratio test."""
-    lam = float(np.min(delta_hat / dv))
+    """The largest t with dv + t*delta_hat >= 0 entrywise (dv > 0), a ratio test."""
+    lam = float((delta_hat / dv).min())
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
@@ -416,19 +419,19 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
         pobj = float(c @ u)
         dobj = -sum(float(np.vdot(A0[g], Z[g])) for g in sides) + float(e @ lam)
         sz = sum(float(np.vdot(S[g], Z[g])) for g in sides)
-        res = [float(np.max(np.linalg.norm(R[g].reshape(len(R[g]), -1), axis=1)
-                            / (1.0 + a0_norms[g]))) for g in sides]
+        res = [float((np.sqrt((x * x).sum(axis=1)) / (1.0 + a0_norms[g])).max())
+               for g, x in zip(sides, (x.reshape(len(x), -1) for x in R))]
         if k:
             r_lin = A @ u + b - s
             r -= A.T @ z
             dobj -= float(b @ z)
             sz += float(s @ z)
-            res.append(float(np.max(np.abs(r_lin) / (1.0 + row_norms))))
+            res.append(float((np.abs(r_lin) / (1.0 + row_norms)).max()))
         mu = sz / n_total
         gap = pobj - dobj
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(max(res), float(np.max(np.abs(q), initial=0.0)) / (1.0 + e_norm))
-        dres = float(np.max(np.abs(r))) / (1.0 + c_norm)
+        pres = max(max(res), float(np.abs(q).max(initial=0.0)) / (1.0 + e_norm))
+        dres = float(np.abs(r).max()) / (1.0 + c_norm)
         trace.append((it, mu, pres, dres, pobj, dobj, ()))
 
         if not np.isfinite(mu) or (mu <= 0.0 and it > 0):
@@ -472,13 +475,17 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
             Aw = rows_w[:, 1:]
             r_hat = w * r_lin
         # release the last factors and directions before M is built and factored
-        kkt = step = trial = dS = dZ = lin = None
-        dS_a = dZ_a = dSh_a = dZh_a = lin_a = None
+        kkt = step = trial = dS = dZ = dZhat = lin = W = inv_mean = bufs = centre = None
+        dS_a = dSh_a = dZh_a = lin_a = None
         kkt = newton(schur.matrix(V, rows_w))
         if kkt is None:
             status = NUMERICAL_FAILURE
             break
         kkt, factored = kkt
+        # per stack, the step lengths' W and buffer and the corrector's 2 / (dv_i + dv_j)
+        W = [x[:, :, None] * x[:, None, :] for x in (1.0 / np.sqrt(dv) for dv in dvecs)]
+        inv_mean = [2.0 / (dv[:, :, None] + dv[:, None, :]) for dv in dvecs]
+        bufs = [np.empty((2 * len(w),) + w.shape[1:]) for w in W]
         Rhat = [Ginv[g] @ R[g] @ GinvT[g] for g in sides]
 
         def direction(T, t):
@@ -492,28 +499,24 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
             dS = [x + R[g] for g, x in zip(sides, at(du, 0.0))]
             dShat = [Ginv[g] @ dS[g] @ GinvT[g] for g in sides]
             dZhat = [T[g] - dShat[g] for g in sides]
-            dZ = [GinvT[g] @ dZhat[g] @ Ginv[g] for g in sides]
-            dZ = [0.5 * (x + x.swapaxes(1, 2)) for x in dZ]
             lin = None
             if k:
                 ds = A @ du + r_lin
                 ds_hat = ds * w
                 dz_hat = t - ds_hat
                 lin = ds, dz_hat * w, ds_hat, dz_hat
-            return du, dlam, dS, dZ, dShat, dZhat, lin
+            return du, dlam, dS, dShat, dZhat, lin
+
+        def unscaled(dZhat):  # dZ = G^{-T} dZ^ G^{-1}, symmetrized
+            return [0.5 * (x + x.swapaxes(1, 2)) for x in (GinvT[g] @ dZhat[g] @ Ginv[g] for g in sides)]
 
         def step_lengths(dShat, dZhat, lin):
             # (0, 0), which ends the solve, for a direction that is not finite:
             # it shows in the moment block, which reads every moment
             ap = ad = 1.0
             for g in sides:
-                dv = dvecs[g]
-                delta = np.concatenate((dShat[g], dZhat[g]))
-                if not np.isfinite(delta).all():
-                    return 0.0, 0.0
-                steps = _max_step(np.concatenate((dv, dv)), delta)
-                ap = min(ap, STEP_FRAC * float(steps[: len(dv)].min()))
-                ad = min(ad, STEP_FRAC * float(steps[len(dv) :].min()))
+                tp, td = _cone_steps(W[g], bufs[g], dShat[g], dZhat[g])
+                ap, ad = min(ap, STEP_FRAC * tp), min(ad, STEP_FRAC * td)
             if k:
                 ap = min(ap, STEP_FRAC * _ratio_step(dv_lin, lin[2]))
                 ad = min(ad, STEP_FRAC * _ratio_step(dv_lin, lin[3]))
@@ -521,28 +524,25 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
 
         # predictor (affine scaling: drive S Z -> 0)
         T_aff = [-(dvecs[g][:, :, None] * eyes[g]) for g in sides]
-        _, _, dS_a, dZ_a, dSh_a, dZh_a, lin_a = direction(T_aff, -dv_lin if k else None)
+        _, _, dS_a, dSh_a, dZh_a, lin_a = direction(T_aff, -dv_lin if k else None)
         ap_a, ad_a = step_lengths(dSh_a, dZh_a, lin_a)
-        sz_aff = sum(float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ_a[g])) for g in sides)
+        sz_aff = sum(float(np.vdot(S[g] + ap_a * dS_a[g], Z[g] + ad_a * dZ))
+                     for g, dZ in zip(sides, unscaled(dZh_a)))
         if k:
             sz_aff += float((s + ap_a * lin_a[0]) @ (z + ad_a * lin_a[1]))
         mu_aff = sz_aff / n_total
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+        centre = [sigma * mu * eyes[g] - (dvecs[g] ** 2)[:, :, None] * eyes[g] for g in sides]
 
         def corrector(dSh, dZh, lin):
             """The corrector whose second-order term is the product of the
             scaled steps dSh, dZh (and lin's) of an earlier direction, with
             its step lengths."""
-            T = []
-            for g in sides:
-                dv = dvecs[g]
-                cross = dSh[g] @ dZh[g]
-                rhs_sym = (sigma * mu * eyes[g] - (dv**2)[:, :, None] * eyes[g]
-                           - 0.5 * (cross + cross.swapaxes(1, 2)))
-                T.append(2.0 * rhs_sym / (dv[:, :, None] + dv[:, None, :]))
+            cross = [dSh[g] @ dZh[g] for g in sides]
+            T = [inv_mean[g] * (centre[g] - 0.5 * (x + x.swapaxes(1, 2))) for g, x in zip(sides, cross)]
             t = (sigma * mu - dv_lin**2 - lin[2] * lin[3]) / dv_lin if k else None
             step = direction(T, t)
-            return step, step_lengths(*step[4:])
+            return step, step_lengths(*step[3:])
 
         # Mehrotra's corrector, from the predictor; then, while the factors
         # serve every solve, up to EXTRA_CORRECTORS more, each from the last
@@ -550,23 +550,23 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
         step, (ap, ad) = corrector(dSh_a, dZh_a, lin_a)
         shorter = [min(ap, ad)]
         for _ in range(EXTRA_CORRECTORS if factored else 0):
-            trial, (tp, td) = corrector(*step[4:])
+            trial, (tp, td) = corrector(*step[3:])
             if min(tp, td) <= shorter[-1]:
                 break
             step, ap, ad = trial, tp, td
             shorter.append(min(ap, ad))
         correctors += len(shorter) - 1
         trace[-1] = trace[-1][:6] + (tuple(shorter),)
-        du, dlam, dS, dZ, _, _, lin = step
         if ap <= 1e-14 and ad <= 1e-14:
             status = NUMERICAL_FAILURE
             break
+        du, dlam, dS, _, dZhat, lin = step
 
         u = u + ap * du
         lam = lam + ad * dlam
-        for g in sides:
+        for g, dZ in zip(sides, unscaled(dZhat)):
             S[g] = S[g] + ap * dS[g]
-            Z[g] = Z[g] + ad * dZ[g]
+            Z[g] = Z[g] + ad * dZ
         if k:
             s = s + ap * lin[0]
             z = z + ad * lin[1]

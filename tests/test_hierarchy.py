@@ -12,7 +12,7 @@ from strata_opt.hierarchy import (
     run_hierarchy,
 )
 from strata_opt.moment import GE, MomentVector, moment_matrix
-from strata_opt.poly import Polynomial
+from strata_opt.poly import Polynomial, grlex_position
 from strata_opt.sdp import SolverOptions
 
 
@@ -107,6 +107,16 @@ class TestExtraction:
         assert len(pts) == 1
         np.testing.assert_allclose(pts[0], x, atol=1e-8)
         assert w[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_rank_one_second_moment_mismatch_fails(self):
+        # the closed-form atom reads the first moments; the Vandermonde check
+        # must still catch a second moment that no Dirac measure has
+        x = np.array([0.3, -0.5])
+        y = MomentVector.from_dirac(x, 2)
+        values = y.values.copy()
+        values[grlex_position([2, 0])] += 1e-3
+        with pytest.raises(ExtractionFailure, match="mismatch"):
+            extract_minimizers(MomentVector(n=2, d=2, values=values), 2, 1)
 
     def test_two_atoms_sign_pair(self):
         y = MomentVector.from_atoms([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5], 2)
@@ -450,12 +460,27 @@ class TestMemoryBudget:
         f = _sum_sq(3, [0.1, 0.2, 0.3])
         cons = add_ball_constraint(f, [], 2.0)
         needed = hierarchy.relaxation_bytes(3, 1, cons)
+        monkeypatch.setattr(hierarchy, "MEMORY_FLOOR", 0)
         monkeypatch.setattr(hierarchy, "assemble_relaxation", no_assembly)
         monkeypatch.setattr(hierarchy, "_available_bytes", lambda: 1.9 * needed)  # budget 0.95x
         with pytest.raises(hierarchy.RelaxationTooLarge) as info:
             run_hierarchy(f, cons, HierarchyOptions(d_max=2))
         assert (info.value.d, info.value.needed) == (1, needed)
         assert "0.5 of the available memory" in str(info.value)
+
+    def test_orders_below_the_floor_read_no_budget(self, monkeypatch):
+        import strata_opt.hierarchy as hierarchy
+
+        def no_budget():
+            raise AssertionError("read the memory budget for an order below MEMORY_FLOOR")
+
+        f = _sum_sq(3, [0.1, 0.2, 0.3])
+        cons = add_ball_constraint(f, [], 2.0)
+        assert hierarchy.relaxation_bytes(3, 2, cons) <= hierarchy.MEMORY_FLOOR
+        monkeypatch.setattr(hierarchy, "_available_bytes", no_budget)
+        res = run_hierarchy(f, cons, HierarchyOptions(d_max=2))
+        assert res.certified
+        np.testing.assert_allclose(res.minimizers[0], [0.1, 0.2, 0.3], atol=1e-6)
 
 
 def _extract_from_dirac(f, constraints, point, d=2, shift=0.0):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from strata_opt.poly import Polynomial
 from conftest import term_dict
 from strata_opt._linalg import (DENSE_KKT, DENSE_KKT_ROWS, chol_regularized, chol_solver, chol_stack,
                                 dense_route, echelon_rows, kkt_solver)
-from strata_opt.sdp import SolverOptions, _max_step, _nt_scaling, solve_sdp
+from strata_opt.sdp import SolverOptions, _cone_steps, _nt_scaling, solve_sdp
 
 
 def _lmi_problem(objective, blocks):
@@ -229,6 +230,13 @@ def _brute_max_step(X, dX):
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
+def _scaled_steps(dv, dS_hat, dZ_hat):
+    """_cone_steps on one block, with its weights and buffer."""
+    root = 1.0 / np.sqrt(dv)
+    W = (root[:, None] * root[None, :])[None]
+    return _cone_steps(W, np.empty((2,) + W.shape[1:]), dS_hat[None], dZ_hat[None])
+
+
 class TestScaledStepLength:
     def test_matches_brute_force_on_nt_scaled_pairs(self):
         rng = np.random.default_rng(20240521)
@@ -240,9 +248,9 @@ class TestScaledStepLength:
             np.testing.assert_allclose(Ginv @ S @ Ginv.T, np.diag(dv), atol=1e-10 * dv.max())
             np.testing.assert_allclose(G.T @ Z @ G, np.diag(dv), atol=1e-10 * dv.max())
             dS, dZ = _random_sym(rng, s), _random_sym(rng, s)
-            for X, dX, dX_hat in ((S, dS, Ginv @ dS @ Ginv.T), (Z, dZ, G.T @ dZ @ G)):
+            steps = _scaled_steps(dv, Ginv @ dS @ Ginv.T, G.T @ dZ @ G)
+            for X, dX, got in zip((S, Z), (dS, dZ), steps):
                 want = _brute_max_step(X, dX)
-                got = _max_step(dv, dX_hat)
                 if np.isinf(want):
                     assert np.isinf(got)
                     continue
@@ -256,7 +264,19 @@ class TestScaledStepLength:
         for s in (1, 4, 7):
             Ginv, dv = _nt_scaling(_random_pd(rng, s), _random_pd(rng, s))
             for dS in (np.zeros((s, s)), _random_pd(rng, s)):
-                assert _max_step(dv, Ginv @ dS @ Ginv.T) == np.inf
+                dS_hat = Ginv @ dS @ Ginv.T
+                assert _scaled_steps(dv, dS_hat, dS_hat) == (np.inf, np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_direction_that_is_not_finite_takes_no_step(self, bad):
+        rng = np.random.default_rng(5)
+        _, dv = _nt_scaling(_random_pd(rng, 4), _random_pd(rng, 4))
+        for which in (0, 1):  # the primal or the dual direction
+            pair = [_random_sym(rng, 4), _random_sym(rng, 4)]
+            pair[which][2, 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _scaled_steps(dv, *pair) == (0.0, 0.0)
 
 
 class TestCholeskySolve:
