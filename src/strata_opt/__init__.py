@@ -45,7 +45,7 @@ from .moment import (  # noqa: E402
 )
 from .pipeline import distance, pop_solve  # noqa: E402
 from .poly import Polynomial, lambda_set  # noqa: E402
-from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: E402
+from .sdp import SdpSolution, solve_sdp  # noqa: E402
 
 __all__ = [
     "EQ",
@@ -56,7 +56,6 @@ __all__ = [
     "Polynomial",
     "RelaxationProblem",
     "SdpSolution",
-    "SolverOptions",
     "add_ball_constraint",
     "assemble_relaxation",
     "check_rank_condition",

@@ -20,7 +20,6 @@ from .hierarchy import RelaxationTooLarge
 from .mech import (classify_ela, classify_piezo, classify_sym2, h3_coordinates,
                    harmonic_decompose_ela, piezo_harmonic_part, traceless)
 from .reports import write_reports
-from .sdp import SolverOptions
 
 STRATA = {stratum: kind for stratum, kind, _build in pipeline.STRATA.values()}
 TENSOR_TYPES = {kind: cls for cls, (_stratum, kind, _build) in pipeline.STRATA.items()}
@@ -87,20 +86,13 @@ def _write_json(path: str, reports) -> int:
     return 0
 
 
-def _solver_options(args) -> dict:
-    """The order and tolerance flags as keyword arguments of a pipeline run."""
-    return dict(d_max=args.dmax, rank_eps=args.rank_eps,
-                solver=SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol))
-
-
 def cmd_distance(args) -> int:
     c = args.c if args.c == "auto" else float(args.c)
     labels, kinds, tensors = zip(*_inputs(args))
     for label, kind in zip(labels, kinds):
         if kind != STRATA[args.stratum]:
             raise ValueError(f"{label} has kind {kind}, incompatible with stratum {args.stratum}")
-    opts = _solver_options(args)
-    reports = [pipeline.distance(tensor, c=c, **opts) for tensor in tensors]
+    reports = [pipeline.distance(tensor, c=c, d_max=args.dmax) for tensor in tensors]
 
     for label, report in zip(labels, reports):
         p = report.problem
@@ -157,17 +149,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     label, kind, tensor = _get_tensor(args)
+    classify = {"sym2": classify_sym2, "elasticity": classify_ela}.get(kind, classify_piezo)
+    cls = classify(tensor, tol=args.tol)  # refuses a tol that is not finite and positive
     print(f"== classify: {label} ({kind}, tol = {args.tol:g})")
+    print(f"  class: {cls.label}")
     if kind == "sym2":
-        cls = classify_sym2(tensor, tol=args.tol)
-        print(f"  class: {cls.label}")
         print(f"  |a'| / |a|        = {cls.isotropy_residual:.3e}")
         print(f"  |a^2 x a| / |a|^3 = {cls.transverse_residual:.3e}")
         if len(cls.chain) > 1:
             print("  closed-stratum membership chain: " + " -> ".join(cls.chain))
         return 0
-    cls = (classify_ela if kind == "elasticity" else classify_piezo)(tensor, tol=args.tol)
-    print(f"  class: {cls.label}")
     for name, residual in cls.residuals.items():
         print(f"  {name:<15}= {residual:.3e}")
     return 0
@@ -182,7 +173,7 @@ def cmd_pop_solve(args) -> int:
     if problem.ball is None:
         print("warning: no ball statement; convergence is only guaranteed for "
               "Archimedean constraints", file=sys.stderr)
-    report = pipeline.pop_solve(problem, **_solver_options(args))
+    report = pipeline.pop_solve(problem, d_max=args.dmax)
     report.problem["file"] = args.file
     _note_raised_order(args.dmax, report.problem["d_max"])
 
@@ -215,11 +206,8 @@ def cmd_datasets(args) -> int:
     return 0
 
 
-def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dmax", type=int, default=None, help="maximal relaxation order")
-    p.add_argument("--gap-tol", type=float, default=1e-8)
-    p.add_argument("--feas-tol", type=float, default=1e-8)
-    p.add_argument("--rank-eps", type=float, default=1e-6)
     p.add_argument("--json", type=str, default=None, help="write a JSON report here")
 
 
@@ -238,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --jobs is accepted and ignored: a batch runs in this process, and the
     # benchmark's cli op still passes it
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-    _add_common_solver_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("decompose", help="print harmonic components")
@@ -256,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pop-solve", help="solve a polynomial optimization problem file")
     p.add_argument("file", type=str)
-    _add_common_solver_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_pop_solve)
 
     p = sub.add_parser("datasets", help="list or show embedded datasets")
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError, RelaxationTooLarge) as exc:
         # an input, parse or run error (a bad file, a ball constant below
-        # f(x_ref), a tolerance that is not positive): one line, exit code 1
+        # f(x_ref), a classify --tol that is not finite and positive): one line, exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,8 @@ yields a lower bound rho_d; when the flatness condition
 
     rank M_{d-v}(y) = rank M_d(y),        v = max_i ceil(deg(g_i)/2),
 
-holds for the optimal moment vector y, the bound is certified, the measure
+holds for the optimal moment vector y (numerical ranks with the fixed
+relative threshold RANK_EPS), the bound is certified, the measure
 behind y is atomic, and its atoms (the global minimizers) are extracted from
 the moment matrix: at rank one in closed form, the atom y[e_k] / y_0 of
 weight y_0, and at rank s >= 2 from its multiplication matrices.  Each
@@ -38,7 +39,7 @@ from .moment import (
     moment_matrix,
 )
 from .poly import Polynomial, derivative_arrays, grlex_position, lambda_set, monomials
-from .sdp import OPTIMAL, SdpSolution, SolverOptions, solve_bytes, solve_sdp
+from .sdp import OPTIMAL, SdpSolution, solve_bytes, solve_sdp
 
 __all__ = [
     "HierarchyOptions",
@@ -77,6 +78,8 @@ FEAS_REPORT_TOL = 1e-6
 # eps * max(m, n): dividing by them moved an atom along its orbit by 0.64 at
 # |x| ~ 300 and changed f by up to 4 times the acceptance tolerance
 PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
+# relative singular-value threshold of the flatness test's numerical ranks
+RANK_EPS = 1e-6
 
 
 class RelaxationTooLarge(MemoryError):
@@ -95,8 +98,6 @@ class RelaxationTooLarge(MemoryError):
 @dataclass(frozen=True)
 class HierarchyOptions:
     d_max: int = 4
-    rank_eps: float = 1e-6          # relative singular-value threshold
-    solver: SolverOptions = field(default_factory=SolverOptions)
     # Exact change of coordinates x = r * x~ applied before assembly: bounds
     # are unchanged, moment-matrix ranks are preserved (positive diagonal
     # congruence), and minimizers are mapped back by r.  Balancing the
@@ -108,8 +109,6 @@ class HierarchyOptions:
         r = float(self.coordinate_scale)
         if not np.isfinite(r) or r <= 0.0:
             raise ValueError(f"coordinate_scale must be positive, got {r}")
-        if not 0.0 < self.rank_eps < 1.0:
-            raise ValueError(f"rank_eps must lie in (0, 1), got {self.rank_eps}")
 
 
 @dataclass
@@ -146,10 +145,6 @@ class HierarchyResult:
     order_reached: int
     minimizers: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
-
-    @property
-    def certified(self) -> bool:
-        return self.status_xi == 1
 
     @property
     def rank_s(self) -> int:
@@ -258,7 +253,7 @@ def extract_minimizers(y: MomentVector, d: int, s: int, tol: float = 1e-6, rng=N
         points = _multiplication_atoms(y, d, s, tol)
 
     # weights from the Vandermonde system over Lambda(2d)
-    A = np.column_stack([MomentVector.from_dirac(x, y.d).values for x in points])
+    A = monomials(lambda_set(n, 2 * y.d), np.array(points)).T
     w = y.values[:1] if s == 1 else np.linalg.lstsq(A, y.values, rcond=None)[0]
     resid = float(np.abs(A @ w - y.values).max())
     if resid > 100.0 * tol * max(1.0, float(np.abs(y.values).max())):
@@ -329,19 +324,15 @@ def _available_bytes() -> float:
             system = float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
         except (ValueError, OSError, AttributeError):
             pass
-    return min(system, _cgroup_free_bytes(system))
+    return min(system, _cgroup_free_bytes())
 
 
-def _cgroup_free_bytes(below: float = float("inf"), proc: str = "/proc/self/cgroup",
-                       mount: str = "/sys/fs/cgroup") -> float:
+def _cgroup_free_bytes(proc: str = "/proc/self/cgroup", mount: str = "/sys/fs/cgroup") -> float:
     """Bytes left under the memory limit of the process's cgroup: the limit
     minus the usage, with the inactive page cache (which the kernel
     reclaims first) counted as free.  Reads cgroup v2 (memory.max,
     memory.current) and v1 (memory.limit_in_bytes, memory.usage_in_bytes);
-    infinite when no limit is set or the files cannot be read.  A group
-    whose limit minus usage is at least `below` cannot lower the caller's
-    minimum, so its memory.stat (which takes the kernel ~0.1 ms to write)
-    is not read and it counts as infinite."""
+    infinite when no limit is set or the files cannot be read."""
     free = float("inf")
     try:
         with open(proc) as fh:
@@ -367,8 +358,6 @@ def _cgroup_free_bytes(below: float = float("inf"), proc: str = "/proc/self/cgro
                 continue
             with open(os.path.join(folder, usage_file)) as fh:
                 headroom = float(limit) - float(fh.read())
-            if headroom >= below:
-                continue
             cache = 0.0
             with open(os.path.join(folder, "memory.stat")) as fh:
                 for line in fh:
@@ -485,7 +474,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
         t0 = time.perf_counter()
         problem = assemble_relaxation(f_solve, cons_solve, d)
         t1 = time.perf_counter()
-        sol: SdpSolution = solve_sdp(problem, opts.solver)
+        sol: SdpSolution = solve_sdp(problem)
         t2 = time.perf_counter()
         rec = OrderDiagnostics(
             d=d,
@@ -509,9 +498,7 @@ def run_hierarchy(f: Polynomial, constraints, options: HierarchyOptions | None =
 
         xi = 0
         rho = sol.objective
-        satisfied, s_high, s_low = check_rank_condition(
-            sol.y, d, problem.v_max, opts.rank_eps
-        )
+        satisfied, s_high, s_low = check_rank_condition(sol.y, d, problem.v_max, RANK_EPS)
         t3 = time.perf_counter()
         rec.seconds["rank"] = t3 - t2
         rec.rank_low, rec.rank_high, rec.rank_satisfied = s_low, s_high, satisfied

@@ -100,6 +100,12 @@ def check_finite(m) -> None:
                          + ", ".join(f"{m[tuple(i)]} at {tuple(i.tolist())}" for i in bad))
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a class test's tolerance that is not finite and positive."""
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def unit_scaled(m):
     """m divided by the power of two at or above its largest entry: exact, so
     a scale-invariant test reads the same answer without overflow or underflow."""

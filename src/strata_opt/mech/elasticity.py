@@ -199,7 +199,8 @@ def classify_ela(E: ElasticityTensor, tol: float = 1e-6) -> CubicClassification:
     and |d2'|/|H|^2, read off E scaled to unit size so that no norm
     overflows.  A harmonic part at most tol of |E| reads as zero, with
     |d2'|/|H|^2 = 0: there it is rounding, whose d2' is as large as its
-    |H|^2."""
+    |H|^2.  Raises ValueError when tol is not finite and positive."""
+    ta.check_tol(tol)
     E = ElasticityTensor(ta.unit_scaled(E.voigt))
     h = harmonic_decompose_ela(E)
     nE, nH2 = E.norm(), h.h4.norm2()

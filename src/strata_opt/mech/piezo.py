@@ -125,7 +125,9 @@ def d2prime_piezo(h: PiezoTensor) -> Sym2Tensor:
 def classify_piezo(e: PiezoTensor, tol: float = 1e-6) -> CubicClassification:
     """The at-least-cubic test g = 0 and d2'(h) = 0 by |g|/|e| and |d2'|/|h|^2,
     read off e scaled to unit size so that no norm overflows; an h at most
-    tol of |e| reads as zero, as in classify_ela."""
+    tol of |e| reads as zero, as in classify_ela.  Raises ValueError when
+    tol is not finite and positive."""
+    ta.check_tol(tol)
     e = PiezoTensor(ta.unit_scaled(e.voigt))
     split = piezo_harmonic_part(e)
     ne, nh2 = e.norm(), split.h.norm2()

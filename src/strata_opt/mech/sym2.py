@@ -136,8 +136,10 @@ def classify_sym2(a: Sym2Tensor, tol: float = 1e-6) -> Sym2Classification:
 
     Residuals are relative, read off a scaled to unit size so that no norm
     overflows; near-threshold cases (within 10x of tol) list the whole
-    closed-stratum membership chain instead of a single class.
+    closed-stratum membership chain instead of a single class.  Raises
+    ValueError when tol is not finite and positive.
     """
+    ta.check_tol(tol)
     a = Sym2Tensor(mat=ta.unit_scaled(a.mat))
     nrm = a.norm()
     if nrm == 0.0:

@@ -8,13 +8,13 @@ import time
 
 import numpy as np
 
-from .hierarchy import (HierarchyOptions, HierarchyResult, add_ball_constraint, order_limit,
-                        run_hierarchy)
+from .hierarchy import (RANK_EPS, HierarchyOptions, HierarchyResult, add_ball_constraint,
+                        order_limit, run_hierarchy)
 from .mech import (ElasticityTensor, PiezoTensor, Sym2Tensor, build_distance_problem_ela,
                    build_distance_problem_piezo, build_distance_problem_sym2)
 from .moment import minimal_order
 from .reports import Report, diagnostics_to_plain, environment
-from .sdp import SolverOptions
+from .sdp import FEAS_TOL, GAP_TOL
 
 # tensor type -> (stratum, kind, builder of its distance problem)
 STRATA = {Sym2Tensor: ("O2", "sym2", build_distance_problem_sym2),
@@ -22,25 +22,23 @@ STRATA = {Sym2Tensor: ("O2", "sym2", build_distance_problem_sym2),
           PiezoTensor: ("cubic-piezo", "piezo", build_distance_problem_piezo)}
 
 
-def _run(f, constraints, d_max, solver, rank_eps, coordinate_scale=1.0, known=None):
+def _run(f, constraints, d_max, coordinate_scale=1.0, known=None):
     """min f over the constraints by the hierarchy from d0 to d_max (d0 + 1
     unless given, raised to d0 when below), or the ``known`` result without
     a solve: the result, the settings a report records and its solve fields."""
-    solver = solver or SolverOptions()
     opts = HierarchyOptions(d_max=order_limit(d_max, minimal_order(f, constraints)),
-                            rank_eps=rank_eps, solver=solver, coordinate_scale=coordinate_scale)
+                            coordinate_scale=coordinate_scale)
     t0 = time.perf_counter()
     result = known or run_hierarchy(f, constraints, opts)
     seconds = time.perf_counter() - t0
-    settings = dict(d_max=opts.d_max, gap_tol=solver.gap_tol, feas_tol=solver.feas_tol,
-                    rank_eps=rank_eps)
+    settings = dict(d_max=opts.d_max, gap_tol=GAP_TOL, feas_tol=FEAS_TOL, rank_eps=RANK_EPS)
     return result, settings, dict(
         diagnostics=diagnostics_to_plain(result.diagnostics), status_xi=result.status_xi,
         bound=result.bound if np.isfinite(result.bound) else None, seconds=seconds,
         environment=environment())
 
 
-def distance(tensor, c="auto", d_max=None, solver=None, rank_eps=1e-6) -> Report:
+def distance(tensor, c="auto", d_max=None) -> Report:
     """The certified distance from a tensor to its closed isotropy stratum.
 
     The stratum follows from the tensor's type (``STRATA``).  ``c`` is the
@@ -54,8 +52,8 @@ def distance(tensor, c="auto", d_max=None, solver=None, rank_eps=1e-6) -> Report
     exactly, with no relaxation: bound 0, the distance sqrt(offset), the
     candidate at x_ref, c None and no diagnostics.
 
-    Raises ValueError when the squared distance does not fit a double, c
-    does not dominate f(x_ref) or a tolerance is invalid, and
+    Raises ValueError when the squared distance does not fit a double or c
+    does not dominate f(x_ref), and
     hierarchy.RelaxationTooLarge when an order needs too much memory.
     """
     try:
@@ -71,8 +69,7 @@ def distance(tensor, c="auto", d_max=None, solver=None, rank_eps=1e-6) -> Report
     else:
         c = 1.5 * f_ref if c == "auto" else float(c)
         constraints = add_ball_constraint(f, problem.constraints, c, x_ref)
-    result, settings, fields = _run(f, constraints, d_max, solver, rank_eps,
-                                    problem.natural_scale, known)
+    result, settings, fields = _run(f, constraints, d_max, problem.natural_scale, known)
 
     dist = relative = None
     minimizers_voigt, residuals = [], {}
@@ -97,19 +94,19 @@ def distance(tensor, c="auto", d_max=None, solver=None, rank_eps=1e-6) -> Report
         residuals=residuals, **fields)
 
 
-def pop_solve(problem, d_max=None, solver=None, rank_eps=1e-6) -> Report:
+def pop_solve(problem, d_max=None) -> Report:
     """Solve a parsed problem file (``popfile.PopProblem``) by the hierarchy,
     with its ball c - f >= 0 when it has one, under the order rule of
     ``distance``.  The report's ``problem["file"]`` is None for the caller
     to label, and its distance is the root of a nonnegative bound.
 
-    Raises ValueError when the ball constant or a tolerance is invalid, and
+    Raises ValueError when the ball constant is invalid, and
     hierarchy.RelaxationTooLarge when an order needs too much memory.
     """
     f, constraints = problem.objective, list(problem.constraints)
     if problem.ball is not None:
         constraints = add_ball_constraint(f, constraints, problem.ball)
-    result, settings, fields = _run(f, constraints, d_max, solver, rank_eps)
+    result, settings, fields = _run(f, constraints, d_max)
     bound = fields["bound"]
     return Report(
         problem=dict(command="pop-solve", file=None, var_names=list(problem.var_names),

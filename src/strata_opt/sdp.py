@@ -40,10 +40,8 @@ start is centred at mu = 1 whatever the problem's scale.  (Z = I, at
 mu = tau, took about a tenth more iterations on the order-(d0 + 1)
 relaxations of the strata.)  Where the Newton system's factors
 serve every solve (the Cholesky route of _linalg.kkt_solver, not the LU
-that small systems take at every solve: at most 96 moments without rows,
-or N + m <= 160 with m <= N / 2 rows, because rows add the Cholesky
-route's reduction and a refinement pass per solve; _linalg.dense_route),
-up to EXTRA_CORRECTORS more correctors follow, each with the
+that the small systems of _linalg.dense_route take at every solve), up to
+EXTRA_CORRECTORS more correctors follow, each with the
 last direction's own dS^ dZ^ as its second-order term (Carpenter, Lustig,
 Mulvey and Shanno, SIAM J. Optim. 3, 1993; Gondzio, Comput. Optim. Appl. 6,
 1996), and each kept only if it lengthens the shorter of the primal and
@@ -57,27 +55,17 @@ step solves the KKT system
 with r = c - A^*(Z) - A^T z - E^T lam the dual residual, q = e - E u the
 equality residual and rhs[alpha] = sum_i <A_i[alpha], G_i^{-T} (T_i - R_i^) G_i^{-1}>
 for a complementarity target T_i and the scaled primal residual R_i^.  M is
-positive definite, because the moment block contains every moment.  The
-step is taken in the kernel of E (_linalg.kkt_solver): the reduced matrix
-
-    M_r = Z^T M Z = M_FF + C^T T + T^T C,   T = M_PP C / 2 - M_PF,
-
-built one block C_k of C at a time in (r + f) sum_k r_k f_k flops, is
-factored M_r = L L^T once per iteration, and with
-p = rhs - r
-
-    w = M_r^{-1} Z^T p,   du = Pi [q; 0] + Z w,
-
-then one refinement w' = M_r^{-1} Z^T (p - M du) of du against M itself,
-and dlam = (M du - p)_P.  M_r mixes M's entries through C, which amplifies
-its rounding near the optimum; the refinement brings the dual residual back
-to about that of a Cholesky solve of M, and takes Pi [q; 0]'s part, which
-is rounding: the iterates meet E u = e.  E du = q holds to rounding however
-ill-conditioned M is.  Without rows M_r is M, with no refinement.  The
+positive definite, because the moment block contains every moment.
+_linalg.kkt_solver takes the step in the kernel of E, factored once per
+iteration, and refines it against M itself: E du = q holds to rounding
+however ill-conditioned M is, and the iterates meet E u = e.  The
 dual objective is -sum_i <C_i, Z_i> - b^T z + e^T lam.  Memory peaks in
 the set-up's elimination or in an iteration's KKT factorization
 (solve_bytes): the set-up's arrays but (P, F, C, e) are released before
 the IPM starts, and each iteration's factors before the next M is built.
+A run ends optimal at a relative gap of at most GAP_TOL with both
+residuals at most FEAS_TOL: the same rule for every run, so that a
+certificate always means the same thing.
 
 The rows take the 1 x 1 case of every formula, elementwise.  Their
 scaling is dv = sqrt(s z) and w = sqrt(z / s), their V; they add
@@ -89,20 +77,11 @@ for dz^.  Without rows none of this runs.
 
 M is built by the sparse-data formula of Fujisawa, Kojima and Nakata
 ("Exploiting sparsity in primal-dual interior-point methods for
-semidefinite programming", Math. Program. 79, 1997).  A block is
-M_k(g . y) = (g . y)[B], the rows of the shifted sequence read through the
-base table B of M_k (moment.LMIBlock), so A_beta = sum_gamma G[beta, gamma]
-H_gamma with H_gamma = [B == gamma] and G[shift[gamma, t], gamma] = g_t:
-
-    Q[c, a, gamma'] = sum_{d: B[c, d] = gamma'} V[a, d]                      (scatter)
-    Y[b, a, gamma'] = sum_c V[b, c] Q[c, a, gamma'] = (V H_gamma' V)[b, a]   (gemm, b >= a)
-    MH[gamma, gamma'] = sum_{a <= b: B[a, b] = gamma} (2 - [a = b]) Y[b, a, gamma']
-
-(row adds), and M += G MH G^T (_schur).  A block solved on a face enters
-with V = F V' F^T, V' its scaling in the face.  The blocks at y are
-(G^T y)[B], and the adjoint <A_i[alpha], X_i> is (G_i h_i)[alpha] with
-h_i[gamma] the sum of X_i over B == gamma: bincounts over the rows g . y,
-the same data as the equality rows.  Step lengths are taken in the scaled
+semidefinite programming", Math. Program. 79, 1997) on each block's base
+table (moment.LMIBlock), as _schur states it.  A block solved on a face
+enters with V = F V' F^T, V' its scaling in the face.  The blocks at y and
+the adjoint are bincounts over the rows g . y (_schur), the same data as
+the equality rows.  Step lengths are taken in the scaled
 space, where both iterates are diag(dv): once M is factored, each stack
 gets W = 1 / sqrt(dv_i dv_j) and a buffer that takes a direction's dS^ o W
 and dZ^ o W, and one eigvalsh of their lower triangles bounds both steps.
@@ -124,7 +103,7 @@ from ._linalg import DENSE_KKT_ROWS, chol_stack, dense_route, echelon_rows, kkt_
 from ._schur import ShiftRows, TableSchur, scaled, stack_blocks, stack_doubles
 from .moment import MomentVector, RelaxationProblem
 
-__all__ = ["SolverOptions", "SdpSolution", "solve_bytes", "solve_sdp"]
+__all__ = ["SdpSolution", "solve_bytes", "solve_sdp"]
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -136,23 +115,13 @@ STEP_FRAC = 0.98
 EXTRA_CORRECTORS = 2
 # iterations before a run ends max_iterations
 ITER_LIMIT = 200
+# a run ends optimal at relative gap <= GAP_TOL with both residuals <= FEAS_TOL
+GAP_TOL = FEAS_TOL = 1e-8
 # a feasible scaled objective below this ends unbounded_suspected
 OBJECTIVE_FLOOR = -1e12
 # doubles that solve_bytes adds for the solver's small arrays and objects
 # (up to 116 KiB beyond its other terms on the embedded tensors' relaxations)
 _SMALL = 1 << 15
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("gap_tol", "feas_tol"):
-            tol = getattr(self, name)
-            if not np.isfinite(tol) or tol <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
 @dataclass
@@ -168,7 +137,7 @@ class SdpSolution:
     trace: list = field(default_factory=list)
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
-    relative_gap: float = float("nan")  # the quantity gap_tol bounds
+    relative_gap: float = float("nan")  # the quantity GAP_TOL bounds
     schur_dim: int = 0      # moments in the Newton system; 0 when the IPM did not run
     equality_rows: int = 0  # independent equality rows kept
     linear_rows: int = 0    # side-1 blocks solved as linear rows; 0 when the IPM did not run
@@ -269,8 +238,7 @@ def solve_bytes(num_moments: int, side: int, blocks, equality_rows: int,
     return 8 * (max(setup, iteration) + _SMALL)
 
 
-def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) -> SdpSolution:
-    opts = options or SolverOptions()
+def solve_sdp(problem: RelaxationProblem) -> SdpSolution:
     L = problem.num_moments
     N = L - 1
     c_raw = problem.objective[1:].copy()
@@ -307,18 +275,18 @@ def solve_sdp(problem: RelaxationProblem, options: SolverOptions | None = None) 
     if rank == N:
         # no free moments: feasibility is a property of the fixed values alone
         y = np.concatenate(([1.0], u))
-        ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -opts.feas_tol for b in blocks)
+        ok = all(np.linalg.eigvalsh(b.evaluate(y))[0] >= -FEAS_TOL for b in blocks)
         return finish(u, OPTIMAL if ok else NUMERICAL_FAILURE, 0.0, 0.0, 0.0,
                       iterations=0, relative_gap=0.0)
     if not blocks:  # on {E u = e}, c is bounded below iff its reduced cost vanishes
         dres = float(np.max(np.abs(c_raw[E.F] - E.ct_dot(c_raw[E.P])), initial=0.0)
                      / (1.0 + np.max(np.abs(c_raw), initial=0.0)))
-        status = OPTIMAL if dres <= opts.feas_tol else UNBOUNDED_SUSPECTED
+        status = OPTIMAL if dres <= FEAS_TOL else UNBOUNDED_SUSPECTED
         return finish(u, status, 0.0, 0.0, dres, iterations=0, relative_gap=0.0)
 
     face = _moment_face(problem.n, problem.d, equalities) if rank else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # overflow fails the solve
-        outcome = _ipm(c_raw, blocks, E, u, opts, face)
+        outcome = _ipm(c_raw, blocks, E, u, face)
     return finish(**outcome, schur_dim=N, linear_rows=sum(b.side == 1 for b in blocks))
 
 
@@ -343,7 +311,7 @@ def _moment_face(n: int, d: int, equalities) -> np.ndarray | None:
     return np.ascontiguousarray(Vt[rank:].T) if rank else None
 
 
-def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
+def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray,
          face: np.ndarray | None = None) -> dict:
     """Path-following core on  min <c,u>  s.t.  A_i(u) >= 0,  E u = e,
     from u (which satisfies E u = e), with the rows E u = e in echelon form
@@ -449,10 +417,10 @@ def _ipm(c_raw: np.ndarray, blocks: list, E, u: np.ndarray, opts: SolverOptions,
                 status = NUMERICAL_FAILURE
                 break
 
-        if rel_gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol:
+        if rel_gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL:
             status = OPTIMAL
             break
-        if pobj < OBJECTIVE_FLOOR and pres <= opts.feas_tol:
+        if pobj < OBJECTIVE_FLOOR and pres <= FEAS_TOL:
             status = UNBOUNDED_SUSPECTED
             break
 

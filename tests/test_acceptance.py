@@ -36,7 +36,7 @@ from strata_opt.mech import (
 from strata_opt.mech._tensalg import h3_full, h4_voigt, voigt_from_full4
 from strata_opt.moment import GE, MomentVector, assemble_relaxation, minimal_order
 from strata_opt.poly import Polynomial, lambda_set
-from strata_opt.sdp import SolverOptions, solve_sdp
+from strata_opt.sdp import GAP_TOL, solve_sdp
 
 from conftest import ela_norm2_split, invariants_h3, random_rotation, recompose_ela
 
@@ -260,7 +260,7 @@ def _random_pop(rng):
 
 def test_criterion_5_hierarchy_monotonicity():
     rng = np.random.default_rng(918273)
-    gap = SolverOptions().gap_tol
+    gap = GAP_TOL
     t0 = time.perf_counter()
     checked = 0
     for _trial in range(20):

@@ -101,6 +101,15 @@ class TestDecomposeClassify:
                    (line.split("=") for line in out.splitlines()[2:])}
         assert printed == {name: f"{r:.3e}" for name, r in cls.residuals.items()}
 
+    @pytest.mark.parametrize("ds_id", ["a0", "E0", "aln"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_classify_refuses_a_tolerance_that_is_not_finite_and_positive(self, capsys, ds_id,
+                                                                          tol):
+        assert main(["classify", "--dataset", ds_id, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tol must be finite and positive, got {float(tol)}\n"
+
 
 @pytest.mark.parametrize("unit", ["GPa", "MPa"])
 def test_rotated_cubic_crystal(tmp_path, capsys, unit):
@@ -263,22 +272,6 @@ class TestPopSolve:
         main(["pop-solve", str(path)])
         assert "Archimedean" in capsys.readouterr().err
 
-    def test_tolerance_flags_accepted(self, tmp_path, capsys):
-        path = tmp_path / "p.pop"
-        path.write_text("var x\nmin x^2\nge x\nge 1 - x\n")
-        code = main(["pop-solve", str(path), "--gap-tol", "1e-9",
-                     "--feas-tol", "1e-9", "--rank-eps", "1e-5"])
-        assert code == 0
-
-    @pytest.mark.parametrize("flag, value, name", [("--rank-eps", "inf", "rank_eps"),
-                                                   ("--feas-tol", "0", "feas_tol")])
-    def test_invalid_tolerance_rejected(self, tmp_path, capsys, flag, value, name):
-        path = tmp_path / "p.pop"
-        path.write_text("var x\nmin x^2\nge x\nge 1 - x\nball 2\n")
-        assert main(["pop-solve", str(path), flag, value]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must") and "Traceback" not in err
-
     def test_huge_order_refused_before_assembly(self, tmp_path, capsys, monkeypatch):
         import strata_opt.hierarchy as hierarchy
 
@@ -431,6 +424,17 @@ class TestDistanceCommand:
         assert main(["distance", "--stratum", "cubic-ela"]) == 1
         assert main(["distance", "--dataset", "E0"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--gap-tol", "--feas-tol", "--rank-eps"])
+    @pytest.mark.parametrize("command", [["distance", "--dataset", "aln", "--stratum", "cubic-piezo"],
+                                         ["pop-solve", "p.pop"]], ids=["distance", "pop-solve"])
+    def test_tolerance_flags_are_usage_errors(self, capsys, command, flag):
+        # the certification tolerances are fixed (sdp.GAP_TOL, sdp.FEAS_TOL,
+        # hierarchy.RANK_EPS): a flag that sets one is not an argument
+        assert main(command + [flag, "1e-9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: strata-opt")
+        assert f"error: unrecognized arguments: {flag} 1e-9\n" in err and "Traceback" not in err
+
     def test_ball_constant_below_reference_rejected(self, capsys):
         code = main(["distance", "--dataset", "E0", "--stratum", "cubic-ela",
                      "--c", "1"])
@@ -447,14 +451,6 @@ class TestDistanceCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: ball constant must be finite and positive, got c={c}\n"
-
-    @pytest.mark.parametrize("flag, value, name", [("--rank-eps", "2", "rank_eps"),
-                                                   ("--gap-tol", "nan", "gap_tol")])
-    def test_invalid_tolerance_rejected(self, capsys, flag, value, name):
-        code = main(["distance", "--dataset", "aln", "--stratum", "cubic-piezo", flag, value])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must") and "Traceback" not in err
 
     def test_pa_scale_input_certifies(self, tmp_path, capsys):
         # stiffness given in Pa instead of GPa: coordinate normalization

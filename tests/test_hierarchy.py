@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strata_opt import sdp
 from strata_opt.hierarchy import (
     FEAS_REPORT_TOL,
     ExtractionFailure,
@@ -13,7 +14,6 @@ from strata_opt.hierarchy import (
 )
 from strata_opt.moment import GE, MomentVector, moment_matrix
 from strata_opt.poly import Polynomial, grlex_position
-from strata_opt.sdp import SolverOptions
 
 
 def _sum_sq(n, center):
@@ -189,13 +189,14 @@ class TestExtraction:
 
 
 class TestRunHierarchy:
-    def test_dirac_closure_at_first_order(self):
+    def test_dirac_closure_at_first_order(self, monkeypatch):
         # pure quadratic distance with only the coercivity ball: atom at x_hat
+        monkeypatch.setattr(sdp, "GAP_TOL", 1e-10)
+        monkeypatch.setattr(sdp, "FEAS_TOL", 1e-10)
         x_hat = np.array([0.3, -1.2, 0.7])
         f = _sum_sq(3, x_hat)
         cons = add_ball_constraint(f, [], 10.0, np.zeros(3))
-        opts = HierarchyOptions(d_max=1, solver=SolverOptions(gap_tol=1e-10, feas_tol=1e-10))
-        res = run_hierarchy(f, cons, opts)
+        res = run_hierarchy(f, cons, HierarchyOptions(d_max=1))
         assert res.status_xi == 1 and res.order_reached == 1
         np.testing.assert_allclose(res.minimizers[0], x_hat, atol=1e-6)
 
@@ -211,7 +212,7 @@ class TestRunHierarchy:
         assert res.bound == pytest.approx(0.0, abs=1e-6)
         # recorded bounds are nondecreasing across solved orders
         solved = [r.objective for r in res.diagnostics if r.solver_status == "optimal"]
-        gtol = 10 * SolverOptions().gap_tol
+        gtol = 10 * sdp.GAP_TOL
         for lo, hi in zip(solved, solved[1:]):
             assert lo <= hi + gtol
 
@@ -248,7 +249,7 @@ class TestRunHierarchy:
             sol = solve_sdp(assemble_relaxation(f, constraints, d))
             assert sol.status == "optimal"
             bounds.append(sol.objective)
-        gtol = 10 * SolverOptions().gap_tol
+        gtol = 10 * sdp.GAP_TOL
         assert bounds[0] <= bounds[1] + gtol * (1 + abs(bounds[1]))
         # brute-force feasible samples dominate every certified bound
         pts = rng.uniform(-2, 2, size=(20000, 2))
@@ -286,15 +287,13 @@ class TestRunHierarchy:
         for a, b in zip(r1.minimizers, r2.minimizers):
             np.testing.assert_array_equal(a, b)
 
-    def test_coordinate_scale_preserves_bound_and_minimizer(self):
+    def test_coordinate_scale_preserves_bound_and_minimizer(self, monkeypatch):
+        monkeypatch.setattr(sdp, "GAP_TOL", 1e-9)
         x_hat = np.array([0.3, -1.2, 0.7])
         f = _sum_sq(3, x_hat)
         cons = add_ball_constraint(f, [], 10.0, np.zeros(3))
-        solver = SolverOptions(gap_tol=1e-9)
-        plain = run_hierarchy(f, cons, HierarchyOptions(d_max=1, solver=solver))
-        scaled = run_hierarchy(
-            f, cons, HierarchyOptions(d_max=1, solver=solver, coordinate_scale=2.5)
-        )
+        plain = run_hierarchy(f, cons, HierarchyOptions(d_max=1))
+        scaled = run_hierarchy(f, cons, HierarchyOptions(d_max=1, coordinate_scale=2.5))
         assert scaled.status_xi == plain.status_xi == 1
         assert scaled.bound == pytest.approx(plain.bound, abs=1e-7)
         np.testing.assert_allclose(scaled.minimizers[0], x_hat, atol=1e-5)
@@ -315,22 +314,6 @@ class TestRunHierarchy:
         cons = add_ball_constraint(f, [], 4.0)
         with pytest.raises(ValueError):
             run_hierarchy(f, cons, HierarchyOptions(d_max=1, coordinate_scale=0.0))
-
-    @pytest.mark.parametrize("options, name", [
-        ({"rank_eps": 0.0}, "rank_eps"), ({"rank_eps": 1.0}, "rank_eps"),
-        ({"rank_eps": 2.0}, "rank_eps"), ({"rank_eps": float("nan")}, "rank_eps"),
-        ({"solver": {"gap_tol": 0.0}}, "gap_tol"),
-        ({"solver": {"gap_tol": float("inf")}}, "gap_tol"),
-        ({"solver": {"feas_tol": -1e-8}}, "feas_tol"),
-        ({"solver": {"feas_tol": float("nan")}}, "feas_tol"),
-    ])
-    def test_invalid_tolerances_rejected(self, options, name):
-        # the solver's tolerances are refused by SolverOptions itself
-        f = _sum_sq(1, [0.0])
-        cons = add_ball_constraint(f, [], 4.0)
-        with pytest.raises(ValueError, match=name):
-            options = {k: SolverOptions(**v) if k == "solver" else v for k, v in options.items()}
-            run_hierarchy(f, cons, HierarchyOptions(d_max=1, **options))
 
 
 def test_projected_atom_certifies_rotated_scaled_input():
@@ -433,9 +416,6 @@ class TestMemoryBudget:
             "memory.limit_in_bytes": "5000\n", "memory.usage_in_bytes": "4000\n",
             "memory.stat": "inactive_file 10\ntotal_inactive_file 500\n"})
         assert _cgroup_free_bytes(proc=proc, mount=mount) == 1500.0
-        # a group whose limit minus usage reaches `below` cannot lower the minimum
-        assert _cgroup_free_bytes(1000.0, proc=proc, mount=mount) == float("inf")
-        assert _cgroup_free_bytes(1001.0, proc=proc, mount=mount) == 1500.0
 
     def test_no_limit_or_no_cgroup_is_unbounded(self, tmp_path):
         from strata_opt.hierarchy import _cgroup_free_bytes
@@ -448,7 +428,7 @@ class TestMemoryBudget:
     def test_available_bytes_takes_the_cgroup_cap(self, monkeypatch):
         import strata_opt.hierarchy as hierarchy
 
-        monkeypatch.setattr(hierarchy, "_cgroup_free_bytes", lambda below: min(below, 12345.0))
+        monkeypatch.setattr(hierarchy, "_cgroup_free_bytes", lambda: 12345.0)
         assert hierarchy._available_bytes() == 12345.0
 
     def test_refusal_over_the_budget_before_assembly(self, monkeypatch):
@@ -479,7 +459,7 @@ class TestMemoryBudget:
         assert hierarchy.relaxation_bytes(3, 2, cons) <= hierarchy.MEMORY_FLOOR
         monkeypatch.setattr(hierarchy, "_available_bytes", no_budget)
         res = run_hierarchy(f, cons, HierarchyOptions(d_max=2))
-        assert res.certified
+        assert res.status_xi == 1
         np.testing.assert_allclose(res.minimizers[0], [0.1, 0.2, 0.3], atol=1e-6)
 
 

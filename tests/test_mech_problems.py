@@ -270,3 +270,18 @@ def test_cubic_tests_do_not_depend_on_scale(kind, voigt, scale):
         scaled = CLASSIFY[kind](scale * voigt)
     assert scaled.cubic == unit.cubic
     assert scaled.strict == unit.strict
+
+
+CLASSIFIERS = {"sym2": lambda V, tol: classify_sym2(Sym2Tensor(mat=V), tol=tol),
+               "elasticity": lambda V, tol: classify_ela(ElasticityTensor(voigt=V), tol=tol),
+               "piezo": lambda V, tol: classify_piezo(PiezoTensor(voigt=V), tol=tol)}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_class_tests_refuse_a_tolerance_that_is_not_finite_and_positive(kind, tol):
+    """A nan tol read E0's |d2'| / |H|^2 as 0 and an infinite one labelled it
+    at-least-cubic: each class test refuses both, and 0 and -1, before it runs."""
+    voigt = np.array(DATASETS[FIRST[kind]].voigt)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        CLASSIFIERS[kind](voigt, tol)

@@ -53,6 +53,22 @@ def test_order_rule():
     assert strata_opt.distance(aln, d_max=3).problem["d_max"] == 3
 
 
+def test_report_states_the_certification_tolerances():
+    """Every report names the fixed rule it was certified under, the on-stratum
+    shortcut's and a problem file's too."""
+    from strata_opt.hierarchy import RANK_EPS
+    from strata_opt.popfile import parse_pop
+    from strata_opt.sdp import FEAS_TOL, GAP_TOL
+
+    reports = [strata_opt.distance(_dataset_tensor("aln")),
+               strata_opt.distance(Sym2Tensor(mat=2.0 * np.eye(3))),
+               strata_opt.pop_solve(parse_pop("var x\nmin (x - 1)^2\nball 4\n"))]
+    for report in reports:
+        assert report.status_xi == 1
+        tols = {k: report.problem[k] for k in ("gap_tol", "feas_tol", "rank_eps")}
+        assert tols == {"gap_tol": GAP_TOL, "feas_tol": FEAS_TOL, "rank_eps": RANK_EPS}
+
+
 def test_given_ball_constant_is_kept_and_checked():
     E0 = _dataset_tensor("E0")
     report = strata_opt.distance(E0, c=58000)
@@ -147,8 +163,6 @@ def test_input_on_its_stratum_is_certified_exactly(tensor):
     field = "mat" if isinstance(tensor, Sym2Tensor) else "voigt"
     np.testing.assert_allclose(report.minimizers_voigt[0], getattr(tensor, field), atol=1e-14)
     assert report.residuals["distance_consistency"] <= 1e-15
-    with pytest.raises(ValueError, match="rank_eps must lie in"):  # no solve, same checks
-        strata_opt.distance(tensor, rank_eps=2.0)
 
 
 POP_FILES = {  # the problem files that the command-line CI step solves with --json

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import strata_opt
-from strata_opt.sdp import SolverOptions
+from strata_opt.sdp import GAP_TOL
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(strata_opt.__file__)))
@@ -111,7 +111,7 @@ def test_user_thread_setting_wins():
 
 
 def _agree_within_gap_tol(b1, b2):
-    return abs(b1 - b2) <= SolverOptions().gap_tol * (1.0 + abs(b1) + abs(b2))
+    return abs(b1 - b2) <= GAP_TOL * (1.0 + abs(b1) + abs(b2))
 
 
 def test_cli_bound_agrees_across_blas_thread_counts(tmp_path):
